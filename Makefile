@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
+.PHONY: all build vet lint test race bench bench-check bench-json benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
 
 all: build vet lint test
 
@@ -13,8 +13,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# hybridlint: the in-tree analyzer suite (wallclock, lockcheck, maporder,
-# vtunits) enforcing virtual-time and determinism discipline. See DESIGN.md §8.
+# hybridlint: the in-tree suite of eight analyzers (wallclock, lockcheck,
+# maporder, vtunits, chargecheck, spanbalance, errsink, detsched) enforcing
+# virtual-time and determinism discipline. See DESIGN.md §8.
 lint:
 	$(GO) run ./cmd/hybridlint -budget 15s ./...
 
@@ -30,6 +31,12 @@ race:
 # simulator). HYBRIDNDP_SCALE overrides the dataset scale.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
+
+# The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
+# imports hybridndp/internal/...: vet and test it so a refactor that breaks a
+# symbol the benchmark calls fails here, not in the benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Wall-clock perf trajectory: snapshot ns/op, B/op, allocs/op of the hot-path
 # microbenchmarks, the full JOB sweep, the fleet scale-out sweep and the

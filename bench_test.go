@@ -432,40 +432,6 @@ func BenchmarkAblationSplitTarget(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiDevice scales the hybrid execution across several simulated
-// smart-storage devices (paper §4: multiple devices with their own PQEP);
-// the slowest device's share shrinks with the fleet size until the host
-// becomes the bottleneck.
-func BenchmarkMultiDevice(b *testing.B) {
-	h := benchHarness(b)
-	q := job.QueryByName("17b")
-	p, err := h.Opt.BuildPlan(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mr, err := h.Exec.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: 1}, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					report(b, "elapsed", mr.Elapsed.Milliseconds())
-					var slowest float64
-					for _, d := range mr.DeviceElapsed {
-						if d.Milliseconds() > slowest {
-							slowest = d.Milliseconds()
-						}
-					}
-					report(b, "slowest-device", slowest)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFleetSweep scales the sharded scatter-gather executor across fleet
 // sizes (internal/fleet, DESIGN.md §12): every JOB query fingerprint-verified
 // against the single-device baseline, reporting the geomean speedup of the

@@ -119,20 +119,7 @@ func (s *System) Decide(q *query.Query) (*optimizer.Decision, error) {
 
 // DecisionStrategy converts an optimizer decision into an executable
 // strategy.
-func DecisionStrategy(d *optimizer.Decision) coop.Strategy {
-	switch {
-	case d.Hybrid:
-		split := d.Split
-		if split == 0 {
-			split = -1
-		}
-		return coop.Strategy{Kind: coop.Hybrid, Split: split}
-	case d.NDP:
-		return coop.Strategy{Kind: coop.NDPOnly}
-	default:
-		return coop.Strategy{Kind: coop.HostNative}
-	}
-}
+func DecisionStrategy(d *optimizer.Decision) coop.Strategy { return coop.DecisionStrategy(d) }
 
 // Run executes the query under a forced strategy.
 func (s *System) Run(q *query.Query, strat coop.Strategy) (*coop.Report, error) {
@@ -148,17 +135,6 @@ func (s *System) Run(q *query.Query, strat coop.Strategy) (*coop.Report, error) 
 // estimate-vs-measured outcome (see System.Controller.Quality).
 func (s *System) RunAuto(q *query.Query) (*coop.Report, *optimizer.Decision, error) {
 	return s.Controller.Run(q)
-}
-
-// RunMulti executes a hybrid split across n simulated smart-storage devices
-// (paper §4: multiple devices with their own PQEP). The driving table is
-// partitioned by primary-key quantiles across the fleet.
-func (s *System) RunMulti(q *query.Query, split, devices int) (*coop.MultiReport, error) {
-	p, err := s.Optimizer.BuildPlan(q)
-	if err != nil {
-		return nil, err
-	}
-	return s.Executor.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: split}, devices)
 }
 
 // Splits enumerates every hybrid split strategy for the query's plan:

@@ -184,25 +184,6 @@ func TestSQLThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRunMultiThroughFacade(t *testing.T) {
-	s := testSystem(t)
-	q := job.QueryByName("1a")
-	single, err := s.Run(q, coop.Strategy{Kind: coop.Hybrid, Split: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := s.RunMulti(q, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Result.RowCount != single.Result.RowCount {
-		t.Fatalf("multi-device result %d != single %d", multi.Result.RowCount, single.Result.RowCount)
-	}
-	if multi.Devices != 3 {
-		t.Fatalf("Devices = %d", multi.Devices)
-	}
-}
-
 // TestSingleTableSplits is the join-free regression: Splits must classify a
 // single-table query as the H0-only strategy set (not an error), and the H0
 // execution — device-side scan+filter, host-side finalize — must agree with

@@ -19,7 +19,7 @@
 //     package whose path ends in "flash" (the flash channel),
 //   - dynamic calls of a func(device.Batch) error value (the device → host
 //     batch emission surface: Device.Run / RunShard emit callbacks),
-//   - methods Run / RunShard / RunPartition / ScanLeafPartition on a type
+//   - methods Run / RunShard / ScanLeafPartition on a type
 //     named Device from a package whose path ends in "device".
 //
 // Like lockcheck, the analysis is deliberately approximate: "the enclosing
@@ -72,7 +72,7 @@ var flashIOMethods = map[string]bool{
 
 // deviceIOMethods are the device execution surfaces that stream batches.
 var deviceIOMethods = map[string]bool{
-	"Run": true, "RunShard": true, "RunPartition": true, "ScanLeafPartition": true,
+	"Run": true, "RunShard": true, "ScanLeafPartition": true,
 }
 
 func run(pass *analysis.Pass) error {

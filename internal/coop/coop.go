@@ -10,7 +10,6 @@ package coop
 
 import (
 	"fmt"
-	"strings"
 
 	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
@@ -20,6 +19,7 @@ import (
 	"hybridndp/internal/lsm"
 	"hybridndp/internal/num"
 	"hybridndp/internal/obs"
+	"hybridndp/internal/optimizer"
 	"hybridndp/internal/table"
 	"hybridndp/internal/vclock"
 )
@@ -69,6 +69,25 @@ func (s Strategy) String() string {
 		return "H0"
 	}
 	return fmt.Sprintf("H%d", s.Split)
+}
+
+// DecisionStrategy converts an optimizer decision into the strategy that
+// executes it — the one decision→strategy mapping every layer (controller,
+// scheduler, serve, harness, façade) shares. The optimizer numbers H0 as
+// Split 0; executable strategies encode it as Split -1.
+func DecisionStrategy(d *optimizer.Decision) Strategy {
+	switch {
+	case d.Hybrid:
+		split := d.Split
+		if split == 0 {
+			split = -1
+		}
+		return Strategy{Kind: Hybrid, Split: split}
+	case d.NDP:
+		return Strategy{Kind: NDPOnly}
+	default:
+		return Strategy{Kind: HostNative}
+	}
 }
 
 // BatchEvent records one intermediate result set handoff for timeline plots.
@@ -216,13 +235,17 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model) *Executor {
 	return &Executor{Cat: cat, DB: db, Model: m}
 }
 
-// hostCache builds a fresh host block cache sized as the model's fraction of
-// the stored dataset (MyRocks block cache under the paper's memory-pressure
-// ratio). Every run starts cold so strategy comparisons are
-// order-independent.
-func (x *Executor) hostCache() *lsm.BlockCache {
-	bytes := int64(float64(x.DB.Flash().Used()) * x.Model.HostCacheFraction)
-	return lsm.NewBlockCache(bytes)
+// hostEngine builds a host-side engine on tl with a cold block cache (the
+// model's fraction of the stored dataset), so strategy comparisons are
+// order-independent, and per-run Bloom-filter stats when a metrics registry
+// is bound.
+func (x *Executor) hostEngine(tl *vclock.Timeline, rates hw.Rates) *exec.Engine {
+	eng := &exec.Engine{Cat: x.Cat, TL: tl, R: rates,
+		Cache: x.DB.NewBlockCache(x.Model.HostCacheFraction), BatchSize: x.BatchSize}
+	if x.Metrics != nil {
+		eng.Bloom = &lsm.BloomStats{}
+	}
+	return eng
 }
 
 // Run executes the plan under the given strategy.
@@ -315,20 +338,11 @@ func (x *Executor) recordStorage(eng *exec.Engine) {
 	}
 }
 
-// instrument attaches per-run Bloom-filter stats to a host engine when a
-// metrics registry is bound.
-func (x *Executor) instrument(eng *exec.Engine) *exec.Engine {
-	if x.Metrics != nil {
-		eng.Bloom = &lsm.BloomStats{}
-	}
-	return eng
-}
-
 // runHostOnly executes the whole plan on the host stack. All table data
 // crosses the interconnect as part of the host flash path.
 func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs.Trace) (*Report, error) {
 	tl := vclock.NewTimeline("host")
-	eng := x.instrument(&exec.Engine{Cat: x.Cat, TL: tl, R: rates, Cache: x.hostCache(), BatchSize: x.BatchSize})
+	eng := x.hostEngine(tl, rates)
 	root := tr.Start(tl, "query:"+p.Query.Name).Attr("strategy", s.String())
 	res, err := eng.RunPlan(p)
 	root.End()
@@ -343,45 +357,6 @@ func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs
 		Elapsed:     vclock.Duration(tl.Now()),
 		HostAccount: tl.Account(),
 	}, nil
-}
-
-// snapshotFor captures the shared state for the device-read tables.
-func (x *Executor) snapshotFor(p *exec.Plan, split int) (*kv.Snapshot, error) {
-	var names []string
-	add := func(ref exec.AccessPath) {
-		names = append(names, "tbl."+ref.Ref.Table)
-	}
-	add(p.Driving)
-	limit := len(p.Steps)
-	if split >= 0 {
-		limit = split
-	}
-	for i := 0; i < limit; i++ {
-		add(p.Steps[i].Right)
-	}
-	return x.DB.TakeSnapshot(names)
-}
-
-// chunkCount sizes the driving-table partitioning so a chunk's result set
-// lands near the shared-buffer slot size.
-func (x *Executor) chunkCount(p *exec.Plan) int {
-	if x.Chunks > 0 {
-		return x.Chunks
-	}
-	t, err := x.Cat.Table(p.Driving.Ref.Table)
-	if err != nil {
-		return 8
-	}
-	st := t.CollectStats()
-	bytes := float64(st.TotalBytes())
-	c := int(bytes / float64(4*x.Model.SharedBufferSlot))
-	if c < 4 {
-		c = 4
-	}
-	if c > 64 {
-		c = 64
-	}
-	return c
 }
 
 // withRecovery drives a device strategy to completion on hostTL. attempt runs
@@ -464,7 +439,7 @@ func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace,
 	}
 	fsp := tr.Start(hostTL, "coop.fallback.host").Attr("cause", cause.Error())
 	hostTL.WaitUntil(devNow, hw.CatFaultWait)
-	eng := x.instrument(&exec.Engine{Cat: x.Cat, TL: hostTL, R: hw.HostRates(x.Model), Cache: x.hostCache(), BatchSize: x.BatchSize})
+	eng := x.hostEngine(hostTL, hw.HostRates(x.Model))
 	res, err := eng.RunPlan(p)
 	fsp.End()
 	if err != nil {
@@ -482,10 +457,32 @@ func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace,
 	}, nil
 }
 
+// launch starts one device attempt of cmd: a fresh device carrying this run's
+// bindings (so a retried command replays its builds and scans instead of
+// resuming half-poisoned state), its root span on the device track, and the
+// NDP invocation. The caller ends the returned span.
+func (x *Executor) launch(cmd *device.Command, mp device.MemoryPlan, s Strategy, tr *obs.Trace,
+	inj *fault.Injector, hostTL *vclock.Timeline) (*device.Device, *exec.Engine, *obs.Span, error) {
+
+	dev := device.New(x.Model, x.Cat)
+	dev.BatchSize = x.BatchSize
+	dev.Trace = tr
+	dev.Metrics = x.Metrics
+	dev.Faults = inj
+	root := tr.Start(dev.TL, "device:"+cmd.Plan.Query.Name).Attr("strategy", s.String())
+	eng, err := dev.Launch(cmd, mp, hostTL)
+	if err != nil {
+		root.End()
+		return nil, nil, nil, err
+	}
+	x.applyCacheFormat(eng)
+	return dev, eng, root, nil
+}
+
 // runNDPOnly offloads the complete plan including grouping/aggregation; the
 // host only issues the command and fetches the final result.
 func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration) (*Report, error) {
-	snap, err := x.snapshotFor(p, -1) // full plan: all tables device-read
+	snap, err := device.Snapshot(x.DB, p, -1) // full plan: all tables device-read
 	if err != nil {
 		return nil, err
 	}
@@ -493,59 +490,26 @@ func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline 
 	mp := device.PlanMemory(x.Model, p, cmd.SplitAfter)
 	inj := x.injectorFor(p, s)
 	hostTL := vclock.NewTimeline("host")
-	hostR := hw.HostRates(x.Model)
 
 	root := tr.Start(hostTL, "query:"+p.Query.Name).Attr("strategy", s.String())
 	defer root.End()
 
 	return x.withRecovery(p, s, tr, hostTL, deadline, func() (*Report, vclock.Time, error) {
-		dev := device.New(x.Model, x.Cat)
-		dev.BatchSize = x.BatchSize
-		dev.Trace = tr
-		dev.Metrics = x.Metrics
-		dev.Faults = inj
-		if err := dev.Validate(cmd); err != nil {
-			return nil, dev.TL.Now(), err
+		dev, eng, devRoot, err := x.launch(cmd, mp, s, tr, inj, hostTL)
+		if err != nil {
+			return nil, 0, err // a rejected command is not retried
 		}
-		eng := dev.Engine(mp)
-		x.applyCacheFormat(eng)
-		eng.Views = snapshotViews(snap)
-
-		devRoot := tr.Start(dev.TL, "device:"+p.Query.Name).Attr("strategy", s.String())
-
-		// NDP setup: the command (plan, placements, shared state) crosses PCIe.
-		sp := tr.Start(hostTL, "ndp.setup").AttrInt("cmd.bytes", cmd.Bytes())
-		setup := hostR.Interconnect.Transfer(cmd.Bytes(), cmd.Bytes())
-		hostTL.Charge(hw.CatNDPSetup, setup)
-		sp.End()
-		dsp := tr.Start(dev.TL, "device.setup.wait")
-		dev.TL.WaitUntil(hostTL.Now(), hw.CatNDPSetup)
-		dsp.End()
-
-		dsp = tr.Start(dev.TL, "device.plan")
-		res, err := eng.RunPlan(p)
-		if err == nil && inj != nil {
-			// The final result ships as one batch: give the injector its
-			// per-batch shot at stalling or crashing the command.
-			ev := inj.BeforeEmit()
-			if ev.Stall > 0 {
-				dev.TL.Charge(hw.CatFaultStall, ev.Stall)
-			}
-			if ev.Crash != nil {
-				err = fmt.Errorf("device: final result: %w", ev.Crash)
-			}
-		}
-		dsp.End()
+		res, err := dev.RunPlan(eng, p)
 		devRoot.End()
 		if err != nil {
 			return nil, dev.TL.Now(), err
 		}
 		// Host waits for device completion, then transfers the final result.
-		sp = tr.Start(hostTL, "host.wait.device")
+		sp := tr.Start(hostTL, "host.wait.device")
 		hostTL.WaitUntil(dev.TL.Now(), hw.CatWaitInitial)
 		sp.End()
 		sp = tr.Start(hostTL, "transfer.result").AttrInt("bytes", res.Bytes)
-		hostR.Transfer(hostTL, res.Bytes, x.Model.SharedBufferSlot)
+		hw.HostRates(x.Model).Transfer(hostTL, res.Bytes, x.Model.SharedBufferSlot)
 		sp.End()
 
 		return &Report{
@@ -562,7 +526,9 @@ func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline 
 	})
 }
 
-// runHybrid is the cooperative execution path.
+// runHybrid is the cooperative execution path: the interleaved single-device
+// driver, where the host consumes result sets while the device produces the
+// next ones and shared-slot back-pressure couples the two timelines.
 func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration) (*Report, error) {
 	p := orig
 	split := s.Split
@@ -577,26 +543,20 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 	// buffer, and the host finalizes (projection / aggregation). Interior
 	// splits are rejected above since len(p.Steps) == 0.
 	if split < 0 {
-		// H0 joins device-shipped leaf rows on the host: every step becomes
-		// a buffered join over the seeded inner sides; index joins against
-		// the base tables would discard the offloaded selections.
-		p2 := *p
-		p2.Steps = append([]exec.JoinStep(nil), p.Steps...)
-		for i := range p2.Steps {
-			if p2.Steps[i].Type == exec.BNLI {
-				p2.Steps[i].Type = exec.BNL
-			}
-		}
-		p = &p2
+		p = orig.WithBufferedJoins()
 	}
-	snap, err := x.snapshotFor(p, split)
+	snap, err := device.Snapshot(x.DB, p, split)
 	if err != nil {
 		return nil, err
 	}
+	chunks := x.Chunks
+	if chunks <= 0 {
+		chunks = device.DrivingChunks(x.Model, x.Cat, p)
+	}
+	cmd := &device.Command{Plan: p, SplitAfter: split, Snapshot: snap, Chunks: chunks}
 	mp := device.PlanMemory(x.Model, p, split)
 	inj := x.injectorFor(p, s)
 	hostTL := vclock.NewTimeline("host")
-	hostR := hw.HostRates(x.Model)
 
 	root := tr.Start(hostTL, "query:"+p.Query.Name).Attr("strategy", s.String())
 	defer root.End()
@@ -604,185 +564,189 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 	// The fallback re-executes the ORIGINAL plan (with its BNLI index joins
 	// intact): the H0 rewrite only makes sense with device-seeded inners.
 	return x.withRecovery(orig, s, tr, hostTL, deadline, func() (*Report, vclock.Time, error) {
-		dev := device.New(x.Model, x.Cat)
-		dev.BatchSize = x.BatchSize
-		dev.Trace = tr
-		dev.Metrics = x.Metrics
-		dev.Faults = inj
-		cmd := &device.Command{Plan: p, SplitAfter: split, Snapshot: snap, Chunks: x.chunkCount(p)}
-		if err := dev.Validate(cmd); err != nil {
-			return nil, dev.TL.Now(), err
+		dev, devEng, devRoot, err := x.launch(cmd, mp, s, tr, inj, hostTL)
+		if err != nil {
+			return nil, 0, err // a rejected command is not retried
 		}
-		devEng := dev.Engine(mp)
-		x.applyCacheFormat(devEng)
-		devEng.Views = snapshotViews(snap)
-
-		hostEng := x.instrument(&exec.Engine{Cat: x.Cat, TL: hostTL, R: hostR, Cache: x.hostCache(), BatchSize: x.BatchSize})
-
-		// The two engines share one pipeline: the device owns the inner state
-		// of its join steps, the host owns the rest. Each attempt starts from
-		// a fresh pipeline (and device), so a retried command replays its
-		// builds and scans instead of resuming half-poisoned state.
-		pl, err := hostEng.StartPipeline(p)
+		devRoot.AttrInt("chunks", int64(cmd.Chunks))
+		// Ending the device root span on every exit keeps the per-timeline
+		// span stack intact for a retry replaying this command on the trace.
+		defer devRoot.End()
+		rep, err := x.hybridAttempt(dev, devEng, cmd, s, tr, inj, hostTL)
 		if err != nil {
 			return nil, dev.TL.Now(), err
 		}
-
-		devRoot := tr.Start(dev.TL, "device:"+p.Query.Name).Attr("strategy", s.String()).
-			AttrInt("chunks", int64(cmd.Chunks))
-
-		// (A) NDP invocation.
-		sp := tr.Start(hostTL, "ndp.setup").AttrInt("cmd.bytes", cmd.Bytes())
-		setup := hostR.Interconnect.Transfer(cmd.Bytes(), cmd.Bytes())
-		hostTL.Charge(hw.CatNDPSetup, setup)
-		sp.End()
-		dsp := tr.Start(dev.TL, "device.setup.wait")
-		dev.TL.WaitUntil(hostTL.Now(), hw.CatNDPSetup)
-		dsp.End()
-
-		// Host prep overlaps the device's initial execution: build the hash
-		// tables of the host-side buffered joins now.
-		hostFrom := 0
-		if split > 0 {
-			hostFrom = split
-		}
-		if split > 0 { // Hk: host joins steps[split:]; inners are host-scanned.
-			for si := hostFrom; si < len(p.Steps); si++ {
-				if p.Steps[si].Type != exec.BNLI {
-					bsp := tr.Start(hostTL, "host.build.inner").
-						Attr("alias", p.Steps[si].Right.Ref.Alias).AttrInt("step", int64(si))
-					_, err := hostEng.BuildInner(pl, si)
-					bsp.End()
-					if err != nil {
-						// Close the device root span before abandoning the
-						// attempt: leaving it open corrupts the per-timeline
-						// span stack for the fault-injection retry that
-						// replays this command on the same trace.
-						devRoot.End()
-						return nil, dev.TL.Now(), err
-					}
-				}
-			}
-		}
-
-		report := &Report{Query: p.Query.Name, Strategy: s, DeviceMemory: mp}
-		var tuples []exec.Tuple
-		var fetchDone []vclock.Time
-		first := true
-
-		emit := func(b device.Batch) error {
-			cat := hw.CatWaitFetch
-			spName := "host.wait.fetch"
-			if first {
-				cat = hw.CatWaitInitial
-				spName = "host.wait.initial"
-			}
-			idx := int64(report.Batches)
-			wsp := tr.Start(hostTL, spName).AttrInt("batch", idx)
-			stall := hostTL.WaitUntil(b.Ready, cat)
-			wsp.Attr("stall", stall.String()).End()
-			first = false
-			tsp := tr.Start(hostTL, "host.fetch").AttrInt("batch", idx).AttrInt("bytes", b.Bytes)
-			hostR.Transfer(hostTL, num.MaxI64(b.Bytes, 64), x.Model.SharedBufferSlot)
-			tsp.End()
-			fetchDone = append(fetchDone, hostTL.Now())
-			report.TransferredBytes += b.Bytes
-			report.Batches++
-			if b.Sum != 0 {
-				// Sealed batch (fault injection active): corrupt in transit
-				// per the plan, then verify the checksum host-side.
-				if inj.TransferCorrupt() {
-					b.CorruptInTransfer()
-				}
-				if verr := b.Verify(); verr != nil {
-					return fmt.Errorf("batch %d: %w", idx, verr)
-				}
-			}
-
-			ev := BatchEvent{
-				Idx:         report.Batches - 1,
-				Bytes:       b.Bytes,
-				DeviceReady: b.Ready,
-				HostFetched: hostTL.Now(),
-			}
-
-			psp := tr.Start(hostTL, "host.process.batch").AttrInt("batch", idx)
-			if b.LeafAlias != "" {
-				// H0 leaf batch: the column batch seeds the host join's inner
-				// side directly.
-				psp.Attr("leaf", b.LeafAlias)
-				for si, st := range p.Steps {
-					if st.Right.Ref.Alias == b.LeafAlias {
-						if seedErr := hostEng.SeedInnerCols(pl, si, b.Cols); seedErr != nil {
-							psp.End()
-							return seedErr
-						}
-						break
-					}
-				}
-				ev.Rows = b.Cols.Len()
-			} else {
-				// Driving-chunk batch: run it through the host PQEP.
-				batch := b.Tuples
-				ev.Rows = len(batch)
-				for si := hostFrom; si < len(p.Steps); si++ {
-					jsp := tr.Start(hostTL, "host.join").AttrInt("step", int64(si)).
-						AttrInt("in.rows", int64(len(batch)))
-					var jerr error
-					batch, jerr = hostEng.JoinStep(pl, si, batch)
-					jsp.AttrInt("out.rows", int64(len(batch))).End()
-					if jerr != nil {
-						psp.End()
-						return jerr
-					}
-				}
-				tuples = append(tuples, batch...)
-			}
-			psp.AttrInt("rows", int64(ev.Rows)).End()
-			if m := x.Metrics; m != nil {
-				m.Histogram("coop.batch.rows", obs.DefaultSizeBuckets).Observe(float64(ev.Rows))
-				m.Histogram("coop.batch.bytes", obs.DefaultSizeBuckets).Observe(float64(b.Bytes))
-			}
-			ev.HostDone = hostTL.Now()
-			report.Timeline = append(report.Timeline, ev)
-			return nil
-		}
-		waitSlot := func(j int) (vclock.Time, bool) {
-			if j < len(fetchDone) {
-				return fetchDone[j], true
-			}
-			return 0, false
-		}
-
-		runErr := dev.Run(cmd, pl, devEng, emit, waitSlot)
-		devRoot.End()
-		if runErr != nil {
-			return nil, dev.TL.Now(), runErr
-		}
-
-		fsp := tr.Start(hostTL, "host.finalize").AttrInt("rows", int64(len(tuples)))
-		res, err := hostEng.Finalize(pl, tuples)
-		fsp.End()
-		if err != nil {
-			return nil, dev.TL.Now(), err
-		}
-		x.recordStorage(hostEng)
-		report.Result = res
-		report.Elapsed = vclock.Duration(hostTL.Now())
-		report.DeviceElapsed = vclock.Duration(dev.TL.Now())
-		report.HostAccount = hostTL.Account()
-		report.DeviceAccount = dev.TL.Account()
-		return report, dev.TL.Now(), nil
+		rep.DeviceMemory = mp
+		return rep, dev.TL.Now(), nil
 	})
 }
 
-// snapshotViews extracts the frozen per-table views from the shared-state
-// snapshot (update-aware NDP): the device engine reads through them, so
-// host writes issued after the invocation stay invisible on device.
-func snapshotViews(snap *kv.Snapshot) map[string]*lsm.View {
-	views := make(map[string]*lsm.View, len(snap.CFs))
-	for name, cf := range snap.CFs {
-		views[strings.TrimPrefix(name, "tbl.")] = cf.View
+// hostSide is the host half of one cooperative attempt: the host engine on the
+// pipeline it shares with the device (the device owns the inner state of its
+// join steps, the host owns the rest), and what the hand-off loop accumulates.
+type hostSide struct {
+	x        *Executor
+	tr       *obs.Trace
+	inj      *fault.Injector
+	tl       *vclock.Timeline
+	rates    hw.Rates
+	eng      *exec.Engine
+	pl       *exec.Pipeline
+	hostFrom int // first join step the host executes on driving batches
+	report   *Report
+	tuples   []exec.Tuple
+	// fetchDone[j] is when the host finished fetching batch j, i.e. when its
+	// shared-buffer slot became free again.
+	fetchDone []vclock.Time
+}
+
+// hybridAttempt runs one launched cooperative attempt to completion: host
+// pre-build overlapping the device's initial execution, the interleaved
+// hand-off loop, and the host-side finalize.
+func (x *Executor) hybridAttempt(dev *device.Device, devEng *exec.Engine, cmd *device.Command,
+	s Strategy, tr *obs.Trace, inj *fault.Injector, hostTL *vclock.Timeline) (*Report, error) {
+
+	p := cmd.Plan
+	h := &hostSide{x: x, tr: tr, inj: inj, tl: hostTL, rates: hw.HostRates(x.Model),
+		report: &Report{Query: p.Query.Name, Strategy: s}}
+	h.eng = x.hostEngine(hostTL, h.rates)
+	var err error
+	if h.pl, err = h.eng.StartPipeline(p); err != nil {
+		return nil, err
 	}
-	return views
+	if cmd.SplitAfter > 0 {
+		// Hk: the host joins steps[split:] over host-scanned inners; build
+		// their hash tables now, while the device is busy.
+		h.hostFrom = cmd.SplitAfter
+		if err := h.prebuild(); err != nil {
+			return nil, err
+		}
+	}
+	if err := dev.Run(cmd, h.pl, devEng, h.consume, h.slotFreed); err != nil {
+		return nil, err
+	}
+
+	fsp := tr.Start(hostTL, "host.finalize").AttrInt("rows", int64(len(h.tuples)))
+	res, err := h.eng.Finalize(h.pl, h.tuples)
+	fsp.End()
+	if err != nil {
+		return nil, err
+	}
+	x.recordStorage(h.eng)
+	rep := h.report
+	rep.Result = res
+	rep.Elapsed = vclock.Duration(hostTL.Now())
+	rep.DeviceElapsed = vclock.Duration(dev.TL.Now())
+	rep.HostAccount = hostTL.Account()
+	rep.DeviceAccount = dev.TL.Account()
+	return rep, nil
+}
+
+// prebuild builds the hash tables of the host-side buffered joins.
+func (h *hostSide) prebuild() error {
+	steps := h.pl.Plan.Steps
+	for si := h.hostFrom; si < len(steps); si++ {
+		if steps[si].Type == exec.BNLI {
+			continue
+		}
+		bsp := h.tr.Start(h.tl, "host.build.inner").
+			Attr("alias", steps[si].Right.Ref.Alias).AttrInt("step", int64(si))
+		_, err := h.eng.BuildInner(h.pl, si)
+		bsp.End()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// slotFreed reports when the host drained batch j's shared-buffer slot (the
+// device's back-pressure rendezvous).
+func (h *hostSide) slotFreed(j int) (vclock.Time, bool) {
+	if j < len(h.fetchDone) {
+		return h.fetchDone[j], true
+	}
+	return 0, false
+}
+
+// consume is the host side of one hand-off: wait for the slot, fetch it over
+// the interconnect, verify a sealed payload, and push the batch through the
+// host PQEP.
+func (h *hostSide) consume(b device.Batch) error {
+	rep := h.report
+	idx := int64(rep.Batches)
+	cat, spName := hw.CatWaitFetch, "host.wait.fetch"
+	if idx == 0 {
+		cat, spName = hw.CatWaitInitial, "host.wait.initial"
+	}
+	wsp := h.tr.Start(h.tl, spName).AttrInt("batch", idx)
+	stall := h.tl.WaitUntil(b.Ready, cat)
+	wsp.Attr("stall", stall.String()).End()
+	tsp := h.tr.Start(h.tl, "host.fetch").AttrInt("batch", idx).AttrInt("bytes", b.Bytes)
+	h.rates.Transfer(h.tl, num.MaxI64(b.Bytes, 64), h.x.Model.SharedBufferSlot)
+	tsp.End()
+	h.fetchDone = append(h.fetchDone, h.tl.Now())
+	rep.TransferredBytes += b.Bytes
+	rep.Batches++
+	if b.Sum != 0 {
+		// Sealed batch (fault injection active): corrupt in transit per the
+		// plan, then verify the checksum host-side.
+		if h.inj.TransferCorrupt() {
+			b.CorruptInTransfer()
+		}
+		if verr := b.Verify(); verr != nil {
+			return fmt.Errorf("batch %d: %w", idx, verr)
+		}
+	}
+
+	ev := BatchEvent{Idx: int(idx), Bytes: b.Bytes, DeviceReady: b.Ready, HostFetched: h.tl.Now()}
+	psp := h.tr.Start(h.tl, "host.process.batch").AttrInt("batch", idx)
+	var err error
+	if b.LeafAlias != "" {
+		psp.Attr("leaf", b.LeafAlias)
+		ev.Rows = b.Cols.Len()
+		err = h.seedLeaf(b)
+	} else {
+		ev.Rows = len(b.Tuples)
+		err = h.joinDriving(b.Tuples)
+	}
+	if err != nil {
+		psp.End()
+		return err
+	}
+	psp.AttrInt("rows", int64(ev.Rows)).End()
+	if m := h.x.Metrics; m != nil {
+		m.Histogram("coop.batch.rows", obs.DefaultSizeBuckets).Observe(float64(ev.Rows))
+		m.Histogram("coop.batch.bytes", obs.DefaultSizeBuckets).Observe(float64(b.Bytes))
+	}
+	ev.HostDone = h.tl.Now()
+	rep.Timeline = append(rep.Timeline, ev)
+	return nil
+}
+
+// seedLeaf feeds an H0 leaf batch straight into the inner side of the host
+// join over that table.
+func (h *hostSide) seedLeaf(b device.Batch) error {
+	for si, st := range h.pl.Plan.Steps {
+		if st.Right.Ref.Alias == b.LeafAlias {
+			return h.eng.SeedInnerCols(h.pl, si, b.Cols)
+		}
+	}
+	return nil
+}
+
+// joinDriving runs one driving-chunk batch through the host PQEP.
+func (h *hostSide) joinDriving(batch []exec.Tuple) error {
+	for si := h.hostFrom; si < len(h.pl.Plan.Steps); si++ {
+		jsp := h.tr.Start(h.tl, "host.join").AttrInt("step", int64(si)).
+			AttrInt("in.rows", int64(len(batch)))
+		var err error
+		batch, err = h.eng.JoinStep(h.pl, si, batch)
+		jsp.AttrInt("out.rows", int64(len(batch))).End()
+		if err != nil {
+			return err
+		}
+	}
+	h.tuples = append(h.tuples, batch...)
+	return nil
 }

@@ -41,6 +41,29 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+// TestDecisionStrategy pins the one decision→strategy mapping: the optimizer
+// numbers H0 as Split 0, executable strategies encode it as Split -1.
+func TestDecisionStrategy(t *testing.T) {
+	cases := []struct {
+		name string
+		d    optimizer.Decision
+		want coop.Strategy
+	}{
+		{"host", optimizer.Decision{}, coop.Strategy{Kind: coop.HostNative}},
+		{"host ignores split", optimizer.Decision{Split: 3}, coop.Strategy{Kind: coop.HostNative}},
+		{"ndp", optimizer.Decision{NDP: true}, coop.Strategy{Kind: coop.NDPOnly}},
+		{"hybrid H0", optimizer.Decision{Hybrid: true, Split: 0}, coop.Strategy{Kind: coop.Hybrid, Split: -1}},
+		{"hybrid H1", optimizer.Decision{Hybrid: true, Split: 1}, coop.Strategy{Kind: coop.Hybrid, Split: 1}},
+		{"hybrid H4", optimizer.Decision{Hybrid: true, Split: 4}, coop.Strategy{Kind: coop.Hybrid, Split: 4}},
+		{"hybrid wins over ndp", optimizer.Decision{Hybrid: true, NDP: true, Split: 2}, coop.Strategy{Kind: coop.Hybrid, Split: 2}},
+	}
+	for _, c := range cases {
+		if got := coop.DecisionStrategy(&c.d); got != c.want {
+			t.Errorf("%s: got %v (split %d), want %v (split %d)", c.name, got, got.Split, c.want, c.want.Split)
+		}
+	}
+}
+
 func TestEveryStrategySameResultRows(t *testing.T) {
 	opt, ex := env(t)
 	for _, name := range []string{"1a", "4b", "10c", "32b"} {
@@ -270,75 +293,6 @@ func TestCacheFormatOverride(t *testing.T) {
 	}
 }
 
-func TestMultiDeviceMatchesSingleDevice(t *testing.T) {
-	opt, ex := env(t)
-	for _, name := range []string{"1a", "17b"} {
-		p, err := opt.BuildPlan(job.QueryByName(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, split := range []int{-1, 1} {
-			single, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: split})
-			if err != nil {
-				t.Fatalf("%s H%d single: %v", name, split, err)
-			}
-			for _, n := range []int{1, 2, 4} {
-				multi, err := ex.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: split}, n)
-				if err != nil {
-					t.Fatalf("%s H%d x%d: %v", name, split, n, err)
-				}
-				if multi.Result.RowCount != single.Result.RowCount {
-					t.Fatalf("%s H%d x%d: %d rows, single-device %d",
-						name, split, n, multi.Result.RowCount, single.Result.RowCount)
-				}
-				if multi.Devices != n || len(multi.DeviceElapsed) != n {
-					t.Fatalf("%s: device accounting wrong: %d/%d", name, multi.Devices, len(multi.DeviceElapsed))
-				}
-			}
-		}
-	}
-}
-
-func TestMultiDevicePartitionsShrinkPerDeviceWork(t *testing.T) {
-	opt, ex := env(t)
-	p, err := opt.BuildPlan(job.QueryByName("17b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := ex.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := ex.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: 1}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxFour vclock.Duration
-	for _, d := range four.DeviceElapsed {
-		if d > maxFour {
-			maxFour = d
-		}
-	}
-	if maxFour >= one.DeviceElapsed[0] {
-		t.Fatalf("slowest of 4 devices (%v) should be under the single device (%v)",
-			maxFour, one.DeviceElapsed[0])
-	}
-}
-
-func TestMultiDeviceRejectsNonHybrid(t *testing.T) {
-	opt, ex := env(t)
-	p, err := opt.BuildPlan(job.QueryByName("1a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.RunHybridMulti(p, coop.Strategy{Kind: coop.NDPOnly}, 2); err == nil {
-		t.Fatal("non-hybrid multi-device run must fail")
-	}
-	if _, err := ex.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: 99}, 2); err == nil {
-		t.Fatal("oversized split must fail")
-	}
-}
-
 func TestChunksOverride(t *testing.T) {
 	opt, ex := env(t)
 	p, err := opt.BuildPlan(job.QueryByName("17b"))
@@ -358,55 +312,5 @@ func TestChunksOverride(t *testing.T) {
 	}
 	if many.Result.RowCount != few.Result.RowCount {
 		t.Fatal("chunking changed the result")
-	}
-}
-
-// TestMultiReportAggregationInvariants pins the aggregation contract of
-// MultiReport across fleet sizes: the per-device vectors match the fleet
-// size, no device's busy time exceeds the end-to-end elapsed time (devices
-// run within the cooperative window), and the union of partitioned results
-// equals the single-device result.
-func TestMultiReportAggregationInvariants(t *testing.T) {
-	opt, ex := env(t)
-	p, err := opt.BuildPlan(job.QueryByName("17b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 8} {
-		mr, err := ex.RunHybridMulti(p, coop.Strategy{Kind: coop.Hybrid, Split: 1}, n)
-		if err != nil {
-			t.Fatalf("x%d: %v", n, err)
-		}
-		if mr.Devices != n {
-			t.Fatalf("x%d: Devices=%d", n, mr.Devices)
-		}
-		if len(mr.DeviceElapsed) != n || len(mr.DeviceAccounts) != n {
-			t.Fatalf("x%d: per-device vectors sized %d/%d",
-				n, len(mr.DeviceElapsed), len(mr.DeviceAccounts))
-		}
-		for d, el := range mr.DeviceElapsed {
-			if el <= 0 {
-				t.Fatalf("x%d: device %d reports no busy time", n, d)
-			}
-			if el > mr.Elapsed {
-				t.Fatalf("x%d: device %d busy %v exceeds elapsed %v", n, d, el, mr.Elapsed)
-			}
-			if len(mr.DeviceAccounts[d]) == 0 {
-				t.Fatalf("x%d: device %d has an empty account", n, d)
-			}
-		}
-		if mr.Result.RowCount != ref.Result.RowCount {
-			t.Fatalf("x%d: %d rows, single-device %d", n, mr.Result.RowCount, ref.Result.RowCount)
-		}
-		if mr.Batches < n {
-			t.Fatalf("x%d: only %d batches; every device must ship at least one", n, mr.Batches)
-		}
-		if mr.TransferredBytes <= 0 {
-			t.Fatalf("x%d: no bytes transferred", n)
-		}
 	}
 }

@@ -63,22 +63,6 @@ func (r RunRecord) Ratio() float64 {
 	return float64(r.Measured) / r.Estimated
 }
 
-// strategyOf converts a decision into the executable strategy.
-func strategyOf(d *optimizer.Decision) coop.Strategy {
-	switch {
-	case d.Hybrid:
-		split := d.Split
-		if split == 0 {
-			split = -1
-		}
-		return coop.Strategy{Kind: coop.Hybrid, Split: split}
-	case d.NDP:
-		return coop.Strategy{Kind: coop.NDPOnly}
-	default:
-		return coop.Strategy{Kind: coop.HostNative}
-	}
-}
-
 // estimateFor reads the cost model's estimate for the chosen strategy out of
 // the decision's cost picture.
 func estimateFor(d *optimizer.Decision) float64 {
@@ -102,7 +86,7 @@ func (c *Controller) Run(q *query.Query) (*coop.Report, *optimizer.Decision, err
 	if err != nil {
 		return nil, nil, err
 	}
-	st := strategyOf(d)
+	st := coop.DecisionStrategy(d)
 	rep, err := c.Exec.Run(d.Plan, st)
 	if err != nil && st.Kind != coop.HostNative {
 		// Device-side failures (e.g. memory plan rejected at execution time)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"hybridndp/internal/exec"
 	"hybridndp/internal/fault"
@@ -239,12 +240,11 @@ func New(m hw.Model, cat *table.Catalog) *Device {
 // rates, bounded buffers, the row/pointer cache format switch, and a small
 // data-block buffer cache carved out of the temporary-storage reservation.
 func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
-	cacheBytes := int64(float64(d.Cat.DB().Flash().Used()) * d.Model.DeviceCacheFraction)
 	eng := &exec.Engine{
 		Cat:          d.Cat,
 		TL:           d.TL,
 		R:            hw.DeviceRates(d.Model),
-		Cache:        lsm.NewBlockCache(cacheBytes),
+		Cache:        d.Cat.DB().NewBlockCache(d.Model.DeviceCacheFraction),
 		JoinBuf:      d.Model.JoinBufBytes,
 		SelBuf:       d.Model.SelBufBytes,
 		PointerCache: mp.UsesPointerFmt,
@@ -256,6 +256,106 @@ func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
 		eng.Faults = d.Faults
 	}
 	return eng
+}
+
+// Snapshot captures the shared state an NDP command ships: the tables a
+// device executing the first split join steps of p reads — the driving table
+// plus those steps' inner tables (split < 0 = every table of the plan).
+func Snapshot(db *kv.DB, p *exec.Plan, split int) (*kv.Snapshot, error) {
+	limit := len(p.Steps)
+	if split >= 0 && split < limit {
+		limit = split
+	}
+	names := []string{"tbl." + p.Driving.Ref.Table}
+	for i := 0; i < limit; i++ {
+		names = append(names, "tbl."+p.Steps[i].Right.Ref.Table)
+	}
+	return db.TakeSnapshot(names)
+}
+
+// DrivingChunks sizes the driving-table partitioning of a command so a
+// chunk's result set lands near the shared-buffer slot size.
+func DrivingChunks(m hw.Model, cat *table.Catalog, p *exec.Plan) int {
+	t, err := cat.Table(p.Driving.Ref.Table)
+	if err != nil {
+		return 8
+	}
+	c := int(float64(t.CollectStats().TotalBytes()) / float64(4*m.SharedBufferSlot))
+	if c < 4 {
+		c = 4
+	}
+	if c > 64 {
+		c = 64
+	}
+	return c
+}
+
+// Launch performs the NDP invocation of cmd on this device (paper Fig. 7 A),
+// the one entry every device-backed run — NDP-only, cooperative, fleet shard
+// — goes through: the command is validated against the DRAM budget, the
+// on-device engine is built over the snapshot's frozen views (update-aware
+// NDP: host writes issued after the invocation stay invisible on device), the
+// command's PCIe crossing is charged to the host timeline, and the device
+// timeline starts when the command has arrived.
+func (d *Device) Launch(cmd *Command, mp MemoryPlan, hostTL *vclock.Timeline) (*exec.Engine, error) {
+	if err := d.Validate(cmd); err != nil {
+		return nil, err
+	}
+	eng := d.Engine(mp)
+	eng.Views = make(map[string]*lsm.View, len(cmd.Snapshot.CFs))
+	for name, cf := range cmd.Snapshot.CFs {
+		eng.Views[strings.TrimPrefix(name, "tbl.")] = cf.View
+	}
+	bytes := cmd.Bytes()
+	sp := d.Trace.Start(hostTL, "ndp.setup").AttrInt("cmd.bytes", bytes)
+	hostTL.Charge(hw.CatNDPSetup, hw.HostRates(d.Model).Interconnect.Transfer(bytes, bytes))
+	sp.End()
+	sp = d.Trace.Start(d.TL, "device.setup.wait")
+	d.TL.WaitUntil(hostTL.Now(), hw.CatNDPSetup)
+	sp.End()
+	return eng, nil
+}
+
+// handOff is the device side of publishing one result set, shared by every
+// producer (cooperative batches, fleet shard batches, leaf partitions, the
+// NDP-only final result): the injector's per-batch draw — a firmware stall
+// charged to the device timeline, a crash that aborts the command, corruption
+// sealed into the checksum — then wait (shared-slot back-pressure; nil where
+// the host merges freely), then the Ready stamp.
+func (d *Device) handOff(b *Batch, what string, wait func()) error {
+	if d.Faults != nil {
+		ev := d.Faults.BeforeEmit()
+		if ev.Stall > 0 {
+			d.TL.Charge(hw.CatFaultStall, ev.Stall)
+		}
+		if ev.Crash != nil {
+			return fmt.Errorf("device: %s: %w", what, ev.Crash)
+		}
+		b.Seal(ev.Corrupt)
+	}
+	if wait != nil {
+		wait()
+	}
+	b.Ready = d.TL.Now()
+	d.Metrics.Counter("device.batches").Inc()
+	return nil
+}
+
+// RunPlan executes the complete plan on device (NDP-only). The final result
+// ships as one batch, so it faces the injector's per-batch draw like any
+// other hand-off.
+func (d *Device) RunPlan(eng *exec.Engine, p *exec.Plan) (*exec.Result, error) {
+	sp := d.Trace.Start(d.TL, "device.plan")
+	defer sp.End()
+	res, err := eng.RunPlan(p)
+	if err != nil {
+		return nil, err
+	}
+	var final Batch
+	if err := d.handOff(&final, "final result", nil); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Run executes the command's device part, calling emit for every produced
@@ -271,33 +371,24 @@ func (d *Device) Run(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 
 	slots := d.Model.SharedSlots
 	produced := 0
+	waitForSlot := func() {
+		if produced < slots {
+			return
+		}
+		if t, ok := waitSlot(produced - slots); ok {
+			// All shared buffer slots are occupied: the device stalls until
+			// the host has drained the oldest one. The span makes the
+			// back-pressure visible as an explicit region on the device track.
+			ssp := d.Trace.Start(d.TL, "device.wait.slot").AttrInt("batch", int64(produced))
+			stall := d.TL.WaitUntil(t, hw.CatWaitSlots)
+			ssp.Attr("stall", stall.String()).End()
+			d.Metrics.Counter("device.slot.stalls").Inc()
+		}
+	}
 	emitBatch := func(b Batch) error {
-		if d.Faults != nil {
-			ev := d.Faults.BeforeEmit()
-			if ev.Stall > 0 {
-				// Firmware hiccup: extra device latency before the slot is
-				// produced, charged to the device timeline.
-				d.TL.Charge(hw.CatFaultStall, ev.Stall)
-			}
-			if ev.Crash != nil {
-				return fmt.Errorf("device: batch %d: %w", produced, ev.Crash)
-			}
-			b.Seal(ev.Corrupt)
+		if err := d.handOff(&b, "batch", waitForSlot); err != nil {
+			return err
 		}
-		if produced >= slots {
-			if t, ok := waitSlot(produced - slots); ok {
-				// All shared buffer slots are occupied: the device stalls
-				// until the host has drained the oldest one. The span makes
-				// the back-pressure visible as an explicit region on the
-				// device track.
-				ssp := d.Trace.Start(d.TL, "device.wait.slot").AttrInt("batch", int64(produced))
-				stall := d.TL.WaitUntil(t, hw.CatWaitSlots)
-				ssp.Attr("stall", stall.String()).End()
-				d.Metrics.Counter("device.slot.stalls").Inc()
-			}
-		}
-		b.Ready = d.TL.Now()
-		d.Metrics.Counter("device.batches").Inc()
 		if err := emit(b); err != nil {
 			return err
 		}
@@ -305,47 +396,43 @@ func (d *Device) Run(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 		return nil
 	}
 
-	p := cmd.Plan
 	devSteps := cmd.SplitAfter
-	err := func() error {
-		if devSteps < 0 {
-			// H0: run every leaf selection on device. Inner tables ship as one
-			// batch each; the driving table streams in chunks.
-			for _, st := range p.Steps {
-				lsp := d.Trace.Start(d.TL, "device.leaf.scan").Attr("alias", st.Right.Ref.Alias)
-				cb, width, err := eng.ScanCols(st.Right, nil, nil)
-				if err != nil {
-					lsp.End()
-					return err
-				}
-				lsp.AttrInt("rows", int64(cb.Len())).End()
-				d.recordScan(int64(cb.Len()), int64(cb.Len())*width)
-				if err := emitBatch(Batch{
-					LeafAlias: st.Right.Ref.Alias,
-					Cols:      cb,
-					Bytes:     int64(cb.Len()) * width,
-				}); err != nil {
-					return err
-				}
+	if devSteps < 0 {
+		// H0: run every leaf selection on device. Inner tables ship as one
+		// batch each; the driving table streams in chunks.
+		for _, st := range cmd.Plan.Steps {
+			b, err := d.scanLeaf(st.Right, eng, nil, nil)
+			if err != nil {
+				return err
 			}
-			return d.streamDriving(cmd, pl, eng, 0, emitBatch)
+			if err := emitBatch(b); err != nil {
+				return err
+			}
 		}
-
-		// Hk: pre-build the inner sides of the device joins (hash tables are
-		// built once and probed by every chunk), then stream driving chunks
-		// through the device join pipeline.
-		return d.streamDriving(cmd, pl, eng, devSteps, emitBatch)
-	}()
-	if err == nil && d.Metrics != nil && eng.Cache != nil {
-		hits, misses, _ := eng.Cache.Stats()
-		d.Metrics.Counter("device.cache.hits").Add(hits)
-		d.Metrics.Counter("device.cache.misses").Add(misses)
-		h := d.Metrics.Counter("device.cache.hits").Value()
-		if n := h + d.Metrics.Counter("device.cache.misses").Value(); n > 0 {
-			d.Metrics.Gauge("device.cache.hitrate").Set(float64(h) / float64(n))
-		}
+		devSteps = 0
 	}
-	return err
+	// Hk: the inner sides of the device joins are built once and probed by
+	// every driving chunk streaming through the device join pipeline.
+	if err := d.streamDrivingRange(cmd, pl, eng, devSteps, nil, nil, emitBatch); err != nil {
+		return err
+	}
+	d.RecordCache(eng)
+	return nil
+}
+
+// RecordCache publishes the device engine's data-block cache outcome once the
+// device's share of a run is complete.
+func (d *Device) RecordCache(eng *exec.Engine) {
+	if d.Metrics == nil || eng.Cache == nil {
+		return
+	}
+	hits, misses, _ := eng.Cache.Stats()
+	d.Metrics.Counter("device.cache.hits").Add(hits)
+	d.Metrics.Counter("device.cache.misses").Add(misses)
+	h := d.Metrics.Counter("device.cache.hits").Value()
+	if n := h + d.Metrics.Counter("device.cache.misses").Value(); n > 0 {
+		d.Metrics.Gauge("device.cache.hitrate").Set(float64(h) / float64(n))
+	}
 }
 
 // recordScan books device scan volume: rows and bytes read compaction-free
@@ -356,60 +443,15 @@ func (d *Device) recordScan(rows, bytes int64) {
 	d.Metrics.Counter("device.scan.bytes").Add(bytes)
 }
 
-// streamDriving partitions the driving table into chunks by primary-key
-// ranges and pushes each chunk through the first devSteps join steps.
-func (d *Device) streamDriving(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
-	devSteps int, emitBatch func(Batch) error) error {
-	return d.streamDrivingRange(cmd, pl, eng, devSteps, nil, nil, emitBatch)
-}
-
-// RunPartition is Run restricted to a driving-table PK partition [lo, hi),
-// used for multi-device cooperative execution: every device runs the same
-// device-side PQEP over its share of the driving table. Shared-slot
-// back-pressure is not applied — the caller merges batches from several
-// producers and the host is the bottleneck. Under H0 only the first
-// partition (lo == nil) carries the inner tables' leaf scans; in a real
-// deployment each device would scan its own partition of every table.
-func (d *Device) RunPartition(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
-	lo, hi *int32, emit func(Batch)) error {
-
-	// Fault injection targets the single-device cooperative path (Run); the
-	// multi-device merge path keeps a void emit and no injection hooks.
-	emitBatch := func(b Batch) error {
-		b.Ready = d.TL.Now()
-		emit(b)
-		return nil
-	}
-	devSteps := cmd.SplitAfter
-	if devSteps < 0 {
-		if lo == nil {
-			for _, st := range cmd.Plan.Steps {
-				cb, width, err := eng.ScanCols(st.Right, nil, nil)
-				if err != nil {
-					return err
-				}
-				if err := emitBatch(Batch{
-					LeafAlias: st.Right.Ref.Alias,
-					Cols:      cb,
-					Bytes:     int64(cb.Len()) * width,
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		devSteps = 0
-	}
-	return d.streamDrivingRange(cmd, pl, eng, devSteps, lo, hi, emitBatch)
-}
-
 // RunShard streams the driving-table partition [lo, hi) through the first
 // cmd.SplitAfter join steps (0 or -1 = scan-only: the shard ships filtered
-// driving rows and every join stays on the host). Unlike RunPartition it
-// carries no H0 leaf logic — fleet execution scans each inner table's
-// partitions through ScanLeafPartition on the owning device — and emit may
-// reject a batch with an error. Shared-slot back-pressure is not applied:
-// the host merges batches from the whole fleet in partition order, so the
-// host side is the bottleneck.
+// driving rows and every join stays on the host). It carries no H0 leaf logic
+// — fleet execution scans each inner table's partitions through
+// ScanLeafPartition on the owning device — and emit may reject a batch with
+// an error. Shared-slot back-pressure is not applied: the host merges batches
+// from the whole fleet in partition order, so the host side is the
+// bottleneck. An injected crash degrades the whole shard at the fleet layer
+// instead of retrying.
 func (d *Device) RunShard(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 	lo, hi *int32, emit func(Batch) error) error {
 
@@ -417,23 +459,10 @@ func (d *Device) RunShard(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 	if devSteps < 0 {
 		devSteps = 0
 	}
-	produced := 0
 	return d.streamDrivingRange(cmd, pl, eng, devSteps, lo, hi, func(b Batch) error {
-		if d.Faults != nil {
-			// Per-device fleet chaos: the shard's batches face the same
-			// stall/crash/corrupt draws as the cooperative path (a crash
-			// degrades the whole shard at the fleet layer instead of retrying).
-			ev := d.Faults.BeforeEmit()
-			if ev.Stall > 0 {
-				d.TL.Charge(hw.CatFaultStall, ev.Stall)
-			}
-			if ev.Crash != nil {
-				return fmt.Errorf("device: shard batch %d: %w", produced, ev.Crash)
-			}
-			b.Seal(ev.Corrupt)
+		if err := d.handOff(&b, "shard batch", nil); err != nil {
+			return err
 		}
-		produced++
-		b.Ready = d.TL.Now()
 		return emit(b)
 	})
 }
@@ -442,6 +471,19 @@ func (d *Device) RunShard(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 // (fleet H0: every device ships its share of every leaf selection) and
 // returns it as a leaf batch stamped with the device completion time.
 func (d *Device) ScanLeafPartition(ap exec.AccessPath, eng *exec.Engine, lo, hi *int32) (Batch, error) {
+	b, err := d.scanLeaf(ap, eng, lo, hi)
+	if err != nil {
+		return Batch{}, err
+	}
+	if err := d.handOff(&b, "leaf scan", nil); err != nil {
+		return Batch{}, err
+	}
+	return b, nil
+}
+
+// scanLeaf runs one leaf selection over [lo, hi) into a not yet handed-off
+// leaf batch.
+func (d *Device) scanLeaf(ap exec.AccessPath, eng *exec.Engine, lo, hi *int32) (Batch, error) {
 	lsp := d.Trace.Start(d.TL, "device.leaf.scan").Attr("alias", ap.Ref.Alias)
 	cb, width, err := eng.ScanCols(ap, lo, hi)
 	if err != nil {
@@ -449,27 +491,14 @@ func (d *Device) ScanLeafPartition(ap exec.AccessPath, eng *exec.Engine, lo, hi 
 		return Batch{}, err
 	}
 	lsp.AttrInt("rows", int64(cb.Len())).End()
-	d.recordScan(int64(cb.Len()), int64(cb.Len())*width)
-	b := Batch{
-		LeafAlias: ap.Ref.Alias,
-		Cols:      cb,
-		Bytes:     int64(cb.Len()) * width,
-	}
-	if d.Faults != nil {
-		ev := d.Faults.BeforeEmit()
-		if ev.Stall > 0 {
-			d.TL.Charge(hw.CatFaultStall, ev.Stall)
-		}
-		if ev.Crash != nil {
-			return Batch{}, fmt.Errorf("device: leaf scan %s: %w", ap.Ref.Alias, ev.Crash)
-		}
-		b.Seal(ev.Corrupt)
-	}
-	b.Ready = d.TL.Now()
-	return b, nil
+	bytes := int64(cb.Len()) * width
+	d.recordScan(int64(cb.Len()), bytes)
+	return Batch{LeafAlias: ap.Ref.Alias, Cols: cb, Bytes: bytes}, nil
 }
 
-// streamDrivingRange is streamDriving clipped to [loPart, hiPart).
+// streamDrivingRange partitions the driving table into chunks by primary-key
+// ranges, clipped to [loPart, hiPart), and pushes each chunk through the
+// first devSteps join steps.
 func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 	devSteps int, loPart, hiPart *int32, emitBatch func(Batch) error) error {
 

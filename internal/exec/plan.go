@@ -124,6 +124,21 @@ type Plan struct {
 // NumTables reports the number of base tables in the plan.
 func (p *Plan) NumTables() int { return 1 + len(p.Steps) }
 
+// WithBufferedJoins returns a copy of the plan whose index joins (BNLI) are
+// coerced to buffered joins (BNL). H0 executions need it: the host joins
+// device-shipped leaf rows, and an index join against the base table would
+// discard the offloaded selection.
+func (p *Plan) WithBufferedJoins() *Plan {
+	p2 := *p
+	p2.Steps = append([]JoinStep(nil), p.Steps...)
+	for i := range p2.Steps {
+		if p2.Steps[i].Type == BNLI {
+			p2.Steps[i].Type = BNL
+		}
+	}
+	return &p2
+}
+
 // Aliases lists the table aliases in join order (the tuple shape).
 func (p *Plan) Aliases() []string {
 	out := []string{p.Driving.Ref.Alias}

@@ -5,14 +5,12 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"strings"
 
 	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/fault"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/kv"
-	"hybridndp/internal/lsm"
 	"hybridndp/internal/num"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/table"
@@ -148,60 +146,80 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model, desc *Descriptor) *E
 	return &Executor{Cat: cat, DB: db, Model: m, Desc: desc}
 }
 
-// hostCache mirrors the cooperative executor's cold host block cache.
-func (x *Executor) hostCache() *lsm.BlockCache {
-	bytes := int64(float64(x.DB.Flash().Used()) * x.Model.HostCacheFraction)
-	return lsm.NewBlockCache(bytes)
+// outcome is what became of one shard: whether the merge consumes its device
+// batches (ok) or re-executes its partitions host-side, and why. Every
+// trigger — planner, admission gate, injected crash, checksum failure,
+// deadline, hedge — only picks an outcome; the host re-execution path they
+// lead to is one and the same.
+type outcome int
+
+const (
+	hostPlanned  outcome = iota // the planner kept the partitions on the host (hybrid Split 0)
+	ok                          // the merge consumes the shard's device batches
+	denied                      // the admission gate refused the shard
+	crashed                     // the device command died on an injected fault
+	corrupt                     // a batch failed host-side checksum verification
+	pastDeadline                // device completion lands past the request deadline
+	hedgedOut                   // the host-native backup out-ran the device
+)
+
+// outcomes names what the system's own output says about each outcome: the
+// counter bumped when a shard takes it, and the span wrapping every driving
+// partition re-executed because of it. (A denial is counted by the gate that
+// issued it.)
+var outcomes = [...]struct{ counter, span string }{
+	crashed:      {counter: "fleet.shard.crashed"},
+	corrupt:      {counter: "fleet.batch.corrupt"},
+	pastDeadline: {counter: "fleet.deadline.degraded", span: "fleet.deadline.degrade"},
+	hedgedOut:    {counter: "fleet.hedge.won", span: "fleet.hedge"},
 }
 
-// snapshotFor captures shared state for the device-read tables (driving plus
-// the inner tables of the first `split` steps; split < 0 = all).
-func (x *Executor) snapshotFor(p *exec.Plan, split int) (*kv.Snapshot, error) {
-	names := []string{"tbl." + p.Driving.Ref.Table}
-	limit := len(p.Steps)
-	if split >= 0 && split < limit {
-		limit = split
-	}
-	for i := 0; i < limit; i++ {
-		names = append(names, "tbl."+p.Steps[i].Right.Ref.Table)
-	}
-	return x.DB.TakeSnapshot(names)
+// shard is one device's state within a run.
+type shard struct {
+	plan    *ShardPlan
+	outcome outcome
+	// release reports the admitted shard's outcome back to the gate; nil when
+	// ungated or not admitted.
+	release func(ok bool, busyNs float64)
+	dev     *device.Device // nil unless the shard was launched
+	inj     *fault.Injector
+	// backupAt is a hedged-out shard's hedge launch instant: its host backup
+	// cannot have started earlier.
+	backupAt vclock.Time
+	rows     int64
+	batches  int
 }
 
-// chunkCount mirrors the cooperative executor's driving-chunk sizing; each
-// fleet shard then takes its per-device share (+1 so a shard never rounds to
-// zero chunks).
-func (x *Executor) chunkCount(p *exec.Plan) int {
-	if x.Chunks > 0 {
-		return x.Chunks
+// hostFrom is the first join step the host runs on this shard's driving rows.
+func (sh *shard) hostFrom() int {
+	if sh.outcome == ok && sh.plan.Split > 0 {
+		return sh.plan.Split
 	}
-	t, err := x.Cat.Table(p.Driving.Ref.Table)
-	if err != nil {
-		return 8
-	}
-	bytes := float64(t.CollectStats().TotalBytes())
-	c := int(bytes / float64(4*x.Model.SharedBufferSlot))
-	if c < 4 {
-		c = 4
-	}
-	if c > 64 {
-		c = 64
-	}
-	return c
-}
-
-// snapshotViews extracts the frozen per-table views from the snapshot.
-func snapshotViews(snap *kv.Snapshot) map[string]*lsm.View {
-	views := make(map[string]*lsm.View, len(snap.CFs))
-	for name, cf := range snap.CFs {
-		views[strings.TrimPrefix(name, "tbl.")] = cf.View
-	}
-	return views
+	return 0
 }
 
 // leafKey addresses one inner table's partition scan: step index within the
 // plan plus partition index within the table's descriptor entry.
 type leafKey struct{ step, part int }
+
+// run is the state of one scatter-gather execution.
+type run struct {
+	x      *Executor
+	a      *Assignment
+	p      *exec.Plan // a.Plan; under H0 its buffered-join copy
+	tr     *obs.Trace
+	rep    *Report
+	hostTL *vclock.Timeline
+	hostR  hw.Rates
+	host   *exec.Engine
+	pl     *exec.Pipeline
+	shards []shard
+	// Device output by merge position; the gather reads an entry only while
+	// its owner's outcome is ok, so a demoted shard's output needs no cleanup.
+	leaves  map[leafKey]device.Batch
+	driving [][]device.Batch
+	tuples  []exec.Tuple
+}
 
 // Run executes a planned assignment over the fleet.
 func (x *Executor) Run(a *Assignment) (*Report, error) {
@@ -214,485 +232,501 @@ func (x *Executor) Run(a *Assignment) (*Report, error) {
 // land past the deadline is degraded to host-side execution at its merge
 // position — the same partition-preserving path an admission denial takes —
 // so the host stops waiting on stragglers it can out-run.
-func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Duration) (*Report, error) {
-	p := a.Plan
-	rep := &Report{Query: p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
-	hostTL := vclock.NewTimeline("host")
-	hostR := hw.HostRates(x.Model)
-	hostEng := &exec.Engine{Cat: x.Cat, TL: hostTL, R: hostR, Cache: x.hostCache(), BatchSize: x.BatchSize}
+//
+// The run is a sequence of stages: admit (gate every device-planned shard),
+// scatter (one NDP invocation per admitted shard), decide (deadline and hedge
+// demotions), prebuild (host hash tables, overlapping device work), gather
+// (ordered merge, re-executing every non-ok shard's partitions host-side),
+// finalize.
+func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Duration) (rep *Report, err error) {
+	r := &run{x: x, a: a, p: a.Plan, tr: tr, hostTL: vclock.NewTimeline("host"), hostR: hw.HostRates(x.Model)}
+	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
+	r.host = &exec.Engine{Cat: x.Cat, TL: r.hostTL, R: r.hostR,
+		Cache: x.DB.NewBlockCache(x.Model.HostCacheFraction), BatchSize: x.BatchSize}
 
-	root := tr.Start(hostTL, "query:"+p.Query.Name).Attr("strategy", "fleet:"+a.Label())
+	root := tr.Start(r.hostTL, "query:"+r.p.Query.Name).Attr("strategy", "fleet:"+a.Label())
 	defer root.End()
 
 	// A host-global decision never scatters: the whole plan runs on the host
 	// exactly like the cooperative baseline.
 	if a.Mode == ModeHost {
-		res, err := hostEng.RunPlan(p)
+		res, err := r.host.RunPlan(r.p)
 		if err != nil {
 			return nil, err
 		}
-		rep.Result = res
-		rep.Elapsed = vclock.Duration(hostTL.Now())
-		rep.HostAccount = hostTL.Account()
-		return rep, nil
-	}
-
-	// H0 joins device-shipped leaf rows on the host: index joins against the
-	// base tables would discard the offloaded selections (same plan-copy
-	// coercion as the cooperative H0 path).
-	if a.Mode == ModeH0 && len(p.Steps) > 0 {
-		p2 := *p
-		p2.Steps = append([]exec.JoinStep(nil), p.Steps...)
-		for i := range p2.Steps {
-			if p2.Steps[i].Type == exec.BNLI {
-				p2.Steps[i].Type = exec.BNL
-			}
-		}
-		p = &p2
-	}
-
-	// Per-shard admission. A denied device-planned shard degrades to host
-	// execution of its partitions; planned host shards (hybrid Split == 0)
-	// never claim device resources.
-	nDev := x.Desc.Devices
-	releases := make([]func(ok bool, busyNs float64), nDev)
-	degraded := make([]bool, nDev)
-	wantsDevice := func(dev int) bool {
-		return !(a.Mode == ModeHybrid && a.Shards[dev].Split == 0)
-	}
-	released := false
-	releaseAll := func(ok bool, busy func(dev int) float64) {
-		if released {
-			return
-		}
-		released = true
-		for dev, rel := range releases {
-			if rel != nil {
-				rel(ok, busy(dev))
-			}
-		}
-	}
-	defer releaseAll(false, func(int) float64 { return 0 })
-	for dev := 0; dev < nDev; dev++ {
-		if !wantsDevice(dev) {
-			continue
-		}
-		if x.Gate == nil {
-			continue
-		}
-		sp := a.Shards[dev]
-		rel, ok := x.Gate.AdmitShard(dev, sp.Mem.TotalBytes, sp.EstDevNs)
-		if !ok {
-			degraded[dev] = true
-			rep.DegradedShards++
-			continue
-		}
-		releases[dev] = rel
-	}
-	crashed := make([]bool, nDev)
-	healthy := func(dev int) bool { return wantsDevice(dev) && !degraded[dev] && !crashed[dev] }
-
-	anyDevice := false
-	maxSplit := -1
-	for dev := 0; dev < nDev; dev++ {
-		if healthy(dev) {
-			anyDevice = true
-			if s := a.Shards[dev].Split; s > maxSplit {
-				maxSplit = s
-			}
-		}
+		return r.report(res), nil
 	}
 	if a.Mode == ModeH0 {
-		maxSplit = -1 // leaf offload reads every inner table on device
+		r.p = r.p.WithBufferedJoins()
 	}
-
-	pl, err := hostEng.StartPipeline(p)
-	if err != nil {
+	if r.pl, err = r.host.StartPipeline(r.p); err != nil {
 		return nil, err
 	}
 
-	// Scatter phase: each admitted device gets its own command, engine and
-	// pipeline, so inner builds and scans charge the owning device's
-	// timeline. Devices are visited in ascending id — their timelines are
-	// independent, so code order only fixes determinism, not virtual
-	// concurrency.
-	var snap *kv.Snapshot
-	if anyDevice {
-		snap, err = x.snapshotFor(p, maxSplit)
-		if err != nil {
-			return nil, err
-		}
+	r.admit()
+	defer func() { r.release(err == nil) }()
+	if err := r.scatter(); err != nil {
+		return nil, err
 	}
-	shardChunks := x.chunkCount(p)/nDev + 1
-	devs := make([]*device.Device, nDev)
-	injs := make([]*fault.Injector, nDev)
-	leaves := make(map[leafKey]device.Batch)
-	drivingBatches := make([][]device.Batch, len(a.DrivingParts))
-	shardRows := make([]int64, nDev)
-	shardBatches := make([]int, nDev)
-	for dev := 0; dev < nDev; dev++ {
-		if !healthy(dev) {
+	r.decide(deadline)
+	if err := r.prebuild(); err != nil {
+		return nil, err
+	}
+	if err := r.gather(); err != nil {
+		return nil, err
+	}
+	res, err := r.host.Finalize(r.pl, r.tuples)
+	if err != nil {
+		return nil, err
+	}
+	return r.report(res), nil
+}
+
+// demote takes a shard off the device path: from here on the merge
+// re-executes its partitions host-side.
+func (r *run) demote(sh *shard, o outcome) {
+	sh.outcome = o
+	if c := outcomes[o].counter; c != "" {
+		r.x.Metrics.Counter(c).Inc()
+	}
+}
+
+// admit gates every device-planned shard. A denied shard degrades to host
+// execution of its partitions; planned host shards (hybrid Split == 0) never
+// claim device resources.
+func (r *run) admit() {
+	r.shards = make([]shard, r.x.Desc.Devices)
+	for dev := range r.shards {
+		sh := &r.shards[dev]
+		sh.plan = &r.a.Shards[dev]
+		if r.a.Mode == ModeHybrid && sh.plan.Split == 0 {
 			continue
 		}
-		sp := a.Shards[dev]
-		d := device.New(x.Model, x.Cat)
-		d.BatchSize = x.BatchSize
-		d.Trace = tr
-		if fp := x.Faults.ForDevice(dev); fp.Enabled() {
-			// Per-device fault stream: the run key folds in the device id so
-			// one sick device's episode never perturbs its siblings'.
-			injs[dev] = fp.Injector(p.Query.Name + "|" + a.Mode + "|dev" + strconv.Itoa(dev)).Bind(x.Metrics)
-			d.Faults = injs[dev]
+		sh.outcome = ok
+		if r.x.Gate == nil {
+			continue
 		}
-		devs[dev] = d
-		cmd := &device.Command{Plan: p, SplitAfter: sp.Split, Snapshot: snap, Chunks: shardChunks}
-		if err := d.Validate(cmd); err != nil {
-			return nil, err
+		rel, admitted := r.x.Gate.AdmitShard(dev, sh.plan.Mem.TotalBytes, sh.plan.EstDevNs)
+		if !admitted {
+			r.demote(sh, denied)
+			continue
 		}
-		eng := d.Engine(sp.Mem)
-		eng.Views = snapshotViews(snap)
-		dpl, err := eng.StartPipeline(p)
-		if err != nil {
-			return nil, err
-		}
+		sh.release = rel
+	}
+}
 
-		// NDP setup: the host issues the fleet's commands back to back; each
-		// device's timeline starts when its own command arrived.
-		setup := hostR.Interconnect.Transfer(cmd.Bytes(), cmd.Bytes())
-		hostTL.Charge(hw.CatNDPSetup, setup)
-		d.TL.WaitUntil(hostTL.Now(), hw.CatNDPSetup)
+// release reports every admitted shard's outcome to the gate exactly once:
+// failure for a shard whose command crashed or shipped corrupt data (and for
+// every shard of a run that errored out), success — with the device-busy
+// virtual time — otherwise. Slow-but-correct shards (past-deadline,
+// hedged-out) are successes: the device did its work.
+func (r *run) release(completed bool) {
+	for i := range r.shards {
+		sh := &r.shards[i]
+		if sh.release == nil {
+			continue
+		}
+		if !completed {
+			sh.release(false, 0)
+			continue
+		}
+		sh.release(sh.outcome != crashed && sh.outcome != corrupt, float64(sh.dev.TL.Now()))
+	}
+}
 
-		devErr := func() error {
-			// H0: this device ships its partitions of every leaf selection.
-			if a.Mode == ModeH0 {
-				for si, st := range p.Steps {
-					for pi, part := range x.Desc.Parts[st.Right.Ref.Table] {
-						if part.Device != dev {
-							continue
-						}
-						b, err := d.ScanLeafPartition(st.Right, eng, part.Lo, part.Hi)
-						if err != nil {
-							return err
-						}
-						leaves[leafKey{si, pi}] = b
-						shardRows[dev] += int64(b.Cols.Len())
-						shardBatches[dev]++
-					}
-				}
+// scatter launches every admitted shard: each gets its own command, device,
+// engine and pipeline, so inner builds and scans charge the owning device's
+// timeline. Devices are visited in ascending id — their timelines are
+// independent, so code order only fixes determinism, not virtual
+// concurrency. An injected crash abandons the shard to the host path;
+// partial device output is never merged, so the merged stream stays
+// byte-identical to the fault-free run.
+func (r *run) scatter() error {
+	maxSplit, any := -1, false
+	for i := range r.shards {
+		if sh := &r.shards[i]; sh.outcome == ok {
+			any = true
+			if sh.plan.Split > maxSplit {
+				maxSplit = sh.plan.Split
 			}
-			// Driving partitions owned by this device, in ascending key order.
-			for pi, part := range a.DrivingParts {
-				if part.Device != dev {
+		}
+	}
+	if !any {
+		return nil
+	}
+	if r.a.Mode == ModeH0 {
+		maxSplit = -1 // leaf offload reads every inner table on device
+	}
+	snap, err := device.Snapshot(r.x.DB, r.p, maxSplit)
+	if err != nil {
+		return err
+	}
+	chunks := r.x.Chunks
+	if chunks <= 0 {
+		chunks = device.DrivingChunks(r.x.Model, r.x.Cat, r.p)
+	}
+	// Each shard takes its per-device share (+1 so none rounds to zero).
+	chunks = chunks/len(r.shards) + 1
+	r.leaves = make(map[leafKey]device.Batch)
+	r.driving = make([][]device.Batch, len(r.a.DrivingParts))
+	for i := range r.shards {
+		sh := &r.shards[i]
+		if sh.outcome != ok {
+			continue
+		}
+		err := r.runShard(sh, &device.Command{Plan: r.p, SplitAfter: sh.plan.Split, Snapshot: snap, Chunks: chunks})
+		if err == nil {
+			continue
+		}
+		if !fault.Injected(err) {
+			return err
+		}
+		r.demote(sh, crashed)
+		sh.rows, sh.batches = 0, 0
+	}
+	return nil
+}
+
+// runShard is one shard's device side: the NDP invocation, then — under H0 —
+// its partitions of every leaf selection, then its driving partitions in
+// ascending key order.
+func (r *run) runShard(sh *shard, cmd *device.Command) error {
+	x, id := r.x, sh.plan.Device
+	d := device.New(x.Model, x.Cat)
+	d.BatchSize = x.BatchSize
+	d.Trace = r.tr
+	d.Metrics = x.Metrics
+	if fp := x.Faults.ForDevice(id); fp.Enabled() {
+		// Per-device fault stream: the run key folds in the device id so one
+		// sick device's episode never perturbs its siblings'.
+		sh.inj = fp.Injector(r.p.Query.Name + "|" + r.a.Mode + "|dev" + strconv.Itoa(id)).Bind(x.Metrics)
+		d.Faults = sh.inj
+	}
+	sh.dev = d
+	// The host issues the fleet's commands back to back; each device's
+	// timeline starts when its own command arrived.
+	eng, err := d.Launch(cmd, sh.plan.Mem, r.hostTL)
+	if err != nil {
+		return err
+	}
+	dpl, err := eng.StartPipeline(r.p)
+	if err != nil {
+		return err
+	}
+	if r.a.Mode == ModeH0 {
+		for si, st := range r.p.Steps {
+			for pi, part := range x.Desc.Parts[st.Right.Ref.Table] {
+				if part.Device != id {
 					continue
 				}
-				slot := pi
-				err := d.RunShard(cmd, dpl, eng, part.Lo, part.Hi, func(b device.Batch) error {
-					drivingBatches[slot] = append(drivingBatches[slot], b)
-					shardRows[dev] += int64(len(b.Tuples))
-					shardBatches[dev]++
-					return nil
-				})
+				b, err := d.ScanLeafPartition(st.Right, eng, part.Lo, part.Hi)
 				if err != nil {
 					return err
 				}
+				r.leaves[leafKey{si, pi}] = b
+				sh.rows += int64(b.Cols.Len())
+				sh.batches++
 			}
+		}
+	}
+	for pi, part := range r.a.DrivingParts {
+		if part.Device != id {
+			continue
+		}
+		err := d.RunShard(cmd, dpl, eng, part.Lo, part.Hi, func(b device.Batch) error {
+			r.driving[pi] = append(r.driving[pi], b)
+			sh.rows += int64(len(b.Tuples))
+			sh.batches++
 			return nil
-		}()
-		if devErr != nil {
-			if !fault.Injected(devErr) {
-				return nil, devErr
-			}
-			// Injected crash: abandon the shard and run its partitions
-			// host-side at their merge positions (the breaker-denial path).
-			// Partial device output is discarded so the merged stream stays
-			// byte-identical to the fault-free run.
-			crashed[dev] = true
-			rep.CrashedShards++
-			x.Metrics.Counter("fleet.shard.crashed").Inc()
-			for si, st := range p.Steps {
-				for pi, part := range x.Desc.Parts[st.Right.Ref.Table] {
-					if part.Device == dev {
-						delete(leaves, leafKey{si, pi})
-					}
-				}
-			}
-			for pi, part := range a.DrivingParts {
-				if part.Device == dev {
-					drivingBatches[pi] = nil
-				}
-			}
-			shardRows[dev], shardBatches[dev] = 0, 0
+		})
+		if err != nil {
+			return err
 		}
 	}
+	d.RecordCache(eng)
+	return nil
+}
 
-	// Hedge / deadline decision. Every admitted shard's device completion
-	// instant is known here; a shard past the request deadline degrades to
-	// host-side execution outright, and — with hedging on — a shard past the
-	// hedge threshold launches a host-native backup at the threshold instant,
-	// the merge taking whichever side's virtual finish comes first. Either
-	// way the shard's partitions yield the identical tuple stream, so the
-	// choice moves latency, never bytes.
-	hedged := make([]bool, nDev)
-	hedgeFloor := make([]vclock.Time, nDev)
-	thr := x.hedgeThreshold(a, healthy)
-	for dev := 0; dev < nDev; dev++ {
-		if !healthy(dev) {
+// decide applies the deadline and hedge demotions. Every launched shard's
+// device completion instant is known here; a shard past the request deadline
+// degrades to host-side execution outright, and — with hedging on — a shard
+// past the hedge threshold launches a host-native backup at the threshold
+// instant, the merge taking whichever side's virtual finish comes first.
+// Either way the shard's partitions yield the identical tuple stream, so the
+// choice moves latency, never bytes.
+func (r *run) decide(deadline vclock.Duration) {
+	x, thr := r.x, r.hedgeThreshold()
+	for i := range r.shards {
+		sh := &r.shards[i]
+		if sh.outcome != ok {
 			continue
 		}
-		elapsed := devs[dev].TL.Now()
+		elapsed := sh.dev.TL.Now()
 		if deadline > 0 && vclock.Duration(elapsed) > deadline {
-			hedged[dev] = true
-			rep.DeadlineDegraded++
-			x.Metrics.Counter("fleet.deadline.degraded").Inc()
+			r.demote(sh, pastDeadline)
 			continue
 		}
-		if thr > 0 && float64(elapsed) > thr {
-			if !x.Budget.Allow() {
-				x.Metrics.Counter("fleet.hedge.budget_denied").Inc()
-				continue
-			}
-			rep.HedgesFired++
-			x.Metrics.Counter("fleet.hedge.fired").Inc()
-			if thr+a.Shards[dev].EstHostNs < float64(elapsed) {
-				hedged[dev] = true
-				hedgeFloor[dev] = vclock.Time(thr)
-				rep.HedgesWon++
-				x.Metrics.Counter("fleet.hedge.won").Inc()
-			} else {
-				rep.HedgesLost++
-				x.Metrics.Counter("fleet.hedge.lost").Inc()
-			}
+		if thr <= 0 || float64(elapsed) <= thr {
+			continue
+		}
+		if !x.Budget.Allow() {
+			x.Metrics.Counter("fleet.hedge.budget_denied").Inc()
+			continue
+		}
+		r.rep.HedgesFired++
+		x.Metrics.Counter("fleet.hedge.fired").Inc()
+		if thr+sh.plan.EstHostNs < float64(elapsed) {
+			sh.backupAt = vclock.Time(thr)
+			r.demote(sh, hedgedOut)
+		} else {
+			r.rep.HedgesLost++
+			x.Metrics.Counter("fleet.hedge.lost").Inc()
 		}
 	}
-	// useDevice: the merge consumes this shard's device batches (admitted,
-	// alive, and not out-raced by its host backup).
-	useDevice := func(dev int) bool { return healthy(dev) && !hedged[dev] }
-
-	// Host prep overlaps the devices' initial execution: pre-build the inner
-	// hash tables of host-side buffered joins (H0 inners are device-seeded
-	// and must stay unbuilt until the leaf batches arrive).
-	if a.Mode != ModeH0 {
-		minHostFrom := len(p.Steps)
-		for _, part := range a.DrivingParts {
-			hf := 0
-			if useDevice(part.Device) {
-				if hf = a.Shards[part.Device].Split; hf < 0 {
-					hf = 0
-				}
-			}
-			if hf < minHostFrom {
-				minHostFrom = hf
-			}
-		}
-		for si := minHostFrom; si < len(p.Steps); si++ {
-			if p.Steps[si].Type != exec.BNLI {
-				if _, err := hostEng.BuildInner(pl, si); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Gather phase. Batches are consumed in plan order — every leaf
-	// partition of every step first (H0), then every driving partition — in
-	// ascending partition order regardless of which device produced them, so
-	// the merged tuple stream reconstructs the single-device order exactly.
-	first := true
-	fetch := func(b device.Batch) {
-		cat := hw.CatWaitFetch
-		if first {
-			cat = hw.CatWaitInitial
-			first = false
-		}
-		hostTL.WaitUntil(b.Ready, cat)
-		hostR.Transfer(hostTL, num.MaxI64(b.Bytes, 64), x.Model.SharedBufferSlot)
-		rep.TransferredBytes += b.Bytes
-		rep.Batches++
-	}
-	// verify draws the in-transfer corruption for a sealed batch and checks
-	// its checksum host-side; a failed batch sends its partition to the host
-	// path. Unsealed batches (fault-free runs) skip everything.
-	verify := func(dev int, b device.Batch) bool {
-		if b.Sum == 0 {
-			return true
-		}
-		if injs[dev].TransferCorrupt() {
-			b.CorruptInTransfer()
-		}
-		if b.Verify() != nil {
-			rep.CorruptBatches++
-			x.Metrics.Counter("fleet.batch.corrupt").Inc()
-			return false
-		}
-		return true
-	}
-	if a.Mode == ModeH0 {
-		for si, st := range p.Steps {
-			for pi, part := range x.Desc.Parts[st.Right.Ref.Table] {
-				if b, ok := leaves[leafKey{si, pi}]; ok && !hedged[part.Device] {
-					fetch(b)
-					if verify(part.Device, b) {
-						if err := hostEng.AppendInnerCols(pl, si, b.Cols); err != nil {
-							return nil, err
-						}
-						continue
-					}
-				}
-				// Degraded, crashed, hedged or corrupt owner: the host scans
-				// this leaf partition itself.
-				hostTL.WaitUntil(hedgeFloor[part.Device], hw.CatHedgeWait)
-				cb, _, err := hostEng.ScanCols(st.Right, part.Lo, part.Hi)
-				if err != nil {
-					return nil, err
-				}
-				if err := hostEng.AppendInnerCols(pl, si, cb); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	var tuples []exec.Tuple
-	joinRange := func(from int, batch []exec.Tuple) ([]exec.Tuple, error) {
-		for si := from; si < len(p.Steps); si++ {
-			var jerr error
-			if batch, jerr = hostEng.JoinStep(pl, si, batch); jerr != nil {
-				return nil, jerr
-			}
-		}
-		return batch, nil
-	}
-	for pi, part := range a.DrivingParts {
-		dev := part.Device
-		fromDevice := false
-		if useDevice(dev) {
-			// Merge the shard's device batches; a corrupt batch abandons the
-			// partition's merged rows and falls through to the host path, so
-			// the final stream carries each partition exactly once.
-			fromDevice = true
-			var partTuples []exec.Tuple
-			hostFrom := a.Shards[dev].Split
-			if hostFrom < 0 {
-				hostFrom = 0
-			}
-			for _, b := range drivingBatches[pi] {
-				fetch(b)
-				if !verify(dev, b) {
-					fromDevice = false
-					break
-				}
-				out, err := joinRange(hostFrom, b.Tuples)
-				if err != nil {
-					return nil, err
-				}
-				partTuples = append(partTuples, out...)
-			}
-			if fromDevice {
-				tuples = append(tuples, partTuples...)
-				continue
-			}
-		}
-		// Host shard (planned, degraded, crashed, hedged or corrupt): its
-		// partition runs entirely host-side at its merge position, preserving
-		// the global order. A hedge-won shard's backup is floored at the
-		// hedge launch instant — the backup cannot have started earlier.
-		var hsp *obs.Span
-		if hedged[dev] {
-			name := "fleet.deadline.degrade"
-			if hedgeFloor[dev] > 0 {
-				name = "fleet.hedge"
-			}
-			hsp = tr.Start(hostTL, name).AttrInt("device", int64(dev)).AttrInt("partition", int64(pi))
-			hostTL.WaitUntil(hedgeFloor[dev], hw.CatHedgeWait)
-		}
-		rows, _, err := hostEng.ScanAccess(p.Driving, part.Lo, part.Hi)
-		if err != nil {
-			hsp.End()
-			return nil, err
-		}
-		if !healthy(dev) {
-			shardRows[dev] += int64(len(rows))
-		}
-		out, err := joinRange(0, pl.MakeTuples(rows))
-		if err != nil {
-			hsp.End()
-			return nil, err
-		}
-		tuples = append(tuples, out...)
-		hsp.End()
-	}
-
-	res, err := hostEng.Finalize(pl, tuples)
-	if err != nil {
-		return nil, err
-	}
-	rep.Result = res
-	rep.Elapsed = vclock.Duration(hostTL.Now())
-	rep.HostAccount = hostTL.Account()
-	rep.Shards = make([]ShardReport, nDev)
-	for dev := 0; dev < nDev; dev++ {
-		sp := a.Shards[dev]
-		sr := ShardReport{
-			Device: dev, Split: sp.Split, Frac: sp.Frac, Reason: sp.Reason,
-			Rows: shardRows[dev], Batches: shardBatches[dev], Degraded: degraded[dev],
-			Crashed: crashed[dev], Hedged: hedged[dev],
-		}
-		for _, part := range a.DrivingParts {
-			if part.Device == dev {
-				sr.Partitions++
-			}
-		}
-		if d := devs[dev]; d != nil {
-			sr.Elapsed = vclock.Duration(d.TL.Now())
-			sr.Account = d.TL.Account()
-		}
-		rep.Shards[dev] = sr
-	}
-	releaseAll(true, func(dev int) float64 {
-		if d := devs[dev]; d != nil {
-			return float64(d.TL.Now())
-		}
-		return 0
-	})
-	return rep, nil
 }
 
 // hedgeThreshold derives the virtual-time hedge launch threshold for this
-// assignment: Mult × the Quantile of the admitted shards' device estimates,
-// rescaled by the scheduler's learned device-calibration factor when wired.
-// Anchoring on the shard population's own estimates (rather than a fixed
-// duration) makes the threshold scale-free: a query whose shards are all
-// expensive hedges late, a cheap query's straggler is caught early. Returns 0
-// (hedging off) when disabled or no shard is device-admitted.
-func (x *Executor) hedgeThreshold(a *Assignment, healthy func(int) bool) float64 {
-	if !x.Hedge.Enabled {
+// run: Mult × the Quantile of the launched shards' device estimates, rescaled
+// by the scheduler's learned device-calibration factor when wired. Anchoring
+// on the shard population's own estimates (rather than a fixed duration)
+// makes the threshold scale-free: a query whose shards are all expensive
+// hedges late, a cheap query's straggler is caught early. Returns 0 (hedging
+// off) when disabled or no shard is on its device.
+func (r *run) hedgeThreshold() float64 {
+	h := r.x.Hedge
+	if !h.Enabled {
 		return 0
 	}
 	var ests []float64
-	for dev := range a.Shards {
-		if healthy(dev) {
-			ests = append(ests, a.Shards[dev].EstDevNs)
+	for i := range r.shards {
+		if sh := &r.shards[i]; sh.outcome == ok {
+			ests = append(ests, sh.plan.EstDevNs)
 		}
 	}
 	if len(ests) == 0 {
 		return 0
 	}
 	sort.Float64s(ests)
-	q := x.Hedge.Quantile
+	q := h.Quantile
 	if q <= 0 || q > 1 {
 		q = 0.5
 	}
 	idx := int(q*float64(len(ests)-1) + 0.5)
-	mult := x.Hedge.Mult
+	mult := h.Mult
 	if mult <= 0 {
 		mult = 3
 	}
 	scale := 1.0
-	if x.Hedge.Scale != nil {
-		if s := x.Hedge.Scale(); s > 0 {
+	if h.Scale != nil {
+		if s := h.Scale(); s > 0 {
 			scale = s
 		}
 	}
 	return mult * scale * ests[idx]
+}
+
+// prebuild overlaps host prep with the devices' initial execution: the inner
+// hash tables of host-side buffered joins (H0 inners are device-seeded and
+// must stay unbuilt until the leaf batches arrive).
+func (r *run) prebuild() error {
+	if r.a.Mode == ModeH0 {
+		return nil
+	}
+	from := len(r.p.Steps)
+	for _, part := range r.a.DrivingParts {
+		if hf := r.shards[part.Device].hostFrom(); hf < from {
+			from = hf
+		}
+	}
+	for si := from; si < len(r.p.Steps); si++ {
+		if r.p.Steps[si].Type != exec.BNLI {
+			if _, err := r.host.BuildInner(r.pl, si); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// gather merges in plan order — every leaf partition of every step first
+// (H0), then every driving partition — in ascending partition order
+// regardless of which device produced what, so the merged tuple stream
+// reconstructs the single-device order exactly.
+func (r *run) gather() error {
+	if r.a.Mode == ModeH0 {
+		for si, st := range r.p.Steps {
+			for pi, part := range r.x.Desc.Parts[st.Right.Ref.Table] {
+				if err := r.gatherLeaf(si, pi, st.Right, part); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for pi, part := range r.a.DrivingParts {
+		if err := r.gatherDriving(pi, part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetch moves one device batch to the host — wait for it, cross the
+// interconnect — and verifies a sealed payload (drawing the in-transfer
+// corruption first; unsealed batches of fault-free runs skip everything). A
+// batch that fails its checksum demotes the whole shard, and fetch reports
+// false.
+func (r *run) fetch(sh *shard, b device.Batch) bool {
+	cat := hw.CatWaitFetch
+	if r.rep.Batches == 0 {
+		cat = hw.CatWaitInitial
+	}
+	r.hostTL.WaitUntil(b.Ready, cat)
+	r.hostR.Transfer(r.hostTL, num.MaxI64(b.Bytes, 64), r.x.Model.SharedBufferSlot)
+	r.rep.TransferredBytes += b.Bytes
+	r.rep.Batches++
+	if b.Sum == 0 {
+		return true
+	}
+	if sh.inj.TransferCorrupt() {
+		b.CorruptInTransfer()
+	}
+	if b.Verify() != nil {
+		r.demote(sh, corrupt)
+		return false
+	}
+	return true
+}
+
+// joinFrom runs driving tuples through the host's join steps [from, n).
+func (r *run) joinFrom(from int, batch []exec.Tuple) ([]exec.Tuple, error) {
+	for si := from; si < len(r.p.Steps); si++ {
+		var err error
+		if batch, err = r.host.JoinStep(r.pl, si, batch); err != nil {
+			return nil, err
+		}
+	}
+	return batch, nil
+}
+
+func (r *run) gatherLeaf(si, pi int, ap exec.AccessPath, part Partition) error {
+	sh := &r.shards[part.Device]
+	if sh.outcome == ok {
+		if b := r.leaves[leafKey{si, pi}]; r.fetch(sh, b) {
+			return r.host.AppendInnerCols(r.pl, si, b.Cols)
+		}
+	}
+	return r.rerunLeaf(sh, si, ap, part)
+}
+
+func (r *run) gatherDriving(pi int, part Partition) error {
+	sh := &r.shards[part.Device]
+	if sh.outcome == ok {
+		// Merge the shard's device batches. A corrupt batch abandons the
+		// partition's merged rows and falls through to the host path, so the
+		// final stream carries each partition exactly once.
+		hostFrom := sh.hostFrom()
+		var merged []exec.Tuple
+		for _, b := range r.driving[pi] {
+			if !r.fetch(sh, b) {
+				break
+			}
+			out, err := r.joinFrom(hostFrom, b.Tuples)
+			if err != nil {
+				return err
+			}
+			merged = append(merged, out...)
+		}
+		if sh.outcome == ok {
+			r.tuples = append(r.tuples, merged...)
+			return nil
+		}
+	}
+	return r.rerunDriving(sh, pi, part)
+}
+
+// rerunLeaf scans one leaf partition host-side at its merge position — where
+// every non-ok outcome of the owning shard leads.
+func (r *run) rerunLeaf(sh *shard, si int, ap exec.AccessPath, part Partition) error {
+	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
+	cb, _, err := r.host.ScanCols(ap, part.Lo, part.Hi)
+	if err != nil {
+		return err
+	}
+	return r.host.AppendInnerCols(r.pl, si, cb)
+}
+
+// rerunDriving executes one driving partition entirely host-side at its merge
+// position, preserving the global order — where every non-ok outcome of the
+// owning shard leads. The outcome names the span that makes the takeover
+// visible; a hedged-out shard's backup is floored at its hedge launch
+// instant.
+func (r *run) rerunDriving(sh *shard, pi int, part Partition) error {
+	var sp *obs.Span
+	if name := outcomes[sh.outcome].span; name != "" {
+		sp = r.tr.Start(r.hostTL, name).AttrInt("device", int64(part.Device)).AttrInt("partition", int64(pi))
+	}
+	defer sp.End()
+	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
+	rows, _, err := r.host.ScanAccess(r.p.Driving, part.Lo, part.Hi)
+	if err != nil {
+		return err
+	}
+	switch sh.outcome {
+	case hostPlanned, denied, crashed:
+		// No device output counted for this shard: its rows are the host's.
+		sh.rows += int64(len(rows))
+	}
+	out, err := r.joinFrom(0, r.pl.MakeTuples(rows))
+	if err != nil {
+		return err
+	}
+	r.tuples = append(r.tuples, out...)
+	return nil
+}
+
+// report closes the run's books: the host timeline's completion and one
+// ShardReport per device, with the report counts read off the outcomes.
+func (r *run) report(res *exec.Result) *Report {
+	rep := r.rep
+	rep.Result = res
+	rep.Elapsed = vclock.Duration(r.hostTL.Now())
+	rep.HostAccount = r.hostTL.Account()
+	if len(r.shards) == 0 {
+		return rep
+	}
+	rep.Shards = make([]ShardReport, len(r.shards))
+	for dev := range r.shards {
+		sh := &r.shards[dev]
+		sr := ShardReport{Device: dev, Split: sh.plan.Split, Frac: sh.plan.Frac, Reason: sh.plan.Reason,
+			Rows: sh.rows, Batches: sh.batches}
+		switch sh.outcome {
+		case denied:
+			sr.Degraded = true
+			rep.DegradedShards++
+		case crashed:
+			sr.Crashed = true
+			rep.CrashedShards++
+		case corrupt:
+			rep.CorruptBatches++
+		case pastDeadline:
+			sr.Hedged = true
+			rep.DeadlineDegraded++
+		case hedgedOut:
+			sr.Hedged = true
+			rep.HedgesWon++
+		}
+		for _, part := range r.a.DrivingParts {
+			if part.Device == dev {
+				sr.Partitions++
+			}
+		}
+		if sh.dev != nil {
+			sr.Elapsed = vclock.Duration(sh.dev.TL.Now())
+			sr.Account = sh.dev.TL.Account()
+		}
+		rep.Shards[dev] = sr
+	}
+	return rep
 }
 
 // Fingerprint digests a result for byte-identity comparison: column names,

@@ -5,6 +5,7 @@ import (
 
 	"hybridndp/internal/fault"
 	"hybridndp/internal/job"
+	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/vclock"
 )
@@ -16,6 +17,7 @@ type denyGate struct {
 	admitted []int
 	released int
 	okAll    bool
+	okBy     map[int]bool // release outcome per admitted device
 }
 
 func (g *denyGate) AdmitShard(dev int, memBytes int64, estNs float64) (func(ok bool, busyNs float64), bool) {
@@ -26,6 +28,10 @@ func (g *denyGate) AdmitShard(dev int, memBytes int64, estNs float64) (func(ok b
 	return func(ok bool, busyNs float64) {
 		g.released++
 		g.okAll = g.okAll && ok
+		if g.okBy == nil {
+			g.okBy = make(map[int]bool)
+		}
+		g.okBy[dev] = ok
 	}, true
 }
 
@@ -75,12 +81,20 @@ func TestDegradedShardMatchesFullFleet(t *testing.T) {
 	}
 
 	full := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
+	full.Metrics = obs.NewRegistry()
 	fullRep, err := full.Run(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fullRep.DegradedShards != 0 {
 		t.Fatalf("ungated run degraded %d shards", fullRep.DegradedShards)
+	}
+	// Fleet-launched devices carry the executor's registry like cooperative
+	// ones do.
+	for _, name := range []string{"device.scan.rows", "device.scan.bytes", "device.batches"} {
+		if full.Metrics.Counter(name).Value() <= 0 {
+			t.Fatalf("device-mode fleet run recorded no %s", name)
+		}
 	}
 
 	gate := &denyGate{deny: map[int]bool{1: true}, okAll: true}
@@ -341,5 +355,136 @@ func TestFleetChaosFingerprintUnchanged(t *testing.T) {
 	}
 	if got := Fingerprint(rep2.Result); got != Fingerprint(base.Result) {
 		t.Fatal("corrupt transfers changed the result")
+	}
+}
+
+// TestCrashedShardReleasesFailure pins what a shard reports to its admission
+// gate (and through it to the device's circuit breaker): a shard whose
+// command crashed releases ok=false, every healthy sibling ok=true.
+func TestCrashedShardReleasesFailure(t *testing.T) {
+	ds := testDataset(t)
+	opt := optimizer.New(ds.Cat, ds.Model)
+	d := deviceQuery(t, opt)
+	desc, err := Build(ds.Cat, 4, SchemeRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := PlanShards(opt, desc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := fault.Parse("dev1:dev.crash=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &denyGate{}
+	x := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
+	x.Faults = pl
+	x.Gate = gate
+	rep, err := x.Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Shards[1].Crashed {
+		t.Fatalf("dev1:dev.crash=1 did not crash shard 1: %+v", rep.Shards[1])
+	}
+	if gate.released != len(gate.admitted) {
+		t.Fatalf("released %d of %d admitted shards", gate.released, len(gate.admitted))
+	}
+	for _, dev := range gate.admitted {
+		if got, want := gate.okBy[dev], dev != 1; got != want {
+			t.Errorf("device %d released ok=%v, want %v", dev, got, want)
+		}
+	}
+}
+
+// maxShardElapsed reports the slowest shard's device time.
+func maxShardElapsed(r *Report) vclock.Duration {
+	var m vclock.Duration
+	for _, sr := range r.Shards {
+		if sr.Elapsed > m {
+			m = sr.Elapsed
+		}
+	}
+	return m
+}
+
+// TestFleetShrinksPerDeviceWork is the scale-out premise: with the split
+// point held fixed, each of four devices runs the device-side PQEP over a
+// quarter of the driving table, so the slowest shard finishes sooner than the
+// single device that holds all of it.
+func TestFleetShrinksPerDeviceWork(t *testing.T) {
+	ds := testDataset(t)
+	opt := optimizer.New(ds.Cat, ds.Model)
+	d, err := opt.Decide(job.QueryByName("1b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Hybrid {
+		t.Skipf("1b decided %s at this scale, not hybrid", d.StrategyLabel())
+	}
+	run := func(devices int) (*Assignment, *Report) {
+		desc, err := Build(ds.Cat, devices, SchemeRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := PlanShards(opt, desc, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewExecutor(ds.Cat, ds.DB, ds.Model, desc).Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, rep
+	}
+	a1, one := run(1)
+	a4, four := run(4)
+	if a1.Label() != a4.Label() {
+		t.Skipf("shard-local planning moved the split (%s → %s); per-device work is not comparable", a1.Label(), a4.Label())
+	}
+	if m1, m4 := maxShardElapsed(one), maxShardElapsed(four); m4 >= m1 {
+		t.Fatalf("slowest of 4 shards (%v) should be under the single device (%v)", m4, m1)
+	}
+}
+
+// TestReportAggregationInvariants pins how a fleet report adds up on an
+// ungated, fault-free run at every fleet size: one ShardReport per device,
+// the shards' batches sum to the report's, and their partitions tile the
+// driving table's.
+func TestReportAggregationInvariants(t *testing.T) {
+	ds := testDataset(t)
+	opt := optimizer.New(ds.Cat, ds.Model)
+	d := deviceQuery(t, opt)
+	for _, devices := range []int{1, 2, 4, 8} {
+		desc, err := Build(ds.Cat, devices, SchemeRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := PlanShards(opt, desc, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewExecutor(ds.Cat, ds.DB, ds.Model, desc).Run(a)
+		if err != nil {
+			t.Fatalf("x%d: %v", devices, err)
+		}
+		if rep.Devices != devices || len(rep.Shards) != devices {
+			t.Fatalf("x%d: Devices=%d with %d shard reports", devices, rep.Devices, len(rep.Shards))
+		}
+		batches, parts := 0, 0
+		for _, sr := range rep.Shards {
+			batches += sr.Batches
+			parts += sr.Partitions
+		}
+		if batches != rep.Batches {
+			t.Fatalf("x%d: shards shipped %d batches, report says %d", devices, batches, rep.Batches)
+		}
+		if parts != len(a.DrivingParts) {
+			t.Fatalf("x%d: shards cover %d partitions, driving table has %d", devices, parts, len(a.DrivingParts))
+		}
+		if rep.DegradedShards+rep.CrashedShards+rep.CorruptBatches+rep.DeadlineDegraded+rep.HedgesFired != 0 {
+			t.Fatalf("x%d: clean run reports demotions: %+v", devices, rep)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hybridndp/internal/coop"
 	"hybridndp/internal/fault"
 	"hybridndp/internal/job"
+	"hybridndp/internal/par"
 	"hybridndp/internal/query"
 	"hybridndp/internal/vclock"
 )
@@ -55,7 +56,7 @@ func (h *H) ChaosSweep(w io.Writer, plan *fault.Plan) *ChaosResult {
 	prevFaults, prevRetries := h.Exec.Faults, h.Exec.MaxRetries
 	h.Exec.Faults = plan
 	defer func() { h.Exec.Faults, h.Exec.MaxRetries = prevFaults, prevRetries }()
-	h.forEach(len(qs), func(i int) {
+	par.ForEach(h.Workers, len(qs), func(i int) {
 		rows[i] = h.chaosOne(qs[i])
 	})
 
@@ -93,7 +94,7 @@ func (h *H) chaosOne(q *query.Query) ChaosRow {
 		row.Err = err
 		return row
 	}
-	s := strategyOf(d.Hybrid, d.NDP, d.Split)
+	s := coop.DecisionStrategy(d)
 	row.Strategy = s.String()
 	// The host-native path never consults the fault plan (the device is the
 	// unreliable component), so the baseline is fault-free by construction.

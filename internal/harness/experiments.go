@@ -240,21 +240,10 @@ func (h *H) Fig13(w io.Writer) ([]Fig13Row, error) {
 		}
 		var decided Measurement
 		found := false
-		wantKind := coop.HostNative
-		wantSplit := 0
-		switch {
-		case d.Hybrid:
-			wantKind = coop.Hybrid
-			wantSplit = d.Split
-			if wantSplit == 0 {
-				wantSplit = -1
-			}
-		case d.NDP:
-			wantKind = coop.NDPOnly
-		}
+		want := coop.DecisionStrategy(d)
 		for _, m := range msr {
-			if m.Err == nil && m.Strategy.Kind == wantKind &&
-				(wantKind != coop.Hybrid || m.Strategy.Split == wantSplit) {
+			if m.Err == nil && m.Strategy.Kind == want.Kind &&
+				(want.Kind != coop.Hybrid || m.Strategy.Split == want.Split) {
 				decided, found = m, true
 			}
 		}

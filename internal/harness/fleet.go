@@ -5,8 +5,10 @@ import (
 	"io"
 	"math"
 
+	"hybridndp/internal/coop"
 	"hybridndp/internal/fleet"
 	"hybridndp/internal/job"
+	"hybridndp/internal/par"
 	"hybridndp/internal/query"
 	"hybridndp/internal/vclock"
 )
@@ -73,7 +75,7 @@ func (h *H) FleetSweep(w io.Writer, counts []int, spec string) (*FleetResult, er
 
 	qs := job.Queries()
 	rows := make([]FleetRow, len(qs))
-	h.forEach(len(qs), func(i int) {
+	par.ForEach(h.Workers, len(qs), func(i int) {
 		rows[i] = h.fleetOne(qs[i], counts, execs)
 	})
 
@@ -150,7 +152,7 @@ func (h *H) fleetOne(q *query.Query, counts []int, execs []*fleet.Executor) Flee
 		return row
 	}
 	row.Strategy = d.StrategyLabel()
-	base, err := h.Exec.Run(d.Plan, strategyOf(d.Hybrid, d.NDP, d.Split))
+	base, err := h.Exec.Run(d.Plan, coop.DecisionStrategy(d))
 	if err != nil {
 		row.Err = fmt.Errorf("baseline: %w", err)
 		return row

@@ -10,14 +10,13 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
+	"hybridndp/internal/par"
 	"hybridndp/internal/query"
 	"hybridndp/internal/vclock"
 )
@@ -118,7 +117,7 @@ func (h *H) Plans(w io.Writer) error {
 		err error
 	}
 	out := make([]decided, len(qs))
-	h.forEach(len(qs), func(i int) {
+	par.ForEach(h.Workers, len(qs), func(i int) {
 		out[i].d, out[i].err = h.Opt.Decide(qs[i])
 	})
 	for i, q := range qs {
@@ -129,38 +128,6 @@ func (h *H) Plans(w io.Writer) error {
 		fmt.Fprintf(w, "%s %s split=%d reason=%q\n%s\n\n", q.Name, d.StrategyLabel(), d.Split, d.Reason, d.Plan)
 	}
 	return nil
-}
-
-// forEach runs fn(0..n-1) across min(h.Workers, n) goroutines (inline when
-// sequential). Each index is claimed exactly once; callers write to disjoint
-// pre-sized slots, so no further synchronization is needed.
-func (h *H) forEach(n int, fn func(i int)) {
-	workers := h.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // SweepResult is one query's full strategy sweep.
@@ -178,7 +145,7 @@ type SweepResult struct {
 // only wall-clock time changes.
 func (h *H) SweepParallel(qs []*query.Query) []SweepResult {
 	out := make([]SweepResult, len(qs))
-	h.forEach(len(qs), func(i int) {
+	par.ForEach(h.Workers, len(qs), func(i int) {
 		out[i].Msr, out[i].Plan, out[i].Err = h.SweepStrategies(qs[i])
 	})
 	return out

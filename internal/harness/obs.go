@@ -59,7 +59,7 @@ func (h *H) TraceQuery(name, label string) (*TraceReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.RunTraced(q, strategyOf(d.Hybrid, d.NDP, d.Split))
+	return h.RunTraced(q, coop.DecisionStrategy(d))
 }
 
 // ParseStrategy parses a strategy label as printed by coop.Strategy.String:
@@ -81,23 +81,6 @@ func ParseStrategy(label string) (coop.Strategy, error) {
 		return coop.Strategy{Kind: coop.Hybrid, Split: k}, nil
 	}
 	return coop.Strategy{}, fmt.Errorf("harness: unknown strategy label %q", label)
-}
-
-// strategyOf converts the optimizer's decision flags into a strategy (the
-// same mapping core and sched use; duplicated to keep harness free of those
-// imports).
-func strategyOf(hybrid, ndp bool, split int) coop.Strategy {
-	switch {
-	case hybrid:
-		if split == 0 {
-			split = -1
-		}
-		return coop.Strategy{Kind: coop.Hybrid, Split: split}
-	case ndp:
-		return coop.Strategy{Kind: coop.NDPOnly}
-	default:
-		return coop.Strategy{Kind: coop.HostNative}
-	}
 }
 
 // BindMetrics attaches a registry to the harness's executor so every

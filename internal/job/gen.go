@@ -6,13 +6,12 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/kv"
 	"hybridndp/internal/lsm"
+	"hybridndp/internal/par"
 	"hybridndp/internal/table"
 )
 
@@ -184,30 +183,10 @@ func (g *gen) insertTables() error {
 	sort.SliceStable(order, func(a, b int) bool {
 		return len(g.buf[order[a]].rows) > len(g.buf[order[b]].rows)
 	})
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	errs := make([]error, len(order))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(order) {
-					return
-				}
-				errs[i] = g.insertTable(g.buf[order[i]])
-			}
-		}()
-	}
-	wg.Wait()
+	par.ForEach(runtime.GOMAXPROCS(0), len(order), func(i int) {
+		errs[i] = g.insertTable(g.buf[order[i]])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -105,7 +105,7 @@ func (s *Scheduler) processFleet(t *Ticket, base *Outcome, d *optimizer.Decision
 	}
 	rep := &coop.Report{
 		Query:            frep.Query,
-		Strategy:         strategyOf(d),
+		Strategy:         coop.DecisionStrategy(d),
 		Result:           frep.Result,
 		Elapsed:          frep.Elapsed,
 		DeviceElapsed:    devMax,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridndp/internal/coop"
+	"hybridndp/internal/fault"
 	"hybridndp/internal/fleet"
 	"hybridndp/internal/job"
 	"hybridndp/internal/obs"
@@ -142,5 +143,54 @@ func TestFleetBreakerDegradesShards(t *testing.T) {
 	// successes into the breaker, so device 0 stays closed.
 	if got := reg.Counter("sched.fleet.shard.admitted").Value(); got == 0 {
 		t.Fatal("no shard was admitted on the healthy devices")
+	}
+}
+
+// TestFleetCrashedShardsOpenBreaker closes the loop the test above shortcuts:
+// a shard whose device command crashes releases ok=false through the fleet
+// gate, so BreakerThreshold consecutive crashed runs open that device's
+// breaker on their own, and the run after them has its shard denied.
+func TestFleetCrashedShardsOpenBreaker(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.BreakerThreshold = 2
+	cfg.BreakerProbeAfter = 100 // keep the breaker open for the whole test
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	s, fx := fleetFixture(t, cfg)
+	defer s.Close()
+	pl, err := fault.Parse("dev1:dev.crash=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.Faults = pl
+
+	q := deviceBoundQuery(t, s.opt)
+	run := func() {
+		t.Helper()
+		tk, err := s.Submit(context.Background(), q, Normal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		if !strings.HasPrefix(o.Chosen, "fleet:") {
+			t.Fatalf("chosen %q, want a fleet strategy", o.Chosen)
+		}
+	}
+	for i := 0; i < cfg.BreakerThreshold; i++ {
+		run()
+		if got := reg.Counter("sched.fleet.shard.denied").Value(); got != 0 {
+			t.Fatalf("run %d: shard denied before the breaker threshold was reached", i)
+		}
+	}
+	run()
+	if got := reg.Counter("sched.fleet.shard.denied").Value(); got != 1 {
+		t.Fatalf("after %d crashed runs the next run denied %d shards, want 1 (device 1's)", cfg.BreakerThreshold, got)
 	}
 }

@@ -56,23 +56,6 @@ type candidate struct {
 // onDevice reports whether the candidate occupies device resources.
 func (c candidate) onDevice() bool { return c.strat.Kind != coop.HostNative }
 
-// strategyOf converts a decision into the executable strategy (mirrors
-// core.strategyOf; the packages stay independent).
-func strategyOf(d *optimizer.Decision) coop.Strategy {
-	switch {
-	case d.Hybrid:
-		split := d.Split
-		if split == 0 {
-			split = -1
-		}
-		return coop.Strategy{Kind: coop.Hybrid, Split: split}
-	case d.NDP:
-		return coop.Strategy{Kind: coop.NDPOnly}
-	default:
-		return coop.Strategy{Kind: coop.HostNative}
-	}
-}
-
 // candidates enumerates every admissible strategy for the decided query with
 // its cost decomposition: host-native, every device-memory-feasible hybrid
 // split Hk, and full NDP. Host-native is always present, so the admission

@@ -536,7 +536,7 @@ func (s *Scheduler) process(t *Ticket) {
 		t.finish(base)
 		return
 	}
-	unloaded := strategyOf(d)
+	unloaded := coop.DecisionStrategy(d)
 	base.Unloaded = unloaded.String()
 
 	if s.cfg.Fleet != nil {

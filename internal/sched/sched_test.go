@@ -61,7 +61,7 @@ func deviceBoundQuery(t *testing.T, opt *optimizer.Optimizer) *query.Query {
 		if err != nil {
 			continue
 		}
-		if strategyOf(d).Kind != coop.HostNative {
+		if coop.DecisionStrategy(d).Kind != coop.HostNative {
 			return q
 		}
 	}

@@ -2,14 +2,13 @@ package serve
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/device"
 	"hybridndp/internal/fleet"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
+	"hybridndp/internal/par"
 	"hybridndp/internal/query"
 	"hybridndp/internal/vclock"
 )
@@ -87,7 +86,7 @@ func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize 
 	ex.BatchSize = batchSize
 	costs := make([]*QueryCost, len(queries))
 	errs := make([]error, len(queries))
-	forEach(workers, len(queries), func(i int) {
+	par.ForEach(workers, len(queries), func(i int) {
 		costs[i], errs[i] = measureOne(opt, ex, ds, queries[i])
 	})
 	ct := &CostTable{byName: make(map[string]*QueryCost, len(queries))}
@@ -132,7 +131,7 @@ func MeasureFleet(ds *job.Dataset, queries []*query.Query, fx *fleet.Executor, w
 	}
 	costs := make([]*QueryCost, len(queries))
 	errs := make([]error, len(queries))
-	forEach(workers, len(queries), func(i int) {
+	par.ForEach(workers, len(queries), func(i int) {
 		costs[i], errs[i] = measureOneFleet(opt, ex, fx, ds, queries[i])
 	})
 	ct := &CostTable{byName: make(map[string]*QueryCost, len(queries))}
@@ -159,7 +158,7 @@ func measureOneFleet(opt *optimizer.Optimizer, ex *coop.Executor, fx *fleet.Exec
 	if err != nil {
 		return nil, err
 	}
-	qc := &QueryCost{Decision: d, Decided: decidedStrategy(d)}
+	qc := &QueryCost{Decision: d, Decided: coop.DecisionStrategy(d)}
 	hostRep, err := ex.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
 	if err != nil {
 		return nil, err
@@ -213,7 +212,7 @@ func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q 
 	if err != nil {
 		return nil, err
 	}
-	qc := &QueryCost{Decision: d, Decided: decidedStrategy(d)}
+	qc := &QueryCost{Decision: d, Decided: coop.DecisionStrategy(d)}
 	hostRep, err := ex.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
 	if err != nil {
 		return nil, err
@@ -243,52 +242,4 @@ func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q 
 		qc.Dec = rep.Elapsed
 	}
 	return qc, nil
-}
-
-// decidedStrategy maps the optimizer's decision to an execution strategy
-// (mirrors the scheduler's mapping, including H0 → leaf-broadcast split -1).
-func decidedStrategy(d *optimizer.Decision) coop.Strategy {
-	switch {
-	case d.Hybrid:
-		split := d.Split
-		if split == 0 {
-			split = -1
-		}
-		return coop.Strategy{Kind: coop.Hybrid, Split: split}
-	case d.NDP:
-		return coop.Strategy{Kind: coop.NDPOnly}
-	default:
-		return coop.Strategy{Kind: coop.HostNative}
-	}
-}
-
-// forEach runs fn(0..n-1) across min(workers, n) goroutines, inline when
-// sequential. Indexes are claimed atomically and callers write disjoint
-// pre-sized slots — the deterministic fan-in idiom (no append, no channels).
-func forEach(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

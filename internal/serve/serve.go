@@ -345,7 +345,7 @@ func (s *Server) place(r *request, now vclock.Time, L *lanes) (placement, error)
 	if !ok {
 		return placement{}, fmt.Errorf("serve: no measured cost for %q", r.name)
 	}
-	decided := decidedStrategy(dec)
+	decided := coop.DecisionStrategy(dec)
 
 	hi, hf := earliest(L.host)
 	hostP := placement{

@@ -260,11 +260,11 @@ func TestPlanCacheCorrectness(t *testing.T) {
 		t.Fatal("cached plan differs from cold compile")
 	}
 	ex := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
-	repCached, err := ex.Run(cold.Plan, decidedStrategy(cold))
+	repCached, err := ex.Run(cold.Plan, coop.DecisionStrategy(cold))
 	if err != nil {
 		t.Fatal(err)
 	}
-	repFresh, err := ex.Run(fresh.Plan, decidedStrategy(fresh))
+	repFresh, err := ex.Run(fresh.Plan, coop.DecisionStrategy(fresh))
 	if err != nil {
 		t.Fatal(err)
 	}
