@@ -2,6 +2,9 @@
 # race detector, which the concurrent scheduler's stress tests rely on.
 
 GO ?= go
+# Where bench-json writes its snapshot. A PR that lands one as the new point of
+# the committed trajectory names it: make bench-json BENCH_OUT=BENCH_PR<n>.json
+BENCH_OUT ?= bench-snapshot.json
 
 .PHONY: all build vet lint test race bench bench-check bench-json benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
 
@@ -39,18 +42,19 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Wall-clock perf trajectory: snapshot ns/op, B/op, allocs/op of the hot-path
-# microbenchmarks, the full JOB sweep, the fleet scale-out sweep and the
-# open-loop serving loop into BENCH_PR9.json (diffable across PRs; non-gating
-# CI artifact). The exec microbenchmarks run 5 iterations for stable
-# allocs/op; the sweeps run once — they are the wall-clock headline.
+# microbenchmarks (and one whole JOB query on a warm executor), the full JOB
+# sweep, the fleet scale-out sweep and the open-loop serving loop into
+# $(BENCH_OUT) (diffable across PRs; non-gating CI artifact). The exec
+# benchmarks run 5 iterations for stable allocs/op; the sweeps run once — they
+# are the wall-clock headline.
 bench-json:
-	( $(GO) test -run '^$$' -bench 'ScanFilter|HashJoin|JoinStep|GroupAggregate' -benchmem -benchtime=5x ./internal/exec/ ; \
-	  $(GO) test -run '^$$' -bench 'Fig12JOBSweep|FleetSweep|ServeOpenLoop' -benchmem -benchtime=1x -timeout 30m . ) | $(GO) run ./cmd/benchjson -o BENCH_PR9.json
+	( $(GO) test -run '^$$' -bench 'ScanFilter|HashJoin|JoinStep|GroupAggregate|SteadyStateQuery' -benchmem -benchtime=5x ./internal/exec/ ; \
+	  $(GO) test -run '^$$' -bench 'Fig12JOBSweep|FleetSweep|ServeOpenLoop' -benchmem -benchtime=1x -timeout 30m . ) | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
-# Non-gating perf-trajectory diff: ns/op (plus B/op, allocs/op) deltas of the
-# two newest BENCH_PR*.json snapshots.
+# Non-gating perf-trajectory diff: ns/op (plus B/op, allocs/op) deltas of
+# $(BENCH_OUT) against the newest committed BENCH_PR*.json snapshot.
 benchdiff:
-	$(GO) run ./cmd/benchdiff
+	$(GO) run ./cmd/benchdiff $$(ls BENCH_PR*.json | sort -V | tail -1) $(BENCH_OUT)
 
 # The serving sweep: policy × concurrency throughput table.
 serve:

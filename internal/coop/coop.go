@@ -198,6 +198,9 @@ type Executor struct {
 	// Virtual-time charges are byte-identical for every value; the knob only
 	// trades wall-clock locality against scratch memory.
 	BatchSize int
+
+	// scratch recycles the engines' working memory across this executor's runs.
+	scratch exec.ScratchPool
 }
 
 // maxRetries resolves the retry cap.
@@ -239,8 +242,8 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model) *Executor {
 // model's fraction of the stored dataset), so strategy comparisons are
 // order-independent, and per-run Bloom-filter stats when a metrics registry
 // is bound.
-func (x *Executor) hostEngine(tl *vclock.Timeline, rates hw.Rates) *exec.Engine {
-	eng := &exec.Engine{Cat: x.Cat, TL: tl, R: rates,
+func (x *Executor) hostEngine(tl *vclock.Timeline, rates hw.Rates, ls *exec.Lease) *exec.Engine {
+	eng := &exec.Engine{Cat: x.Cat, TL: tl, R: rates, Scratch: ls.Scratch(),
 		Cache: x.DB.NewBlockCache(x.Model.HostCacheFraction), BatchSize: x.BatchSize}
 	if x.Metrics != nil {
 		eng.Bloom = &lsm.BloomStats{}
@@ -268,17 +271,22 @@ func (x *Executor) RunTraced(p *exec.Plan, s Strategy, tr *obs.Trace) (*Report, 
 // cannot fit inside the remaining budget skips the retries and re-executes
 // host-side at once — the cheapest completion still available.
 func (x *Executor) RunDeadline(p *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration) (*Report, error) {
+	// The run's one release point: every engine built below — host, device,
+	// those of failed attempts and of the fallback — works in a scratch of
+	// this lease, and they all go back once the report is built.
+	ls := x.scratch.Lease()
+	defer ls.Release()
 	var rep *Report
 	var err error
 	switch s.Kind {
 	case BlockOnly:
-		rep, err = x.runHostOnly(p, s, hw.BlockStackRates(x.Model), tr)
+		rep, err = x.runHostOnly(p, s, hw.BlockStackRates(x.Model), tr, ls)
 	case HostNative:
-		rep, err = x.runHostOnly(p, s, hw.HostRates(x.Model), tr)
+		rep, err = x.runHostOnly(p, s, hw.HostRates(x.Model), tr, ls)
 	case NDPOnly:
-		rep, err = x.runNDPOnly(p, s, tr, deadline)
+		rep, err = x.runNDPOnly(p, s, tr, deadline, ls)
 	case Hybrid:
-		rep, err = x.runHybrid(p, s, tr, deadline)
+		rep, err = x.runHybrid(p, s, tr, deadline, ls)
 	default:
 		return nil, fmt.Errorf("coop: unknown strategy %v", s.Kind)
 	}
@@ -340,9 +348,9 @@ func (x *Executor) recordStorage(eng *exec.Engine) {
 
 // runHostOnly executes the whole plan on the host stack. All table data
 // crosses the interconnect as part of the host flash path.
-func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs.Trace) (*Report, error) {
+func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs.Trace, ls *exec.Lease) (*Report, error) {
 	tl := vclock.NewTimeline("host")
-	eng := x.hostEngine(tl, rates)
+	eng := x.hostEngine(tl, rates, ls)
 	root := tr.Start(tl, "query:"+p.Query.Name).Attr("strategy", s.String())
 	res, err := eng.RunPlan(p)
 	root.End()
@@ -373,7 +381,7 @@ func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs
 // host fallback is the only completion left worth buying) and the shared
 // retry budget (a drained bucket means the system is already saturated with
 // recovery work, so this run must not add more device attempts).
-func (x *Executor) withRecovery(orig *exec.Plan, s Strategy, tr *obs.Trace,
+func (x *Executor) withRecovery(orig *exec.Plan, s Strategy, tr *obs.Trace, ls *exec.Lease,
 	hostTL *vclock.Timeline, deadline vclock.Duration, attempt func() (*Report, vclock.Time, error)) (*Report, error) {
 
 	retries := 0
@@ -387,19 +395,19 @@ func (x *Executor) withRecovery(orig *exec.Plan, s Strategy, tr *obs.Trace,
 			return nil, err
 		}
 		if retries >= x.maxRetries() {
-			return x.fallbackHost(orig, s, tr, hostTL, devNow, retries, err)
+			return x.fallbackHost(orig, s, tr, ls, hostTL, devNow, retries, err)
 		}
 		if deadline > 0 && vclock.Duration(devNow)+retryBackoff(retries+1) >= deadline {
 			if m := x.Metrics; m != nil {
 				m.Counter("coop.deadline.fallback").Inc()
 			}
-			return x.fallbackHost(orig, s, tr, hostTL, devNow, retries, err)
+			return x.fallbackHost(orig, s, tr, ls, hostTL, devNow, retries, err)
 		}
 		if !x.Budget.Allow() {
 			if m := x.Metrics; m != nil {
 				m.Counter("coop.retry.budget_exhausted").Inc()
 			}
-			return x.fallbackHost(orig, s, tr, hostTL, devNow, retries, err)
+			return x.fallbackHost(orig, s, tr, ls, hostTL, devNow, retries, err)
 		}
 		retries++
 		// The host discovers the failure no earlier than the device reached
@@ -431,7 +439,7 @@ func retryBackoff(n int) vclock.Duration {
 // fallbackHost re-executes the original plan host-only after the device was
 // given up on. It runs on the same host timeline, so the report's Elapsed
 // includes everything wasted on the failed device attempts.
-func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace,
+func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace, ls *exec.Lease,
 	hostTL *vclock.Timeline, devNow vclock.Time, retries int, cause error) (*Report, error) {
 
 	if m := x.Metrics; m != nil {
@@ -439,7 +447,7 @@ func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace,
 	}
 	fsp := tr.Start(hostTL, "coop.fallback.host").Attr("cause", cause.Error())
 	hostTL.WaitUntil(devNow, hw.CatFaultWait)
-	eng := x.hostEngine(hostTL, hw.HostRates(x.Model))
+	eng := x.hostEngine(hostTL, hw.HostRates(x.Model), ls)
 	res, err := eng.RunPlan(p)
 	fsp.End()
 	if err != nil {
@@ -461,11 +469,12 @@ func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace,
 // bindings (so a retried command replays its builds and scans instead of
 // resuming half-poisoned state), its root span on the device track, and the
 // NDP invocation. The caller ends the returned span.
-func (x *Executor) launch(cmd *device.Command, mp device.MemoryPlan, s Strategy, tr *obs.Trace,
+func (x *Executor) launch(cmd *device.Command, mp device.MemoryPlan, s Strategy, tr *obs.Trace, ls *exec.Lease,
 	inj *fault.Injector, hostTL *vclock.Timeline) (*device.Device, *exec.Engine, *obs.Span, error) {
 
 	dev := device.New(x.Model, x.Cat)
 	dev.BatchSize = x.BatchSize
+	dev.Scratch = ls.Scratch()
 	dev.Trace = tr
 	dev.Metrics = x.Metrics
 	dev.Faults = inj
@@ -481,7 +490,7 @@ func (x *Executor) launch(cmd *device.Command, mp device.MemoryPlan, s Strategy,
 
 // runNDPOnly offloads the complete plan including grouping/aggregation; the
 // host only issues the command and fetches the final result.
-func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration) (*Report, error) {
+func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration, ls *exec.Lease) (*Report, error) {
 	snap, err := device.Snapshot(x.DB, p, -1) // full plan: all tables device-read
 	if err != nil {
 		return nil, err
@@ -494,8 +503,8 @@ func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline 
 	root := tr.Start(hostTL, "query:"+p.Query.Name).Attr("strategy", s.String())
 	defer root.End()
 
-	return x.withRecovery(p, s, tr, hostTL, deadline, func() (*Report, vclock.Time, error) {
-		dev, eng, devRoot, err := x.launch(cmd, mp, s, tr, inj, hostTL)
+	return x.withRecovery(p, s, tr, ls, hostTL, deadline, func() (*Report, vclock.Time, error) {
+		dev, eng, devRoot, err := x.launch(cmd, mp, s, tr, ls, inj, hostTL)
 		if err != nil {
 			return nil, 0, err // a rejected command is not retried
 		}
@@ -529,7 +538,7 @@ func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline 
 // runHybrid is the cooperative execution path: the interleaved single-device
 // driver, where the host consumes result sets while the device produces the
 // next ones and shared-slot back-pressure couples the two timelines.
-func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration) (*Report, error) {
+func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration, ls *exec.Lease) (*Report, error) {
 	p := orig
 	split := s.Split
 	if split == 0 {
@@ -563,8 +572,8 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 
 	// The fallback re-executes the ORIGINAL plan (with its BNLI index joins
 	// intact): the H0 rewrite only makes sense with device-seeded inners.
-	return x.withRecovery(orig, s, tr, hostTL, deadline, func() (*Report, vclock.Time, error) {
-		dev, devEng, devRoot, err := x.launch(cmd, mp, s, tr, inj, hostTL)
+	return x.withRecovery(orig, s, tr, ls, hostTL, deadline, func() (*Report, vclock.Time, error) {
+		dev, devEng, devRoot, err := x.launch(cmd, mp, s, tr, ls, inj, hostTL)
 		if err != nil {
 			return nil, 0, err // a rejected command is not retried
 		}
@@ -572,7 +581,7 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 		// Ending the device root span on every exit keeps the per-timeline
 		// span stack intact for a retry replaying this command on the trace.
 		defer devRoot.End()
-		rep, err := x.hybridAttempt(dev, devEng, cmd, s, tr, inj, hostTL)
+		rep, err := x.hybridAttempt(dev, devEng, cmd, s, tr, ls, inj, hostTL)
 		if err != nil {
 			return nil, dev.TL.Now(), err
 		}
@@ -604,12 +613,12 @@ type hostSide struct {
 // pre-build overlapping the device's initial execution, the interleaved
 // hand-off loop, and the host-side finalize.
 func (x *Executor) hybridAttempt(dev *device.Device, devEng *exec.Engine, cmd *device.Command,
-	s Strategy, tr *obs.Trace, inj *fault.Injector, hostTL *vclock.Timeline) (*Report, error) {
+	s Strategy, tr *obs.Trace, ls *exec.Lease, inj *fault.Injector, hostTL *vclock.Timeline) (*Report, error) {
 
 	p := cmd.Plan
 	h := &hostSide{x: x, tr: tr, inj: inj, tl: hostTL, rates: hw.HostRates(x.Model),
 		report: &Report{Query: p.Query.Name, Strategy: s}}
-	h.eng = x.hostEngine(hostTL, h.rates)
+	h.eng = x.hostEngine(hostTL, h.rates, ls)
 	var err error
 	if h.pl, err = h.eng.StartPipeline(p); err != nil {
 		return nil, err

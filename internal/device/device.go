@@ -229,6 +229,9 @@ type Device struct {
 	// builds (0 = exec.DefaultBatchSize); charges are byte-identical at every
 	// size.
 	BatchSize int
+	// Scratch is the working memory of the engine this device builds, taken
+	// from the run's lease (nil = the engine makes its own).
+	Scratch *exec.Scratch
 }
 
 // New creates a device bound to the catalog (whose flash it reads directly).
@@ -249,6 +252,7 @@ func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
 		SelBuf:       d.Model.SelBufBytes,
 		PointerCache: mp.UsesPointerFmt,
 		BatchSize:    d.BatchSize,
+		Scratch:      d.Scratch,
 	}
 	if d.Faults != nil {
 		// Only assign a live injector: a typed-nil interface would defeat

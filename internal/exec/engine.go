@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/lsm"
@@ -45,6 +47,18 @@ type Engine struct {
 	// Faults, when set, injects flash read failures into this engine's
 	// storage accesses (chaos runs; see internal/fault).
 	Faults flash.Faults
+	// Scratch is the working memory every operator of this engine runs in.
+	// Executors hand each engine one from their pool and release it when the
+	// run is over; an engine nobody handed one makes its own on first use.
+	Scratch *Scratch
+}
+
+// scratch returns the engine's working memory.
+func (e *Engine) scratch() *Scratch {
+	if e.Scratch == nil {
+		e.Scratch = &Scratch{}
+	}
+	return e.Scratch
 }
 
 // Access returns the engine's LSM access context.
@@ -107,16 +121,11 @@ type Pipeline struct {
 	// plan's conds are not mutated; hand-built plans may carry unresolved
 	// indices).
 	conds [][]BoundCond
-	// keyBuf is the reusable scratch arena for join/group-key encoding (one
-	// batch of keys at a time).
-	keyBuf []byte
-	// probeEnd/probeEnt are the reusable batch-probe scratch vectors: per
-	// batch tuple, the key's end offset in keyBuf and its resolved hash-table
-	// entry (-1 = NULL key or no match).
-	probeEnd []int32
-	probeEnt []int32
-	// arena backs tuple extension storage (see tupleArena).
-	arena tupleArena
+	// sc is the scratch of the engine that started the pipeline: tuples, hash
+	// tables and probe vectors live there whichever engine drives a step (the
+	// cooperative device joins on the host's pipeline), scan results in the
+	// scanning engine's own.
+	sc *Scratch
 }
 
 // StartPipeline resolves tables and builds shapes for the plan.
@@ -131,6 +140,7 @@ func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
 		Shapes: []*Shape{sh},
 		Widths: []int64{projWidth(t0.Schema, p.Driving.Proj)},
 		inner:  make([]*innerState, len(p.Steps)),
+		sc:     e.scratch(),
 	}
 	for _, s := range p.Steps {
 		tr, err := e.Cat.Table(s.Right.Ref.Table)
@@ -164,17 +174,18 @@ func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
 	return pl, nil
 }
 
-// MakeTuples materializes scan rows as single-position driving tuples backed
-// by the pipeline's arena (one block allocation per tupleArenaBlock rows,
-// instead of one slice header per row).
+// MakeTuples materializes scan rows as single-position driving tuples, list
+// and tuples both carved from the pipeline's scratch.
 func (pl *Pipeline) MakeTuples(rows [][]byte) []Tuple {
-	tuples := make([]Tuple, len(rows))
-	for i, r := range rows {
-		t := pl.arena.alloc(1)
+	sc := pl.sc
+	start := len(sc.tuples)
+	sc.tuples = slices.Grow(sc.tuples, len(rows))
+	for _, r := range rows {
+		t := sc.arena.alloc(1)
 		t[0] = r
-		tuples[i] = t
+		sc.tuples = append(sc.tuples, t)
 	}
-	return tuples
+	return sc.tuples[start:len(sc.tuples):len(sc.tuples)]
 }
 
 // FinalShape returns the shape after all join steps.
@@ -214,7 +225,7 @@ func (e *Engine) Finalize(pl *Pipeline, tuples []Tuple) (*Result, error) {
 	p := pl.Plan
 	sh := pl.FinalShape()
 	if len(p.Aggregates) > 0 || len(p.GroupBy) > 0 {
-		return e.groupAggregate(sh, tuples, p.GroupBy, p.Aggregates)
+		return e.groupAggregate(pl.sc, sh, tuples, p.GroupBy, p.Aggregates)
 	}
 	return e.projectTuples(sh, tuples, p.Output)
 }

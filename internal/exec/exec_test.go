@@ -641,7 +641,7 @@ func BenchmarkHashJoin(b *testing.B) {
 // BenchmarkJoinStep isolates the buffered-join hot path: hash-build the inner
 // side and probe every outer tuple, without the scan of the outer table. The
 // allocs/op of this benchmark is the perf-trajectory gate for the
-// zero-allocation join path (BENCH_PR4.json).
+// zero-allocation join path (make bench-json).
 func BenchmarkJoinStep(b *testing.B) {
 	cat := fixture(b, 100, 20000)
 	q := joinQuery()

@@ -1,5 +1,7 @@
 package exec
 
+import "slices"
+
 // keyTab is an open-addressing hash table over encoded join/group keys,
 // replacing the former map[string][]int inner tables. Keys are stored once in
 // a shared byte arena and addressed by (offset, length); buckets hold
@@ -44,13 +46,30 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// newKeyTab sizes the table for about n distinct keys.
-func newKeyTab(n int) *keyTab {
+// reset empties the table and sizes it for n rows — about n distinct keys,
+// and n chain slots — reusing whatever capacity an earlier use left.
+func (t *keyTab) reset(n int) {
 	sz := 8
 	for sz < n*2 {
 		sz <<= 1
 	}
-	return &keyTab{buckets: make([]int32, sz)}
+	if cap(t.buckets) < sz {
+		t.buckets = make([]int32, sz)
+	} else {
+		t.buckets = t.buckets[:sz]
+		clear(t.buckets)
+	}
+	t.entries, t.keys, t.next = t.entries[:0], t.keys[:0], t.next[:0]
+	t.addRows(n)
+}
+
+// addRows extends the chain array by n unlinked rows.
+func (t *keyTab) addRows(n int) {
+	from := len(t.next)
+	t.next = slices.Grow(t.next, n)[:from+n]
+	for i := from; i < from+n; i++ {
+		t.next[i] = -1
+	}
 }
 
 // find returns the entry index holding key (pre-hashed as h), or -1.
@@ -124,12 +143,9 @@ func (t *keyTab) grow() {
 
 // addRow links row (with encoded key, pre-hashed as h) into the table's match
 // chain, preserving insertion order. Rows must be added with strictly
-// increasing row numbers; the caller skips NULL-key rows, whose next slots
-// stay unused.
+// increasing row numbers below the count reset/addRows made room for; the
+// caller skips NULL-key rows, whose next slots stay unused.
 func (t *keyTab) addRow(h uint64, key []byte, row int) {
-	for len(t.next) <= row {
-		t.next = append(t.next, -1)
-	}
 	idx, fresh := t.put(h, key)
 	e := &t.entries[idx]
 	if fresh || e.head < 0 {

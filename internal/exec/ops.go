@@ -25,9 +25,15 @@ import (
 // so virtual time is byte-identical at every batch size (size 1 degenerates
 // to the tuple-at-a-time order of operations).
 func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, error) {
+	rows, width, _, err := e.scan(ap, loPK, hiPK)
+	return rows, width, err
+}
+
+// scan is ScanAccess, also returning the schema of the table it resolved.
+func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table.Schema, error) {
 	t, err := e.Cat.Table(ap.Ref.Table)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	ac := e.Access()
 	terms := 0
@@ -38,8 +44,9 @@ func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, 
 
 	bp := expr.Compile(t.Schema, ap.Filter)
 	bs := e.batchSize()
-	batch := ColBatch{Schema: t.Schema, Rows: make([][]byte, 0, bs), Sel: make([]int32, 0, bs)}
-	var rows [][]byte
+	sc := e.scratch()
+	batch := sc.scanBatch(t.Schema, bs)
+	start := len(sc.views)
 	scanned := 0
 	flush := func() {
 		if len(batch.Rows) == 0 {
@@ -49,7 +56,7 @@ func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, 
 		if bp != nil {
 			batch.Sel = bp.Filter(batch.Rows, batch.Sel)
 		}
-		rows = batch.Selected(rows)
+		sc.views = batch.Selected(sc.views)
 		batch.Rows = batch.Rows[:0]
 	}
 
@@ -57,7 +64,7 @@ func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, 
 	if ap.UseFilterIndex {
 		pks, err := t.IndexSeek(ap.FilterIndex, ap.FilterValue, ac)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		for _, pk := range pks {
 			if loPK != nil && pk < *loPK {
@@ -68,7 +75,7 @@ func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, 
 			}
 			rec, ok, err := t.GetByPKView(view, pk, ac)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, nil, err
 			}
 			if !ok {
 				continue
@@ -96,6 +103,9 @@ func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, 
 		}
 	}
 	flush()
+	// The result is the region of the view slab this scan appended; its
+	// capacity is clipped so a caller's append cannot run into the next one.
+	rows := sc.views[start:len(sc.views):len(sc.views)]
 
 	if e.TL != nil {
 		e.R.Eval(e.TL, scanned, terms)
@@ -103,22 +113,18 @@ func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, 
 		e.R.Memcpy(e.TL, copyBytes)
 		e.R.RowOverhead(e.TL, len(rows), hw.CatSelection)
 	}
-	return rows, width, nil
+	return rows, width, t.Schema, nil
 }
 
 // ScanCols is ScanAccess in the engine's columnar transfer format: the
 // surviving rows arrive as one fully-selected ColBatch, the unit device leaf
 // scans emit and the host gather loop consumes. Charges are ScanAccess's.
 func (e *Engine) ScanCols(ap AccessPath, loPK, hiPK *int32) (*ColBatch, int64, error) {
-	rows, width, err := e.ScanAccess(ap, loPK, hiPK)
+	rows, width, schema, err := e.scan(ap, loPK, hiPK)
 	if err != nil {
 		return nil, 0, err
 	}
-	t, err := e.Cat.Table(ap.Ref.Table)
-	if err != nil {
-		return nil, 0, err
-	}
-	return NewColBatch(t.Schema, rows), width, nil
+	return NewColBatch(schema, rows), width, nil
 }
 
 // SeedInnerCols seeds a join's inner side from a column batch (the H0 leaf
@@ -235,14 +241,15 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	// phase 2 walks the batch again chasing match chains in the same tuple
 	// order, so output ordering and the integer comparison counters — and with
 	// them every charge — are identical to tuple-at-a-time execution.
-	var out []Tuple
+	sc := pl.sc
+	outStart := len(sc.tuples)
 	var cmpBytes int64
 	cmps := 0
 	conds := pl.conds[si]
 	bs := e.batchSize()
-	keys := pl.keyBuf[:0]
-	ends := pl.probeEnd[:0]
-	ents := pl.probeEnt[:0]
+	keys := sc.keyBuf[:0]
+	ends := sc.probeEnd[:0]
+	ents := sc.probeEnt[:0]
 	for base := 0; base < len(left); base += bs {
 		chunk := left[base:min(base+bs, len(left))]
 		keys = keys[:0]
@@ -270,15 +277,14 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 				cmps += int(ent.n)
 				cmpBytes += int64(end-start) * int64(ent.n)
 				for r := ent.head; r >= 0; r = inner.tab.next[r] {
-					out = append(out, pl.extendTuple(tu, inner.rows[r]))
+					sc.tuples = append(sc.tuples, sc.arena.extend(tu, inner.rows[r]))
 				}
 			}
 			start = end
 		}
 	}
-	pl.keyBuf = keys[:0]
-	pl.probeEnd = ends[:0]
-	pl.probeEnt = ents[:0]
+	sc.keyBuf, sc.probeEnd, sc.probeEnt = keys[:0], ends[:0], ents[:0]
+	out := sc.tuples[outStart:len(sc.tuples):len(sc.tuples)]
 	if e.TL != nil {
 		e.R.HashProbe(e.TL, len(left))
 		e.R.Memcmp(e.TL, cmpBytes, cmps)
@@ -325,7 +331,7 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 	}
 	snapAfter := accountSnapshot(e)
 	inner.scanDelta = accountDelta(snapBefore, snapAfter)
-	e.hashInner(inner, rows, width, step, pl.conds[si])
+	e.hashInner(pl.sc, inner, rows, width, step, pl.conds[si])
 	if e.TL != nil && step.Type == GHJ {
 		// Grace hash join additionally partitions both sides through flash.
 		e.R.Memcpy(e.TL, 2*int64(len(rows))*width)
@@ -347,7 +353,7 @@ func (e *Engine) SeedInner(pl *Pipeline, si int, rows [][]byte) error {
 	if err != nil {
 		return err
 	}
-	e.hashInner(inner, rows, projWidth(rt.Schema, step.Right.Proj), step, pl.conds[si])
+	e.hashInner(pl.sc, inner, rows, projWidth(rt.Schema, step.Right.Proj), step, pl.conds[si])
 	inner.seeded = true
 	return nil
 }
@@ -367,8 +373,9 @@ func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
 	}
 	base := len(inner.rows)
 	inner.rows = append(inner.rows, rows...)
+	inner.tab.addRows(len(rows))
 	conds := pl.conds[si]
-	key := pl.keyBuf[:0]
+	key := pl.sc.keyBuf[:0]
 	for i, r := range rows {
 		key = key[:0]
 		var ok bool
@@ -378,7 +385,7 @@ func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
 		}
 		inner.tab.addRow(fnv1a(key), key, base+i)
 	}
-	pl.keyBuf = key[:0]
+	pl.sc.keyBuf = key[:0]
 	if e.TL != nil {
 		e.R.HashBuild(e.TL, len(rows))
 		e.R.Memcpy(e.TL, int64(len(rows))*e.cacheWidth(inner.width))
@@ -387,12 +394,12 @@ func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
 }
 
 // hashInner builds the in-buffer hash table over the inner rows.
-func (e *Engine) hashInner(inner *innerState, rows [][]byte, width int64, step JoinStep, conds []BoundCond) {
+func (e *Engine) hashInner(sc *Scratch, inner *innerState, rows [][]byte, width int64, step JoinStep, conds []BoundCond) {
 	rt, _ := e.Cat.Table(step.Right.Ref.Table)
 	inner.rows = rows
 	inner.width = width
-	inner.tab = newKeyTab(len(rows))
-	var key []byte
+	inner.tab = sc.keyTab(len(rows))
+	key := sc.keyBuf[:0]
 	for i, r := range rows {
 		key = key[:0]
 		var ok bool
@@ -402,6 +409,7 @@ func (e *Engine) hashInner(inner *innerState, rows [][]byte, width int64, step J
 		}
 		inner.tab.addRow(fnv1a(key), key, i)
 	}
+	sc.keyBuf = key[:0]
 	if e.TL != nil {
 		e.R.HashBuild(e.TL, len(rows))
 		e.R.Memcpy(e.TL, int64(len(rows))*e.cacheWidth(width))
@@ -461,62 +469,59 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 	// the fixed-width layout directly instead of decoding Values per term.
 	rightBP := expr.Compile(rt.Schema, step.Right.Filter)
 
-	var out []Tuple
-	var rrows []table.Record
+	sc := pl.sc
+	outStart := len(sc.tuples)
 	fetched := 0
+	view := e.viewOf(step.Right.Ref.Table)
+	// probe fetches one right-side record and, when it passes the filter and
+	// the residual conditions, extends tu with it. Nothing here charges — the
+	// fetch does, the rest is booked from the counters below — so probing
+	// between the fetches of one index seek leaves every charge where it was.
+	probe := func(tu Tuple, pk int32) error {
+		rec, ok, err := rt.GetByPKView(view, pk, ac)
+		if err != nil || !ok {
+			return err
+		}
+		fetched++
+		if rightBP != nil && !rightBP.EvalRow(rec.Data) {
+			return nil
+		}
+		for _, c := range residual {
+			lv := tu.Record(leftShape, c.LeftPos).Get(c.LeftColIdx)
+			rv := rec.Get(c.RightColIdx)
+			if lv.Null || rv.Null || lv.IsI != rv.IsI ||
+				(lv.IsI && lv.Int != rv.Int) || (!lv.IsI && lv.Str != rv.Str) {
+				return nil
+			}
+		}
+		sc.tuples = append(sc.tuples, sc.arena.extend(tu, rec.Data))
+		return nil
+	}
 	for _, tu := range left {
 		v := tu.Record(leftShape, primary.LeftPos).Get(primary.LeftColIdx)
 		if v.Null {
 			continue
 		}
-		rrows = rrows[:0]
-		view := e.viewOf(step.Right.Ref.Table)
 		if step.RightIndexIsPK {
 			if !v.IsI {
 				continue
 			}
-			rec, ok, err := rt.GetByPKView(view, v.Int, ac)
-			if err != nil {
+			if err := probe(tu, v.Int); err != nil {
 				return nil, err
 			}
-			if ok {
-				rrows = append(rrows, rec)
-			}
-		} else {
-			pks, err := rt.IndexSeek(step.RightIndex, v, ac)
-			if err != nil {
-				return nil, err
-			}
-			for _, pk := range pks {
-				rec, ok, err := rt.GetByPKView(view, pk, ac)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					rrows = append(rrows, rec)
-				}
-			}
+			continue
 		}
-		for _, rec := range rrows {
-			fetched++
-			if rightBP != nil && !rightBP.EvalRow(rec.Data) {
-				continue
-			}
-			match := true
-			for _, c := range residual {
-				lv := tu.Record(leftShape, c.LeftPos).Get(c.LeftColIdx)
-				rv := rec.Get(c.RightColIdx)
-				if lv.Null || rv.Null || lv.IsI != rv.IsI ||
-					(lv.IsI && lv.Int != rv.Int) || (!lv.IsI && lv.Str != rv.Str) {
-					match = false
-					break
-				}
-			}
-			if match {
-				out = append(out, pl.extendTuple(tu, rec.Data))
+		pks, err := rt.IndexSeek(step.RightIndex, v, ac)
+		if err != nil {
+			return nil, err
+		}
+		for _, pk := range pks {
+			if err := probe(tu, pk); err != nil {
+				return nil, err
 			}
 		}
 	}
+	out := sc.tuples[outStart:len(sc.tuples):len(sc.tuples)]
 	if e.TL != nil {
 		e.R.Eval(e.TL, fetched, terms+len(residual))
 		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.Widths[si+1]))
@@ -532,38 +537,49 @@ const tupleArenaBlock = 8192
 
 // tupleArena carves Tuple backing arrays out of large shared blocks so the
 // join output path performs one allocation per block instead of one per
-// tuple. Carved tuples use full slice expressions, so an (out-of-contract)
-// append on a Tuple can never bleed into its neighbor. A pipeline — and
-// therefore its arena — is only ever driven by one goroutine at a time: the
-// cooperative executor runs host joins synchronously inside the device's
-// emit callback, and the parallel sweep gives each worker its own engines
-// and pipelines.
+// tuple, and none once the scratch that owns it has been through a run of
+// the same size: blocks[:cur] are full, blocks[cur] is filled up to off, the
+// rest wait for reuse. Carved tuples use full slice expressions, so an
+// (out-of-contract) append on a Tuple can never bleed into its neighbor. A
+// scratch — and therefore its arena — is only ever driven by one goroutine at
+// a time: the cooperative executor runs host joins synchronously inside the
+// device's emit callback, and the parallel sweep gives each worker its own
+// engines and pipelines.
 type tupleArena struct {
-	block [][]byte
-	off   int
+	blocks [][][]byte
+	cur    int
+	off    int
 }
 
 func (a *tupleArena) alloc(n int) Tuple {
-	if a.off+n > len(a.block) {
-		sz := tupleArenaBlock
-		if n > sz {
-			sz = n
-		}
-		a.block = make([][]byte, sz)
-		a.off = 0
+	if n > tupleArenaBlock {
+		return make(Tuple, n)
 	}
-	t := Tuple(a.block[a.off : a.off+n : a.off+n])
+	if len(a.blocks) > 0 && a.off+n > tupleArenaBlock {
+		a.cur, a.off = a.cur+1, 0
+	}
+	if a.cur == len(a.blocks) {
+		a.blocks = append(a.blocks, make([][]byte, tupleArenaBlock))
+	}
+	t := Tuple(a.blocks[a.cur][a.off : a.off+n : a.off+n])
 	a.off += n
 	return t
 }
 
-// extendTuple appends the matched right-side row to tu in arena-backed
-// storage.
-func (pl *Pipeline) extendTuple(tu Tuple, right []byte) Tuple {
-	nt := pl.arena.alloc(len(tu) + 1)
+// extend appends the matched right-side row to tu in arena-backed storage.
+func (a *tupleArena) extend(tu Tuple, right []byte) Tuple {
+	nt := a.alloc(len(tu) + 1)
 	copy(nt, tu)
 	nt[len(tu)] = right
 	return nt
+}
+
+// reset rewinds the arena, dropping every row view its used part holds.
+func (a *tupleArena) reset() {
+	for i := 0; i <= a.cur && i < len(a.blocks); i++ {
+		clear(a.blocks[i])
+	}
+	a.cur, a.off = 0, 0
 }
 
 // boundRef is a column reference resolved against a shape: tuple position
@@ -593,7 +609,7 @@ func colVal(sh *Shape, tu Tuple, r boundRef) table.Value {
 // in the open-addressing key table — the entry ordinal is the group's
 // first-occurrence rank, which is the output order — with flat accumulator
 // arrays indexed by ordinal×len(aggs) instead of a per-group state struct.
-func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRef, aggs []query.Aggregate) (*Result, error) {
+func (e *Engine) groupAggregate(sc *Scratch, sh *Shape, tuples []Tuple, groupBy []query.ColRef, aggs []query.Aggregate) (*Result, error) {
 	gbRefs := make([]boundRef, len(groupBy))
 	for i, g := range groupBy {
 		gbRefs[i] = bindRef(sh, g.Alias, g.Col)
@@ -606,7 +622,7 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 	}
 
 	na := len(aggs)
-	tab := newKeyTab(0)
+	tab := sc.keyTab(0)
 	var (
 		keys   [][]table.Value // decoded key of each group's first tuple
 		minI   []int32         // flat accumulators: [ordinal*na + agg]
@@ -621,8 +637,7 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 	// key into the table's own arena, so reusing ours across batches is safe,
 	// and ordinal assignment — the output order — matches one-at-a-time.
 	bs := e.batchSize()
-	var gkArena []byte
-	var gkEnds []int32
+	gkArena, gkEnds := sc.keyBuf[:0], sc.probeEnd[:0]
 	for b := 0; b < len(tuples); b += bs {
 		chunk := tuples[b:min(b+bs, len(tuples))]
 		gkArena = gkArena[:0]
@@ -701,6 +716,8 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 			}
 		}
 	}
+
+	sc.keyBuf, sc.probeEnd = gkArena[:0], gkEnds[:0]
 
 	if e.TL != nil {
 		e.R.Group(e.TL, len(tuples))

@@ -116,6 +116,9 @@ type Executor struct {
 	Budget *fault.RetryBudget
 	// Hedge configures hedged shard execution (disabled by default).
 	Hedge HedgeConfig
+
+	// scratch recycles the engines' working memory across this executor's runs.
+	scratch exec.ScratchPool
 }
 
 // HedgeConfig tunes hedged shard execution: once a shard's device elapsed
@@ -213,6 +216,7 @@ type run struct {
 	hostR  hw.Rates
 	host   *exec.Engine
 	pl     *exec.Pipeline
+	lease  *exec.Lease // the scratches of the host engine and every shard device
 	shards []shard
 	// Device output by merge position; the gather reads an entry only while
 	// its owner's outcome is ok, so a demoted shard's output needs no cleanup.
@@ -239,9 +243,13 @@ func (x *Executor) Run(a *Assignment) (*Report, error) {
 // (ordered merge, re-executing every non-ok shard's partitions host-side),
 // finalize.
 func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Duration) (rep *Report, err error) {
-	r := &run{x: x, a: a, p: a.Plan, tr: tr, hostTL: vclock.NewTimeline("host"), hostR: hw.HostRates(x.Model)}
+	r := &run{x: x, a: a, p: a.Plan, tr: tr, hostTL: vclock.NewTimeline("host"), hostR: hw.HostRates(x.Model),
+		lease: x.scratch.Lease()}
+	// The run's one release point: shard batches and leaf rows stay referenced
+	// by the host's hash tables until the report is built.
+	defer r.lease.Release()
 	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
-	r.host = &exec.Engine{Cat: x.Cat, TL: r.hostTL, R: r.hostR,
+	r.host = &exec.Engine{Cat: x.Cat, TL: r.hostTL, R: r.hostR, Scratch: r.lease.Scratch(),
 		Cache: x.DB.NewBlockCache(x.Model.HostCacheFraction), BatchSize: x.BatchSize}
 
 	root := tr.Start(r.hostTL, "query:"+r.p.Query.Name).Attr("strategy", "fleet:"+a.Label())
@@ -394,6 +402,7 @@ func (r *run) runShard(sh *shard, cmd *device.Command) error {
 	x, id := r.x, sh.plan.Device
 	d := device.New(x.Model, x.Cat)
 	d.BatchSize = x.BatchSize
+	d.Scratch = r.lease.Scratch()
 	d.Trace = r.tr
 	d.Metrics = x.Metrics
 	if fp := x.Faults.ForDevice(id); fp.Enabled() {

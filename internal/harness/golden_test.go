@@ -183,10 +183,13 @@ func TestBatchedMatchesGoldens(t *testing.T) {
 	if raceEnabled {
 		sizes = []int{7}
 	}
+	// One harness for every size: its executor's recycled scratches are grown
+	// at one batch size and reused at the next.
+	h := goldenHarness(t, 0)
 	for _, bs := range sizes {
 		bs := bs
 		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
-			h := goldenHarness(t, bs)
+			h.SetBatchSize(bs)
 			for _, sf := range goldenSurfaces {
 				got, err := sf.run(h)
 				if err != nil {

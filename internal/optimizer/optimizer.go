@@ -9,6 +9,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hybridndp/internal/cost"
 	"hybridndp/internal/exec"
@@ -48,8 +49,11 @@ func New(cat *table.Catalog, m hw.Model) *Optimizer {
 // access stops paying off against a scan.
 const indexEqThreshold = 0.05
 
-// buildAccessPath chooses the access path for one table reference.
-func (o *Optimizer) buildAccessPath(q *query.Query, ref query.TableRef, proj map[string][]string) (exec.AccessPath, error) {
+// buildAccessPath chooses the access path for one table reference. A filter's
+// selectivity is the share of the stats sample its compiled form keeps — the
+// kernels the scan itself will run; sel is the selection-vector buffer the
+// plan's tables share.
+func (o *Optimizer) buildAccessPath(q *query.Query, ref query.TableRef, proj map[string][]string, sel *[]int32) (exec.AccessPath, error) {
 	t, err := o.Cat.Table(ref.Table)
 	if err != nil {
 		return exec.AccessPath{}, err
@@ -58,7 +62,12 @@ func (o *Optimizer) buildAccessPath(q *query.Query, ref query.TableRef, proj map
 	ap := exec.AccessPath{Ref: ref, Proj: proj[ref.Alias]}
 	if p, ok := q.Filters[ref.Alias]; ok {
 		ap.Filter = p
-		ap.EstSel = st.SelectivityOf(p.Eval)
+		rows := st.SampleRows()
+		*sel = slices.Grow((*sel)[:0], len(rows))
+		for i := range rows {
+			*sel = append(*sel, int32(i))
+		}
+		ap.EstSel = st.SelectivityOfMatches(len(expr.Compile(t.Schema, p).Filter(rows, *sel)))
 	} else {
 		ap.EstSel = 1
 	}
@@ -93,8 +102,9 @@ func (o *Optimizer) BuildPlan(q *query.Query) (*exec.Plan, error) {
 	}
 	proj := q.ProjectedColumns()
 	paths := make(map[string]exec.AccessPath, len(q.Tables))
+	var sel []int32
 	for _, ref := range q.Tables {
-		ap, err := o.buildAccessPath(q, ref, proj)
+		ap, err := o.buildAccessPath(q, ref, proj, &sel)
 		if err != nil {
 			return nil, err
 		}

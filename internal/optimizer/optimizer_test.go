@@ -78,6 +78,41 @@ func TestPlansForAll113Queries(t *testing.T) {
 	}
 }
 
+// TestCompiledSelectivityMatchesTreeWalk pins the estimator's kernel swap: the
+// selectivity buildAccessPath derives by running the compiled filter over the
+// stats sample's row views must equal, bit for bit, what tree-walking p.Eval
+// over the sample's records gives — for every filter of the 113 queries.
+func TestCompiledSelectivityMatchesTreeWalk(t *testing.T) {
+	ds, opt := testOpt(t)
+	filters := 0
+	for _, q := range job.Queries() {
+		p, err := opt.BuildPlan(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		paths := []exec.AccessPath{p.Driving}
+		for _, st := range p.Steps {
+			paths = append(paths, st.Right)
+		}
+		for _, ap := range paths {
+			if ap.Filter == nil {
+				continue
+			}
+			filters++
+			tbl, err := ds.Cat.Table(ap.Ref.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tbl.CollectStats().SelectivityOf(ap.Filter.Eval); ap.EstSel != want {
+				t.Errorf("%s %s: compiled selectivity %v, tree-walk %v (%s)", q.Name, ap.Ref.Alias, ap.EstSel, want, ap.Filter)
+			}
+		}
+	}
+	if filters == 0 {
+		t.Fatal("no filtered access path checked")
+	}
+}
+
 func TestDrivingTableIsSelective(t *testing.T) {
 	_, opt := testOpt(t)
 	// 17b: keyword has an equality filter over an indexed column; the

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"sync"
+
 	"hybridndp/internal/lsm"
 	"hybridndp/internal/num"
 )
@@ -16,6 +18,22 @@ type Stats struct {
 	Sample    []Record
 	NDV       map[string]int64 // column → distinct values (sample-scaled)
 	IntMinMax map[string][2]int32
+
+	rowsOnce sync.Once
+	rows     [][]byte
+}
+
+// SampleRows returns the sample's raw row views, parallel to Sample — the
+// form compiled batch predicates filter. Built on first use: loading a table
+// collects its statistics, planning against them comes later or never.
+func (s *Stats) SampleRows() [][]byte {
+	s.rowsOnce.Do(func() {
+		s.rows = make([][]byte, len(s.Sample))
+		for i, r := range s.Sample {
+			s.rows[i] = r.Data
+		}
+	})
+	return s.rows
 }
 
 const maxSampleRows = 2048
@@ -97,17 +115,23 @@ func (t *Table) CollectStats() *Stats {
 }
 
 // SelectivityOf estimates the fraction of rows matching pred by evaluating it
-// over the sample, with Laplace smoothing so zero-match predicates keep a
-// small non-zero estimate (as real optimizers do).
+// over the sample.
 func (s *Stats) SelectivityOf(pred func(Record) bool) float64 {
-	if len(s.Sample) == 0 {
-		return 0.1
-	}
 	match := 0
 	for _, r := range s.Sample {
 		if pred(r) {
 			match++
 		}
+	}
+	return s.SelectivityOfMatches(match)
+}
+
+// SelectivityOfMatches turns the number of sample rows a predicate matched
+// into the selectivity estimate, with Laplace smoothing so zero-match
+// predicates keep a small non-zero estimate (as real optimizers do).
+func (s *Stats) SelectivityOfMatches(match int) float64 {
+	if len(s.Sample) == 0 {
+		return 0.1
 	}
 	return (float64(match) + 0.5) / (float64(len(s.Sample)) + 1.0)
 }
