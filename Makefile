@@ -1,12 +1,10 @@
 # Tier-1 gate (see ROADMAP.md): build, vet, lint, tests — `make race` adds the
-# race detector, which the concurrent scheduler's stress tests rely on.
+# race detector, which the executors' shared scratch pools, the metrics
+# registry and the parallel sweep runners are tested under.
 
 GO ?= go
-# Where bench-json writes its snapshot. A PR that lands one as the new point of
-# the committed trajectory names it: make bench-json BENCH_OUT=BENCH_PR<n>.json
-BENCH_OUT ?= bench-snapshot.json
 
-.PHONY: all build vet lint test race bench bench-check bench-json benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
+.PHONY: all build vet lint test race bench bench-check serve serve-smoke serve-determinism trace-smoke chaos chaos-slo fleet-smoke
 
 all: build vet lint test
 
@@ -41,24 +39,17 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Wall-clock perf trajectory: snapshot ns/op, B/op, allocs/op of the hot-path
-# microbenchmarks (and one whole JOB query on a warm executor), the full JOB
-# sweep, the fleet scale-out sweep and the open-loop serving loop into
-# $(BENCH_OUT) (diffable across PRs; non-gating CI artifact). The exec
-# benchmarks run 5 iterations for stable allocs/op; the sweeps run once — they
-# are the wall-clock headline.
-bench-json:
-	( $(GO) test -run '^$$' -bench 'ScanFilter|HashJoin|JoinStep|GroupAggregate|SteadyStateQuery' -benchmem -benchtime=5x ./internal/exec/ ; \
-	  $(GO) test -run '^$$' -bench 'Fig12JOBSweep|FleetSweep|ServeOpenLoop' -benchmem -benchtime=1x -timeout 30m . ) | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-
-# Non-gating perf-trajectory diff: ns/op (plus B/op, allocs/op) deltas of
-# $(BENCH_OUT) against the newest committed BENCH_PR*.json snapshot.
-benchdiff:
-	$(GO) run ./cmd/benchdiff $$(ls BENCH_PR*.json | sort -V | tail -1) $(BENCH_OUT)
-
 # The serving sweep: policy × concurrency throughput table.
 serve:
 	$(GO) run ./cmd/hybridserve -sweep
+
+# Serving determinism gate: the scheduler runs on virtual time only, so two
+# runs of the sweep must print the same bytes, adaptive rows included.
+serve-determinism:
+	$(GO) run ./cmd/hybridserve -scale 0.01 -sweep > serve-sweep-a.txt
+	$(GO) run ./cmd/hybridserve -scale 0.01 -sweep > serve-sweep-b.txt
+	cmp serve-sweep-a.txt serve-sweep-b.txt
+	rm -f serve-sweep-a.txt serve-sweep-b.txt
 
 # Serving front-door gate: the open-loop SLO sweep must run two tenants
 # end-to-end (SQL sessions → plan cache → quotas → WFQ → lanes) with zero

@@ -26,8 +26,6 @@ import (
 	"hybridndp/internal/job"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/sched"
-	"hybridndp/internal/serve"
-	"hybridndp/internal/vclock"
 )
 
 var (
@@ -111,46 +109,6 @@ func BenchmarkTable3IntermediateQ17b(b *testing.B) {
 				report(b, r.Split, r.Time.Milliseconds())
 				report(b, r.Split+"-interm-rows", float64(r.Intermediate))
 			}
-		}
-	}
-}
-
-// BenchmarkFig12JOBSweep regenerates Exp 2: the full 113-query sweep. Slow —
-// roughly two minutes per iteration at the default scale.
-func BenchmarkFig12JOBSweep(b *testing.B) {
-	h := benchHarness(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := h.Fig12(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			wins, pars := 0, 0
-			for _, r := range rows {
-				switch r.Class {
-				case "win":
-					wins++
-				case "par":
-					pars++
-				}
-			}
-			report(b, "hybrid-win-pct", 100*float64(wins)/float64(len(rows)))
-			report(b, "hybrid-winpar-pct", 100*float64(wins+pars)/float64(len(rows)))
-		}
-	}
-}
-
-// BenchmarkFig12JOBSweepParallel is BenchmarkFig12JOBSweep with the
-// deterministic parallel runner enabled (4 workers): identical virtual-time
-// results, wall-clock divided across the worker pool.
-func BenchmarkFig12JOBSweepParallel(b *testing.B) {
-	hp := *benchHarness(b) // shallow copy so the shared harness stays sequential
-	hp.Workers = 4
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := hp.Fig12(io.Discard); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -432,98 +390,18 @@ func BenchmarkAblationSplitTarget(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetSweep scales the sharded scatter-gather executor across fleet
-// sizes (internal/fleet, DESIGN.md §12): every JOB query fingerprint-verified
-// against the single-device baseline, reporting the geomean speedup of the
-// device-mode queries per fleet size. Slow — it re-runs the sweep per size.
-func BenchmarkFleetSweep(b *testing.B) {
-	h := benchHarness(b)
-	counts := []int{1, 4}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := h.FleetSweep(io.Discard, counts, "range")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Clean() {
-			b.Fatalf("fleet sweep not clean: %d errors, %d mismatches", res.Errors, res.Mismatches)
-		}
-		if i == 0 {
-			for ci, n := range counts {
-				report(b, fmt.Sprintf("devices=%d-speedup-x100", n), 100*res.Speedup[ci])
-			}
-		}
-	}
-}
-
-// BenchmarkSchedulerThroughput sweeps the concurrent scheduler's worker count
-// over the JOB mix and reports the virtual throughput of the adaptive policy
-// against the always-host and always-NDP baselines (the serving experiment of
-// DESIGN.md "Concurrent serving"). The baselines run once: always-NDP
-// serializes on the command slot and always-host on the CPU lanes, so their
-// virtual throughput is independent of the worker count.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	h := benchHarness(b)
-	// ×2 so the mix contains repeat submissions: the adaptive policy offloads
-	// on measured evidence, which a one-shot workload never produces.
-	mix := harness.ServingMix(2)
-	serve := func(b *testing.B, pol sched.Policy, conc int) float64 {
-		cfg := sched.DefaultConfig()
-		cfg.Policy = pol
-		cfg.Workers = conc
-		cfg.QueueDepth = 2 * len(mix)
-		s := sched.New(h.Opt, h.Exec, h.DS.Model, cfg)
-		for j, q := range mix {
-			if _, err := s.Submit(context.Background(), q, sched.Priority(j%3)); err != nil {
-				s.Close()
-				b.Fatal(err)
-			}
-		}
-		s.Close()
-		st := s.Stats()
-		if st.Errors > 0 {
-			b.Fatalf("%v/%d: %d queries failed", pol, conc, st.Errors)
-		}
-		return st.Throughput()
-	}
-	for _, base := range []sched.Policy{sched.ForceHost, sched.ForceNDP} {
-		b.Run("policy="+base.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tp := serve(b, base, 16)
-				if i == 0 {
-					b.ReportMetric(tp, "qps")
-				}
-			}
-		})
-	}
-	for _, conc := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("policy=adaptive/conc=%d", conc), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tp := serve(b, sched.Adaptive, conc)
-				if i == 0 {
-					b.ReportMetric(tp, "qps")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTracerOverhead measures what the observability layer adds to the
-// scheduler throughput path. The "off" case is the default nil tracer/nil
-// registry: every instrumentation site reduces to one pointer test, so it
-// must stay within noise (≤5% wall time, zero extra allocs) of the
-// pre-instrumentation BenchmarkSchedulerThroughput. The "on" case prices
-// full span tracing plus metrics for comparison.
+// scheduler's live path: the JOB mix ×2 drained through the adaptive policy.
+// The "off" case is the default nil tracer/nil registry, where every
+// instrumentation site reduces to one pointer test; the "on" case prices full
+// span tracing plus metrics for comparison.
 func BenchmarkTracerOverhead(b *testing.B) {
 	h := benchHarness(b)
 	mix := harness.ServingMix(2)
 	serve := func(b *testing.B, traced bool) {
 		cfg := sched.DefaultConfig()
 		cfg.Policy = sched.Adaptive
-		cfg.Workers = 16
-		cfg.QueueDepth = 2 * len(mix)
+		cfg.QueueDepth = len(mix)
 		if traced {
 			cfg.Traces = obs.NewTraceSet()
 			cfg.Metrics = obs.NewRegistry()
@@ -608,48 +486,6 @@ func BenchmarkAblationLeanFactor(b *testing.B) {
 				if i == 0 {
 					report(b, "ndp", ndp.Elapsed.Milliseconds())
 					report(b, "host", host.Elapsed.Milliseconds())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkServeOpenLoop prices the serving front door: the cost table is
-// measured once, then each policy plays the identical calibrated-overload
-// open-loop multi-tenant stream through sessions, the shared plan cache,
-// quotas and weighted fair queuing. Virtual throughput and the aggregate
-// SLO-miss rate are the headline metrics; wall ns/op prices the event loop.
-func BenchmarkServeOpenLoop(b *testing.B) {
-	h := benchHarness(b)
-	ct, err := serve.Measure(h.DS, job.Queries(), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rate := 1.25 * ct.HostCapacityQPS(h.DS.Model.HostCores) / 3
-	for _, pol := range []sched.Policy{sched.ForceHost, sched.ForceNDP, sched.Adaptive} {
-		b.Run("policy="+pol.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				srv, err := serve.New(h.DS, ct, serve.Config{
-					Tenants: serve.DefaultTenants(3, 10*vclock.Millisecond),
-					Arrival: serve.ArrivalSpec{Kind: "poisson", Rate: rate},
-					Policy:  pol,
-					Horizon: vclock.Second,
-					Seed:    1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := srv.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Completed == 0 {
-					b.Fatalf("%v completed nothing", pol)
-				}
-				if i == 0 {
-					b.ReportMetric(res.ThroughputQPS, "qps")
-					b.ReportMetric(100*harness.MissRate(res), "miss%")
 				}
 			}
 		})

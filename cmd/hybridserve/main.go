@@ -1,6 +1,8 @@
-// Command hybridserve replays a JOB query mix through the concurrent query
-// scheduler and prints the serving statistics: admission/degradation counts,
-// queue waits per priority class, pool busy times and the virtual throughput.
+// Command hybridserve replays a JOB query mix through the query scheduler and
+// prints the serving statistics: admission/degradation counts, queue waits
+// per priority class, pool busy times and the virtual throughput. Standard
+// output is computed on virtual time only and repeats byte for byte; the load
+// and wall-time figures go to standard error.
 //
 // Usage:
 //
@@ -54,11 +56,11 @@ func main() {
 	var (
 		scale   = flag.Float64("scale", 0.01, "JOB dataset scale (1.0 ≈ 3.9M rows)")
 		policy  = flag.String("policy", "adaptive", "adaptive | host | ndp")
-		workers = flag.Int("workers", 16, "worker pool size (concurrent queries)")
+		workers = flag.Int("workers", 16, "host-lane pool size (capped at the model's host cores)")
 		queue   = flag.Int("queue", 0, "admission queue depth (0 = sized to the mix)")
 		devices = flag.Int("devices", 1, "smart-storage fleet size")
 		repeat  = flag.Int("repeat", 3, "times the JOB suite is replayed")
-		timeout = flag.Duration("timeout", 0, "per-query admission timeout (0 = none)")
+		timeout = flag.Duration("timeout", 0, "per-query admission timeout on the virtual clock (0 = none)")
 		sweep   = flag.Bool("sweep", false, "run the policy × concurrency sweep instead")
 		traceF  = flag.String("trace", "",
 			"write a merged Chrome trace_event JSON of every served query to this file")
@@ -78,7 +80,7 @@ func main() {
 			"open-loop arrival window in virtual time")
 		seedF     = flag.Int64("seed", 1, "open-loop arrival/selection seed")
 		deadlineF = flag.Duration("deadline", 0,
-			"per-request deadline for batch serving mode: bounds both the wall-clock queue wait and the virtual execution budget; expired requests reject with sched.ErrExpired, deadline-pressed fleet shards degrade to host")
+			"per-request deadline for batch serving mode, on the virtual clock: bounds both the queue wait and the execution budget; expired requests reject with sched.ErrExpired, deadline-pressed fleet shards degrade to host")
 		deadlinesB = flag.Bool("deadlines", false,
 			"open-loop SLO/chaos mode: shed requests whose earliest feasible completion would already blow arrival + tenant SLO (serve.ErrDeadlineExceeded)")
 		hedgeB = flag.Bool("hedge", false,
@@ -105,7 +107,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("loaded in %v\n", time.Since(start).Round(time.Millisecond))
+	// Wall-clock figures go to stderr: stdout is virtual time only and repeats
+	// byte for byte.
+	fmt.Fprintf(os.Stderr, "loaded in %v\n", time.Since(start).Round(time.Millisecond))
 
 	if *tenantsF != "" || *arrivalF != "" || *sloF != 0 {
 		if *faults != "" {
@@ -116,7 +120,7 @@ func main() {
 		} else if err := openLoop(h, *tenantsF, *arrivalF, *sloF, *horizonF, *seedF, *workers, *queue, *metrics, *deadlinesB); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nwall time %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "wall time %v\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 
@@ -143,7 +147,7 @@ func main() {
 	cfg.Policy = pol
 	cfg.Workers = *workers
 	cfg.Devices = *devices
-	cfg.QueryTimeout = *timeout
+	cfg.QueryTimeout = vclock.FromStd(*timeout)
 	cfg.QueueDepth = *queue
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * len(mix)
@@ -181,7 +185,7 @@ func main() {
 	fmt.Printf("serving %d queries (%s policy, %d workers, %d device(s)) ...\n",
 		len(mix), pol, cfg.Workers, cfg.Devices)
 	s := sched.New(h.Opt, h.Exec, h.DS.Model, cfg)
-	dl := sched.Deadline{Wall: *deadlineF, Exec: vclock.FromStd(*deadlineF)}
+	dl := sched.Deadline{Queue: vclock.FromStd(*deadlineF), Exec: vclock.FromStd(*deadlineF)}
 	for i, q := range mix {
 		if _, err := s.SubmitDeadline(context.Background(), q, sched.Priority(i%3), dl); err != nil {
 			s.Close()
@@ -212,7 +216,7 @@ func main() {
 		fmt.Println("-------")
 		fmt.Print(reg.Dump())
 	}
-	fmt.Printf("\nwall time %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "wall time %v\n", time.Since(start).Round(time.Millisecond))
 	if st.Errors > 0 {
 		os.Exit(1)
 	}

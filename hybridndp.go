@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"hybridndp/internal/coop"
-	"hybridndp/internal/core"
 	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
@@ -42,9 +41,10 @@ type System struct {
 	Catalog   *table.Catalog
 	Optimizer *optimizer.Optimizer
 	Executor  *coop.Executor
-	// Controller records every automated run's estimate-vs-measured outcome
-	// and hosts the optional calibration feedback loop.
-	Controller *core.Controller
+	// Feedback is the estimate-feedback store RunAuto reads and writes: per
+	// query and per pool the measured/estimated ratios it has learned, and the
+	// log of automated runs behind them (Feedback.Runs, Feedback.Quality).
+	Feedback *sched.Feedback
 
 	// JOB is set when the system was opened with OpenJOB.
 	JOB *job.Dataset
@@ -61,15 +61,14 @@ func New(m hw.Model) (*System, error) {
 	fl := flash.New(m, 0)
 	db := kv.Open(fl, m, lsm.DefaultConfig())
 	cat := table.NewCatalog(db)
-	ctrl := core.New(cat, db, m)
 	return &System{
-		Model:      m,
-		Flash:      fl,
-		DB:         db,
-		Catalog:    cat,
-		Optimizer:  ctrl.Opt,
-		Executor:   ctrl.Exec,
-		Controller: ctrl,
+		Model:     m,
+		Flash:     fl,
+		DB:        db,
+		Catalog:   cat,
+		Optimizer: optimizer.New(cat, m),
+		Executor:  coop.NewExecutor(cat, db, m),
+		Feedback:  sched.NewFeedback(),
 	}, nil
 }
 
@@ -84,16 +83,15 @@ func OpenJOB(scale float64, m hw.Model) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl := core.New(ds.Cat, ds.DB, ds.Model)
 	return &System{
-		Model:      ds.Model, // job.Load scales the device memory reservations
-		Flash:      ds.Flash,
-		DB:         ds.DB,
-		Catalog:    ds.Cat,
-		Optimizer:  ctrl.Opt,
-		Executor:   ctrl.Exec,
-		Controller: ctrl,
-		JOB:        ds,
+		Model:     ds.Model, // job.Load scales the device memory reservations
+		Flash:     ds.Flash,
+		DB:        ds.DB,
+		Catalog:   ds.Cat,
+		Optimizer: optimizer.New(ds.Cat, ds.Model),
+		Executor:  coop.NewExecutor(ds.Cat, ds.DB, ds.Model),
+		Feedback:  sched.NewFeedback(),
+		JOB:       ds,
 	}, nil
 }
 
@@ -131,10 +129,28 @@ func (s *System) Run(q *query.Query, strat coop.Strategy) (*coop.Report, error) 
 }
 
 // RunAuto lets the optimizer decide (the hybridNDP mode of the paper) and
-// executes that choice through the controller, which records the
-// estimate-vs-measured outcome (see System.Controller.Quality).
+// executes that choice. The run is quoted first — the cost model's estimate
+// corrected by what System.Feedback has learned about the query — and folded
+// into the store afterwards, so Feedback.Quality tracks how far the quotes
+// are off. A device-side failure (e.g. a memory plan rejected at execution
+// time) falls back to the traditional host-only strategy, as the paper's
+// preconditions mandate.
 func (s *System) RunAuto(q *query.Query) (*coop.Report, *optimizer.Decision, error) {
-	return s.Controller.Run(q)
+	d, err := s.Optimizer.Decide(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := coop.DecisionStrategy(d)
+	rep, err := s.Executor.Run(d.Plan, st)
+	if err != nil && st.Kind != coop.HostNative {
+		st = coop.Strategy{Kind: coop.HostNative}
+		rep, err = s.Executor.Run(d.Plan, st)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.Feedback.Observe(d, st, s.Feedback.Price(d, st), rep)
+	return rep, d, nil
 }
 
 // Splits enumerates every hybrid split strategy for the query's plan:
@@ -155,11 +171,13 @@ func (s *System) Splits(q *query.Query) ([]coop.Strategy, error) {
 	return out, nil
 }
 
-// Serve starts (or replaces) the system's concurrent query scheduler: a
-// bounded worker pool admitting many in-flight queries over the simulated
-// device fleet, with admission control against the device-resource ledger and
-// adaptive strategy degradation under load (see internal/sched). An existing
-// scheduler is drained first. The zero Config serves with sched.DefaultConfig.
+// Serve starts (or replaces) the system's query scheduler: a bounded
+// admission queue in front of the virtual-time placement loop, which re-checks
+// every decision against the load on the host lanes and the device fleet and
+// degrades saturated queries toward the host (see internal/sched). The
+// scheduler runs on its callers' goroutines: Submit enqueues, and Ticket.Wait,
+// Scheduler.Drain and StopServing dispatch. An existing scheduler is drained
+// first. The zero Config serves with sched.DefaultConfig.
 func (s *System) Serve(cfg sched.Config) *sched.Scheduler {
 	if cfg == (sched.Config{}) {
 		cfg = sched.DefaultConfig()
@@ -176,8 +194,8 @@ func (s *System) Serve(cfg sched.Config) *sched.Scheduler {
 }
 
 // Submit enqueues a query on the serving scheduler (starting one with the
-// default configuration if Serve was never called), blocking under
-// backpressure while the admission queue is full.
+// default configuration if Serve was never called); under backpressure — the
+// admission queue is full — it dispatches queued queries until a slot frees.
 func (s *System) Submit(ctx context.Context, q *query.Query, prio sched.Priority) (*sched.Ticket, error) {
 	s.servingMu.Lock()
 	if s.serving == nil {

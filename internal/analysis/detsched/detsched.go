@@ -18,9 +18,10 @@
 //     a *Fingerprint* function — map iteration order is randomized by the
 //     runtime, so the digest differs run to run.
 //
-// Legitimate exceptions (the sched package's cancellable Ticket.Wait is
-// one: both select outcomes converge to the same recorded result) live in
-// allow-listed packages under //lint:allow detsched with a justification.
+// No package is allow-listed: an allow directive for this analyzer is itself
+// a finding, wherever it appears. The one exception the tree used to carry —
+// the goroutine scheduler's cancellable Ticket.Wait — went away with that
+// scheduler.
 package detsched
 
 import (
@@ -39,7 +40,6 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "detsched",
 	Doc:       "flags scheduler-order nondeterminism: multi-case selects, order-dependent goroutine fan-in, unordered iteration feeding fingerprints",
 	Packages:  SimPackages,
-	AllowIn:   []string{"internal/sched"},
 	SkipTests: true,
 	Run:       run,
 }

@@ -4,8 +4,8 @@
 // time.Now observes the speed of the machine running the simulation, not the
 // modelled hardware, and the global math/rand source is both nondeterministic
 // across runs (unseeded) and a contended lock under concurrent serving.
-// Randomness must come from an injected, seeded *rand.Rand; wall time from an
-// injected clock (internal/clock) owned by a non-simulation layer.
+// Randomness must come from an injected, seeded *rand.Rand; wall time is
+// measured outside the simulation packages (the commands, the benchmark).
 //
 // internal/hw is the one allow-listed package: the hardware profiler
 // legitimately measures wall time to calibrate virtual rates, and marks each
@@ -25,10 +25,10 @@ var SimPackages = []string{"vclock", "coop", "exec", "ftl", "lsm", "flash", "sch
 
 // bannedTime are the time package functions that observe or consume wall time.
 var bannedTime = map[string]string{
-	"Now":       "read virtual time from a vclock.Timeline or an injected clock.Clock",
+	"Now":       "read virtual time from a vclock.Timeline",
 	"Sleep":     "charge a virtual duration to a vclock.Timeline instead of sleeping",
-	"Since":     "subtract vclock.Time instants or use an injected clock.Clock",
-	"Until":     "subtract vclock.Time instants or use an injected clock.Clock",
+	"Since":     "subtract vclock.Time instants",
+	"Until":     "subtract vclock.Time instants",
 	"After":     "model delays on a vclock.Timeline",
 	"Tick":      "model periodic work on a vclock.Timeline",
 	"NewTimer":  "model delays on a vclock.Timeline",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"hybridndp/internal/job"
 	"hybridndp/internal/query"
@@ -20,15 +19,15 @@ type ServingRow struct {
 	Degraded    int64
 	Errors      int64
 	// Makespan and Throughput are virtual-time figures (see sched.Stats):
-	// the busiest resource pool bounds the makespan, so the numbers are
-	// deterministic and independent of the machine running the simulation.
+	// the makespan is the instant the last query completed, so the numbers
+	// are deterministic and independent of the machine running the simulation.
 	Makespan   vclock.Duration
 	Throughput float64
 	HostBusy   vclock.Duration
 	DeviceBusy vclock.Duration
-	// QueueWaitMax is the longest wall-clock admission wait of any completed
+	// QueueWaitMax is the longest virtual admission wait of any completed
 	// query — the starvation bound (aging keeps it finite for every class).
-	QueueWaitMax time.Duration
+	QueueWaitMax vclock.Duration
 }
 
 // ServingMix is the default workload of the serving experiment: every JOB
@@ -45,13 +44,15 @@ func ServingMix(repeat int) []*query.Query {
 	return out
 }
 
-// ServingSweep is the throughput-vs-concurrency experiment of the concurrent
-// scheduler: the same JOB mix is replayed through the adaptive policy and the
-// two forced baselines at each concurrency level. The always-host baseline
-// leaves the device idle and queues on the host's CPU lanes; the always-NDP
-// baseline serializes on the device's single command slot; the adaptive
-// policy re-costs splits under load and degrades saturated queries toward the
-// host, keeping both pools busy — at high concurrency it beats both.
+// ServingSweep is the throughput-vs-concurrency experiment of the scheduler:
+// the same JOB mix is replayed through the adaptive policy and the two forced
+// baselines at each concurrency level. The always-host baseline leaves the
+// device idle and queues on the host's CPU lanes; the always-NDP baseline
+// serializes on the device's single command slot; the adaptive policy takes
+// the earliest completion under load and degrades saturated queries toward
+// the host, keeping both pools busy — at high concurrency it beats both. The
+// whole sweep runs on virtual time, so its text is byte-identical from run to
+// run.
 func (h *H) ServingSweep(w io.Writer, levels []int) ([]ServingRow, error) {
 	if len(levels) == 0 {
 		levels = []int{1, 4, 16, 64}
@@ -73,7 +74,7 @@ func (h *H) ServingSweep(w io.Writer, levels []int) ([]ServingRow, error) {
 				Completed:    st.Completed,
 				Degraded:     st.Degraded,
 				Errors:       st.Errors,
-				Makespan:     st.Makespan(),
+				Makespan:     st.Makespan,
 				Throughput:   st.Throughput(),
 				HostBusy:     st.HostBusy,
 				DeviceBusy:   st.DeviceBusy,

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"hybridndp/internal/fault"
@@ -10,7 +9,7 @@ import (
 )
 
 // TestBreakerTripsRoutesAndRecovers walks the circuit breaker through its
-// full deterministic lifecycle with a single worker: two consecutive device
+// full deterministic lifecycle: two consecutive device
 // command failures (a 100%-crash fault plan makes the executor fall back to
 // the host, which the scheduler reports as a failed device command) trip the
 // breaker; the next admission routes around the open device; after the
@@ -153,67 +152,5 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 	if n := reg.Counter("sched.breaker.recovered").Value(); n != 0 {
 		t.Fatalf("failed probes recorded a recovery (%d)", n)
-	}
-}
-
-// TestSchedulerChaosRaceStress hammers one scheduler from many goroutines
-// with a 100%-crash device and armed breakers; run with -race it verifies the
-// whole recovery stack — executor retries, host fallback, breaker trips,
-// fail-fast routing — under real concurrency. Every query must complete.
-func TestSchedulerChaosRaceStress(t *testing.T) {
-	opt, exec, m := fixture(t)
-	q := ndpFeasibleQuery(t, opt, m)
-	cfg := DefaultConfig()
-	cfg.Devices = 2
-	cfg.QueueDepth = 128
-	cfg.Policy = ForceNDP
-	cfg.BreakerThreshold = 1
-	cfg.BreakerProbeAfter = 2
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
-	crash, err := fault.Parse("dev.crash=1,seed=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec.Faults = crash
-	defer func() { exec.Faults = nil }()
-	s := New(opt, exec, m, cfg)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				tk, err := s.Submit(context.Background(), q, Priority(i%numPriorities))
-				if err != nil {
-					errs <- err
-					return
-				}
-				o, err := tk.Wait(context.Background())
-				if err != nil {
-					errs <- err
-					return
-				}
-				if o.Err != nil {
-					errs <- o.Err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	s.Close()
-	st := s.Stats()
-	if st.Completed != 24 || st.Errors != 0 {
-		t.Fatalf("chaos stress stats: %+v", st)
-	}
-	if reg.Counter("sched.breaker.tripped").Value() == 0 {
-		t.Fatal("a full-crash fleet never tripped a breaker")
 	}
 }

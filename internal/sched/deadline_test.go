@@ -4,60 +4,80 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
-	"hybridndp/internal/clock"
 	"hybridndp/internal/coop"
 	"hybridndp/internal/fault"
 	"hybridndp/internal/job"
 	"hybridndp/internal/obs"
+	"hybridndp/internal/vclock"
 )
 
 // TestDeadlinePropagation follows one request deadline through all three
-// layers it can die in: the admission queue (wall clock), a cooperative
-// retry loop (virtual execution budget) and a fleet gather (per-shard
-// degradation). In every case the request either fails with ErrExpired or
-// completes with the exact host-native answer — a deadline changes latency
-// and placement, never a result.
+// layers it can die in: the admission queue (virtual queue wait), a
+// cooperative retry loop (virtual execution budget) and a fleet gather
+// (per-shard degradation). In every case the request either fails with
+// ErrExpired or completes with the exact host-native answer — a deadline
+// changes latency and placement, never a result.
 func TestDeadlinePropagation(t *testing.T) {
 	t.Run("queue", func(t *testing.T) {
 		opt, exec, m := fixture(t)
-		fc := clock.NewFake()
 		cfg := DefaultConfig()
 		cfg.Workers = 1
-		cfg.Clock = fc
+		cfg.Policy = ForceHost
 		reg := obs.NewRegistry()
 		cfg.Metrics = reg
 		s := New(opt, exec, m, cfg)
 		q := job.Queries()[0]
-		tickets := make([]*Ticket, 0, 8)
+		// One host lane. Two deadline-free tickets run back to back, which
+		// moves the clock past the 1ns queue deadline of the six behind them:
+		// the third dispatch meets the first dead ticket on its own turn, the
+		// fourth — the aging dispatch — sweeps the other five out of the queue.
+		var free, bound []*Ticket
 		for i := 0; i < 8; i++ {
-			tk, err := s.SubmitDeadline(context.Background(), q, Normal, Deadline{Wall: time.Millisecond})
+			dl := Deadline{}
+			if i >= 2 {
+				dl.Queue = vclock.Nanosecond
+			}
+			tk, err := s.SubmitDeadline(context.Background(), q, Normal, dl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tickets = append(tickets, tk)
+			if i < 2 {
+				free = append(free, tk)
+			} else {
+				bound = append(bound, tk)
+			}
 		}
-		fc.Advance(time.Second)
 		s.Close()
-		expired := 0
-		for _, tk := range tickets {
+		for _, tk := range free {
+			if o := tk.Outcome(); o == nil || o.Err != nil {
+				t.Fatalf("deadline-free ticket: %+v", o)
+			}
+		}
+		for _, tk := range bound {
 			o := tk.Outcome()
 			if o == nil {
 				t.Fatal("ticket unresolved after Close")
 			}
-			if o.Err != nil {
-				if !errors.Is(o.Err, ErrExpired) {
-					t.Fatalf("queue-dead outcome = %v, want ErrExpired", o.Err)
-				}
-				expired++
+			if !errors.Is(o.Err, ErrExpired) {
+				t.Fatalf("queue-dead outcome = %v, want ErrExpired", o.Err)
+			}
+			if o.QueueWait <= vclock.Nanosecond {
+				t.Fatalf("expired after a virtual queue wait of %v", o.QueueWait)
 			}
 		}
-		if expired == 0 {
-			t.Fatal("no ticket expired past its wall deadline")
+		// Expiry is counted at one site, whichever way the queue met the
+		// ticket: every one of the six died of its own deadline.
+		expired := reg.Counter("sched.rejected.expired").Value()
+		swept := reg.Counter("sched.queue.aged_expiry").Value()
+		if expired != 6 || reg.Counter("sched.rejected.deadline").Value() != expired {
+			t.Fatalf("expired=%d deadline=%d, want 6 and 6", expired, reg.Counter("sched.rejected.deadline").Value())
 		}
-		if reg.Counter("sched.rejected.expired").Value() == 0 {
-			t.Fatal("expiry counter never incremented")
+		if swept != 5 {
+			t.Fatalf("aging sweep expired %d tickets, want 5 (one met on its own dispatch)", swept)
+		}
+		if st := s.Stats(); st.Rejected != expired || st.Completed != 2 {
+			t.Fatalf("stats: %+v", st)
 		}
 	})
 
@@ -112,7 +132,8 @@ func TestDeadlinePropagation(t *testing.T) {
 		cfg.Metrics = reg
 		s, _ := fleetFixture(t, cfg)
 		defer s.Close()
-		q := deviceBoundQuery(t, s.opt)
+		opt, exec, _ := fixture(t)
+		q := deviceBoundQuery(t, opt)
 		tk, err := s.SubmitDeadline(context.Background(), q, Normal, Deadline{Exec: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -130,11 +151,11 @@ func TestDeadlinePropagation(t *testing.T) {
 		if reg.Counter("fleet.deadline.degraded").Value() == 0 {
 			t.Fatal("fleet deadline-degradation counter never incremented")
 		}
-		d, err := s.opt.Decide(q)
+		d, err := opt.Decide(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hostRep, err := s.exec.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
+		hostRep, err := exec.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
 		if err != nil {
 			t.Fatal(err)
 		}

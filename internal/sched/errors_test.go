@@ -3,13 +3,32 @@ package sched
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
-	"hybridndp/internal/clock"
 	"hybridndp/internal/job"
+	"hybridndp/internal/vclock"
 )
+
+// expiredOf drains the scheduler and counts the tickets that resolved with
+// exactly ErrExpired; any other failure is fatal.
+func expiredOf(t *testing.T, s *Scheduler, tickets []*Ticket) int {
+	t.Helper()
+	s.Close()
+	n := 0
+	for _, tk := range tickets {
+		o := tk.Outcome()
+		if o == nil {
+			t.Fatal("ticket unresolved after Close")
+		}
+		if o.Err != nil {
+			if !errors.Is(o.Err, ErrExpired) || errors.Is(o.Err, ErrQueueFull) || errors.Is(o.Err, ErrClosed) {
+				t.Fatalf("outcome err = %v, want exactly ErrExpired", o.Err)
+			}
+			n++
+		}
+	}
+	return n
+}
 
 // TestAdmissionErrorContract pins the typed admission errors callers key on:
 // TrySubmit distinguishes queue-full from closed, and an in-queue expiry
@@ -18,22 +37,16 @@ func TestAdmissionErrorContract(t *testing.T) {
 	opt, exec, m := fixture(t)
 	q := job.Queries()[0]
 
-	// Queue-full: one worker, depth 1, workers blocked by queued load.
+	// Queue-full: depth 1, and TrySubmit never dispatches.
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	s := New(opt, exec, m, cfg)
-	var sawFull bool
-	for i := 0; i < 50 && !sawFull; i++ {
-		if _, err := s.TrySubmit(q, Normal); err != nil {
-			if !errors.Is(err, ErrQueueFull) {
-				t.Fatalf("TrySubmit error = %v, want ErrQueueFull", err)
-			}
-			sawFull = true
-		}
+	if _, err := s.TrySubmit(q, Normal); err != nil {
+		t.Fatalf("TrySubmit into an empty queue: %v", err)
 	}
-	if !sawFull {
-		t.Fatal("never saw ErrQueueFull with depth-1 queue")
+	if _, err := s.TrySubmit(q, Normal); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("TrySubmit error = %v, want ErrQueueFull", err)
 	}
 	s.Close()
 	if _, err := s.TrySubmit(q, Normal); !errors.Is(err, ErrClosed) {
@@ -43,131 +56,76 @@ func TestAdmissionErrorContract(t *testing.T) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 
-	// Expiry: a fake clock jumps past QueryTimeout while the ticket queues.
-	fc := clock.NewFake()
+	// Expiry: one host lane, so every ticket behind the first waits out its
+	// predecessors' virtual runtimes — far past a 1ns QueryTimeout.
+	stack := func(s *Scheduler, dl Deadline) []*Ticket {
+		t.Helper()
+		tickets := make([]*Ticket, 0, 8)
+		for i := 0; i < 8; i++ {
+			tk, err := s.SubmitDeadline(context.Background(), q, Normal, dl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets = append(tickets, tk)
+		}
+		return tickets
+	}
 	cfg = DefaultConfig()
 	cfg.Workers = 1
-	cfg.Clock = fc
-	cfg.QueryTimeout = time.Millisecond
+	cfg.Policy = ForceHost
+	cfg.QueryTimeout = vclock.Nanosecond
 	s2 := New(opt, exec, m, cfg)
-	// Stack up tickets, then advance the clock so queued ones expire.
-	tickets := make([]*Ticket, 0, 8)
-	for i := 0; i < 8; i++ {
-		tk, err := s2.Submit(context.Background(), q, Normal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	fc.Advance(time.Second)
-	s2.Close()
-	var sawExpired bool
-	for _, tk := range tickets {
-		o := tk.Outcome()
-		if o == nil {
-			t.Fatal("ticket unresolved after Close")
-		}
-		if o.Err != nil {
-			if !errors.Is(o.Err, ErrExpired) {
-				t.Fatalf("outcome err = %v, want ErrExpired", o.Err)
-			}
-			sawExpired = true
-		}
-	}
-	if !sawExpired {
-		t.Fatal("no ticket expired despite clock jump past QueryTimeout")
+	if n := expiredOf(t, s2, stack(s2, Deadline{})); n != 7 {
+		t.Fatalf("%d of 8 tickets expired past QueryTimeout, want 7 (all but the head)", n)
 	}
 
-	// Cancelled context while queued also reads as ErrExpired.
+	// A context cancelled before Submit is the submitter's error, not an
+	// expiry; one cancelled while the ticket queues reads as ErrExpired.
 	cfg = DefaultConfig()
 	cfg.Workers = 1
 	s3 := New(opt, exec, m, cfg)
-	defer s3.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	tk, err := s3.Submit(ctx, q, Normal)
 	if err != nil {
-		// Submit itself may observe the cancelled context first; that path
-		// returns the context error, not ErrExpired.
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Submit with cancelled ctx = %v", err)
-		}
-		return
+		t.Fatal(err)
 	}
-	o, werr := tk.Wait(context.Background())
-	if werr != nil {
-		t.Fatal(werr)
+	cancel()
+	if _, err := s3.Submit(ctx, q, Normal); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit with cancelled ctx = %v", err)
 	}
-	if o.Err != nil && !errors.Is(o.Err, ErrExpired) {
-		t.Fatalf("outcome err = %v, want ErrExpired", o.Err)
+	if n := expiredOf(t, s3, []*Ticket{tk}); n != 1 {
+		t.Fatal("ticket whose context was cancelled in queue did not expire")
 	}
 
-	// Per-ticket wall deadline: expiry works with no scheduler-wide
+	// Per-ticket queue deadline: expiry works with no scheduler-wide
 	// QueryTimeout at all, and still reads as ErrExpired (never as
 	// ErrQueueFull or ErrClosed).
-	fc2 := clock.NewFake()
 	cfg = DefaultConfig()
 	cfg.Workers = 1
-	cfg.Clock = fc2
+	cfg.Policy = ForceHost
 	s4 := New(opt, exec, m, cfg)
-	tickets = tickets[:0]
-	for i := 0; i < 8; i++ {
-		tk, err := s4.SubmitDeadline(context.Background(), q, Normal, Deadline{Wall: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	fc2.Advance(time.Second)
-	s4.Close()
-	sawExpired = false
-	for _, tk := range tickets {
-		o := tk.Outcome()
-		if o == nil {
-			t.Fatal("deadline ticket unresolved after Close")
-		}
-		if o.Err != nil {
-			if !errors.Is(o.Err, ErrExpired) ||
-				errors.Is(o.Err, ErrQueueFull) || errors.Is(o.Err, ErrClosed) {
-				t.Fatalf("outcome err = %v, want exactly ErrExpired", o.Err)
-			}
-			sawExpired = true
-		}
-	}
-	if !sawExpired {
-		t.Fatal("no ticket expired despite clock jump past its wall deadline")
+	if n := expiredOf(t, s4, stack(s4, Deadline{Queue: vclock.Nanosecond})); n != 7 {
+		t.Fatalf("%d of 8 tickets expired past their queue deadline, want 7", n)
 	}
 }
 
 // TestAgingScanExpiresQueuedTickets pins the expiry sweep: a ticket whose
-// wall deadline passed while queued is rejected during the every-fourth-pop
-// aging scan — freeing its bounded-queue slot — instead of lingering until a
-// worker pops it. The queue is driven directly with a fake clock so the
-// sweep's behavior is deterministic.
+// queue deadline passed while queued is rejected during the every-fourth-pop
+// aging scan — freeing its bounded-queue slot — instead of lingering until
+// its own turn. The front is driven directly, at a chosen virtual instant.
 func TestAgingScanExpiresQueuedTickets(t *testing.T) {
-	fc := clock.NewFake()
-	cfg := DefaultConfig()
-	cfg.Clock = fc
-	s := &Scheduler{cfg: cfg.withDefaults(), stats: newCollector(1, 1)}
-	s.notEmpty = sync.NewCond(&s.mu)
-	s.notFull = sync.NewCond(&s.mu)
+	opt, exec, m := fixture(t)
+	s := New(opt, exec, m, DefaultConfig())
 	q := job.Queries()[0]
-	enq := func(dl Deadline) *Ticket {
-		tk := &Ticket{query: q, priority: Normal, ctx: context.Background(),
-			submitted: fc.Now(), deadline: dl, done: make(chan struct{})}
-		s.queues[Normal] = append(s.queues[Normal], tk)
-		s.queued++
-		return tk
-	}
-	dead1 := enq(Deadline{Wall: time.Millisecond})
+	enq := func(dl Deadline) *Ticket { return s.enqueue(context.Background(), q, Normal, dl) }
+	dead1 := enq(Deadline{Queue: vclock.Millisecond})
 	alive := enq(Deadline{})
-	dead2 := enq(Deadline{Wall: 2 * time.Millisecond})
-	fc.Advance(10 * time.Millisecond)
+	dead2 := enq(Deadline{Queue: 2 * vclock.Millisecond})
 
 	// The next pop is the fourth dispatch: the sweep must reject both
 	// deadline-dead tickets in place and the aged pick returns the survivor.
-	s.popCount = 3
-	if got := s.popLocked(); got != alive {
+	s.queue.pops = 3
+	if got, ok := s.Pick(vclock.Time(10 * vclock.Millisecond)); !ok || got != alive {
 		t.Fatalf("aged pop returned %+v, want the deadline-free ticket", got)
 	}
 	for i, tk := range []*Ticket{dead1, dead2} {
@@ -179,10 +137,10 @@ func TestAgingScanExpiresQueuedTickets(t *testing.T) {
 			t.Fatalf("expired ticket %d err = %v, want ErrExpired", i, o.Err)
 		}
 	}
-	if s.queued != 0 {
-		t.Fatalf("queued = %d after sweep+pop, want 0", s.queued)
+	if s.queue.Len() != 0 {
+		t.Fatalf("queued = %d after sweep+pop, want 0", s.queue.Len())
 	}
-	if st := s.stats.snapshot(); st.Rejected != 2 {
+	if st := s.Stats(); st.Rejected != 2 {
 		t.Fatalf("rejected = %d, want 2", st.Rejected)
 	}
 }

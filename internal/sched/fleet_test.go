@@ -45,6 +45,7 @@ func TestFleetSchedulerCompletesAndMatchesHost(t *testing.T) {
 	if fx.Gate == nil {
 		t.Fatal("scheduler did not wire the fleet admission gate")
 	}
+	opt, exec, _ := fixture(t)
 
 	queries := job.Queries()
 	tickets := make([]*Ticket, 0, len(queries))
@@ -67,11 +68,11 @@ func TestFleetSchedulerCompletesAndMatchesHost(t *testing.T) {
 		if strings.HasPrefix(o.Chosen, "fleet:") && o.Chosen != "fleet:host" {
 			sawFleet = true
 		}
-		d, err := s.opt.Decide(queries[i])
+		d, err := opt.Decide(queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := s.exec.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
+		base, err := exec.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +102,12 @@ func TestFleetBreakerDegradesShards(t *testing.T) {
 	s, _ := fleetFixture(t, cfg)
 	defer s.Close()
 
-	q := deviceBoundQuery(t, s.opt)
+	opt, exec, _ := fixture(t)
+	q := deviceBoundQuery(t, opt)
 	// Trip device 1's breaker directly through the ledger, as consecutive
 	// shard failures would.
-	s.ledger.ReportDeviceResult(1, false)
-	s.ledger.ReportDeviceResult(1, false)
+	s.loop.ledger.Report(1, false)
+	s.loop.ledger.Report(1, false)
 
 	tk, err := s.Submit(context.Background(), q, Normal)
 	if err != nil {
@@ -127,11 +129,11 @@ func TestFleetBreakerDegradesShards(t *testing.T) {
 	if reg.Counter("sched.fleet.shard.denied").Value() == 0 {
 		t.Fatal("shard denial counter never incremented")
 	}
-	d, err := s.opt.Decide(q)
+	d, err := opt.Decide(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.exec.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
+	base, err := exec.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,8 @@ func TestFleetCrashedShardsOpenBreaker(t *testing.T) {
 	}
 	fx.Faults = pl
 
-	q := deviceBoundQuery(t, s.opt)
+	opt, _, _ := fixture(t)
+	q := deviceBoundQuery(t, opt)
 	run := func() {
 		t.Helper()
 		tk, err := s.Submit(context.Background(), q, Normal)

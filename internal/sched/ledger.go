@@ -1,60 +1,47 @@
 package sched
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"math"
 
-	"hybridndp/internal/device"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/obs"
+	"hybridndp/internal/vclock"
 )
 
-// Claim is the device-resource footprint of one admitted query: what the
-// admission controller reserves on a device before the NDP command is issued
-// and returns when the query completes.
+// Claim is the device-resource footprint of one NDP command: what it holds on
+// its device from dispatch until it completes.
 type Claim struct {
 	// MemBytes is the device DRAM reservation of the offloaded partial plan
 	// (device.PlanMemory: selection/join buffers within the NDP budget).
 	MemBytes int64
 	// BufSlots is the number of shared result-buffer slots held while the
-	// command is in flight (one: the pipeline drains slot by slot, but a
-	// command must own at least one slot to make progress).
+	// command is in flight.
 	BufSlots int
-	// EstDeviceNs is the cost model's estimate of the device-side work in
-	// virtual ns. It feeds the assigned-work counter that the degradation
-	// policy consults.
-	EstDeviceNs float64
 }
 
-// devState is one device's free resources plus the cumulative virtual work
-// ever assigned to it. Each in-flight NDP command additionally occupies one
-// of the device's command slots — the COSMOS+ board has a single dedicated
-// execution core, so the default is one command at a time per device.
-//
-// assigned is deliberately monotone: execution is a virtual-time simulation,
-// so in-flight claims come and go at wall-clock speed and carry no usable
-// load signal. The cumulative counters instead implement greedy
-// list-scheduling — a pool is attractive while its assigned work (per lane)
-// trails the other pool's, which is exactly the balance that minimizes the
-// virtual makespan.
-type devState struct {
-	cmdFree  int
-	memFree  int64
-	slotFree int
-	assigned float64
-	inflight float64 // estimated work of currently admitted commands
+// slot is one NDP command slot of a device: the instant its occupant
+// completes and the claim that occupant holds until then.
+type slot struct {
+	until vclock.Time
+	claim Claim
+}
 
-	// Circuit breaker (deterministic, count-based — wall clocks would break
-	// the virtual-time invariants). consecFails counts consecutive device
-	// command failures; at the threshold the breaker opens and admission
-	// routes around the device. After probeAfter skipped admissions the
-	// breaker goes half-open and admits a single probe command: success
-	// closes it, failure re-opens it.
+// deviceCmdSlots is the number of concurrent NDP commands per device: the
+// paper's COSMOS+ board dedicates one core to execution.
+const deviceCmdSlots = 1
+
+// devRow is one device's row of the ledger: its command slots and its circuit
+// breaker. The breaker is count-based — consecFails consecutive command
+// failures open it, probeAfter admissions routed around it make it half-open,
+// and the next command is the probe: success closes it, failure re-opens it.
+// Outcomes are reported in dispatch order (a run executes at its dispatch),
+// so the breaker never depends on anything but the sequence of dispatches.
+type devRow struct {
+	slots       []slot
 	breaker     breakerState
 	consecFails int
-	skipped     int  // admissions skipped while open
-	probing     bool // a half-open probe command is in flight
+	skipped     int // admissions routed around the device while open
 }
 
 // breakerState is a device breaker's position.
@@ -67,149 +54,84 @@ const (
 	breakerHalfOpen
 )
 
-// Ledger tracks the scarce resources of a smart-storage fleet: per device the
-// NDP command slots (execution cores), the DRAM budget left for selection and
-// join buffers (hw_MSS/hw_MSJ reservations within the ~400 MB NDP budget),
-// and the shared result-buffer slots. The host side is tracked only as
-// assigned virtual work — host memory is not the contended resource in the
-// paper's setting, host CPU lanes are.
+// Ledger is the load picture Place decides against: per host lane and per
+// device command slot the virtual instant it falls free, plus per device the
+// DRAM / buffer-slot claims of the commands still running and the circuit
+// breaker. A lane is busy until its instant and free from then on, so nothing
+// is ever "released": booking a run is writing its completion instant.
 type Ledger struct {
-	mu   sync.Mutex
-	cond *sync.Cond // set once in NewLedger
-	devs []devState // guarded by mu
+	host []vclock.Time
+	devs []devRow
 
-	hostLanes    int     // immutable after NewLedger
-	hostAssigned float64 // guarded by mu
+	// Per-device capacities: the NDP DRAM budget (hw_MSS/hw_MSJ reservations
+	// within ~400 MB) and the shared result-buffer slots.
+	memCap int64
+	bufCap int
 
-	// Per-device capacities, immutable after NewLedger; used to derive the
-	// in-use gauges from the free counters.
-	cmdCap  int
-	memCap  int64
-	slotCap int
-
-	// Breaker tuning, immutable after ConfigureBreaker; threshold 0 disables.
+	// Breaker tuning; threshold 0 disables breaking.
 	brkThreshold  int
 	brkProbeAfter int
 
-	metrics *obs.Registry // guarded by mu; nil disables the gauges
+	metrics *obs.Registry // nil disables counters and gauges
 }
 
-// ConfigureBreaker arms the per-device circuit breakers: a device trips open
-// after threshold consecutive command failures and admits a half-open probe
-// after probeAfter skipped admissions. threshold <= 0 disables breaking.
-func (l *Ledger) ConfigureBreaker(threshold, probeAfter int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if threshold < 0 {
-		threshold = 0
+// NewLedger sizes the ledger from the hardware model: hostLanes host CPU
+// lanes and devices smart-storage devices with one command slot each.
+func NewLedger(m hw.Model, hostLanes, devices int) *Ledger {
+	l := &Ledger{
+		host:   make([]vclock.Time, max(hostLanes, 1)),
+		devs:   make([]devRow, max(devices, 1)),
+		memCap: m.DeviceNDPBudget,
+		bufCap: m.SharedSlots,
 	}
-	if probeAfter < 1 {
-		probeAfter = 1
-	}
-	l.brkThreshold = threshold
-	l.brkProbeAfter = probeAfter
-}
-
-// countLocked bumps a ledger counter. Caller holds mu.
-func (l *Ledger) countLocked(name string) {
-	if l.metrics != nil {
-		l.metrics.Counter(name).Inc()
-	}
-}
-
-// ReportDeviceResult feeds one finished device command into the breaker:
-// ok means the command completed on the device (a run that fell back to the
-// host counts as a failure). Success resets the failure streak and closes a
-// half-open breaker; failure extends the streak and trips (or re-opens) it.
-func (l *Ledger) ReportDeviceResult(dev int, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.brkThreshold <= 0 || dev < 0 || dev >= len(l.devs) {
-		return
-	}
-	d := &l.devs[dev]
-	d.probing = false
-	if ok {
-		d.consecFails = 0
-		if d.breaker != breakerClosed {
-			d.breaker = breakerClosed
-			d.skipped = 0
-			l.countLocked("sched.breaker.recovered")
-		}
-	} else {
-		d.consecFails++
-		switch {
-		case d.breaker == breakerHalfOpen:
-			// Probe failed: straight back to open.
-			d.breaker = breakerOpen
-			d.skipped = 0
-		case d.breaker == breakerClosed && d.consecFails >= l.brkThreshold:
-			d.breaker = breakerOpen
-			d.skipped = 0
-			l.countLocked("sched.breaker.tripped")
-		}
-	}
-	l.publishDevLocked(dev)
-	// A recovered breaker may unblock holdouts; a tripped one must wake
-	// blocked acquirers so they can re-evaluate (and bail out).
-	l.cond.Broadcast()
-}
-
-// NewLedger sizes the ledger from the hardware model: devices × cmdSlots NDP
-// command slots, devices × DeviceNDPBudget bytes of reservable device memory,
-// devices × SharedSlots buffer slots, and hostLanes host CPU lanes.
-func NewLedger(m hw.Model, devices, cmdSlots, hostLanes int) *Ledger {
-	if devices < 1 {
-		devices = 1
-	}
-	if cmdSlots < 1 {
-		cmdSlots = 1
-	}
-	if hostLanes < 1 {
-		hostLanes = 1
-	}
-	l := &Ledger{hostLanes: hostLanes, cmdCap: cmdSlots, memCap: m.DeviceNDPBudget, slotCap: m.SharedSlots}
-	l.cond = sync.NewCond(&l.mu)
-	for i := 0; i < devices; i++ {
-		l.devs = append(l.devs, devState{
-			cmdFree:  cmdSlots,
-			memFree:  m.DeviceNDPBudget,
-			slotFree: m.SharedSlots,
-		})
+	for i := range l.devs {
+		l.devs[i].slots = make([]slot, deviceCmdSlots)
 	}
 	return l
 }
 
-// bindMetrics attaches a registry; the ledger then mirrors its read-only load
-// snapshot — per-device command/memory/buffer-slot occupancy and the
-// assigned-work counters — into gauges on every mutation, replacing the
-// log-style string dumps a caller would otherwise scrape from Stats.
+// ConfigureBreaker arms the per-device circuit breakers: a device trips open
+// after threshold consecutive command failures and admits a half-open probe
+// after probeAfter admissions routed around it. threshold <= 0 disables
+// breaking.
+func (l *Ledger) ConfigureBreaker(threshold, probeAfter int) {
+	l.brkThreshold = max(threshold, 0)
+	l.brkProbeAfter = max(probeAfter, 1)
+}
+
+// bindMetrics attaches a registry: breaker transitions count into it and
+// every booking mirrors the touched rows' occupancy into gauges.
 func (l *Ledger) bindMetrics(m *obs.Registry) {
 	if m == nil {
 		return
 	}
-	l.mu.Lock()
 	l.metrics = m
+	m.Gauge("sched.ledger.host.lanes").SetInt(int64(len(l.host)))
 	for i := range l.devs {
-		l.publishDevLocked(i)
+		l.publishDev(i, 0)
+		l.publishBreaker(i)
 	}
-	l.publishHostLocked()
-	l.mu.Unlock()
 }
 
-// publishDevLocked mirrors device i's ledger row into gauges. Caller holds mu.
-func (l *Ledger) publishDevLocked(i int) {
+// publishDev mirrors device i's occupancy at instant at into gauges.
+func (l *Ledger) publishDev(i int, at vclock.Time) {
 	if l.metrics == nil {
 		return
 	}
-	d := &l.devs[i]
+	cmds, held := l.busyAt(i, at)
 	p := fmt.Sprintf("sched.ledger.device.%d.", i)
-	l.metrics.Gauge(p + "cmd_used").SetInt(int64(l.cmdCap - d.cmdFree))
-	l.metrics.Gauge(p + "mem_used_bytes").SetInt(l.memCap - d.memFree)
-	l.metrics.Gauge(p + "slots_used").SetInt(int64(l.slotCap - d.slotFree))
-	l.metrics.Gauge(p + "assigned_ns").Set(d.assigned)
-	l.metrics.Gauge(p + "inflight_ns").Set(d.inflight)
-	l.metrics.Gauge(p + "breaker.state").SetInt(int64(d.breaker))
+	l.metrics.Gauge(p + "cmd_used").SetInt(int64(cmds))
+	l.metrics.Gauge(p + "mem_used_bytes").SetInt(held.MemBytes)
+	l.metrics.Gauge(p + "slots_used").SetInt(int64(held.BufSlots))
+}
+
+// publishBreaker mirrors device i's breaker position, and the count of
+// breakers that are not closed, into gauges.
+func (l *Ledger) publishBreaker(i int) {
+	if l.metrics == nil {
+		return
+	}
+	l.metrics.Gauge(fmt.Sprintf("sched.ledger.device.%d.breaker.state", i)).SetInt(int64(l.devs[i].breaker))
 	tripped := 0
 	for j := range l.devs {
 		if l.devs[j].breaker != breakerClosed {
@@ -219,270 +141,187 @@ func (l *Ledger) publishDevLocked(i int) {
 	l.metrics.Gauge("sched.breaker.state").SetInt(int64(tripped))
 }
 
-// publishHostLocked mirrors the host pool's assigned work. Caller holds mu.
-func (l *Ledger) publishHostLocked() {
-	if l.metrics == nil {
-		return
+// earliestHost returns the host lane that falls free first (lowest index on
+// ties) and that instant.
+func (l *Ledger) earliestHost() (int, vclock.Time) {
+	bi, bt := 0, l.host[0]
+	for i := 1; i < len(l.host); i++ {
+		if l.host[i] < bt {
+			bi, bt = i, l.host[i]
+		}
 	}
-	l.metrics.Gauge("sched.ledger.host.assigned_ns").Set(l.hostAssigned)
-	l.metrics.Gauge("sched.ledger.host.lanes").SetInt(int64(l.hostLanes))
+	return bi, bt
 }
 
-// tryAcquireLocked picks the least-loaded breaker-admissible device that can
-// hold the claim. allOpen reports that every device's breaker is open — no
-// admission can succeed until a breaker transitions, so blocking callers must
-// bail out instead of waiting for a release that cannot come.
-func (l *Ledger) tryAcquireLocked(c Claim) (dev int, ok, allOpen bool) {
-	best := -1
-	allOpen = true
+// passable reports whether d's breaker lets the next command through: closed,
+// half-open (that command is the probe), or open with this admission being
+// the one that makes it half-open.
+func (l *Ledger) passable(d *devRow) bool {
+	return l.brkThreshold <= 0 || d.breaker != breakerOpen || d.skipped+1 >= l.brkProbeAfter
+}
+
+// anyPassable reports whether at least one device's breaker admits a command.
+func (l *Ledger) anyPassable() bool {
+	for i := range l.devs {
+		if l.passable(&l.devs[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// fits reports whether claim c fits on device i beside the commands still
+// running there at instant at. (The slot the claim is about to take is free at
+// that instant by construction, so it never counts against itself.)
+func (l *Ledger) fits(i int, at vclock.Time, c Claim) bool {
+	_, held := l.busyAt(i, at)
+	return held.MemBytes+c.MemBytes <= l.memCap && held.BufSlots+c.BufSlots <= l.bufCap
+}
+
+// earliestSlot finds the command slot a device-bound run would take: over
+// every breaker-passable device, the slot with the earliest start instant
+// max(floor, slot free) at which claim c fits beside the device's other
+// occupants (lowest device, then slot, on ties).
+func (l *Ledger) earliestSlot(floor vclock.Time, c Claim) (dev, take int, start vclock.Time, ok bool) {
 	for i := range l.devs {
 		d := &l.devs[i]
-		if l.brkThreshold > 0 {
-			if d.breaker == breakerOpen {
-				d.skipped++
-				if d.skipped >= l.brkProbeAfter {
-					// Enough traffic routed around the device: allow a probe.
-					d.breaker = breakerHalfOpen
-					d.skipped = 0
-					l.publishDevLocked(i)
-				} else {
-					continue
-				}
-			}
-			if d.breaker == breakerHalfOpen && d.probing {
-				// One probe at a time; the device is otherwise untrusted.
-				allOpen = false
-				continue
-			}
-		}
-		allOpen = false
-		if d.cmdFree < 1 || d.memFree < c.MemBytes || d.slotFree < c.BufSlots {
+		if !l.passable(d) {
 			continue
 		}
-		if best < 0 || d.assigned < l.devs[best].assigned {
-			best = i
+		for j, s := range d.slots {
+			at := max(floor, s.until)
+			if (ok && at >= start) || !l.fits(i, at, c) {
+				continue
+			}
+			dev, take, start, ok = i, j, at, true
 		}
 	}
-	if best < 0 {
-		return -1, false, allOpen
-	}
-	d := &l.devs[best]
-	if d.breaker == breakerHalfOpen {
-		d.probing = true
-		l.countLocked("sched.breaker.probe")
-	}
-	d.cmdFree--
-	d.memFree -= c.MemBytes
-	d.slotFree -= c.BufSlots
-	d.assigned += c.EstDeviceNs
-	d.inflight += c.EstDeviceNs
-	l.publishDevLocked(best)
-	return best, true, false
+	return dev, take, start, ok
 }
 
-// TryAcquireDevice reserves the claim on one specific device — fleet shard
-// admission, where the descriptor pins partitions to devices and there is no
-// least-loaded choice to make. Breaker handling matches tryAcquireLocked: an
-// open breaker counts the skipped admission and may go half-open, a
-// half-open breaker admits a single probe at a time. A denial is the fleet
-// executor's signal to degrade that shard to host execution.
-func (l *Ledger) TryAcquireDevice(dev int, c Claim) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dev < 0 || dev >= len(l.devs) {
+// pass runs one admission past device i's breaker and reports whether it gets
+// through. An open breaker counts the admission as routed around it and goes
+// half-open once probeAfter of them accumulated.
+func (l *Ledger) pass(i int) bool {
+	d := &l.devs[i]
+	if l.brkThreshold <= 0 || d.breaker != breakerOpen {
+		return true
+	}
+	d.skipped++
+	if d.skipped < l.brkProbeAfter {
 		return false
 	}
-	d := &l.devs[dev]
-	if l.brkThreshold > 0 {
-		if d.breaker == breakerOpen {
-			d.skipped++
-			if d.skipped >= l.brkProbeAfter {
-				d.breaker = breakerHalfOpen
-				d.skipped = 0
-				l.publishDevLocked(dev)
-			} else {
-				return false
-			}
-		}
-		if d.breaker == breakerHalfOpen && d.probing {
-			return false
-		}
-	}
-	if d.cmdFree < 1 || d.memFree < c.MemBytes || d.slotFree < c.BufSlots {
-		return false
-	}
-	if d.breaker == breakerHalfOpen {
-		d.probing = true
-		l.countLocked("sched.breaker.probe")
-	}
-	d.cmdFree--
-	d.memFree -= c.MemBytes
-	d.slotFree -= c.BufSlots
-	d.assigned += c.EstDeviceNs
-	d.inflight += c.EstDeviceNs
-	l.publishDevLocked(dev)
+	d.breaker = breakerHalfOpen
+	d.skipped = 0
+	l.publishBreaker(i)
 	return true
 }
 
-// TryAcquire reserves the claim on the least-loaded device that fits it,
-// without blocking. It returns the device index, or ok=false when every
-// device is saturated — the admission controller's signal to degrade.
-func (l *Ledger) TryAcquire(c Claim) (int, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	dev, ok, _ := l.tryAcquireLocked(c)
-	return dev, ok
-}
-
-// Acquire blocks until the claim fits on some device or ctx is done. Used by
-// the forced-NDP policy, which serializes on the device instead of degrading.
-// When every device's circuit breaker is open it fails fast with
-// device.ErrDeviceBusy — waiting would deadlock, since a fleet with nothing
-// in flight never releases anything.
-func (l *Ledger) Acquire(ctx context.Context, c Claim) (int, error) {
-	stop := context.AfterFunc(ctx, func() {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer stop()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return -1, err
-		}
-		dev, ok, allOpen := l.tryAcquireLocked(c)
-		if ok {
-			return dev, nil
-		}
-		if allOpen {
-			return -1, fmt.Errorf("sched: every device breaker is open: %w", device.ErrDeviceBusy)
-		}
-		l.cond.Wait()
+// Admit is the breaker side of a dispatch, applied before the run executes:
+// whenever a device-bound alternative was on offer every open breaker counts
+// one admission routed around it, and a command landing on a half-open device
+// is that device's probe.
+func (l *Ledger) Admit(ch Choice) {
+	if !ch.DeviceAsked || l.brkThreshold <= 0 {
+		return
+	}
+	for i := range l.devs {
+		l.pass(i)
+	}
+	if ch.Denied {
+		l.metrics.Counter("sched.breaker.routed.host").Inc()
+	}
+	if ch.Dev >= 0 {
+		l.probe(ch.Dev)
 	}
 }
 
-// Release returns a claim's resources. The assigned-work counter stays: it
-// is the monotone load signal, not an in-flight reservation.
-func (l *Ledger) Release(dev int, c Claim) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dev < 0 || dev >= len(l.devs) {
-		panic(fmt.Sprintf("sched: release on unknown device %d", dev))
+// probe counts a command about to run on a half-open device.
+func (l *Ledger) probe(dev int) {
+	if l.devs[dev].breaker == breakerHalfOpen {
+		l.metrics.Counter("sched.breaker.probe").Inc()
+	}
+}
+
+// Book commits a finished dispatch: the chosen host lane and command slot are
+// busy until done, the slot holding claim c.
+func (l *Ledger) Book(ch Choice, c Claim, done vclock.Time) {
+	if ch.Host >= 0 {
+		l.host[ch.Host] = done
+	}
+	if ch.Dev >= 0 {
+		l.devs[ch.Dev].slots[ch.Slot] = slot{until: done, claim: c}
+		l.publishDev(ch.Dev, ch.Start)
+	}
+}
+
+// AdmitDevice reserves a command slot on one specific device at instant at —
+// fleet shard admission, where the descriptor pins partitions to devices. The
+// slot must be free at that instant, the claim must fit beside the device's
+// other occupants, and the breaker must let the command through; the slot is
+// then held until ReleaseDevice books its completion. A denial is the fleet
+// executor's signal to degrade that shard to host execution.
+func (l *Ledger) AdmitDevice(dev int, at vclock.Time, c Claim) (int, bool) {
+	if dev < 0 || dev >= len(l.devs) || !l.pass(dev) {
+		return -1, false
 	}
 	d := &l.devs[dev]
-	d.cmdFree++
-	d.memFree += c.MemBytes
-	d.slotFree += c.BufSlots
-	d.inflight -= c.EstDeviceNs
-	if d.inflight < 0 {
-		d.inflight = 0
+	for j, s := range d.slots {
+		if s.until <= at && l.fits(dev, at, c) {
+			l.probe(dev)
+			d.slots[j] = slot{until: vclock.Time(math.Inf(1)), claim: c}
+			l.publishDev(dev, at)
+			return j, true
+		}
 	}
-	l.publishDevLocked(dev)
-	l.cond.Broadcast()
+	return -1, false
 }
 
-// AdjustDevice corrects a device's assigned-work counter once a command's
-// actual simulated busy time is known: the scheduler books the cost model's
-// estimate at admission and trues it up after the run, so systematic
-// estimation error cannot keep overloading (or starving) the device.
-func (l *Ledger) AdjustDevice(dev int, deltaNs float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if dev < 0 || dev >= len(l.devs) {
+// ReleaseDevice ends a command admitted through AdmitDevice: its slot falls
+// free at done and its outcome feeds the breaker.
+func (l *Ledger) ReleaseDevice(dev, j int, done vclock.Time, ok bool) {
+	l.devs[dev].slots[j].until = done
+	l.Report(dev, ok)
+}
+
+// Report feeds one finished device command into the breaker: ok means the
+// command completed on the device (a run that fell back to the host counts as
+// a failure). Success resets the failure streak and closes a half-open
+// breaker; failure extends the streak and trips (or re-opens) it.
+func (l *Ledger) Report(dev int, ok bool) {
+	if l.brkThreshold <= 0 || dev < 0 || dev >= len(l.devs) {
 		return
 	}
 	d := &l.devs[dev]
-	d.assigned += deltaNs
-	if d.assigned < 0 {
-		d.assigned = 0
-	}
-	l.publishDevLocked(dev)
-}
-
-// AddHost books estimated host-side work (virtual ns) for a dispatched query.
-func (l *Ledger) AddHost(estNs float64) {
-	l.mu.Lock()
-	l.hostAssigned += estNs
-	l.publishHostLocked()
-	l.mu.Unlock()
-}
-
-// AdjustHost corrects the host pool's assigned work with the measured busy
-// time (see AdjustDevice).
-func (l *Ledger) AdjustHost(deltaNs float64) {
-	l.mu.Lock()
-	l.hostAssigned += deltaNs
-	if l.hostAssigned < 0 {
-		l.hostAssigned = 0
-	}
-	l.publishHostLocked()
-	l.mu.Unlock()
-}
-
-// AwaitChange blocks until some claim is released (or ctx is done), so a
-// caller that decided to hold out for a device slot can re-rank against
-// fresh counters instead of spinning.
-func (l *Ledger) AwaitChange(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer stop()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l.cond.Wait()
-	return ctx.Err()
-}
-
-// Load is a point-in-time view of the ledger used by the degradation policy
-// and surfaced in stats snapshots.
-type Load struct {
-	// DeviceAssignedNs is the cumulative virtual work assigned to the
-	// least-loaded device (the one a new command would land on).
-	DeviceAssignedNs float64
-	// DeviceInFlightNs is the estimated work of the commands currently
-	// admitted on that device — the capacity discount a saturated query
-	// would wait behind.
-	DeviceInFlightNs float64
-	// HostAssignedNs is the cumulative per-lane virtual work assigned to the
-	// host pool.
-	HostAssignedNs float64
-	// CmdFree / MemFree / SlotFree aggregate free resources over the fleet.
-	CmdFree  int
-	MemFree  int64
-	SlotFree int
-	Devices  int
-	// DevicesHealthy counts devices whose circuit breaker is not open. When
-	// zero, device-bound placement is pointless: the adaptive policy must
-	// route host-side instead of holding out for a slot.
-	DevicesHealthy int
-}
-
-// Snapshot captures the current load.
-func (l *Ledger) Snapshot() Load {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ld := Load{Devices: len(l.devs), HostAssignedNs: l.hostAssigned / float64(l.hostLanes)}
-	first := true
-	for i := range l.devs {
-		d := &l.devs[i]
-		ld.CmdFree += d.cmdFree
-		ld.MemFree += d.memFree
-		ld.SlotFree += d.slotFree
-		if d.breaker != breakerOpen {
-			ld.DevicesHealthy++
+	if ok {
+		d.consecFails = 0
+		if d.breaker != breakerClosed {
+			d.breaker, d.skipped = breakerClosed, 0
+			l.metrics.Counter("sched.breaker.recovered").Inc()
 		}
-		if first || d.assigned < ld.DeviceAssignedNs {
-			ld.DeviceAssignedNs = d.assigned
-			ld.DeviceInFlightNs = d.inflight
-			first = false
+	} else {
+		d.consecFails++
+		tripped := d.breaker == breakerClosed && d.consecFails >= l.brkThreshold
+		if tripped {
+			l.metrics.Counter("sched.breaker.tripped").Inc()
+		}
+		// A failed probe goes straight back to open without counting as a trip.
+		if tripped || d.breaker == breakerHalfOpen {
+			d.breaker, d.skipped = breakerOpen, 0
 		}
 	}
-	return ld
+	l.publishBreaker(dev)
+}
+
+// busyAt reports what is still occupied on device i at instant t: command
+// slots, and the claims their commands hold.
+func (l *Ledger) busyAt(i int, t vclock.Time) (cmds int, held Claim) {
+	for _, s := range l.devs[i].slots {
+		if s.until > t {
+			cmds++
+			held.MemBytes += s.claim.MemBytes
+			held.BufSlots += s.claim.BufSlots
+		}
+	}
+	return cmds, held
 }

@@ -2,17 +2,18 @@ package sched
 
 import (
 	"context"
+	"errors"
+	"math"
 	"sync"
 	"testing"
-	"time"
 
-	"hybridndp/internal/clock"
 	"hybridndp/internal/coop"
 	"hybridndp/internal/device"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/query"
+	"hybridndp/internal/vclock"
 )
 
 var (
@@ -106,72 +107,32 @@ func TestSchedulerDrainCompletesAll(t *testing.T) {
 	}
 }
 
-// TestSchedulerRaceStress hammers one scheduler from many goroutines; run
-// with -race it verifies the concurrent-serving path end to end (satellite:
-// controller/executor safety under concurrent Run).
-func TestSchedulerRaceStress(t *testing.T) {
-	opt, exec, m := fixture(t)
-	cfg := DefaultConfig()
-	cfg.Devices = 2
-	cfg.QueueDepth = 128
-	s := New(opt, exec, m, cfg)
-	names := []string{"1a", "6f", "8c", "17b", "32b"}
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				q := job.QueryByName(names[(g+i)%len(names)])
-				tk, err := s.Submit(context.Background(), q, Priority(i%numPriorities))
-				if err != nil {
-					errs <- err
-					return
-				}
-				o, err := tk.Wait(context.Background())
-				if err != nil {
-					errs <- err
-					return
-				}
-				if o.Err != nil {
-					errs <- o.Err
-					return
-				}
-			}
-		}(g)
+// busyAt totals what the ledger still holds at instant t: host lanes, command
+// slots, and the device claims behind those slots.
+func busyAt(l *Ledger, t vclock.Time) (hostLanes, cmdSlots int, held Claim) {
+	for _, free := range l.host {
+		if free > t {
+			hostLanes++
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for i := range l.devs {
+		cmds, c := l.busyAt(i, t)
+		cmdSlots += cmds
+		held.MemBytes += c.MemBytes
+		held.BufSlots += c.BufSlots
 	}
-	s.Close()
-	st := s.Stats()
-	if st.Completed != 24 || st.Errors != 0 {
-		t.Fatalf("stress stats: %+v", st)
-	}
+	return hostLanes, cmdSlots, held
 }
 
-// TestAdaptiveDegradesWhenSaturated pins the degradation policy: with every
-// device slot held, a query whose unloaded decision is device-bound must
-// still complete — routed to the host instead of queueing behind the fleet —
-// and be reported as degraded.
-func TestAdaptiveDegradesWhenSaturated(t *testing.T) {
-	opt, exec, m := fixture(t)
-	q := deviceBoundQuery(t, opt)
-	s := New(opt, exec, m, DefaultConfig())
-	defer s.Close()
+// holdDevice makes device 0's command slot busy until the given instant.
+func holdDevice(s *Scheduler, until vclock.Time) {
+	s.loop.ledger.Book(Choice{Host: -1, Dev: 0, Slot: 0}, Claim{}, until)
+}
 
-	// Hold the fleet's only command slot so every TryAcquire fails. The
-	// claim books no estimated work, so releasing it later restores an
-	// attractive (unloaded) device.
-	block := Claim{MemBytes: 0, BufSlots: 0, EstDeviceNs: 0}
-	dev, ok := s.ledger.TryAcquire(block)
-	if !ok {
-		t.Fatal("could not saturate fresh ledger")
-	}
-	tk, err := s.Submit(context.Background(), q, High)
+// submitWait submits one query and progresses the scheduler until it resolved.
+func submitWait(t *testing.T, s *Scheduler, q *query.Query, prio Priority) *Outcome {
+	t.Helper()
+	tk, err := s.Submit(context.Background(), q, prio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,37 +141,47 @@ func TestAdaptiveDegradesWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.Err != nil {
-		t.Fatalf("degraded query failed: %v", o.Err)
+		t.Fatalf("%s failed: %v", q.Name, o.Err)
 	}
+	return o
+}
+
+// TestAdaptiveDegradesWhenSaturated pins the degradation policy: with the
+// fleet's only command slot busy far into the future, a query whose unloaded
+// decision is device-bound must still complete — routed to the host instead
+// of queueing behind the fleet — and be reported as degraded; with the slot
+// free again it lands on the device.
+func TestAdaptiveDegradesWhenSaturated(t *testing.T) {
+	opt, exec, m := fixture(t)
+	q := deviceBoundQuery(t, opt)
+	s := New(opt, exec, m, DefaultConfig())
+	defer s.Close()
+
+	// First sight: offloading is evidence-gated, so the query runs host-side
+	// and teaches its host factor.
+	if o := submitWait(t, s, q, High); o.Device != -1 || !o.Degraded {
+		t.Fatalf("first-sight query left the host: %+v", o)
+	}
+	holdDevice(s, vclock.Time(math.Inf(1)))
+	o := submitWait(t, s, q, High)
 	if o.Device != -1 {
 		t.Fatalf("saturated fleet still placed query on device %d", o.Device)
 	}
 	if !o.Degraded {
 		t.Fatalf("device-bound query (%s unloaded) not marked degraded: chose %s", o.Unloaded, o.Chosen)
 	}
-	s.ledger.Release(dev, block)
 
-	// With the slot free again the same query must land on the device.
-	tk2, err := s.Submit(context.Background(), q, High)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := tk2.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o2.Err != nil {
-		t.Fatal(o2.Err)
-	}
-	if o2.Device < 0 {
-		t.Fatalf("idle fleet refused device-bound query: chose %s", o2.Chosen)
+	holdDevice(s, 0)
+	if o := submitWait(t, s, q, High); o.Device < 0 {
+		t.Fatalf("idle fleet refused device-bound query: chose %s", o.Chosen)
 	}
 }
 
-// TestForceNDPBackpressure exercises the bounded queue and the blocking
-// admission path: with the device held, a forced-NDP worker blocks in
-// Acquire, the queue fills, TrySubmit reports backpressure and a
-// deadline-bound Submit gives up; releasing the device drains everything.
+// TestForceNDPBackpressure exercises the bounded queue: with the device busy,
+// forced-NDP work waits for the command slot, the queue fills, TrySubmit
+// reports backpressure, and a Submit on the full queue makes room by
+// dispatching — every ticket still runs on the device, in virtual time after
+// the slot fell free.
 func TestForceNDPBackpressure(t *testing.T) {
 	opt, exec, m := fixture(t)
 	q := ndpFeasibleQuery(t, opt, m)
@@ -220,61 +191,42 @@ func TestForceNDPBackpressure(t *testing.T) {
 	cfg.Policy = ForceNDP
 	s := New(opt, exec, m, cfg)
 
-	block := Claim{EstDeviceNs: 1e12}
-	dev, ok := s.ledger.TryAcquire(block)
-	if !ok {
-		t.Fatal("could not saturate fresh ledger")
-	}
-	t1, err := s.Submit(context.Background(), q, Normal)
+	busyUntil := vclock.Time(vclock.Second)
+	holdDevice(s, busyUntil)
+	t1, err := s.TrySubmit(q, Normal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the worker has popped t1 and is blocked in Acquire.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		queued := s.queued
-		s.mu.Unlock()
-		if queued == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the blocked query")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Fill the bounded queue behind the blocked worker.
-	t2, err := s.TrySubmit(q, Normal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := s.TrySubmit(q, Batch)
+	t2, err := s.TrySubmit(q, Batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.TrySubmit(q, High); err != ErrQueueFull {
 		t.Fatalf("overfull TrySubmit: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := s.Submit(ctx, q, High); err != context.DeadlineExceeded {
-		t.Fatalf("deadline-bound Submit on full queue: %v", err)
+	if t1.Outcome() != nil {
+		t.Fatal("TrySubmit progressed the loop")
 	}
-	// Free the device: the blocked worker acquires, runs, and drains t2/t3.
-	s.ledger.Release(dev, block)
+	t3, err := s.Submit(context.Background(), q, High)
+	if err != nil {
+		t.Fatalf("Submit on a full queue: %v", err)
+	}
+	if t1.Outcome() == nil {
+		t.Fatal("Submit on a full queue did not dispatch the head ticket")
+	}
+	s.Close()
 	for _, tk := range []*Ticket{t1, t2, t3} {
-		o, err := tk.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.Err != nil {
-			t.Fatal(o.Err)
+		o := tk.Outcome()
+		if o == nil || o.Err != nil {
+			t.Fatalf("ticket unresolved or failed after drain: %+v", o)
 		}
 		if o.Device < 0 {
 			t.Fatalf("forced NDP ran off-device: %s", o.Chosen)
 		}
 	}
-	s.Close()
+	if w := t1.Outcome().QueueWait; w != vclock.Duration(busyUntil) {
+		t.Fatalf("head ticket waited %v for a slot busy until %v", w, busyUntil)
+	}
 	st := s.Stats()
 	if st.Completed != 3 {
 		t.Fatalf("completed = %d, want 3 (%v)", st.Completed, st)
@@ -284,105 +236,154 @@ func TestForceNDPBackpressure(t *testing.T) {
 	}
 }
 
+// queued is a bare queue item for driving Queue directly.
+type queued struct{ at vclock.Time }
+
+func (q *queued) QueuedAt() vclock.Time { return q.at }
+
 // TestPopAgingPreventsStarvation drives the priority queue directly: under a
 // continuous high-priority stream, every fourth dispatch must still take the
-// oldest waiting ticket, so the batch class advances.
+// oldest waiting item, so the batch class advances.
 func TestPopAgingPreventsStarvation(t *testing.T) {
-	s := &Scheduler{cfg: DefaultConfig().withDefaults()}
-	base := time.Now().Add(-time.Minute)
-	enq := func(p Priority, age time.Duration) *Ticket {
-		tk := &Ticket{priority: p, submitted: base.Add(age)}
-		s.queues[p] = append(s.queues[p], tk)
-		s.queued++
-		return tk
-	}
-	batch := enq(Batch, 0) // oldest ticket overall
-	for i := 0; i < 8; i++ {
-		enq(High, time.Duration(i+1)*time.Second)
+	q := NewQueue[*queued](16)
+	batch := &queued{at: 0} // oldest item overall
+	q.Push(Batch, batch)
+	for i := 1; i <= 8; i++ {
+		q.Push(High, &queued{at: vclock.Time(i)})
 	}
 	var batchAt int
-	for i := 1; s.queued > 0; i++ {
-		tk := s.popLocked()
-		if tk == batch {
-			batchAt = i
+	for i := 1; q.Len() > 0; i++ {
+		if next, _ := q.Peek(); next == batch != q.Aging() && i < 5 {
+			t.Fatalf("pop %d: Peek and Aging disagree", i)
 		}
-	}
-	if batchAt == 0 || batchAt > 4 {
-		t.Fatalf("batch ticket dispatched at pop %d; aging should bound it to 4", batchAt)
-	}
-}
-
-// TestLedgerAccounting covers the resource arithmetic without a dataset.
-func TestLedgerAccounting(t *testing.T) {
-	m := hw.Cosmos()
-	l := NewLedger(m, 2, 1, 4)
-	c := Claim{MemBytes: m.DeviceNDPBudget / 2, BufSlots: 1, EstDeviceNs: 100}
-	d0, ok := l.TryAcquire(c)
-	if !ok {
-		t.Fatal("first acquire failed")
-	}
-	d1, ok := l.TryAcquire(c)
-	if !ok || d1 == d0 {
-		t.Fatalf("second acquire should land on the other device (got %d after %d, ok=%v)", d1, d0, ok)
-	}
-	if _, ok := l.TryAcquire(c); ok {
-		t.Fatal("both command slots held, third acquire must fail")
-	}
-	ld := l.Snapshot()
-	if ld.CmdFree != 0 || ld.Devices != 2 || ld.DeviceAssignedNs != 100 {
-		t.Fatalf("snapshot under load: %+v", ld)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := l.Acquire(ctx, c); err != context.DeadlineExceeded {
-		t.Fatalf("blocked Acquire must honor ctx: %v", err)
-	}
-	l.Release(d0, c)
-	l.Release(d1, c)
-	ld = l.Snapshot()
-	// Resources return; the assigned-work counter is monotone by design.
-	if ld.CmdFree != 2 || ld.DeviceAssignedNs != 100 || ld.MemFree != 2*m.DeviceNDPBudget {
-		t.Fatalf("snapshot after release: %+v", ld)
-	}
-	// Oversized claims must never be admitted.
-	if _, ok := l.TryAcquire(Claim{MemBytes: m.DeviceNDPBudget + 1}); ok {
-		t.Fatal("claim larger than the NDP budget admitted")
-	}
-}
-
-// TestAgingUsesInjectedClock pins priority aging to the injected clock rather
-// than the wall: every ticket is stamped from a clock.Fake, the fake is
-// advanced between submissions so the starved batch ticket is strictly the
-// oldest, and the fourth dispatch (the aging slot) must promote it past the
-// steady high-priority stream. With a wall clock this ordering would ride on
-// scheduler timing; with the fake it is exact.
-func TestAgingUsesInjectedClock(t *testing.T) {
-	fake := clock.NewFake()
-	cfg := DefaultConfig()
-	cfg.Clock = fake
-	s := &Scheduler{cfg: cfg.withDefaults()}
-	enq := func(p Priority) *Ticket {
-		tk := &Ticket{priority: p, submitted: s.cfg.Clock.Now()}
-		s.queues[p] = append(s.queues[p], tk)
-		s.queued++
-		return tk
-	}
-	batch := enq(Batch)
-	for i := 0; i < 8; i++ {
-		fake.Advance(time.Second) // every High arrival is strictly younger
-		enq(High)
-	}
-	var batchAt int
-	for i := 1; s.queued > 0; i++ {
-		if s.popLocked() == batch {
+		if item, _ := q.Pop(); item == batch {
 			batchAt = i
 		}
 	}
 	if batchAt != 4 {
-		t.Fatalf("batch ticket dispatched at pop %d; the aging dispatch (every 4th) must take the fake-clock-oldest ticket", batchAt)
+		t.Fatalf("batch item dispatched at pop %d; the aging dispatch (every 4th) must take the oldest", batchAt)
 	}
-	// The queue-wait measurement must come from the injected clock too.
-	if wait := s.cfg.Clock.Since(batch.submitted); wait != 8*time.Second {
-		t.Fatalf("fake-clock queue wait = %v, want 8s", wait)
+	if _, ok := q.Pop(); ok {
+		t.Fatal("pop on an empty queue")
 	}
+	if q.Push(High, batch); !q.Aging() == (q.pops%4 == 3) {
+		t.Fatal("an empty pop consumed a dispatch count")
+	}
+}
+
+// TestLedgerAccounting covers the ledger without a dataset — lanes fall free
+// at the instants booked, claims count only while their command runs, an
+// oversized claim never fits — and with one: after a drain that included
+// failed runs every lane, command slot and claim is free.
+func TestLedgerAccounting(t *testing.T) {
+	m := hw.Cosmos()
+	l := NewLedger(m, 4, 2)
+	half := Claim{MemBytes: m.DeviceNDPBudget / 2, BufSlots: 1}
+	ndp := []Candidate{{Strategy: coop.Strategy{Kind: coop.NDPOnly}, Service: 100, Claim: half}}
+	c0 := Place(l, 0, ndp, Adaptive)
+	l.Book(c0, half, c0.Done)
+	c1 := Place(l, 0, ndp, Adaptive)
+	if c1.Dev == c0.Dev || c1.Start != 0 {
+		t.Fatalf("second command should start at once on the other device: %+v after %+v", c1, c0)
+	}
+	l.Book(c1, half, c1.Done)
+	if c2 := Place(l, 0, ndp, Adaptive); c2.Start != 100 {
+		t.Fatalf("both command slots busy until 100, third command starts at %v", c2.Start)
+	}
+	if host, cmds, held := busyAt(l, 50); host != 0 || cmds != 2 || held.MemBytes != 2*half.MemBytes || held.BufSlots != 2 {
+		t.Fatalf("occupancy at 50: host=%d cmds=%d held=%+v", host, cmds, held)
+	}
+	if host, cmds, held := busyAt(l, 100); host != 0 || cmds != 0 || held != (Claim{}) {
+		t.Fatalf("occupancy at 100: host=%d cmds=%d held=%+v", host, cmds, held)
+	}
+	over := []Candidate{{Strategy: coop.Strategy{Kind: coop.NDPOnly}, Claim: Claim{MemBytes: m.DeviceNDPBudget + 1}}}
+	if ch := Place(l, 0, over, Adaptive); ch.Index >= 0 {
+		t.Fatalf("claim larger than the NDP budget placed: %+v", ch)
+	}
+
+	// A drain that includes failed runs, through the loop itself: every other
+	// job's run errors out. A failed run books nothing — the lanes it was
+	// placed on are free again from its start instant — so afterwards every
+	// lane, command slot and claim is free and the makespan is the healthy
+	// runs' alone.
+	f := &stubFront{}
+	for i := 0; i < 8; i++ {
+		f.jobs = append(f.jobs, &stubJob{fail: i%2 == 1, cand: Candidate{Strategy: coop.Strategy{Kind: coop.Hybrid, Split: 1}, Service: 100, Claim: half}})
+	}
+	l = NewLedger(m, 1, 1)
+	loop := NewLoop[*stubJob](l, Adaptive, stubRunner{}, f)
+	loop.Drain()
+	if f.failed != 4 || f.done != 8 {
+		t.Fatalf("stub drain: %d done, %d failed", f.done, f.failed)
+	}
+	if loop.Makespan() != 400 {
+		t.Fatalf("makespan %v: failed runs occupied their lanes", loop.Makespan())
+	}
+	if host, cmds, held := busyAt(l, vclock.Time(loop.Makespan())); host != 0 || cmds != 0 || held != (Claim{}) {
+		t.Fatalf("after the drain: %d host lanes, %d command slots busy, claims %+v held", host, cmds, held)
+	}
+
+	// And through the scheduler: a query that fails in planning resolves
+	// with its error — not as a queue expiry — and leaves the ledger alone.
+	opt, exec, model := fixture(t)
+	s := New(opt, exec, model, DefaultConfig())
+	bad, err := s.Submit(context.Background(), &query.Query{Name: "bad"}, Normal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := submitWait(t, s, job.Queries()[0], Normal)
+	s.Close()
+	if o := bad.Outcome(); o == nil || o.Err == nil || errors.Is(o.Err, ErrExpired) {
+		t.Fatalf("unplannable query: %+v", o)
+	}
+	st := s.Stats()
+	if st.Completed != 1 || st.Errors != 1 || st.Makespan != ok.QueueWait+ok.Elapsed {
+		t.Fatalf("drain with a planning failure: %+v", st)
+	}
+	if host, cmds, held := busyAt(s.loop.ledger, vclock.Time(st.Makespan)); host != 0 || cmds != 0 || held != (Claim{}) {
+		t.Fatalf("after the drain: %d host lanes, %d command slots busy, claims %+v held", host, cmds, held)
+	}
+}
+
+// stubJob, stubFront and stubRunner drive a Loop without a dataset: each job
+// offers its one candidate, and its run fails on demand.
+type stubJob struct {
+	cand Candidate
+	fail bool
+}
+
+type stubFront struct {
+	jobs         []*stubJob
+	done, failed int
+}
+
+func (f *stubFront) Pick(vclock.Time) (*stubJob, bool) {
+	if len(f.jobs) == 0 {
+		return nil, false
+	}
+	j := f.jobs[0]
+	f.jobs = f.jobs[1:]
+	return j, true
+}
+
+func (f *stubFront) Admit(*stubJob, Candidate, Choice) bool { return true }
+
+func (f *stubFront) Done(_ *stubJob, _ Candidate, _ Choice, _ vclock.Duration, err error) {
+	f.done++
+	if err != nil {
+		f.failed++
+	}
+}
+
+type stubRunner struct{}
+
+func (stubRunner) Candidates(j *stubJob, _ vclock.Time, buf []Candidate) ([]Candidate, error) {
+	return append(buf, j.cand), nil
+}
+
+func (stubRunner) Run(j *stubJob, c Candidate, _ Choice) (vclock.Duration, error) {
+	if j.fail {
+		return 0, errors.New("stub: run failed")
+	}
+	return c.Service, nil
 }

@@ -2,10 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/vclock"
@@ -21,8 +20,8 @@ type Outcome struct {
 	Chosen   string
 	Degraded bool
 	Device   int // device index the query ran on, -1 for host-native
-	// QueueWait is the wall time spent in the admission queue.
-	QueueWait time.Duration
+	// QueueWait is the virtual time from submission to dispatch.
+	QueueWait vclock.Duration
 	// Elapsed is the query's virtual end-to-end runtime.
 	Elapsed vclock.Duration
 	Err     error
@@ -43,10 +42,10 @@ type Stats struct {
 	// not here — the snapshot keeps only what the policies consume.
 	ByStrategy map[string]int64
 
-	QueueWaitMax  time.Duration
-	QueueWaitMean time.Duration
+	QueueWaitMax  vclock.Duration
+	QueueWaitMean vclock.Duration
 	// QueueWaitMaxByPriority demonstrates the starvation bound per class.
-	QueueWaitMaxByPriority map[string]time.Duration
+	QueueWaitMaxByPriority map[string]vclock.Duration
 
 	// HostBusy / DeviceBusy are the virtual busy times (stalls excluded)
 	// accumulated on the host lanes and the device fleet.
@@ -55,68 +54,36 @@ type Stats struct {
 	HostLanes  int
 	DevLanes   int
 	// MaxElapsed is the longest single-query virtual runtime — the latency
-	// critical path, reported alongside the pool-bound Makespan.
+	// critical path.
 	MaxElapsed vclock.Duration
-}
+	// Makespan is the virtual instant the last dispatched query completed.
+	Makespan vclock.Duration
 
-// Makespan is the virtual occupancy of the busiest resource pool: the host's
-// busy time spread over its CPU lanes, or the device fleet's busy time over
-// its command slots, whichever dominates. It is the steady-state bound on
-// how fast the admitted work can drain, so Throughput derived from it is
-// deterministic and independent of the machine running the simulation.
-// (MaxElapsed, the single-query critical path, is reported separately: it
-// floors latency, not sustained throughput.)
-func (st Stats) Makespan() vclock.Duration {
-	lanes := st.HostLanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	dl := st.DevLanes
-	if dl < 1 {
-		dl = 1
-	}
-	m := vclock.Duration(float64(st.HostBusy) / float64(lanes))
-	if d := vclock.Duration(float64(st.DeviceBusy) / float64(dl)); d > m {
-		m = d
-	}
-	return m
+	queueWaitSum vclock.Duration
 }
 
 // Throughput reports completed queries per virtual second of makespan.
 func (st Stats) Throughput() float64 {
-	mk := st.Makespan().Seconds()
-	if mk <= 0 {
+	if st.Makespan <= 0 {
 		return 0
 	}
-	return float64(st.Completed) / mk
+	return float64(st.Completed) / st.Makespan.Seconds()
 }
 
 func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "submitted=%d completed=%d degraded=%d rejected=%d errors=%d\n",
 		st.Submitted, st.Completed, st.Degraded, st.Rejected, st.Errors)
-	fmt.Fprintf(&b, "queue wait: max=%v mean=%v", st.QueueWaitMax.Round(time.Microsecond), st.QueueWaitMean.Round(time.Microsecond))
-	if len(st.QueueWaitMaxByPriority) > 0 {
-		keys := make([]string, 0, len(st.QueueWaitMaxByPriority))
-		for k := range st.QueueWaitMaxByPriority {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " max(%s)=%v", k, st.QueueWaitMaxByPriority[k].Round(time.Microsecond))
-		}
+	fmt.Fprintf(&b, "queue wait: max=%v mean=%v", st.QueueWaitMax, st.QueueWaitMean)
+	for _, k := range sortedKeys(st.QueueWaitMaxByPriority) {
+		fmt.Fprintf(&b, " max(%s)=%v", k, st.QueueWaitMaxByPriority[k])
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "virtual: host busy=%v (%d lanes) device busy=%v (%d lanes) makespan=%v throughput=%.2f q/s\n",
-		st.HostBusy, st.HostLanes, st.DeviceBusy, st.DevLanes, st.Makespan(), st.Throughput())
+		st.HostBusy, st.HostLanes, st.DeviceBusy, st.DevLanes, st.Makespan, st.Throughput())
 	if len(st.ByStrategy) > 0 {
-		keys := make([]string, 0, len(st.ByStrategy))
-		for k := range st.ByStrategy {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		b.WriteString("strategies:")
-		for _, k := range keys {
+		for _, k := range sortedKeys(st.ByStrategy) {
 			fmt.Fprintf(&b, " %s=%d", k, st.ByStrategy[k])
 		}
 		b.WriteString("\n")
@@ -124,40 +91,17 @@ func (st Stats) String() string {
 	return b.String()
 }
 
-// collector accumulates the snapshot under its own lock.
-type collector struct {
-	mu sync.Mutex
-	st Stats // guarded by mu
-
-	queueWaitSum time.Duration // guarded by mu
-	queueWaitN   int64         // guarded by mu
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-func newCollector(hostLanes, devLanes int) *collector {
-	return &collector{st: Stats{
-		ByStrategy:             map[string]int64{},
-		QueueWaitMaxByPriority: map[string]time.Duration{},
-		HostLanes:              hostLanes,
-		DevLanes:               devLanes,
-	}}
-}
-
-func (c *collector) submitted() {
-	c.mu.Lock()
-	c.st.Submitted++
-	c.mu.Unlock()
-}
-
-func (c *collector) rejected() {
-	c.mu.Lock()
-	c.st.Rejected++
-	c.mu.Unlock()
-}
-
-func (c *collector) record(o *Outcome, hostBusy, devBusy vclock.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := &c.st
+// record books one dispatched query's terminal outcome.
+func (st *Stats) record(o *Outcome, hostBusy, devBusy vclock.Duration) {
 	if o.Err != nil {
 		st.Errors++
 		return
@@ -168,37 +112,19 @@ func (c *collector) record(o *Outcome, hostBusy, devBusy vclock.Duration) {
 	}
 	st.ByStrategy[o.Chosen]++
 	prio := o.Priority.String()
-	if o.QueueWait > st.QueueWaitMax {
-		st.QueueWaitMax = o.QueueWait
-	}
-	if o.QueueWait > st.QueueWaitMaxByPriority[prio] {
-		st.QueueWaitMaxByPriority[prio] = o.QueueWait
-	}
-	c.queueWaitSum += o.QueueWait
-	c.queueWaitN++
+	st.QueueWaitMax = max(st.QueueWaitMax, o.QueueWait)
+	st.QueueWaitMaxByPriority[prio] = max(st.QueueWaitMaxByPriority[prio], o.QueueWait)
+	st.queueWaitSum += o.QueueWait
+	st.QueueWaitMean = st.queueWaitSum / vclock.Duration(st.Completed)
 	st.HostBusy += hostBusy
 	st.DeviceBusy += devBusy
-	if o.Elapsed > st.MaxElapsed {
-		st.MaxElapsed = o.Elapsed
-	}
+	st.MaxElapsed = max(st.MaxElapsed, o.Elapsed)
 }
 
-func (c *collector) snapshot() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.st
-	out.ByStrategy = copyMap(c.st.ByStrategy)
-	out.QueueWaitMaxByPriority = copyMap(c.st.QueueWaitMaxByPriority)
-	if c.queueWaitN > 0 {
-		out.QueueWaitMean = c.queueWaitSum / time.Duration(c.queueWaitN)
-	}
-	return out
-}
-
-func copyMap[V any](m map[string]V) map[string]V {
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
+// snapshot copies the counters out.
+func (st *Stats) snapshot() Stats {
+	out := *st
+	out.ByStrategy = maps.Clone(st.ByStrategy)
+	out.QueueWaitMaxByPriority = maps.Clone(st.QueueWaitMaxByPriority)
 	return out
 }

@@ -79,6 +79,63 @@ func Measure(ds *job.Dataset, queries []*query.Query, workers int) (*CostTable, 
 // byte-identical at every batch size; the parameter exists so the golden
 // suite can prove it on the serving surface too.
 func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize int) (*CostTable, error) {
+	return measure(ds, queries, workers, batchSize,
+		func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy, _ *coop.Report) (vclock.Duration, error) {
+			rep, err := ex.Run(d.Plan, s)
+			if err != nil {
+				return 0, err
+			}
+			return rep.Elapsed, nil
+		})
+}
+
+// MeasureFleet measures the workload's cost table through sharded fleet
+// execution instead of the single-device cooperative path: Host stays the
+// coop host-native elapsed (the fallback lane never touches the fleet), while
+// the decided strategy and the full-NDP alternative run scatter-gather
+// through fx — with whatever fault plan and hedge configuration fx carries
+// baked into the memoized service times. This is how chaos reaches the
+// serving simulation: a per-device stall inflates the measured device paths,
+// and hedging caps that inflation, so the open-loop SLO tables replay the
+// fleet's robustness behavior exactly. Every fleet result is
+// fingerprint-checked against the host-native execution — faults and hedges
+// may degrade latency, never correctness — and a mismatch fails the
+// measurement. The table is byte-identical for any worker count; a shared
+// retry budget on fx would break that (token order follows wall-clock
+// interleaving), so measurement forces workers to 1 when one is set.
+func MeasureFleet(ds *job.Dataset, queries []*query.Query, fx *fleet.Executor, workers int) (*CostTable, error) {
+	opt := optimizer.New(ds.Cat, ds.Model)
+	if fx.Budget != nil {
+		workers = 1
+	}
+	return measure(ds, queries, workers, fx.BatchSize,
+		func(_ *coop.Executor, d *optimizer.Decision, s coop.Strategy, host *coop.Report) (vclock.Duration, error) {
+			dec := *d
+			dec.NDP, dec.Hybrid = s.Kind == coop.NDPOnly, s.Kind == coop.Hybrid
+			a, err := fleet.PlanShards(opt, fx.Desc, &dec)
+			if err != nil {
+				return 0, err
+			}
+			rep, err := fx.Run(a)
+			if err != nil {
+				return 0, err
+			}
+			if fp, want := fleet.Fingerprint(rep.Result), fleet.Fingerprint(host.Result); fp != want {
+				return 0, fmt.Errorf("fleet result fingerprint %s != host %s (mode %s)", fp, want, a.Label())
+			}
+			return rep.Elapsed, nil
+		})
+}
+
+// runStrategy executes one decided query under a device-bound strategy and
+// returns its elapsed virtual time; host is the query's host-native run.
+type runStrategy func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy, host *coop.Report) (vclock.Duration, error)
+
+// measure is the one measurement loop: decide, run host-native on a private
+// cooperative executor, then time full NDP (when the plan fits device memory)
+// and a decided hybrid split through run, and assemble the table in workload
+// order.
+func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, run runStrategy) (*CostTable, error) {
 	opt := optimizer.New(ds.Cat, ds.Model)
 	// A private executor: no metrics registry is attached, so parallel
 	// measurement cannot interleave writes into the serving registry.
@@ -87,7 +144,7 @@ func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize 
 	costs := make([]*QueryCost, len(queries))
 	errs := make([]error, len(queries))
 	par.ForEach(workers, len(queries), func(i int) {
-		costs[i], errs[i] = measureOne(opt, ex, ds, queries[i])
+		costs[i], errs[i] = measureOne(opt, ex, ds, queries[i], run)
 	})
 	ct := &CostTable{byName: make(map[string]*QueryCost, len(queries))}
 	var sum vclock.Duration
@@ -108,106 +165,7 @@ func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize 
 	return ct, nil
 }
 
-// MeasureFleet measures the workload's cost table through sharded fleet
-// execution instead of the single-device cooperative path: Host stays the
-// coop host-native elapsed (the fallback lane never touches the fleet), while
-// the decided strategy and the full-NDP alternative run scatter-gather
-// through fx — with whatever fault plan and hedge configuration fx carries
-// baked into the memoized service times. This is how chaos reaches the
-// serving simulation: a per-device stall inflates the measured device paths,
-// and hedging caps that inflation, so the open-loop SLO tables replay the
-// fleet's robustness behavior exactly. Every fleet result is
-// fingerprint-checked against the host-native execution — faults and hedges
-// may degrade latency, never correctness — and a mismatch fails the
-// measurement. The table is byte-identical for any worker count; a shared
-// retry budget on fx would break that (token order follows wall-clock
-// interleaving), so measurement forces workers to 1 when one is set.
-func MeasureFleet(ds *job.Dataset, queries []*query.Query, fx *fleet.Executor, workers int) (*CostTable, error) {
-	opt := optimizer.New(ds.Cat, ds.Model)
-	ex := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
-	ex.BatchSize = fx.BatchSize
-	if fx.Budget != nil {
-		workers = 1
-	}
-	costs := make([]*QueryCost, len(queries))
-	errs := make([]error, len(queries))
-	par.ForEach(workers, len(queries), func(i int) {
-		costs[i], errs[i] = measureOneFleet(opt, ex, fx, ds, queries[i])
-	})
-	ct := &CostTable{byName: make(map[string]*QueryCost, len(queries))}
-	var sum vclock.Duration
-	for i, q := range queries {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("serve: measure fleet %s: %w", q.Name, errs[i])
-		}
-		if _, dup := ct.byName[q.Name]; dup {
-			return nil, fmt.Errorf("serve: duplicate workload query name %s", q.Name)
-		}
-		ct.byName[q.Name] = costs[i]
-		ct.names = append(ct.names, q.Name)
-		sum += costs[i].Host
-	}
-	if len(queries) > 0 {
-		ct.meanHost = sum / vclock.Duration(len(queries))
-	}
-	return ct, nil
-}
-
-func measureOneFleet(opt *optimizer.Optimizer, ex *coop.Executor, fx *fleet.Executor, ds *job.Dataset, q *query.Query) (*QueryCost, error) {
-	d, err := opt.Decide(q)
-	if err != nil {
-		return nil, err
-	}
-	qc := &QueryCost{Decision: d, Decided: coop.DecisionStrategy(d)}
-	hostRep, err := ex.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
-	if err != nil {
-		return nil, err
-	}
-	qc.Host = hostRep.Elapsed
-	hostFP := fleet.Fingerprint(hostRep.Result)
-	runFleet := func(dec *optimizer.Decision) (vclock.Duration, error) {
-		a, err := fleet.PlanShards(opt, fx.Desc, dec)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := fx.Run(a)
-		if err != nil {
-			return 0, err
-		}
-		if fp := fleet.Fingerprint(rep.Result); fp != hostFP {
-			return 0, fmt.Errorf("fleet result fingerprint %s != host %s (mode %s)", fp, hostFP, a.Label())
-		}
-		return rep.Elapsed, nil
-	}
-	if device.PlanMemory(ds.Model, d.Plan, len(d.Plan.Steps)).Fits() {
-		nd := *d
-		nd.NDP, nd.Hybrid = true, false
-		elapsed, err := runFleet(&nd)
-		if err != nil {
-			return nil, err
-		}
-		qc.NDP = elapsed
-		qc.NDPFeasible = true
-	}
-	switch qc.Decided.Kind {
-	case coop.HostNative:
-		qc.Dec = qc.Host
-	case coop.NDPOnly:
-		if !qc.NDPFeasible {
-			return nil, fmt.Errorf("serve: decision picked NDP for %s but the plan does not fit device memory", q.Name)
-		}
-		qc.Dec = qc.NDP
-	default: // hybrid
-		elapsed, err := runFleet(d)
-		if err != nil {
-			return nil, err
-		}
-		qc.Dec = elapsed
-	}
-	return qc, nil
-}
-
-func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q *query.Query) (*QueryCost, error) {
+func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q *query.Query, run runStrategy) (*QueryCost, error) {
 	d, err := opt.Decide(q)
 	if err != nil {
 		return nil, err
@@ -219,11 +177,9 @@ func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q 
 	}
 	qc.Host = hostRep.Elapsed
 	if device.PlanMemory(ds.Model, d.Plan, len(d.Plan.Steps)).Fits() {
-		rep, err := ex.Run(d.Plan, coop.Strategy{Kind: coop.NDPOnly})
-		if err != nil {
+		if qc.NDP, err = run(ex, d, coop.Strategy{Kind: coop.NDPOnly}, hostRep); err != nil {
 			return nil, err
 		}
-		qc.NDP = rep.Elapsed
 		qc.NDPFeasible = true
 	}
 	switch qc.Decided.Kind {
@@ -235,11 +191,9 @@ func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q 
 		}
 		qc.Dec = qc.NDP
 	default: // hybrid
-		rep, err := ex.Run(d.Plan, qc.Decided)
-		if err != nil {
+		if qc.Dec, err = run(ex, d, qc.Decided, hostRep); err != nil {
 			return nil, err
 		}
-		qc.Dec = rep.Elapsed
 	}
 	return qc, nil
 }

@@ -15,20 +15,21 @@
 // caching and admission behavior — the object of study here — is simulated
 // exactly on top of them.
 //
-// Placement model: HostLanes host execution lanes and DeviceSlots NDP command
-// slots. Host-native runs occupy one host lane; full-NDP runs one device
-// slot; hybrid splits occupy one of each for the run's duration (the host
-// side of a cooperative run drives the device side). Per policy: force-host
-// always takes the host lane; force-ndp takes a device slot whenever the plan
-// fits device memory; adaptive compares earliest-completion across the host
-// path and the decided device path (spilling host-decided queries to full NDP
-// when feasible) and breaks ties toward the host.
+// Placement is not decided here: Run feeds the one scheduler loop of
+// internal/sched. The ledger has one host lane per host core and one NDP
+// command slot; host-native runs occupy a host lane, full-NDP runs the command
+// slot, hybrid splits one of each for the run's duration (the host side of a
+// cooperative run drives the device side). The replay runner offers the host
+// path and one device path — under force-ndp full NDP whenever the plan fits
+// device memory, otherwise the decided strategy when it is device-bound or,
+// for host-decided queries, full NDP as adaptive's spill path — with their
+// measured service times, and sched.Place takes the earliest completion,
+// breaking ties toward the host.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -85,12 +86,6 @@ type Config struct {
 	Arrival ArrivalSpec
 	// Policy selects adaptive placement or one of the forced baselines.
 	Policy sched.Policy
-	// HostLanes bounds concurrent host-native executions (default: the
-	// model's host core count).
-	HostLanes int
-	// DeviceSlots bounds concurrent device-resident executions (default 1,
-	// the COSMOS+ single execution core).
-	DeviceSlots int
 	// QueueDepth bounds each tenant's admission queue across the three
 	// priority classes (default 64).
 	QueueDepth int
@@ -121,7 +116,7 @@ type Config struct {
 	UseDeadlines bool
 }
 
-func (c Config) withDefaults(m hw.Model) Config {
+func (c Config) withDefaults() Config {
 	if len(c.Tenants) == 0 {
 		c.Tenants = DefaultTenants(2, 20*vclock.Millisecond)
 	} else {
@@ -137,15 +132,6 @@ func (c Config) withDefaults(m hw.Model) Config {
 	}
 	if c.Arrival.Kind == "" {
 		c.Arrival = DefaultArrival()
-	}
-	if c.HostLanes < 1 {
-		c.HostLanes = m.HostCores
-		if c.HostLanes < 1 {
-			c.HostLanes = 1
-		}
-	}
-	if c.DeviceSlots < 1 {
-		c.DeviceSlots = 1
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 64
@@ -172,8 +158,10 @@ func (c Config) withDefaults(m hw.Model) Config {
 // cache, and the open-loop executor over a measured cost table.
 type Server struct {
 	cfg     Config
+	model   hw.Model
 	opt     *optimizer.Optimizer
 	ct      *CostTable
+	runner  sched.Runner[*request] // replay; the seam test swaps in one that executes
 	m       *obs.Registry
 	cache   *PlanCache
 	session []*Session
@@ -187,7 +175,7 @@ type Server struct {
 // parsed back, validated — so serving exercises the full SQL-in path, not
 // the hand-built query structs.
 func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults(ds.Model)
+	cfg = cfg.withDefaults()
 	queries := cfg.Queries
 	if len(queries) == 0 {
 		queries = job.Queries()
@@ -197,6 +185,7 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
+		model:   ds.Model,
 		opt:     optimizer.New(ds.Cat, ds.Model),
 		ct:      ct,
 		m:       cfg.Metrics,
@@ -205,6 +194,7 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 	if s.m == nil {
 		s.m = obs.NewRegistry()
 	}
+	s.runner = replay{s}
 	s.cache = NewPlanCache(cfg.PlanCacheCap, s.m)
 	seen := map[string]bool{}
 	for _, tc := range cfg.Tenants {
@@ -302,87 +292,47 @@ type Result struct {
 	CacheHits, CacheMisses, CacheEvictions            int64
 }
 
-// lanes is the run's resource state: per-lane earliest-free instants.
-type lanes struct {
-	host []vclock.Time
-	dev  []vclock.Time
-}
+// replay is the runner of the open-loop simulation: it offers the
+// alternatives whose service times the cost table holds and "runs" a request
+// by handing the measured time back, so the loop books exactly what a real
+// execution would have taken.
+type replay struct{ s *Server }
 
-func earliest(frees []vclock.Time) (int, vclock.Time) {
-	bi, bt := 0, frees[0]
-	for i := 1; i < len(frees); i++ {
-		if frees[i] < bt {
-			bi, bt = i, frees[i]
-		}
-	}
-	return bi, bt
-}
-
-// placement is one dispatch choice: strategy, service time, lane indexes
-// (-1 = unused) and the earliest start instant.
-type placement struct {
-	strat     coop.Strategy
-	svc       vclock.Duration
-	host, dev int
-	start     vclock.Time
-}
-
-func (p placement) completion() vclock.Time { return p.start.Add(p.svc) }
-
-// place chooses the placement for r under the configured policy given the
-// current lane state. Deterministic: lane picks take the lowest free index,
-// completion ties break toward the host path.
-func (s *Server) place(r *request, now vclock.Time, L *lanes) (placement, error) {
+// Candidates resolves the request's statement through the plan cache at
+// instant now and offers the host path plus, unless the policy pins the host,
+// the one device path the policy considers.
+func (rp replay) Candidates(r *request, now vclock.Time, buf []sched.Candidate) ([]sched.Candidate, error) {
+	s := rp.s
 	prep, ok := s.session[r.tenant].Stmt(r.name)
 	if !ok {
-		return placement{}, fmt.Errorf("serve: no prepared statement %q", r.name)
+		return nil, fmt.Errorf("serve: no prepared statement %q", r.name)
 	}
 	dec, err := s.planFor(prep, now)
 	if err != nil {
-		return placement{}, err
+		return nil, err
 	}
 	qc, ok := s.ct.Cost(r.name)
 	if !ok {
-		return placement{}, fmt.Errorf("serve: no measured cost for %q", r.name)
+		return nil, fmt.Errorf("serve: no measured cost for %q", r.name)
 	}
-	decided := coop.DecisionStrategy(dec)
-
-	hi, hf := earliest(L.host)
-	hostP := placement{
-		strat: coop.Strategy{Kind: coop.HostNative}, svc: qc.Host,
-		host: hi, dev: -1, start: vclock.MaxTime(now, hf),
-	}
+	buf = append(buf, sched.Candidate{Strategy: coop.Strategy{Kind: coop.HostNative}, Service: qc.Host})
 	switch s.cfg.Policy {
 	case sched.ForceHost:
-		return hostP, nil
 	case sched.ForceNDP:
-		if !qc.NDPFeasible {
-			return hostP, nil
+		if qc.NDPFeasible {
+			buf = append(buf, sched.Candidate{Strategy: coop.Strategy{Kind: coop.NDPOnly}, Service: qc.NDP})
 		}
-		di, df := earliest(L.dev)
-		return placement{
-			strat: coop.Strategy{Kind: coop.NDPOnly}, svc: qc.NDP,
-			host: -1, dev: di, start: vclock.MaxTime(now, df),
-		}, nil
+	default:
+		if strat, svc, ok := qc.devicePathFor(coop.DecisionStrategy(dec)); ok {
+			buf = append(buf, sched.Candidate{Strategy: strat, Service: svc})
+		}
 	}
-	devStrat, devNs, hasDev := qc.devicePathFor(decided)
-	if !hasDev {
-		return hostP, nil
-	}
-	di, df := earliest(L.dev)
-	devP := placement{strat: devStrat, svc: devNs, host: -1, dev: di}
-	if devStrat.Kind == coop.Hybrid {
-		// A cooperative run holds a host lane too: the host side drives the
-		// device and merges above the split.
-		devP.host = hi
-		devP.start = vclock.MaxTime(vclock.MaxTime(now, hf), df)
-	} else {
-		devP.start = vclock.MaxTime(now, df)
-	}
-	if devP.completion() < hostP.completion() {
-		return devP, nil
-	}
-	return hostP, nil
+	return buf, nil
+}
+
+// Run replays the chosen alternative's measured service time.
+func (replay) Run(_ *request, c sched.Candidate, _ sched.Choice) (vclock.Duration, error) {
+	return c.Service, nil
 }
 
 // devicePathFor reports the device-bound placement candidate given the
@@ -483,109 +433,103 @@ func (s *Server) admit(r *request, now vclock.Time, w *wfq, b *tokenBucket, acc 
 // serving-level analog of the scheduler's reject-on-arrival. Shedding at pick
 // time is safe because lane frees only move later: no future placement of
 // this request could complete earlier than the one just computed.
-func (s *Server) shed(r *request, p placement, acc *tenantAcc) error {
-	tc := s.cfg.Tenants[r.tenant]
+func (s *Server) shed(r *request, completion vclock.Time, acc *tenantAcc) error {
+	tc := &s.cfg.Tenants[r.tenant]
 	if !s.cfg.UseDeadlines || tc.SLO <= 0 {
 		return nil
 	}
 	deadline := r.arrival.Add(tc.SLO)
-	if p.completion() <= deadline {
+	if completion <= deadline {
 		return nil
 	}
 	acc.deadlineRej++
 	s.m.Counter("serve.rejected.deadline").Inc()
 	s.m.Counter("serve.rejected.deadline." + tc.Name).Inc()
 	return fmt.Errorf("%w: tenant %s completion %v past deadline %v",
-		ErrDeadlineExceeded, tc.Name, p.completion(), deadline)
+		ErrDeadlineExceeded, tc.Name, completion, deadline)
+}
+
+// front is one Run's admission state — the fair queue, the quotas and the
+// per-tenant accounts — as the scheduler loop sees it: where the next request
+// comes from and where its outcome goes.
+type front struct {
+	s       *Server
+	w       *wfq
+	buckets []tokenBucket
+	acc     []tenantAcc
+	err     error // the first request that could not be planned; ends the run
+}
+
+func (f *front) Pick(vclock.Time) (*request, bool) {
+	if f.err != nil {
+		return nil, false
+	}
+	r := f.w.pick()
+	return r, r != nil
+}
+
+func (f *front) Admit(r *request, _ sched.Candidate, ch sched.Choice) bool {
+	return f.s.shed(r, ch.Done, &f.acc[r.tenant]) == nil
+}
+
+func (f *front) Done(r *request, c sched.Candidate, ch sched.Choice, elapsed vclock.Duration, err error) {
+	if err != nil {
+		f.err = err
+		return
+	}
+	f.s.recordDispatch(r, c.Strategy, ch.Start, ch.Start.Add(elapsed), &f.acc[r.tenant])
 }
 
 // Run executes one open-loop serving simulation and returns its SLO
-// accounting. The loop is single-threaded on virtual time: it alternates
-// between admitting the next arrival and dispatching the fair queue's next
-// pick at its earliest feasible start, whichever comes first (arrival wins
-// ties). The plan cache persists across runs on the same server, so a second
-// Run observes steady-state hit rates.
+// accounting. The scheduler loop is single-threaded on virtual time and Run
+// progresses it: before each arrival it dispatches every fair-queue pick whose
+// earliest feasible start lies before the arrival (the arrival wins ties),
+// admits the arrival, and after the last one drains the queue. The plan cache
+// persists across runs on the same server, so a second Run observes
+// steady-state hit rates.
 func (s *Server) Run() (*Result, error) {
 	arr := s.genArrivals()
-	L := &lanes{host: make([]vclock.Time, s.cfg.HostLanes), dev: make([]vclock.Time, s.cfg.DeviceSlots)}
-	w := newWFQ(s.cfg.Tenants, s.cfg.Quantum, s.cfg.QueueDepth)
-	buckets := make([]tokenBucket, len(s.cfg.Tenants))
-	for i := range s.cfg.Tenants {
-		buckets[i] = newTokenBucket(s.cfg.Tenants[i].QuotaQPS, s.cfg.Tenants[i].Burst)
+	f := &front{
+		s:       s,
+		w:       newWFQ(s.cfg.Tenants, s.cfg.Quantum, s.cfg.QueueDepth),
+		buckets: make([]tokenBucket, len(s.cfg.Tenants)),
+		acc:     make([]tenantAcc, len(s.cfg.Tenants)),
 	}
-	acc := make([]tenantAcc, len(s.cfg.Tenants))
+	for i, tc := range s.cfg.Tenants {
+		f.buckets[i] = newTokenBucket(tc.QuotaQPS, tc.Burst)
+	}
 	hitsBefore, missesBefore, evictsBefore := s.cacheCounters()
-
-	var now, makespan vclock.Time
-	ai := 0
-	var pending *request
-	var pendingP placement
-	inf := vclock.Time(math.Inf(1))
-	for ai < len(arr) || w.Len() > 0 || pending != nil {
-		if pending == nil && w.Len() > 0 {
-			pending = w.pick()
-			p, err := s.place(pending, now, L)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.shed(pending, p, &acc[pending.tenant]); err != nil {
-				if !errors.Is(err, ErrDeadlineExceeded) {
-					return nil, err
-				}
-				pending = nil
-				continue
-			}
-			pendingP = p
+	loop := sched.NewLoop[*request](sched.NewLedger(s.model, s.model.HostCores, 1), s.cfg.Policy, s.runner, f)
+	for _, r := range arr {
+		if loop.AdvanceTo(r.arrival); f.err != nil {
+			return nil, f.err
 		}
-		tArr, tDis := inf, inf
-		if ai < len(arr) {
-			tArr = arr[ai].arrival
+		// Open-loop clients do not retry: a quota or queue-full rejection
+		// is terminal for the request and already accounted by class
+		// inside admit. Anything else is a real failure.
+		if err := s.admit(r, loop.Now(), f.w, &f.buckets[r.tenant], &f.acc[r.tenant]); err != nil &&
+			!errors.Is(err, ErrQuotaExceeded) && !errors.Is(err, sched.ErrQueueFull) {
+			return nil, err
 		}
-		if pending != nil {
-			tDis = pendingP.start
-		}
-		if tArr <= tDis {
-			now = vclock.MaxTime(now, tArr)
-			r := arr[ai]
-			ai++
-			// Open-loop clients do not retry: a quota or queue-full rejection
-			// is terminal for the request and already accounted by class
-			// inside admit. Anything else is a real failure.
-			if err := s.admit(r, now, w, &buckets[r.tenant], &acc[r.tenant]); err != nil &&
-				!errors.Is(err, ErrQuotaExceeded) && !errors.Is(err, sched.ErrQueueFull) {
-				return nil, err
-			}
-			continue
-		}
-		now = vclock.MaxTime(now, tDis)
-		comp := pendingP.completion()
-		if pendingP.host >= 0 {
-			L.host[pendingP.host] = comp
-		}
-		if pendingP.dev >= 0 {
-			L.dev[pendingP.dev] = comp
-		}
-		s.recordDispatch(pending, pendingP, &acc[pending.tenant])
-		if comp > makespan {
-			makespan = comp
-		}
-		pending = nil
 	}
-	return s.result(acc, makespan, hitsBefore, missesBefore, evictsBefore), nil
+	if loop.Drain(); f.err != nil {
+		return nil, f.err
+	}
+	return s.result(f.acc, loop.Makespan(), hitsBefore, missesBefore, evictsBefore), nil
 }
 
 // recordDispatch books one dispatched request's accounting: queue wait,
 // end-to-end latency, SLO miss, strategy counters. All single-threaded, so
 // histogram sums accumulate in a deterministic order.
-func (s *Server) recordDispatch(r *request, p placement, acc *tenantAcc) {
+func (s *Server) recordDispatch(r *request, strat coop.Strategy, start, completion vclock.Time, acc *tenantAcc) {
 	tc := s.cfg.Tenants[r.tenant]
-	wait := p.start.Sub(r.arrival)
-	lat := p.completion().Sub(r.arrival)
+	wait := start.Sub(r.arrival)
+	lat := completion.Sub(r.arrival)
 	acc.completed++
 	acc.latSum += lat
 	s.m.Counter("serve.completed").Inc()
 	s.m.Counter("serve.completed." + tc.Name).Inc()
-	s.m.Counter("serve.strategy." + p.strat.String()).Inc()
+	s.m.Counter("serve.strategy." + strat.String()).Inc()
 	s.m.Histogram("serve.queue.wait.ns", LatencyBuckets).Observe(float64(wait))
 	s.m.Histogram("serve.latency.ns", LatencyBuckets).Observe(float64(lat))
 	s.m.Histogram("serve.latency.ns."+tc.Name, LatencyBuckets).Observe(float64(lat))
@@ -599,8 +543,8 @@ func (s *Server) cacheCounters() (hits, misses, evicts int64) {
 	return s.cache.hits.Value(), s.cache.misses.Value(), s.cache.evictions.Value()
 }
 
-func (s *Server) result(acc []tenantAcc, makespan vclock.Time, h0, m0, e0 int64) *Result {
-	res := &Result{Policy: s.cfg.Policy, Makespan: vclock.Duration(makespan)}
+func (s *Server) result(acc []tenantAcc, makespan vclock.Duration, h0, m0, e0 int64) *Result {
+	res := &Result{Policy: s.cfg.Policy, Makespan: makespan}
 	h1, m1, e1 := s.cacheCounters()
 	res.CacheHits, res.CacheMisses, res.CacheEvictions = h1-h0, m1-m0, e1-e0
 	for i := range s.cfg.Tenants {

@@ -133,24 +133,25 @@ func TestArrivalTimesDeterministic(t *testing.T) {
 }
 
 func TestTenantQueueAging(t *testing.T) {
-	tq := &tenantQueue{depth: 16}
-	mk := func(prio sched.Priority, at vclock.Time) *request {
-		return &request{prio: prio, arrival: at}
+	tq := sched.NewQueue[*request](16)
+	push := func(prio sched.Priority, at vclock.Time) *request {
+		r := &request{prio: prio, arrival: at}
+		tq.Push(prio, r)
+		return r
 	}
-	oldBatch := mk(sched.Batch, 1)
-	tq.push(oldBatch)
+	oldBatch := push(sched.Batch, 1)
 	for i := 2; i <= 5; i++ {
-		tq.push(mk(sched.High, vclock.Time(i)))
+		push(sched.High, vclock.Time(i))
 	}
 	for i := 0; i < 3; i++ {
-		if got := tq.pop(); got.prio != sched.High {
+		if got, _ := tq.Pop(); got.prio != sched.High {
 			t.Fatalf("pop %d: want high-priority, got %v", i, got.prio)
 		}
 	}
-	if got := tq.pop(); got != oldBatch {
+	if got, _ := tq.Pop(); got != oldBatch {
 		t.Fatalf("4th pop must take the oldest request (aging), got %+v", got)
 	}
-	if got := tq.peek(); got == nil || got.arrival != 5 {
+	if got, ok := tq.Peek(); !ok || got.arrival != 5 {
 		t.Fatalf("peek after aging pop: %+v", got)
 	}
 }
@@ -486,8 +487,8 @@ func TestDeadlineErrorDistinct(t *testing.T) {
 	})
 	var acc tenantAcc
 	r := &request{tenant: 0, name: subset(4)[0].Name, arrival: 0}
-	p := placement{svc: vclock.Millisecond, start: 0, host: 0, dev: -1}
-	err := s.shed(r, p, &acc)
+	late := vclock.Time(vclock.Millisecond)
+	err := s.shed(r, late, &acc)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("shed past deadline: got %v, want ErrDeadlineExceeded", err)
 	}
@@ -498,13 +499,12 @@ func TestDeadlineErrorDistinct(t *testing.T) {
 		t.Fatalf("deadlineRej = %d, want 1", acc.deadlineRej)
 	}
 	// Within the deadline: no shed.
-	fast := placement{svc: vclock.Duration(100), start: 0, host: 0, dev: -1}
-	if err := s.shed(r, fast, &acc); err != nil {
+	if err := s.shed(r, 100, &acc); err != nil {
 		t.Fatalf("placement inside deadline shed anyway: %v", err)
 	}
 	// Deadlines off: never shed.
 	s.cfg.UseDeadlines = false
-	if err := s.shed(r, p, &acc); err != nil {
+	if err := s.shed(r, late, &acc); err != nil {
 		t.Fatalf("UseDeadlines off must never shed: %v", err)
 	}
 }
@@ -647,5 +647,120 @@ func TestMeasureFleet(t *testing.T) {
 			a.NDP != b.NDP || a.NDPFeasible != b.NDPFeasible {
 			t.Fatalf("%s: MeasureFleet differs across worker counts: %+v vs %+v", q.Name, a, b)
 		}
+	}
+}
+
+// dispatch is one request's placement as a runner saw it.
+type dispatch struct {
+	tenant, seq       int
+	strat             coop.Strategy
+	start, completion vclock.Time
+}
+
+// recording wraps a runner and logs every dispatch.
+type recording struct {
+	inner sched.Runner[*request]
+	log   []dispatch
+}
+
+func (rc *recording) Candidates(r *request, now vclock.Time, buf []sched.Candidate) ([]sched.Candidate, error) {
+	return rc.inner.Candidates(r, now, buf)
+}
+
+func (rc *recording) Run(r *request, c sched.Candidate, ch sched.Choice) (vclock.Duration, error) {
+	elapsed, err := rc.inner.Run(r, c, ch)
+	rc.log = append(rc.log, dispatch{r.tenant, r.seq, c.Strategy, ch.Start, ch.Start.Add(elapsed)})
+	return elapsed, err
+}
+
+// executing offers exactly what replay offers but runs every dispatched
+// (query, strategy) for real, at dispatch, on one executor shared by the whole
+// run — and books what that execution measured, not what the table says.
+type executing struct {
+	replay
+	ex *coop.Executor
+}
+
+func (e executing) Run(r *request, c sched.Candidate, _ sched.Choice) (vclock.Duration, error) {
+	qc, _ := e.s.ct.Cost(r.name)
+	rep, err := e.ex.Run(qc.Decision.Plan, c.Strategy)
+	if err != nil {
+		return 0, err
+	}
+	return rep.Elapsed, nil
+}
+
+// TestReplayMatchesExecution is the seam check on the serving numbers: one
+// small open-loop scenario played through the replay runner and through a
+// runner that executes every dispatched request for real must agree on every
+// request's start and completion instant, and so on the whole Result. The SLO
+// tables rest on service times being load-independent — Measure runs each
+// (query, strategy) once, in isolation, and Run replays it under any load.
+// That holds because every execution builds its host and device block caches
+// cold (coop.go hostEngine, device.go Launch) and its own timelines; this
+// test fails the day someone shares one across runs.
+func TestReplayMatchesExecution(t *testing.T) {
+	ds, ct := fixture(t)
+	qs := subset(20)
+	cfg := Config{
+		Queries: qs,
+		Tenants: []TenantConfig{
+			{Name: "gold", Weight: 3, SLO: 5 * vclock.Millisecond, Skew: 1.3},
+			{Name: "bronze", Weight: 1, SLO: 20 * vclock.Millisecond, Skew: 1.3},
+		},
+		// 2.5× the host pool's capacity over the subset, so requests queue and
+		// adaptive spills onto the device: both kinds of lane are contended.
+		Arrival: ArrivalSpec{Kind: "poisson", Rate: 1.25 * ct.HostCapacityQPS(ds.Model.HostCores)},
+		Policy:  sched.Adaptive,
+		Seed:    5,
+	}
+	cfg.Horizon = vclock.Duration(150 / cfg.Arrival.Rate * float64(vclock.Second))
+	play := func(real bool) (*Result, []dispatch, string) {
+		s := newServer(t, cfg)
+		rc := &recording{inner: s.runner}
+		if real {
+			rc.inner = executing{replay{s}, coop.NewExecutor(ds.Cat, ds.DB, ds.Model)}
+		}
+		s.runner = rc
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rc.log, s.Registry().Dump()
+	}
+	want, replayed, wantDump := play(false)
+	got, executed, gotDump := play(true)
+
+	if want.Requests < 250 || want.Requests > 350 || want.Completed != want.Requests {
+		t.Fatalf("scenario drifted from ≈300 completed requests: %+v", want)
+	}
+	onDevice := 0
+	for _, d := range replayed {
+		if d.strat.Kind != coop.HostNative {
+			onDevice++
+		}
+	}
+	if onDevice == 0 || onDevice == len(replayed) {
+		t.Fatalf("scenario does not exercise both pools: %d of %d dispatches device-bound", onDevice, len(replayed))
+	}
+	if len(executed) != len(replayed) {
+		t.Fatalf("%d dispatches executed, %d replayed", len(executed), len(replayed))
+	}
+	var worst vclock.Duration
+	for i := range replayed {
+		if executed[i] != replayed[i] {
+			err := max(executed[i].completion.Sub(replayed[i].completion), replayed[i].completion.Sub(executed[i].completion))
+			worst = max(worst, err)
+			t.Errorf("dispatch %d: executed %+v, replayed %+v", i, executed[i], replayed[i])
+		}
+	}
+	if t.Failed() {
+		t.Fatalf("replay is not exact: worst per-request completion error %v", worst)
+	}
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("results differ:\nexecuted %+v\nreplayed %+v", got, want)
+	}
+	if gotDump != wantDump {
+		t.Fatal("metrics dumps differ between executed and replayed runs")
 	}
 }

@@ -19,6 +19,9 @@ type request struct {
 	cost vclock.Duration
 }
 
+// QueuedAt is the arrival instant the tenant queue ages requests by.
+func (r *request) QueuedAt() vclock.Time { return r.arrival }
+
 // tokenBucket enforces one tenant's admission quota on virtual time.
 type tokenBucket struct {
 	rate   float64 // tokens per virtual second; <= 0 disables the quota
@@ -53,78 +56,15 @@ func (b *tokenBucket) allow(now vclock.Time) bool {
 	return false
 }
 
-// tenantQueue is one tenant's bounded admission queue: the scheduler's
-// three-priority shape with the same aging rule (every fourth pop takes the
-// oldest request regardless of class), re-keyed on virtual arrival time.
-type tenantQueue struct {
-	classes  [3][]*request
-	size     int
-	depth    int
-	popCount uint64
-}
-
-// push appends r to its class; false means the tenant's queue is full.
-func (t *tenantQueue) push(r *request) bool {
-	if t.size >= t.depth {
-		return false
-	}
-	t.classes[r.prio] = append(t.classes[r.prio], r)
-	t.size++
-	return true
-}
-
-// choose picks the class the NEXT pop will take from, without mutating
-// state, so peek and pop always agree.
-func (t *tenantQueue) choose() int {
-	if (t.popCount+1)%4 == 0 {
-		pick := -1
-		var oldest vclock.Time
-		for c := range t.classes {
-			if len(t.classes[c]) == 0 {
-				continue
-			}
-			if h := t.classes[c][0]; pick < 0 || h.arrival < oldest {
-				pick, oldest = c, h.arrival
-			}
-		}
-		return pick
-	}
-	for c := range t.classes {
-		if len(t.classes[c]) > 0 {
-			return c
-		}
-	}
-	return -1
-}
-
-// peek returns the request the next pop will dispatch (nil when empty).
-func (t *tenantQueue) peek() *request {
-	c := t.choose()
-	if c < 0 {
-		return nil
-	}
-	return t.classes[c][0]
-}
-
-func (t *tenantQueue) pop() *request {
-	c := t.choose()
-	if c < 0 {
-		return nil
-	}
-	t.popCount++
-	r := t.classes[c][0]
-	t.classes[c] = t.classes[c][1:]
-	t.size--
-	return r
-}
-
 // wfq is the cross-tenant weighted fair queue: classic deficit round robin
-// over the per-tenant priority queues. Each visit to a backlogged tenant
-// grants quantum×weight virtual nanoseconds of deficit; a tenant dispatches
-// while its deficit covers the head request's canonical cost. Tenant order is
-// the configuration order, so tie-breaking is deterministic by construction.
+// over the per-tenant admission queues (sched.Queue: three priority classes,
+// every fourth pop taking the oldest request regardless of class). Each visit
+// to a backlogged tenant grants quantum×weight virtual nanoseconds of deficit;
+// a tenant dispatches while its deficit covers the head request's canonical
+// cost. Tenant order is the configuration order, so tie-breaking is
+// deterministic by construction.
 type wfq struct {
-	qs      []*tenantQueue
+	qs      []*sched.Queue[*request]
 	deficit []float64
 	quantum []float64
 	rr      int
@@ -133,12 +73,12 @@ type wfq struct {
 
 func newWFQ(tenants []TenantConfig, quantum vclock.Duration, depth int) *wfq {
 	w := &wfq{
-		qs:      make([]*tenantQueue, len(tenants)),
+		qs:      make([]*sched.Queue[*request], len(tenants)),
 		deficit: make([]float64, len(tenants)),
 		quantum: make([]float64, len(tenants)),
 	}
 	for i, tc := range tenants {
-		w.qs[i] = &tenantQueue{depth: depth}
+		w.qs[i] = sched.NewQueue[*request](depth)
 		weight := tc.Weight
 		if weight < 1 {
 			weight = 1
@@ -150,7 +90,7 @@ func newWFQ(tenants []TenantConfig, quantum vclock.Duration, depth int) *wfq {
 
 // push enqueues r on its tenant's queue; false means that queue is full.
 func (w *wfq) push(r *request) bool {
-	if !w.qs[r.tenant].push(r) {
+	if !w.qs[r.tenant].Push(r.prio, r) {
 		return false
 	}
 	w.total++
@@ -170,12 +110,12 @@ func (w *wfq) pick() *request {
 	for {
 		ti := w.rr % len(w.qs)
 		tq := w.qs[ti]
-		if tq.size == 0 {
+		head, ok := tq.Peek()
+		if !ok {
 			w.deficit[ti] = 0
 			w.rr++
 			continue
 		}
-		head := tq.peek()
 		if w.deficit[ti] < float64(head.cost) {
 			w.deficit[ti] += w.quantum[ti]
 			w.rr++
@@ -183,6 +123,7 @@ func (w *wfq) pick() *request {
 		}
 		w.deficit[ti] -= float64(head.cost)
 		w.total--
-		return tq.pop()
+		tq.Pop()
+		return head
 	}
 }
