@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-check serve serve-smoke serve-determinism trace-smoke chaos chaos-slo fleet-smoke
+.PHONY: all build vet lint test race bench bench-micro bench-check serve serve-smoke serve-determinism trace-smoke chaos chaos-slo fleet-smoke
 
 all: build vet lint test
 
@@ -32,6 +32,12 @@ race:
 # simulator). HYBRIDNDP_SCALE overrides the dataset scale.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
+
+# The package microbenchmarks perf PRs cite (LSM scans and gets, exec kernels,
+# timeline charges), one iteration each (a few seconds): a compile-and-run
+# smoke so they cannot rot unseen, not a measurement — no timing gate.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/lsm ./internal/exec ./internal/vclock
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # imports hybridndp/internal/...: vet and test it so a refactor that breaks a

@@ -229,11 +229,3 @@ func (e *Engine) Finalize(pl *Pipeline, tuples []Tuple) (*Result, error) {
 	}
 	return e.projectTuples(sh, tuples, p.Output)
 }
-
-// accountSnapshot captures the timeline's account for pass-cost deltas.
-func accountSnapshot(e *Engine) map[string]vclock.Duration {
-	if e.TL == nil {
-		return nil
-	}
-	return e.TL.Account()
-}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -746,5 +747,76 @@ func BenchmarkBatchSize(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// failNthRead is a flash.Faults stub: the n-th read it sees fails (n = 0:
+// none does).
+type failNthRead struct {
+	n, calls int
+	err      error
+}
+
+func (f *failNthRead) ReadFault(flash.FileID, int64, int64) error {
+	f.calls++
+	if f.calls == f.n {
+		return f.err
+	}
+	return nil
+}
+
+// TestScanSurfacesFlashReadFault fails every flash read of a scan in turn:
+// whichever block is lost — the first, one mid-scan, the look-ahead read past
+// the last row — the caller must get the error, never a shorter row set. The
+// iterator only turns invalid on a failed read, so a consumer that does not
+// ask Err() mistakes the fault for the end of the table.
+func TestScanSurfacesFlashReadFault(t *testing.T) {
+	cat := fixture(t, 40, 4000)
+	boom := errors.New("injected flash read failure")
+	orders := AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}
+	ordersT, err := cat.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := int32(1000), int32(3000)
+	for _, c := range []struct {
+		name string
+		run  func(e *Engine) (int, error)
+	}{
+		{"scan", func(e *Engine) (int, error) {
+			rows, _, err := e.ScanAccess(orders, nil, nil)
+			return len(rows), err
+		}},
+		{"scan PK range", func(e *Engine) (int, error) {
+			rows, _, err := e.ScanAccess(orders, &lo, &hi)
+			return len(rows), err
+		}},
+		{"ScanCols", func(e *Engine) (int, error) {
+			cb, _, err := e.ScanCols(orders, nil, nil)
+			if err != nil {
+				return 0, err
+			}
+			return len(cb.View()), nil
+		}},
+		{"IndexSeek", func(e *Engine) (int, error) {
+			pks, err := ordersT.IndexSeek("idx_customer", table.IntVal(7), e.Access())
+			return len(pks), err
+		}},
+	} {
+		clean := &failNthRead{}
+		e := hostEngine(cat)
+		e.Faults = clean
+		want, err := c.run(e)
+		if err != nil || want == 0 || clean.calls < 2 {
+			t.Fatalf("%s: fault-free run returned %d rows over %d reads, err %v", c.name, want, clean.calls, err)
+		}
+		for n := 1; n <= clean.calls; n++ {
+			e := hostEngine(cat)
+			e.Faults = &failNthRead{n: n, err: boom}
+			if got, err := c.run(e); !errors.Is(err, boom) {
+				t.Fatalf("%s: read %d of %d failed, yet the call returned %d of %d rows and err %v",
+					c.name, n, clean.calls, got, want, err)
+			}
+		}
 	}
 }

@@ -94,12 +94,27 @@ func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table
 		if hiPK != nil {
 			hi = table.EncodePK(*hiPK)
 		}
-		for it := t.ScanView(view, lo, hi, ac); it.Valid(); it.Next() {
-			scanned++
+		// The batch fills a decoded data block at a time (DESIGN.md §10 "The
+		// storage boundary"); a scan whose merge still has several live sources
+		// gets empty runs and degenerates to the entry-wise loop.
+		it := t.ScanView(view, lo, hi, ac)
+		for ; it.Valid(); it.Next() {
 			batch.Rows = append(batch.Rows, it.Entry().Value)
+			run := it.Run()
+			for i := range run {
+				if len(batch.Rows) >= bs {
+					flush()
+				}
+				batch.Rows = append(batch.Rows, run[i].Value)
+			}
 			if len(batch.Rows) >= bs {
 				flush()
 			}
+			scanned += 1 + len(run)
+			it.Consume(len(run))
+		}
+		if err := it.Err(); err != nil {
+			return nil, 0, nil, err
 		}
 	}
 	flush()
@@ -324,13 +339,22 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 		return inner, nil
 	}
 	step := pl.Plan.Steps[si]
-	snapBefore := accountSnapshot(e)
+	// Only joinBuffered's BNL rescan accounting reads the cost of this scan
+	// pass, and only on an engine with a bounded join buffer — the engine that
+	// builds an inner is the one that probes it. Everyone else skips the two
+	// account snapshots.
+	rescans := step.Type == BNL && e.JoinBuf > 0 && e.TL != nil
+	var before map[string]vclock.Duration
+	if rescans {
+		before = e.TL.Account()
+	}
 	rows, width, err := e.ScanAccess(step.Right, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	snapAfter := accountSnapshot(e)
-	inner.scanDelta = accountDelta(snapBefore, snapAfter)
+	if rescans {
+		inner.scanDelta = accountDelta(before, e.TL.Account())
+	}
 	e.hashInner(pl.sc, inner, rows, width, step, pl.conds[si])
 	if e.TL != nil && step.Type == GHJ {
 		// Grace hash join additionally partitions both sides through flash.

@@ -6,6 +6,7 @@ import (
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/fault"
+	"hybridndp/internal/fleet"
 	"hybridndp/internal/job"
 	"hybridndp/internal/par"
 	"hybridndp/internal/query"
@@ -23,12 +24,17 @@ type ChaosRow struct {
 	FellBack bool
 	Rows     int64 // row count under faults
 	BaseRows int64 // fault-free host-native row count
-	Elapsed  vclock.Duration
-	Err      error
+	// Fingerprint / BaseFingerprint are fleet.Fingerprint of the two results.
+	// Every JOB query returns one aggregate row, so the row counts agree even
+	// when a scan lost rows; the fingerprints cover the values.
+	Fingerprint     string
+	BaseFingerprint string
+	Elapsed         vclock.Duration
+	Err             error
 }
 
-// Match reports whether the chaos run reproduced the baseline's row count.
-func (r ChaosRow) Match() bool { return r.Err == nil && r.Rows == r.BaseRows }
+// Match reports whether the chaos run reproduced the baseline's result.
+func (r ChaosRow) Match() bool { return r.Err == nil && r.Fingerprint == r.BaseFingerprint }
 
 // ChaosResult aggregates a chaos sweep.
 type ChaosResult struct {
@@ -76,7 +82,7 @@ func (h *H) ChaosSweep(w io.Writer, plan *fault.Plan) *ChaosResult {
 		}
 		if !r.Match() {
 			res.Mismatches++
-			mark += fmt.Sprintf(" MISMATCH base=%d", r.BaseRows)
+			mark += fmt.Sprintf(" MISMATCH base=%d fp=%s base-fp=%s", r.BaseRows, r.Fingerprint, r.BaseFingerprint)
 		}
 		fmt.Fprintf(w, "%-5s %-7s %s rows=%-8d retries=%d%s\n",
 			r.Query, r.Strategy, ms(r.Elapsed), r.Rows, r.Retries, mark)
@@ -103,13 +109,13 @@ func (h *H) chaosOne(q *query.Query) ChaosRow {
 		row.Err = fmt.Errorf("baseline: %w", err)
 		return row
 	}
-	row.BaseRows = base.Result.RowCount
+	row.BaseRows, row.BaseFingerprint = base.Result.RowCount, fleet.Fingerprint(base.Result)
 	rep, err := h.Exec.Run(d.Plan, s)
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	row.Rows = rep.Result.RowCount
+	row.Rows, row.Fingerprint = rep.Result.RowCount, fleet.Fingerprint(rep.Result)
 	row.Retries = rep.FaultRetries
 	row.FellBack = rep.FellBack
 	row.Elapsed = rep.Elapsed

@@ -86,6 +86,44 @@ func BenchmarkTreeScanWithCache(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeScanSingleSST scans a bulk-loaded tree — one SST, so one live
+// merge source, the shape of every column family the JOB workloads read — and
+// touches every value, entry by entry and block run by block run.
+func BenchmarkTreeScanSingleSST(b *testing.B) {
+	const n = 50_000
+	tr := singleSSTTree(b, n)
+	for _, cached := range []bool{false, true} {
+		for _, runs := range []bool{false, true} {
+			b.Run(fmt.Sprintf("cache=%v/runs=%v", cached, runs), func(b *testing.B) {
+				var ac Access
+				if cached {
+					ac.Cache = NewBlockCache(64 << 20)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rows, size := 0, 0
+					it := tr.Scan(nil, nil, ac)
+					for ; it.Valid(); it.Next() {
+						rows++
+						size += len(it.Entry().Value)
+						if runs {
+							run := it.Run()
+							for j := range run {
+								size += len(run[j].Value)
+							}
+							rows += len(run)
+							it.Consume(len(run))
+						}
+					}
+					if rows != n || size == 0 || it.Err() != nil {
+						b.Fatalf("scan found %d rows, %d bytes, err %v", rows, size, it.Err())
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBloomMayContain(b *testing.B) {
 	f := NewBloom(100_000)
 	for i := 0; i < 100_000; i++ {

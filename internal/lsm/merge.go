@@ -151,6 +151,33 @@ func (m *mergeIter) popTopKey() (Entry, bool) {
 	return best, true
 }
 
+// run returns the entries that follow the current one in the current data
+// block of the only live source, when that source is an SST: nothing is left
+// to merge them with, so they are the merged stream. The slice is the SST's
+// decoded block itself (decode memo or block cache, both immutable).
+func (m *mergeIter) run() []Entry {
+	if len(m.srcs) != 1 || m.failed != nil {
+		return nil
+	}
+	s, ok := m.srcs[0].(*sstSource)
+	if !ok {
+		return nil
+	}
+	return s.it.block[s.it.pos:]
+}
+
+// consume makes the n-th entry of run() the current one, as n calls of Next
+// would when none of the n is a tombstone. The source ends one entry further
+// on, so a block's successor is read — charged, fault-injected — when the
+// block's last entry becomes current, exactly where entry-wise iteration
+// reads it.
+func (m *mergeIter) consume(n int) {
+	if n > 0 {
+		m.srcs[0].(*sstSource).it.pos += n - 1
+		m.advance()
+	}
+}
+
 func (m *mergeIter) advance() {
 	for {
 		e, ok := m.popTopKey()

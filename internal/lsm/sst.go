@@ -332,6 +332,22 @@ func parseBlock(raw []byte, sizeHint int) ([]Entry, error) {
 	return out, nil
 }
 
+// searchEntries returns the position of the first entry whose key is ≥ key in
+// a key-ordered entry list (len(entries) when there is none). It charges
+// nothing: callers book the seek they model themselves.
+func searchEntries(entries []Entry, key []byte) int {
+	lo, hi := 0, len(entries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(entries[mid].Key, key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // readBlock loads data block i through the block cache; misses read from
 // flash and charge the flash path, hits charge only the in-memory copy.
 func (t *SST) readBlock(i int, ac Access) ([]Entry, error) {
@@ -415,17 +431,8 @@ func (t *SST) Get(key []byte, ac Access) (Entry, bool, error) {
 		ac.R.SeekData(ac.TL, indexDepth(len(entries)))
 		ac.R.Memcmp(ac.TL, int64(len(key))*int64(indexDepth(len(entries))), indexDepth(len(entries)))
 	}
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(entries[mid].Key, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(entries) && bytes.Equal(entries[lo].Key, key) {
-		return entries[lo], true, nil
+	if i := searchEntries(entries, key); i < len(entries) && bytes.Equal(entries[i].Key, key) {
+		return entries[i], true, nil
 	}
 	return Entry{}, false, nil
 }
@@ -455,9 +462,15 @@ func (t *SST) Iter(start []byte, ac Access) *SSTIter {
 		}
 	}
 	it.loadBlock()
-	if start != nil {
-		for it.Valid() && bytes.Compare(it.Entry().Key, start) < 0 {
-			it.Next()
+	if start != nil && it.err == nil {
+		// Positioning inside the block is not charged (the index seek above
+		// is). Only the last block whose first key is ≤ start can hold entries
+		// below it, so when all of its entries are, the first key ≥ start opens
+		// the next block: a charged sequential read.
+		it.pos = searchEntries(it.block, start)
+		if it.pos >= len(it.block) {
+			it.blockNo++
+			it.loadBlock()
 		}
 	}
 	return it

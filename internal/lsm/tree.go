@@ -593,8 +593,44 @@ func (it *TreeIter) Entry() Entry { return it.inner.Entry() }
 // Next advances to the next live entry.
 func (it *TreeIter) Next() { it.inner.Next() }
 
-// Err reports a read error encountered while iterating.
+// Err reports a read error encountered while iterating. Valid turns false on
+// a failed read, so a loop that ends must check Err before trusting what it
+// collected.
 func (it *TreeIter) Err() error { return it.inner.Err() }
+
+// Run returns the live entries that follow the current one and need no merge
+// decision: the rest of the current data block of the only source still
+// feeding the merge, cut at the upper bound and at the first tombstone. It is
+// empty whenever two or more sources are live (they merge entry by entry, each
+// heap comparison charged) or the survivor is a memtable. The slice aliases
+// the SST's immutable decoded block and stays readable as long as the values
+// Entry hands out do; taking it charges nothing.
+//
+//	for ; it.Valid(); it.Next() {
+//		use(it.Entry())
+//		run := it.Run()
+//		for i := range run {
+//			use(run[i])
+//		}
+//		it.Consume(len(run))
+//	}
+func (it *TreeIter) Run() []Entry {
+	run := it.inner.run()
+	if it.hi != nil {
+		run = run[:searchEntries(run, it.hi)]
+	}
+	for i := range run {
+		if run[i].Tombstone {
+			return run[:i]
+		}
+	}
+	return run
+}
+
+// Consume steps over the first n entries of the last Run, leaving the n-th
+// current: the iterator's position, virtual time and fault draws are those of
+// n calls of Next.
+func (it *TreeIter) Consume(n int) { it.inner.consume(n) }
 
 // MemContents returns the current C0 contents (mutable and immutable
 // memtables, newest version per key, tombstones included). This is the

@@ -58,18 +58,7 @@ func (s *frozenSource) entry() Entry { return s.entries[s.pos] }
 func (s *frozenSource) next()        { s.pos++ }
 func (s *frozenSource) err() error   { return nil }
 
-func (s *frozenSource) seek(start []byte) {
-	lo, hi := 0, len(s.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(s.entries[mid].Key, start) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.pos = lo
-}
+func (s *frozenSource) seek(start []byte) { s.pos = searchEntries(s.entries, start) }
 
 // Get retrieves the value for key as of the view's creation.
 func (v *View) Get(key []byte, ac Access) ([]byte, bool, error) {

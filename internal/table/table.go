@@ -186,8 +186,17 @@ func (t *Table) IndexSeek(idxName string, v Value, ac lsm.Access) ([]int32, erro
 	}
 	var pks []int32
 	end := prefixEnd(prefix)
-	for it := cf.Scan(prefix, end, ac); it.Valid(); it.Next() {
+	it := cf.Scan(prefix, end, ac)
+	for ; it.Valid(); it.Next() {
 		pks = append(pks, PKFromSecondaryKey(it.Entry().Key))
+		run := it.Run()
+		for i := range run {
+			pks = append(pks, PKFromSecondaryKey(run[i].Key))
+		}
+		it.Consume(len(run))
+	}
+	if err := it.Err(); err != nil {
+		return nil, err
 	}
 	return pks, nil
 }

@@ -11,6 +11,7 @@ import (
 	"hybridndp/internal/hw"
 	"hybridndp/internal/kv"
 	"hybridndp/internal/lsm"
+	"hybridndp/internal/vclock"
 )
 
 func testCatalog(t *testing.T) *Catalog {
@@ -336,5 +337,55 @@ func TestStatsFromIndexSamples(t *testing.T) {
 func TestValueString(t *testing.T) {
 	if NullVal().String() != "NULL" || IntVal(5).String() != "5" || StrVal("x").String() != "x" {
 		t.Fatal("Value.String broken")
+	}
+}
+
+// TestIndexSeekBlockBoundaryVirtualTime pins the merge iterator's one-entry
+// look-ahead (DESIGN.md §10 "The storage boundary"): an int-keyed index entry
+// is 12 bytes on flash, so a 4 KiB data block closes after 342 of them. Group
+// 1 fills block 0 exactly — its seek still reads block 1, because the block
+// after is loaded when a block's last entry is handed out — and group 2's
+// prefix sorts inside block 0 with no entry of block 0 at or above it, so its
+// seek steps into block 1 with a sequential read. The expected instants were
+// recorded from the per-entry iterator before scans consumed runs.
+func TestIndexSeekBlockBoundaryVirtualTime(t *testing.T) {
+	cat := testCatalog(t)
+	tbl, err := cat.CreateTable(MustSchema("ev", []Column{
+		{Name: "id", Type: Int32, Size: 4},
+		{Name: "grp", Type: Int32, Size: 4},
+	}, "id", SecondaryIndex{Name: "idx_grp", Column: "grp"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perBlock, rest = 342, 500
+	for i := int32(1); i <= perBlock+rest; i++ {
+		grp := int32(1)
+		if i > perBlock {
+			grp = 2
+		}
+		if err := tbl.Insert([]Value{IntVal(i), IntVal(grp)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		grp        int32
+		pks        int
+		now, flash float64 // virtual ns, recorded at the parent of the run path
+	}{
+		{grp: 1, pks: perBlock, now: 106386.66666666667, flash: 106146.66666666667}, // blocks 0, 1
+		{grp: 2, pks: rest, now: 109546.66666666667, flash: 109306.66666666667},     // blocks 0, 1, 2
+	} {
+		tl := vclock.NewTimeline("host")
+		pks, err := tbl.IndexSeek("idx_grp", IntVal(c.grp), lsm.Access{TL: tl, R: hw.HostRates(hw.Cosmos())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pks) != c.pks || float64(tl.Now()) != c.now || float64(tl.Booked(hw.CatFlashLoad)) != c.flash {
+			t.Errorf("grp %d: %d pks at %v ns (flash load %v), want %d at %v (%v); account %v",
+				c.grp, len(pks), float64(tl.Now()), float64(tl.Booked(hw.CatFlashLoad)), c.pks, c.now, c.flash, tl.Account())
+		}
 	}
 }

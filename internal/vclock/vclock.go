@@ -10,7 +10,6 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -66,15 +65,23 @@ func MaxTime(a, b Time) Time {
 // Timeline is one engine's private virtual clock plus a per-category cost
 // account used for execution breakdowns (paper Table 4).
 type Timeline struct {
-	name    string
-	now     Time
-	account map[string]Duration
+	name string
+	now  Time
+	// account holds one booking per category charged so far, in first-charge
+	// order. A timeline sees about a dozen categories, all of them constants,
+	// and is charged several times per point lookup: a linear search over a
+	// dense slice costs a few pointer compares where a map paid a string hash
+	// and a bucket probe per charge.
+	account []booking
+}
+
+type booking struct {
+	category string
+	total    Duration
 }
 
 // NewTimeline returns a timeline starting at virtual time zero.
-func NewTimeline(name string) *Timeline {
-	return &Timeline{name: name, account: make(map[string]Duration)}
-}
+func NewTimeline(name string) *Timeline { return &Timeline{name: name} }
 
 // Name reports the timeline's label ("host" or "device").
 func (tl *Timeline) Name() string { return tl.name }
@@ -82,13 +89,24 @@ func (tl *Timeline) Name() string { return tl.name }
 // Now reports the current virtual instant.
 func (tl *Timeline) Now() Time { return tl.now }
 
+// book adds d to the category's total.
+func (tl *Timeline) book(category string, d Duration) {
+	for i := range tl.account {
+		if tl.account[i].category == category {
+			tl.account[i].total += d
+			return
+		}
+	}
+	tl.account = append(tl.account, booking{category, d})
+}
+
 // Charge advances the clock by d and books it under category.
 func (tl *Timeline) Charge(category string, d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative charge %v to %s/%s", d, tl.name, category))
 	}
 	tl.now = tl.now.Add(d)
-	tl.account[category] += d
+	tl.book(category, d)
 }
 
 // WaitUntil advances the clock to t if t is in the future, booking the gap
@@ -100,54 +118,31 @@ func (tl *Timeline) WaitUntil(t Time, category string) Duration {
 	}
 	d := t.Sub(tl.now)
 	tl.now = t
-	tl.account[category] += d
+	tl.book(category, d)
 	return d
 }
 
 // Account returns a copy of the per-category cost account.
 func (tl *Timeline) Account() map[string]Duration {
 	out := make(map[string]Duration, len(tl.account))
-	for k, v := range tl.account {
-		out[k] = v
+	for _, b := range tl.account {
+		out[b.category] = b.total
 	}
 	return out
 }
 
 // Booked reports the total booked under category.
-func (tl *Timeline) Booked(category string) Duration { return tl.account[category] }
+func (tl *Timeline) Booked(category string) Duration {
+	for _, b := range tl.account {
+		if b.category == category {
+			return b.total
+		}
+	}
+	return 0
+}
 
 // Reset rewinds the timeline to zero and clears the account.
 func (tl *Timeline) Reset() {
 	tl.now = 0
-	tl.account = make(map[string]Duration)
-}
-
-// BreakdownEntry is one line of a timeline's account report.
-type BreakdownEntry struct {
-	Category string
-	Total    Duration
-	Percent  float64
-}
-
-// Breakdown returns the account sorted by descending share of the total.
-func (tl *Timeline) Breakdown() []BreakdownEntry {
-	var total Duration
-	for _, v := range tl.account {
-		total += v
-	}
-	out := make([]BreakdownEntry, 0, len(tl.account))
-	for k, v := range tl.account {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(v) / float64(total)
-		}
-		out = append(out, BreakdownEntry{Category: k, Total: v, Percent: pct})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Category < out[j].Category
-	})
-	return out
+	tl.account = tl.account[:0]
 }

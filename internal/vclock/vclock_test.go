@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -52,21 +53,44 @@ func TestWaitUntil(t *testing.T) {
 	}
 }
 
-func TestBreakdownSortedAndSumsTo100(t *testing.T) {
-	tl := NewTimeline("dev")
-	tl.Charge("a", 10)
-	tl.Charge("b", 30)
-	tl.Charge("c", 60)
-	bd := tl.Breakdown()
-	if len(bd) != 3 || bd[0].Category != "c" || bd[2].Category != "a" {
-		t.Fatalf("breakdown order wrong: %+v", bd)
+// TestAccountMatchesPerCategorySums pins the dense account against the model
+// it replaced: every category's total is the left-to-right float sum of its
+// own charges — bit for bit, whatever order the categories first appeared in —
+// a zero charge still opens its category, and a wait that did not stall books
+// nothing.
+func TestAccountMatchesPerCategorySums(t *testing.T) {
+	cats := []string{"flash load", "memcmp", "memcpy", "seek index block", "seek data block", "wait"}
+	rng := rand.New(rand.NewSource(7))
+	tl := NewTimeline("host")
+	want := map[string]Duration{}
+	for i := 0; i < 5000; i++ {
+		c := cats[rng.Intn(len(cats))]
+		d := Duration(rng.Float64() * 1e3)
+		if i%97 == 0 {
+			d = 0
+		}
+		if c != "wait" {
+			tl.Charge(c, d)
+			want[c] += d
+			continue
+		}
+		until := tl.Now().Add(d)
+		if gap := until.Sub(tl.Now()); gap > 0 {
+			want[c] += gap
+		}
+		tl.WaitUntil(until, c)
 	}
-	sum := 0.0
-	for _, e := range bd {
-		sum += e.Percent
+	got := tl.Account()
+	if len(got) != len(want) {
+		t.Fatalf("account has %d categories, want %d: %v", len(got), len(want), got)
 	}
-	if sum < 99.9 || sum > 100.1 {
-		t.Fatalf("percentages sum to %.2f", sum)
+	for c, w := range want {
+		if got[c] != w || tl.Booked(c) != w {
+			t.Errorf("%s: account %v booked %v, want %v", c, got[c], tl.Booked(c), w)
+		}
+	}
+	if tl.Booked("never charged") != 0 {
+		t.Error("unknown category must read zero")
 	}
 }
 
@@ -138,5 +162,26 @@ func TestClockMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkTimelineCharge books the four charges of one primary-key probe on a
+// timeline holding the categories of a host-native query run, in the order
+// such a run first charges them (scan, hash build, probe, index join, group).
+func BenchmarkTimelineCharge(b *testing.B) {
+	tl := NewTimeline("host")
+	for _, c := range []string{
+		"flash load", "record evaluation", "memcpy", "selection processing", "hash build", "hash probe",
+		"memcmp", "buffer management", "seek index block", "seek data block", "grouping",
+	} {
+		tl.Charge(c, 1)
+	}
+	probe := []string{"seek index block", "flash load", "seek data block", "memcmp"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range probe {
+			tl.Charge(c, 12.5)
+		}
 	}
 }
