@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"hybridndp/internal/flash"
@@ -121,6 +122,9 @@ type Pipeline struct {
 	// plan's conds are not mutated; hand-built plans may carry unresolved
 	// indices).
 	conds [][]BoundCond
+	// intKeys[si] is step si's join key in the hash table's integer
+	// representation; n == 0 leaves the step on encoded byte keys.
+	intKeys []intKeys
 	// sc is the scratch of the engine that started the pipeline: tuples, hash
 	// tables and probe vectors live there whichever engine drives a step (the
 	// cooperative device joins on the host's pipeline), scan results in the
@@ -152,6 +156,7 @@ func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
 		pl.Widths = append(pl.Widths, projWidth(tr.Schema, s.Right.Proj))
 	}
 	pl.conds = make([][]BoundCond, len(p.Steps))
+	pl.intKeys = make([]intKeys, len(p.Steps))
 	for si, s := range p.Steps {
 		cs := make([]BoundCond, len(s.Conds))
 		copy(cs, s.Conds)
@@ -170,8 +175,87 @@ func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
 			}
 		}
 		pl.conds[si] = cs
+		pl.intKeys[si] = bindIntKeys(leftSh, rightSchema, cs)
 	}
 	return pl, nil
+}
+
+// intKeyCol addresses one Int32 join column in the fixed-width layout.
+type intKeyCol struct {
+	pos   int32 // tuple position (left side)
+	off   int32
+	nullB int32
+	nullM byte
+}
+
+// read returns the column's raw payload and whether it is non-NULL.
+func (c *intKeyCol) read(row []byte) (uint64, bool) {
+	return uint64(binary.LittleEndian.Uint32(row[c.off:])), row[c.nullB]&c.nullM == 0
+}
+
+// intKeys is a join step's key in the integer representation: the raw 4-byte
+// payloads of the n ≤ 2 condition columns of a side packed into one word.
+type intKeys struct {
+	n           int
+	left, right [2]intKeyCol
+}
+
+// intKeyEncodedLen is what one condition of an integer key is booked at in
+// Rates.Memcmp: the length of its byte encoding ('i' + 4 bytes + NUL).
+const intKeyEncodedLen = 6
+
+// bindIntKeys resolves a step's conditions to the integer representation, when
+// there are one or two and both sides of each are Int32 columns. Anything else
+// (CHAR keys, three or more conditions, unresolved columns — and Int32 = CHAR,
+// which matches nothing because the encodings' type tags differ, where raw
+// payloads would compare garbage) stays on byte keys.
+func bindIntKeys(leftSh *Shape, right *table.Schema, conds []BoundCond) (k intKeys) {
+	if len(conds) == 0 || len(conds) > len(k.left) {
+		return intKeys{}
+	}
+	bind := func(s *table.Schema, pos, idx int) (intKeyCol, bool) {
+		if idx < 0 || idx >= len(s.Columns) || s.Columns[idx].Type != table.Int32 {
+			return intKeyCol{}, false
+		}
+		nb, nm := s.NullBit(idx)
+		return intKeyCol{pos: int32(pos), off: int32(s.ColumnOffset(idx)), nullB: int32(nb), nullM: nm}, true
+	}
+	for i, c := range conds {
+		if c.LeftPos < 0 || c.LeftPos >= len(leftSh.Schemas) {
+			return intKeys{}
+		}
+		var okL, okR bool
+		k.left[i], okL = bind(leftSh.Schemas[c.LeftPos], c.LeftPos, c.LeftColIdx)
+		k.right[i], okR = bind(right, 0, c.RightColIdx)
+		if !okL || !okR {
+			return intKeys{}
+		}
+	}
+	k.n = len(conds)
+	return k
+}
+
+// rowKey packs the key of a right-side row; ok is false when a component is
+// NULL.
+func (k *intKeys) rowKey(row []byte) (key uint64, ok bool) {
+	key, ok = k.right[0].read(row)
+	if ok && k.n == 2 {
+		var hi uint64
+		hi, ok = k.right[1].read(row)
+		key |= hi << 32
+	}
+	return key, ok
+}
+
+// tupleKey packs the key of a left tuple.
+func (k *intKeys) tupleKey(tu Tuple) (key uint64, ok bool) {
+	key, ok = k.left[0].read(tu[k.left[0].pos])
+	if ok && k.n == 2 {
+		var hi uint64
+		hi, ok = k.left[1].read(tu[k.left[1].pos])
+		key |= hi << 32
+	}
+	return key, ok
 }
 
 // MakeTuples materializes scan rows as single-position driving tuples, list

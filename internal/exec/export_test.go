@@ -7,7 +7,8 @@ const ScratchRetainBytes = scratchRetainBytes
 // restore runs, overwrite what the run left behind once it is rewound: every
 // row-view slot (scan batch, view slab, arena blocks — used or not)
 // points at one sentinel row of 0xA5 bytes, every tuple slot at a sentinel
-// tuple of such rows, and every hash-table key byte is flipped. A result or
+// tuple of such rows, and every hash-table key — arena byte or entry word,
+// whichever representation the table last held — is flipped. A result or
 // report that still aliases scratch memory then reads garbage, and the next
 // run on the scratch finds garbage wherever it wrongly trusts a cleared slot.
 func PoisonScratchOnRelease() (restore func()) {
@@ -38,6 +39,10 @@ func PoisonScratchOnRelease() (restore func()) {
 			keys := t.keys[:cap(t.keys)]
 			for i := range keys {
 				keys[i] ^= 0xFF
+			}
+			entries := t.entries[:cap(t.entries)]
+			for i := range entries {
+				entries[i].key ^= ^uint64(0)
 			}
 		}
 	}

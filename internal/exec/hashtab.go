@@ -2,12 +2,20 @@ package exec
 
 import "slices"
 
-// keyTab is an open-addressing hash table over encoded join/group keys,
-// replacing the former map[string][]int inner tables. Keys are stored once in
-// a shared byte arena and addressed by (offset, length); buckets hold
-// entry-index+1 with linear probing, so a lookup costs one FNV-1a pass over
-// the probe key plus a byte-slice compare per collision — no string
-// conversion, no per-bucket slice header churn.
+// keyTab is an open-addressing hash table over join/group keys, replacing the
+// former map[string][]int inner tables; buckets hold entry-index+1 with linear
+// probing. A key has one of two representations, fixed per use of the table by
+// whoever fills it (a join step: StartPipeline, from the schema types; grouping:
+// always bytes) — the table itself never mixes them between two resets:
+//
+//   - bytes (put/find/addRow): the encoded key (Record.AppendColKey), stored
+//     once in a shared arena and addressed by (offset, length); a lookup costs
+//     one FNV-1a pass over the probe key plus a byte compare per collision.
+//   - integer (putInt/findInt/addRowInt): the raw payloads of one or two Int32
+//     columns packed into a word that sits in the entry itself — a
+//     multiplicative hash, one word compare, no arena.
+//
+// Equal keys are equal in both, so ordinals, chains and counts are too.
 //
 // Entry order is first-occurrence order: entry k is the k-th distinct key
 // inserted. Joins chain their row numbers through a separate next[] array in
@@ -27,12 +35,18 @@ type keyTab struct {
 
 type keyEntry struct {
 	hash uint64
-	off  int32 // key position in the arena
-	klen int32
+	key  uint64 // integer: the key; bytes: arena offset<<32 | length
 
 	head int32 // first row with this key (join use; -1 when unused)
 	tail int32 // last row, for O(1) ordered appends
 	n    int32 // chain length = len(old map bucket)
+}
+
+// hashInt spreads an integer key over the low bits the bucket mask keeps
+// (Fibonacci multiply, high half folded down).
+func hashInt(key uint64) uint64 {
+	h := key * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }
 
 // fnv1a is the 64-bit FNV-1a hash of b (inlined to keep the probe loop free
@@ -97,11 +111,9 @@ func (t *keyTab) put(h uint64, key []byte) (idx int32, fresh bool) {
 	for i := h & mask; ; i = (i + 1) & mask {
 		b := t.buckets[i]
 		if b == 0 {
-			off := int32(len(t.keys))
+			at := uint64(len(t.keys))<<32 | uint64(len(key))
 			t.keys = append(t.keys, key...)
-			t.entries = append(t.entries, keyEntry{hash: h, off: off, klen: int32(len(key)), head: -1, tail: -1})
-			t.buckets[i] = int32(len(t.entries))
-			return int32(len(t.entries)) - 1, true
+			return t.insert(i, h, at), true
 		}
 		e := &t.entries[b-1]
 		if e.hash == h && t.keyEquals(e, key) {
@@ -110,17 +122,46 @@ func (t *keyTab) put(h uint64, key []byte) (idx int32, fresh bool) {
 	}
 }
 
+// insert appends the entry for a key absent from the table at free bucket i.
+func (t *keyTab) insert(i, h, key uint64) int32 {
+	t.entries = append(t.entries, keyEntry{hash: h, key: key, head: -1, tail: -1})
+	t.buckets[i] = int32(len(t.entries))
+	return int32(len(t.entries)) - 1
+}
+
 func (t *keyTab) keyEquals(e *keyEntry, key []byte) bool {
-	if int(e.klen) != len(key) {
-		return false
-	}
-	stored := t.keys[e.off : e.off+e.klen]
-	for i, c := range key {
-		if stored[i] != c {
-			return false
+	off := e.key >> 32
+	return string(t.keys[off:off+e.key&0xFFFFFFFF]) == string(key)
+}
+
+// findInt is find in the integer representation (an empty bucket, 0, comes
+// out as -1).
+func (t *keyTab) findInt(key uint64) int32 {
+	mask := uint64(len(t.buckets) - 1)
+	for i := hashInt(key) & mask; ; i = (i + 1) & mask {
+		b := t.buckets[i]
+		if b == 0 || t.entries[b-1].key == key {
+			return b - 1
 		}
 	}
-	return true
+}
+
+// putInt is put in the integer representation.
+func (t *keyTab) putInt(key uint64) (idx int32, fresh bool) {
+	if (len(t.entries)+1)*4 > len(t.buckets)*3 {
+		t.grow()
+	}
+	mask := uint64(len(t.buckets) - 1)
+	h := hashInt(key)
+	for i := h & mask; ; i = (i + 1) & mask {
+		b := t.buckets[i]
+		if b == 0 {
+			return t.insert(i, h, key), true
+		}
+		if t.entries[b-1].key == key {
+			return b - 1, false
+		}
+	}
 }
 
 // grow doubles the bucket array and reinserts the entry references. Entries,
@@ -146,9 +187,19 @@ func (t *keyTab) grow() {
 // increasing row numbers below the count reset/addRows made room for; the
 // caller skips NULL-key rows, whose next slots stay unused.
 func (t *keyTab) addRow(h uint64, key []byte, row int) {
-	idx, fresh := t.put(h, key)
+	idx, _ := t.put(h, key)
+	t.link(idx, row)
+}
+
+// addRowInt is addRow in the integer representation.
+func (t *keyTab) addRowInt(key uint64, row int) {
+	idx, _ := t.putInt(key)
+	t.link(idx, row)
+}
+
+func (t *keyTab) link(idx int32, row int) {
 	e := &t.entries[idx]
-	if fresh || e.head < 0 {
+	if e.head < 0 {
 		e.head = int32(row)
 	} else {
 		t.next[e.tail] = int32(row)

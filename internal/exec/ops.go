@@ -251,54 +251,52 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 		}
 	}
 
-	// Batch-at-a-time probing: for each batch of left tuples, phase 1 encodes
-	// every join key into the shared arena and resolves its hash-table entry;
-	// phase 2 walks the batch again chasing match chains in the same tuple
-	// order, so output ordering and the integer comparison counters — and with
-	// them every charge — are identical to tuple-at-a-time execution.
+	// Batch-at-a-time probing: for each batch of left tuples, phase 1 forms
+	// every join key and resolves its hash-table entry; phase 2 walks the batch
+	// again chasing match chains in the same tuple order, so output ordering
+	// and the integer comparison counters — and with them every charge — are
+	// identical to tuple-at-a-time execution. A match is booked at chain length
+	// × encoded key length whichever representation found it.
 	sc := pl.sc
 	outStart := len(sc.tuples)
 	var cmpBytes int64
 	cmps := 0
-	conds := pl.conds[si]
+	conds, ik, tab := pl.conds[si], &pl.intKeys[si], inner.tab
+	intLen := ik.n * intKeyEncodedLen
 	bs := e.batchSize()
-	keys := sc.keyBuf[:0]
-	ends := sc.probeEnd[:0]
+	key := sc.keyBuf[:0]
 	ents := sc.probeEnt[:0]
 	for base := 0; base < len(left); base += bs {
 		chunk := left[base:min(base+bs, len(left))]
-		keys = keys[:0]
-		ends = ends[:0]
 		ents = ents[:0]
 		for _, tu := range chunk {
-			start := len(keys)
-			var ok bool
-			keys, ok = appendTupleKey(keys, leftShape, tu, conds)
-			if !ok {
-				keys = keys[:start] // discard partial NULL-key append
-				ends = append(ends, int32(start))
-				ents = append(ents, -1)
-				continue
+			ei, klen := int32(-1), intLen
+			if ik.n > 0 {
+				if k, ok := ik.tupleKey(tu); ok {
+					ei = tab.findInt(k)
+				}
+			} else {
+				var ok bool
+				if key, ok = appendTupleKey(key[:0], leftShape, tu, conds); ok {
+					ei, klen = tab.find(fnv1a(key), key), len(key)
+				}
 			}
-			k := keys[start:]
-			ends = append(ends, int32(len(keys)))
-			ents = append(ents, inner.tab.find(fnv1a(k), k))
+			if ei >= 0 {
+				n := int(tab.entries[ei].n)
+				cmps += n
+				cmpBytes += int64(klen) * int64(n)
+			}
+			ents = append(ents, ei)
 		}
-		start := int32(0)
 		for j, tu := range chunk {
-			end := ends[j]
 			if ei := ents[j]; ei >= 0 {
-				ent := &inner.tab.entries[ei]
-				cmps += int(ent.n)
-				cmpBytes += int64(end-start) * int64(ent.n)
-				for r := ent.head; r >= 0; r = inner.tab.next[r] {
+				for r := tab.entries[ei].head; r >= 0; r = tab.next[r] {
 					sc.tuples = append(sc.tuples, sc.arena.extend(tu, inner.rows[r]))
 				}
 			}
-			start = end
 		}
 	}
-	sc.keyBuf, sc.probeEnd, sc.probeEnt = keys[:0], ends[:0], ents[:0]
+	sc.keyBuf, sc.probeEnt = key[:0], ents[:0]
 	out := sc.tuples[outStart:len(sc.tuples):len(sc.tuples)]
 	if e.TL != nil {
 		e.R.HashProbe(e.TL, len(left))
@@ -355,7 +353,7 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 	if rescans {
 		inner.scanDelta = accountDelta(before, e.TL.Account())
 	}
-	e.hashInner(pl.sc, inner, rows, width, step, pl.conds[si])
+	e.hashInner(pl, si, inner, rows, width)
 	if e.TL != nil && step.Type == GHJ {
 		// Grace hash join additionally partitions both sides through flash.
 		e.R.Memcpy(e.TL, 2*int64(len(rows))*width)
@@ -377,7 +375,7 @@ func (e *Engine) SeedInner(pl *Pipeline, si int, rows [][]byte) error {
 	if err != nil {
 		return err
 	}
-	e.hashInner(pl.sc, inner, rows, projWidth(rt.Schema, step.Right.Proj), step, pl.conds[si])
+	e.hashInner(pl, si, inner, rows, projWidth(rt.Schema, step.Right.Proj))
 	inner.seeded = true
 	return nil
 }
@@ -390,55 +388,47 @@ func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
 	if inner == nil || !inner.built {
 		return e.SeedInner(pl, si, rows)
 	}
-	step := pl.Plan.Steps[si]
-	rt, err := e.Cat.Table(step.Right.Ref.Table)
-	if err != nil {
-		return err
-	}
 	base := len(inner.rows)
 	inner.rows = append(inner.rows, rows...)
 	inner.tab.addRows(len(rows))
-	conds := pl.conds[si]
-	key := pl.sc.keyBuf[:0]
-	for i, r := range rows {
-		key = key[:0]
-		var ok bool
-		key, ok = appendRowKey(key, table.Record{Schema: rt.Schema, Data: r}, conds)
-		if !ok {
-			continue
-		}
-		inner.tab.addRow(fnv1a(key), key, base+i)
-	}
-	pl.sc.keyBuf = key[:0]
-	if e.TL != nil {
-		e.R.HashBuild(e.TL, len(rows))
-		e.R.Memcpy(e.TL, int64(len(rows))*e.cacheWidth(inner.width))
-	}
+	e.linkRows(pl, si, inner, rows, base)
 	return nil
 }
 
 // hashInner builds the in-buffer hash table over the inner rows.
-func (e *Engine) hashInner(sc *Scratch, inner *innerState, rows [][]byte, width int64, step JoinStep, conds []BoundCond) {
-	rt, _ := e.Cat.Table(step.Right.Ref.Table)
+func (e *Engine) hashInner(pl *Pipeline, si int, inner *innerState, rows [][]byte, width int64) {
 	inner.rows = rows
 	inner.width = width
-	inner.tab = sc.keyTab(len(rows))
-	key := sc.keyBuf[:0]
-	for i, r := range rows {
-		key = key[:0]
-		var ok bool
-		key, ok = appendRowKey(key, table.Record{Schema: rt.Schema, Data: r}, conds)
-		if !ok {
-			continue
+	inner.tab = pl.sc.keyTab(len(rows))
+	e.linkRows(pl, si, inner, rows, 0)
+	inner.built = true
+}
+
+// linkRows enters rows, numbered from base, into the inner side's hash table
+// in the step's key representation — the one the probe reads — and books the
+// build. Rows with a NULL key component are skipped but charged like the rest.
+func (e *Engine) linkRows(pl *Pipeline, si int, inner *innerState, rows [][]byte, base int) {
+	if ik := &pl.intKeys[si]; ik.n > 0 {
+		for i, r := range rows {
+			if k, ok := ik.rowKey(r); ok {
+				inner.tab.addRowInt(k, base+i)
+			}
 		}
-		inner.tab.addRow(fnv1a(key), key, i)
+	} else {
+		rs := pl.Shapes[si+1].Schemas[si+1]
+		key := pl.sc.keyBuf[:0]
+		for i, r := range rows {
+			var ok bool
+			if key, ok = appendRowKey(key[:0], table.Record{Schema: rs, Data: r}, pl.conds[si]); ok {
+				inner.tab.addRow(fnv1a(key), key, base+i)
+			}
+		}
+		pl.sc.keyBuf = key[:0]
 	}
-	sc.keyBuf = key[:0]
 	if e.TL != nil {
 		e.R.HashBuild(e.TL, len(rows))
-		e.R.Memcpy(e.TL, int64(len(rows))*e.cacheWidth(width))
+		e.R.Memcpy(e.TL, int64(len(rows))*e.cacheWidth(inner.width))
 	}
-	inner.built = true
 }
 
 // accountDelta computes per-category cost differences between snapshots.

@@ -25,9 +25,10 @@ type Scratch struct {
 	tabs   []*keyTab  // hash tables; tabs[:ntabs] are handed out this run
 	ntabs  int
 
-	// keyBuf is the arena join/group keys are encoded into one batch at a
-	// time; probeEnd/probeEnt are the per-batch-tuple key end offsets and
-	// resolved hash-table entries (-1 = NULL key or no match).
+	// keyBuf is where byte keys are encoded: a join's one at a time, a
+	// grouping's one batch at a time with probeEnd holding each key's end
+	// offset. probeEnt is a probe batch's resolved hash-table entries (-1 =
+	// NULL key or no match).
 	keyBuf   []byte
 	probeEnd []int32
 	probeEnt []int32

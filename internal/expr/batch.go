@@ -3,6 +3,7 @@ package expr
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 
 	"hybridndp/internal/table"
 )
@@ -14,7 +15,9 @@ import (
 // Pred.Eval on each record (TestBatchPredMatchesEval), including the
 // edge semantics: comparisons against NULL or a type-mismatched constant are
 // false, unknown columns read as NULL (which makes IS NULL on an unknown
-// column true), and CHAR payloads compare NUL-trimmed.
+// column true), and CHAR payloads compare NUL-trimmed — in place: equality
+// tests the constant against the stored prefix and then that the rest is
+// padding, %-only LIKE patterns search the column bytes directly.
 type BatchPred struct {
 	node bnode
 }
@@ -71,8 +74,22 @@ func compileNode(s *table.Schema, p Pred) bnode {
 			return constNode{false}
 		}
 		nb, nm := s.NullBit(i)
-		return &likeNode{off: s.ColumnOffset(i), size: s.Columns[i].Size,
+		n := &likeNode{off: s.ColumnOffset(i), size: s.Columns[i].Size,
 			nullB: nb, nullM: nm, pattern: q.Pattern, not: q.Not}
+		if !strings.ContainsAny(q.Pattern, "_\x00") {
+			segs := strings.Split(q.Pattern, "%")
+			last := len(segs) - 1
+			n.segmented, n.exact, n.prefix = true, last == 0, []byte(segs[0])
+			if last > 0 {
+				n.suffix = []byte(segs[last])
+				for _, seg := range segs[1:last] {
+					if seg != "" {
+						n.mids = append(n.mids, []byte(seg))
+					}
+				}
+			}
+		}
+		return n
 	case IsNull:
 		i := s.ColumnIndex(q.Col)
 		if i < 0 {
@@ -176,14 +193,13 @@ func filterScalar(n bnode, rows [][]byte, sel []int32) []int32 {
 	return out
 }
 
-// trimNul strips the CHAR padding, yielding the stored payload bytes — the
-// byte-level twin of the TrimRight decode in Record.Get.
-func trimNul(b []byte) []byte {
-	end := len(b)
-	for end > 0 && b[end-1] == 0 {
-		end--
-	}
-	return b[:end]
+// charEq reports whether the CHAR payload raw, NUL-trimmed, equals val,
+// without trimming: val against the stored prefix first, and only then that
+// the rest is padding — and that val does not itself end in NUL, which no
+// trimmed payload does.
+func charEq(raw, val []byte) bool {
+	return bytes.HasPrefix(raw, val) && len(table.TrimNul(raw[len(val):])) == 0 &&
+		(len(val) == 0 || val[len(val)-1] != 0)
 }
 
 // cmpMatches applies a comparison operator to a three-way compare result.
@@ -275,8 +291,14 @@ func (n *strCmpNode) evalRow(row []byte) bool {
 	if row[n.nullB]&n.nullM != 0 {
 		return false
 	}
-	raw := trimNul(row[n.off : n.off+n.size])
-	return cmpMatches(n.op, bytes.Compare(raw, n.val))
+	raw := row[n.off : n.off+n.size]
+	switch n.op {
+	case Eq:
+		return charEq(raw, n.val)
+	case Ne:
+		return !charEq(raw, n.val)
+	}
+	return cmpMatches(n.op, bytes.Compare(table.TrimNul(raw), n.val))
 }
 
 func (n *strCmpNode) filter(rows [][]byte, sel []int32) []int32 {
@@ -285,14 +307,14 @@ func (n *strCmpNode) filter(rows [][]byte, sel []int32) []int32 {
 	case Eq:
 		for _, i := range sel {
 			row := rows[i]
-			if row[n.nullB]&n.nullM == 0 && bytes.Equal(trimNul(row[n.off:n.off+n.size]), n.val) {
+			if row[n.nullB]&n.nullM == 0 && charEq(row[n.off:n.off+n.size], n.val) {
 				out = append(out, i)
 			}
 		}
 	case Ne:
 		for _, i := range sel {
 			row := rows[i]
-			if row[n.nullB]&n.nullM == 0 && !bytes.Equal(trimNul(row[n.off:n.off+n.size]), n.val) {
+			if row[n.nullB]&n.nullM == 0 && !charEq(row[n.off:n.off+n.size], n.val) {
 				out = append(out, i)
 			}
 		}
@@ -373,7 +395,9 @@ func (n *inStrNode) evalRow(row []byte) bool {
 	if row[n.nullB]&n.nullM != 0 {
 		return false
 	}
-	raw := trimNul(row[n.off : n.off+n.size])
+	// One word-wise trim, then a length check rejects most of the list before
+	// any bytes are compared: cheaper than charEq per constant.
+	raw := table.TrimNul(row[n.off : n.off+n.size])
 	for _, c := range n.vals {
 		if bytes.Equal(raw, c) {
 			return true
@@ -393,47 +417,44 @@ type likeNode struct {
 	nullM   byte
 	pattern string
 	not     bool
+
+	// A pattern without '_' or NUL is split at '%' once, at compile time:
+	// prefix%mids[0]%…%suffix, or exactly prefix when it holds no '%'. No
+	// segment holds a NUL, so none can match into the padding and prefix and
+	// mids search the untrimmed column bytes; only a suffix needs the end.
+	segmented, exact bool
+	prefix, suffix   []byte
+	mids             [][]byte
+}
+
+// match reports whether the CHAR payload raw matches the pattern.
+func (n *likeNode) match(raw []byte) bool {
+	if !n.segmented {
+		return likeMatch(n.pattern, table.TrimNul(raw))
+	}
+	if !bytes.HasPrefix(raw, n.prefix) {
+		return false
+	}
+	rest := raw[len(n.prefix):]
+	if n.exact {
+		return len(table.TrimNul(rest)) == 0
+	}
+	for _, m := range n.mids {
+		i := bytes.Index(rest, m)
+		if i < 0 {
+			return false
+		}
+		rest = rest[i+len(m):]
+	}
+	return len(n.suffix) == 0 || bytes.HasSuffix(table.TrimNul(rest), n.suffix)
 }
 
 func (n *likeNode) evalRow(row []byte) bool {
-	if row[n.nullB]&n.nullM != 0 {
-		return false
-	}
-	m := likeMatchBytes(n.pattern, row[n.off:n.off+n.size])
-	return m != n.not
+	return row[n.nullB]&n.nullM == 0 && n.match(row[n.off:n.off+n.size]) != n.not
 }
 
 func (n *likeNode) filter(rows [][]byte, sel []int32) []int32 {
 	return filterScalar(n, rows, sel)
-}
-
-// likeMatchBytes is likeMatch over the raw NUL-padded CHAR payload, trimming
-// the padding without building a string.
-func likeMatchBytes(pattern string, raw []byte) bool {
-	s := trimNul(raw)
-	pi, si := 0, 0
-	star, mark := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			pi++
-			si++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			mark = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			mark++
-			si = mark
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
 }
 
 type isNullNode struct {

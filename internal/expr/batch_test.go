@@ -67,6 +67,18 @@ func batchTestPreds() []Pred {
 			Cmp{Col: "name", Op: op, Val: table.StrVal("")},
 		)
 	}
+	for _, c := range []string{"ab\x00", "abcdefgh", "abcdefghi", "a\x00b"} {
+		// Constants no stored payload equals (trailing NUL, longer than the
+		// column) beside one filling it: the in-place comparison's edges.
+		preds = append(preds,
+			Cmp{Col: "name", Op: Eq, Val: table.StrVal(c)},
+			Cmp{Col: "name", Op: Ne, Val: table.StrVal(c)},
+			Cmp{Col: "name", Op: Le, Val: table.StrVal(c)},
+			In{Col: "name", Vals: []table.Value{table.StrVal(c), table.StrVal("zz")}},
+			Like{Col: "name", Pattern: c},
+			Like{Col: "name", Pattern: c + "%"},
+		)
+	}
 	preds = append(preds,
 		Cmp{Col: "n", Op: Eq, Val: table.NullVal()},       // NULL const
 		Cmp{Col: "n", Op: Eq, Val: table.StrVal("3")},     // type mismatch
@@ -139,6 +151,83 @@ func TestBatchPredMatchesEval(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("%s: Filter[%d] = %d, want %d", p, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestLikeEveryPath pins LIKE on the scalar evaluator, the compiled scalar
+// path and the compiled filter alike, over an 8-byte CHAR column. The rows
+// with a '%' in the data are the ones the literal-before-wildcard matcher got
+// wrong ('a%b' LIKE 'a%' was false); the rest fence the segment kernel: empty
+// patterns and values, '%'-only patterns, a value filling the column, prefix
+// and suffix that may not overlap, '_' patterns on the general matcher.
+func TestLikeEveryPath(t *testing.T) {
+	s := batchTestSchema(t)
+	cases := []struct {
+		value, pattern string
+		want           bool
+	}{
+		{"a%b", "a%", true},
+		{"a%b", "a%b", true},
+		{"a%b", "%b", true},
+		{"a%b", "a", false},
+		{"a%b", "%%%", true},
+		{"a%", "a%", true},
+		{"%", "a%", false},
+		{"x", "%%", true},
+		{"", "%%", true},
+		{"", "%", true},
+		{"abc", "%", true},
+		{"", "", true},
+		{"x", "", false},
+		{"", "a%", false},
+		{"abcdefgh", "abcdefgh", true},
+		{"abcdefgh", "abc%", true},
+		{"abcdefgh", "%fgh", true},
+		{"abcdefgh", "%h", true},
+		{"abcdefgh", "a%d%h", true},
+		{"abcdefgh", "abcdefghi", false},
+		{"abcdefgh", "%abcdefghi%", false},
+		{"abcdefgh", "abcdefgh_", false},
+		{"abcdefgh", "abcdefg_", true},
+		{"abcdefg", "abcdefgh", false},
+		{"abc", "abcd", false},
+		{"abcd", "abc", false},
+		{"aba", "ab%ba", false},
+		{"abba", "ab%ba", true},
+		{"xaxbx", "%a%b%", true},
+		{"xbxax", "%a%b%", false},
+		{"abab", "%ab", true},
+		{"abc", "a_c", true},
+		{"ac", "a_c", false},
+		{"a_c", "a_c", true},
+		{"a%c", "a_c", true},
+		{"abc", "___", true},
+		{"abc", "__", false},
+		{"abc", "_%", true},
+		{"", "_%", false},
+		{"a_b", "a%", true},
+		{"a_b", "a_b", true},
+	}
+	for _, c := range cases {
+		row, err := s.EncodeRow([]table.Value{table.IntVal(1), table.NullVal(), table.StrVal(c.value), table.NullVal()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := [][]byte{row}
+		for _, not := range []bool{false, true} {
+			p := Like{Col: "name", Pattern: c.pattern, Not: not}
+			bp := Compile(s, p)
+			want := c.want != not
+			if got := p.Eval(table.Record{Schema: s, Data: row}); got != want {
+				t.Errorf("%q %s: Pred.Eval = %v, want %v", c.value, p, got, want)
+			}
+			if got := bp.EvalRow(row); got != want {
+				t.Errorf("%q %s: EvalRow = %v, want %v", c.value, p, got, want)
+			}
+			if got := len(bp.Filter(rows, []int32{0})) == 1; got != want {
+				t.Errorf("%q %s: Filter keeps = %v, want %v", c.value, p, got, want)
 			}
 		}
 	}

@@ -209,19 +209,22 @@ func (p Like) String() string {
 	return fmt.Sprintf("%s %s '%s'", p.Col, op, p.Pattern)
 }
 
-// likeMatch matches SQL LIKE patterns with a two-pointer greedy algorithm.
-func likeMatch(pattern, s string) bool {
+// likeMatch matches SQL LIKE patterns with a two-pointer greedy algorithm,
+// over a decoded string (Like.Eval) or the trimmed column bytes (the compiled
+// form of patterns with '_' or NUL). The wildcard is tested before the
+// literal, so a '%' in the data is not taken for the pattern's.
+func likeMatch[S string | []byte](pattern string, s S) bool {
 	pi, si := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			pi++
-			si++
 		case pi < len(pattern) && pattern[pi] == '%':
 			star = pi
 			mark = si
 			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			pi++
+			si++
 		case star >= 0:
 			pi = star + 1
 			mark++

@@ -126,6 +126,10 @@ func TestLikeMatcher(t *testing.T) {
 		{"__", "ab", true},
 		{"__", "abc", false},
 		{"%%", "x", true},
+		// A '%' in the data is data, not the pattern's wildcard.
+		{"a%", "a%b", true},
+		{"a%b", "a%b", true},
+		{"a%b", "a%", false},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.pattern, c.s); got != c.want {

@@ -8,7 +8,7 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"math/bits"
 )
 
 // ColType is a column's data type.
@@ -233,8 +233,24 @@ func (r Record) Get(i int) Value {
 	if c.Type == Int32 {
 		return IntVal(int32(binary.LittleEndian.Uint32(r.Data[off:])))
 	}
-	raw := r.Data[off : off+c.Size]
-	return StrVal(strings.TrimRight(string(raw), "\x00"))
+	return StrVal(string(TrimNul(r.Data[off : off+c.Size])))
+}
+
+// TrimNul strips the NUL padding of a CHAR payload a word at a time: whole
+// zero words fall off the end, the first non-zero one says how many of its
+// high (trailing) bytes are padding. Embedded NULs stay.
+func TrimNul(b []byte) []byte {
+	end := len(b)
+	for end >= 8 {
+		if w := binary.LittleEndian.Uint64(b[end-8:]); w != 0 {
+			return b[:end-bits.LeadingZeros64(w)/8]
+		}
+		end -= 8
+	}
+	for end > 0 && b[end-1] == 0 {
+		end--
+	}
+	return b[:end]
 }
 
 // GetByName returns the named column's value.
@@ -257,13 +273,8 @@ func (r Record) AppendColKey(dst []byte, i int) ([]byte, bool) {
 		v := int32(binary.LittleEndian.Uint32(r.Data[off:]))
 		return append(dst, 'i', byte(v>>24), byte(v>>16), byte(v>>8), byte(v), 0), true
 	}
-	raw := r.Data[off : off+c.Size]
-	end := len(raw)
-	for end > 0 && raw[end-1] == 0 {
-		end--
-	}
 	dst = append(dst, 's')
-	dst = append(dst, raw[:end]...)
+	dst = append(dst, TrimNul(r.Data[off:off+c.Size])...)
 	return append(dst, 0), true
 }
 
