@@ -92,8 +92,7 @@ func main() {
 	// Force the device join algorithm: scan-based BNL vs the in-situ
 	// secondary-index BNLI (the Fig. 9 two-stage seek).
 	force := func(jt exec.JoinType) *exec.Plan {
-		p := *plan
-		p.Steps = append([]exec.JoinStep(nil), plan.Steps...)
+		p := plan.Clone() // the optimizer's plan is shared and read-only
 		st := &p.Steps[0]
 		st.Type = jt
 		if jt == exec.BNLI {
@@ -102,7 +101,7 @@ func main() {
 			st.RightIndexIsPK = false
 			st.RightIndex = "idx_customer"
 		}
-		return &p
+		return p
 	}
 
 	for _, v := range []struct {

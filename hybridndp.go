@@ -110,7 +110,8 @@ func (s *System) Query(sqlText string) (*query.Query, error) {
 
 // Decide plans the query and returns the optimizer's strategy decision,
 // including the full cost picture (host/NDP totals, per-split cumulative
-// costs, c_target).
+// costs, c_target). The decision's Plan is shared with every other caller of
+// an equal query and read-only; edit a Plan.Clone.
 func (s *System) Decide(q *query.Query) (*optimizer.Decision, error) {
 	return s.Optimizer.Decide(q)
 }

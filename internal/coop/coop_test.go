@@ -157,7 +157,8 @@ func TestHybridRejectsBadSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single.Steps = nil // degenerate: no joins
+	single = single.Clone() // the optimizer's plan is shared
+	single.Steps = nil      // degenerate: no joins
 	if _, err := ex.Run(single, coop.Strategy{Kind: coop.Hybrid, Split: 1}); err == nil {
 		t.Fatal("hybrid without joins must fail")
 	}

@@ -9,7 +9,7 @@ package cost
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"hybridndp/internal/exec"
 	"hybridndp/internal/hw"
@@ -43,10 +43,10 @@ type Params struct {
 // DefaultParams mirrors the engine's calibration.
 func DefaultParams() Params { return Params{UsrRec: 40} }
 
-// Estimator prices plans from statistics and the hardware model. Estimators
-// are safe for concurrent use: the mutable parameter set (which the
-// controller's calibration feedback adjusts between runs) is guarded by a
-// mutex and accessed through Params/SetParams/UpdateParams.
+// Estimator prices plans from statistics and the hardware model. Its
+// parameters are fixed at construction, which is what makes a plan a pure
+// function of the query and the statistics (the optimizer's plan memo rests on
+// it); estimators are safe for concurrent use.
 type Estimator struct {
 	Cat   *table.Catalog
 	Model hw.Model
@@ -55,8 +55,7 @@ type Estimator struct {
 	// for the split-target ablation benchmark.
 	TargetCPUOnly bool
 
-	mu     sync.RWMutex
-	params Params // guarded by mu
+	params Params
 
 	hostR hw.Rates
 	devR  hw.Rates
@@ -65,35 +64,6 @@ type Estimator struct {
 // NewEstimator builds an estimator over the catalog and hardware model.
 func NewEstimator(cat *table.Catalog, m hw.Model, p Params) *Estimator {
 	return &Estimator{Cat: cat, Model: m, params: p, hostR: hw.HostRates(m), devR: hw.DeviceRates(m)}
-}
-
-// Params returns the current parameter set.
-func (e *Estimator) Params() Params {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.params
-}
-
-// SetParams replaces the parameter set.
-func (e *Estimator) SetParams(p Params) {
-	e.mu.Lock()
-	e.params = p
-	e.mu.Unlock()
-}
-
-// UpdateParams applies f to the parameter set atomically, so concurrent
-// calibration-feedback updates do not lose each other's adjustments.
-func (e *Estimator) UpdateParams(f func(Params) Params) {
-	e.mu.Lock()
-	e.params = f(e.params)
-	e.mu.Unlock()
-}
-
-// usrRec reads the row-evaluation-cost parameter under the lock.
-func (e *Estimator) usrRec() float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.params.UsrRec
 }
 
 func (e *Estimator) rates(s Side) hw.Rates {
@@ -151,7 +121,7 @@ func (e *Estimator) AccessCost(ap exec.AccessPath, s Side) (NodeCost, error) {
 		pages := float64(st.TotalBytes())/float64(lsm.TargetBlockBytes) + 1
 		flashLookups := math.Min(matched, pages)
 		nc.Scan = flashLookups * pageCost * r.StackOverhead
-		nc.CPU = matched * (e.usrRec()*e.cpuFactor(s) + float64(r.SeekNsPerLevel)*12)
+		nc.CPU = matched * (e.params.UsrRec*e.cpuFactor(s) + float64(r.SeekNsPerLevel)*12)
 	} else {
 		bytes := rows * float64(st.RowBytes)
 		pages := bytes / float64(r.FlashPageBytes)
@@ -168,7 +138,7 @@ func (e *Estimator) AccessCost(ap exec.AccessPath, s Side) (NodeCost, error) {
 		// eq. 3: tbl_ren · usr_rec · node_pbn · calc_pcf — per-record
 		// evaluation scaled by the projection cost impact factor.
 		pcf := e.cpuFactor(s) * (0.5 + 0.5*pb/float64(st.RowBytes))
-		nc.CPU = rows*e.usrRec()*terms*e.cpuFactor(s) + matched*pb*r.MemcpyNsPerByte*1.0*pcf/e.cpuFactor(s)
+		nc.CPU = rows*e.params.UsrRec*terms*e.cpuFactor(s) + matched*pb*r.MemcpyNsPerByte*1.0*pcf/e.cpuFactor(s)
 	}
 	return nc, nil
 }
@@ -221,7 +191,7 @@ func (e *Estimator) StepCost(step exec.JoinStep, leftRows float64, s Side) (Node
 		nc.Alias = step.Right.Ref.Alias
 		nc.Scan = flashLookups * pageCost * r.StackOverhead
 		nc.CPU = leftRows*(float64(r.HashProbeNsRec)+float64(r.SeekNsPerLevel)*12*seeks) +
-			outRows*(e.usrRec()*e.cpuFactor(s)+float64(r.SeekNsPerLevel)*12)
+			outRows*(e.params.UsrRec*e.cpuFactor(s)+float64(r.SeekNsPerLevel)*12)
 	default: // BNL / NLJ / GHJ price as buffered join
 		acc, err := e.AccessCost(step.Right, s)
 		if err != nil {
@@ -266,12 +236,10 @@ func (e *Estimator) JoinOutRows(step exec.JoinStep, leftRows, rightRows float64)
 	}
 	st := rt.CollectStats()
 	sel := 1.0
-	seen := map[string]bool{}
-	for _, c := range step.Conds {
-		if seen[c.RightCol] {
+	for i, c := range step.Conds {
+		if slices.ContainsFunc(step.Conds[:i], func(p exec.BoundCond) bool { return p.RightCol == c.RightCol }) {
 			continue
 		}
-		seen[c.RightCol] = true
 		d := float64(st.NDV[c.RightCol])
 		if d < 1 {
 			d = 1
@@ -379,7 +347,7 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 		rows  []float64 // rows after position i
 	}
 	build := func(s Side) (chain, error) {
-		var ch chain
+		ch := chain{nodes: make([]NodeCost, 0, n), rows: make([]float64, 0, n)}
 		acc, err := e.AccessCost(p.Driving, s)
 		if err != nil {
 			return ch, err
@@ -476,20 +444,17 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 	sc.CNode[0] = devCh.nodes[0].Total()
 	sc.Rows[0] = devCh.rows[0]
 	// H0 host part: all joins at host rates over device-filtered inputs.
+	// Cardinalities do not depend on the side, so a join the host runs after
+	// any split sees the rows it sees in the host-only chain and costs what
+	// it costs there: the host parts below add up the host chain's nodes.
 	{
 		hostJoin := 0.0
-		rows := devCh.rows[0]
-		for _, st := range p.Steps {
-			nc, out, err := e.StepCost(st, rows, Host)
-			if err != nil {
-				return nil, err
-			}
+		for _, nc := range hostCh.nodes[1:] {
 			// The right side was already filtered on device; drop the scan
 			// component, keep the join CPU.
 			hostJoin += nc.CPU
-			rows = out
 		}
-		hostJoin += groupCost(rows, Host)
+		hostJoin += groupCost(finalRows, Host)
 		sc.DevPart[0] = h0dev
 		sc.HostPart[0] = hostJoin
 		sc.Trans[0] = leafTrans
@@ -507,16 +472,10 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 		trans := e.TransferCost(devCh.rows[k], widths[k])
 
 		var hostPart float64
-		rows := devCh.rows[k]
-		for i := k + 1; i < n; i++ {
-			nc, out, err := e.StepCost(p.Steps[i-1], rows, Host)
-			if err != nil {
-				return nil, err
-			}
+		for _, nc := range hostCh.nodes[k+1:] {
 			hostPart += nc.Total()
-			rows = out
 		}
-		hostPart += groupCost(rows, Host)
+		hostPart += groupCost(finalRows, Host)
 		sc.DevPart[k] = devPart
 		sc.HostPart[k] = hostPart
 		sc.Trans[k] = trans

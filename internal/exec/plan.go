@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hybridndp/internal/expr"
@@ -124,19 +125,31 @@ type Plan struct {
 // NumTables reports the number of base tables in the plan.
 func (p *Plan) NumTables() int { return 1 + len(p.Steps) }
 
+// Clone returns a copy of the plan that shares nothing a caller may edit: its
+// own steps, each with its own conditions. Plans handed out by the optimizer
+// are shared between every caller that asks for the same query (the plan
+// memo), so they are read-only; whoever wants a variant edits a clone.
+func (p *Plan) Clone() *Plan {
+	p2 := *p
+	p2.Steps = slices.Clone(p.Steps)
+	for i := range p2.Steps {
+		p2.Steps[i].Conds = slices.Clone(p2.Steps[i].Conds)
+	}
+	return &p2
+}
+
 // WithBufferedJoins returns a copy of the plan whose index joins (BNLI) are
 // coerced to buffered joins (BNL). H0 executions need it: the host joins
 // device-shipped leaf rows, and an index join against the base table would
 // discard the offloaded selection.
 func (p *Plan) WithBufferedJoins() *Plan {
-	p2 := *p
-	p2.Steps = append([]JoinStep(nil), p.Steps...)
+	p2 := p.Clone()
 	for i := range p2.Steps {
 		if p2.Steps[i].Type == BNLI {
 			p2.Steps[i].Type = BNL
 		}
 	}
-	return &p2
+	return p2
 }
 
 // Aliases lists the table aliases in join order (the tuple shape).

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"hybridndp/internal/table"
 )
@@ -68,14 +69,24 @@ func rangeLabel(lo, hi *int32) string {
 }
 
 // Descriptor is the fleet's platform configuration: how many devices exist
-// and which device holds which primary-key partition of which table. It is
-// immutable after Build/Validate and safe to share across concurrent runs.
+// and which device holds which primary-key partition of which table. The
+// configuration is immutable after Build/Validate and the descriptor is safe
+// to share across concurrent runs.
 type Descriptor struct {
 	Devices int
 	Scheme  string // "range" or "stripe"
 	// Parts maps table name → partitions in ascending key order. Every
 	// table's partitions must tile (-inf, +inf) exactly once (Validate).
 	Parts map[string][]Partition
+
+	mu    sync.Mutex
+	fracs map[string]tableFracs // guarded by mu: table name → its devices' shares
+}
+
+// tableFracs is one table's per-device row shares under one statistics object.
+type tableFracs struct {
+	stats *table.Stats
+	fracs []float64
 }
 
 // Spec schemes. Range gives each device one contiguous block of every

@@ -17,7 +17,7 @@ var (
 )
 
 // testDataset shares one tiny JOB dataset across the fleet tests.
-func testDataset(t *testing.T) *job.Dataset {
+func testDataset(t testing.TB) *job.Dataset {
 	t.Helper()
 	dsOnce.Do(func() { dsInst, dsErr = job.LoadSeeded(0.01, hw.Cosmos(), job.DefaultSeed) })
 	if dsErr != nil {

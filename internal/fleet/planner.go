@@ -112,7 +112,7 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 	if err != nil {
 		return nil, err
 	}
-	fracs := drivingFracs(t.CollectStats().Sample, parts, desc.Devices)
+	fracs := desc.drivingFracs(p.Driving.Ref.Table, t.CollectStats())
 	a.Shards = make([]ShardPlan, desc.Devices)
 
 	switch {
@@ -157,7 +157,7 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 	default:
 		a.Mode = ModeHybrid
 		for dev := range a.Shards {
-			sd, err := opt.DecideShard(p, fracs[dev])
+			sd, err := opt.DecideShard(p, d.Costs, fracs[dev])
 			if err != nil {
 				return nil, err
 			}
@@ -172,6 +172,24 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 		}
 	}
 	return a, nil
+}
+
+// drivingFracs returns each device's share of the named table under the
+// statistics st. The shares depend on the two alone, so they are counted once
+// per statistics object (an Insert makes the table's next CollectStats a new
+// one) and the returned slice is shared: read-only.
+func (d *Descriptor) drivingFracs(name string, st *table.Stats) []float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if f, ok := d.fracs[name]; ok && f.stats == st {
+		return f.fracs
+	}
+	fr := drivingFracs(st.Sample, d.Parts[name], d.Devices)
+	if d.fracs == nil {
+		d.fracs = make(map[string]tableFracs)
+	}
+	d.fracs[name] = tableFracs{stats: st, fracs: fr}
+	return fr
 }
 
 // drivingFracs estimates each device's share of the driving table by

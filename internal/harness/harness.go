@@ -226,8 +226,7 @@ func ms(d vclock.Duration) string { return fmt.Sprintf("%9.2fms", d.Milliseconds
 // forceJoinTypes returns a copy of the plan with every join step's algorithm
 // overridden (Exp 4/5 force BNL vs BNLI).
 func forceJoinTypes(p *exec.Plan, jt exec.JoinType) *exec.Plan {
-	p2 := *p
-	p2.Steps = append([]exec.JoinStep(nil), p.Steps...)
+	p2 := p.Clone() // forceIndexed reorders a step's conditions
 	for i := range p2.Steps {
 		st := &p2.Steps[i]
 		if jt == exec.BNLI {
@@ -238,7 +237,7 @@ func forceJoinTypes(p *exec.Plan, jt exec.JoinType) *exec.Plan {
 			st.Type = jt
 		}
 	}
-	return &p2
+	return p2
 }
 
 // forceIndexed rewires a step to BNLI if any join condition has an index.

@@ -19,7 +19,9 @@ import (
 	"hybridndp/internal/table"
 )
 
-// Optimizer plans queries against a catalog and hardware model.
+// Optimizer plans queries against a catalog and hardware model. It is safe
+// for concurrent use; the plans it hands out are shared and read-only (see
+// BuildPlan).
 type Optimizer struct {
 	Cat   *table.Catalog
 	Model hw.Model
@@ -32,6 +34,8 @@ type Optimizer struct {
 	// device-side tables must carry at least this much data so the NDP call
 	// amortizes (paper: volume close to the max transfer per command).
 	MinDeviceBytes int64
+
+	memo planMemo
 }
 
 // New builds an optimizer.
@@ -53,13 +57,8 @@ const indexEqThreshold = 0.05
 // selectivity is the share of the stats sample its compiled form keeps — the
 // kernels the scan itself will run; sel is the selection-vector buffer the
 // plan's tables share.
-func (o *Optimizer) buildAccessPath(q *query.Query, ref query.TableRef, proj map[string][]string, sel *[]int32) (exec.AccessPath, error) {
-	t, err := o.Cat.Table(ref.Table)
-	if err != nil {
-		return exec.AccessPath{}, err
-	}
-	st := t.CollectStats()
-	ap := exec.AccessPath{Ref: ref, Proj: proj[ref.Alias]}
+func buildAccessPath(q *query.Query, ref query.TableRef, t *table.Table, st *table.Stats, proj []string, sel *[]int32) exec.AccessPath {
+	ap := exec.AccessPath{Ref: ref, Proj: proj}
 	if p, ok := q.Filters[ref.Alias]; ok {
 		ap.Filter = p
 		rows := st.SampleRows()
@@ -90,26 +89,56 @@ func (o *Optimizer) buildAccessPath(q *query.Query, ref query.TableRef, proj map
 			}
 		}
 	}
-	return ap, nil
+	return ap
 }
 
 // BuildPlan computes the physical plan: access paths, greedy join order and
 // join types (paper §3.2: the optimizer estimates the best access path per
 // table, combines it with the subsequent table, and compares join orders).
+//
+// A plan is a function of the query's structure and its tables' statistics
+// alone, so it is computed once per (query, statistics) and handed to every
+// caller that asks again (the plan memo, DESIGN.md §10). The returned plan is
+// therefore shared and read-only — edit a Plan.Clone — and its Query is the
+// first equal query this optimizer saw, which the caller must not edit either.
 func (o *Optimizer) BuildPlan(q *query.Query) (*exec.Plan, error) {
+	fp, memoizable := q.Fingerprint()
+	if memoizable {
+		if e := o.memo.get(fp); e != nil && e.q.Equal(q) && e.current() {
+			return e.plan, nil
+		}
+	}
 	if err := q.Validate(o.Cat); err != nil {
 		return nil, err
 	}
-	proj := q.ProjectedColumns()
-	paths := make(map[string]exec.AccessPath, len(q.Tables))
-	var sel []int32
-	for _, ref := range q.Tables {
-		ap, err := o.buildAccessPath(q, ref, proj, &sel)
+	e := &memoEntry{q: q, tabs: make([]*table.Table, len(q.Tables)), stats: make([]*table.Stats, len(q.Tables))}
+	for i, ref := range q.Tables {
+		t, err := o.Cat.Table(ref.Table)
 		if err != nil {
 			return nil, err
 		}
-		paths[ref.Alias] = ap
+		e.tabs[i], e.stats[i] = t, t.CollectStats()
 	}
+	var err error
+	if e.plan, err = o.plan(q, e.tabs, e.stats); err != nil {
+		return nil, err
+	}
+	if memoizable && e.current() {
+		return o.memo.put(fp, e), nil
+	}
+	return e.plan, nil
+}
+
+// plan is BuildPlan below the memo. Everything per table is indexed by the
+// table's position in FROM.
+func (o *Optimizer) plan(q *query.Query, tabs []*table.Table, stats []*table.Stats) (*exec.Plan, error) {
+	proj := q.ProjectedColumns()
+	paths := make([]exec.AccessPath, len(q.Tables))
+	sel := o.memo.swapSel(nil)
+	for i, ref := range q.Tables {
+		paths[i] = buildAccessPath(q, ref, tabs[i], stats[i], proj[i], &sel)
+	}
+	o.memo.swapSel(sel)
 
 	plan := &exec.Plan{
 		Query:      q,
@@ -119,19 +148,18 @@ func (o *Optimizer) BuildPlan(q *query.Query) (*exec.Plan, error) {
 	}
 
 	if len(q.Tables) == 1 {
-		plan.Driving = paths[q.Tables[0].Alias]
+		plan.Driving = paths[0]
 		plan.EstTotalRows = plan.Driving.EstRows
 		return plan, nil
 	}
 
 	// Driving table: the cheapest estimated access (host side). Iterate in
-	// query declaration order, not map order, so tied scores break the same
-	// way on every run — plans (and therefore simulated times) must be
-	// deterministic for a given query.
-	var drivingAlias string
+	// query declaration order so tied scores break the same way on every run
+	// — plans (and therefore simulated times) must be deterministic for a
+	// given query.
+	driving := 0
 	best := math.Inf(1)
-	for _, ref := range q.Tables {
-		ap := paths[ref.Alias]
+	for i, ap := range paths {
 		nc, err := o.Est.AccessCost(ap, cost.Host)
 		if err != nil {
 			return nil, err
@@ -140,102 +168,82 @@ func (o *Optimizer) BuildPlan(q *query.Query) (*exec.Plan, error) {
 		score := nc.Total() + ap.EstRows*100
 		if score < best {
 			best = score
-			drivingAlias = ref.Alias
+			driving = i
 		}
 	}
-	plan.Driving = paths[drivingAlias]
+	plan.Driving = paths[driving]
 
-	joined := map[string]int{drivingAlias: 0} // alias → tuple position
+	// tuplePos[i] is table i's position in the accumulated tuple, -1 while it
+	// is still to be joined; sides[k] are the table positions of join k.
+	tuplePos := make([]int, len(q.Tables))
+	for i := range tuplePos {
+		tuplePos[i] = -1
+	}
+	tuplePos[driving] = 0
+	sides := make([][2]int, len(q.Joins))
+	for k, j := range q.Joins {
+		sides[k] = [2]int{q.TablePos(j.LeftAlias), q.TablePos(j.RightAlias)}
+	}
 	rows := plan.Driving.EstRows
-	remaining := map[string]bool{}
-	for _, ref := range q.Tables {
-		if ref.Alias != drivingAlias {
-			remaining[ref.Alias] = true
-		}
-	}
+	plan.Steps = make([]exec.JoinStep, 0, len(q.Tables)-1)
 
-	for len(remaining) > 0 {
-		type cand struct {
-			step  exec.JoinStep
-			out   float64
-			score float64
-		}
-		var bestC *cand
-		for _, ref := range q.Tables { // declaration order: deterministic ties
-			alias := ref.Alias
-			if !remaining[alias] {
+	for len(plan.Steps) < len(q.Tables)-1 {
+		var bestStep exec.JoinStep
+		var bestOut, bestScore float64
+		bestIdx := -1
+		for i := range q.Tables { // declaration order: deterministic ties
+			if tuplePos[i] >= 0 {
 				continue
 			}
-			conds := o.boundConds(q, alias, joined)
+			conds := boundConds(q, i, tabs, tuplePos, sides)
 			if len(conds) == 0 {
 				continue
 			}
-			step, err := o.chooseJoin(paths[alias], conds, rows)
-			if err != nil {
-				return nil, err
-			}
-			nc, out, err := o.Est.StepCost(step, rows, cost.Host)
+			step, nc, out, err := o.chooseJoin(paths[i], tabs[i], conds, rows)
 			if err != nil {
 				return nil, err
 			}
 			score := nc.Total() + out*100
-			if bestC == nil || score < bestC.score {
-				bestC = &cand{step: step, out: out, score: score}
+			if bestIdx < 0 || score < bestScore {
+				bestStep, bestOut, bestScore, bestIdx = step, out, score, i
 			}
 		}
-		if bestC == nil {
+		if bestIdx < 0 {
 			return nil, fmt.Errorf("optimizer: query %s has disconnected tables", q.Name)
 		}
-		bestC.step.EstRows = bestC.out
-		plan.Steps = append(plan.Steps, bestC.step)
-		joined[bestC.step.Right.Ref.Alias] = len(joined)
-		delete(remaining, bestC.step.Right.Ref.Alias)
-		rows = bestC.out
+		bestStep.EstRows = bestOut
+		plan.Steps = append(plan.Steps, bestStep)
+		tuplePos[bestIdx] = len(plan.Steps)
+		rows = bestOut
 	}
 	plan.EstTotalRows = rows
 	return plan, nil
 }
 
-// boundConds resolves all join conditions linking alias to already-joined
+// boundConds resolves all join conditions linking table i to already-joined
 // tables into tuple-position-bound conditions, with column indices resolved
 // at plan time so the executor's per-tuple path never resolves names.
-func (o *Optimizer) boundConds(q *query.Query, alias string, joined map[string]int) []exec.BoundCond {
-	schemaOf := func(a string) *table.Schema {
-		for _, ref := range q.Tables {
-			if ref.Alias == a {
-				if t, err := o.Cat.Table(ref.Table); err == nil {
-					return t.Schema
-				}
-				break
-			}
-		}
-		return nil
-	}
-	rightSchema := schemaOf(alias)
+func boundConds(q *query.Query, i int, tabs []*table.Table, tuplePos []int, sides [][2]int) []exec.BoundCond {
 	var out []exec.BoundCond
-	for _, j := range q.Joins {
-		if !j.Touches(alias) {
+	for k, j := range q.Joins {
+		var other int
+		bc := exec.BoundCond{}
+		switch i {
+		case sides[k][0]:
+			other = sides[k][1]
+			bc.LeftCol, bc.RightCol = j.RightCol, j.LeftCol
+		case sides[k][1]:
+			other = sides[k][0]
+			bc.LeftCol, bc.RightCol = j.LeftCol, j.RightCol
+		default:
 			continue
 		}
-		other := j.Other(alias)
-		pos, ok := joined[other]
-		if !ok {
+		if tuplePos[other] < 0 {
 			continue
 		}
-		bc := exec.BoundCond{LeftPos: pos, LeftColIdx: -1, RightColIdx: -1}
-		if j.LeftAlias == alias {
-			bc.LeftCol = j.RightCol
-			bc.RightCol = j.LeftCol
-		} else {
-			bc.LeftCol = j.LeftCol
-			bc.RightCol = j.RightCol
-		}
-		if ls := schemaOf(other); ls != nil {
-			bc.LeftColIdx = ls.ColumnIndex(bc.LeftCol)
-		}
-		if rightSchema != nil {
-			bc.RightColIdx = rightSchema.ColumnIndex(bc.RightCol)
-		}
+		bc.LeftPos = tuplePos[other]
+		bc.LeftColIdx = tabs[other].Schema.ColumnIndex(bc.LeftCol)
+		bc.RightColIdx = tabs[i].Schema.ColumnIndex(bc.RightCol)
 		out = append(out, bc)
 	}
 	return out
@@ -244,12 +252,13 @@ func (o *Optimizer) boundConds(q *query.Query, alias string, joined map[string]i
 // chooseJoin selects the join algorithm for bringing in the right table:
 // BNLI when an index over a join column is available and the indexed probe
 // beats the buffered build (compared through the cost model), BNL otherwise.
-func (o *Optimizer) chooseJoin(right exec.AccessPath, conds []exec.BoundCond, leftRows float64) (exec.JoinStep, error) {
-	rt, err := o.Cat.Table(right.Ref.Table)
-	if err != nil {
-		return exec.JoinStep{}, err
-	}
+// It returns the chosen step with its host-side cost and output cardinality.
+func (o *Optimizer) chooseJoin(right exec.AccessPath, rt *table.Table, conds []exec.BoundCond, leftRows float64) (exec.JoinStep, cost.NodeCost, float64, error) {
 	step := exec.JoinStep{Right: right, Conds: conds, Type: exec.BNL}
+	bnlCost, bnlOut, err := o.Est.StepCost(step, leftRows, cost.Host)
+	if err != nil {
+		return exec.JoinStep{}, cost.NodeCost{}, 0, err
+	}
 
 	// Find an indexable condition and move it to the front.
 	idxCand := -1
@@ -265,32 +274,27 @@ func (o *Optimizer) chooseJoin(right exec.AccessPath, conds []exec.BoundCond, le
 		}
 	}
 	if idxCand < 0 {
-		return step, nil
+		return step, bnlCost, bnlOut, nil
 	}
 	indexed := step
 	indexed.Type = exec.BNLI
 	indexed.RightIndexIsPK = isPK
 	indexed.RightIndex = idxName
-	indexed.Conds = append([]exec.BoundCond{conds[idxCand]}, removeAt(conds, idxCand)...)
-
-	bnlCost, _, err := o.Est.StepCost(step, leftRows, cost.Host)
-	if err != nil {
-		return exec.JoinStep{}, err
+	if idxCand > 0 {
+		indexed.Conds = make([]exec.BoundCond, 0, len(conds))
+		indexed.Conds = append(indexed.Conds, conds[idxCand])
+		indexed.Conds = append(indexed.Conds, conds[:idxCand]...)
+		indexed.Conds = append(indexed.Conds, conds[idxCand+1:]...)
 	}
-	bnliCost, _, err := o.Est.StepCost(indexed, leftRows, cost.Host)
+
+	bnliCost, bnliOut, err := o.Est.StepCost(indexed, leftRows, cost.Host)
 	if err != nil {
-		return exec.JoinStep{}, err
+		return exec.JoinStep{}, cost.NodeCost{}, 0, err
 	}
 	if bnliCost.Total() < bnlCost.Total() {
-		return indexed, nil
+		return indexed, bnliCost, bnliOut, nil
 	}
-	return step, nil
-}
-
-func removeAt(s []exec.BoundCond, i int) []exec.BoundCond {
-	out := make([]exec.BoundCond, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
+	return step, bnlCost, bnlOut, nil
 }
 
 // Decision is the optimizer's final choice for a query.
@@ -410,8 +414,10 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 // are fleet-global choices, so a shard only decides between "device joins up
 // to k" and "run my partition on the host". The returned decision carries
 // Hybrid=true with the chosen Split, or Hybrid=false when the shard-local
-// host cost undercuts every feasible device split.
-func (o *Optimizer) DecideShard(p *exec.Plan, frac float64) (*Decision, error) {
+// host cost undercuts every feasible device split. g is the plan's global
+// cost picture (the fleet decision's Costs), which the deepening step prices
+// the shared gather host from.
+func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) (*Decision, error) {
 	sc, err := o.Est.ShardPlanCosts(p, frac)
 	if err != nil {
 		return nil, err
@@ -449,10 +455,6 @@ func (o *Optimizer) DecideShard(p *exec.Plan, frac float64) (*Decision, error) {
 		// through one host) plus the global transfer; deepen past best while
 		// the estimate improves. At frac = 1 the fleet degenerates to the
 		// single-device split above, keeping the N=1 mirror invariant.
-		g, err := o.Est.PlanCosts(p)
-		if err != nil {
-			return nil, err
-		}
 		fleetEst := func(k int) float64 {
 			return math.Max(sc.DevPart[k], g.HostPart[k]) + g.Trans[k]
 		}

@@ -20,7 +20,7 @@ var (
 	dsErr  error
 )
 
-func testOpt(t *testing.T) (*job.Dataset, *optimizer.Optimizer) {
+func testOpt(t testing.TB) (*job.Dataset, *optimizer.Optimizer) {
 	t.Helper()
 	dsOnce.Do(func() {
 		ds, dsErr = job.Load(0.01, hw.Cosmos())
@@ -251,10 +251,11 @@ func TestSingleTableDecision(t *testing.T) {
 
 // TestDecisionsAreDeterministic serializes the optimizer's full output (plan
 // tree, strategy, split, reason) for a fixed query set and requires every
-// repetition — sequential and under t.Parallel against a shared catalog — to
-// be byte-identical. This is the tier-1 determinism gate backing the maporder
-// analyzer: any map-iteration-ordered choice in planning or splitting shows up
-// here as a flaky diff.
+// repetition — sequential, and under t.Parallel against a shared catalog on
+// optimizers of their own and on one shared optimizer — to be byte-identical.
+// This is the tier-1 determinism gate backing the maporder analyzer: any
+// map-iteration-ordered choice in planning or splitting shows up here as a
+// flaky diff.
 func TestDecisionsAreDeterministic(t *testing.T) {
 	ds, _ := testOpt(t)
 	queries := []string{"1a", "4a", "8c", "16b", "17b", "22c", "29a", "33c"}
@@ -281,6 +282,18 @@ func TestDecisionsAreDeterministic(t *testing.T) {
 			t.Parallel()
 			if got := serialize(optimizer.New(ds.Cat, ds.Model)); got != want {
 				t.Fatalf("parallel repetition %d diverged", i)
+			}
+		})
+	}
+	// One optimizer under all of them: whether a plan comes out of the memo
+	// or is planned by whichever goroutine got there first must not show.
+	shared := optimizer.New(ds.Cat, ds.Model)
+	for i := 0; i < 10; i++ {
+		i := i
+		t.Run(fmt.Sprintf("shared-%d", i), func(t *testing.T) {
+			t.Parallel()
+			if got := serialize(shared); got != want {
+				t.Fatalf("repetition %d on the shared optimizer diverged", i)
 			}
 		})
 	}

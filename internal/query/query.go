@@ -5,7 +5,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hybridndp/internal/expr"
@@ -192,16 +192,26 @@ func (q *Query) Validate(cat *table.Catalog) error {
 	return nil
 }
 
-// ProjectedColumns reports, per alias, the set of columns needed above the
-// scan: output columns, aggregate arguments, group-by keys and join columns.
-// This drives early projection (a size-reducing NDP staple).
-func (q *Query) ProjectedColumns() map[string][]string {
-	need := map[string]map[string]bool{}
+// TablePos is the position of alias in FROM, or -1.
+func (q *Query) TablePos(alias string) int {
+	return slices.IndexFunc(q.Tables, func(r TableRef) bool { return r.Alias == alias })
+}
+
+// ProjectedColumns reports, per table in FROM order, the sorted set of columns
+// needed above the scan: output columns, aggregate arguments, group-by keys
+// and join columns (nil when the query needs none of a table's columns). This
+// drives early projection (a size-reducing NDP staple).
+func (q *Query) ProjectedColumns() [][]string {
+	out := make([][]string, len(q.Tables))
 	add := func(alias, col string) {
-		if need[alias] == nil {
-			need[alias] = map[string]bool{}
+		i := q.TablePos(alias)
+		if i < 0 || slices.Contains(out[i], col) {
+			return
 		}
-		need[alias][col] = true
+		if out[i] == nil {
+			out[i] = make([]string, 0, 4)
+		}
+		out[i] = append(out[i], col)
 	}
 	for _, c := range q.Output {
 		add(c.Alias, c.Col)
@@ -218,15 +228,9 @@ func (q *Query) ProjectedColumns() map[string][]string {
 		add(j.LeftAlias, j.LeftCol)
 		add(j.RightAlias, j.RightCol)
 	}
-	out := map[string][]string{}
-	for alias, set := range need {
-		cols := make([]string, 0, len(set))
-		for c := range set {
-			cols = append(cols, c)
-		}
-		// Stable order for deterministic plans.
-		sort.Strings(cols)
-		out[alias] = cols
+	// Stable order for deterministic plans.
+	for _, cols := range out {
+		slices.Sort(cols)
 	}
 	return out
 }
@@ -277,4 +281,65 @@ func (q *Query) SQL() string {
 	}
 	b.WriteString(";")
 	return b.String()
+}
+
+// Fingerprint is the query's 64-bit structural hash: name, tables in FROM
+// order, each alias's filter tree in that order (Filters is a map; FROM order
+// is the only order it has), joins, output, aggregates and GROUP BY. The name
+// is part of the identity — fault draws and trace roots are keyed on it, so
+// two equal shapes under different names are different queries. ok is false
+// when a filter holds a predicate type expr cannot hash. A fingerprint
+// nominates; Equal decides.
+func (q *Query) Fingerprint() (_ uint64, ok bool) {
+	f := expr.NewFingerprint().Str(q.Name).Word(uint64(len(q.Tables))).Word(uint64(len(q.Filters)))
+	for _, t := range q.Tables {
+		f = f.Str(t.Alias).Str(t.Table)
+		p, has := q.Filters[t.Alias]
+		if f = f.Bool(has); !has {
+			continue
+		}
+		if f, ok = f.Pred(p); !ok {
+			return 0, false
+		}
+	}
+	f = f.Word(uint64(len(q.Joins)))
+	for _, j := range q.Joins {
+		f = f.Str(j.LeftAlias).Str(j.LeftCol).Str(j.RightAlias).Str(j.RightCol)
+	}
+	f = fingerprintCols(f, q.Output)
+	f = f.Word(uint64(len(q.Aggregates)))
+	for _, a := range q.Aggregates {
+		f = f.Word(uint64(a.Func)).Str(a.Arg.Alias).Str(a.Arg.Col).Bool(a.Star).Str(a.As)
+	}
+	return uint64(fingerprintCols(f, q.GroupBy)), true
+}
+
+func fingerprintCols(f expr.Fingerprint, cols []ColRef) expr.Fingerprint {
+	f = f.Word(uint64(len(cols)))
+	for _, c := range cols {
+		f = f.Str(c.Alias).Str(c.Col)
+	}
+	return f
+}
+
+// Equal reports whether o is structurally the same query, field by field over
+// everything Fingerprint covers. Filters are compared in FROM order and by
+// count, so a filter on an alias missing from FROM cannot hide behind an
+// otherwise equal query; filter trees compare by structure (expr.Equal),
+// never by rendering.
+func (q *Query) Equal(o *Query) bool {
+	if q.Name != o.Name || len(q.Filters) != len(o.Filters) ||
+		!slices.Equal(q.Tables, o.Tables) || !slices.Equal(q.Joins, o.Joins) ||
+		!slices.Equal(q.Output, o.Output) || !slices.Equal(q.Aggregates, o.Aggregates) ||
+		!slices.Equal(q.GroupBy, o.GroupBy) {
+		return false
+	}
+	for _, t := range q.Tables {
+		p, has := q.Filters[t.Alias]
+		op, ohas := o.Filters[t.Alias]
+		if has != ohas || has && !expr.Equal(p, op) {
+			return false
+		}
+	}
+	return true
 }

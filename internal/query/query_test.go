@@ -98,10 +98,10 @@ func TestProjectedColumns(t *testing.T) {
 	q.GroupBy = []ColRef{{Alias: "b", Col: "note"}}
 	proj := q.ProjectedColumns()
 	// a: x (aggregate) + id (join); b: a_id (join) + note (output/group).
-	if got := strings.Join(proj["a"], ","); got != "id,x" {
+	if got := strings.Join(proj[0], ","); got != "id,x" {
 		t.Fatalf("proj[a] = %q", got)
 	}
-	if got := strings.Join(proj["b"], ","); got != "a_id,note" {
+	if got := strings.Join(proj[1], ","); got != "a_id,note" {
 		t.Fatalf("proj[b] = %q", got)
 	}
 }

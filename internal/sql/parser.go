@@ -256,7 +256,7 @@ func (p *parser) parseOrExpr() (expr.Pred, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	preds := []expr.Pred{pred}
+	var preds []expr.Pred // only once there is a second operand
 	for p.acceptKeyword("OR") {
 		next, a, err := p.parseAndExpr()
 		if err != nil {
@@ -265,10 +265,13 @@ func (p *parser) parseOrExpr() (expr.Pred, string, error) {
 		if a != alias {
 			return nil, "", fmt.Errorf("sql: OR group mixes tables %s and %s", alias, a)
 		}
+		if preds == nil {
+			preds = append(preds, pred)
+		}
 		preds = append(preds, next)
 	}
-	if len(preds) == 1 {
-		return preds[0], alias, nil
+	if preds == nil {
+		return pred, alias, nil
 	}
 	return expr.Or{Preds: preds}, alias, nil
 }
@@ -279,7 +282,7 @@ func (p *parser) parseAndExpr() (expr.Pred, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	preds := []expr.Pred{pred}
+	var preds []expr.Pred // only once there is a second operand
 	for p.acceptKeyword("AND") {
 		next, a, err := p.parsePrimary()
 		if err != nil {
@@ -288,10 +291,13 @@ func (p *parser) parseAndExpr() (expr.Pred, string, error) {
 		if a != alias {
 			return nil, "", fmt.Errorf("sql: AND group mixes tables %s and %s", alias, a)
 		}
+		if preds == nil {
+			preds = append(preds, pred)
+		}
 		preds = append(preds, next)
 	}
-	if len(preds) == 1 {
-		return preds[0], alias, nil
+	if preds == nil {
+		return pred, alias, nil
 	}
 	return expr.And{Preds: preds}, alias, nil
 }

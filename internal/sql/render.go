@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,6 +58,11 @@ func Render(q *query.Query) (string, error) {
 		}
 		if err := checkIdent(t.Alias); err != nil {
 			return "", err
+		}
+		if slices.ContainsFunc(q.Tables[:i], func(r query.TableRef) bool { return r.Alias == t.Alias }) {
+			// Its filter would render once per reference, and the count below
+			// would take the extra for a filter it never rendered.
+			return "", fmt.Errorf("sql: query %s uses alias %q twice", q.Name, t.Alias)
 		}
 		tabs[i] = t.Table + " AS " + t.Alias
 	}
@@ -301,7 +307,7 @@ func checkIdent(s string) error {
 	if s == "" {
 		return fmt.Errorf("sql: empty identifier cannot round-trip")
 	}
-	if keywords[strings.ToUpper(s)] {
+	if _, ok := keyword(s); ok {
 		return fmt.Errorf("sql: identifier %q collides with a keyword", s)
 	}
 	for i, r := range s {

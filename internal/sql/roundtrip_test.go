@@ -44,7 +44,9 @@ func TestRenderRoundTripJOB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: BuildPlan(orig): %v", orig.Name, err)
 		}
-		gotPlan, err := opt.BuildPlan(parsed)
+		// A second optimizer: the first would answer an Equal query from its
+		// memo without planning it.
+		gotPlan, err := optimizer.New(ds.Cat, hw.Cosmos()).BuildPlan(parsed)
 		if err != nil {
 			t.Fatalf("%s: BuildPlan(parsed): %v", orig.Name, err)
 		}
@@ -103,4 +105,69 @@ func TestParseNestedBooleans(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseRenderRoundTrip is the property the plan caches live on: a
+// statement that parses and renders comes back from Parse(Render(q)) as an
+// Equal query with the same fingerprint, and rendering that again changes
+// nothing. The optimizer's memo keys on the fingerprint and serve's cache on
+// the rendering, so a statement that drifted through the round trip would
+// miss both on every arrival. Text Parse rejects and queries Render refuses
+// (see Render) are outside the property. Seeds: testdata/fuzz plus the JOB
+// workload.
+func FuzzParseRenderRoundTrip(f *testing.F) {
+	for _, q := range job.Queries() {
+		text, err := Render(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := Parse(text)
+		if err != nil {
+			return
+		}
+		out, err := Render(q)
+		if err != nil {
+			return
+		}
+		q2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("rendering does not parse: %v\ntext: %q\n out: %q", err, text, out)
+		}
+		if !q2.Equal(q) || !q.Equal(q2) {
+			t.Fatalf("Parse(Render(q)) is not Equal to q\ntext: %q\n out: %q", text, out)
+		}
+		fp, ok := q.Fingerprint()
+		fp2, ok2 := q2.Fingerprint()
+		if !ok || !ok2 || fp != fp2 {
+			t.Fatalf("fingerprints %x (%v) and %x (%v) differ across the round trip of %q", fp, ok, fp2, ok2, text)
+		}
+		if again, err := Render(q2); err != nil || again != out {
+			t.Fatalf("Render is not a fixed point: %q then %q (%v)", out, again, err)
+		}
+	})
+}
+
+// BenchmarkParse parses the 113 JOB statements per iteration.
+func BenchmarkParse(b *testing.B) {
+	var texts []string
+	for _, q := range job.Queries() {
+		text, err := Render(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		texts = append(texts, text)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			if _, err := Parse(text); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/query")
 }

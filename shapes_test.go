@@ -84,6 +84,7 @@ func TestShapeFig14DeviceWinsNonIndexedJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p = p.Clone() // the optimizer's plan is shared
 	for i := range p.Steps {
 		p.Steps[i].Type = exec.BNL
 	}
