@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"hybridndp/internal/coop"
-	"hybridndp/internal/ftl"
 	"hybridndp/internal/harness"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
@@ -427,27 +426,6 @@ func BenchmarkTracerOverhead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				serve(b, traced)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationFTLCache sweeps the GreedyFTL mapping-cache budget of the
-// BLK baseline and reports the derived block-path overhead (the source of
-// the hardware model's BlockStackOverheadPct). Bigger caches shrink the tax.
-func BenchmarkAblationFTLCache(b *testing.B) {
-	for _, cacheMB := range []int64{1, 2, 4, 16} {
-		b.Run(fmt.Sprintf("mapcache=%dMB", cacheMB), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := ftl.CalibrateBlockOverhead(ftl.DefaultGeometry(), cacheMB<<20, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					report(b, "overhead-pct", res.OverheadPct)
-					report(b, "write-amp", res.Stats.WriteAmplification())
-				}
 			}
 		})
 	}

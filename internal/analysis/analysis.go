@@ -41,6 +41,12 @@ import (
 	"sync"
 )
 
+// SimPackages are the simulation packages the hybridlint analyzers guard:
+// code that runs on virtual time, so it must be wall-clock free, charge its
+// modeled I/O, balance its spans and keep scheduling deterministic. Matching
+// is by final import-path segment (see pathMatches).
+var SimPackages = []string{"vclock", "coop", "exec", "lsm", "flash", "sched", "device", "hw", "obs", "fault", "fleet", "serve"}
+
 // Analyzer is one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in output and in //lint:allow directives.

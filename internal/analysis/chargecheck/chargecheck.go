@@ -15,7 +15,7 @@
 //
 // Modeled-I/O call sites are:
 //
-//   - methods ReadAt / ReadAtSeq / ReadFile / WriteFile on a type from a
+//   - methods ReadAt / ReadAtSeq / WriteFile on a type from a
 //     package whose path ends in "flash" (the flash channel),
 //   - dynamic calls of a func(device.Batch) error value (the device → host
 //     batch emission surface: Device.Run / RunShard emit callbacks),
@@ -42,10 +42,6 @@ import (
 	"hybridndp/internal/analysis"
 )
 
-// SimPackages mirrors wallclock's list: the packages whose I/O must be
-// accounted (duplicated here so the analyzer stays self-contained).
-var SimPackages = []string{"vclock", "coop", "exec", "ftl", "lsm", "flash", "sched", "device", "hw", "obs", "fault", "fleet", "serve"}
-
 // ChargesFact marks a function that charges a vclock.Timeline: on at least
 // one path (weak form), or on every terminating path (Always).
 type ChargesFact struct {
@@ -59,7 +55,7 @@ func (*ChargesFact) AFact() {}
 var Analyzer = &analysis.Analyzer{
 	Name:      "chargecheck",
 	Doc:       "modeled I/O (flash reads, batch emits) must charge a vclock.Timeline, directly or via a fact-carrying callee",
-	Packages:  SimPackages,
+	Packages:  analysis.SimPackages,
 	AllowIn:   []string{"internal/device", "internal/coop", "internal/fleet"},
 	SkipTests: true,
 	Run:       run,
@@ -67,7 +63,7 @@ var Analyzer = &analysis.Analyzer{
 
 // flashIOMethods are the flash-channel surfaces.
 var flashIOMethods = map[string]bool{
-	"ReadAt": true, "ReadAtSeq": true, "ReadFile": true, "WriteFile": true,
+	"ReadAt": true, "ReadAtSeq": true, "WriteFile": true,
 }
 
 // deviceIOMethods are the device execution surfaces that stream batches.

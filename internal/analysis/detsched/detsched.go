@@ -32,14 +32,11 @@ import (
 	"hybridndp/internal/analysis"
 )
 
-// SimPackages mirrors wallclock's list.
-var SimPackages = []string{"vclock", "coop", "exec", "ftl", "lsm", "flash", "sched", "device", "hw", "obs", "fault", "fleet", "serve"}
-
 // Analyzer is the detsched check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "detsched",
 	Doc:       "flags scheduler-order nondeterminism: multi-case selects, order-dependent goroutine fan-in, unordered iteration feeding fingerprints",
-	Packages:  SimPackages,
+	Packages:  analysis.SimPackages,
 	SkipTests: true,
 	Run:       run,
 }

@@ -31,14 +31,11 @@ import (
 	"hybridndp/internal/analysis"
 )
 
-// SimPackages mirrors wallclock's list.
-var SimPackages = []string{"vclock", "coop", "exec", "ftl", "lsm", "flash", "sched", "device", "hw", "obs", "fault", "fleet", "serve"}
-
 // Analyzer is the errsink check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "errsink",
 	Doc:       "error results of simulator APIs (emit, inject, recovery feeds) must not be discarded",
-	Packages:  SimPackages,
+	Packages:  analysis.SimPackages,
 	AllowIn:   []string{"internal/obs", "internal/fault"},
 	SkipTests: true,
 	Run:       run,
@@ -157,7 +154,7 @@ func isErrorType(t types.Type) bool {
 }
 
 func inSimPackage(path string) bool {
-	for _, s := range SimPackages {
+	for _, s := range analysis.SimPackages {
 		if path == s || strings.HasSuffix(path, "/"+s) {
 			return true
 		}

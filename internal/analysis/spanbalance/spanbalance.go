@@ -38,14 +38,11 @@ import (
 	"hybridndp/internal/analysis"
 )
 
-// SimPackages mirrors wallclock's list; spans only exist in simulation code.
-var SimPackages = []string{"vclock", "coop", "exec", "ftl", "lsm", "flash", "sched", "device", "hw", "obs", "fault", "fleet", "serve"}
-
 // Analyzer is the spanbalance check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "spanbalance",
 	Doc:       "every obs.Trace.Start must be paired with Span.End on all control-flow paths",
-	Packages:  SimPackages,
+	Packages:  analysis.SimPackages,
 	AllowIn:   []string{"internal/coop", "internal/device"},
 	SkipTests: true,
 	Run:       run,

@@ -4,8 +4,8 @@ package coop
 
 import (
 	"device"
+	"exec"
 	"flash"
-	"ftl"
 
 	"vclock"
 )
@@ -18,9 +18,9 @@ func fetchCharged(tl *vclock.Timeline, dev *device.Device) error {
 }
 
 // fetchViaHelper routes the transfer through a fact-carrying helper from
-// another package: covered by ftl.ChargedTransfer's imported fact.
+// another package: covered by exec.ChargedTransfer's imported fact.
 func fetchViaHelper(f *flash.Flash, p []byte) (int, error) {
-	return ftl.ChargedTransfer(f, p)
+	return exec.ChargedTransfer(f, p)
 }
 
 // fetchUncharged streams device batches with no accounting anywhere: the

@@ -1,8 +1,8 @@
-// Package ftl is a chargecheck fixture of charging helpers: functions that
+// Package exec is a chargecheck fixture of charging helpers: functions that
 // either charge a timeline directly or route through the charging flash
 // surface. The analyzer exports a charges fact for each, which the coop
 // fixture imports — the cross-package half of the fact round-trip.
-package ftl
+package exec
 
 import (
 	"flash"
@@ -18,5 +18,5 @@ func ChargedTransfer(f *flash.Flash, p []byte) (int, error) {
 
 // Forward charges the transfer cost directly.
 func Forward(tl *vclock.Timeline, p []byte) {
-	tl.Charge("ftl.forward", vclock.Duration(len(p)))
+	tl.Charge("exec.forward", vclock.Duration(len(p)))
 }

@@ -19,10 +19,6 @@ import (
 	"hybridndp/internal/analysis"
 )
 
-// SimPackages are the packages whose code must be wall-clock free. Matching
-// is by final import-path segment (see analysis.Run).
-var SimPackages = []string{"vclock", "coop", "exec", "ftl", "lsm", "flash", "sched", "device", "hw", "obs", "fault", "fleet", "serve"}
-
 // bannedTime are the time package functions that observe or consume wall time.
 var bannedTime = map[string]string{
 	"Now":       "read virtual time from a vclock.Timeline",
@@ -48,7 +44,7 @@ var bannedRand = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name:      "wallclock",
 	Doc:       "forbid wall-clock time and global math/rand in simulation packages",
-	Packages:  SimPackages,
+	Packages:  analysis.SimPackages,
 	AllowIn:   []string{"internal/hw"},
 	SkipTests: true,
 	Run:       run,

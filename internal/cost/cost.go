@@ -192,7 +192,7 @@ func (e *Estimator) StepCost(step exec.JoinStep, leftRows float64, s Side) (Node
 		nc.Scan = flashLookups * pageCost * r.StackOverhead
 		nc.CPU = leftRows*(float64(r.HashProbeNsRec)+float64(r.SeekNsPerLevel)*12*seeks) +
 			outRows*(e.params.UsrRec*e.cpuFactor(s)+float64(r.SeekNsPerLevel)*12)
-	default: // BNL / NLJ / GHJ price as buffered join
+	default: // BNL: hash join in the join buffer
 		acc, err := e.AccessCost(step.Right, s)
 		if err != nil {
 			return NodeCost{}, 0, err

@@ -188,7 +188,7 @@ func TestAllJoinAlgorithmsAgree(t *testing.T) {
 		idxPK   bool
 		idxName string
 	}{
-		{BNL, false, ""}, {NLJ, false, ""}, {GHJ, false, ""}, {BNLI, false, "idx_customer"},
+		{BNL, false, ""}, {BNLI, false, "idx_customer"},
 	} {
 		e := hostEngine(cat)
 		res, err := e.RunPlan(planFor(q, v.jt, v.idxPK, v.idxName))
@@ -238,22 +238,6 @@ func TestBNLIPKJoin(t *testing.T) {
 	}
 	if res.Rows[0][1].Int != 109 {
 		t.Fatalf("max amount = %v, want 109", res.Rows[0][1])
-	}
-}
-
-func TestNLJChargesMoreThanBNL(t *testing.T) {
-	cat := fixture(t, 40, 2000)
-	q := joinQuery()
-	eb := hostEngine(cat)
-	if _, err := eb.RunPlan(planFor(q, BNL, false, "")); err != nil {
-		t.Fatal(err)
-	}
-	en := hostEngine(cat)
-	if _, err := en.RunPlan(planFor(q, NLJ, false, "")); err != nil {
-		t.Fatal(err)
-	}
-	if en.TL.Now() <= eb.TL.Now() {
-		t.Fatalf("NLJ (%v) must cost more than hash BNL (%v)", en.TL.Now(), eb.TL.Now())
 	}
 }
 
@@ -583,7 +567,7 @@ func TestPlanStringAndAliases(t *testing.T) {
 	if s == "" || len(s) < 10 {
 		t.Fatal("plan rendering empty")
 	}
-	for _, jt := range []JoinType{BNL, BNLI, NLJ, GHJ, JoinType(99)} {
+	for _, jt := range []JoinType{BNL, BNLI, JoinType(99)} {
 		if jt.String() == "" {
 			t.Fatal("join type rendering empty")
 		}

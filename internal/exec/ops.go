@@ -164,7 +164,7 @@ func (e *Engine) cacheWidth(rowWidth int64) int64 {
 	return rowWidth
 }
 
-// innerState caches the materialized inner side of a BNL/GHJ/NLJ join so
+// innerState caches the materialized inner side of a BNL join so
 // chunked executions build it only once (the device builds its hash tables
 // once and streams probes through them). For BNL with a bounded join buffer
 // it also tracks how much outer data has streamed past, charging one extra
@@ -216,7 +216,7 @@ func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
 	step := pl.Plan.Steps[si]
 	leftShape := pl.ShapeAt(si)
 	switch step.Type {
-	case BNL, NLJ, GHJ:
+	case BNL:
 		return e.joinBuffered(pl, si, leftShape, left, step)
 	case BNLI:
 		return e.joinIndexed(pl, si, leftShape, left, step)
@@ -225,11 +225,9 @@ func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
 	}
 }
 
-// joinBuffered implements BNL (hash table in the join buffer), NLJ and GHJ.
-// All three compute the same equality-join result; they differ in the work
-// charged: BNL re-reads the inner table once per outer block that exceeds
-// the join buffer, NLJ charges the full cross-comparison, GHJ charges
-// partitioning copies of both sides.
+// joinBuffered implements BNL: a hash table over the inner side in the join
+// buffer, re-reading the inner table once per outer block that exceeds the
+// buffer.
 func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tuple, step JoinStep) ([]Tuple, error) {
 	inner, err := e.BuildInner(pl, si)
 	if err != nil {
@@ -301,11 +299,6 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	if e.TL != nil {
 		e.R.HashProbe(e.TL, len(left))
 		e.R.Memcmp(e.TL, cmpBytes, cmps)
-		if step.Type == NLJ {
-			// Naive nested loop compares every pair.
-			pairs := int64(len(left)) * int64(len(inner.rows))
-			e.R.Memcmp(e.TL, pairs*8, num.ClampInt(pairs))
-		}
 		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.Widths[si+1]))
 		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
 		e.chargeDeref(pl, si, len(out))
@@ -354,10 +347,6 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 		inner.scanDelta = accountDelta(before, e.TL.Account())
 	}
 	e.hashInner(pl, si, inner, rows, width)
-	if e.TL != nil && step.Type == GHJ {
-		// Grace hash join additionally partitions both sides through flash.
-		e.R.Memcpy(e.TL, 2*int64(len(rows))*width)
-	}
 	return inner, nil
 }
 

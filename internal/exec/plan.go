@@ -1,6 +1,6 @@
 // Package exec implements the physical execution layer shared by the host
 // engine and the on-device NDP engine: access paths, the left-deep join
-// pipeline with BNL / BNLI / NLJ / GHJ algorithms, grouping and aggregation.
+// pipeline with BNL and BNLI joins, grouping and aggregation.
 // Operators execute for real over real records; every primitive (flash read,
 // predicate evaluation, key comparison, buffer copy) charges virtual time to
 // the engine's timeline at the engine's rate table, so identical operator
@@ -17,16 +17,14 @@ import (
 	"hybridndp/internal/table"
 )
 
-// JoinType selects the join algorithm (paper §2.1: nKV supports NLJ, BNLJ,
-// Grace hash join, and BNLI using primary/secondary indices).
+// JoinType selects the join algorithm: the two the paper's experiments
+// compare (Exp 4/5), out of the set nKV supports (§2.1).
 type JoinType int
 
 // Join algorithms.
 const (
 	BNL  JoinType = iota // block nested loop, hash table in the join buffer
 	BNLI                 // block nested loop over an index (PK or secondary)
-	NLJ                  // naive nested loop
-	GHJ                  // grace hash join
 )
 
 func (t JoinType) String() string {
@@ -35,10 +33,6 @@ func (t JoinType) String() string {
 		return "BNL"
 	case BNLI:
 		return "BNLI"
-	case NLJ:
-		return "NLJ"
-	case GHJ:
-		return "GHJ"
 	}
 	return fmt.Sprintf("JoinType(%d)", int(t))
 }

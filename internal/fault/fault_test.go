@@ -280,3 +280,24 @@ func TestStallAppliesPerBatch(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFaultPlanRoundTrip checks the -faults flag parser on arbitrary text: no
+// input panics, and a spec Parse accepts renders to a canonical form that
+// Parse accepts again and renders unchanged — Parse → String → Parse is a
+// fixed point. Seeds: testdata/fuzz/FuzzFaultPlanRoundTrip.
+func FuzzFaultPlanRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		p2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form of %q does not parse: %q: %v", spec, canon, err)
+		}
+		if again := p2.String(); again != canon {
+			t.Fatalf("String is not a fixed point for %q: %q then %q", spec, canon, again)
+		}
+	})
+}

@@ -54,7 +54,6 @@ type Flash struct {
 	capacity  int64
 	used      int64             // guarded by mu
 	next      FileID            // guarded by mu
-	root      FileID            // guarded by mu
 	files     map[FileID][]byte // guarded by mu
 	stats     Stats             // guarded by mu
 }
@@ -197,30 +196,4 @@ func (f *Flash) read(id FileID, off, length int64, tl *vclock.Timeline, r hw.Rat
 		}
 	}
 	return data[off : off+length], nil
-}
-
-// SetRoot atomically updates the device's root pointer (the superblock slot
-// real devices reserve for the manifest of the storage engine). Zero clears
-// it.
-func (f *Flash) SetRoot(id FileID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.root = id
-}
-
-// Root returns the current root pointer (0 = none).
-func (f *Flash) Root() FileID {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.root
-}
-
-// ReadFile returns the whole file, charged as one sequential read. Recovery
-// and manifest reads go through here, outside the fault-injection surface.
-func (f *Flash) ReadFile(id FileID, tl *vclock.Timeline, r hw.Rates) ([]byte, error) {
-	sz := f.Size(id)
-	if sz < 0 {
-		return nil, fmt.Errorf("%w: file %d", ErrNotExist, id)
-	}
-	return f.ReadAt(id, 0, sz, tl, r, nil)
 }

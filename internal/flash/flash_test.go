@@ -24,7 +24,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadFile(id, nil, hw.Rates{})
+	got, err := f.ReadAt(id, 0, int64(len(data)), nil, hw.Rates{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := f.ReadAt(id, 0, 10, nil, hw.Rates{}, nil); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("read of deleted file: got %v, want ErrNotExist", err)
 	}
-	if _, err := f.ReadFile(id, nil, hw.Rates{}); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("ReadFile of deleted file: got %v, want ErrNotExist", err)
+	if _, err := f.ReadAt(id, 0, 1000, nil, hw.Rates{}, nil); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("whole-file read of deleted file: got %v, want ErrNotExist", err)
 	}
 	id2, _ := f.WriteFile(blob(1000), nil, hw.Rates{})
 	if _, err := f.ReadAt(id2, 900, 200, nil, hw.Rates{}, nil); !errors.Is(err, ErrOutOfBounds) {
@@ -185,8 +185,8 @@ func TestDeviceReadsCheaperThanHost(t *testing.T) {
 	id, _ := f.WriteFile(blob(1<<20), nil, hw.Rates{})
 	host := vclock.NewTimeline("h")
 	dev := vclock.NewTimeline("d")
-	f.ReadFile(id, host, hw.HostRates(m))
-	f.ReadFile(id, dev, hw.DeviceRates(m))
+	f.ReadAt(id, 0, 1<<20, host, hw.HostRates(m), nil)
+	f.ReadAt(id, 0, 1<<20, dev, hw.DeviceRates(m), nil)
 	if dev.Now() >= host.Now() {
 		t.Fatal("device-internal read must be cheaper than the host path")
 	}

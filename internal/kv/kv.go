@@ -24,11 +24,6 @@ type DB struct {
 	model hw.Model
 	cfg   lsm.Config
 	cfs   map[string]*ColumnFamily // guarded by mu
-
-	// Durable-mode state (see durable.go).
-	durable     bool
-	manifestMu  sync.Mutex
-	cfManifests map[string]flash.FileID // guarded by manifestMu
 }
 
 // Open creates a database over the given flash module.
@@ -52,19 +47,13 @@ func (db *DB) NewBlockCache(fraction float64) *lsm.BlockCache {
 func (db *DB) Model() hw.Model { return db.model }
 
 // CreateColumnFamily registers a new column family with its own LSM tree.
-// In durable mode the tree logs to a WAL and reports its manifests into the
-// database manifest.
 func (db *DB) CreateColumnFamily(name string) (*ColumnFamily, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.cfs[name]; ok {
 		return nil, fmt.Errorf("kv: column family %q already exists", name)
 	}
-	cfg := db.cfg
-	if db.durable {
-		cfg.OnManifest = db.manifestHook(name)
-	}
-	cf := &ColumnFamily{name: name, tree: lsm.NewTree(db.fl, cfg)}
+	cf := &ColumnFamily{name: name, tree: lsm.NewTree(db.fl, db.cfg)}
 	db.cfs[name] = cf
 	return cf, nil
 }
@@ -131,9 +120,6 @@ func (cf *ColumnFamily) Scan(lo, hi []byte, ac lsm.Access) *lsm.TreeIter {
 
 // Flush forces memtables out to C1.
 func (cf *ColumnFamily) Flush() error { return cf.tree.Flush() }
-
-// Sync group-commits pending WAL records (durable mode).
-func (cf *ColumnFamily) Sync() error { return cf.tree.Sync() }
 
 // Stats reports LSM statistics for the optimizer.
 func (cf *ColumnFamily) Stats() lsm.Stats { return cf.tree.Stats() }

@@ -134,79 +134,6 @@ func TestSnapshotCapturesSharedState(t *testing.T) {
 	}
 }
 
-func TestDurableDBReopen(t *testing.T) {
-	m := hw.Cosmos()
-	fl := flash.New(m, 0)
-	cfg := lsm.Config{MemTableBytes: 8 << 10, MaxL1Files: 4, LevelRatio: 4,
-		BaseLevelBytes: 64 << 10, WALSyncBytes: 1 << 10}
-	db := OpenDurable(fl, m, cfg)
-	a, err := db.CreateColumnFamily("tbl.a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.CreateColumnFamily("idx.b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		a.Put([]byte(fmt.Sprintf("a%05d", i)), []byte("va"))
-		b.Put([]byte(fmt.Sprintf("b%05d", i)), []byte("vb"))
-	}
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Un-flushed tail on one family, synced through its tree's WAL.
-	a.Put([]byte("hot"), []byte("tail"))
-	if err := a.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Crash": reopen everything from the flash root.
-	re, err := ReopenDB(fl, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := re.ColumnFamilies()
-	if len(names) != 2 || names[0] != "idx.b" || names[1] != "tbl.a" {
-		t.Fatalf("reopened families: %v", names)
-	}
-	ra, _ := re.CF("tbl.a")
-	rb, _ := re.CF("idx.b")
-	if v, ok, _ := ra.Get([]byte("a01234"), lsm.Access{}); !ok || string(v) != "va" {
-		t.Fatalf("flushed data lost: %q %v", v, ok)
-	}
-	if v, ok, _ := ra.Get([]byte("hot"), lsm.Access{}); !ok || string(v) != "tail" {
-		t.Fatalf("WAL tail lost: %q %v", v, ok)
-	}
-	n := 0
-	for it := rb.Scan(nil, nil, lsm.Access{}); it.Valid(); it.Next() {
-		n++
-	}
-	if n != 2000 {
-		t.Fatalf("idx.b reopened with %d keys", n)
-	}
-	// The reopened database keeps logging: write, flush, reopen again.
-	ra.Put([]byte("second"), []byte("gen"))
-	if err := ra.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := ReopenDB(fl, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra2, _ := re2.CF("tbl.a")
-	if v, ok, _ := ra2.Get([]byte("second"), lsm.Access{}); !ok || string(v) != "gen" {
-		t.Fatal("second-generation write lost")
-	}
-}
-
-func TestReopenDBWithoutRootFails(t *testing.T) {
-	m := hw.Cosmos()
-	if _, err := ReopenDB(flash.New(m, 0), m, lsm.DefaultConfig()); err == nil {
-		t.Fatal("reopen without a root must fail")
-	}
-}
-
 func TestSnapshotBytesGrowWithState(t *testing.T) {
 	db := testDB()
 	cf, _ := db.CreateColumnFamily("obj")

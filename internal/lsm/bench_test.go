@@ -8,12 +8,11 @@ import (
 	"hybridndp/internal/hw"
 )
 
-func loadedTree(b *testing.B, n int, tiered bool) *Tree {
+func loadedTree(b *testing.B, n int) *Tree {
 	b.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
 	cfg := DefaultConfig()
 	cfg.MemTableBytes = 64 << 10
-	cfg.Tiered = tiered
 	tr := NewTree(fl, cfg)
 	for i := 0; i < n; i++ {
 		if err := tr.Put(key(i), val(i)); err != nil {
@@ -48,21 +47,17 @@ func BenchmarkTreePut(b *testing.B) {
 }
 
 func BenchmarkTreeGet(b *testing.B) {
-	for _, tiered := range []bool{false, true} {
-		b.Run(fmt.Sprintf("tiered=%v", tiered), func(b *testing.B) {
-			tr := loadedTree(b, 50_000, tiered)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := tr.Get(key(i%50_000), Access{}); err != nil || !ok {
-					b.Fatalf("Get: %v %v", ok, err)
-				}
-			}
-		})
+	tr := loadedTree(b, 50_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := tr.Get(key(i%50_000), Access{}); err != nil || !ok {
+			b.Fatalf("Get: %v %v", ok, err)
+		}
 	}
 }
 
 func BenchmarkTreeScan(b *testing.B) {
-	tr := loadedTree(b, 50_000, false)
+	tr := loadedTree(b, 50_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -76,7 +71,7 @@ func BenchmarkTreeScan(b *testing.B) {
 }
 
 func BenchmarkTreeScanWithCache(b *testing.B) {
-	tr := loadedTree(b, 50_000, false)
+	tr := loadedTree(b, 50_000)
 	cache := NewBlockCache(64 << 20)
 	ac := Access{Cache: cache}
 	b.ResetTimer()

@@ -89,8 +89,8 @@ func checkRunsMatchEntries(t *testing.T, what string, scan func(Access) *TreeIte
 // (0–255) with a value of 40+size%160 bytes, 5–6 deletes it, 7 flushes. shape
 // picks the memtable budget (2 KiB × (1+shape&31): small ones leave
 // overlapping C1 files and compacted lower levels, large ones one SST per
-// flush or nothing but the memtable) and, with bit 6, tiered compaction, with
-// bit 7 a block cache. [lo, hi) are key numbers; bounds bits 0/1 drop them.
+// flush or nothing but the memtable) and, with bit 7, a block cache; bit 6 is
+// unused. [lo, hi) are key numbers; bounds bits 0/1 drop them.
 // The seed corpus under testdata/fuzz/FuzzTreeIterRuns is named after the
 // tree shape each entry builds.
 func FuzzTreeIterRuns(f *testing.F) {
@@ -103,7 +103,6 @@ func FuzzTreeIterRuns(f *testing.F) {
 			MaxL1Files:     2,
 			LevelRatio:     3,
 			BaseLevelBytes: 8 << 10,
-			Tiered:         shape&64 != 0,
 		})
 		cached := shape&128 != 0
 		model := map[string][]byte{}

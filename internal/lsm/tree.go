@@ -8,9 +8,6 @@ import (
 	"hybridndp/internal/flash"
 )
 
-// flashFileID aliases the flash file identifier for the manifest hook.
-type flashFileID = flash.FileID
-
 // Config tunes one LSM tree.
 type Config struct {
 	// MemTableBytes is the C0 flush threshold.
@@ -18,26 +15,12 @@ type Config struct {
 	// MaxL1Files triggers compaction of C1 (which may hold overlapping key
 	// ranges) into C2 once exceeded.
 	MaxL1Files int
-	// LevelRatio is the size ratio r = |C_{i+1}|/|C_i| of classic LSM trees
-	// (leveled), or the run count per level that triggers a merge (tiered).
+	// LevelRatio is the size ratio r = |C_{i+1}|/|C_i| of classic (leveled)
+	// LSM trees.
 	LevelRatio int
 	// BaseLevelBytes is the size limit of C2; level i+1 allows
-	// BaseLevelBytes × LevelRatio^(i-2). Leveled strategy only.
+	// BaseLevelBytes × LevelRatio^(i-2).
 	BaseLevelBytes int64
-	// Tiered selects tiered compaction (paper §2.2: "depending on the
-	// strategy (e.g., tiered or leveled)"): each level holds up to
-	// LevelRatio overlapping runs; overflow merges the whole level into one
-	// run on the next level. Reads check every run, writes move less data.
-	Tiered bool
-	// Durable enables the write-ahead log and the flash-rooted manifest, so
-	// the tree survives a restart via Reopen.
-	Durable bool
-	// WALSyncBytes is the WAL group-commit threshold (≤0: 64 KiB).
-	WALSyncBytes int64
-	// OnManifest, when set, receives each newly written manifest file ID
-	// instead of installing it as the flash root — the hook the nKV layer
-	// uses to keep one root covering many column families.
-	OnManifest func(id flashFileID) error
 	// Seed is the base seed for memtable skiplist height RNGs; each rotation
 	// derives a fresh per-memtable seed from it. 0 means lsm.DefaultSeed.
 	Seed int64
@@ -58,26 +41,20 @@ func DefaultConfig() Config {
 // possibly overlapping key ranges (no merge on flush, for performance); C2..CK
 // hold non-overlapping SSTs produced by compaction.
 type Tree struct {
-	mu         sync.RWMutex
-	cfg        Config
-	fl         *flash.Flash
-	mem        *MemTable   // guarded by mu
-	imm        []*MemTable // immutable memtables, newest first; guarded by mu
-	l1         []*SST      // newest first, ranges may overlap; guarded by mu
-	levels     [][]*SST    // levels[i] = C_{i+2}, sorted by min key, non-overlapping; guarded by mu
-	wal        *WAL        // nil unless cfg.Durable
-	manifestID flashFileID // guarded by mu
-	memSeq     int64       // memtables created so far, for seed derivation; guarded by mu
+	mu     sync.RWMutex
+	cfg    Config
+	fl     *flash.Flash
+	mem    *MemTable   // guarded by mu
+	imm    []*MemTable // immutable memtables, newest first; guarded by mu
+	l1     []*SST      // newest first, ranges may overlap; guarded by mu
+	levels [][]*SST    // levels[i] = C_{i+2}, sorted by min key, non-overlapping; guarded by mu
+	memSeq int64       // memtables created so far, for seed derivation; guarded by mu
 }
 
 // NewTree creates an empty tree over the given flash module.
 func NewTree(fl *flash.Flash, cfg Config) *Tree {
 	if cfg.MemTableBytes <= 0 {
 		def := DefaultConfig()
-		def.Tiered = cfg.Tiered
-		def.Durable = cfg.Durable
-		def.WALSyncBytes = cfg.WALSyncBytes
-		def.OnManifest = cfg.OnManifest
 		def.Seed = cfg.Seed
 		cfg = def
 	}
@@ -86,9 +63,6 @@ func NewTree(fl *flash.Flash, cfg Config) *Tree {
 	}
 	t := &Tree{cfg: cfg, fl: fl}
 	t.mem = t.newMemTableLocked()
-	if cfg.Durable {
-		t.wal = newWAL(fl, cfg.WALSyncBytes)
-	}
 	return t
 }
 
@@ -98,11 +72,6 @@ func NewTree(fl *flash.Flash, cfg Config) *Tree {
 func (t *Tree) Put(key, value []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.wal != nil {
-		if err := t.wal.Append(Entry{Key: key, Value: value}); err != nil {
-			return err
-		}
-	}
 	t.mem.Put(key, value)
 	return t.maybeRotateLocked()
 }
@@ -111,11 +80,6 @@ func (t *Tree) Put(key, value []byte) error {
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.wal != nil {
-		if err := t.wal.Append(Entry{Key: key, Tombstone: true}); err != nil {
-			return err
-		}
-	}
 	t.mem.Delete(key)
 	return t.maybeRotateLocked()
 }
@@ -135,19 +99,6 @@ func (t *Tree) maybeRotateLocked() error {
 	t.imm = append([]*MemTable{t.mem}, t.imm...)
 	t.mem = t.newMemTableLocked()
 	return t.flushLocked()
-}
-
-// Sync persists any pending WAL records without flushing memtables.
-func (t *Tree) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.wal == nil {
-		return nil
-	}
-	if err := t.wal.Sync(); err != nil {
-		return err
-	}
-	return t.persistManifestLocked()
 }
 
 // Flush forces all memtables (mutable and immutable) to C1 SSTs.
@@ -182,103 +133,11 @@ func (t *Tree) flushLocked() error {
 		t.l1 = append([]*SST{sst}, t.l1...)
 	}
 	if len(t.l1) > t.cfg.MaxL1Files {
-		if t.cfg.Tiered {
-			if err := t.compactL1TieredLocked(); err != nil {
-				return err
-			}
-		} else if err := t.compactL1Locked(); err != nil {
+		if err := t.compactL1Locked(); err != nil {
 			return err
 		}
 	}
-	var err error
-	if t.cfg.Tiered {
-		err = t.compactLowerTieredLocked()
-	} else {
-		err = t.compactLowerLocked()
-	}
-	if err != nil {
-		return err
-	}
-	// Everything logged so far is durable in SSTs now: retire the WAL and
-	// install the new manifest.
-	if t.wal != nil {
-		t.wal.Reset()
-	}
-	return t.persistManifestLocked()
-}
-
-// compactL1TieredLocked merges all of C1 into one sorted run pushed onto C2
-// without touching C2's existing runs (tiered compaction: levels hold
-// multiple overlapping runs, newest first).
-func (t *Tree) compactL1TieredLocked() error {
-	if len(t.l1) == 0 {
-		return nil
-	}
-	srcs := make([]mergeSource, 0, len(t.l1))
-	for _, s := range t.l1 {
-		srcs = append(srcs, &sstSource{it: s.Iter(nil, Access{})})
-	}
-	merged, err := mergeAll(srcs, false)
-	if err != nil {
-		return err
-	}
-	old := t.l1
-	t.l1 = nil
-	if len(t.levels) == 0 {
-		t.levels = append(t.levels, nil)
-	}
-	if len(merged) > 0 {
-		// One SST per run: the level's run count is what triggers further
-		// tiered merges, so a compaction must add exactly one run.
-		run, err := BuildSST(t.fl, merged, Access{})
-		if err != nil {
-			return err
-		}
-		t.levels[0] = append([]*SST{run}, t.levels[0]...)
-	}
-	for _, s := range old {
-		t.fl.DeleteFile(s.File())
-	}
-	return nil
-}
-
-// compactLowerTieredLocked merges a whole level into one run on the next
-// level once it accumulates LevelRatio runs.
-func (t *Tree) compactLowerTieredLocked() error {
-	ratio := t.cfg.LevelRatio
-	if ratio < 2 {
-		ratio = 2
-	}
-	for i := 0; i < len(t.levels); i++ {
-		if len(t.levels[i]) <= ratio {
-			continue
-		}
-		srcs := make([]mergeSource, 0, len(t.levels[i]))
-		for _, s := range t.levels[i] {
-			srcs = append(srcs, &sstSource{it: s.Iter(nil, Access{})})
-		}
-		dropTombstones := i+2 >= len(t.levels)+1 && i+1 >= len(t.levels)
-		merged, err := mergeAll(srcs, dropTombstones)
-		if err != nil {
-			return err
-		}
-		old := t.levels[i]
-		t.levels[i] = nil
-		if i+1 >= len(t.levels) {
-			t.levels = append(t.levels, nil)
-		}
-		if len(merged) > 0 {
-			run, err := BuildSST(t.fl, merged, Access{})
-			if err != nil {
-				return err
-			}
-			t.levels[i+1] = append([]*SST{run}, t.levels[i+1]...)
-		}
-		for _, s := range old {
-			t.fl.DeleteFile(s.File())
-		}
-	}
-	return nil
+	return t.compactLowerLocked()
 }
 
 // compactL1Locked merges all of C1 with the overlapping part of C2. Outdated
@@ -476,7 +335,7 @@ func (t *Tree) Get(key []byte, ac Access) ([]byte, bool, error) {
 		}
 	}
 	for _, lvl := range t.levels {
-		e, ok, err := getFromLevel(lvl, key, ac, t.cfg.Tiered)
+		e, ok, err := getFromLevel(lvl, key, ac)
 		if err != nil {
 			return nil, false, err
 		}
@@ -487,19 +346,9 @@ func (t *Tree) Get(key []byte, ac Access) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// getFromLevel resolves a key inside one level: leveled levels hold
-// non-overlapping SSTs (binary search), tiered levels hold overlapping runs
-// checked newest first.
-func getFromLevel(lvl []*SST, key []byte, ac Access, tiered bool) (Entry, bool, error) {
-	if tiered {
-		for _, s := range lvl {
-			e, ok, err := s.Get(key, ac)
-			if err != nil || ok {
-				return e, ok, err
-			}
-		}
-		return Entry{}, false, nil
-	}
+// getFromLevel resolves a key inside one level of non-overlapping SSTs
+// (binary search).
+func getFromLevel(lvl []*SST, key []byte, ac Access) (Entry, bool, error) {
 	i := searchLevel(lvl, key)
 	if i < 0 {
 		return Entry{}, false, nil
@@ -741,14 +590,10 @@ func (t *Tree) Stats() Stats {
 }
 
 // SanityCheck verifies structural invariants: C1 may overlap, lower levels
-// must not under leveled compaction; every leveled level is sorted by min
-// key. Used by property tests.
+// must not; every lower level is sorted by min key. Used by property tests.
 func (t *Tree) SanityCheck() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.cfg.Tiered {
-		return nil // tiered levels are allowed to overlap by design
-	}
 	for li, lvl := range t.levels {
 		for i := 1; i < len(lvl); i++ {
 			if bytes.Compare(lvl[i-1].MaxKey(), lvl[i].MinKey()) >= 0 {

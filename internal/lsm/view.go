@@ -16,17 +16,13 @@ type View struct {
 	mem    []Entry // frozen C0 (sorted, newest version per key, tombstones kept)
 	l1     []*SST
 	levels [][]*SST
-	tiered bool
 }
 
 // View captures the current state of the tree.
 func (t *Tree) View() *View {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v := &View{
-		l1:     append([]*SST(nil), t.l1...),
-		tiered: t.cfg.Tiered,
-	}
+	v := &View{l1: append([]*SST(nil), t.l1...)}
 	for _, lvl := range t.levels {
 		v.levels = append(v.levels, append([]*SST(nil), lvl...))
 	}
@@ -77,7 +73,7 @@ func (v *View) Get(key []byte, ac Access) ([]byte, bool, error) {
 		}
 	}
 	for _, lvl := range v.levels {
-		e, ok, err := getFromLevel(lvl, key, ac, v.tiered)
+		e, ok, err := getFromLevel(lvl, key, ac)
 		if err != nil {
 			return nil, false, err
 		}

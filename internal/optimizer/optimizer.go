@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"hybridndp/internal/cost"
+	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/expr"
 	"hybridndp/internal/hw"
@@ -372,7 +373,7 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 		if k == 0 {
 			sa = -1
 		}
-		feasible[k] = devicePlanFits(o.Model, p, sa)
+		feasible[k] = device.PlanMemory(o.Model, p, sa).Fits()
 	}
 
 	best := -1
@@ -426,7 +427,7 @@ func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) 
 	best := -1
 	bestDist := math.Inf(1)
 	for k := 1; k < len(sc.CNode); k++ {
-		if !devicePlanFits(o.Model, p, k) {
+		if !device.PlanMemory(o.Model, p, k).Fits() {
 			continue
 		}
 		if dd := math.Abs(sc.CNode[k] - sc.CTarget); dd < bestDist {
@@ -460,7 +461,7 @@ func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) 
 		}
 		deep, deepCost := best, fleetEst(best)
 		for k := best + 1; k < len(sc.CNode); k++ {
-			if !devicePlanFits(o.Model, p, k) {
+			if !device.PlanMemory(o.Model, p, k).Fits() {
 				continue
 			}
 			if c := fleetEst(k); c < deepCost {
@@ -474,25 +475,4 @@ func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) 
 		}
 	}
 	return d, nil
-}
-
-// devicePlanFits mirrors device.PlanMemory without importing the package
-// (avoids a dependency cycle through coop).
-func devicePlanFits(m hw.Model, p *exec.Plan, splitAfter int) bool {
-	nTables := 1 + splitAfter
-	if splitAfter < 0 {
-		nTables = p.NumTables()
-	}
-	joins := 0
-	if splitAfter > 0 {
-		joins = splitAfter
-	}
-	secondary := 0
-	for i := 0; i < splitAfter && i < len(p.Steps); i++ {
-		if p.Steps[i].Type == exec.BNLI && !p.Steps[i].RightIndexIsPK {
-			secondary++
-		}
-	}
-	total := int64(nTables+secondary)*m.SelBufBytes + int64(joins)*m.JoinBufBytes
-	return total <= m.DeviceNDPBudget
 }

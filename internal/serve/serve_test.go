@@ -764,3 +764,24 @@ func TestReplayMatchesExecution(t *testing.T) {
 		t.Fatal("metrics dumps differ between executed and replayed runs")
 	}
 }
+
+// FuzzArrivalSpecRoundTrip checks the -arrival flag parser on arbitrary text:
+// no input panics, and a spec ParseArrival accepts renders to a canonical
+// form that ParseArrival accepts again and renders unchanged. Seeds:
+// testdata/fuzz/FuzzArrivalSpecRoundTrip.
+func FuzzArrivalSpecRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseArrival(s)
+		if err != nil {
+			return
+		}
+		canon := spec.String()
+		spec2, err := ParseArrival(canon)
+		if err != nil {
+			t.Fatalf("canonical form of %q does not parse: %q: %v", s, canon, err)
+		}
+		if again := spec2.String(); again != canon {
+			t.Fatalf("String is not a fixed point for %q: %q then %q", s, canon, again)
+		}
+	})
+}
