@@ -35,12 +35,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
-# The package microbenchmarks perf PRs cite (LSM scans and gets, exec and expr kernels,
-# timeline charges, the front end: parse, fingerprint, plan, decide, shard
-# planning), one iteration each (a few seconds): a compile-and-run smoke so
-# they cannot rot unseen, not a measurement — no timing gate.
+# The package microbenchmarks perf PRs cite (LSM scans, gets, memtable puts and
+# SST builds, the JOB load, exec and expr kernels, timeline charges, the front
+# end: parse, fingerprint, plan, decide, shard planning), one iteration each (a
+# few seconds): a compile-and-run smoke so they cannot rot unseen, not a
+# measurement — no timing gate.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/lsm ./internal/exec ./internal/expr ./internal/vclock \
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/lsm ./internal/job ./internal/exec ./internal/expr ./internal/vclock \
 		./internal/sql ./internal/query ./internal/optimizer ./internal/fleet
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that

@@ -97,6 +97,9 @@ func (f *Flash) align(n int64) int64 {
 // WriteFile stores data as a new file and returns its ID. The write is
 // charged to tl (if non-nil) at the writing engine's flash streaming rate;
 // flash writes are roughly 2.5× slower than reads on the simulated MLC part.
+//
+// The flash takes ownership of data: it becomes the file, with no copy, and
+// the caller must not modify it afterwards (reads hand out slices of it).
 func (f *Flash) WriteFile(data []byte, tl *vclock.Timeline, r hw.Rates) (FileID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -106,9 +109,7 @@ func (f *Flash) WriteFile(data []byte, tl *vclock.Timeline, r hw.Rates) (FileID,
 	}
 	f.next++
 	id := f.next
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	f.files[id] = cp
+	f.files[id] = data
 	f.used += sz
 	f.stats.BytesWritten += int64(len(data))
 	if tl != nil {

@@ -1,0 +1,71 @@
+package job
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"hybridndp/internal/hw"
+)
+
+// storageDigest hashes every column family's SST bytes — family by name, each
+// family's files in Placement order (level by level, C1 newest first) — and
+// reports the flash counters of the load alongside. The counters are read
+// before hashing, whose reads would move BytesRead.
+func storageDigest(t testing.TB, ds *Dataset) (digest string, written, read, used int64) {
+	t.Helper()
+	st := ds.Flash.Stats()
+	written, read, used = st.BytesWritten, st.BytesRead, ds.Flash.Used()
+	h := sha256.New()
+	for _, name := range ds.DB.ColumnFamilies() {
+		cf, err := ds.DB.CF(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\x00", name)
+		for _, li := range cf.Placement() {
+			if li.MemEntries != 0 {
+				t.Fatalf("%s: %d entries left in C0 after the load's flush", name, li.MemEntries)
+			}
+			fmt.Fprintf(h, "L%d\x00", li.Level)
+			for _, sst := range li.SSTs {
+				blob, err := ds.Flash.ReadAt(sst.File, 0, ds.Flash.Size(sst.File), nil, hw.Rates{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(blob)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), written, read, used
+}
+
+// TestLoadStorageIsByteIdentical pins what the write path stores: the SST
+// bytes of every column family and the flash counters of a default-seed load.
+// Memtable layout, SST-build buffering and row encoding are wall-clock
+// concerns only; a change to any of them that moves one stored byte, an SST
+// boundary (the memtable's ByteSize rule decides where memtables rotate) or a
+// flash counter fails here. The expected values were computed before the
+// arena memtable replaced the pointer skiplist.
+func TestLoadStorageIsByteIdentical(t *testing.T) {
+	cases := []struct {
+		scale               float64
+		digest              string
+		written, read, used int64
+	}{
+		{0.01, "878a0de4a6783f9fbcfe2201d3ce452190e22e48d0c7fff72e7a2d7a37b7252a", 3163259, 5100669, 3719168},
+		{0.05, "5b8dfee98004d2b1d673d23e424796ea17d1233587802fd9ea121b304f4ab25a", 15763120, 25425540, 16252928},
+	}
+	for _, c := range cases {
+		ds, err := LoadSeeded(c.scale, hw.Cosmos(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest, written, read, used := storageDigest(t, ds)
+		if digest != c.digest || written != c.written || read != c.read || used != c.used {
+			t.Errorf("scale %g: stored digest %s, flash written %d read %d used %d; want %s, %d, %d, %d",
+				c.scale, digest, written, read, used, c.digest, c.written, c.read, c.used)
+		}
+	}
+}

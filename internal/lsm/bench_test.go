@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hybridndp/internal/flash"
@@ -25,11 +26,56 @@ func loadedTree(b *testing.B, n int) *Tree {
 	return tr
 }
 
+// BenchmarkMemTablePut inserts keys in ascending order (a data column family
+// under load: the tail fast path) and in random order (a secondary index: a
+// full skiplist search per put). A fresh memtable starts every 1<<16 puts,
+// about the entry count a 4 MiB memtable holds.
 func BenchmarkMemTablePut(b *testing.B) {
-	m := NewMemTable()
+	const n = 1 << 16
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	value := make([]byte, 40)
+	for _, order := range []string{"ascending", "random"} {
+		b.Run(order, func(b *testing.B) {
+			ks := keys
+			if order == "random" {
+				ks = make([][]byte, n)
+				for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+					ks[i] = keys[j]
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var m *MemTable
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					m = NewMemTable()
+				}
+				m.Put(ks[i%n], value)
+			}
+		})
+	}
+}
+
+// BenchmarkBuildSST encodes and writes one 20,000-entry SST (about 0.6 MB)
+// per iteration: data blocks, Bloom filter, index, meta and footer, then the
+// re-read of OpenSST.
+func BenchmarkBuildSST(b *testing.B) {
+	entries := make([]Entry, 20_000)
+	for i := range entries {
+		entries[i] = Entry{Key: key(i), Value: val(i)}
+	}
+	fl := flash.New(hw.Cosmos(), 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Put(key(i), val(i))
+		s, err := BuildSST(fl, entries, Access{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fl.DeleteFile(s.File())
 	}
 }
 

@@ -95,12 +95,9 @@ func (b *Bloom) MayContain(key []byte) bool {
 	return true
 }
 
-// Marshal serializes the filter.
-func (b *Bloom) Marshal() []byte {
-	out := make([]byte, 4+len(b.bits))
-	binary.LittleEndian.PutUint32(out, b.k)
-	copy(out[4:], b.bits)
-	return out
+// appendTo appends the serialized filter to dst.
+func (b *Bloom) appendTo(dst []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, b.k), b.bits...)
 }
 
 // UnmarshalBloom deserializes a filter.

@@ -321,6 +321,57 @@ func TestTreeScanSeesMemtableOverSST(t *testing.T) {
 	}
 }
 
+// TestScanDuringPutIsRaceFree drains full scans while another goroutine puts
+// keys into the mutable memtable. A scan must not walk that memtable after it
+// released the tree's read lock; `go test -race` (make race) reports it if it
+// does. Every scan sees all flushed keys, in order.
+func TestScanDuringPutIsRaceFree(t *testing.T) {
+	const flushed = 1000
+	tr := NewTree(testFlash(), DefaultConfig())
+	for i := 0; i < flushed; i++ {
+		if err := tr.Put(key(2*i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 20*flushed && err == nil; i++ {
+			err = tr.Put(key(2*(i%flushed)+1), val(i)) // stays in C0: far below the flush threshold
+		}
+		done <- err
+	}()
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		var prev []byte
+		even := 0
+		it := tr.Scan(nil, nil, Access{})
+		for ; it.Valid(); it.Next() {
+			k := it.Entry().Key
+			if prev != nil && bytes.Compare(prev, k) >= 0 {
+				t.Fatalf("scan out of order: %q then %q", prev, k)
+			}
+			prev = k
+			if k[len(k)-1]%2 == 0 {
+				even++
+			}
+		}
+		if it.Err() != nil || even != flushed {
+			t.Fatalf("scan saw %d of %d flushed keys (err %v)", even, flushed, it.Err())
+		}
+	}
+}
+
 func TestTreePlacement(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
@@ -381,7 +432,7 @@ func TestBloomProperties(t *testing.T) {
 	if fp > 500 { // 5% — generous bound for a 10-bit/key filter
 		t.Fatalf("false positive rate too high: %d/10000", fp)
 	}
-	rt := UnmarshalBloom(b.Marshal())
+	rt := UnmarshalBloom(b.appendTo(nil))
 	for i := 0; i < 10000; i += 97 {
 		if !rt.MayContain(key(i)) {
 			t.Fatal("marshalled filter lost a key")

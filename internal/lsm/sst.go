@@ -76,99 +76,138 @@ type SST struct {
 // BuildSST writes the entries (which must be sorted by key, unique) as a new
 // SST on fl, charging the write to ac if set, and returns the opened table.
 func BuildSST(fl *flash.Flash, entries []Entry, ac Access) (*SST, error) {
-	if len(entries) == 0 {
+	var dataBytes int64
+	maxKey := 0
+	for _, e := range entries {
+		dataBytes += encodedLen(len(e.Key), len(e.Value))
+		maxKey = max(maxKey, len(e.Key))
+	}
+	w := newSSTWriter(len(entries), dataBytes, maxKey)
+	for _, e := range entries {
+		if err := w.add(e); err != nil {
+			return nil, err
+		}
+	}
+	return w.finish(fl, ac)
+}
+
+// sstWriter encodes one SST from a sorted entry stream into a single buffer
+// sized up front, so the file is built without regrowing and handed to flash
+// as is. Compaction and tests feed it through BuildSST; a memtable flush
+// streams its iterator into it directly.
+type sstWriter struct {
+	data         []byte
+	index        []indexEntry // firstKey aliases data
+	bloom        *Bloom
+	count        int
+	blockStart   int
+	blockEntries int
+	minKey       []byte // aliases data
+	lastKey      []byte // aliases data
+}
+
+// newSSTWriter sizes the buffer for n entries whose data blocks encode to
+// dataBytes (see encodedLen) and whose longest key is maxKey bytes: the data
+// section exactly, the index, Bloom, meta and footer blocks by an upper bound
+// (a block closes once it holds targetBlockBytes, so there are at most
+// dataBytes/targetBlockBytes+1 of them).
+func newSSTWriter(n int, dataBytes int64, maxKey int) *sstWriter {
+	blocks := int(dataBytes/targetBlockBytes) + 1
+	bloom := NewBloom(n)
+	tail := 4 + blocks*(4+maxKey+20) + 4 + len(bloom.bits) + 8 + 2*(4+maxKey) + footerBytes
+	return &sstWriter{
+		data:  make([]byte, 0, int(dataBytes)+tail),
+		index: make([]indexEntry, 0, blocks),
+		bloom: bloom,
+	}
+}
+
+// add appends the next entry, which must sort after the previous one.
+func (w *sstWriter) add(e Entry) error {
+	if w.count > 0 && bytes.Compare(w.lastKey, e.Key) >= 0 {
+		return fmt.Errorf("lsm: SST entries out of order or duplicated (%q after %q)", e.Key, w.lastKey)
+	}
+	if w.blockEntries == 0 {
+		w.blockStart = len(w.data)
+	}
+	flags := byte(0)
+	if e.Tombstone {
+		flags = 1
+	}
+	w.data = append(w.data, flags)
+	w.data = binary.AppendUvarint(w.data, uint64(len(e.Key)))
+	w.data = binary.AppendUvarint(w.data, uint64(len(e.Value)))
+	k := len(w.data)
+	w.data = append(w.data, e.Key...)
+	w.lastKey = w.data[k:len(w.data):len(w.data)]
+	w.data = append(w.data, e.Value...)
+	if w.blockEntries == 0 {
+		w.index = append(w.index, indexEntry{firstKey: w.lastKey, off: int64(w.blockStart)})
+	}
+	if w.count == 0 {
+		w.minKey = w.lastKey
+	}
+	w.bloom.Add(e.Key)
+	w.count++
+	w.blockEntries++
+	if len(w.data)-w.blockStart >= targetBlockBytes {
+		w.closeBlock()
+	}
+	return nil
+}
+
+func (w *sstWriter) closeBlock() {
+	if w.blockEntries == 0 {
+		return
+	}
+	ie := &w.index[len(w.index)-1]
+	ie.length = int64(len(w.data) - w.blockStart)
+	ie.entries = w.blockEntries
+	w.blockEntries = 0
+}
+
+// finish appends the index, Bloom, meta and footer blocks, writes the file to
+// fl — which takes ownership of the buffer — charging ac if set, and opens it.
+func (w *sstWriter) finish(fl *flash.Flash, ac Access) (*SST, error) {
+	if w.count == 0 {
 		return nil, fmt.Errorf("lsm: cannot build empty SST")
 	}
-	var data bytes.Buffer
-	var index []indexEntry
-	bloom := NewBloom(len(entries))
-
-	var blockStart int64
-	var blockFirst []byte
-	blockEntries := 0
-	flushBlock := func(endOff int64) {
-		if blockEntries == 0 {
-			return
-		}
-		index = append(index, indexEntry{
-			firstKey: blockFirst,
-			off:      blockStart,
-			length:   endOff - blockStart,
-			entries:  blockEntries,
-		})
-		blockEntries = 0
-	}
-
-	var scratch [binary.MaxVarintLen64]byte
-	prev := []byte(nil)
-	for _, e := range entries {
-		if prev != nil && bytes.Compare(prev, e.Key) >= 0 {
-			return nil, fmt.Errorf("lsm: SST entries out of order or duplicated (%q after %q)", e.Key, prev)
-		}
-		prev = e.Key
-		if blockEntries == 0 {
-			blockStart = int64(data.Len())
-			blockFirst = append([]byte(nil), e.Key...)
-		}
-		flags := byte(0)
-		if e.Tombstone {
-			flags = 1
-		}
-		data.WriteByte(flags)
-		n := binary.PutUvarint(scratch[:], uint64(len(e.Key)))
-		data.Write(scratch[:n])
-		n = binary.PutUvarint(scratch[:], uint64(len(e.Value)))
-		data.Write(scratch[:n])
-		data.Write(e.Key)
-		data.Write(e.Value)
-		bloom.Add(e.Key)
-		blockEntries++
-		if int64(data.Len())-blockStart >= targetBlockBytes {
-			flushBlock(int64(data.Len()))
-		}
-	}
-	flushBlock(int64(data.Len()))
+	w.closeBlock()
+	le := binary.LittleEndian
+	data := w.data
 
 	// Index block.
-	indexOff := int64(data.Len())
-	binary.Write(&data, binary.LittleEndian, uint32(len(index)))
-	for _, ie := range index {
-		binary.Write(&data, binary.LittleEndian, uint32(len(ie.firstKey)))
-		data.Write(ie.firstKey)
-		binary.Write(&data, binary.LittleEndian, uint64(ie.off))
-		binary.Write(&data, binary.LittleEndian, uint64(ie.length))
-		binary.Write(&data, binary.LittleEndian, uint32(ie.entries))
+	indexOff := len(data)
+	data = le.AppendUint32(data, uint32(len(w.index)))
+	for _, ie := range w.index {
+		data = le.AppendUint32(data, uint32(len(ie.firstKey)))
+		data = append(data, ie.firstKey...)
+		data = le.AppendUint64(data, uint64(ie.off))
+		data = le.AppendUint64(data, uint64(ie.length))
+		data = le.AppendUint32(data, uint32(ie.entries))
 	}
-	indexLen := int64(data.Len()) - indexOff
+	indexLen := len(data) - indexOff
 
 	// Bloom block.
-	bloomOff := int64(data.Len())
-	bb := bloom.Marshal()
-	data.Write(bb)
-	bloomLen := int64(len(bb))
+	bloomOff := len(data)
+	data = w.bloom.appendTo(data)
+	bloomLen := len(data) - bloomOff
 
 	// Meta block: count, min key, max key.
-	metaOff := int64(data.Len())
-	binary.Write(&data, binary.LittleEndian, uint64(len(entries)))
-	minKey := entries[0].Key
-	maxKey := entries[len(entries)-1].Key
-	binary.Write(&data, binary.LittleEndian, uint32(len(minKey)))
-	data.Write(minKey)
-	binary.Write(&data, binary.LittleEndian, uint32(len(maxKey)))
-	data.Write(maxKey)
-	metaLen := int64(data.Len()) - metaOff
+	metaOff := len(data)
+	data = le.AppendUint64(data, uint64(w.count))
+	data = le.AppendUint32(data, uint32(len(w.minKey)))
+	data = append(data, w.minKey...)
+	data = le.AppendUint32(data, uint32(len(w.lastKey)))
+	data = append(data, w.lastKey...)
+	metaLen := len(data) - metaOff
 
 	// Footer.
-	var footer [footerBytes]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(indexLen))
-	binary.LittleEndian.PutUint64(footer[16:], uint64(bloomOff))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(bloomLen))
-	binary.LittleEndian.PutUint64(footer[32:], uint64(metaOff))
-	binary.LittleEndian.PutUint64(footer[40:], uint64(metaLen))
-	data.Write(footer[:])
+	for _, v := range []int{indexOff, indexLen, bloomOff, bloomLen, metaOff, metaLen} {
+		data = le.AppendUint64(data, uint64(v))
+	}
 
-	id, err := fl.WriteFile(data.Bytes(), ac.TL, ac.R)
+	id, err := fl.WriteFile(data, ac.TL, ac.R)
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func (t *Tree) newMemTableLocked() *MemTable {
 }
 
 func (t *Tree) maybeRotateLocked() error {
-	if t.mem.ByteSize() < t.cfg.MemTableBytes {
+	if t.mem.ByteSize() < t.cfg.MemTableBytes && !t.mem.arenaFull() {
 		return nil
 	}
 	t.imm = append([]*MemTable{t.mem}, t.imm...)
@@ -122,11 +122,13 @@ func (t *Tree) flushLocked() error {
 		if m.Len() == 0 {
 			continue
 		}
-		entries := make([]Entry, 0, m.Len())
+		w := newSSTWriter(m.Len(), m.encBytes, m.maxKey)
 		for it := m.Iter(nil); it.Valid(); it.Next() {
-			entries = append(entries, it.Entry())
+			if err := w.add(it.Entry()); err != nil {
+				return err
+			}
 		}
-		sst, err := BuildSST(t.fl, entries, Access{})
+		sst, err := w.finish(t.fl, Access{})
 		if err != nil {
 			return err
 		}
@@ -385,6 +387,12 @@ func searchLevel(lvl []*SST, key []byte) int {
 // Scan returns a merged iterator over [lo, hi) (nil bounds are unbounded).
 // Fence pointers exclude SSTs entirely outside the range before any flash
 // read happens, as in MyRocks/RocksDB.
+//
+// The iterator outlives the read lock, and Put keeps linking nodes into the
+// mutable memtable, so that memtable's entries in [lo, hi) are taken here,
+// under the lock: headers only — their bytes sit in the memtable's arena,
+// which is never rewritten. Immutable memtables are walked lazily. An empty
+// memtable adds no merge source.
 func (t *Tree) Scan(lo, hi []byte, ac Access) *TreeIter {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -392,9 +400,14 @@ func (t *Tree) Scan(lo, hi []byte, ac Access) *TreeIter {
 	if hi != nil {
 		hiIncl = hi
 	}
-	srcs := []mergeSource{&memSource{it: t.mem.Iter(lo)}}
+	var srcs []mergeSource
+	if mem := t.mem.rangeEntries(lo, hi); len(mem) > 0 {
+		srcs = append(srcs, &frozenSource{entries: mem})
+	}
 	for _, m := range t.imm {
-		srcs = append(srcs, &memSource{it: m.Iter(lo)})
+		if m.Len() > 0 {
+			srcs = append(srcs, &memSource{it: m.Iter(lo)})
+		}
 	}
 	for _, s := range t.l1 {
 		if s.OverlapsRange(lo, hiIncl) {
@@ -488,9 +501,23 @@ func (it *TreeIter) Consume(n int) { it.inner.consume(n) }
 func (t *Tree) MemContents() []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	srcs := []mergeSource{&memSource{it: t.mem.Iter(nil)}}
+	return t.memContentsLocked()
+}
+
+// memContentsLocked copies out the C0 contents; empty memtables add no merge
+// source, and with none left there is nothing to merge.
+func (t *Tree) memContentsLocked() []Entry {
+	var srcs []mergeSource
+	if t.mem.Len() > 0 {
+		srcs = append(srcs, &memSource{it: t.mem.Iter(nil)})
+	}
 	for _, m := range t.imm {
-		srcs = append(srcs, &memSource{it: m.Iter(nil)})
+		if m.Len() > 0 {
+			srcs = append(srcs, &memSource{it: m.Iter(nil)})
+		}
+	}
+	if len(srcs) == 0 {
+		return nil
 	}
 	var out []Entry
 	for it := newMergeIter(srcs, Access{}, true); it.Valid(); it.Next() {

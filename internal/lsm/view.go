@@ -22,23 +22,9 @@ type View struct {
 func (t *Tree) View() *View {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v := &View{l1: append([]*SST(nil), t.l1...)}
+	v := &View{mem: t.memContentsLocked(), l1: append([]*SST(nil), t.l1...)}
 	for _, lvl := range t.levels {
 		v.levels = append(v.levels, append([]*SST(nil), lvl...))
-	}
-	// MemContents acquires the lock itself; collect inline to avoid
-	// re-entrancy.
-	srcs := []mergeSource{&memSource{it: t.mem.Iter(nil)}}
-	for _, m := range t.imm {
-		srcs = append(srcs, &memSource{it: m.Iter(nil)})
-	}
-	for it := newMergeIter(srcs, Access{}, true); it.Valid(); it.Next() {
-		e := it.Entry()
-		v.mem = append(v.mem, Entry{
-			Key:       append([]byte(nil), e.Key...),
-			Value:     append([]byte(nil), e.Value...),
-			Tombstone: e.Tombstone,
-		})
 	}
 	return v
 }
@@ -86,11 +72,14 @@ func (v *View) Get(key []byte, ac Access) ([]byte, bool, error) {
 
 // Scan iterates [lo, hi) as of the view's creation.
 func (v *View) Scan(lo, hi []byte, ac Access) *TreeIter {
-	fs := &frozenSource{entries: v.mem}
-	if lo != nil {
-		fs.seek(lo)
+	var srcs []mergeSource
+	if len(v.mem) > 0 {
+		fs := &frozenSource{entries: v.mem}
+		if lo != nil {
+			fs.seek(lo)
+		}
+		srcs = append(srcs, fs)
 	}
-	srcs := []mergeSource{fs}
 	for _, s := range v.l1 {
 		if s.OverlapsRange(lo, hi) {
 			srcs = append(srcs, &sstSource{it: s.Iter(lo, ac)})

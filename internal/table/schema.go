@@ -285,16 +285,23 @@ func (r Record) PK() int32 {
 
 // EncodeRow builds a row from values in column order. Strings longer than
 // the column size are trimmed; shorter ones padded (paper §5 workload notes).
-func (s *Schema) EncodeRow(vals []Value) ([]byte, error) {
+func (s *Schema) EncodeRow(vals []Value) ([]byte, error) { return s.AppendRow(nil, vals) }
+
+// AppendRow appends the row EncodeRow builds to dst and returns the extended
+// slice; on error dst comes back unchanged. With a large enough dst it
+// allocates nothing.
+func (s *Schema) AppendRow(dst []byte, vals []Value) ([]byte, error) {
 	if len(vals) != len(s.Columns) {
-		return nil, fmt.Errorf("table %s: EncodeRow got %d values for %d columns", s.Name, len(vals), len(s.Columns))
+		return dst, fmt.Errorf("table %s: EncodeRow got %d values for %d columns", s.Name, len(vals), len(s.Columns))
 	}
-	row := make([]byte, s.rowBytes)
+	in := dst
+	dst = append(dst, make([]byte, s.rowBytes)...)
+	row := dst[len(in):]
 	for i, v := range vals {
 		c := s.Columns[i]
 		if v.Null {
 			if !c.Nullable {
-				return nil, fmt.Errorf("table %s: NULL in non-nullable column %q", s.Name, c.Name)
+				return in, fmt.Errorf("table %s: NULL in non-nullable column %q", s.Name, c.Name)
 			}
 			row[s.nullOff+i/8] |= 1 << (i % 8)
 			continue
@@ -302,29 +309,30 @@ func (s *Schema) EncodeRow(vals []Value) ([]byte, error) {
 		off := s.offsets[i]
 		if c.Type == Int32 {
 			if !v.IsI {
-				return nil, fmt.Errorf("table %s: column %q wants INT32, got string", s.Name, c.Name)
+				return in, fmt.Errorf("table %s: column %q wants INT32, got string", s.Name, c.Name)
 			}
 			binary.LittleEndian.PutUint32(row[off:], uint32(v.Int))
 			continue
 		}
 		str := v.Str
 		if v.IsI {
-			return nil, fmt.Errorf("table %s: column %q wants CHAR, got int", s.Name, c.Name)
+			return in, fmt.Errorf("table %s: column %q wants CHAR, got int", s.Name, c.Name)
 		}
 		if len(str) > c.Size {
 			str = str[:c.Size] // trim longer values
 		}
 		copy(row[off:off+c.Size], str)
 	}
-	return row, nil
+	return dst, nil
 }
 
 // EncodePK renders a primary key as a sortable big-endian key with the sign
 // bit flipped so negative keys order before positive ones.
-func EncodePK(v int32) []byte {
-	var k [4]byte
-	binary.BigEndian.PutUint32(k[:], uint32(v)^0x80000000)
-	return k[:]
+func EncodePK(v int32) []byte { return AppendPK(make([]byte, 0, 4), v) }
+
+// AppendPK appends EncodePK(v) to dst.
+func AppendPK(dst []byte, v int32) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(v)^0x80000000)
 }
 
 // DecodePK reverses EncodePK.
@@ -336,41 +344,46 @@ func DecodePK(k []byte) int32 {
 // secondary value followed by the primary key (paper §2.2: "a key in the
 // secondary index combines ... with the key of the primary index").
 func (s *Schema) EncodeSecondaryKey(col string, v Value, pk int32) ([]byte, error) {
-	c, ok := s.ColumnByName(col)
-	if !ok {
-		return nil, fmt.Errorf("table %s: unknown secondary column %q", s.Name, col)
+	return s.AppendSecondaryKey(nil, col, v, pk)
+}
+
+// AppendSecondaryKey appends EncodeSecondaryKey(col, v, pk) to dst; on error
+// dst comes back unchanged.
+func (s *Schema) AppendSecondaryKey(dst []byte, col string, v Value, pk int32) ([]byte, error) {
+	dst, err := s.appendSecondaryPrefix(dst, col, v)
+	if err != nil {
+		return dst, err
 	}
-	var key []byte
-	switch {
-	case v.Null:
-		key = append(key, 0) // NULLs sort first
-	case c.Type == Int32:
-		key = append(key, 1)
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(v.Int)^0x80000000)
-		key = append(key, b[:]...)
-	default:
-		key = append(key, 1)
-		str := v.Str
-		if len(str) > c.Size {
-			str = str[:c.Size]
-		}
-		padded := make([]byte, c.Size)
-		copy(padded, str)
-		key = append(key, padded...)
-	}
-	key = append(key, EncodePK(pk)...)
-	return key, nil
+	return AppendPK(dst, pk), nil
 }
 
 // SecondaryPrefix builds the key prefix matching all entries with secondary
 // value v (for equality seeks over the index).
 func (s *Schema) SecondaryPrefix(col string, v Value) ([]byte, error) {
-	k, err := s.EncodeSecondaryKey(col, v, 0)
-	if err != nil {
-		return nil, err
+	return s.appendSecondaryPrefix(nil, col, v)
+}
+
+// appendSecondaryPrefix appends the sortable encoding of secondary value v:
+// 0 for NULL (NULLs sort first), else 1 and the big-endian sign-flipped
+// integer or the CHAR payload trimmed and NUL-padded to the column size.
+func (s *Schema) appendSecondaryPrefix(dst []byte, col string, v Value) ([]byte, error) {
+	c, ok := s.ColumnByName(col)
+	if !ok {
+		return dst, fmt.Errorf("table %s: unknown secondary column %q", s.Name, col)
 	}
-	return k[:len(k)-4], nil
+	switch {
+	case v.Null:
+		return append(dst, 0), nil
+	case c.Type == Int32:
+		return AppendPK(append(dst, 1), v.Int), nil
+	default:
+		str := v.Str
+		if len(str) > c.Size {
+			str = str[:c.Size]
+		}
+		dst = append(append(dst, 1), str...)
+		return append(dst, make([]byte, c.Size-len(str))...), nil
+	}
 }
 
 // PKFromSecondaryKey extracts the primary key stored at the tail of a

@@ -82,20 +82,24 @@ func (c *Catalog) Tables() []string {
 	return names
 }
 
-// Insert encodes and stores one row, maintaining every secondary index.
+// Insert encodes and stores one row, maintaining every secondary index. Row
+// and keys are encoded into stack buffers (the memtable copies what it keeps),
+// so a row that fits them allocates nothing here.
 func (t *Table) Insert(vals []Value) error {
-	row, err := t.Schema.EncodeRow(vals)
+	var rowBuf, keyBuf [256]byte
+	row, err := t.Schema.AppendRow(rowBuf[:0], vals)
 	if err != nil {
 		return err
 	}
-	rec := Record{Schema: t.Schema, Data: row}
-	pk := rec.PK()
-	if err := t.Data.Put(EncodePK(pk), row); err != nil {
+	pk := Record{Schema: t.Schema, Data: row}.PK()
+	if err := t.Data.Put(AppendPK(keyBuf[:0], pk), row); err != nil {
 		return err
 	}
 	for _, si := range t.Schema.SecondaryIndexes {
-		v := rec.GetByName(si.Column)
-		key, err := t.Schema.EncodeSecondaryKey(si.Column, v, pk)
+		// The value as given encodes to the same key as the value read back
+		// from the row: both are trimmed and NUL-padded to the column size.
+		v := vals[t.Schema.ColumnIndex(si.Column)]
+		key, err := t.Schema.AppendSecondaryKey(keyBuf[:0], si.Column, v, pk)
 		if err != nil {
 			return err
 		}
