@@ -1,26 +1,33 @@
 package job
 
 import (
+	"fmt"
 	"testing"
 
 	"hybridndp/internal/hw"
 )
 
-// BenchmarkLoad generates and loads the JOB dataset at scale 0.01 — the whole
-// write path: row generation, table encoding, memtable inserts, flushes, SST
-// and Bloom builds, compaction and statistics collection.
+// BenchmarkLoad generates and loads the JOB dataset — the whole write path:
+// row generation and encoding, the bulk load's segment sorts, SST and Bloom
+// builds, compaction and statistics collection. At scale 0.01 every column
+// family fits one memtable's worth; at 0.05 the largest (cast_info's) cut into
+// several SSTs.
 func BenchmarkLoad(b *testing.B) {
-	b.ReportAllocs()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		ds, err := LoadSeeded(0.01, hw.Cosmos(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = 0
-		for _, n := range ds.Counts {
-			rows += n
-		}
+	for _, scale := range []float64{0.01, 0.05} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				ds, err := LoadSeeded(scale, hw.Cosmos(), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = 0
+				for _, n := range ds.Counts {
+					rows += n
+				}
+			}
+			b.ReportMetric(float64(rows), "rows/op")
+		})
 	}
-	b.ReportMetric(float64(rows), "rows/op")
 }

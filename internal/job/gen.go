@@ -50,9 +50,9 @@ type Dataset struct {
 // it (at one scale) is bit-for-bit identical.
 const DefaultSeed int64 = 20250325
 
-// Load generates the full JOB dataset at the given scale into a fresh nKV
-// instance over simulated flash, flushes it and collects statistics. The
-// generation is deterministic for a given scale.
+// Load generates the full JOB dataset at the given scale, bulk-loads it into
+// SSTs of a fresh nKV instance over simulated flash and collects statistics.
+// The generation is deterministic for a given scale.
 func Load(scale float64, m hw.Model) (*Dataset, error) {
 	return LoadSeeded(scale, m, DefaultSeed)
 }
@@ -78,11 +78,8 @@ func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 		}
 	}
 	ds := &Dataset{DB: db, Cat: cat, Model: m, Flash: fl, Scale: scale, Counts: map[string]int{}}
-	g := &gen{ds: ds, rng: rand.New(rand.NewSource(seed)), bufIdx: map[string]int{}}
+	g := &gen{ds: ds, rng: rand.New(rand.NewSource(seed)), bufIdx: map[string]*tableBuf{}}
 	if err := g.run(); err != nil {
-		return nil, err
-	}
-	if err := db.FlushAll(); err != nil {
 		return nil, err
 	}
 	// Scale the device memory reservations (and shared-buffer slot) with the
@@ -107,14 +104,6 @@ func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 	ds.Model.JoinBufBytes = scaleB(m.JoinBufBytes, 32<<10)
 	ds.Model.DeviceNDPBudget = scaleB(m.DeviceNDPBudget, 2<<20)
 	ds.Model.SharedBufferSlot = scaleB(m.SharedBufferSlot, 8<<10)
-	// Pre-collect statistics so planning does not pay a first-use penalty.
-	for _, name := range cat.Tables() {
-		t, err := cat.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		t.CollectStats()
-	}
 	return ds, nil
 }
 
@@ -124,19 +113,22 @@ type gen struct {
 
 	// Generation is two-phase: phase 1 draws every random value from the
 	// single rng stream in the exact order the sequential loader used and
-	// buffers the rows per table; phase 2 inserts the buffered tables across
-	// worker goroutines. Tables are independent — each owns its LSM trees,
-	// and memtable skiplist RNGs derive per-tree from the base seed — so the
-	// loaded contents are bit-for-bit identical to a sequential load
-	// regardless of worker interleaving; only wall-clock time changes.
+	// encodes the rows into one slab per table; phase 2 bulk-loads the slabs
+	// across worker goroutines and collects each table's statistics. Tables
+	// are independent — each owns its LSM trees, and memtable seeds derive
+	// per-tree from the base seed — so the loaded contents are bit-for-bit
+	// identical to a sequential load regardless of worker interleaving; only
+	// wall-clock time changes.
 	buf    []*tableBuf
-	bufIdx map[string]int // table name → position in buf
+	bufIdx map[string]*tableBuf // table name → its slab
 }
 
-// tableBuf holds one table's generated rows awaiting insertion.
+// tableBuf holds one table's generated rows, encoded back to back, awaiting
+// the bulk load.
 type tableBuf struct {
-	name string
-	rows [][]table.Value
+	t    *table.Table
+	rows []byte
+	n    int // rows in the slab
 }
 
 func (g *gen) n(tbl string) int {
@@ -157,55 +149,53 @@ func (g *gen) zipfID(n int) int32 {
 
 func (g *gen) uniformID(n int) int32 { return 1 + int32(g.rng.Intn(n)) }
 
-// insert buffers one generated row; the actual encoding and LSM insertion
-// happens in insertTables, in parallel across tables.
+// insert encodes one generated row into its table's slab; the LSM writes
+// happen in loadTables, in parallel across tables.
 func (g *gen) insert(tbl string, vals ...table.Value) error {
-	i, ok := g.bufIdx[tbl]
+	b, ok := g.bufIdx[tbl]
 	if !ok {
-		i = len(g.buf)
-		g.bufIdx[tbl] = i
-		g.buf = append(g.buf, &tableBuf{name: tbl})
+		t, err := g.ds.Cat.Table(tbl)
+		if err != nil {
+			return err
+		}
+		// Sized up front: a slab grown by doubling allocates twice its size.
+		b = &tableBuf{t: t, rows: make([]byte, 0, g.n(tbl)*t.Schema.RowBytes())}
+		g.bufIdx[tbl] = b
+		g.buf = append(g.buf, b)
 	}
-	g.buf[i].rows = append(g.buf[i].rows, vals)
+	rows, err := b.t.Schema.AppendRow(b.rows, vals)
+	if err != nil {
+		return fmt.Errorf("job: row %d of %s: %v", b.n+1, tbl, err)
+	}
+	b.rows = rows
+	b.n++
 	return nil
 }
 
-// insertTables drains the buffered tables across min(GOMAXPROCS, tables)
-// worker goroutines, largest table first so the long poles start early. Rows
-// within a table insert in generation order; interleaving across tables only
-// reorders the shared flash FileID sequence, which nothing virtual-time
-// visible observes (FlushAll already flushes families in map order).
-func (g *gen) insertTables() error {
-	order := make([]int, len(g.buf))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(g.buf[order[a]].rows) > len(g.buf[order[b]].rows)
-	})
+// loadTables bulk-loads the slabs across min(GOMAXPROCS, tables) worker
+// goroutines, largest table first so the long poles start early, and collects
+// each table's statistics on the worker that loaded it, so planning pays no
+// first-use penalty. Interleaving across tables only reorders the shared flash
+// FileID sequence, which nothing virtual-time visible observes.
+func (g *gen) loadTables() error {
+	order := make([]*tableBuf, len(g.buf))
+	copy(order, g.buf)
+	sort.SliceStable(order, func(a, b int) bool { return order[a].n > order[b].n })
 	errs := make([]error, len(order))
 	par.ForEach(runtime.GOMAXPROCS(0), len(order), func(i int) {
-		errs[i] = g.insertTable(g.buf[order[i]])
+		b := order[i]
+		if err := b.t.BulkLoad(b.rows); err != nil {
+			errs[i] = fmt.Errorf("job: loading %s: %v", b.t.Schema.Name, err)
+			return
+		}
+		b.rows = nil
+		b.t.CollectStats()
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (g *gen) insertTable(b *tableBuf) error {
-	t, err := g.ds.Cat.Table(b.name)
-	if err != nil {
-		return err
-	}
-	for _, vals := range b.rows {
-		if err := t.Insert(vals); err != nil {
-			return fmt.Errorf("job: inserting into %s: %v", b.name, err)
-		}
-	}
-	b.rows = nil
 	return nil
 }
 
@@ -228,7 +218,7 @@ func (g *gen) run() error {
 			return err
 		}
 	}
-	if err := g.insertTables(); err != nil {
+	if err := g.loadTables(); err != nil {
 		return err
 	}
 	for tbl := range baseCounts {

@@ -105,6 +105,9 @@ func (cf *ColumnFamily) Name() string { return cf.name }
 // Put stores a key/value pair.
 func (cf *ColumnFamily) Put(key, value []byte) error { return cf.tree.Put(key, value) }
 
+// BulkLoad writes entries straight to SSTs (see lsm.Tree.BulkLoad).
+func (cf *ColumnFamily) BulkLoad(entries []lsm.Entry) error { return cf.tree.BulkLoad(entries) }
+
 // Delete removes a key.
 func (cf *ColumnFamily) Delete(key []byte) error { return cf.tree.Delete(key) }
 

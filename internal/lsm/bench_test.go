@@ -79,6 +79,32 @@ func BenchmarkBuildSST(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkLoad loads 200,000 unique keys in random order — a secondary
+// index's arrival order — into an empty default-config tree, one op per
+// load: Put per key then Flush, or one BulkLoad. Both store the same bytes.
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 200_000
+	entries := make([]Entry, n)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+		entries[i] = Entry{Key: key(j), Value: val(j)}
+	}
+	for _, mode := range []string{"put", "bulk"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := NewTree(flash.New(hw.Cosmos(), 0), DefaultConfig())
+				if mode == "bulk" {
+					if err := tr.BulkLoad(entries); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					putThenFlush(b, tr, entries)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTreePut(b *testing.B) {
 	fl := flash.New(hw.Cosmos(), 0)
 	cfg := DefaultConfig()

@@ -143,7 +143,7 @@ var memSink *MemTable
 
 // TestEmptyMemTableIsFree pins that a memtable allocates nothing but its
 // header until the first write, and that reading an empty one allocates no
-// arena either: after FlushAll every tree holds one.
+// arena either: after a bulk load (or a Flush) every tree holds one.
 func TestEmptyMemTableIsFree(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { memSink = NewMemTableSeeded(7) }); n != 1 {
 		t.Fatalf("NewMemTableSeeded made %v allocations, want 1", n)

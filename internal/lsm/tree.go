@@ -128,12 +128,26 @@ func (t *Tree) flushLocked() error {
 				return err
 			}
 		}
-		sst, err := w.finish(t.fl, Access{})
-		if err != nil {
+		if err := t.addL1Locked(w); err != nil {
 			return err
 		}
-		t.l1 = append([]*SST{sst}, t.l1...)
 	}
+	return t.compactLocked()
+}
+
+// addL1Locked finishes an SST and makes it the newest file of C1.
+func (t *Tree) addL1Locked(w *sstWriter) error {
+	sst, err := w.finish(t.fl, Access{})
+	if err != nil {
+		return err
+	}
+	t.l1 = append([]*SST{sst}, t.l1...)
+	return nil
+}
+
+// compactLocked is the compaction step every flush ends with: C1 into C2 once
+// C1 holds more than MaxL1Files, then one push per overflowing lower level.
+func (t *Tree) compactLocked() error {
 	if len(t.l1) > t.cfg.MaxL1Files {
 		if err := t.compactL1Locked(); err != nil {
 			return err
@@ -531,6 +545,15 @@ func (t *Tree) memContentsLocked() []Entry {
 	return out
 }
 
+// memLenLocked counts the entries of every memtable, mutable and immutable.
+func (t *Tree) memLenLocked() int {
+	n := t.mem.Len()
+	for _, m := range t.imm {
+		n += m.Len()
+	}
+	return n
+}
+
 // LevelInfo describes one level for statistics and NDP placement maps.
 type LevelInfo struct {
 	Level int // 0 = C0 (memtables), 1 = C1, ...
@@ -554,11 +577,7 @@ type SSTInfo struct {
 func (t *Tree) Placement() []LevelInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	mem := t.mem.Len()
-	for _, m := range t.imm {
-		mem += m.Len()
-	}
-	out := []LevelInfo{{Level: 0, MemEntries: mem}}
+	out := []LevelInfo{{Level: 0, MemEntries: t.memLenLocked()}}
 	appendLevel := func(level int, ssts []*SST) {
 		li := LevelInfo{Level: level}
 		for _, s := range ssts {
@@ -590,11 +609,7 @@ type Stats struct {
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var st Stats
-	st.Entries = t.mem.Len()
-	for _, m := range t.imm {
-		st.Entries += m.Len()
-	}
+	st := Stats{Entries: t.memLenLocked()}
 	count := func(ssts []*SST) {
 		for _, s := range ssts {
 			st.Entries += s.Count()

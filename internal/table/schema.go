@@ -279,9 +279,7 @@ func (r Record) AppendColKey(dst []byte, i int) ([]byte, bool) {
 }
 
 // PK returns the record's primary key.
-func (r Record) PK() int32 {
-	return r.Get(r.Schema.pkIdx).Int
-}
+func (r Record) PK() int32 { return r.Schema.rowPK(r.Data) }
 
 // EncodeRow builds a row from values in column order. Strings longer than
 // the column size are trimmed; shorter ones padded (paper §5 workload notes).
@@ -340,49 +338,55 @@ func DecodePK(k []byte) int32 {
 	return int32(binary.BigEndian.Uint32(k) ^ 0x80000000)
 }
 
-// EncodeSecondaryKey builds the key of a secondary-index entry: the sortable
-// secondary value followed by the primary key (paper §2.2: "a key in the
-// secondary index combines ... with the key of the primary index").
-func (s *Schema) EncodeSecondaryKey(col string, v Value, pk int32) ([]byte, error) {
-	return s.AppendSecondaryKey(nil, col, v, pk)
+// rowPK reads the primary key out of an encoded row (the PK column is never
+// NULL).
+func (s *Schema) rowPK(row []byte) int32 {
+	return int32(binary.LittleEndian.Uint32(row[s.offsets[s.pkIdx]:]))
 }
 
-// AppendSecondaryKey appends EncodeSecondaryKey(col, v, pk) to dst; on error
-// dst comes back unchanged.
-func (s *Schema) AppendSecondaryKey(dst []byte, col string, v Value, pk int32) ([]byte, error) {
-	dst, err := s.appendSecondaryPrefix(dst, col, v)
-	if err != nil {
-		return dst, err
+// appendIndexKey appends the key of column ci's secondary-index entry for an
+// encoded row: the sortable secondary value followed by the primary key (paper
+// §2.2: "a key in the secondary index combines ... with the key of the primary
+// index"). The value is 0 for NULL (NULLs sort first), else 1 and either the
+// big-endian sign-flipped integer or the column's stored Size bytes, which
+// AppendRow has already trimmed and NUL-padded. This is the one encoder of
+// stored index keys; SecondaryPrefix encodes the same value prefix from a
+// Value for seeks.
+func (s *Schema) appendIndexKey(dst []byte, ci int, row []byte) []byte {
+	c, off := s.Columns[ci], s.offsets[ci]
+	switch {
+	case row[s.nullOff+ci/8]&(1<<(ci%8)) != 0:
+		dst = append(dst, 0)
+	case c.Type == Int32:
+		dst = AppendPK(append(dst, 1), int32(binary.LittleEndian.Uint32(row[off:])))
+	default:
+		dst = append(append(dst, 1), row[off:off+c.Size]...)
 	}
-	return AppendPK(dst, pk), nil
+	return AppendPK(dst, s.rowPK(row))
 }
 
 // SecondaryPrefix builds the key prefix matching all entries with secondary
-// value v (for equality seeks over the index).
+// value v (for equality seeks over the index): the value part of the key
+// appendIndexKey stores for a row holding v.
 func (s *Schema) SecondaryPrefix(col string, v Value) ([]byte, error) {
-	return s.appendSecondaryPrefix(nil, col, v)
-}
-
-// appendSecondaryPrefix appends the sortable encoding of secondary value v:
-// 0 for NULL (NULLs sort first), else 1 and the big-endian sign-flipped
-// integer or the CHAR payload trimmed and NUL-padded to the column size.
-func (s *Schema) appendSecondaryPrefix(dst []byte, col string, v Value) ([]byte, error) {
 	c, ok := s.ColumnByName(col)
 	if !ok {
-		return dst, fmt.Errorf("table %s: unknown secondary column %q", s.Name, col)
+		return nil, fmt.Errorf("table %s: unknown secondary column %q", s.Name, col)
 	}
 	switch {
 	case v.Null:
-		return append(dst, 0), nil
+		return []byte{0}, nil
 	case c.Type == Int32:
-		return AppendPK(append(dst, 1), v.Int), nil
+		return AppendPK(append(make([]byte, 0, 5), 1), v.Int), nil
 	default:
 		str := v.Str
 		if len(str) > c.Size {
 			str = str[:c.Size]
 		}
-		dst = append(append(dst, 1), str...)
-		return append(dst, make([]byte, c.Size-len(str))...), nil
+		key := make([]byte, 1+c.Size)
+		key[0] = 1
+		copy(key[1:], str)
+		return key, nil
 	}
 }
 

@@ -108,10 +108,15 @@ func (t *Table) CollectStats() *Stats {
 		st.NDV[col] = d
 	}
 
+	// Concurrent callers may each have collected; the first to store wins and
+	// every caller gets its pointer, on which the optimizer's plan memo keys
+	// validity.
 	t.mu.Lock()
-	t.stats = st
-	t.mu.Unlock()
-	return st
+	defer t.mu.Unlock()
+	if t.stats == nil {
+		t.stats = st
+	}
+	return t.stats
 }
 
 // SelectivityOf estimates the fraction of rows matching pred by evaluating it

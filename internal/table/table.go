@@ -84,34 +84,81 @@ func (c *Catalog) Tables() []string {
 
 // Insert encodes and stores one row, maintaining every secondary index. Row
 // and keys are encoded into stack buffers (the memtable copies what it keeps),
-// so a row that fits them allocates nothing here.
+// so a row that fits them allocates nothing here. Insert is the single-row
+// write; BulkLoad stores the same bytes for a batch.
 func (t *Table) Insert(vals []Value) error {
 	var rowBuf, keyBuf [256]byte
 	row, err := t.Schema.AppendRow(rowBuf[:0], vals)
 	if err != nil {
 		return err
 	}
-	pk := Record{Schema: t.Schema, Data: row}.PK()
-	if err := t.Data.Put(AppendPK(keyBuf[:0], pk), row); err != nil {
+	if err := t.Data.Put(AppendPK(keyBuf[:0], t.Schema.rowPK(row)), row); err != nil {
 		return err
 	}
 	for _, si := range t.Schema.SecondaryIndexes {
-		// The value as given encodes to the same key as the value read back
-		// from the row: both are trimmed and NUL-padded to the column size.
-		v := vals[t.Schema.ColumnIndex(si.Column)]
-		key, err := t.Schema.AppendSecondaryKey(keyBuf[:0], si.Column, v, pk)
-		if err != nil {
-			return err
-		}
+		key := t.Schema.appendIndexKey(keyBuf[:0], t.Schema.ColumnIndex(si.Column), row)
 		if err := t.Indexes[si.Name].Put(key, nil); err != nil {
 			return err
 		}
 	}
-	t.mu.Lock()
-	t.rowCount++
-	t.stats = nil // invalidate
-	t.mu.Unlock()
+	t.addRows(1)
 	return nil
+}
+
+// BulkLoad stores rows — fixed-width rows as AppendRow encodes them, back to
+// back — in every column family of the table through kv's bulk path
+// (lsm.Tree.BulkLoad): the stored bytes are those of Insert for each row in
+// order followed by Flush. The primary entries' values alias rows, and every
+// secondary key is built from the row bytes. It inherits the bulk path's
+// refusals: a family whose memtables hold entries, and a key repeated within
+// one memtable's worth of rows.
+func (t *Table) BulkLoad(rows []byte) error {
+	s := t.Schema
+	rb := s.RowBytes()
+	if len(rows)%rb != 0 {
+		return fmt.Errorf("table %s: bulk load of %d bytes is not a whole number of %d-byte rows", s.Name, len(rows), rb)
+	}
+	n := len(rows) / rb
+	keyLen := 4 // the longest key any family of the table takes
+	for _, si := range s.SecondaryIndexes {
+		c, _ := s.ColumnByName(si.Column)
+		keyLen = max(keyLen, 1+max(c.Size, 4)+4)
+	}
+	// One entry slice and one key buffer serve every family in turn: each
+	// BulkLoad has copied what it keeps by the time it returns.
+	entries := make([]lsm.Entry, n)
+	keys := make([]byte, 0, n*keyLen)
+	for i := range entries {
+		row := rows[i*rb : (i+1)*rb : (i+1)*rb]
+		k := len(keys)
+		keys = AppendPK(keys, s.rowPK(row))
+		entries[i] = lsm.Entry{Key: keys[k:len(keys):len(keys)], Value: row}
+	}
+	if err := t.Data.BulkLoad(entries); err != nil {
+		return err
+	}
+	for _, si := range s.SecondaryIndexes {
+		ci := s.ColumnIndex(si.Column)
+		keys = keys[:0]
+		for i := range entries {
+			k := len(keys)
+			keys = s.appendIndexKey(keys, ci, rows[i*rb:(i+1)*rb])
+			entries[i] = lsm.Entry{Key: keys[k:len(keys):len(keys)]}
+		}
+		if err := t.Indexes[si.Name].BulkLoad(entries); err != nil {
+			return err
+		}
+	}
+	t.addRows(int64(n))
+	return nil
+}
+
+// addRows counts stored rows and drops the statistics they make stale.
+func (t *Table) addRows(n int64) {
+	t.mu.Lock()
+	t.rowCount += n
+	t.stats = nil
+	t.mu.Unlock()
 }
 
 // RowCount reports the exact number of inserted rows (the statistics layer

@@ -163,12 +163,23 @@ func TestPKEncodingOrderProperty(t *testing.T) {
 	}
 }
 
+// indexKey encodes a person row and returns the key col's secondary index
+// stores for it.
+func indexKey(t *testing.T, s *Schema, col string, pk int32, age, city Value) []byte {
+	t.Helper()
+	row, err := s.EncodeRow([]Value{IntVal(pk), NullVal(), age, city})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.appendIndexKey(nil, s.ColumnIndex(col), row)
+}
+
 func TestSecondaryKeyOrdering(t *testing.T) {
 	s := personSchema()
 	// Int secondary keys order numerically, including negatives.
-	k1, _ := s.EncodeSecondaryKey("age", IntVal(-5), 1)
-	k2, _ := s.EncodeSecondaryKey("age", IntVal(3), 1)
-	k3, _ := s.EncodeSecondaryKey("age", NullVal(), 1)
+	k1 := indexKey(t, s, "age", 1, IntVal(-5), StrVal("c"))
+	k2 := indexKey(t, s, "age", 1, IntVal(3), StrVal("c"))
+	k3 := indexKey(t, s, "age", 1, NullVal(), StrVal("c"))
 	if bytes.Compare(k1, k2) >= 0 {
 		t.Fatal("-5 must order before 3")
 	}
@@ -176,7 +187,7 @@ func TestSecondaryKeyOrdering(t *testing.T) {
 		t.Fatal("NULL must order first")
 	}
 	// The PK is recoverable from the tail.
-	k4, _ := s.EncodeSecondaryKey("city", StrVal("x"), 4242)
+	k4 := indexKey(t, s, "city", 4242, NullVal(), StrVal("x"))
 	if PKFromSecondaryKey(k4) != 4242 {
 		t.Fatal("PK tail lost")
 	}
@@ -185,7 +196,7 @@ func TestSecondaryKeyOrdering(t *testing.T) {
 	if !bytes.HasPrefix(k4, p) {
 		t.Fatal("prefix must cover the entry")
 	}
-	if _, err := s.EncodeSecondaryKey("nope", IntVal(1), 1); err == nil {
+	if _, err := s.SecondaryPrefix("nope", IntVal(1)); err == nil {
 		t.Fatal("unknown column must fail")
 	}
 }
