@@ -239,12 +239,13 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model) *Executor {
 }
 
 // hostEngine builds a host-side engine on tl with a cold block cache (the
-// model's fraction of the stored dataset), so strategy comparisons are
-// order-independent, and per-run Bloom-filter stats when a metrics registry
-// is bound.
+// model's fraction of the stored dataset, kept by the engine's scratch), so
+// strategy comparisons are order-independent, and per-run Bloom-filter stats
+// when a metrics registry is bound.
 func (x *Executor) hostEngine(tl *vclock.Timeline, rates hw.Rates, ls *exec.Lease) *exec.Engine {
-	eng := &exec.Engine{Cat: x.Cat, TL: tl, R: rates, Scratch: ls.Scratch(),
-		Cache: x.DB.NewBlockCache(x.Model.HostCacheFraction), BatchSize: x.BatchSize}
+	sc := ls.Scratch()
+	eng := &exec.Engine{Cat: x.Cat, TL: tl, R: rates, Scratch: sc,
+		Cache: sc.BlockCache(x.DB.BlockCacheBytes(x.Model.HostCacheFraction)), BatchSize: x.BatchSize}
 	if x.Metrics != nil {
 		eng.Bloom = &lsm.BloomStats{}
 	}
@@ -550,7 +551,8 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 	// Join-free (single-table) plans execute as H0: the device scans and
 	// filters the base table, ships survivor chunks through the shared
 	// buffer, and the host finalizes (projection / aggregation). Interior
-	// splits are rejected above since len(p.Steps) == 0.
+	// splits are rejected above since len(p.Steps) == 0. A prepared plan
+	// carries its H0 variant, prepared once with it.
 	if split < 0 {
 		p = orig.WithBufferedJoins()
 	}
@@ -603,7 +605,7 @@ type hostSide struct {
 	pl       *exec.Pipeline
 	hostFrom int // first join step the host executes on driving batches
 	report   *Report
-	tuples   []exec.Tuple
+	tuples   []exec.Tuple // the gather list, in the pipeline's scratch
 	// fetchDone[j] is when the host finished fetching batch j, i.e. when its
 	// shared-buffer slot became free again.
 	fetchDone []vclock.Time
@@ -714,7 +716,7 @@ func (h *hostSide) consume(b device.Batch) error {
 	if b.LeafAlias != "" {
 		psp.Attr("leaf", b.LeafAlias)
 		ev.Rows = b.Cols.Len()
-		err = h.seedLeaf(b)
+		h.seedLeaf(b)
 	} else {
 		ev.Rows = len(b.Tuples)
 		err = h.joinDriving(b.Tuples)
@@ -735,13 +737,13 @@ func (h *hostSide) consume(b device.Batch) error {
 
 // seedLeaf feeds an H0 leaf batch straight into the inner side of the host
 // join over that table.
-func (h *hostSide) seedLeaf(b device.Batch) error {
+func (h *hostSide) seedLeaf(b device.Batch) {
 	for si, st := range h.pl.Plan.Steps {
 		if st.Right.Ref.Alias == b.LeafAlias {
-			return h.eng.SeedInnerCols(h.pl, si, b.Cols)
+			h.eng.SeedInnerCols(h.pl, si, b.Cols)
+			return
 		}
 	}
-	return nil
 }
 
 // joinDriving runs one driving-chunk batch through the host PQEP.
@@ -756,6 +758,6 @@ func (h *hostSide) joinDriving(batch []exec.Tuple) error {
 			return err
 		}
 	}
-	h.tuples = append(h.tuples, batch...)
+	h.tuples = h.pl.AppendTuples(h.tuples, batch...)
 	return nil
 }

@@ -241,18 +241,23 @@ func New(m hw.Model, cat *table.Catalog) *Device {
 
 // Engine builds the on-device execution engine for one command: device
 // rates, bounded buffers, the row/pointer cache format switch, and a small
-// data-block buffer cache carved out of the temporary-storage reservation.
+// cold data-block buffer cache carved out of the temporary-storage
+// reservation — the one the engine's scratch keeps.
 func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
+	sc := d.Scratch
+	if sc == nil {
+		sc = &exec.Scratch{}
+	}
 	eng := &exec.Engine{
 		Cat:          d.Cat,
 		TL:           d.TL,
 		R:            hw.DeviceRates(d.Model),
-		Cache:        d.Cat.DB().NewBlockCache(d.Model.DeviceCacheFraction),
+		Cache:        sc.BlockCache(d.Cat.DB().BlockCacheBytes(d.Model.DeviceCacheFraction)),
 		JoinBuf:      d.Model.JoinBufBytes,
 		SelBuf:       d.Model.SelBufBytes,
 		PointerCache: mp.UsesPointerFmt,
 		BatchSize:    d.BatchSize,
-		Scratch:      d.Scratch,
+		Scratch:      sc,
 	}
 	if d.Faults != nil {
 		// Only assign a live injector: a typed-nil interface would defeat
@@ -404,8 +409,8 @@ func (d *Device) Run(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 	if devSteps < 0 {
 		// H0: run every leaf selection on device. Inner tables ship as one
 		// batch each; the driving table streams in chunks.
-		for _, st := range cmd.Plan.Steps {
-			b, err := d.scanLeaf(st.Right, eng, nil, nil)
+		for si := range cmd.Plan.Steps {
+			b, err := d.scanLeaf(pl, si, eng, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -471,11 +476,12 @@ func (d *Device) RunShard(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 	})
 }
 
-// ScanLeafPartition scans one inner table's partition [lo, hi) on this device
-// (fleet H0: every device ships its share of every leaf selection) and
-// returns it as a leaf batch stamped with the device completion time.
-func (d *Device) ScanLeafPartition(ap exec.AccessPath, eng *exec.Engine, lo, hi *int32) (Batch, error) {
-	b, err := d.scanLeaf(ap, eng, lo, hi)
+// ScanLeafPartition scans the partition [lo, hi) of join step si's inner
+// table on this device (fleet H0: every device ships its share of every leaf
+// selection) and returns it as a leaf batch stamped with the device
+// completion time.
+func (d *Device) ScanLeafPartition(pl *exec.Pipeline, si int, eng *exec.Engine, lo, hi *int32) (Batch, error) {
+	b, err := d.scanLeaf(pl, si, eng, lo, hi)
 	if err != nil {
 		return Batch{}, err
 	}
@@ -485,11 +491,12 @@ func (d *Device) ScanLeafPartition(ap exec.AccessPath, eng *exec.Engine, lo, hi 
 	return b, nil
 }
 
-// scanLeaf runs one leaf selection over [lo, hi) into a not yet handed-off
-// leaf batch.
-func (d *Device) scanLeaf(ap exec.AccessPath, eng *exec.Engine, lo, hi *int32) (Batch, error) {
+// scanLeaf runs join step si's leaf selection over [lo, hi) into a not yet
+// handed-off leaf batch.
+func (d *Device) scanLeaf(pl *exec.Pipeline, si int, eng *exec.Engine, lo, hi *int32) (Batch, error) {
+	ap := &pl.Plan.Steps[si].Right
 	lsp := d.Trace.Start(d.TL, "device.leaf.scan").Attr("alias", ap.Ref.Alias)
-	cb, width, err := eng.ScanCols(ap, lo, hi)
+	cb, width, err := eng.ScanCols(pl, si+1, lo, hi)
 	if err != nil {
 		lsp.End()
 		return Batch{}, err
@@ -514,6 +521,8 @@ func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.E
 	bounds = clipBounds(bounds, loPart, hiPart)
 	width := pl.TupleWidth(devSteps + 1)
 	slot := d.Model.SharedBufferSlot
+	// acc is the result set filling the current slot, a list in the run's
+	// scratch like the tuples it holds.
 	var acc []exec.Tuple
 	var accBytes int64
 	flush := func(last bool) error {
@@ -538,7 +547,7 @@ func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.E
 			return nil
 		}
 		if si >= devSteps {
-			acc = append(acc, tuples...)
+			acc = pl.AppendTuples(acc, tuples...)
 			accBytes += int64(len(tuples)) * width
 			if accBytes >= slot {
 				return flush(false)
@@ -563,7 +572,7 @@ func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.E
 	for ci := 0; ci+1 < len(bounds); ci++ {
 		lo, hi := bounds[ci], bounds[ci+1]
 		csp := d.Trace.Start(d.TL, "device.chunk").AttrInt("chunk", int64(ci))
-		rows, rowWidth, err := eng.ScanAccess(p.Driving, lo, hi)
+		rows, rowWidth, err := eng.ScanAccess(pl, 0, lo, hi)
 		if err != nil {
 			csp.End()
 			return err

@@ -95,7 +95,7 @@ func (e *Engine) RunPlan(p *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := e.ScanAccess(p.Driving, nil, nil)
+	rows, _, err := e.ScanAccess(pl, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -109,75 +109,34 @@ func (e *Engine) RunPlan(p *Plan) (*Result, error) {
 	return e.Finalize(pl, tuples)
 }
 
-// Pipeline carries the resolved state of one plan execution: the tuple shape
-// and per-position projected widths, plus cached inner-side state so chunked
-// device execution builds each join's hash table only once.
+// Pipeline is one run of a plan on the engine that started it: the plan's
+// shared Prepared state plus this run's inner states — the materialized inner
+// side of every join step, kept so chunked device execution builds each join's
+// hash table only once.
 type Pipeline struct {
-	Plan   *Plan
-	Shapes []*Shape // Shapes[i] = shape after i join steps
-	Widths []int64  // projected bytes per tuple position
-	inner  []*innerState
-
-	// conds holds per-step join conditions with verified column indices (the
-	// plan's conds are not mutated; hand-built plans may carry unresolved
-	// indices).
-	conds [][]BoundCond
-	// intKeys[si] is step si's join key in the hash table's integer
-	// representation; n == 0 leaves the step on encoded byte keys.
-	intKeys []intKeys
+	*Prepared
+	Plan  *Plan
+	inner []innerState
 	// sc is the scratch of the engine that started the pipeline: tuples, hash
-	// tables and probe vectors live there whichever engine drives a step (the
-	// cooperative device joins on the host's pipeline), scan results in the
-	// scanning engine's own.
+	// tables, probe vectors and the inner states live there whichever engine
+	// drives a step (the cooperative device joins on the host's pipeline),
+	// scan results in the scanning engine's own.
 	sc *Scratch
 }
 
-// StartPipeline resolves tables and builds shapes for the plan.
+// StartPipeline begins a run of the plan on this engine, over the plan's
+// prepared state (Plan.Prepare) when it carries one for the engine's catalog
+// and over a private one, built by the same constructor, when it does not.
 func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
-	t0, err := e.Cat.Table(p.Driving.Ref.Table)
-	if err != nil {
-		return nil, err
-	}
-	sh := NewShape([]string{p.Driving.Ref.Alias}, []*table.Schema{t0.Schema})
-	pl := &Pipeline{
-		Plan:   p,
-		Shapes: []*Shape{sh},
-		Widths: []int64{projWidth(t0.Schema, p.Driving.Proj)},
-		inner:  make([]*innerState, len(p.Steps)),
-		sc:     e.scratch(),
-	}
-	for _, s := range p.Steps {
-		tr, err := e.Cat.Table(s.Right.Ref.Table)
-		if err != nil {
+	pr := p.prepared
+	if pr == nil || pr.cat != e.Cat {
+		var err error
+		if pr, err = prepare(e.Cat, p); err != nil {
 			return nil, err
 		}
-		sh = sh.Extend(s.Right.Ref.Alias, tr.Schema)
-		pl.Shapes = append(pl.Shapes, sh)
-		pl.Widths = append(pl.Widths, projWidth(tr.Schema, s.Right.Proj))
 	}
-	pl.conds = make([][]BoundCond, len(p.Steps))
-	pl.intKeys = make([]intKeys, len(p.Steps))
-	for si, s := range p.Steps {
-		cs := make([]BoundCond, len(s.Conds))
-		copy(cs, s.Conds)
-		leftSh := pl.Shapes[si]
-		rightSchema := pl.Shapes[si+1].Schemas[len(pl.Shapes[si+1].Schemas)-1]
-		for i := range cs {
-			c := &cs[i]
-			if c.LeftPos >= 0 && c.LeftPos < len(leftSh.Schemas) {
-				ls := leftSh.Schemas[c.LeftPos]
-				if c.LeftColIdx < 0 || c.LeftColIdx >= len(ls.Columns) || ls.Columns[c.LeftColIdx].Name != c.LeftCol {
-					c.LeftColIdx = ls.ColumnIndex(c.LeftCol)
-				}
-			}
-			if c.RightColIdx < 0 || c.RightColIdx >= len(rightSchema.Columns) || rightSchema.Columns[c.RightColIdx].Name != c.RightCol {
-				c.RightColIdx = rightSchema.ColumnIndex(c.RightCol)
-			}
-		}
-		pl.conds[si] = cs
-		pl.intKeys[si] = bindIntKeys(leftSh, rightSchema, cs)
-	}
-	return pl, nil
+	sc := e.scratch()
+	return &Pipeline{Prepared: pr, Plan: p, inner: sc.innerStates(len(p.Steps)), sc: sc}, nil
 }
 
 // intKeyCol addresses one Int32 join column in the fixed-width layout.
@@ -272,18 +231,26 @@ func (pl *Pipeline) MakeTuples(rows [][]byte) []Tuple {
 	return sc.tuples[start:len(sc.tuples):len(sc.tuples)]
 }
 
+// AppendTuples appends src to dst — a tuple list a run builds up across calls
+// (a device result set, a gather list), nil to start one — and returns the
+// list. Lists are regions of the pipeline's scratch, so they live exactly as
+// long as the run's lease and a warm scratch grows them without allocating.
+func (pl *Pipeline) AppendTuples(dst []Tuple, src ...Tuple) []Tuple {
+	return appendRegion(&pl.sc.tuples, dst, src)
+}
+
 // FinalShape returns the shape after all join steps.
-func (pl *Pipeline) FinalShape() *Shape { return pl.Shapes[len(pl.Shapes)-1] }
+func (pl *Pipeline) FinalShape() *Shape { return &pl.shapes[len(pl.shapes)-1] }
 
 // ShapeAt returns the shape after k join steps.
-func (pl *Pipeline) ShapeAt(k int) *Shape { return pl.Shapes[k] }
+func (pl *Pipeline) ShapeAt(k int) *Shape { return &pl.shapes[k] }
 
 // TupleWidth reports the projected byte width of a tuple with the first n
 // positions populated.
 func (pl *Pipeline) TupleWidth(n int) int64 {
 	var w int64
-	for i := 0; i < n && i < len(pl.Widths); i++ {
-		w += pl.Widths[i]
+	for i := 0; i < n && i < len(pl.widths); i++ {
+		w += pl.widths[i]
 	}
 	return w
 }

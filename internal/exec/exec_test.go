@@ -109,7 +109,7 @@ func TestScanAccessFilterAndCharges(t *testing.T) {
 		Filter: expr.Cmp{Col: "region", Op: expr.Eq, Val: table.StrVal("north")},
 		Proj:   []string{"id"},
 	}
-	rows, width, err := e.ScanAccess(ap, nil, nil)
+	rows, width, err := e.scanAP(ap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestScanAccessPKRange(t *testing.T) {
 	cat := fixture(t, 40, 1000)
 	e := hostEngine(cat)
 	lo, hi := int32(100), int32(200)
-	rows, _, err := e.ScanAccess(AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}, &lo, &hi)
+	rows, _, err := e.scanAP(AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestScanAccessIndexEquality(t *testing.T) {
 		FilterIndex:    "idx_customer",
 		FilterValue:    table.IntVal(7),
 	}
-	rows, _, err := e.ScanAccess(ap, nil, nil)
+	rows, _, err := e.scanAP(ap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := hostEngine(cat).ScanAccess(AccessPath{
+	full, _, err := hostEngine(cat).scanAP(AccessPath{
 		Ref:    query.TableRef{Alias: "o", Table: "orders"},
 		Filter: ap.Filter,
 	}, nil, nil)
@@ -170,7 +170,7 @@ func TestScanAccessIndexEquality(t *testing.T) {
 	}
 	// PK-range restriction applies to the index path too.
 	lo := int32(500)
-	bounded, _, err := hostEngine(cat).ScanAccess(ap, &lo, nil)
+	bounded, _, err := hostEngine(cat).scanAP(ap, &lo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestSeedInnerUsesShippedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ship only orders of customer 1 as the seeded inner side.
-	all, _, err := e.ScanAccess(AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}, nil, nil)
+	all, _, err := e.scanAP(AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,10 +467,8 @@ func TestSeedInnerUsesShippedRows(t *testing.T) {
 			shipped = append(shipped, r)
 		}
 	}
-	if err := e.SeedInner(pl, 0, shipped); err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := e.ScanAccess(p.Driving, nil, nil)
+	e.SeedInner(pl, 0, shipped)
+	rows, _, err := e.scanAP(p.Driving, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,11 +502,11 @@ func TestEngineReadsThroughViews(t *testing.T) {
 	ap := AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}
 	snapEng := hostEngine(cat)
 	snapEng.Views = frozen
-	snapRows, _, err := snapEng.ScanAccess(ap, nil, nil)
+	snapRows, _, err := snapEng.scanAP(ap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveRows, _, err := hostEngine(cat).ScanAccess(ap, nil, nil)
+	liveRows, _, err := hostEngine(cat).scanAP(ap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,13 +530,13 @@ func TestShapeAndTuple(t *testing.T) {
 	cat := fixture(t, 5, 5)
 	ct, _ := cat.Table("customers")
 	ot, _ := cat.Table("orders")
-	sh := NewShape([]string{"c"}, []*table.Schema{ct.Schema})
-	sh2 := sh.Extend("o", ot.Schema)
+	sh2 := NewShape([]string{"c", "o"}, []*table.Schema{ct.Schema, ot.Schema})
+	sh := sh2.Prefix(1)
 	if sh2.Pos("c") != 0 || sh2.Pos("o") != 1 || sh2.Pos("x") != -1 {
 		t.Fatal("shape positions wrong")
 	}
-	if sh.Pos("o") != -1 {
-		t.Fatal("Extend must not mutate the original shape")
+	if sh.Pos("c") != 0 || sh.Pos("o") != -1 || len(sh.Schemas) != 1 {
+		t.Fatal("a prefix shape must not resolve the chain's later positions")
 	}
 	crow, _ := ct.Schema.EncodeRow([]table.Value{table.IntVal(9), table.StrVal("r")})
 	tu := Tuple{crow, nil}
@@ -604,7 +602,7 @@ func BenchmarkScanFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := hostEngine(cat)
-		if _, _, err := e.ScanAccess(ap, nil, nil); err != nil {
+		if _, _, err := e.scanAP(ap, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -632,7 +630,7 @@ func BenchmarkJoinStep(b *testing.B) {
 	q := joinQuery()
 	p := planFor(q, BNL, false, "")
 	e := hostEngine(cat)
-	rows, _, err := e.ScanAccess(p.Driving, nil, nil)
+	rows, _, err := e.scanAP(p.Driving, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -686,7 +684,7 @@ func BenchmarkGroupAggregate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, _, err := e.ScanAccess(p.Driving, nil, nil)
+	rows, _, err := e.scanAP(p.Driving, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -768,15 +766,15 @@ func TestScanSurfacesFlashReadFault(t *testing.T) {
 		run  func(e *Engine) (int, error)
 	}{
 		{"scan", func(e *Engine) (int, error) {
-			rows, _, err := e.ScanAccess(orders, nil, nil)
+			rows, _, err := e.scanAP(orders, nil, nil)
 			return len(rows), err
 		}},
 		{"scan PK range", func(e *Engine) (int, error) {
-			rows, _, err := e.ScanAccess(orders, &lo, &hi)
+			rows, _, err := e.scanAP(orders, &lo, &hi)
 			return len(rows), err
 		}},
 		{"ScanCols", func(e *Engine) (int, error) {
-			cb, _, err := e.ScanCols(orders, nil, nil)
+			cb, _, err := e.scanColsAP(orders, nil, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -3,11 +3,31 @@ package exec
 // ScratchRetainBytes exposes the retention bound to the external tests.
 const ScratchRetainBytes = scratchRetainBytes
 
+// scanAP scans one access path on its own: the driving position of a
+// one-table plan over it.
+func (e *Engine) scanAP(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, error) {
+	pl, err := e.StartPipeline(&Plan{Driving: ap})
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.ScanAccess(pl, 0, loPK, hiPK)
+}
+
+// scanColsAP is scanAP in the columnar transfer format.
+func (e *Engine) scanColsAP(ap AccessPath, loPK, hiPK *int32) (*ColBatch, int64, error) {
+	pl, err := e.StartPipeline(&Plan{Driving: ap})
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.ScanCols(pl, 0, loPK, hiPK)
+}
+
 // PoisonScratchOnRelease makes every Scratch release, until the returned
 // restore runs, overwrite what the run left behind once it is rewound: every
 // row-view slot (scan batch, view slab, arena blocks — used or not)
 // points at one sentinel row of 0xA5 bytes, every tuple slot at a sentinel
-// tuple of such rows, and every hash-table key — arena byte or entry word,
+// tuple of such rows, every inner-state slot claims a built inner side of
+// such a row, and every hash-table key — arena byte or entry word,
 // whichever representation the table last held — is flipped. A result or
 // report that still aliases scratch memory then reads garbage, and the next
 // run on the scratch finds garbage wherever it wrongly trusts a cleared slot.
@@ -34,6 +54,10 @@ func PoisonScratchOnRelease() (restore func()) {
 		tuples := s.tuples[:cap(s.tuples)]
 		for i := range tuples {
 			tuples[i] = tuple
+		}
+		inners := s.inners[:cap(s.inners)]
+		for i := range inners {
+			inners[i] = innerState{rows: [][]byte{row}, built: true, seeded: true}
 		}
 		for _, t := range s.tabs {
 			keys := t.keys[:cap(t.keys)]

@@ -5,7 +5,7 @@ import "slices"
 // keyTab is an open-addressing hash table over join/group keys, replacing the
 // former map[string][]int inner tables; buckets hold entry-index+1 with linear
 // probing. A key has one of two representations, fixed per use of the table by
-// whoever fills it (a join step: StartPipeline, from the schema types; grouping:
+// whoever fills it (a join step: Plan.Prepare, from the schema types; grouping:
 // always bytes) — the table itself never mixes them between two resets:
 //
 //   - bytes (put/find/addRow): the encoded key (Record.AppendColKey), stored

@@ -26,7 +26,9 @@ type keyJoinRun struct {
 // runKeyJoin joins outer with inner (delivered as SeedInner plus one
 // AppendInner per further part, the way a fleet gather does) on a fresh
 // pipeline over the engine's scratch. forceBytes takes the step off the integer
-// representation whatever StartPipeline chose; intMode reports which one ran.
+// representation whatever Prepare chose — on a private copy of the prepared
+// state, which the plan's later runs must not see; intMode reports which one
+// ran.
 func runKeyJoin(t *testing.T, e *Engine, p *Plan, innerParts [][][]byte, outer [][]byte, forceBytes bool) (run keyJoinRun, intMode bool) {
 	t.Helper()
 	e.TL = vclock.NewTimeline("host")
@@ -35,14 +37,14 @@ func runKeyJoin(t *testing.T, e *Engine, p *Plan, innerParts [][][]byte, outer [
 		t.Fatal(err)
 	}
 	if forceBytes {
-		pl.intKeys[0] = intKeys{}
+		private := *pl.Prepared
+		private.intKeys = []intKeys{{}}
+		pl.Prepared = &private
 	}
 	index := map[*byte]int{}
 	n := 0
 	for _, part := range innerParts {
-		if err := e.AppendInner(pl, 0, part); err != nil {
-			t.Fatal(err)
-		}
+		e.AppendInner(pl, 0, part)
 		for _, r := range part {
 			index[&r[0]] = n
 			n++
@@ -111,6 +113,13 @@ func TestKeyRepresentationsAgree(t *testing.T) {
 		keyPlan([2]string{"a", "a"}),
 		keyPlan([2]string{"a", "b"}, [2]string{"b", "a"}),
 		keyPlan([2]string{"a", "a"}, [2]string{"a", "b"}),
+	}
+	// Prepared like the optimizer's plans, so every round shares one prepared
+	// state per plan: forcing byte keys into it would leak into the next round.
+	for _, p := range plans {
+		if err := p.Prepare(e.Cat); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for round := 0; round < 150; round++ {
 		p := plans[round%len(plans)]
@@ -201,14 +210,11 @@ func TestIntegerJoinAllocatesNothingWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl.inner[0] = &innerState{}
 		matched := 0
 		allocs := testing.AllocsPerRun(5, func() {
 			e.Scratch.Release()
-			*pl.inner[0] = innerState{}
-			if err := e.SeedInner(pl, 0, inner); err != nil {
-				t.Fatal(err)
-			}
+			pl.inner[0] = innerState{}
+			e.SeedInner(pl, 0, inner)
 			out, err := e.JoinStep(pl, 0, pl.MakeTuples(outer))
 			if err != nil {
 				t.Fatal(err)

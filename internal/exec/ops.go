@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hybridndp/internal/expr"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/num"
 	"hybridndp/internal/query"
@@ -12,37 +11,25 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-// ScanAccess reads one base table through its access path: rows surviving
-// the local predicate, restricted to the optional primary-key range
-// [loPK, hiPK) used by the device engine's chunked pipeline. The scan charges
-// flash reads and merge comparisons through the LSM layer, predicate
-// evaluation per scanned record, and a selection-cache copy per match.
+// ScanAccess reads the base table at tuple position pos of the pipeline's
+// plan (0 = the driving table, si+1 = join step si's inner) through its access
+// path: rows surviving the local predicate, restricted to the optional
+// primary-key range [loPK, hiPK) used by the device engine's chunked pipeline
+// and the fleet's partitions. The scan charges flash reads and merge
+// comparisons through the LSM layer, predicate evaluation per scanned record,
+// and a selection-cache copy per match. The result is a region of this
+// engine's scratch, whichever engine started the pipeline.
 //
 // Execution is vectorized: row views accumulate into a fixed-size column
-// batch, the compiled predicate refines the batch's selection vector term by
-// term, and only selected views reach the result — rejected rows are never
-// materialized. Charges derive from the accumulated scanned/selected counts,
-// so virtual time is byte-identical at every batch size (size 1 degenerates
-// to the tuple-at-a-time order of operations).
-func (e *Engine) ScanAccess(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, error) {
-	rows, width, _, err := e.scan(ap, loPK, hiPK)
-	return rows, width, err
-}
-
-// scan is ScanAccess, also returning the schema of the table it resolved.
-func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table.Schema, error) {
-	t, err := e.Cat.Table(ap.Ref.Table)
-	if err != nil {
-		return nil, 0, nil, err
-	}
+// batch, the prepared compiled predicate refines the batch's selection vector
+// term by term, and only selected views reach the result — rejected rows are
+// never materialized. Charges derive from the accumulated scanned/selected
+// counts, so virtual time is byte-identical at every batch size (size 1
+// degenerates to the tuple-at-a-time order of operations).
+func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte, int64, error) {
+	ap, t := pl.Plan.access(pos), pl.tabs[pos]
 	ac := e.Access()
-	terms := 0
-	if ap.Filter != nil {
-		terms = ap.Filter.Terms()
-	}
-	width := projWidth(t.Schema, ap.Proj)
-
-	bp := expr.Compile(t.Schema, ap.Filter)
+	terms, width, bp := pl.terms[pos], pl.widths[pos], pl.preds[pos]
 	bs := e.batchSize()
 	sc := e.scratch()
 	batch := sc.scanBatch(t.Schema, bs)
@@ -64,7 +51,7 @@ func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table
 	if ap.UseFilterIndex {
 		pks, err := t.IndexSeek(ap.FilterIndex, ap.FilterValue, ac)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		for _, pk := range pks {
 			if loPK != nil && pk < *loPK {
@@ -75,7 +62,7 @@ func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table
 			}
 			rec, ok, err := t.GetByPKView(view, pk, ac)
 			if err != nil {
-				return nil, 0, nil, err
+				return nil, 0, err
 			}
 			if !ok {
 				continue
@@ -114,7 +101,7 @@ func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table
 			it.Consume(len(run))
 		}
 		if err := it.Err(); err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 	}
 	flush()
@@ -128,30 +115,30 @@ func (e *Engine) scan(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, *table
 		e.R.Memcpy(e.TL, copyBytes)
 		e.R.RowOverhead(e.TL, len(rows), hw.CatSelection)
 	}
-	return rows, width, t.Schema, nil
+	return rows, width, nil
 }
 
 // ScanCols is ScanAccess in the engine's columnar transfer format: the
 // surviving rows arrive as one fully-selected ColBatch, the unit device leaf
 // scans emit and the host gather loop consumes. Charges are ScanAccess's.
-func (e *Engine) ScanCols(ap AccessPath, loPK, hiPK *int32) (*ColBatch, int64, error) {
-	rows, width, schema, err := e.scan(ap, loPK, hiPK)
+func (e *Engine) ScanCols(pl *Pipeline, pos int, loPK, hiPK *int32) (*ColBatch, int64, error) {
+	rows, width, err := e.ScanAccess(pl, pos, loPK, hiPK)
 	if err != nil {
 		return nil, 0, err
 	}
-	return NewColBatch(schema, rows), width, nil
+	return NewColBatch(pl.tabs[pos].Schema, rows), width, nil
 }
 
 // SeedInnerCols seeds a join's inner side from a column batch (the H0 leaf
 // batch a device shipped).
-func (e *Engine) SeedInnerCols(pl *Pipeline, si int, cb *ColBatch) error {
-	return e.SeedInner(pl, si, cb.View())
+func (e *Engine) SeedInnerCols(pl *Pipeline, si int, cb *ColBatch) {
+	e.SeedInner(pl, si, cb.View())
 }
 
 // AppendInnerCols appends a column batch to a join's inner side (multi-device
 // and fleet gather loops, one shard partition at a time).
-func (e *Engine) AppendInnerCols(pl *Pipeline, si int, cb *ColBatch) error {
-	return e.AppendInner(pl, si, cb.View())
+func (e *Engine) AppendInnerCols(pl *Pipeline, si int, cb *ColBatch) {
+	e.AppendInner(pl, si, cb.View())
 }
 
 // cacheWidth is the per-record footprint in an intermediate cache: the
@@ -299,7 +286,7 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	if e.TL != nil {
 		e.R.HashProbe(e.TL, len(left))
 		e.R.Memcmp(e.TL, cmpBytes, cmps)
-		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.Widths[si+1]))
+		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.widths[si+1]))
 		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
 		e.chargeDeref(pl, si, len(out))
 	}
@@ -321,11 +308,7 @@ func (e *Engine) chargeDeref(pl *Pipeline, si, out int) {
 // hash tables while the device runs its initial execution, overlapping the
 // two engines (paper §4.1).
 func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
-	inner := pl.inner[si]
-	if inner == nil {
-		inner = &innerState{}
-		pl.inner[si] = inner
-	}
+	inner := &pl.inner[si]
 	if inner.built {
 		return inner, nil
 	}
@@ -339,7 +322,7 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 	if rescans {
 		before = e.TL.Account()
 	}
-	rows, width, err := e.ScanAccess(step.Right, nil, nil)
+	rows, width, err := e.ScanAccess(pl, si+1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -353,40 +336,33 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 // SeedInner installs device-shipped, already-filtered rows as the inner side
 // of join step si, so the host joins NDP outputs instead of rescanning the
 // base table (H0 leaf offloading).
-func (e *Engine) SeedInner(pl *Pipeline, si int, rows [][]byte) error {
-	inner := pl.inner[si]
-	if inner == nil {
-		inner = &innerState{}
-		pl.inner[si] = inner
-	}
-	step := pl.Plan.Steps[si]
-	rt, err := e.Cat.Table(step.Right.Ref.Table)
-	if err != nil {
-		return err
-	}
-	e.hashInner(pl, si, inner, rows, projWidth(rt.Schema, step.Right.Proj))
+func (e *Engine) SeedInner(pl *Pipeline, si int, rows [][]byte) {
+	inner := &pl.inner[si]
+	e.hashInner(pl, si, inner, rows, pl.widths[si+1])
 	inner.seeded = true
-	return nil
 }
 
 // AppendInner extends a seeded inner side with further device-shipped rows
 // (multi-device execution delivers each inner table's partitions as separate
-// leaf batches). A first call on an unbuilt inner behaves like SeedInner.
-func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
-	inner := pl.inner[si]
-	if inner == nil || !inner.built {
-		return e.SeedInner(pl, si, rows)
+// leaf batches). A first call on an unbuilt inner behaves like SeedInner. The
+// grown row list is a region of the pipeline's scratch.
+func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) {
+	inner := &pl.inner[si]
+	if !inner.built {
+		e.SeedInner(pl, si, rows)
+		return
 	}
 	base := len(inner.rows)
-	inner.rows = append(inner.rows, rows...)
+	inner.rows = appendRegion(&pl.sc.views, inner.rows, rows)
 	inner.tab.addRows(len(rows))
 	e.linkRows(pl, si, inner, rows, base)
-	return nil
 }
 
-// hashInner builds the in-buffer hash table over the inner rows.
+// hashInner builds the in-buffer hash table over the inner rows. The rows are
+// kept with their capacity clipped, so a later AppendInner moves them into the
+// scratch instead of writing past the end of the caller's slice.
 func (e *Engine) hashInner(pl *Pipeline, si int, inner *innerState, rows [][]byte, width int64) {
-	inner.rows = rows
+	inner.rows = rows[:len(rows):len(rows)]
 	inner.width = width
 	inner.tab = pl.sc.keyTab(len(rows))
 	e.linkRows(pl, si, inner, rows, 0)
@@ -404,7 +380,7 @@ func (e *Engine) linkRows(pl *Pipeline, si int, inner *innerState, rows [][]byte
 			}
 		}
 	} else {
-		rs := pl.Shapes[si+1].Schemas[si+1]
+		rs := pl.tabs[si+1].Schema
 		key := pl.sc.keyBuf[:0]
 		for i, r := range rows {
 			var ok bool
@@ -453,24 +429,17 @@ func chargeRepeatDelta(tl *vclock.Timeline, delta map[string]vclock.Duration, ti
 // column is the PK, or through the secondary index with the two-stage
 // secondary→primary seek of paper Fig. 9.
 func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tuple, step JoinStep) ([]Tuple, error) {
-	rt, err := e.Cat.Table(step.Right.Ref.Table)
-	if err != nil {
-		return nil, err
-	}
 	if len(step.Conds) == 0 {
 		return nil, fmt.Errorf("exec: BNLI join without conditions")
 	}
+	rt := pl.tabs[si+1]
 	ac := e.Access()
 	conds := pl.conds[si]
 	primary := conds[0]
 	residual := conds[1:]
-	terms := 0
-	if step.Right.Filter != nil {
-		terms = step.Right.Filter.Terms()
-	}
-	// The right-side filter runs per fetched record; the compiled form reads
-	// the fixed-width layout directly instead of decoding Values per term.
-	rightBP := expr.Compile(rt.Schema, step.Right.Filter)
+	// The right-side filter runs per fetched record; the prepared compiled form
+	// reads the fixed-width layout directly instead of decoding Values per term.
+	terms, rightBP := pl.terms[si+1], pl.preds[si+1]
 
 	sc := pl.sc
 	outStart := len(sc.tuples)
@@ -527,15 +496,16 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 	out := sc.tuples[outStart:len(sc.tuples):len(sc.tuples)]
 	if e.TL != nil {
 		e.R.Eval(e.TL, fetched, terms+len(residual))
-		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.Widths[si+1]))
+		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.widths[si+1]))
 		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
 		e.chargeDeref(pl, si, len(out))
 	}
 	return out, nil
 }
 
-// tupleArenaBlock is the slot count of one arena block; at 8 bytes per slot a
-// block is one 64 KiB allocation feeding thousands of tuple extensions.
+// tupleArenaBlock is the slot count of one arena block. A slot is a 24-byte
+// slice header (one row view), so a block is one 192 KiB allocation feeding
+// thousands of tuple extensions.
 const tupleArenaBlock = 8192
 
 // tupleArena carves Tuple backing arrays out of large shared blocks so the
@@ -577,10 +547,16 @@ func (a *tupleArena) extend(tu Tuple, right []byte) Tuple {
 	return nt
 }
 
-// reset rewinds the arena, dropping every row view its used part holds.
+// reset rewinds the arena, dropping every row view its used part holds: the
+// full blocks[:cur] and blocks[cur][:off] — no more, since every slot past
+// what a run carved is still clear from the reset before it (a block left
+// for the next is cleared whole, tail included).
 func (a *tupleArena) reset() {
-	for i := 0; i <= a.cur && i < len(a.blocks); i++ {
+	for i := 0; i < a.cur && i < len(a.blocks); i++ {
 		clear(a.blocks[i])
+	}
+	if a.cur < len(a.blocks) {
+		clear(a.blocks[a.cur][:a.off])
 	}
 	a.cur, a.off = 0, 0
 }

@@ -67,7 +67,7 @@ func (a AccessPath) String() string {
 // BoundCond is a join condition resolved against the tuple shape: position
 // LeftPos in the accumulated tuple joins column LeftCol with RightCol of the
 // incoming table. LeftColIdx/RightColIdx carry the plan-time-resolved column
-// indices so the per-tuple path never resolves names; StartPipeline verifies
+// indices so the per-tuple path never resolves names; Plan.Prepare verifies
 // them against the schemas (index 0 is a valid column, so a zero value alone
 // cannot distinguish "unresolved" from "column 0") and re-resolves when a
 // hand-built plan left them unset.
@@ -114,17 +114,32 @@ type Plan struct {
 
 	// EstTotalRows is the optimizer's final cardinality estimate.
 	EstTotalRows float64
+
+	// prepared is the plan's execution state, attached by Prepare.
+	prepared *Prepared
 }
 
 // NumTables reports the number of base tables in the plan.
 func (p *Plan) NumTables() int { return 1 + len(p.Steps) }
 
+// access returns the access path at tuple position i: the driving path, then
+// join step i-1's right side.
+func (p *Plan) access(i int) *AccessPath {
+	if i == 0 {
+		return &p.Driving
+	}
+	return &p.Steps[i-1].Right
+}
+
 // Clone returns a copy of the plan that shares nothing a caller may edit: its
 // own steps, each with its own conditions. Plans handed out by the optimizer
 // are shared between every caller that asks for the same query (the plan
-// memo), so they are read-only; whoever wants a variant edits a clone.
+// memo), so they are read-only; whoever wants a variant edits a clone. A
+// clone carries no prepared state: an edit (forceJoinTypes reorders a step's
+// conditions) would leave it stale.
 func (p *Plan) Clone() *Plan {
 	p2 := *p
+	p2.prepared = nil
 	p2.Steps = slices.Clone(p.Steps)
 	for i := range p2.Steps {
 		p2.Steps[i].Conds = slices.Clone(p2.Steps[i].Conds)
@@ -132,18 +147,57 @@ func (p *Plan) Clone() *Plan {
 	return &p2
 }
 
-// WithBufferedJoins returns a copy of the plan whose index joins (BNLI) are
-// coerced to buffered joins (BNL). H0 executions need it: the host joins
-// device-shipped leaf rows, and an index join against the base table would
-// discard the offloaded selection.
+// WithBufferedJoins returns the plan with its index joins (BNLI) coerced to
+// buffered joins (BNL). H0 executions need it: the host joins device-shipped
+// leaf rows, and an index join against the base table would discard the
+// offloaded selection. A prepared plan hands out the variant Prepare built
+// with it (itself, when it has no index join), shared and read-only like the
+// plan; any other plan gets a fresh copy.
 func (p *Plan) WithBufferedJoins() *Plan {
+	if p.prepared != nil {
+		if p.prepared.buffered != nil {
+			return p.prepared.buffered
+		}
+		return p
+	}
 	p2 := p.Clone()
-	for i := range p2.Steps {
-		if p2.Steps[i].Type == BNLI {
-			p2.Steps[i].Type = BNL
+	bufferJoins(p2.Steps)
+	return p2
+}
+
+// bufferJoins coerces every index join (BNLI) among steps to a buffered join.
+func bufferJoins(steps []JoinStep) {
+	for i := range steps {
+		if steps[i].Type == BNLI {
+			steps[i].Type = BNL
 		}
 	}
-	return p2
+}
+
+// Prepare resolves the plan against cat once (Prepared) and attaches the
+// result, together with its prepared H0 variant when the plan has an index
+// join, so that every StartPipeline over cat — every engine of every run —
+// shares it. It writes the plan: call it before the plan is shared, as the
+// optimizer does before it memoizes one.
+func (p *Plan) Prepare(cat *table.Catalog) error {
+	pr, err := prepare(cat, p)
+	if err != nil {
+		return err
+	}
+	if slices.ContainsFunc(p.Steps, func(s JoinStep) bool { return s.Type == BNLI }) {
+		// Own steps to retype; the conditions stay shared, read-only like both
+		// plans (a Clone of either copies them).
+		b := *p
+		b.Steps = slices.Clone(p.Steps)
+		bufferJoins(b.Steps)
+		// The join type changes nothing prepare resolves: the variant shares
+		// every table, shape, condition, key binding and predicate.
+		bpr := *pr
+		b.prepared = &bpr
+		pr.buffered = &b
+	}
+	p.prepared = pr
+	return nil
 }
 
 // Aliases lists the table aliases in join order (the tuple shape).
@@ -174,14 +228,17 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// Shape maps tuple positions to aliases and schemas.
+// Shape maps tuple positions to aliases and schemas. The shapes along one join
+// chain are prefixes of the whole chain's: they share its slices and its one
+// alias→position map, which also holds the aliases of later positions.
 type Shape struct {
 	Aliases []string
 	Schemas []*table.Schema
 	pos     map[string]int
 }
 
-// NewShape builds a shape for the given aliases/schemas.
+// NewShape builds the shape of a whole chain, whose aliases are distinct (as
+// query.Validate requires).
 func NewShape(aliases []string, schemas []*table.Schema) *Shape {
 	s := &Shape{Aliases: aliases, Schemas: schemas, pos: make(map[string]int, len(aliases))}
 	for i, a := range aliases {
@@ -190,18 +247,17 @@ func NewShape(aliases []string, schemas []*table.Schema) *Shape {
 	return s
 }
 
+// Prefix returns the shape of the chain's first n positions.
+func (s *Shape) Prefix(n int) Shape {
+	return Shape{Aliases: s.Aliases[:n:n], Schemas: s.Schemas[:n:n], pos: s.pos}
+}
+
 // Pos resolves an alias to its tuple position, or -1.
 func (s *Shape) Pos(alias string) int {
-	if i, ok := s.pos[alias]; ok {
+	if i, ok := s.pos[alias]; ok && i < len(s.Aliases) {
 		return i
 	}
 	return -1
-}
-
-// Extend returns a new shape with one more table appended.
-func (s *Shape) Extend(alias string, schema *table.Schema) *Shape {
-	return NewShape(append(append([]string(nil), s.Aliases...), alias),
-		append(append([]*table.Schema(nil), s.Schemas...), schema))
 }
 
 // Tuple is one row of a join pipeline: the raw record of each base table in

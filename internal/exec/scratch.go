@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"unsafe"
 
+	"hybridndp/internal/lsm"
 	"hybridndp/internal/table"
 )
 
@@ -18,12 +20,14 @@ import (
 // report may alias it (Result.Rows holds decoded Values, never row views). A
 // scratch serves one goroutine at a time: the run that holds it.
 type Scratch struct {
-	batch  ColBatch   // the scan batch, Rows/Sel sized for the last BatchSize
-	views  [][]byte   // row-view slab; a scan result is the region it appended
-	tuples []Tuple    // tuple slab: MakeTuples results and join output lists
-	arena  tupleArena // backing arrays of the tuples themselves
-	tabs   []*keyTab  // hash tables; tabs[:ntabs] are handed out this run
+	batch  ColBatch     // the scan batch, Rows/Sel sized for the last BatchSize
+	views  [][]byte     // row-view slab: scan results, grown inner sides
+	tuples []Tuple      // tuple slab: MakeTuples results, join outputs, tuple lists
+	inners []innerState // the inner states of the pipelines started on the scratch
+	arena  tupleArena   // backing arrays of the tuples themselves
+	tabs   []*keyTab    // hash tables; tabs[:ntabs] are handed out this run
 	ntabs  int
+	cache  *lsm.BlockCache // the engine's block cache, handed out cold by BlockCache
 
 	// keyBuf is where byte keys are encoded: a join's one at a time, a
 	// grouping's one batch at a time with probeEnd holding each key's end
@@ -69,17 +73,59 @@ func (s *Scratch) scanBatch(schema *table.Schema, bs int) *ColBatch {
 	return b
 }
 
+// innerStates hands out n empty inner states for a pipeline.
+func (s *Scratch) innerStates(n int) []innerState {
+	start := len(s.inners)
+	s.inners = slices.Grow(s.inners, n)[:start+n]
+	r := s.inners[start : start+n : start+n]
+	clear(r)
+	return r
+}
+
+// BlockCache returns the scratch's block cache, cold and bounded to capacity
+// bytes: every run starts cold (the model), and a recycled scratch resets the
+// cache it has (lsm.BlockCache.Reset) instead of building a new one. The
+// engine the scratch is handed to is the cache's one user for the run.
+func (s *Scratch) BlockCache(capacity int64) *lsm.BlockCache {
+	if s.cache == nil {
+		s.cache = lsm.NewBlockCache(capacity)
+	} else {
+		s.cache.Reset(capacity)
+	}
+	return s.cache
+}
+
+// appendRegion appends src to dst, a region of *slab (nil starts one), and
+// returns the region: in place while dst has room, otherwise moved to a fresh
+// region at the slab's end with room for twice its new length. A region's
+// spare capacity lies inside the slab's length, so no other region is ever
+// carved over it and any number of lists can grow at once; what a move leaves
+// behind is reclaimed at Release. dst must be nil or a region this function
+// returned: a slice with spare capacity someone else owns would be written.
+func appendRegion[T any](slab *[]T, dst, src []T) []T {
+	n := len(dst) + len(src)
+	if n <= cap(dst) {
+		return append(dst, src...)
+	}
+	start := len(*slab)
+	*slab = slices.Grow(*slab, 2*n)[:start+2*n]
+	r := append((*slab)[start:start:start+2*n], dst...)
+	return append(r, src...)
+}
+
 // Release ends the run: every slab is rewound with its capacity kept — or
-// dropped, past the retention bound — and the pointer slabs are cleared, so a
-// recycled scratch pins neither block-cache pages nor device batches of the
-// finished query.
+// dropped, past the retention bound — the pointer slabs are cleared and the
+// block cache emptied, so a recycled scratch pins neither block-cache pages
+// nor device batches of the finished query.
 func (s *Scratch) Release() {
 	clear(s.batch.Rows[:cap(s.batch.Rows)])
 	clear(s.views)
 	clear(s.tuples)
-	s.views, s.tuples = s.views[:0], s.tuples[:0]
+	clear(s.inners)
+	s.views, s.tuples, s.inners = s.views[:0], s.tuples[:0], s.inners[:0]
 	s.arena.reset()
 	s.ntabs = 0
+	s.cache.Reset(0)
 	if s.Retained() > scratchRetainBytes {
 		*s = Scratch{}
 	}
@@ -88,11 +134,13 @@ func (s *Scratch) Release() {
 	}
 }
 
-// Retained reports the bytes of capacity the scratch holds.
+// Retained reports the bytes of capacity the scratch holds, its block cache's
+// included.
 func (s *Scratch) Retained() int64 {
 	const view, i32 = int64(unsafe.Sizeof([]byte(nil))), 4
 	n := int64(cap(s.batch.Rows)+cap(s.views)+cap(s.tuples)+len(s.arena.blocks)*tupleArenaBlock)*view +
-		int64(cap(s.batch.Sel)+cap(s.probeEnd)+cap(s.probeEnt))*i32 + int64(cap(s.keyBuf))
+		int64(cap(s.batch.Sel)+cap(s.probeEnd)+cap(s.probeEnt))*i32 + int64(cap(s.keyBuf)) +
+		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained()
 	for _, t := range s.tabs {
 		n += int64(cap(t.buckets)+cap(t.next))*i32 + int64(cap(t.keys)) +
 			int64(cap(t.entries))*int64(unsafe.Sizeof(keyEntry{}))

@@ -222,7 +222,7 @@ type run struct {
 	// its owner's outcome is ok, so a demoted shard's output needs no cleanup.
 	leaves  map[leafKey]device.Batch
 	driving [][]device.Batch
-	tuples  []exec.Tuple
+	tuples  []exec.Tuple // the gather list, in the host pipeline's scratch
 }
 
 // Run executes a planned assignment over the fleet.
@@ -249,8 +249,9 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 	// by the host's hash tables until the report is built.
 	defer r.lease.Release()
 	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
-	r.host = &exec.Engine{Cat: x.Cat, TL: r.hostTL, R: r.hostR, Scratch: r.lease.Scratch(),
-		Cache: x.DB.NewBlockCache(x.Model.HostCacheFraction), BatchSize: x.BatchSize}
+	sc := r.lease.Scratch()
+	r.host = &exec.Engine{Cat: x.Cat, TL: r.hostTL, R: r.hostR, Scratch: sc,
+		Cache: sc.BlockCache(x.DB.BlockCacheBytes(x.Model.HostCacheFraction)), BatchSize: x.BatchSize}
 
 	root := tr.Start(r.hostTL, "query:"+r.p.Query.Name).Attr("strategy", "fleet:"+a.Label())
 	defer root.End()
@@ -428,7 +429,7 @@ func (r *run) runShard(sh *shard, cmd *device.Command) error {
 				if part.Device != id {
 					continue
 				}
-				b, err := d.ScanLeafPartition(st.Right, eng, part.Lo, part.Hi)
+				b, err := d.ScanLeafPartition(dpl, si, eng, part.Lo, part.Hi)
 				if err != nil {
 					return err
 				}
@@ -565,7 +566,7 @@ func (r *run) gather() error {
 	if r.a.Mode == ModeH0 {
 		for si, st := range r.p.Steps {
 			for pi, part := range r.x.Desc.Parts[st.Right.Ref.Table] {
-				if err := r.gatherLeaf(si, pi, st.Right, part); err != nil {
+				if err := r.gatherLeaf(si, pi, part); err != nil {
 					return err
 				}
 			}
@@ -617,14 +618,15 @@ func (r *run) joinFrom(from int, batch []exec.Tuple) ([]exec.Tuple, error) {
 	return batch, nil
 }
 
-func (r *run) gatherLeaf(si, pi int, ap exec.AccessPath, part Partition) error {
+func (r *run) gatherLeaf(si, pi int, part Partition) error {
 	sh := &r.shards[part.Device]
 	if sh.outcome == ok {
 		if b := r.leaves[leafKey{si, pi}]; r.fetch(sh, b) {
-			return r.host.AppendInnerCols(r.pl, si, b.Cols)
+			r.host.AppendInnerCols(r.pl, si, b.Cols)
+			return nil
 		}
 	}
-	return r.rerunLeaf(sh, si, ap, part)
+	return r.rerunLeaf(sh, si, part)
 }
 
 func (r *run) gatherDriving(pi int, part Partition) error {
@@ -633,8 +635,7 @@ func (r *run) gatherDriving(pi int, part Partition) error {
 		// Merge the shard's device batches. A corrupt batch abandons the
 		// partition's merged rows and falls through to the host path, so the
 		// final stream carries each partition exactly once.
-		hostFrom := sh.hostFrom()
-		var merged []exec.Tuple
+		hostFrom, mark := sh.hostFrom(), len(r.tuples)
 		for _, b := range r.driving[pi] {
 			if !r.fetch(sh, b) {
 				break
@@ -643,25 +644,26 @@ func (r *run) gatherDriving(pi int, part Partition) error {
 			if err != nil {
 				return err
 			}
-			merged = append(merged, out...)
+			r.tuples = r.pl.AppendTuples(r.tuples, out...)
 		}
 		if sh.outcome == ok {
-			r.tuples = append(r.tuples, merged...)
 			return nil
 		}
+		r.tuples = r.tuples[:mark]
 	}
 	return r.rerunDriving(sh, pi, part)
 }
 
 // rerunLeaf scans one leaf partition host-side at its merge position — where
 // every non-ok outcome of the owning shard leads.
-func (r *run) rerunLeaf(sh *shard, si int, ap exec.AccessPath, part Partition) error {
+func (r *run) rerunLeaf(sh *shard, si int, part Partition) error {
 	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
-	cb, _, err := r.host.ScanCols(ap, part.Lo, part.Hi)
+	cb, _, err := r.host.ScanCols(r.pl, si+1, part.Lo, part.Hi)
 	if err != nil {
 		return err
 	}
-	return r.host.AppendInnerCols(r.pl, si, cb)
+	r.host.AppendInnerCols(r.pl, si, cb)
+	return nil
 }
 
 // rerunDriving executes one driving partition entirely host-side at its merge
@@ -676,7 +678,7 @@ func (r *run) rerunDriving(sh *shard, pi int, part Partition) error {
 	}
 	defer sp.End()
 	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
-	rows, _, err := r.host.ScanAccess(r.p.Driving, part.Lo, part.Hi)
+	rows, _, err := r.host.ScanAccess(r.pl, 0, part.Lo, part.Hi)
 	if err != nil {
 		return err
 	}
@@ -689,7 +691,7 @@ func (r *run) rerunDriving(sh *shard, pi int, part Partition) error {
 	if err != nil {
 		return err
 	}
-	r.tuples = append(r.tuples, out...)
+	r.tuples = r.pl.AppendTuples(r.tuples, out...)
 	return nil
 }
 

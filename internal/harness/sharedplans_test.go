@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/device"
@@ -13,6 +14,7 @@ import (
 	"hybridndp/internal/job"
 	"hybridndp/internal/query"
 	"hybridndp/internal/sql"
+	"hybridndp/internal/table"
 )
 
 // TestForceJoinTypesLeavesTheSourcePlanAlone: forcing BNLI moves the indexable
@@ -44,9 +46,22 @@ func TestForceJoinTypesLeavesTheSourcePlanAlone(t *testing.T) {
 	}
 }
 
-// deepCopy copies everything reachable from v, so that the copy shares no
-// memory with it.
+// database is what a plan's prepared state points into without owning it:
+// deepCopy copies these by reference, and reflect.DeepEqual compares equal
+// pointers as equal without looking further.
+var database = map[reflect.Type]bool{
+	reflect.TypeOf((*table.Catalog)(nil)): true,
+	reflect.TypeOf((*table.Table)(nil)):   true,
+	reflect.TypeOf((*table.Schema)(nil)):  true,
+}
+
+// deepCopy copies everything reachable from v but the database, so that the
+// copy shares no memory with it. The prepared state a plan carries is made of
+// unexported fields; those are read and written in place (settable).
 func deepCopy(v reflect.Value) reflect.Value {
+	if database[v.Type()] {
+		return v
+	}
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
@@ -79,19 +94,32 @@ func deepCopy(v reflect.Value) reflect.Value {
 		}
 		return c
 	case reflect.Struct:
+		if !v.CanAddr() {
+			a := reflect.New(v.Type()).Elem()
+			a.Set(v)
+			v = a
+		}
 		c := reflect.New(v.Type()).Elem()
 		for i := 0; i < v.NumField(); i++ {
-			c.Field(i).Set(deepCopy(v.Field(i))) // panics on an unexported field: plans have none
+			settable(c.Field(i)).Set(deepCopy(settable(v.Field(i))))
 		}
 		return c
 	}
 	return v
 }
 
+// settable returns a field of an addressable struct without the read-only mark
+// an unexported field carries.
+func settable(f reflect.Value) reflect.Value {
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
 // TestSharedPlansAreNeverWritten: the optimizer hands every caller of one
-// query the same plan object, so nothing downstream may write to it. Every
-// memoized plan is deep-copied, run through every execution path on one warm
-// executor, and compared with its copy.
+// query the same plan object, so nothing downstream may write to it — nor to
+// the prepared pipeline it carries, which every engine of every run reads, nor
+// to its prepared H0 variant. Every memoized plan is deep-copied with all of
+// that, run through every execution path on one warm executor, and compared
+// with its copy.
 func TestSharedPlansAreNeverWritten(t *testing.T) {
 	h := FromDataset(testHarness(t).DS) // an optimizer and an executor of the test's own
 	fleets := make([]*fleet.Executor, 0, 2)
@@ -118,6 +146,9 @@ func TestSharedPlansAreNeverWritten(t *testing.T) {
 		p := d.Plan
 		if again, _ := h.Opt.BuildPlan(q); again != p {
 			t.Fatalf("%s: plan is not memoized", q.Name)
+		}
+		if b := p.WithBufferedJoins(); b != p.WithBufferedJoins() || b.WithBufferedJoins() != b {
+			t.Fatalf("%s: the H0 variant is not prepared once with the plan", q.Name)
 		}
 		snapshot := deepCopy(reflect.ValueOf(p)).Interface()
 
@@ -191,6 +222,95 @@ func TestSharedPlansUnderConcurrency(t *testing.T) {
 			t.Fatalf("goroutine %d read different results:\n%v\n%v", w, got[w], got[0])
 		}
 	}
+}
+
+// TestPreparedPipelineUnderConcurrency: eight goroutines run one prepared plan
+// at once on one host-native executor, one hybrid executor (at H1 and H0, whose
+// buffered-join variant is prepared with the plan) and one 4-device fleet
+// executor, every engine of every run reading the same prepared pipeline —
+// shapes, bound conditions, key bindings, compiled predicates. Run under -race
+// (make race) this is the prepared state's data-race test; in any mode every
+// run must match a fresh executor's fingerprint and elapsed time.
+func TestPreparedPipelineUnderConcurrency(t *testing.T) {
+	h := FromDataset(testHarness(t).DS)
+	d, err := h.Opt.Decide(job.QueryByName("8c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := fleet.Build(h.DS.Cat, 4, "range")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := *d // every shard of the fleet on its device, whatever Decide chose
+	hybrid.Hybrid, hybrid.NDP, hybrid.Split = true, false, 1
+	a, err := fleet.PlanShards(h.Opt, desc, &hybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := coop.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model)
+	coops := coop.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model)
+	fx := fleet.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model, desc)
+	runs := []func(fresh bool) (string, error){
+		func(fresh bool) (string, error) {
+			x := host
+			if fresh {
+				x = coop.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model)
+			}
+			rep, err := x.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("host %s %v", fleet.Fingerprint(rep.Result), rep.Elapsed), nil
+		},
+	}
+	for _, split := range []int{1, -1} {
+		s := coop.Strategy{Kind: coop.Hybrid, Split: split}
+		runs = append(runs, func(fresh bool) (string, error) {
+			x := coops
+			if fresh {
+				x = coop.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model)
+			}
+			rep, err := x.Run(d.Plan, s)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v %s %v", s, fleet.Fingerprint(rep.Result), rep.Elapsed), nil
+		})
+	}
+	runs = append(runs, func(fresh bool) (string, error) {
+		x := fx
+		if fresh {
+			x = fleet.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model, desc)
+		}
+		rep, err := x.Run(a)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("fleet4 %s %v", fleet.Fingerprint(rep.Result), rep.Elapsed), nil
+	})
+	want := make([]string, len(runs))
+	for i, run := range runs {
+		if want[i], err = run(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(runs); k++ {
+				i := (k + g) % len(runs)
+				got, err := runs[i](false)
+				if err != nil {
+					t.Error(err)
+				} else if got != want[i] {
+					t.Errorf("goroutine %d: %s, a fresh executor ran %s", g, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // planAndRun answers each statement host-native and as decided and returns

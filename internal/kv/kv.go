@@ -35,12 +35,12 @@ func Open(fl *flash.Flash, model hw.Model, cfg lsm.Config) *DB {
 // from it directly).
 func (db *DB) Flash() *flash.Flash { return db.fl }
 
-// NewBlockCache builds a cold block cache sized as the given fraction of the
-// stored dataset (the host's MyRocks block cache under the paper's
-// memory-pressure ratio, the device's data-block buffer). Every run starts
-// from a fresh one so strategy comparisons are order-independent.
-func (db *DB) NewBlockCache(fraction float64) *lsm.BlockCache {
-	return lsm.NewBlockCache(int64(float64(db.fl.Used()) * fraction))
+// BlockCacheBytes sizes a block cache as the given fraction of the stored
+// dataset (the host's MyRocks block cache under the paper's memory-pressure
+// ratio, the device's data-block buffer). Every run starts from a cold cache
+// of this size so strategy comparisons are order-independent.
+func (db *DB) BlockCacheBytes(fraction float64) int64 {
+	return int64(float64(db.fl.Used()) * fraction)
 }
 
 // Model reports the hardware model the database was opened with.

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"sync"
+	"unsafe"
 
 	"hybridndp/internal/flash"
 )
@@ -15,7 +16,7 @@ import (
 // strategy comparisons are order-independent.
 type BlockCache struct {
 	mu   sync.Mutex
-	cap  int64 // immutable after NewBlockCache
+	cap  int64 // set by NewBlockCache and Reset, never while the cache is in use
 	used int64 // guarded by mu
 
 	// The LRU list lives in a slab of index-linked nodes beside the map: node
@@ -51,6 +52,37 @@ const cacheChunk = 8
 // NewBlockCache creates a cache bounded to capacity bytes (≤0 disables it).
 func NewBlockCache(capacity int64) *BlockCache {
 	return &BlockCache{cap: capacity, m: make(map[blockKey]int32)}
+}
+
+// Reset empties the cache and bounds it to capacity bytes (≤0 disables it).
+// From then on it answers every Get and Put — hits, misses, evictions, Stats —
+// exactly as NewBlockCache(capacity) would, but it keeps its map's buckets and
+// its node slab for the blocks to come, and drops every block it held. A
+// recycled engine scratch resets its cache this way, so every run still starts
+// cold. Reset must not run concurrently with any other use of the cache.
+func (c *BlockCache) Reset(capacity int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ch := range c.chunks[:(int(c.n)+cacheChunk-1)/cacheChunk] {
+		clear(ch)
+	}
+	clear(c.m)
+	c.cap, c.used, c.n, c.free, c.hits, c.misses = capacity, 0, 0, 0, 0, 0
+}
+
+// Retained reports the bytes the cache keeps across Reset: its node slab plus
+// an estimate of its map's buckets (at most one entry per node, 32 bytes
+// each). The blocks it caches are not counted; Reset drops them.
+func (c *BlockCache) Retained() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int64(len(c.chunks)*cacheChunk) * (int64(unsafe.Sizeof(cacheNode{})) + 32)
 }
 
 func (c *BlockCache) nodeLocked(i int32) *cacheNode {
@@ -98,8 +130,11 @@ func (c *BlockCache) Put(file flash.FileID, block int, entries []Entry, rawBytes
 		c.touchLocked(i, true)
 		return
 	}
-	if c.n == 0 {
-		c.chunks, c.n = append(c.chunks, make([]cacheNode, cacheChunk)), 1 // the sentinel
+	if c.n == 0 { // the sentinel, in a chunk a Reset kept or a new one
+		if len(c.chunks) == 0 {
+			c.chunks = append(c.chunks, make([]cacheNode, cacheChunk))
+		}
+		c.n = 1
 	}
 	for c.used+rawBytes > c.cap && c.nodeLocked(0).prev != 0 {
 		back := c.nodeLocked(0).prev

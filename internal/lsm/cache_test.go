@@ -125,3 +125,81 @@ func TestBlockCacheMatchesListLRU(t *testing.T) {
 		t.Errorf("the slab never grew past %d chunks: the streams do not exercise its growth", maxChunks)
 	}
 }
+
+// TestRecycledBlockCacheIsCold: "executions start cold" is the model, so a
+// cache that went through a random workload and was Reset must answer a fresh
+// random Get/Put stream exactly like NewBlockCache of the Reset's capacity —
+// every answer, hits, misses, evictions, Stats and the whole recency order
+// after every operation — while keeping its node slab and holding no block of
+// its earlier life. The capacity changes at the Reset, drops to ≤ 0 on some
+// seeds and comes back from 0 on others, and some caches are Reset while
+// empty or twice in a row.
+func TestRecycledBlockCacheIsCold(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		first := int64(1+rng.Intn(8)) << 10
+		if seed%5 == 0 {
+			first = 0
+		}
+		c := NewBlockCache(first)
+		for op := 0; op < []int{0, 300, 3000}[seed%3]; op++ {
+			k := blockKey{file: flash.FileID(rng.Intn(3)), block: rng.Intn(4 + rng.Intn(8*cacheChunk))}
+			if rng.Intn(3) == 0 {
+				c.Get(k.file, k.block)
+			} else {
+				c.Put(k.file, k.block, []Entry{{Key: []byte{1}}}, int64(1+rng.Intn(600)))
+			}
+		}
+		_, kept, _ := c.order()
+		capacity := int64(1+rng.Intn(8)) << 10
+		switch seed % 6 {
+		case 0:
+			capacity = 0
+		case 1:
+			capacity = -5
+		}
+		c.Reset(capacity)
+		if seed%4 == 0 {
+			c.Reset(capacity) // resetting an empty cache changes nothing
+		}
+		if keys, chunks, mapped := c.order(); len(keys) != 0 || mapped != 0 || chunks != kept {
+			t.Fatalf("seed %d: Reset left %d keys in the ring and %d mapped, %d of %d slab chunks", seed, len(keys), mapped, chunks, kept)
+		}
+		for _, ch := range c.chunks {
+			for _, n := range ch {
+				if n.entries != nil {
+					t.Fatalf("seed %d: a Reset cache still holds a block", seed)
+				}
+			}
+		}
+		fresh := NewBlockCache(capacity)
+		keys := 4 + rng.Intn(8*cacheChunk)
+		for op := 0; op < 3000; op++ {
+			k := blockKey{file: flash.FileID(rng.Intn(3)), block: rng.Intn(keys)}
+			if rng.Intn(3) == 0 {
+				got, ok := c.Get(k.file, k.block)
+				want, wok := fresh.Get(k.file, k.block)
+				if ok != wok || (ok && &got[0] != &want[0]) {
+					t.Fatalf("seed %d op %d: Get(%v) = %v, new cache %v", seed, op, k, ok, wok)
+				}
+			} else {
+				size := int64(1 + rng.Intn(600))
+				if rng.Intn(50) == 0 {
+					size = capacity + int64(rng.Intn(2)) // exactly the capacity, or just too large
+				}
+				entries := []Entry{{Key: []byte{byte(op)}}}
+				c.Put(k.file, k.block, entries, size)
+				fresh.Put(k.file, k.block, entries, size)
+			}
+			h, m, u := c.Stats()
+			wh, wm, wu := fresh.Stats()
+			if h != wh || m != wm || u != wu {
+				t.Fatalf("seed %d op %d: hits/misses/used %d/%d/%d, new cache %d/%d/%d", seed, op, h, m, u, wh, wm, wu)
+			}
+			got, _, mapped := c.order()
+			if want, _, wmapped := fresh.order(); !reflect.DeepEqual(got, want) || mapped != wmapped {
+				t.Fatalf("seed %d op %d: recency order %v (%d keys mapped), new cache %v (%d)", seed, op, got, mapped, want, wmapped)
+			}
+		}
+	}
+}

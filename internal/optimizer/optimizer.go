@@ -102,6 +102,7 @@ func buildAccessPath(q *query.Query, ref query.TableRef, t *table.Table, st *tab
 // caller that asks again (the plan memo, DESIGN.md §10). The returned plan is
 // therefore shared and read-only — edit a Plan.Clone — and its Query is the
 // first equal query this optimizer saw, which the caller must not edit either.
+// It comes prepared (Plan.Prepare) against the optimizer's catalog.
 func (o *Optimizer) BuildPlan(q *query.Query) (*exec.Plan, error) {
 	fp, memoizable := q.Fingerprint()
 	if memoizable {
@@ -122,6 +123,11 @@ func (o *Optimizer) BuildPlan(q *query.Query) (*exec.Plan, error) {
 	}
 	var err error
 	if e.plan, err = o.plan(q, e.tabs, e.stats); err != nil {
+		return nil, err
+	}
+	// Prepared before anyone else sees the plan: every engine of every run
+	// shares the prepared pipeline from here on.
+	if err := e.plan.Prepare(o.Cat); err != nil {
 		return nil, err
 	}
 	if memoizable && e.current() {
