@@ -42,7 +42,7 @@ bench:
 # measurement — no timing gate.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/lsm ./internal/job ./internal/exec ./internal/expr ./internal/vclock \
-		./internal/sql ./internal/query ./internal/optimizer ./internal/fleet
+		./internal/sql ./internal/query ./internal/optimizer ./internal/fleet ./internal/table
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # imports hybridndp/internal/...: vet and test it so a refactor that breaks a

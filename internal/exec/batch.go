@@ -60,14 +60,6 @@ func (b *ColBatch) View() [][]byte {
 	return b.Selected(nil)
 }
 
-// NewColBatch wraps already-selected rows (a device batch arriving over the
-// interconnect, a fleet shard's partition) as a fully-selected column batch.
-func NewColBatch(s *table.Schema, rows [][]byte) *ColBatch {
-	b := &ColBatch{Schema: s, Rows: rows}
-	b.SelectAll()
-	return b
-}
-
 // batchSize resolves the engine's configured batch row capacity.
 func (e *Engine) batchSize() int {
 	if e.BatchSize > 0 {

@@ -1,5 +1,10 @@
 package exec
 
+import (
+	"fmt"
+	"reflect"
+)
+
 // ScratchRetainBytes exposes the retention bound to the external tests.
 const ScratchRetainBytes = scratchRetainBytes
 
@@ -71,4 +76,39 @@ func PoisonScratchOnRelease() (restore func()) {
 		}
 	}
 	return func() { onRelease = nil }
+}
+
+// ReadPathReference names the first place the scratch's scan iterator or
+// index seeker holds a pointer, interface or map — in a field or in any slot
+// of a slice up to capacity — or returns "" when they hold none. Which slices
+// may stay is lsm's test to pin (TestClearDropsEveryReference); this one
+// checks that Release clears the iterator and the seeker at all.
+func ReadPathReference(s *Scratch) string {
+	var walk func(v reflect.Value, path string) string
+	walk = func(v reflect.Value, path string) string {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if p := walk(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+					return p
+				}
+			}
+		case reflect.Slice:
+			all := v.Slice(0, v.Cap())
+			for i := 0; i < all.Len(); i++ {
+				if p := walk(all.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+					return p
+				}
+			}
+		case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Func, reflect.Chan:
+			if !v.IsNil() {
+				return path
+			}
+		}
+		return ""
+	}
+	if p := walk(reflect.ValueOf(s.iter), "iter"); p != "" {
+		return p
+	}
+	return walk(reflect.ValueOf(s.seeker), "seeker")
 }

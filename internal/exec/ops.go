@@ -49,7 +49,7 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 
 	view := e.viewOf(ap.Ref.Table)
 	if ap.UseFilterIndex {
-		pks, err := t.IndexSeek(ap.FilterIndex, ap.FilterValue, ac)
+		pks, err := sc.seeker.IndexSeek(t, ap.FilterIndex, ap.FilterValue, ac)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -76,15 +76,18 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 	} else {
 		var lo, hi []byte
 		if loPK != nil {
-			lo = table.EncodePK(*loPK)
+			sc.lo = table.AppendPK(sc.lo[:0], *loPK)
+			lo = sc.lo
 		}
 		if hiPK != nil {
-			hi = table.EncodePK(*hiPK)
+			sc.hi = table.AppendPK(sc.hi[:0], *hiPK)
+			hi = sc.hi
 		}
 		// The batch fills a decoded data block at a time (DESIGN.md §10 "The
 		// storage boundary"); a scan whose merge still has several live sources
 		// gets empty runs and degenerates to the entry-wise loop.
-		it := t.ScanView(view, lo, hi, ac)
+		it := &sc.iter
+		t.ScanViewInto(it, view, lo, hi, ac)
 		for ; it.Valid(); it.Next() {
 			batch.Rows = append(batch.Rows, it.Entry().Value)
 			run := it.Run()
@@ -120,13 +123,15 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 
 // ScanCols is ScanAccess in the engine's columnar transfer format: the
 // surviving rows arrive as one fully-selected ColBatch, the unit device leaf
-// scans emit and the host gather loop consumes. Charges are ScanAccess's.
+// scans emit and the host gather loop consumes. Charges are ScanAccess's. The
+// rows and the selection vector are regions of this engine's scratch.
 func (e *Engine) ScanCols(pl *Pipeline, pos int, loPK, hiPK *int32) (*ColBatch, int64, error) {
 	rows, width, err := e.ScanAccess(pl, pos, loPK, hiPK)
 	if err != nil {
 		return nil, 0, err
 	}
-	return NewColBatch(pl.tabs[pos].Schema, rows), width, nil
+	sel := e.scratch().identitySel(len(rows))
+	return &ColBatch{Schema: pl.tabs[pos].Schema, Rows: rows, Sel: sel}, width, nil
 }
 
 // SeedInnerCols seeds a join's inner side from a column batch (the H0 leaf
@@ -445,6 +450,9 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 	outStart := len(sc.tuples)
 	fetched := 0
 	view := e.viewOf(step.Right.Ref.Table)
+	// Each probe walks one seek's list to its end before the next seek reuses
+	// the seeker; probe itself never seeks.
+	seeker := &e.scratch().seeker
 	// probe fetches one right-side record and, when it passes the filter and
 	// the residual conditions, extends tu with it. Nothing here charges — the
 	// fetch does, the rest is booked from the counters below — so probing
@@ -483,7 +491,7 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 			}
 			continue
 		}
-		pks, err := rt.IndexSeek(step.RightIndex, v, ac)
+		pks, err := seeker.IndexSeek(rt, step.RightIndex, v, ac)
 		if err != nil {
 			return nil, err
 		}

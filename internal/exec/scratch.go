@@ -36,6 +36,16 @@ type Scratch struct {
 	keyBuf   []byte
 	probeEnd []int32
 	probeEnt []int32
+
+	// The read path: ScanAccess's scan iterator and encoded [lo, hi) bounds,
+	// and the seeker of every index seek the engine runs. No scan or seek
+	// nests inside another on one engine, so one of each serves a run.
+	iter   lsm.TreeIter
+	lo, hi []byte
+	seeker table.Seeker
+	// sels is the slab the identity selection vectors of ScanCols' leaf
+	// batches are carved from.
+	sels []int32
 }
 
 // scratchRetainBytes bounds what a released scratch keeps, so a run whose
@@ -95,6 +105,17 @@ func (s *Scratch) BlockCache(capacity int64) *lsm.BlockCache {
 	return s.cache
 }
 
+// identitySel carves a selection vector selecting rows 0..n-1 from the sels
+// slab, its capacity clipped to n.
+func (s *Scratch) identitySel(n int) []int32 {
+	start := len(s.sels)
+	s.sels = slices.Grow(s.sels, n)
+	for i := range n {
+		s.sels = append(s.sels, int32(i))
+	}
+	return s.sels[start : start+n : start+n]
+}
+
 // appendRegion appends src to dst, a region of *slab (nil starts one), and
 // returns the region: in place while dst has room, otherwise moved to a fresh
 // region at the slab's end with room for twice its new length. A region's
@@ -114,15 +135,18 @@ func appendRegion[T any](slab *[]T, dst, src []T) []T {
 }
 
 // Release ends the run: every slab is rewound with its capacity kept — or
-// dropped, past the retention bound — the pointer slabs are cleared and the
-// block cache emptied, so a recycled scratch pins neither block-cache pages
-// nor device batches of the finished query.
+// dropped, past the retention bound — the pointer slabs are cleared, the
+// iterator and the seeker let go of the SSTs, views and decoded blocks they
+// read, and the block cache is emptied, so a recycled scratch pins neither
+// storage, block-cache pages nor device batches of the finished query.
 func (s *Scratch) Release() {
 	clear(s.batch.Rows[:cap(s.batch.Rows)])
 	clear(s.views)
 	clear(s.tuples)
 	clear(s.inners)
-	s.views, s.tuples, s.inners = s.views[:0], s.tuples[:0], s.inners[:0]
+	s.views, s.tuples, s.inners, s.sels = s.views[:0], s.tuples[:0], s.inners[:0], s.sels[:0]
+	s.iter.Clear()
+	s.seeker.Clear()
 	s.arena.reset()
 	s.ntabs = 0
 	s.cache.Reset(0)
@@ -134,13 +158,15 @@ func (s *Scratch) Release() {
 	}
 }
 
-// Retained reports the bytes of capacity the scratch holds, its block cache's
-// included.
+// Retained reports the bytes of capacity the scratch holds, its block cache's,
+// iterator's and seeker's included.
 func (s *Scratch) Retained() int64 {
 	const view, i32 = int64(unsafe.Sizeof([]byte(nil))), 4
 	n := int64(cap(s.batch.Rows)+cap(s.views)+cap(s.tuples)+len(s.arena.blocks)*tupleArenaBlock)*view +
-		int64(cap(s.batch.Sel)+cap(s.probeEnd)+cap(s.probeEnt))*i32 + int64(cap(s.keyBuf)) +
-		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained()
+		int64(cap(s.batch.Sel)+cap(s.probeEnd)+cap(s.probeEnt)+cap(s.sels))*i32 +
+		int64(cap(s.keyBuf)+cap(s.lo)+cap(s.hi)) +
+		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained() +
+		s.iter.Retained() + s.seeker.Retained()
 	for _, t := range s.tabs {
 		n += int64(cap(t.buckets)+cap(t.next))*i32 + int64(cap(t.keys)) +
 			int64(cap(t.entries))*int64(unsafe.Sizeof(keyEntry{}))

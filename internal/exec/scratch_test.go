@@ -230,21 +230,23 @@ func steadyRuns(t testing.TB, ds *job.Dataset) []steadyRun {
 	}
 	fx := fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	return []steadyRun{
-		{"host", 104 << 10, coopRun(coop.Strategy{Kind: coop.HostNative})},
-		{"hybrid", 128 << 10, coopRun(coop.Strategy{Kind: coop.Hybrid, Split: 1})},
-		{"fleet4", 144 << 10, func() error { _, err := fx.Run(a); return err }},
+		{"host", 16 << 10, coopRun(coop.Strategy{Kind: coop.HostNative})},
+		{"hybrid", 24 << 10, coopRun(coop.Strategy{Kind: coop.Hybrid, Split: 1})},
+		{"fleet4", 32 << 10, func() error { _, err := fx.Run(a); return err }},
 	}
 }
 
 // TestWarmExecutorAllocationCeiling is the allocation guard: once an executor
 // has run a query, running it again allocates only what a run cannot recycle
-// (engines, LSM iterators, the pipeline's inner-state headers, timeline
-// accounts, the decoded result, report maps) — under each run's ceiling, set
-// from measurement: 88, 94 and 99 KiB (host, H1, fleet of 4), where a run that
-// rebuilt the prepared pipeline, the block caches, the device result sets and
-// the gather lists allocated 120, 168 and 205 KiB. It also pins the retention
-// bound: a scratch that went through 31c, whose working set is far past the
-// bound, retains no more than the bound, its block cache counted.
+// (engines, the pipeline's inner-state headers, timeline accounts, the decoded
+// result, report maps) — under each run's ceiling, set from measurement: 9.3,
+// 13.5 and 18.5 KiB (host, H1, fleet of 4), where a run that built new LSM
+// iterators, index seekers and leaf selection vectors allocated 88, 94 and
+// 99 KiB, and one that also rebuilt the prepared pipeline, the block caches,
+// the device result sets and the gather lists 120, 168 and 205 KiB. It also
+// pins the retention bound: a scratch that went through 31c, whose working set
+// is far past the bound, retains no more than the bound, its block cache
+// counted.
 func TestWarmExecutorAllocationCeiling(t *testing.T) {
 	ds := jobDataset(t)
 	for _, r := range steadyRuns(t, ds) {
@@ -277,6 +279,32 @@ func TestWarmExecutorAllocationCeiling(t *testing.T) {
 	sc.Release()
 	if held := sc.Retained(); held > exec.ScratchRetainBytes {
 		t.Errorf("scratch released after 31c retains %d B, bound is %d B", held, exec.ScratchRetainBytes)
+	}
+}
+
+// TestReleasedScratchPinsNoStorage runs steadyQuery host-native — scans and
+// a BNLI step's secondary-index seeks — on one scratch and releases it: the
+// scan iterator and the index seeker must then hold no SST, view, decoded
+// block or access of the finished query, the same rule the pointer slabs
+// follow.
+func TestReleasedScratchPinsNoStorage(t *testing.T) {
+	ds := jobDataset(t)
+	p, err := optimizer.New(ds.Cat, ds.Model).BuildPlan(job.QueryByName(steadyQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &exec.Scratch{}
+	eng := &exec.Engine{Cat: ds.Cat, TL: vclock.NewTimeline("host"), R: hw.HostRates(ds.Model), Scratch: sc,
+		Cache: sc.BlockCache(ds.DB.BlockCacheBytes(ds.Model.HostCacheFraction))}
+	if _, err := eng.RunPlan(p); err != nil {
+		t.Fatal(err)
+	}
+	if exec.ReadPathReference(sc) == "" {
+		t.Fatalf("%s ran without the scratch's iterator or seeker", steadyQuery)
+	}
+	sc.Release()
+	if path := exec.ReadPathReference(sc); path != "" {
+		t.Errorf("released scratch still references the finished query at %s", path)
 	}
 }
 

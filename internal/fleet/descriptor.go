@@ -15,6 +15,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,6 +134,9 @@ func Build(cat *table.Catalog, devices int, spec string) (*Descriptor, error) {
 	}
 	nparts := devices
 	if scheme == SchemeStripe {
+		if stripes > math.MaxInt/devices {
+			return nil, fmt.Errorf("fleet: %d stripes on each of %d devices is more partitions than an int counts", stripes, devices)
+		}
 		nparts = devices * stripes
 	}
 	d := &Descriptor{Devices: devices, Scheme: scheme, Parts: make(map[string][]Partition)}
@@ -161,8 +165,11 @@ func Build(cat *table.Catalog, devices int, spec string) (*Descriptor, error) {
 // quantileBounds cuts a table's PK space into at most n ranges at sample
 // quantiles (mirrors the device's chunk-bound derivation; duplicate
 // quantiles collapse, so tiny tables may yield fewer ranges than requested).
+// Past len(sample)+1 ranges every sample position is already a cut, so more
+// only collapse: n is clamped there, which bounds the loop and moves no bound.
 func quantileBounds(st *table.Stats, n int) []*int32 {
 	bounds := []*int32{nil}
+	n = min(n, len(st.Sample)+1)
 	if n > 1 && len(st.Sample) >= 2 {
 		pks := make([]int32, 0, len(st.Sample))
 		for _, r := range st.Sample {

@@ -2,11 +2,16 @@ package fleet
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 
+	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
+	"hybridndp/internal/kv"
+	"hybridndp/internal/lsm"
 	"hybridndp/internal/table"
 )
 
@@ -225,4 +230,80 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = (%q, %d, %v), want (%q, %d)", tc.spec, scheme, stripes, err, tc.scheme, tc.stripes)
 		}
 	}
+}
+
+// canonicalSpec renders a parsed spec in the one form ParseSpec documents for
+// it: "range", or "stripe:<n>".
+func canonicalSpec(scheme string, stripes int) string {
+	if scheme == SchemeRange {
+		return SchemeRange
+	}
+	return SchemeStripe + ":" + strconv.Itoa(stripes)
+}
+
+// smallCatalog holds one table of the given number of rows, PKs 0, 3, 6, …:
+// its statistics sample is the whole table.
+func smallCatalog(t *testing.T, rows int) *table.Catalog {
+	t.Helper()
+	cat := table.NewCatalog(kv.Open(flash.New(hw.Cosmos(), 0), hw.Cosmos(), lsm.DefaultConfig()))
+	tbl, err := cat.CreateTable(table.MustSchema("t", []table.Column{{Name: "id", Type: table.Int32, Size: 4}}, "id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := tbl.Insert([]table.Value{table.IntVal(int32(3 * i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// FuzzParseSpec checks the -fleet flag on arbitrary text and fleet sizes: no
+// input panics; a spec ParseSpec accepts re-parses, in canonical form, to the
+// same (scheme, stripes); and Build over a small catalog either refuses it —
+// only when devices × stripes overflows an int — or returns, after work
+// bounded by the statistics sample, a descriptor that passes Validate, with
+// no more partitions per table than the sample has rows plus one (a stripe
+// factor of 10⁹ used to loop 10⁹ times per table). Seeds:
+// testdata/fuzz/FuzzParseSpec.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, devices, rows uint8) {
+		scheme, stripes, err := ParseSpec(spec)
+		n := 1 + int(devices%16)
+		if err != nil {
+			if _, berr := Build(smallCatalog(t, 0), n, spec); berr == nil {
+				t.Fatalf("ParseSpec(%q) fails (%v) but Build accepts it", spec, err)
+			}
+			return
+		}
+		canon := canonicalSpec(scheme, stripes)
+		if s2, n2, err := ParseSpec(canon); err != nil || s2 != scheme || n2 != stripes {
+			t.Fatalf("ParseSpec(%q) = (%q, %d) but its canonical form %q parses to (%q, %d, %v)",
+				spec, scheme, stripes, canon, s2, n2, err)
+		}
+		cat := smallCatalog(t, int(rows%40))
+		d, err := Build(cat, n, spec)
+		if scheme == SchemeStripe && stripes > math.MaxInt/n {
+			if err == nil {
+				t.Fatalf("Build(%d devices, %q) accepted %d × %d partitions", n, spec, n, stripes)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Build(%d devices, %q): %v", n, spec, err)
+		}
+		if err := d.Validate(cat); err != nil {
+			t.Fatalf("Build(%d devices, %q) fails Validate: %v", n, spec, err)
+		}
+		if d.Devices != n || d.Scheme != scheme {
+			t.Fatalf("Build(%d devices, %q) = %d devices, scheme %q", n, spec, d.Devices, d.Scheme)
+		}
+		tbl, err := cat.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, most := len(d.Parts["t"]), len(tbl.CollectStats().Sample)+1; got > most {
+			t.Fatalf("Build(%d devices, %q) cut %d partitions from a %d-row sample", n, spec, got, most-1)
+		}
+	})
 }

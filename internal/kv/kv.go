@@ -121,6 +121,12 @@ func (cf *ColumnFamily) Scan(lo, hi []byte, ac lsm.Access) *lsm.TreeIter {
 	return cf.tree.Scan(lo, hi, ac)
 }
 
+// ScanInto restarts it over [lo, hi) in key order, charging the access (see
+// lsm.Tree.ScanInto).
+func (cf *ColumnFamily) ScanInto(it *lsm.TreeIter, lo, hi []byte, ac lsm.Access) {
+	cf.tree.ScanInto(it, lo, hi, ac)
+}
+
 // Flush forces memtables out to C1.
 func (cf *ColumnFamily) Flush() error { return cf.tree.Flush() }
 

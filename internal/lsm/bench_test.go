@@ -155,39 +155,57 @@ func BenchmarkTreeScanWithCache(b *testing.B) {
 
 // BenchmarkTreeScanSingleSST scans a bulk-loaded tree — one SST, so one live
 // merge source, the shape of every column family the JOB workloads read — and
-// touches every value, entry by entry and block run by block run.
+// touches every value, entry by entry and block run by block run, each scan on
+// a new iterator; reused-iter restarts one iterator in place instead, as an
+// engine's scratch does.
 func BenchmarkTreeScanSingleSST(b *testing.B) {
 	const n = 50_000
 	tr := singleSSTTree(b, n)
+	type mode struct{ cached, runs, reused bool }
+	var modes []mode
 	for _, cached := range []bool{false, true} {
 		for _, runs := range []bool{false, true} {
-			b.Run(fmt.Sprintf("cache=%v/runs=%v", cached, runs), func(b *testing.B) {
-				var ac Access
-				if cached {
-					ac.Cache = NewBlockCache(64 << 20)
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rows, size := 0, 0
-					it := tr.Scan(nil, nil, ac)
-					for ; it.Valid(); it.Next() {
-						rows++
-						size += len(it.Entry().Value)
-						if runs {
-							run := it.Run()
-							for j := range run {
-								size += len(run[j].Value)
-							}
-							rows += len(run)
-							it.Consume(len(run))
-						}
-					}
-					if rows != n || size == 0 || it.Err() != nil {
-						b.Fatalf("scan found %d rows, %d bytes, err %v", rows, size, it.Err())
-					}
-				}
-			})
+			modes = append(modes, mode{cached, runs, false})
 		}
+	}
+	modes = append(modes, mode{false, true, true})
+	for _, m := range modes {
+		name := fmt.Sprintf("cache=%v/runs=%v", m.cached, m.runs)
+		if m.reused {
+			name = "reused-iter/" + name
+		}
+		b.Run(name, func(b *testing.B) {
+			var ac Access
+			if m.cached {
+				ac.Cache = NewBlockCache(64 << 20)
+			}
+			reused := &TreeIter{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, size := 0, 0
+				it := reused
+				if m.reused {
+					tr.ScanInto(it, nil, nil, ac)
+				} else {
+					it = tr.Scan(nil, nil, ac)
+				}
+				for ; it.Valid(); it.Next() {
+					rows++
+					size += len(it.Entry().Value)
+					if m.runs {
+						run := it.Run()
+						for j := range run {
+							size += len(run[j].Value)
+						}
+						rows += len(run)
+						it.Consume(len(run))
+					}
+				}
+				if rows != n || size == 0 || it.Err() != nil {
+					b.Fatalf("scan found %d rows, %d bytes, err %v", rows, size, it.Err())
+				}
+			}
+		})
 	}
 }
 

@@ -327,17 +327,22 @@ func (m *MemTable) Get(key []byte) (Entry, bool) {
 // Iter returns an iterator positioned at the first key ≥ start (nil start
 // means the smallest key).
 func (m *MemTable) Iter(start []byte) *MemIter {
-	if start == nil {
-		return &MemIter{m: m, n: m.head[0]}
-	}
-	return &MemIter{m: m, n: m.seek(start, keyPrefix(start), nil)}
+	it := m.iter(start)
+	return &it
 }
 
-// rangeEntries returns the entries with lo ≤ key < hi (nil bounds are
-// unbounded). The headers alias the arena, which is never rewritten, so they
-// stay valid after the caller releases whatever lock guards the memtable.
-func (m *MemTable) rangeEntries(lo, hi []byte) []Entry {
-	var out []Entry
+// iter is Iter by value, for a merge source that holds its iterator.
+func (m *MemTable) iter(start []byte) MemIter {
+	if start == nil {
+		return MemIter{m: m, n: m.head[0]}
+	}
+	return MemIter{m: m, n: m.seek(start, keyPrefix(start), nil)}
+}
+
+// appendRange appends the entries with lo ≤ key < hi (nil bounds are
+// unbounded) to out. The headers alias the arena, which is never rewritten, so
+// they stay valid after the caller releases whatever lock guards the memtable.
+func (m *MemTable) appendRange(out []Entry, lo, hi []byte) []Entry {
 	n := m.head[0]
 	if lo != nil {
 		n = m.seek(lo, keyPrefix(lo), nil)

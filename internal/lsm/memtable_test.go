@@ -149,7 +149,7 @@ func TestEmptyMemTableIsFree(t *testing.T) {
 		t.Fatalf("NewMemTableSeeded made %v allocations, want 1", n)
 	}
 	m := NewMemTable()
-	if _, ok := m.Get(key(1)); ok || m.Iter(nil).Valid() || m.Iter(key(1)).Valid() || len(m.rangeEntries(nil, nil)) != 0 {
+	if _, ok := m.Get(key(1)); ok || m.Iter(nil).Valid() || m.Iter(key(1)).Valid() || len(m.appendRange(nil, nil, nil)) != 0 {
 		t.Fatal("empty memtable yielded an entry")
 	}
 	if m.rng != nil || m.chunks != nil || m.nodes != nil || m.towers != nil {

@@ -13,14 +13,21 @@ type mergeSource interface {
 	err() error
 }
 
-type memSource struct{ it *MemIter }
+type memSource struct{ it MemIter }
 
 func (s *memSource) valid() bool  { return s.it.Valid() }
 func (s *memSource) entry() Entry { return s.it.Entry() }
 func (s *memSource) next()        { s.it.Next() }
 func (s *memSource) err() error   { return nil }
 
-type sstSource struct{ it *SSTIter }
+type sstSource struct{ it SSTIter }
+
+// newSSTSource opens an uncharged source over all of s (compaction).
+func newSSTSource(s *SST) *sstSource {
+	src := &sstSource{}
+	src.it.init(s, nil, Access{})
+	return src
+}
 
 func (s *sstSource) valid() bool  { return s.it.Valid() }
 func (s *sstSource) entry() Entry { return s.it.Entry() }
@@ -43,8 +50,12 @@ type mergeIter struct {
 	cmpCount int
 }
 
-func newMergeIter(srcs []mergeSource, ac Access, keepTombstones bool) *mergeIter {
-	m := &mergeIter{ac: ac, keepTomb: keepTombstones}
+// init (re)starts the merge over srcs, ordered newest first, and positions it
+// on the first entry. Nothing of a previous merge survives but the heap's
+// capacity: its pending comparison charges are dropped, as an abandoned
+// iterator's are.
+func (m *mergeIter) init(srcs []mergeSource, ac Access, keepTombstones bool) {
+	*m = mergeIter{srcs: m.srcs[:0], ages: m.ages[:0], ac: ac, keepTomb: keepTombstones}
 	for age, s := range srcs {
 		if s.err() != nil {
 			m.failed = s.err()
@@ -58,7 +69,6 @@ func newMergeIter(srcs []mergeSource, ac Access, keepTombstones bool) *mergeIter
 		m.down(i)
 	}
 	m.advance()
-	return m
 }
 
 func (m *mergeIter) less(i, j int) bool {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -63,27 +64,88 @@ func checkRunsMatchEntries(t *testing.T, what string, scan func(Access) *TreeIte
 		if limit >= 0 && limit < len(want) {
 			wantHere = want[:limit]
 		}
-		for name, got := range map[string][]Entry{"entries": byEntry, "runs": byRun} {
-			if len(got) != len(wantHere) {
-				t.Fatalf("%s limit %d: %s delivered %d entries, model has %d", what, limit, name, len(got), len(wantHere))
-			}
-			for i, e := range got {
-				if e.Tombstone || !bytes.Equal(e.Key, wantHere[i].Key) || !bytes.Equal(e.Value, wantHere[i].Value) {
-					t.Fatalf("%s limit %d: %s entry %d = %q→%q (tombstone %v), model %q→%q",
-						what, limit, name, i, e.Key, e.Value, e.Tombstone, wantHere[i].Key, wantHere[i].Value)
-				}
-			}
+		checkEntries(t, fmt.Sprintf("%s limit %d: entries", what, limit), byEntry, wantHere)
+		checkEntries(t, fmt.Sprintf("%s limit %d: runs", what, limit), byRun, wantHere)
+		checkSameTime(t, fmt.Sprintf("%s limit %d: entries vs runs", what, limit), tlE, tlR)
+	}
+}
+
+// checkRestartMatchesFresh asserts, for one scan: it, restarted in place by
+// scanInto from wherever the previous scan left it, delivers want and books
+// bit-identical virtual time to a new iterator — in full and when the consumer
+// stops after any k entries, consuming entry by entry and by runs. Each limit
+// restarts it from the last one's abandoned position.
+func checkRestartMatchesFresh(t *testing.T, what string, it *TreeIter, scanInto func(*TreeIter, Access), cached bool, want []Entry) {
+	t.Helper()
+	fresh := func(ac Access) *TreeIter {
+		n := &TreeIter{}
+		scanInto(n, ac)
+		return n
+	}
+	reused := func(ac Access) *TreeIter {
+		scanInto(it, ac)
+		return it
+	}
+	for limit := -1; limit <= len(want)+1; limit++ {
+		wantHere := want
+		if limit >= 0 && limit < len(want) {
+			wantHere = want[:limit]
 		}
-		if tlE.Now() != tlR.Now() || !reflect.DeepEqual(tlE.Account(), tlR.Account()) {
-			t.Fatalf("%s limit %d: virtual time differs: entries %v %v, runs %v %v",
-				what, limit, float64(tlE.Now()), tlE.Account(), float64(tlR.Now()), tlR.Account())
+		for _, runs := range []bool{false, true} {
+			got, tlR, errR := scanOnce(reused, cached, limit, runs)
+			ref, tlF, errF := scanOnce(fresh, cached, limit, runs)
+			if errR != nil || errF != nil {
+				t.Fatalf("%s limit %d runs %v: scan errors %v / %v", what, limit, runs, errR, errF)
+			}
+			checkEntries(t, fmt.Sprintf("%s limit %d runs %v: restarted", what, limit, runs), got, wantHere)
+			checkEntries(t, fmt.Sprintf("%s limit %d runs %v: new", what, limit, runs), ref, wantHere)
+			checkSameTime(t, fmt.Sprintf("%s limit %d runs %v: restarted vs new", what, limit, runs), tlR, tlF)
 		}
 	}
 }
 
+// checkEntries asserts that got holds exactly the live entries of want.
+func checkEntries(t *testing.T, what string, got, want []Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s delivered %d entries, model has %d", what, len(got), len(want))
+	}
+	for i, e := range got {
+		if e.Tombstone || !bytes.Equal(e.Key, want[i].Key) || !bytes.Equal(e.Value, want[i].Value) {
+			t.Fatalf("%s entry %d = %q→%q (tombstone %v), model %q→%q",
+				what, i, e.Key, e.Value, e.Tombstone, want[i].Key, want[i].Value)
+		}
+	}
+}
+
+// checkSameTime asserts that two timelines stand at the same instant with the
+// same per-category account.
+func checkSameTime(t *testing.T, what string, a, b *vclock.Timeline) {
+	t.Helper()
+	if a.Now() != b.Now() || !reflect.DeepEqual(a.Account(), b.Account()) {
+		t.Fatalf("%s: virtual time differs: %v %v vs %v %v",
+			what, float64(a.Now()), a.Account(), float64(b.Now()), b.Account())
+	}
+}
+
+// modelRange returns the model's entries in [lo, hi) in key order.
+func modelRange(model map[string][]byte, lo, hi []byte) []Entry {
+	var out []Entry
+	for k, v := range model {
+		if (lo == nil || k >= string(lo)) && (hi == nil || k < string(hi)) {
+			out = append(out, Entry{Key: []byte(k), Value: v})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
+	return out
+}
+
 // FuzzTreeIterRuns drives a tree with a fuzzed operation stream and checks
 // every scan through checkRunsMatchEntries against a sorted-map model, over
-// the live tree and over a frozen view.
+// the live tree and over a frozen view. Then one iterator is restarted in
+// place (checkRestartMatchesFresh) across scans of the tree, of a
+// memtable-only tree holding the same model and of the view: all keys, then
+// [lo, hi), then the one key lo — many live SSTs, then fewer.
 //
 // ops is read three bytes at a time — kind, key, size: kind%8 < 5 puts key
 // (0–255) with a value of 40+size%160 bytes, 5–6 deletes it, 7 flushes. shape
@@ -104,24 +166,25 @@ func FuzzTreeIterRuns(f *testing.F) {
 			LevelRatio:     3,
 			BaseLevelBytes: 8 << 10,
 		})
+		memOnly := NewTree(testFlash(), Config{MemTableBytes: 1 << 30})
 		cached := shape&128 != 0
 		model := map[string][]byte{}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			k := key(int(ops[1]))
-			var err error
+			var err, errMem error
 			switch kind := ops[0] % 8; {
 			case kind < 5:
 				v := bytes.Repeat(ops[2:3], 40+int(ops[2])%160)
 				model[string(k)] = v
-				err = tr.Put(k, v)
+				err, errMem = tr.Put(k, v), memOnly.Put(k, v)
 			case kind < 7:
 				delete(model, string(k))
-				err = tr.Delete(k)
+				err, errMem = tr.Delete(k), memOnly.Delete(k)
 			default:
 				err = tr.Flush()
 			}
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || errMem != nil {
+				t.Fatal(err, errMem)
 			}
 		}
 		if lo > hi {
@@ -134,17 +197,30 @@ func FuzzTreeIterRuns(f *testing.F) {
 		if bounds&2 != 0 {
 			hiKey = nil
 		}
-		var want []Entry
-		for k, v := range model {
-			if (loKey == nil || k >= string(loKey)) && (hiKey == nil || k < string(hiKey)) {
-				want = append(want, Entry{Key: []byte(k), Value: v})
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].Key, want[j].Key) < 0 })
+		want := modelRange(model, loKey, hiKey)
 
 		checkRunsMatchEntries(t, "tree", func(ac Access) *TreeIter { return tr.Scan(loKey, hiKey, ac) }, cached, want)
 		v := tr.View()
 		checkRunsMatchEntries(t, "view", func(ac Access) *TreeIter { return v.Scan(loKey, hiKey, ac) }, cached, want)
+
+		it := &TreeIter{}
+		oneLo, oneHi := key(int(lo)), key(int(lo)+1)
+		for _, sc := range []struct {
+			what   string
+			into   func(*TreeIter, []byte, []byte, Access)
+			lo, hi []byte
+		}{
+			{"restarted tree, all keys", tr.ScanInto, nil, nil},
+			{"restarted tree", tr.ScanInto, loKey, hiKey},
+			{"restarted tree, one key", tr.ScanInto, oneLo, oneHi},
+			{"restarted memtable-only tree", memOnly.ScanInto, loKey, hiKey},
+			{"restarted view, all keys", v.ScanInto, nil, nil},
+			{"restarted view", v.ScanInto, loKey, hiKey},
+			{"restarted view, one key", v.ScanInto, oneLo, oneHi},
+		} {
+			into := func(it *TreeIter, ac Access) { sc.into(it, sc.lo, sc.hi, ac) }
+			checkRestartMatchesFresh(t, sc.what, it, into, cached, modelRange(model, sc.lo, sc.hi))
+		}
 	})
 }
 
@@ -238,4 +314,97 @@ func TestRunScanAllocationsIndependentOfRows(t *testing.T) {
 	if small != large {
 		t.Fatalf("allocations per scan grow with the row count: %v at 500 rows, %v at 20000", small, large)
 	}
+}
+
+// TestWarmScanIntoAllocatesNothing is the allocation guard of restarting: a
+// warm iterator rescanning a range of a single-SST tree, live or through a
+// view, allocates nothing.
+func TestWarmScanIntoAllocatesNothing(t *testing.T) {
+	tr := singleSSTTree(t, 2000)
+	v := tr.View()
+	ac := Access{TL: vclock.NewTimeline("host"), R: hw.HostRates(hw.Cosmos())}
+	it := &TreeIter{}
+	lo, hi := key(500), key(1500)
+	for name, into := range map[string]func(*TreeIter, []byte, []byte, Access){"tree": tr.ScanInto, "view": v.ScanInto} {
+		scan := func() {
+			into(it, lo, hi, ac)
+			rows := 0
+			for ; it.Valid(); it.Next() {
+				run := it.Run()
+				rows += 1 + len(run)
+				it.Consume(len(run))
+			}
+			if rows != 1000 || it.Err() != nil {
+				t.Fatalf("%s: scan found %d of 1000 rows (err %v)", name, rows, it.Err())
+			}
+		}
+		scan()
+		if n := testing.AllocsPerRun(10, scan); n != 0 {
+			t.Errorf("%s: a warm ScanInto made %v allocations, want 0", name, n)
+		}
+	}
+}
+
+// TestClearDropsEveryReference pins what a recycled iterator may keep: after
+// Clear, none of its fields and no slot of its slabs — up to capacity, the
+// ones a shorter scan left unused included — refers to an SST, a memtable, a
+// view's C0, a decoded block, an entry's bytes or the access of the scan it
+// served.
+func TestClearDropsEveryReference(t *testing.T) {
+	tr := NewTree(testFlash(), Config{MemTableBytes: 2 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 8 << 10})
+	for i := 0; i < 300; i++ {
+		if err := tr.Put(key(i*7%300), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := tr.View()
+	ac := Access{TL: vclock.NewTimeline("host"), R: hw.HostRates(hw.Cosmos()), Cache: NewBlockCache(1 << 20)}
+	it := &TreeIter{}
+	for name, into := range map[string]func(*TreeIter, []byte, []byte, Access){"tree": tr.ScanInto, "view": v.ScanInto} {
+		into(it, nil, nil, ac)
+		into(it, key(100), key(101), ac) // fewer sources: the first scan's stay behind len
+		for i := 0; i < 3 && it.Valid(); i++ {
+			it.Next()
+		}
+		if len(it.ssts) == 0 {
+			t.Fatalf("%s: the scan opened no SST", name)
+		}
+		it.Clear()
+		if path, ok := holdsNothing(reflect.ValueOf(it).Elem(), "it"); !ok {
+			t.Errorf("%s: after Clear, %s still holds a reference", name, path)
+		}
+	}
+}
+
+// iterStorage names the slices a cleared iterator keeps: its own slabs,
+// whose every slot up to capacity must hold nothing in turn.
+var iterStorage = map[string]bool{
+	"it.inner.srcs": true, "it.inner.ages": true, "it.srcs": true, "it.ssts": true, "it.mems": true, "it.c0buf": true,
+}
+
+// holdsNothing reports whether v holds no reference, naming the first place
+// that does: no pointer, interface, map or slice is non-nil, save the
+// iterStorage slabs, which are walked slot by slot up to capacity.
+func holdsNothing(v reflect.Value, path string) (string, bool) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p, ok := holdsNothing(v.Field(i), path+"."+v.Type().Field(i).Name); !ok {
+				return p, false
+			}
+		}
+	case reflect.Slice:
+		if !iterStorage[path] {
+			return path, v.IsNil()
+		}
+		all := v.Slice(0, v.Cap())
+		for i := 0; i < all.Len(); i++ {
+			if p, ok := holdsNothing(all.Index(i), fmt.Sprintf("%s[%d]", path, i)); !ok {
+				return p, false
+			}
+		}
+	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Func, reflect.Chan:
+		return path, v.IsNil()
+	}
+	return "", true
 }

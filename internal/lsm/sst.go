@@ -476,7 +476,8 @@ func (t *SST) Get(key []byte, ac Access) (Entry, bool, error) {
 	return Entry{}, false, nil
 }
 
-// SSTIter streams an SST in key order, loading data blocks lazily.
+// SSTIter streams an SST in key order, loading data blocks lazily. A merge
+// source holds one by value and restarts it in place (init).
 type SSTIter struct {
 	t       *SST
 	ac      Access
@@ -489,7 +490,16 @@ type SSTIter struct {
 
 // Iter returns an iterator positioned at the first key ≥ start.
 func (t *SST) Iter(start []byte, ac Access) *SSTIter {
-	it := &SSTIter{t: t, ac: ac, blockNo: 0}
+	it := &SSTIter{}
+	it.init(t, start, ac)
+	return it
+}
+
+// init (re)positions the iterator at the first key ≥ start of t, charging the
+// index seek and the first block read to ac; nothing of its previous position
+// survives.
+func (it *SSTIter) init(t *SST, start []byte, ac Access) {
+	*it = SSTIter{t: t, ac: ac}
 	if start != nil {
 		bi := t.blockIdx(start)
 		if bi < 0 {
@@ -512,7 +522,6 @@ func (t *SST) Iter(start []byte, ac Access) *SSTIter {
 			it.loadBlock()
 		}
 	}
-	return it
 }
 
 func (it *SSTIter) loadBlock() {

@@ -3,7 +3,9 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"hybridndp/internal/flash"
 )
@@ -117,7 +119,8 @@ func (t *Tree) Flush() error {
 // compaction when C1 grows past its file limit.
 func (t *Tree) flushLocked() error {
 	for len(t.imm) > 0 {
-		m := t.imm[len(t.imm)-1] // oldest first keeps newest-first order in l1
+		m := t.imm[len(t.imm)-1]  // oldest first keeps newest-first order in l1
+		t.imm[len(t.imm)-1] = nil // the slot past len must not keep m reachable
 		t.imm = t.imm[:len(t.imm)-1]
 		if m.Len() == 0 {
 			continue
@@ -185,10 +188,10 @@ func (t *Tree) compactL1Locked() error {
 	// Sources newest first: C1 files (already newest first), then C2 overlap.
 	srcs := make([]mergeSource, 0, len(t.l1)+len(overlap))
 	for _, s := range t.l1 {
-		srcs = append(srcs, &sstSource{it: s.Iter(nil, Access{})})
+		srcs = append(srcs, newSSTSource(s))
 	}
 	for _, s := range overlap {
-		srcs = append(srcs, &sstSource{it: s.Iter(nil, Access{})})
+		srcs = append(srcs, newSSTSource(s))
 	}
 	dropTombstones := len(t.levels) == 1 // C2 is the last level
 	merged, err := mergeAll(srcs, dropTombstones)
@@ -241,9 +244,9 @@ func (t *Tree) compactLowerLocked() error {
 				keep = append(keep, s)
 			}
 		}
-		srcs := []mergeSource{&sstSource{it: victim.Iter(nil, Access{})}}
+		srcs := []mergeSource{newSSTSource(victim)}
 		for _, s := range overlap {
-			srcs = append(srcs, &sstSource{it: s.Iter(nil, Access{})})
+			srcs = append(srcs, newSSTSource(s))
 		}
 		dropTombstones := i+2 == len(t.levels)
 		merged, err := mergeAll(srcs, dropTombstones)
@@ -311,7 +314,8 @@ func sortByMinKey(ssts []*SST) {
 // mergeAll drains the sources (ordered newest first) into a deduplicated
 // sorted entry list.
 func mergeAll(srcs []mergeSource, dropTombstones bool) ([]Entry, error) {
-	it := newMergeIter(srcs, Access{}, !dropTombstones)
+	var it mergeIter
+	it.init(srcs, Access{}, !dropTombstones)
 	var out []Entry
 	for it.Valid() {
 		e := it.Entry()
@@ -398,51 +402,119 @@ func searchLevel(lvl []*SST, key []byte) int {
 	return -1
 }
 
-// Scan returns a merged iterator over [lo, hi) (nil bounds are unbounded).
-// Fence pointers exclude SSTs entirely outside the range before any flash
-// read happens, as in MyRocks/RocksDB.
+// Scan returns a merged iterator over [lo, hi) (nil bounds are unbounded):
+// ScanInto on a new TreeIter.
+func (t *Tree) Scan(lo, hi []byte, ac Access) *TreeIter {
+	it := &TreeIter{}
+	t.ScanInto(it, lo, hi, ac)
+	return it
+}
+
+// ScanInto restarts it as a merged iterator over [lo, hi) (nil bounds are
+// unbounded). Fence pointers exclude SSTs entirely outside the range before
+// any flash read happens, as in MyRocks/RocksDB. Sources open newest first —
+// C0, then C1 newest first, then each lower level — so index seeks and first
+// block reads are charged in that order.
 //
 // The iterator outlives the read lock, and Put keeps linking nodes into the
 // mutable memtable, so that memtable's entries in [lo, hi) are taken here,
 // under the lock: headers only — their bytes sit in the memtable's arena,
 // which is never rewritten. Immutable memtables are walked lazily. An empty
 // memtable adds no merge source.
-func (t *Tree) Scan(lo, hi []byte, ac Access) *TreeIter {
+func (t *Tree) ScanInto(it *TreeIter, lo, hi []byte, ac Access) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var hiIncl []byte // OverlapsRange uses inclusive bounds; adjust below.
-	if hi != nil {
-		hiIncl = hi
+	it.hi, it.srcs = hi, it.srcs[:0]
+	if it.c0buf = t.mem.appendRange(it.c0buf[:0], lo, hi); len(it.c0buf) > 0 {
+		it.addC0(it.c0buf, nil)
 	}
-	var srcs []mergeSource
-	if mem := t.mem.rangeEntries(lo, hi); len(mem) > 0 {
-		srcs = append(srcs, &frozenSource{entries: mem})
-	}
+	it.mems = slices.Grow(it.mems[:0], len(t.imm)) // never regrown below: srcs points into it
 	for _, m := range t.imm {
 		if m.Len() > 0 {
-			srcs = append(srcs, &memSource{it: m.Iter(lo)})
+			it.mems = append(it.mems, memSource{it: m.iter(lo)})
+			it.srcs = append(it.srcs, &it.mems[len(it.mems)-1])
 		}
 	}
-	for _, s := range t.l1 {
-		if s.OverlapsRange(lo, hiIncl) {
-			srcs = append(srcs, &sstSource{it: s.Iter(lo, ac)})
-		}
-	}
-	for _, lvl := range t.levels {
-		for _, s := range lvl {
-			if s.OverlapsRange(lo, hiIncl) {
-				srcs = append(srcs, &sstSource{it: s.Iter(lo, ac)})
-			}
-		}
-	}
-	return &TreeIter{inner: newMergeIter(srcs, ac, false), hi: hi}
+	it.addSSTs(lo, hi, ac, t.l1, t.levels)
+	it.inner.init(it.srcs, ac, false)
 }
 
-// TreeIter walks the merged view of the tree, hiding tombstones and stopping
-// at the upper bound.
+// TreeIter walks the merged view of a tree or a View, hiding tombstones and
+// stopping at the upper bound. It owns its storage — the merge heap, the
+// source list and the sources themselves — so ScanInto restarts it without
+// allocating once it has served a scan of as many sources. Restarting
+// invalidates only the iterator's own position: entries and runs it handed out
+// alias memtable arenas and decoded blocks, never the iterator.
 type TreeIter struct {
-	inner *mergeIter
+	inner mergeIter
 	hi    []byte
+	srcs  []mergeSource // the merge's sources, newest first; point into the fields below
+	ssts  []sstSource   // one per overlapping SST
+	mems  []memSource   // one per non-empty immutable memtable
+	c0    frozenSource  // C0 as a sorted list: the mutable memtable's range or a view's frozen C0
+	c0buf []Entry       // the mutable memtable's entries in range
+}
+
+// addC0 adds a sorted C0 entry list as the youngest source, positioned at the
+// first key ≥ lo.
+func (it *TreeIter) addC0(entries []Entry, lo []byte) {
+	it.c0 = frozenSource{entries: entries}
+	if lo != nil {
+		it.c0.seek(lo)
+	}
+	it.srcs = append(it.srcs, &it.c0)
+}
+
+// addSSTs opens a source on every SST of C1, then of each lower level, whose
+// fences overlap [lo, hi] — inclusive here, as OverlapsRange takes them. The
+// slab is sized for every SST first, so no append moves a source srcs points
+// at.
+func (it *TreeIter) addSSTs(lo, hi []byte, ac Access, l1 []*SST, levels [][]*SST) {
+	n := len(l1)
+	for _, lvl := range levels {
+		n += len(lvl)
+	}
+	it.ssts = slices.Grow(it.ssts[:0], n)
+	add := func(s *SST) {
+		if s.OverlapsRange(lo, hi) {
+			it.ssts = append(it.ssts, sstSource{})
+			src := &it.ssts[len(it.ssts)-1]
+			src.it.init(s, lo, ac)
+			it.srcs = append(it.srcs, src)
+		}
+	}
+	for _, s := range l1 {
+		add(s)
+	}
+	for _, lvl := range levels {
+		for _, s := range lvl {
+			add(s)
+		}
+	}
+}
+
+// Clear drops every reference the iterator holds — SSTs, memtables, a view's
+// C0, decoded blocks, the access's timeline and cache — and keeps its
+// storage. A cleared iterator is invalid until the next ScanInto.
+func (it *TreeIter) Clear() {
+	clear(it.inner.srcs[:cap(it.inner.srcs)])
+	clear(it.srcs[:cap(it.srcs)])
+	clear(it.ssts[:cap(it.ssts)])
+	clear(it.mems[:cap(it.mems)])
+	clear(it.c0buf[:cap(it.c0buf)])
+	*it = TreeIter{
+		inner: mergeIter{srcs: it.inner.srcs[:0], ages: it.inner.ages[:0]},
+		srcs:  it.srcs[:0], ssts: it.ssts[:0], mems: it.mems[:0], c0buf: it.c0buf[:0],
+	}
+}
+
+// Retained reports the bytes of storage the iterator keeps for its next scan.
+func (it *TreeIter) Retained() int64 {
+	const ptr, iface = int64(unsafe.Sizeof(uintptr(0))), int64(unsafe.Sizeof(mergeSource(nil)))
+	return int64(cap(it.inner.srcs)+cap(it.srcs))*iface + int64(cap(it.inner.ages))*ptr +
+		int64(cap(it.ssts))*int64(unsafe.Sizeof(sstSource{})) +
+		int64(cap(it.mems))*int64(unsafe.Sizeof(memSource{})) +
+		int64(cap(it.c0buf))*int64(unsafe.Sizeof(Entry{}))
 }
 
 // Valid reports whether the iterator is positioned on a live entry.
@@ -523,18 +595,19 @@ func (t *Tree) MemContents() []Entry {
 func (t *Tree) memContentsLocked() []Entry {
 	var srcs []mergeSource
 	if t.mem.Len() > 0 {
-		srcs = append(srcs, &memSource{it: t.mem.Iter(nil)})
+		srcs = append(srcs, &memSource{it: t.mem.iter(nil)})
 	}
 	for _, m := range t.imm {
 		if m.Len() > 0 {
-			srcs = append(srcs, &memSource{it: m.Iter(nil)})
+			srcs = append(srcs, &memSource{it: m.iter(nil)})
 		}
 	}
 	if len(srcs) == 0 {
 		return nil
 	}
 	var out []Entry
-	for it := newMergeIter(srcs, Access{}, true); it.Valid(); it.Next() {
+	var it mergeIter
+	for it.init(srcs, Access{}, true); it.Valid(); it.Next() {
 		e := it.Entry()
 		out = append(out, Entry{
 			Key:       append([]byte(nil), e.Key...),

@@ -70,27 +70,21 @@ func (v *View) Get(key []byte, ac Access) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Scan iterates [lo, hi) as of the view's creation.
+// Scan iterates [lo, hi) as of the view's creation: ScanInto on a new
+// TreeIter.
 func (v *View) Scan(lo, hi []byte, ac Access) *TreeIter {
-	var srcs []mergeSource
+	it := &TreeIter{}
+	v.ScanInto(it, lo, hi, ac)
+	return it
+}
+
+// ScanInto restarts it over [lo, hi) as of the view's creation, opening its
+// sources in Tree.ScanInto's order: the frozen C0, C1, the lower levels.
+func (v *View) ScanInto(it *TreeIter, lo, hi []byte, ac Access) {
+	it.hi, it.srcs = hi, it.srcs[:0]
 	if len(v.mem) > 0 {
-		fs := &frozenSource{entries: v.mem}
-		if lo != nil {
-			fs.seek(lo)
-		}
-		srcs = append(srcs, fs)
+		it.addC0(v.mem, lo)
 	}
-	for _, s := range v.l1 {
-		if s.OverlapsRange(lo, hi) {
-			srcs = append(srcs, &sstSource{it: s.Iter(lo, ac)})
-		}
-	}
-	for _, lvl := range v.levels {
-		for _, s := range lvl {
-			if s.OverlapsRange(lo, hi) {
-				srcs = append(srcs, &sstSource{it: s.Iter(lo, ac)})
-			}
-		}
-	}
-	return &TreeIter{inner: newMergeIter(srcs, ac, false), hi: hi}
+	it.addSSTs(lo, hi, ac, v.l1, v.levels)
+	it.inner.init(it.srcs, ac, false)
 }

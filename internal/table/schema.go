@@ -369,24 +369,30 @@ func (s *Schema) appendIndexKey(dst []byte, ci int, row []byte) []byte {
 // value v (for equality seeks over the index): the value part of the key
 // appendIndexKey stores for a row holding v.
 func (s *Schema) SecondaryPrefix(col string, v Value) ([]byte, error) {
+	return s.AppendSecondaryPrefix(nil, col, v)
+}
+
+// AppendSecondaryPrefix appends SecondaryPrefix(col, v) to dst.
+func (s *Schema) AppendSecondaryPrefix(dst []byte, col string, v Value) ([]byte, error) {
 	c, ok := s.ColumnByName(col)
 	if !ok {
 		return nil, fmt.Errorf("table %s: unknown secondary column %q", s.Name, col)
 	}
 	switch {
 	case v.Null:
-		return []byte{0}, nil
+		return append(dst, 0), nil
 	case c.Type == Int32:
-		return AppendPK(append(make([]byte, 0, 5), 1), v.Int), nil
+		return AppendPK(append(dst, 1), v.Int), nil
 	default:
 		str := v.Str
 		if len(str) > c.Size {
 			str = str[:c.Size]
 		}
-		key := make([]byte, 1+c.Size)
-		key[0] = 1
-		copy(key[1:], str)
-		return key, nil
+		dst = append(append(dst, 1), str...)
+		for i := len(str); i < c.Size; i++ {
+			dst = append(dst, 0)
+		}
+		return dst, nil
 	}
 }
 

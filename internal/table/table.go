@@ -196,13 +196,14 @@ func (t *Table) ScanAll(ac lsm.Access) *lsm.TreeIter {
 	return t.Data.Scan(nil, nil, ac)
 }
 
-// ScanView iterates [lo, hi) of the primary index through a frozen view
-// (nil view falls back to the live tree).
-func (t *Table) ScanView(v *lsm.View, lo, hi []byte, ac lsm.Access) *lsm.TreeIter {
+// ScanViewInto restarts it over [lo, hi) of the primary index through a frozen
+// view (nil view falls back to the live tree).
+func (t *Table) ScanViewInto(it *lsm.TreeIter, v *lsm.View, lo, hi []byte, ac lsm.Access) {
 	if v == nil {
-		return t.Data.Scan(lo, hi, ac)
+		t.Data.ScanInto(it, lo, hi, ac)
+		return
 	}
-	return v.Scan(lo, hi, ac)
+	v.ScanInto(it, lo, hi, ac)
 }
 
 // SecondaryIndexFor reports the index covering the given column, if any.
@@ -216,8 +217,28 @@ func (t *Table) SecondaryIndexFor(col string) (SecondaryIndex, bool) {
 }
 
 // IndexSeek returns the primary keys of all rows whose indexed column equals
-// v, via a prefix scan over the secondary LSM tree.
+// v, via a prefix scan over the secondary LSM tree: the Seeker path on a new
+// seeker, so the list is the caller's.
 func (t *Table) IndexSeek(idxName string, v Value, ac lsm.Access) ([]int32, error) {
+	return new(Seeker).IndexSeek(t, idxName, v, ac)
+}
+
+// Seeker runs secondary-index seeks in storage it keeps across them: the
+// prefix scan's iterator, the prefix and end-key buffers and the primary-key
+// list. A warm seeker seeks without allocating. It serves one goroutine at a
+// time.
+type Seeker struct {
+	it     lsm.TreeIter
+	prefix []byte
+	end    []byte
+	pks    []int32
+}
+
+// IndexSeek returns the primary keys of t's rows whose column indexed by
+// idxName equals v, in index order. The list is the seeker's own: it is valid
+// until the seeker's next seek, so a caller that seeks again while walking it
+// needs a second seeker.
+func (s *Seeker) IndexSeek(t *Table, idxName string, v Value, ac lsm.Access) ([]int32, error) {
 	cf, ok := t.Indexes[idxName]
 	if !ok {
 		return nil, fmt.Errorf("table %s: no index %q", t.Schema.Name, idxName)
@@ -231,13 +252,15 @@ func (t *Table) IndexSeek(idxName string, v Value, ac lsm.Access) ([]int32, erro
 	if si == nil {
 		return nil, fmt.Errorf("table %s: index %q not in schema", t.Schema.Name, idxName)
 	}
-	prefix, err := t.Schema.SecondaryPrefix(si.Column, v)
+	prefix, err := t.Schema.AppendSecondaryPrefix(s.prefix[:0], si.Column, v)
 	if err != nil {
 		return nil, err
 	}
-	var pks []int32
-	end := prefixEnd(prefix)
-	it := cf.Scan(prefix, end, ac)
+	s.prefix = prefix
+	s.end = appendPrefixEnd(s.end[:0], prefix)
+	pks := s.pks[:0]
+	it := &s.it
+	cf.ScanInto(it, prefix, s.end, ac)
 	for ; it.Valid(); it.Next() {
 		pks = append(pks, PKFromSecondaryKey(it.Entry().Key))
 		run := it.Run()
@@ -246,22 +269,34 @@ func (t *Table) IndexSeek(idxName string, v Value, ac lsm.Access) ([]int32, erro
 		}
 		it.Consume(len(run))
 	}
+	s.pks = pks
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
 	return pks, nil
 }
 
-// prefixEnd returns the smallest key greater than every key with the prefix.
-func prefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
-	for i := len(end) - 1; i >= 0; i-- {
+// Clear drops every reference the seeker's iterator holds (see
+// lsm.TreeIter.Clear) and keeps its storage.
+func (s *Seeker) Clear() { s.it.Clear() }
+
+// Retained reports the bytes of storage the seeker keeps for its next seek.
+func (s *Seeker) Retained() int64 {
+	return s.it.Retained() + int64(cap(s.prefix)+cap(s.end)) + 4*int64(cap(s.pks))
+}
+
+// appendPrefixEnd appends to dst the smallest key greater than every key with
+// the prefix and returns it, or returns nil — unbounded — when there is none
+// (the prefix is all 0xff).
+func appendPrefixEnd(dst, prefix []byte) []byte {
+	end := append(dst, prefix...)
+	for i := len(end) - 1; i >= len(dst); i-- {
 		if end[i] != 0xff {
 			end[i]++
 			return end[:i+1]
 		}
 	}
-	return nil // all 0xff: unbounded
+	return nil
 }
 
 // Flush pushes all column families of the table to SSTs.

@@ -14,7 +14,7 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-func testCatalog(t *testing.T) *Catalog {
+func testCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
 	db := kv.Open(fl, hw.Cosmos(), lsm.DefaultConfig())
