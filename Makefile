@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-micro bench-check serve serve-smoke serve-determinism trace-smoke chaos chaos-slo
+.PHONY: all build vet lint test race bench bench-micro bench-check examples serve serve-smoke serve-determinism trace-smoke chaos chaos-slo
 
 all: build vet lint test
 
@@ -35,7 +35,7 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
-# The package microbenchmarks perf PRs cite (LSM scans, gets, memtable puts and
+# The package microbenchmarks perf PRs cite (LSM scans, gets, bulk loads and
 # SST builds, the JOB load, exec and expr kernels, timeline charges, the front
 # end: parse, fingerprint, plan, decide, shard planning), one iteration each (a
 # few seconds): a compile-and-run smoke so they cannot rot unseen, not a
@@ -49,6 +49,13 @@ bench-micro:
 # symbol the benchmark calls fails here, not in the benchmark run.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Every example under examples/, run end to end (a few seconds together):
+# building them is not enough to catch an example that fails at run time. The
+# tracing example writes trace.json, removed again here.
+examples:
+	for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
+	rm -f trace.json
 
 # The serving sweep: policy × concurrency throughput table.
 serve:

@@ -367,12 +367,13 @@ func TestEmptySystemUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var slab []byte
 	for i := int32(1); i <= 100; i++ {
-		if err := tbl.Insert([]table.Value{table.IntVal(i), table.StrVal("v")}); err != nil {
+		if slab, err = sch.AppendRow(slab, []table.Value{table.IntVal(i), table.StrVal("v")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Flush(); err != nil {
+	if err := tbl.BulkLoad(slab); err != nil {
 		t.Fatal(err)
 	}
 	if n := tbl.RowCount(); n != 100 {

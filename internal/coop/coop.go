@@ -165,8 +165,6 @@ type Executor struct {
 	Cat   *table.Catalog
 	DB    *kv.DB
 	Model hw.Model
-	// Chunks overrides the driving-table partition count (0 = auto).
-	Chunks int
 	// CacheFormat overrides the device cache-structure choice.
 	CacheFormat CacheFormat
 	// Metrics receives per-run counters/histograms (batches, transfer volume,
@@ -560,11 +558,7 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 	if err != nil {
 		return nil, err
 	}
-	chunks := x.Chunks
-	if chunks <= 0 {
-		chunks = device.DrivingChunks(x.Model, x.Cat, p)
-	}
-	cmd := &device.Command{Plan: p, SplitAfter: split, Snapshot: snap, Chunks: chunks}
+	cmd := &device.Command{Plan: p, SplitAfter: split, Snapshot: snap, Chunks: device.DrivingChunks(x.Model, x.Cat, p)}
 	mp := device.PlanMemory(x.Model, p, split)
 	inj := x.injectorFor(p, s)
 	hostTL := vclock.NewTimeline("host")

@@ -293,25 +293,3 @@ func TestCacheFormatOverride(t *testing.T) {
 		t.Fatal("pointer format must pay more buffer management (dereferencing)")
 	}
 }
-
-func TestChunksOverride(t *testing.T) {
-	opt, ex := env(t)
-	p, err := opt.BuildPlan(job.QueryByName("17b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { ex.Chunks = 0 }()
-	ex.Chunks = 2
-	few, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.Chunks = 32
-	many, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many.Result.RowCount != few.Result.RowCount {
-		t.Fatal("chunking changed the result")
-	}
-}

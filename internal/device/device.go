@@ -669,12 +669,3 @@ func (d *Device) Validate(cmd *Command) error {
 	}
 	return nil
 }
-
-// ResultWidthCols reports a human label for batches (debugging aid).
-func ResultWidthCols(p *exec.Plan, devSteps int) []string {
-	aliases := p.Aliases()
-	if devSteps < 0 {
-		return aliases[:1]
-	}
-	return aliases[:devSteps+1]
-}

@@ -42,25 +42,30 @@ func fixture(t testing.TB, nCustomers, nOrders int) *table.Catalog {
 		t.Fatal(err)
 	}
 	regions := []string{"north", "south", "east", "west"}
+	var slab []byte
 	for i := 1; i <= nCustomers; i++ {
-		if err := tc.Insert([]table.Value{
+		if slab, err = customers.AppendRow(slab, []table.Value{
 			table.IntVal(int32(i)), table.StrVal(regions[i%4]),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := tc.BulkLoad(slab); err != nil {
+		t.Fatal(err)
+	}
+	slab = slab[:0]
 	for i := 1; i <= nOrders; i++ {
 		amount := table.IntVal(int32(10 + i%100))
 		if i%13 == 0 {
 			amount = table.NullVal()
 		}
-		if err := to.Insert([]table.Value{
+		if slab, err = orders.AppendRow(slab, []table.Value{
 			table.IntVal(int32(i)), table.IntVal(int32(1 + i%nCustomers)), amount,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.FlushAll(); err != nil {
+	if err := to.BulkLoad(slab); err != nil {
 		t.Fatal(err)
 	}
 	return cat
@@ -490,13 +495,19 @@ func TestEngineReadsThroughViews(t *testing.T) {
 	ot, _ := cat.Table("orders")
 	frozen := map[string]*lsm.View{"orders": ot.Data.View()}
 
-	// Post-snapshot writes (update-aware NDP: invisible on device).
+	// A post-snapshot load (update-aware NDP: invisible on device). One load
+	// stays below MaxL1Files, so no compaction retires an SST the view holds.
+	var slab []byte
 	for i := int32(301); i <= 400; i++ {
-		if err := ot.Insert([]table.Value{
+		var err error
+		if slab, err = ot.Schema.AppendRow(slab, []table.Value{
 			table.IntVal(i), table.IntVal(1), table.IntVal(1),
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := ot.BulkLoad(slab); err != nil {
+		t.Fatal(err)
 	}
 
 	ap := AccessPath{Ref: query.TableRef{Alias: "o", Table: "orders"}}

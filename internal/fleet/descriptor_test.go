@@ -250,10 +250,14 @@ func smallCatalog(t *testing.T, rows int) *table.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var slab []byte
 	for i := 0; i < rows; i++ {
-		if err := tbl.Insert([]table.Value{table.IntVal(int32(3 * i))}); err != nil {
+		if slab, err = tbl.Schema.AppendRow(slab, []table.Value{table.IntVal(int32(3 * i))}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := tbl.BulkLoad(slab); err != nil {
+		t.Fatal(err)
 	}
 	return cat
 }

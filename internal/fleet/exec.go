@@ -95,9 +95,6 @@ type Executor struct {
 	Desc  *Descriptor
 	// Gate is the per-shard admission hook; nil admits every shard.
 	Gate Gate
-	// Chunks overrides the global driving-table chunk count (0 = auto); each
-	// shard gets its per-device share.
-	Chunks int
 	// BatchSize sets the columnar batch row capacity of every engine this
 	// executor builds (0 = exec.DefaultBatchSize); charges are byte-identical
 	// at every size.
@@ -122,7 +119,7 @@ type Executor struct {
 }
 
 // HedgeConfig tunes hedged shard execution: once a shard's device elapsed
-// virtual time exceeds Mult × the Quantile of the admitted shards' EstDevNs
+// virtual time exceeds Mult × the median of the admitted shards' EstDevNs
 // (optionally rescaled by the scheduler's EWMA device-calibration factor via
 // Scale), a host-native backup for that shard is launched at the threshold
 // instant, and the merge takes whichever side finishes first on the virtual
@@ -131,10 +128,7 @@ type Executor struct {
 type HedgeConfig struct {
 	// Enabled turns hedging on.
 	Enabled bool
-	// Quantile of the admitted shards' device estimates that anchors the
-	// threshold (0 = 0.5, the median).
-	Quantile float64
-	// Mult scales the quantile into the launch threshold (0 = 3): a shard
+	// Mult scales the median into the launch threshold (0 = 3): a shard
 	// must look Mult× slower than the typical shard estimate before the
 	// backup spends host work.
 	Mult float64
@@ -370,12 +364,9 @@ func (r *run) scatter() error {
 	if err != nil {
 		return err
 	}
-	chunks := r.x.Chunks
-	if chunks <= 0 {
-		chunks = device.DrivingChunks(r.x.Model, r.x.Cat, r.p)
-	}
-	// Each shard takes its per-device share (+1 so none rounds to zero).
-	chunks = chunks/len(r.shards) + 1
+	// Each shard takes its per-device share of the driving-table chunks (+1 so
+	// none rounds to zero).
+	chunks := device.DrivingChunks(r.x.Model, r.x.Cat, r.p)/len(r.shards) + 1
 	r.leaves = make(map[leafKey]device.Batch)
 	r.driving = make([][]device.Batch, len(r.a.DrivingParts))
 	for i := range r.shards {
@@ -496,7 +487,7 @@ func (r *run) decide(deadline vclock.Duration) {
 }
 
 // hedgeThreshold derives the virtual-time hedge launch threshold for this
-// run: Mult × the Quantile of the launched shards' device estimates, rescaled
+// run: Mult × the median of the launched shards' device estimates, rescaled
 // by the scheduler's learned device-calibration factor when wired. Anchoring
 // on the shard population's own estimates (rather than a fixed duration)
 // makes the threshold scale-free: a query whose shards are all expensive
@@ -517,11 +508,7 @@ func (r *run) hedgeThreshold() float64 {
 		return 0
 	}
 	sort.Float64s(ests)
-	q := h.Quantile
-	if q <= 0 || q > 1 {
-		q = 0.5
-	}
-	idx := int(q*float64(len(ests)-1) + 0.5)
+	median := ests[len(ests)/2] // the upper one of an even count
 	mult := h.Mult
 	if mult <= 0 {
 		mult = 3
@@ -532,7 +519,7 @@ func (r *run) hedgeThreshold() float64 {
 			scale = s
 		}
 	}
-	return mult * scale * ests[idx]
+	return mult * scale * median
 }
 
 // prebuild overlaps host prep with the devices' initial execution: the inner

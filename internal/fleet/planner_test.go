@@ -12,9 +12,9 @@ import (
 
 // TestDrivingFracsFollowStatistics: a table's per-device shares are counted
 // once per statistics object, equal the direct count, and are counted again
-// once an Insert has renewed the table's statistics.
+// once a load has renewed the table's statistics.
 func TestDrivingFracsFollowStatistics(t *testing.T) {
-	// A dataset of its own: the insert must not reach the other tests.
+	// A dataset of its own: the load must not reach the other tests.
 	ds, err := job.Load(0.004, hw.Cosmos())
 	if err != nil {
 		t.Fatal(err)
@@ -47,16 +47,20 @@ func TestDrivingFracsFollowStatistics(t *testing.T) {
 			row[i] = table.StrVal("x")
 		}
 	}
+	var slab []byte
 	for i := 0; i < 64; i++ { // enough rows in the last partition to move the sample
 		row[0] = table.IntVal(1<<30 + int32(i))
-		if err := kt.Insert(row); err != nil {
+		if slab, err = kt.Schema.AppendRow(slab, row); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := kt.BulkLoad(slab); err != nil {
+		t.Fatal(err)
 	}
 	st2 := kt.CollectStats()
 	after := desc.drivingFracs("keyword", st2)
 	if want := drivingFracs(st2.Sample, desc.Parts["keyword"], 4); !reflect.DeepEqual(after, want) {
-		t.Fatalf("shares after the insert %v, direct count %v", after, want)
+		t.Fatalf("shares after the load %v, direct count %v", after, want)
 	}
 	if reflect.DeepEqual(after, first) {
 		t.Fatalf("shares did not move with the statistics: %v", after)

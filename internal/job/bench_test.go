@@ -10,7 +10,7 @@ import (
 // BenchmarkLoad generates and loads the JOB dataset — the whole write path:
 // row generation and encoding, the bulk load's segment sorts, SST and Bloom
 // builds, compaction and statistics collection. At scale 0.01 every column
-// family fits one memtable's worth; at 0.05 the largest (cast_info's) cut into
+// family fits one segment; at 0.05 the largest (cast_info's) cut into
 // several SSTs.
 func BenchmarkLoad(b *testing.B) {
 	for _, scale := range []float64{0.01, 0.05} {

@@ -57,8 +57,7 @@ func Load(scale float64, m hw.Model) (*Dataset, error) {
 	return LoadSeeded(scale, m, DefaultSeed)
 }
 
-// LoadSeeded is Load with an explicit generation seed, threaded through both
-// the row generator and the LSM memtable height RNGs. Seed 0 means
+// LoadSeeded is Load with an explicit seed for the row generator. Seed 0 means
 // DefaultSeed.
 func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 	if scale <= 0 {
@@ -68,9 +67,7 @@ func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 		seed = DefaultSeed
 	}
 	fl := flash.New(m, 0)
-	lsmCfg := lsm.DefaultConfig()
-	lsmCfg.Seed = seed
-	db := kv.Open(fl, m, lsmCfg)
+	db := kv.Open(fl, m, lsm.DefaultConfig())
 	cat := table.NewCatalog(db)
 	for _, s := range Schemas() {
 		if _, err := cat.CreateTable(s); err != nil {
@@ -115,10 +112,9 @@ type gen struct {
 	// single rng stream in the exact order the sequential loader used and
 	// encodes the rows into one slab per table; phase 2 bulk-loads the slabs
 	// across worker goroutines and collects each table's statistics. Tables
-	// are independent — each owns its LSM trees, and memtable seeds derive
-	// per-tree from the base seed — so the loaded contents are bit-for-bit
-	// identical to a sequential load regardless of worker interleaving; only
-	// wall-clock time changes.
+	// are independent — each owns its LSM trees — so the loaded contents are
+	// bit-for-bit identical to a sequential load regardless of worker
+	// interleaving; only wall-clock time changes.
 	buf    []*tableBuf
 	bufIdx map[string]*tableBuf // table name → its slab
 }

@@ -2,9 +2,9 @@
 // of named column families, each backed by its own LSM tree (as in
 // RocksDB/MyRocks where every DB object and every secondary index is a
 // separate column family), plus the shared-state snapshot mechanism that
-// ships un-flushed C0 contents and the physical SST placement map alongside
-// every NDP invocation, so the device can process a transactionally
-// consistent snapshot without host interaction.
+// ships the physical SST placement map alongside every NDP invocation, so the
+// device can process a transactionally consistent snapshot without host
+// interaction.
 package kv
 
 import (
@@ -81,18 +81,6 @@ func (db *DB) ColumnFamilies() []string {
 	return names
 }
 
-// FlushAll flushes every column family's memtables to SSTs.
-func (db *DB) FlushAll() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, cf := range db.cfs {
-		if err := cf.tree.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ColumnFamily is one logically partitioned key space with its own LSM tree.
 type ColumnFamily struct {
 	name string
@@ -102,14 +90,8 @@ type ColumnFamily struct {
 // Name reports the family's name.
 func (cf *ColumnFamily) Name() string { return cf.name }
 
-// Put stores a key/value pair.
-func (cf *ColumnFamily) Put(key, value []byte) error { return cf.tree.Put(key, value) }
-
 // BulkLoad writes entries straight to SSTs (see lsm.Tree.BulkLoad).
 func (cf *ColumnFamily) BulkLoad(entries []lsm.Entry) error { return cf.tree.BulkLoad(entries) }
-
-// Delete removes a key.
-func (cf *ColumnFamily) Delete(key []byte) error { return cf.tree.Delete(key) }
 
 // Get retrieves the value for key, charging the access.
 func (cf *ColumnFamily) Get(key []byte, ac lsm.Access) ([]byte, bool, error) {
@@ -127,9 +109,6 @@ func (cf *ColumnFamily) ScanInto(it *lsm.TreeIter, lo, hi []byte, ac lsm.Access)
 	cf.tree.ScanInto(it, lo, hi, ac)
 }
 
-// Flush forces memtables out to C1.
-func (cf *ColumnFamily) Flush() error { return cf.tree.Flush() }
-
 // Stats reports LSM statistics for the optimizer.
 func (cf *ColumnFamily) Stats() lsm.Stats { return cf.tree.Stats() }
 
@@ -141,12 +120,11 @@ func (cf *ColumnFamily) Placement() []lsm.LevelInfo { return cf.tree.Placement()
 // (update-aware NDP: what the device reads after an invocation).
 func (cf *ColumnFamily) View() *lsm.View { return cf.tree.View() }
 
-// CFSnapshot is the per-object part of the shared state: the un-flushed C0
-// contents plus the physical placement of all SSTs of the object, and the
-// frozen view the device-side engine reads through.
+// CFSnapshot is the per-object part of the shared state: the physical
+// placement of all SSTs of the object, and the frozen view the device-side
+// engine reads through.
 type CFSnapshot struct {
 	Name      string
-	MemState  []lsm.Entry
 	Placement []lsm.LevelInfo
 	View      *lsm.View
 }
@@ -155,9 +133,6 @@ type CFSnapshot struct {
 // as NDP command payload when the invocation crosses the interconnect.
 func (s CFSnapshot) Bytes() int64 {
 	var n int64 = 64
-	for _, e := range s.MemState {
-		n += int64(len(e.Key)+len(e.Value)) + 3
-	}
 	for _, li := range s.Placement {
 		n += 8
 		for _, sst := range li.SSTs {
@@ -183,16 +158,12 @@ func (db *DB) TakeSnapshot(names []string) (*Snapshot, error) {
 		}
 		snap.CFs[n] = CFSnapshot{
 			Name:      n,
-			MemState:  cf.MemContents(),
 			Placement: cf.Placement(),
 			View:      cf.View(),
 		}
 	}
 	return snap, nil
 }
-
-// MemContents exposes the un-flushed C0 state captured by snapshots.
-func (cf *ColumnFamily) MemContents() []lsm.Entry { return cf.tree.MemContents() }
 
 // Bytes estimates the serialized snapshot size.
 func (s *Snapshot) Bytes() int64 {

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hybridndp/internal/flash"
@@ -40,12 +41,33 @@ func TestColumnFamilyLifecycle(t *testing.T) {
 	}
 }
 
+// load bulk-loads key/value pairs, a nil value standing for a tombstone.
+func load(t *testing.T, cf *ColumnFamily, kvs ...string) {
+	t.Helper()
+	var entries []lsm.Entry
+	for i := 0; i < len(kvs); i += 2 {
+		entries = append(entries, lsm.Entry{Key: []byte(kvs[i]), Value: []byte(kvs[i+1]), Tombstone: kvs[i+1] == ""})
+	}
+	if err := cf.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// numbered returns key/value pairs fmt.Sprintf(format, i) → value for i < n.
+func numbered(format string, n int, value string) []string {
+	var kvs []string
+	for i := 0; i < n; i++ {
+		kvs = append(kvs, fmt.Sprintf(format, i), value)
+	}
+	return kvs
+}
+
 func TestCFIsolation(t *testing.T) {
 	db := testDB()
 	a, _ := db.CreateColumnFamily("a")
 	b, _ := db.CreateColumnFamily("b")
-	a.Put([]byte("k"), []byte("va"))
-	b.Put([]byte("k"), []byte("vb"))
+	load(t, a, "k", "va")
+	load(t, b, "k", "vb")
 	va, ok, _ := a.Get([]byte("k"), lsm.Access{})
 	if !ok || !bytes.Equal(va, []byte("va")) {
 		t.Fatal("CF a corrupted")
@@ -54,7 +76,7 @@ func TestCFIsolation(t *testing.T) {
 	if !ok || !bytes.Equal(vb, []byte("vb")) {
 		t.Fatal("CF b corrupted")
 	}
-	a.Delete([]byte("k"))
+	load(t, a, "k", "")
 	if _, ok, _ := a.Get([]byte("k"), lsm.Access{}); ok {
 		t.Fatal("delete in a failed")
 	}
@@ -63,25 +85,17 @@ func TestCFIsolation(t *testing.T) {
 	}
 }
 
-func TestFlushAllAndStats(t *testing.T) {
+func TestBulkLoadAndStats(t *testing.T) {
 	db := testDB()
 	cf, _ := db.CreateColumnFamily("x")
-	for i := 0; i < 1000; i++ {
-		cf.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v"))
-	}
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
+	load(t, cf, numbered("k%06d", 1000, "v")...)
 	st := cf.Stats()
 	if st.Entries < 1000 || st.SSTs == 0 {
-		t.Fatalf("stats after flush: %+v", st)
+		t.Fatalf("stats after load: %+v", st)
 	}
 	pl := cf.Placement()
-	if len(pl) < 2 || pl[0].Level != 0 {
+	if len(pl) < 2 || pl[0].Level != 0 || len(pl[0].SSTs) != 0 {
 		t.Fatalf("placement: %+v", pl)
-	}
-	if pl[0].MemEntries != 0 {
-		t.Fatal("flush left memtable entries behind")
 	}
 	n := 0
 	for it := cf.Scan(nil, nil, lsm.Access{}); it.Valid(); it.Next() {
@@ -92,36 +106,31 @@ func TestFlushAllAndStats(t *testing.T) {
 	}
 }
 
+// TestSnapshotCapturesSharedState: a snapshot carries the placement map and a
+// view that later loads do not reach (update-aware NDP). The later load stays
+// below MaxL1Files, so no compaction retires an SST the view holds.
 func TestSnapshotCapturesSharedState(t *testing.T) {
 	db := testDB()
 	cf, _ := db.CreateColumnFamily("obj")
-	for i := 0; i < 100; i++ {
-		cf.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("flushed"))
-	}
-	cf.Flush()
-	// Un-flushed modifications land in C0 and must appear in the snapshot.
-	cf.Put([]byte("hot1"), []byte("v1"))
-	cf.Delete([]byte("k005"))
+	load(t, cf, numbered("k%03d", 100, "loaded")...)
 
 	snap, err := db.TakeSnapshot([]string{"obj"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	load(t, cf, "hot1", "v1", "k005", "")
 	s := snap.CFs["obj"]
 	if s.Name != "obj" {
 		t.Fatal("snapshot name")
 	}
-	foundHot, foundTomb := false, false
-	for _, e := range s.MemState {
-		if bytes.Equal(e.Key, []byte("hot1")) && !e.Tombstone {
-			foundHot = true
-		}
-		if bytes.Equal(e.Key, []byte("k005")) && e.Tombstone {
-			foundTomb = true
-		}
+	if _, ok, _ := s.View.Get([]byte("hot1"), lsm.Access{}); ok {
+		t.Fatal("snapshot view saw a later load")
 	}
-	if !foundHot || !foundTomb {
-		t.Fatalf("shared state incomplete: hot=%v tombstone=%v", foundHot, foundTomb)
+	if v, ok, _ := s.View.Get([]byte("k005"), lsm.Access{}); !ok || string(v) != "loaded" {
+		t.Fatalf("snapshot view saw a later tombstone: %q %v", v, ok)
+	}
+	if _, ok, _ := cf.Get([]byte("k005"), lsm.Access{}); ok {
+		t.Fatal("live family missed the later tombstone")
 	}
 	if len(s.Placement) < 2 {
 		t.Fatal("snapshot missing placement map")
@@ -137,13 +146,11 @@ func TestSnapshotCapturesSharedState(t *testing.T) {
 func TestSnapshotBytesGrowWithState(t *testing.T) {
 	db := testDB()
 	cf, _ := db.CreateColumnFamily("obj")
-	cf.Put([]byte("a"), []byte("1"))
+	load(t, cf, "a", "1")
 	small, _ := db.TakeSnapshot([]string{"obj"})
-	for i := 0; i < 500; i++ {
-		cf.Put([]byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("x"), 50))
-	}
+	load(t, cf, numbered("k%04d", 500, strings.Repeat("x", 50))...)
 	big, _ := db.TakeSnapshot([]string{"obj"})
 	if big.Bytes() <= small.Bytes() {
-		t.Fatal("snapshot size must grow with un-flushed state")
+		t.Fatal("snapshot size must grow with the placement map")
 	}
 }

@@ -13,50 +13,10 @@ func loadedTree(b *testing.B, n int) *Tree {
 	b.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
 	cfg := DefaultConfig()
-	cfg.MemTableBytes = 64 << 10
+	cfg.SegmentBytes = 64 << 10
 	tr := NewTree(fl, cfg)
-	for i := 0; i < n; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tr.Flush(); err != nil {
-		b.Fatal(err)
-	}
+	load(b, tr, entriesOf(span(0, n, 1), nil))
 	return tr
-}
-
-// BenchmarkMemTablePut inserts keys in ascending order (a data column family
-// under load: the tail fast path) and in random order (a secondary index: a
-// full skiplist search per put). A fresh memtable starts every 1<<16 puts,
-// about the entry count a 4 MiB memtable holds.
-func BenchmarkMemTablePut(b *testing.B) {
-	const n = 1 << 16
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	value := make([]byte, 40)
-	for _, order := range []string{"ascending", "random"} {
-		b.Run(order, func(b *testing.B) {
-			ks := keys
-			if order == "random" {
-				ks = make([][]byte, n)
-				for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
-					ks[i] = keys[j]
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var m *MemTable
-			for i := 0; i < b.N; i++ {
-				if i%n == 0 {
-					m = NewMemTable()
-				}
-				m.Put(ks[i%n], value)
-			}
-		})
-	}
 }
 
 // BenchmarkBuildSST encodes and writes one 20,000-entry SST (about 0.6 MB)
@@ -80,41 +40,16 @@ func BenchmarkBuildSST(b *testing.B) {
 }
 
 // BenchmarkBulkLoad loads 200,000 unique keys in random order — a secondary
-// index's arrival order — into an empty default-config tree, one op per
-// load: Put per key then Flush, or one BulkLoad. Both store the same bytes.
+// index's arrival order — into an empty default-config tree, one load per op.
 func BenchmarkBulkLoad(b *testing.B) {
 	const n = 200_000
 	entries := make([]Entry, n)
 	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
 		entries[i] = Entry{Key: key(j), Value: val(j)}
 	}
-	for _, mode := range []string{"put", "bulk"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr := NewTree(flash.New(hw.Cosmos(), 0), DefaultConfig())
-				if mode == "bulk" {
-					if err := tr.BulkLoad(entries); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					putThenFlush(b, tr, entries)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTreePut(b *testing.B) {
-	fl := flash.New(hw.Cosmos(), 0)
-	cfg := DefaultConfig()
-	cfg.MemTableBytes = 256 << 10
-	tr := NewTree(fl, cfg)
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
-			b.Fatal(err)
-		}
+		load(b, NewTree(flash.New(hw.Cosmos(), 0), DefaultConfig()), entries)
 	}
 }
 

@@ -3,41 +3,34 @@ package lsm
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
 
 // BulkLoad writes entries straight into C1 SSTs, the way MyRocks loads a table
-// in bulk: no memtable, one sort per memtable's worth of input. The result —
-// every SST byte, where each file sits, every flash counter, the memtable seed
-// a later Put gets — is that of Put for each entry in slice order (Delete for a
-// tombstone, whose Value is ignored) followed by Flush.
+// in bulk: one sort per segment of input, no memtable. It is the only way data
+// enters a tree. A tombstone's Value is ignored; the later of two loads wins
+// for a key both hold.
 //
-// The entries are cut where the memtable would rotate. By the ByteSize rule a
-// segment ends at the entry that brings len(key)+len(value)+48, summed over
-// the segment, to MemTableBytes or beyond; the last, partial segment is what
-// Flush writes. Each segment becomes one SST followed by the compaction step a
-// flush runs, so compactions fire at the same points. (The other rotation
-// trigger, an arena out of chunk indexes, needs gigabytes in one memtable.)
+// The entries are cut into segments by the ByteSize rule: a segment ends at the
+// entry that brings len(key)+len(value)+48, summed over the segment, to
+// SegmentBytes or beyond. Each segment becomes one SST followed by the
+// compaction step, and a load whose last segment is full (or that is empty)
+// runs one more compaction step. These cut points fix every SST boundary, so
+// they must not move: the digest tables in bulk_test.go pin the stored bytes.
 //
-// Only input the Put path would store the same way is accepted: BulkLoad
-// refuses a tree whose memtables hold entries and a key repeated within one
-// segment (an overwrite inside a memtable), and it does so before writing
-// anything. A key repeated across segments is fine: the later SST shadows the
-// earlier one, as the later memtable would. entries is not reordered; keys and
-// values are copied into the SSTs.
+// BulkLoad refuses a key repeated within one segment, before writing anything.
+// A key repeated across segments is fine: the later SST shadows the earlier
+// one. entries is not reordered; keys and values are copied into the SSTs.
 func (t *Tree) BulkLoad(entries []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n := t.memLenLocked(); n > 0 {
-		return fmt.Errorf("lsm: bulk load into a tree holding %d memtable entries", n)
-	}
-	segs, order, err := cutSegments(entries, t.cfg.MemTableBytes)
+	segs, order, err := cutSegments(entries, t.cfg.SegmentBytes)
 	if err != nil {
 		return err
 	}
 	for _, s := range segs {
-		t.mem = t.newMemTableLocked() // the memtable the Put path would rotate to
 		w := newSSTWriter(s.hi-s.lo, s.encBytes, s.maxKey)
 		for i := s.lo; i < s.hi; i++ {
 			e := entries[i]
@@ -59,17 +52,17 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 		}
 	}
 	if len(segs) == 0 || segs[len(segs)-1].full {
-		return t.compactLocked() // Flush with an empty memtable still compacts
+		return t.compactLocked()
 	}
 	return nil
 }
 
-// bulkSegment is entries[lo:hi], one memtable's worth of BulkLoad input.
+// bulkSegment is entries[lo:hi], one SST's worth of BulkLoad input.
 type bulkSegment struct {
 	lo, hi   int
 	sorted   bool  // arrived in key order; otherwise order[lo:hi] gives it
-	full     bool  // reached MemTableBytes: a rotation rather than the final Flush
-	encBytes int64 // SST data-block bytes, as MemTable.encBytes counts them
+	full     bool  // reached SegmentBytes
+	encBytes int64 // SST data-block bytes (see encodedLen)
 	maxKey   int
 }
 
@@ -84,13 +77,13 @@ type bulkKey struct {
 // order[lo:hi] holds the segment's sort handles in key order (order is nil
 // when no segment needs it). A key repeated within a segment is an error
 // naming the key.
-func cutSegments(entries []Entry, memBytes int64) ([]bulkSegment, []bulkKey, error) {
+func cutSegments(entries []Entry, segBytes int64) ([]bulkSegment, []bulkKey, error) {
 	var segs []bulkSegment
 	var order []bulkKey
 	for lo := 0; lo < len(entries); {
 		s := bulkSegment{lo: lo, hi: lo, sorted: true}
 		var size int64
-		for s.hi < len(entries) && size < memBytes {
+		for s.hi < len(entries) && size < segBytes {
 			e := &entries[s.hi]
 			vlen := len(e.Value)
 			if e.Tombstone {
@@ -109,7 +102,7 @@ func cutSegments(entries []Entry, memBytes int64) ([]bulkSegment, []bulkKey, err
 			s.maxKey = max(s.maxKey, len(e.Key))
 			s.hi++
 		}
-		s.full = size >= memBytes
+		s.full = size >= segBytes
 		if !s.sorted {
 			if order == nil {
 				order = make([]bulkKey, len(entries))
@@ -136,6 +129,18 @@ func cutSegments(entries []Entry, memBytes int64) ([]bulkSegment, []bulkKey, err
 	return segs, order, nil
 }
 
+// keyPrefix is the big-endian word of the key's first 8 bytes, zero-padded.
+// Unequal prefixes order two keys as bytes.Compare does; equal ones say
+// nothing (they tie "a" with "a\x00").
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
 func duplicateKey(key []byte) error {
-	return fmt.Errorf("lsm: bulk load: key %q repeats within one memtable's worth of entries", key)
+	return fmt.Errorf("lsm: bulk load: key %q repeats within one segment", key)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,64 +18,53 @@ func testFlash() *flash.Flash { return flash.New(hw.Cosmos(), 0) }
 func key(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
 
-func TestMemTableBasic(t *testing.T) {
-	m := NewMemTable()
-	for i := 0; i < 1000; i++ {
-		m.Put(key(i), val(i))
-	}
-	if m.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", m.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		e, ok := m.Get(key(i))
-		if !ok || !bytes.Equal(e.Value, val(i)) {
-			t.Fatalf("Get(%d) = %q,%v", i, e.Value, ok)
+// entriesOf returns key(i)→value for each i in order; value nil means val(i).
+func entriesOf(keys []int, value []byte) []Entry {
+	out := make([]Entry, len(keys))
+	for j, i := range keys {
+		v := value
+		if v == nil {
+			v = val(i)
 		}
+		out[j] = Entry{Key: key(i), Value: v}
 	}
-	if _, ok := m.Get([]byte("missing")); ok {
-		t.Fatal("Get(missing) should not find an entry")
+	return out
+}
+
+// span returns lo, lo+step, … below hi.
+func span(lo, hi, step int) []int {
+	var out []int
+	for i := lo; i < hi; i += step {
+		out = append(out, i)
+	}
+	return out
+}
+
+// load bulk-loads entries into tr, failing the test on error.
+func load(tb testing.TB, tr *Tree, entries []Entry) {
+	tb.Helper()
+	if err := tr.BulkLoad(entries); err != nil {
+		tb.Fatal(err)
 	}
 }
 
-func TestMemTableOverwriteAndDelete(t *testing.T) {
-	m := NewMemTable()
-	m.Put([]byte("a"), []byte("1"))
-	m.Put([]byte("a"), []byte("2"))
-	if m.Len() != 1 {
-		t.Fatalf("overwrite should not grow table: Len = %d", m.Len())
-	}
-	e, ok := m.Get([]byte("a"))
-	if !ok || string(e.Value) != "2" {
-		t.Fatalf("Get(a) = %q,%v, want 2,true", e.Value, ok)
-	}
-	m.Delete([]byte("a"))
-	e, ok = m.Get([]byte("a"))
-	if !ok || !e.Tombstone {
-		t.Fatalf("delete should leave a tombstone, got %+v %v", e, ok)
-	}
-}
+// pending is a bulk load being assembled from single-key operations: the last
+// operation per key wins, and a delete becomes a tombstone.
+type pending map[string]Entry
 
-func TestMemTableIterOrder(t *testing.T) {
-	m := NewMemTable()
-	perm := rand.New(rand.NewSource(1)).Perm(500)
-	for _, i := range perm {
-		m.Put(key(i), val(i))
+func (p pending) put(k, v []byte) { p[string(k)] = Entry{Key: k, Value: v} }
+func (p pending) del(k []byte)    { p[string(k)] = Entry{Key: k, Tombstone: true} }
+
+// load bulk-loads the pending entries in key order and empties p.
+func (p pending) load(tb testing.TB, tr *Tree) {
+	tb.Helper()
+	entries := make([]Entry, 0, len(p))
+	for _, e := range p {
+		entries = append(entries, e)
 	}
-	i := 0
-	for it := m.Iter(nil); it.Valid(); it.Next() {
-		if !bytes.Equal(it.Entry().Key, key(i)) {
-			t.Fatalf("iter position %d = %q, want %q", i, it.Entry().Key, key(i))
-		}
-		i++
-	}
-	if i != 500 {
-		t.Fatalf("iterated %d entries, want 500", i)
-	}
-	// Start mid-range.
-	it := m.Iter(key(250))
-	if !it.Valid() || !bytes.Equal(it.Entry().Key, key(250)) {
-		t.Fatalf("Iter(key250) starts at %q", it.Entry().Key)
-	}
+	slices.SortFunc(entries, func(a, b Entry) int { return bytes.Compare(a.Key, b.Key) })
+	load(tb, tr, entries)
+	clear(p)
 }
 
 func TestSSTRoundTrip(t *testing.T) {
@@ -182,7 +172,7 @@ func TestBuildSSTRejectsUnsorted(t *testing.T) {
 
 func smallTree(fl *flash.Flash) *Tree {
 	return NewTree(fl, Config{
-		MemTableBytes:  8 << 10,
+		SegmentBytes:   8 << 10,
 		MaxL1Files:     4,
 		LevelRatio:     4,
 		BaseLevelBytes: 64 << 10,
@@ -193,11 +183,7 @@ func TestTreeGetAcrossLevels(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
 	const n = 5000
-	for i := 0; i < n; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, tr, entriesOf(span(0, n, 1), nil))
 	st := tr.Stats()
 	if st.SSTs == 0 || st.Levels < 2 {
 		t.Fatalf("expected multi-level tree, got %+v", st)
@@ -219,14 +205,9 @@ func TestTreeGetAcrossLevels(t *testing.T) {
 func TestTreeUpdateShadowsOldVersions(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	for i := 0; i < 3000; i++ {
-		tr.Put(key(i), val(i))
-	}
-	tr.Flush()
+	load(t, tr, entriesOf(span(0, 3000, 1), nil))
 	// Update a subset; new versions land above the old ones.
-	for i := 0; i < 3000; i += 7 {
-		tr.Put(key(i), []byte("updated"))
-	}
+	load(t, tr, entriesOf(span(0, 3000, 7), []byte("updated")))
 	for i := 0; i < 3000; i++ {
 		v, ok, err := tr.Get(key(i), Access{})
 		if err != nil || !ok {
@@ -245,13 +226,12 @@ func TestTreeUpdateShadowsOldVersions(t *testing.T) {
 func TestTreeDeleteMasksLowerLevels(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	for i := 0; i < 2000; i++ {
-		tr.Put(key(i), val(i))
+	load(t, tr, entriesOf(span(0, 2000, 1), nil))
+	tombs := entriesOf(span(0, 2000, 3), nil)
+	for i := range tombs {
+		tombs[i].Tombstone = true
 	}
-	tr.Flush()
-	for i := 0; i < 2000; i += 3 {
-		tr.Delete(key(i))
-	}
+	load(t, tr, tombs)
 	for i := 0; i < 2000; i++ {
 		_, ok, _ := tr.Get(key(i), Access{})
 		if i%3 == 0 && ok {
@@ -278,10 +258,7 @@ func TestTreeDeleteMasksLowerLevels(t *testing.T) {
 func TestTreeScanRangeAndOrder(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	perm := rand.New(rand.NewSource(7)).Perm(4000)
-	for _, i := range perm {
-		tr.Put(key(i), val(i))
-	}
+	load(t, tr, entriesOf(rand.New(rand.NewSource(7)).Perm(4000), nil))
 	lo, hi := key(1234), key(2345)
 	var prev []byte
 	n := 0
@@ -301,46 +278,22 @@ func TestTreeScanRangeAndOrder(t *testing.T) {
 	}
 }
 
-func TestTreeScanSeesMemtableOverSST(t *testing.T) {
-	fl := testFlash()
-	tr := smallTree(fl)
-	for i := 0; i < 100; i++ {
-		tr.Put(key(i), val(i))
-	}
-	tr.Flush()
-	tr.Put(key(50), []byte("fresh")) // stays in C0
-	found := false
-	for it := tr.Scan(key(50), key(51), Access{}); it.Valid(); it.Next() {
-		found = true
-		if string(it.Entry().Value) != "fresh" {
-			t.Fatalf("scan returned stale value %q", it.Entry().Value)
-		}
-	}
-	if !found {
-		t.Fatal("scan missed key 50")
-	}
-}
-
-// TestScanDuringPutIsRaceFree drains full scans while another goroutine puts
-// keys into the mutable memtable. A scan must not walk that memtable after it
-// released the tree's read lock; `go test -race` (make race) reports it if it
-// does. Every scan sees all flushed keys, in order.
-func TestScanDuringPutIsRaceFree(t *testing.T) {
-	const flushed = 1000
-	tr := NewTree(testFlash(), DefaultConfig())
-	for i := 0; i < flushed; i++ {
-		if err := tr.Put(key(2*i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
+// TestScanDuringBulkLoadIsRaceFree drains full scans while another goroutine
+// bulk-loads keys. A scan reads the tree's level lists only under its read
+// lock; `go test -race` (make race) reports it if it does not. Every scan sees
+// all keys of the first load, in order. C1 never overflows here, so no
+// compaction retires an SST a scan is reading.
+func TestScanDuringBulkLoadIsRaceFree(t *testing.T) {
+	const first, loads = 1000, 50
+	cfg := DefaultConfig()
+	cfg.MaxL1Files = loads + 1
+	tr := NewTree(testFlash(), cfg)
+	load(t, tr, entriesOf(span(0, 2*first, 2), nil))
 	done := make(chan error, 1)
 	go func() {
 		var err error
-		for i := 0; i < 20*flushed && err == nil; i++ {
-			err = tr.Put(key(2*(i%flushed)+1), val(i)) // stays in C0: far below the flush threshold
+		for i := 0; i < loads && err == nil; i++ {
+			err = tr.BulkLoad(entriesOf(span(2*i+1, 2*first, 2*loads), []byte("later")))
 		}
 		done <- err
 	}()
@@ -366,8 +319,8 @@ func TestScanDuringPutIsRaceFree(t *testing.T) {
 				even++
 			}
 		}
-		if it.Err() != nil || even != flushed {
-			t.Fatalf("scan saw %d of %d flushed keys (err %v)", even, flushed, it.Err())
+		if it.Err() != nil || even != first {
+			t.Fatalf("scan saw %d of %d first-load keys (err %v)", even, first, it.Err())
 		}
 	}
 }
@@ -375,17 +328,15 @@ func TestScanDuringPutIsRaceFree(t *testing.T) {
 func TestTreePlacement(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	for i := 0; i < 4000; i++ {
-		tr.Put(key(i), val(i))
-	}
+	load(t, tr, entriesOf(span(0, 4000, 1), nil))
 	pl := tr.Placement()
 	if len(pl) < 2 {
 		t.Fatalf("placement has %d levels", len(pl))
 	}
-	if pl[0].Level != 0 {
-		t.Fatal("placement must start at C0")
+	if pl[0].Level != 0 || len(pl[0].SSTs) != 0 {
+		t.Fatal("placement must start at an empty C0")
 	}
-	total := pl[0].MemEntries
+	total := 0
 	for _, li := range pl[1:] {
 		for _, s := range li.SSTs {
 			if s.Count <= 0 || s.DataBytes <= 0 {
@@ -441,23 +392,29 @@ func TestBloomProperties(t *testing.T) {
 }
 
 func TestTreePropertyRandomOps(t *testing.T) {
-	// Model-based test: tree behaves like a map under random put/delete.
+	// Model-based test: tree behaves like a map under random put/delete,
+	// bulk-loaded in batches of random size.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		fl := testFlash()
 		tr := smallTree(fl)
 		model := map[string]string{}
+		batch := pending{}
 		for op := 0; op < 2000; op++ {
 			k := fmt.Sprintf("k%04d", rng.Intn(300))
 			if rng.Intn(4) == 0 {
-				tr.Delete([]byte(k))
+				batch.del([]byte(k))
 				delete(model, k)
 			} else {
 				v := fmt.Sprintf("v%d", op)
-				tr.Put([]byte(k), []byte(v))
+				batch.put([]byte(k), []byte(v))
 				model[k] = v
 			}
+			if rng.Intn(100) == 0 {
+				batch.load(t, tr)
+			}
 		}
+		batch.load(t, tr)
 		for k, v := range model {
 			got, ok, err := tr.Get([]byte(k), Access{})
 			if err != nil || !ok || string(got) != v {
@@ -481,9 +438,7 @@ func TestTreePropertyRandomOps(t *testing.T) {
 func TestMergeIterChargesComparisons(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	for i := 0; i < 3000; i++ {
-		tr.Put(key(i), val(i))
-	}
+	load(t, tr, entriesOf(span(0, 3000, 1), nil))
 	tl := vclock.NewTimeline("host")
 	ac := Access{TL: tl, R: hw.HostRates(hw.Cosmos())}
 	for it := tr.Scan(nil, nil, ac); it.Valid(); it.Next() {

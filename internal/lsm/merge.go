@@ -2,44 +2,14 @@ package lsm
 
 import "bytes"
 
-// mergeSource abstracts memtable and SST iterators for the k-way merge.
-// Sources are ordered newest (age 0) to oldest; on equal keys the youngest
-// source wins, which implements the "most recent version shadows lower
-// levels" rule of the LSM read path.
-type mergeSource interface {
-	valid() bool
-	entry() Entry
-	next()
-	err() error
-}
-
-type memSource struct{ it MemIter }
-
-func (s *memSource) valid() bool  { return s.it.Valid() }
-func (s *memSource) entry() Entry { return s.it.Entry() }
-func (s *memSource) next()        { s.it.Next() }
-func (s *memSource) err() error   { return nil }
-
-type sstSource struct{ it SSTIter }
-
-// newSSTSource opens an uncharged source over all of s (compaction).
-func newSSTSource(s *SST) *sstSource {
-	src := &sstSource{}
-	src.it.init(s, nil, Access{})
-	return src
-}
-
-func (s *sstSource) valid() bool  { return s.it.Valid() }
-func (s *sstSource) entry() Entry { return s.it.Entry() }
-func (s *sstSource) next()        { s.it.Next() }
-func (s *sstSource) err() error   { return s.it.Err() }
-
-// mergeIter merges k sources with newest-wins deduplication. It maintains a
-// binary min-heap ordered by (key, age); each heap comparison is charged to
-// the access as an internal-key comparison (paper Table 4: "compare internal
-// keys"), batched per Next call.
+// mergeIter merges k SST iterators with newest-wins deduplication. Sources
+// are ordered newest (age 0) to oldest; on equal keys the youngest source
+// wins, which implements the "most recent version shadows lower levels" rule
+// of the LSM read path. It maintains a binary min-heap ordered by (key, age);
+// each heap comparison is charged to the access as an internal-key comparison
+// (paper Table 4: "compare internal keys"), batched per Next call.
 type mergeIter struct {
-	srcs     []mergeSource // heap, indexed
+	srcs     []*SSTIter // heap, indexed
 	ages     []int
 	ac       Access
 	keepTomb bool
@@ -54,13 +24,13 @@ type mergeIter struct {
 // on the first entry. Nothing of a previous merge survives but the heap's
 // capacity: its pending comparison charges are dropped, as an abandoned
 // iterator's are.
-func (m *mergeIter) init(srcs []mergeSource, ac Access, keepTombstones bool) {
+func (m *mergeIter) init(srcs []*SSTIter, ac Access, keepTombstones bool) {
 	*m = mergeIter{srcs: m.srcs[:0], ages: m.ages[:0], ac: ac, keepTomb: keepTombstones}
 	for age, s := range srcs {
-		if s.err() != nil {
-			m.failed = s.err()
+		if s.Err() != nil {
+			m.failed = s.Err()
 		}
-		if s.valid() {
+		if s.Valid() {
 			m.srcs = append(m.srcs, s)
 			m.ages = append(m.ages, age)
 		}
@@ -72,7 +42,7 @@ func (m *mergeIter) init(srcs []mergeSource, ac Access, keepTombstones bool) {
 }
 
 func (m *mergeIter) less(i, j int) bool {
-	a, b := m.srcs[i].entry().Key, m.srcs[j].entry().Key
+	a, b := m.srcs[i].Entry().Key, m.srcs[j].Entry().Key
 	c := bytes.Compare(a, b)
 	n := len(a)
 	if len(b) < n {
@@ -121,32 +91,32 @@ func (m *mergeIter) popTopKey() (Entry, bool) {
 		// one-element heap never calls less(), so no comparison charge is
 		// skipped here either.
 		s := m.srcs[0]
-		e := s.entry()
-		s.next()
-		if s.err() != nil {
-			m.failed = s.err()
+		e := s.Entry()
+		s.Next()
+		if s.Err() != nil {
+			m.failed = s.Err()
 		}
-		if !s.valid() {
+		if !s.Valid() {
 			m.srcs = m.srcs[:0]
 			m.ages = m.ages[:0]
 		}
 		return e, true
 	}
-	top := m.srcs[0].entry()
+	top := m.srcs[0].Entry()
 	key := top.Key
 	best := top
 	bestAge := m.ages[0]
-	for len(m.srcs) > 0 && bytes.Equal(m.srcs[0].entry().Key, key) {
+	for len(m.srcs) > 0 && bytes.Equal(m.srcs[0].Entry().Key, key) {
 		if m.ages[0] < bestAge {
-			best = m.srcs[0].entry()
+			best = m.srcs[0].Entry()
 			bestAge = m.ages[0]
 		}
 		s := m.srcs[0]
-		s.next()
-		if s.err() != nil {
-			m.failed = s.err()
+		s.Next()
+		if s.Err() != nil {
+			m.failed = s.Err()
 		}
-		if s.valid() {
+		if s.Valid() {
 			m.down(0)
 		} else {
 			last := len(m.srcs) - 1
@@ -162,18 +132,14 @@ func (m *mergeIter) popTopKey() (Entry, bool) {
 }
 
 // run returns the entries that follow the current one in the current data
-// block of the only live source, when that source is an SST: nothing is left
-// to merge them with, so they are the merged stream. The slice is the SST's
-// decoded block itself (decode memo or block cache, both immutable).
+// block of the only live source: nothing is left to merge them with, so they
+// are the merged stream. The slice is the SST's decoded block itself (decode
+// memo or block cache, both immutable).
 func (m *mergeIter) run() []Entry {
 	if len(m.srcs) != 1 || m.failed != nil {
 		return nil
 	}
-	s, ok := m.srcs[0].(*sstSource)
-	if !ok {
-		return nil
-	}
-	return s.it.block[s.it.pos:]
+	return m.srcs[0].block[m.srcs[0].pos:]
 }
 
 // consume makes the n-th entry of run() the current one, as n calls of Next
@@ -183,7 +149,7 @@ func (m *mergeIter) run() []Entry {
 // reads it.
 func (m *mergeIter) consume(n int) {
 	if n > 0 {
-		m.srcs[0].(*sstSource).it.pos += n - 1
+		m.srcs[0].pos += n - 1
 		m.advance()
 	}
 }

@@ -143,50 +143,48 @@ func modelRange(model map[string][]byte, lo, hi []byte) []Entry {
 // FuzzTreeIterRuns drives a tree with a fuzzed operation stream and checks
 // every scan through checkRunsMatchEntries against a sorted-map model, over
 // the live tree and over a frozen view. Then one iterator is restarted in
-// place (checkRestartMatchesFresh) across scans of the tree, of a
-// memtable-only tree holding the same model and of the view: all keys, then
-// [lo, hi), then the one key lo — many live SSTs, then fewer.
+// place (checkRestartMatchesFresh) across scans of the tree and of the view:
+// all keys, then [lo, hi), then the one key lo — many live SSTs, then fewer.
 //
 // ops is read three bytes at a time — kind, key, size: kind%8 < 5 puts key
-// (0–255) with a value of 40+size%160 bytes, 5–6 deletes it, 7 flushes. shape
-// picks the memtable budget (2 KiB × (1+shape&31): small ones leave
-// overlapping C1 files and compacted lower levels, large ones one SST per
-// flush or nothing but the memtable) and, with bit 7, a block cache; bit 6 is
-// unused. [lo, hi) are key numbers; bounds bits 0/1 drop them.
-// The seed corpus under testdata/fuzz/FuzzTreeIterRuns is named after the
-// tree shape each entry builds.
+// (0–255) with a value of 40+size%160 bytes into the pending batch, 5–6
+// deletes it there, 7 bulk-loads the batch (the last op per key wins; a delete
+// becomes a tombstone). The stream ends with one final load. shape picks the
+// segment size (2 KiB × (1+shape&31): small ones leave overlapping C1 files
+// and compacted lower levels, large ones one SST per load) and, with bit 7, a
+// block cache; bit 6 is unused. [lo, hi) are key numbers; bounds bits 0/1 drop
+// them. The seed corpus under testdata/fuzz/FuzzTreeIterRuns is named after
+// the tree shape each entry builds (its memtable names predate the bulk-only
+// write path: those streams now end in one final load).
 func FuzzTreeIterRuns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, shape, lo, hi, bounds uint8) {
 		if len(ops) > 3*1024 {
 			t.Skip("operation stream longer than any seed needs")
 		}
 		tr := NewTree(testFlash(), Config{
-			MemTableBytes:  int64(1+shape&31) << 11,
+			SegmentBytes:   int64(1+shape&31) << 11,
 			MaxL1Files:     2,
 			LevelRatio:     3,
 			BaseLevelBytes: 8 << 10,
 		})
-		memOnly := NewTree(testFlash(), Config{MemTableBytes: 1 << 30})
 		cached := shape&128 != 0
 		model := map[string][]byte{}
+		batch := pending{}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			k := key(int(ops[1]))
-			var err, errMem error
 			switch kind := ops[0] % 8; {
 			case kind < 5:
 				v := bytes.Repeat(ops[2:3], 40+int(ops[2])%160)
 				model[string(k)] = v
-				err, errMem = tr.Put(k, v), memOnly.Put(k, v)
+				batch.put(k, v)
 			case kind < 7:
 				delete(model, string(k))
-				err, errMem = tr.Delete(k), memOnly.Delete(k)
+				batch.del(k)
 			default:
-				err = tr.Flush()
-			}
-			if err != nil || errMem != nil {
-				t.Fatal(err, errMem)
+				batch.load(t, tr)
 			}
 		}
+		batch.load(t, tr)
 		if lo > hi {
 			lo, hi = hi, lo
 		}
@@ -213,7 +211,6 @@ func FuzzTreeIterRuns(f *testing.F) {
 			{"restarted tree, all keys", tr.ScanInto, nil, nil},
 			{"restarted tree", tr.ScanInto, loKey, hiKey},
 			{"restarted tree, one key", tr.ScanInto, oneLo, oneHi},
-			{"restarted memtable-only tree", memOnly.ScanInto, loKey, hiKey},
 			{"restarted view, all keys", v.ScanInto, nil, nil},
 			{"restarted view", v.ScanInto, loKey, hiKey},
 			{"restarted view, one key", v.ScanInto, oneLo, oneHi},
@@ -224,21 +221,14 @@ func FuzzTreeIterRuns(f *testing.F) {
 	})
 }
 
-// singleSSTTree loads n entries in one flush, so every scan of it has exactly
-// one live merge source — the shape of a bulk-loaded column family.
+// singleSSTTree loads n entries into one SST, so every scan of it has exactly
+// one live merge source — the shape of a JOB column family.
 func singleSSTTree(tb testing.TB, n int) *Tree {
 	tb.Helper()
 	cfg := DefaultConfig()
-	cfg.MemTableBytes = 64 << 20
+	cfg.SegmentBytes = 64 << 20
 	tr := NewTree(testFlash(), cfg)
-	for i := 0; i < n; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := tr.Flush(); err != nil {
-		tb.Fatal(err)
-	}
+	load(tb, tr, entriesOf(span(0, n, 1), nil))
 	if st := tr.Stats(); st.SSTs != 1 {
 		tb.Fatalf("tree has %d SSTs, want 1", st.SSTs)
 	}
@@ -252,12 +242,7 @@ func singleSSTTree(tb testing.TB, n int) *Tree {
 func TestSingleSourceScanServesRuns(t *testing.T) {
 	const n = 2000
 	tr := singleSSTTree(t, n)
-	if err := tr.Delete(key(700)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil { // a second SST holding only the tombstone
-		t.Fatal(err)
-	}
+	load(t, tr, []Entry{{Key: key(700), Tombstone: true}}) // a second SST holding only the tombstone
 	it := tr.Scan(nil, key(1500), Access{})
 	if run := it.Run(); len(run) != 0 {
 		t.Fatalf("two live sources, yet Run handed out %d entries", len(run))
@@ -347,16 +332,15 @@ func TestWarmScanIntoAllocatesNothing(t *testing.T) {
 
 // TestClearDropsEveryReference pins what a recycled iterator may keep: after
 // Clear, none of its fields and no slot of its slabs — up to capacity, the
-// ones a shorter scan left unused included — refers to an SST, a memtable, a
-// view's C0, a decoded block, an entry's bytes or the access of the scan it
-// served.
+// ones a shorter scan left unused included — refers to an SST, a decoded
+// block, an entry's bytes or the access of the scan it served.
 func TestClearDropsEveryReference(t *testing.T) {
-	tr := NewTree(testFlash(), Config{MemTableBytes: 2 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 8 << 10})
-	for i := 0; i < 300; i++ {
-		if err := tr.Put(key(i*7%300), val(i)); err != nil {
-			t.Fatal(err)
-		}
+	tr := NewTree(testFlash(), Config{SegmentBytes: 2 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 8 << 10})
+	entries := make([]Entry, 300)
+	for i := range entries {
+		entries[i] = Entry{Key: key(i * 7 % 300), Value: val(i)}
 	}
+	load(t, tr, entries)
 	v := tr.View()
 	ac := Access{TL: vclock.NewTimeline("host"), R: hw.HostRates(hw.Cosmos()), Cache: NewBlockCache(1 << 20)}
 	it := &TreeIter{}
@@ -379,7 +363,7 @@ func TestClearDropsEveryReference(t *testing.T) {
 // iterStorage names the slices a cleared iterator keeps: its own slabs,
 // whose every slot up to capacity must hold nothing in turn.
 var iterStorage = map[string]bool{
-	"it.inner.srcs": true, "it.inner.ages": true, "it.srcs": true, "it.ssts": true, "it.mems": true, "it.c0buf": true,
+	"it.inner.srcs": true, "it.inner.ages": true, "it.srcs": true, "it.ssts": true,
 }
 
 // holdsNothing reports whether v holds no reference, naming the first place

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/vclock"
 )
+
+// Entry is one key/value pair. Tombstone marks a deletion that masks older
+// versions on lower levels until compaction reclaims them.
+type Entry struct {
+	Key       []byte
+	Value     []byte
+	Tombstone bool
+}
 
 // Access bundles the timeline, rate table and block cache of the engine
 // performing an LSM operation, so the same physical read is priced
@@ -40,6 +49,14 @@ const (
 	targetBlockBytes = TargetBlockBytes
 	footerBytes      = 48
 )
+
+// encodedLen is an entry's size in an SST data block: flags, two uvarint
+// lengths, key, value.
+func encodedLen(keyLen, valLen int) int64 {
+	return int64(1 + uvarintLen(keyLen) + uvarintLen(valLen) + keyLen + valLen)
+}
+
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 // indexEntry is one sparse-index entry: the first key of a data block plus
 // the block's physical location, forming the fence pointers of the paper.
@@ -93,8 +110,8 @@ func BuildSST(fl *flash.Flash, entries []Entry, ac Access) (*SST, error) {
 
 // sstWriter encodes one SST from a sorted entry stream into a single buffer
 // sized up front, so the file is built without regrowing and handed to flash
-// as is. Compaction and tests feed it through BuildSST; a memtable flush
-// streams its iterator into it directly.
+// as is. Compaction and tests feed it through BuildSST; BulkLoad streams each
+// segment into it directly.
 type sstWriter struct {
 	data         []byte
 	index        []indexEntry // firstKey aliases data

@@ -12,8 +12,11 @@ import (
 
 // Config tunes one LSM tree.
 type Config struct {
-	// MemTableBytes is the C0 flush threshold.
-	MemTableBytes int64
+	// SegmentBytes is how much input one C1 SST takes: BulkLoad closes a
+	// segment at the entry that brings len(key)+len(value)+48, summed over the
+	// segment, to SegmentBytes or beyond. Compaction writes SSTs of about twice
+	// this.
+	SegmentBytes int64
 	// MaxL1Files triggers compaction of C1 (which may hold overlapping key
 	// ranges) into C2 once exceeded.
 	MaxL1Files int
@@ -23,15 +26,12 @@ type Config struct {
 	// BaseLevelBytes is the size limit of C2; level i+1 allows
 	// BaseLevelBytes × LevelRatio^(i-2).
 	BaseLevelBytes int64
-	// Seed is the base seed for memtable skiplist height RNGs; each rotation
-	// derives a fresh per-memtable seed from it. 0 means lsm.DefaultSeed.
-	Seed int64
 }
 
 // DefaultConfig mirrors a small RocksDB-ish setup, scaled for the simulator.
 func DefaultConfig() Config {
 	return Config{
-		MemTableBytes:  4 << 20,
+		SegmentBytes:   4 << 20,
 		MaxL1Files:     8,
 		LevelRatio:     10,
 		BaseLevelBytes: 64 << 20,
@@ -39,103 +39,24 @@ func DefaultConfig() Config {
 }
 
 // Tree is a multi-level LSM tree as organized in RocksDB/nKV (paper §2.2 and
-// Fig. 4): C0 is a set of skiplist MemTables; C1 holds flushed SSTs with
-// possibly overlapping key ranges (no merge on flush, for performance); C2..CK
-// hold non-overlapping SSTs produced by compaction.
+// Fig. 4), loaded in bulk: C0, the in-memory level, stays empty; C1 holds the
+// SSTs BulkLoad writes, with possibly overlapping key ranges (no merge on
+// load, for performance); C2..CK hold non-overlapping SSTs produced by
+// compaction.
 type Tree struct {
 	mu     sync.RWMutex
 	cfg    Config
 	fl     *flash.Flash
-	mem    *MemTable   // guarded by mu
-	imm    []*MemTable // immutable memtables, newest first; guarded by mu
-	l1     []*SST      // newest first, ranges may overlap; guarded by mu
-	levels [][]*SST    // levels[i] = C_{i+2}, sorted by min key, non-overlapping; guarded by mu
-	memSeq int64       // memtables created so far, for seed derivation; guarded by mu
+	l1     []*SST   // newest first, ranges may overlap; guarded by mu
+	levels [][]*SST // levels[i] = C_{i+2}, sorted by min key, non-overlapping; guarded by mu
 }
 
 // NewTree creates an empty tree over the given flash module.
 func NewTree(fl *flash.Flash, cfg Config) *Tree {
-	if cfg.MemTableBytes <= 0 {
-		def := DefaultConfig()
-		def.Seed = cfg.Seed
-		cfg = def
+	if cfg.SegmentBytes <= 0 {
+		cfg = DefaultConfig()
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = DefaultSeed
-	}
-	t := &Tree{cfg: cfg, fl: fl}
-	t.mem = t.newMemTableLocked()
-	return t
-}
-
-// Put inserts or overwrites a key. Writes are maintenance traffic in this
-// reproduction (the paper measures read-side query processing; write
-// amplification was addressed earlier by NoFTL-KV) and are not charged.
-func (t *Tree) Put(key, value []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mem.Put(key, value)
-	return t.maybeRotateLocked()
-}
-
-// Delete writes a tombstone for key.
-func (t *Tree) Delete(key []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mem.Delete(key)
-	return t.maybeRotateLocked()
-}
-
-// newMemTableLocked derives the next memtable's RNG seed from the configured
-// base seed and a rotation counter, so every memtable over the tree's lifetime
-// gets a distinct but reproducible skiplist height sequence.
-func (t *Tree) newMemTableLocked() *MemTable {
-	t.memSeq++
-	return NewMemTableSeeded(t.cfg.Seed + t.memSeq - 1)
-}
-
-func (t *Tree) maybeRotateLocked() error {
-	if t.mem.ByteSize() < t.cfg.MemTableBytes && !t.mem.arenaFull() {
-		return nil
-	}
-	t.imm = append([]*MemTable{t.mem}, t.imm...)
-	t.mem = t.newMemTableLocked()
-	return t.flushLocked()
-}
-
-// Flush forces all memtables (mutable and immutable) to C1 SSTs.
-func (t *Tree) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.mem.Len() > 0 {
-		t.imm = append([]*MemTable{t.mem}, t.imm...)
-		t.mem = t.newMemTableLocked()
-	}
-	return t.flushLocked()
-}
-
-// flushLocked writes immutable memtables to C1 (no merging: overlapping key
-// ranges are allowed on C1, exactly as the paper describes) and triggers
-// compaction when C1 grows past its file limit.
-func (t *Tree) flushLocked() error {
-	for len(t.imm) > 0 {
-		m := t.imm[len(t.imm)-1]  // oldest first keeps newest-first order in l1
-		t.imm[len(t.imm)-1] = nil // the slot past len must not keep m reachable
-		t.imm = t.imm[:len(t.imm)-1]
-		if m.Len() == 0 {
-			continue
-		}
-		w := newSSTWriter(m.Len(), m.encBytes, m.maxKey)
-		for it := m.Iter(nil); it.Valid(); it.Next() {
-			if err := w.add(it.Entry()); err != nil {
-				return err
-			}
-		}
-		if err := t.addL1Locked(w); err != nil {
-			return err
-		}
-	}
-	return t.compactLocked()
+	return &Tree{cfg: cfg, fl: fl}
 }
 
 // addL1Locked finishes an SST and makes it the newest file of C1.
@@ -148,7 +69,7 @@ func (t *Tree) addL1Locked(w *sstWriter) error {
 	return nil
 }
 
-// compactLocked is the compaction step every flush ends with: C1 into C2 once
+// compactLocked is the compaction step every load segment ends with: C1 into C2 once
 // C1 holds more than MaxL1Files, then one push per overflowing lower level.
 func (t *Tree) compactLocked() error {
 	if len(t.l1) > t.cfg.MaxL1Files {
@@ -186,12 +107,12 @@ func (t *Tree) compactL1Locked() error {
 		}
 	}
 	// Sources newest first: C1 files (already newest first), then C2 overlap.
-	srcs := make([]mergeSource, 0, len(t.l1)+len(overlap))
+	srcs := make([]*SSTIter, 0, len(t.l1)+len(overlap))
 	for _, s := range t.l1 {
-		srcs = append(srcs, newSSTSource(s))
+		srcs = append(srcs, s.Iter(nil, Access{}))
 	}
 	for _, s := range overlap {
-		srcs = append(srcs, newSSTSource(s))
+		srcs = append(srcs, s.Iter(nil, Access{}))
 	}
 	dropTombstones := len(t.levels) == 1 // C2 is the last level
 	merged, err := mergeAll(srcs, dropTombstones)
@@ -244,9 +165,9 @@ func (t *Tree) compactLowerLocked() error {
 				keep = append(keep, s)
 			}
 		}
-		srcs := []mergeSource{newSSTSource(victim)}
+		srcs := []*SSTIter{victim.Iter(nil, Access{})}
 		for _, s := range overlap {
-			srcs = append(srcs, newSSTSource(s))
+			srcs = append(srcs, s.Iter(nil, Access{}))
 		}
 		dropTombstones := i+2 == len(t.levels)
 		merged, err := mergeAll(srcs, dropTombstones)
@@ -270,7 +191,7 @@ func (t *Tree) compactLowerLocked() error {
 	return nil
 }
 
-// buildRuns splits merged entries into SSTs of roughly memtable size.
+// buildRuns splits merged entries into SSTs of about twice SegmentBytes.
 func (t *Tree) buildRuns(entries []Entry) ([]*SST, error) {
 	var outs []*SST
 	var run []Entry
@@ -291,7 +212,7 @@ func (t *Tree) buildRuns(entries []Entry) ([]*SST, error) {
 	for _, e := range entries {
 		run = append(run, e)
 		runBytes += int64(len(e.Key) + len(e.Value))
-		if runBytes >= 2*t.cfg.MemTableBytes {
+		if runBytes >= 2*t.cfg.SegmentBytes {
 			if err := flush(); err != nil {
 				return nil, err
 			}
@@ -313,7 +234,7 @@ func sortByMinKey(ssts []*SST) {
 
 // mergeAll drains the sources (ordered newest first) into a deduplicated
 // sorted entry list.
-func mergeAll(srcs []mergeSource, dropTombstones bool) ([]Entry, error) {
+func mergeAll(srcs []*SSTIter, dropTombstones bool) ([]Entry, error) {
 	var it mergeIter
 	it.init(srcs, Access{}, !dropTombstones)
 	var out []Entry
@@ -331,21 +252,17 @@ func mergeAll(srcs []mergeSource, dropTombstones bool) ([]Entry, error) {
 	return out, it.Err()
 }
 
-// Get retrieves the entry for key following the paper's lookup order:
-// memtables, then C1 (every overlapping SST, newest first), then one SST per
-// lower level.
+// Get retrieves the entry for key following the paper's lookup order: C1
+// (every overlapping SST, newest first), then one SST per lower level.
 func (t *Tree) Get(key []byte, ac Access) ([]byte, bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if e, ok := t.mem.Get(key); ok {
-		return valueOf(e)
-	}
-	for _, m := range t.imm {
-		if e, ok := m.Get(key); ok {
-			return valueOf(e)
-		}
-	}
-	for _, s := range t.l1 {
+	return get(t.l1, t.levels, key, ac)
+}
+
+// get is Get over the given C1 and lower levels (a tree's or a view's).
+func get(l1 []*SST, levels [][]*SST, key []byte, ac Access) ([]byte, bool, error) {
+	for _, s := range l1 {
 		e, ok, err := s.Get(key, ac)
 		if err != nil {
 			return nil, false, err
@@ -354,7 +271,7 @@ func (t *Tree) Get(key []byte, ac Access) ([]byte, bool, error) {
 			return valueOf(e)
 		}
 	}
-	for _, lvl := range t.levels {
+	for _, lvl := range levels {
 		e, ok, err := getFromLevel(lvl, key, ac)
 		if err != nil {
 			return nil, false, err
@@ -413,73 +330,43 @@ func (t *Tree) Scan(lo, hi []byte, ac Access) *TreeIter {
 // ScanInto restarts it as a merged iterator over [lo, hi) (nil bounds are
 // unbounded). Fence pointers exclude SSTs entirely outside the range before
 // any flash read happens, as in MyRocks/RocksDB. Sources open newest first —
-// C0, then C1 newest first, then each lower level — so index seeks and first
-// block reads are charged in that order.
-//
-// The iterator outlives the read lock, and Put keeps linking nodes into the
-// mutable memtable, so that memtable's entries in [lo, hi) are taken here,
-// under the lock: headers only — their bytes sit in the memtable's arena,
-// which is never rewritten. Immutable memtables are walked lazily. An empty
-// memtable adds no merge source.
+// C1 newest first, then each lower level — so index seeks and first block
+// reads are charged in that order.
 func (t *Tree) ScanInto(it *TreeIter, lo, hi []byte, ac Access) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	it.hi, it.srcs = hi, it.srcs[:0]
-	if it.c0buf = t.mem.appendRange(it.c0buf[:0], lo, hi); len(it.c0buf) > 0 {
-		it.addC0(it.c0buf, nil)
-	}
-	it.mems = slices.Grow(it.mems[:0], len(t.imm)) // never regrown below: srcs points into it
-	for _, m := range t.imm {
-		if m.Len() > 0 {
-			it.mems = append(it.mems, memSource{it: m.iter(lo)})
-			it.srcs = append(it.srcs, &it.mems[len(it.mems)-1])
-		}
-	}
-	it.addSSTs(lo, hi, ac, t.l1, t.levels)
-	it.inner.init(it.srcs, ac, false)
+	it.restart(lo, hi, ac, t.l1, t.levels)
 }
 
 // TreeIter walks the merged view of a tree or a View, hiding tombstones and
 // stopping at the upper bound. It owns its storage — the merge heap, the
-// source list and the sources themselves — so ScanInto restarts it without
-// allocating once it has served a scan of as many sources. Restarting
+// source list and the SST iterators themselves — so ScanInto restarts it
+// without allocating once it has served a scan of as many sources. Restarting
 // invalidates only the iterator's own position: entries and runs it handed out
-// alias memtable arenas and decoded blocks, never the iterator.
+// alias decoded blocks, never the iterator.
 type TreeIter struct {
 	inner mergeIter
 	hi    []byte
-	srcs  []mergeSource // the merge's sources, newest first; point into the fields below
-	ssts  []sstSource   // one per overlapping SST
-	mems  []memSource   // one per non-empty immutable memtable
-	c0    frozenSource  // C0 as a sorted list: the mutable memtable's range or a view's frozen C0
-	c0buf []Entry       // the mutable memtable's entries in range
+	srcs  []*SSTIter // the merge's sources, newest first; point into ssts
+	ssts  []SSTIter  // one per overlapping SST
 }
 
-// addC0 adds a sorted C0 entry list as the youngest source, positioned at the
-// first key ≥ lo.
-func (it *TreeIter) addC0(entries []Entry, lo []byte) {
-	it.c0 = frozenSource{entries: entries}
-	if lo != nil {
-		it.c0.seek(lo)
-	}
-	it.srcs = append(it.srcs, &it.c0)
-}
-
-// addSSTs opens a source on every SST of C1, then of each lower level, whose
-// fences overlap [lo, hi] — inclusive here, as OverlapsRange takes them. The
-// slab is sized for every SST first, so no append moves a source srcs points
-// at.
-func (it *TreeIter) addSSTs(lo, hi []byte, ac Access, l1 []*SST, levels [][]*SST) {
+// restart positions it over [lo, hi) of the given C1 and lower levels,
+// opening an iterator on every SST whose fences overlap [lo, hi] — inclusive
+// here, as OverlapsRange takes them. The slab is sized for every SST first, so
+// no append moves an iterator srcs points at.
+func (it *TreeIter) restart(lo, hi []byte, ac Access, l1 []*SST, levels [][]*SST) {
 	n := len(l1)
 	for _, lvl := range levels {
 		n += len(lvl)
 	}
+	it.hi, it.srcs = hi, it.srcs[:0]
 	it.ssts = slices.Grow(it.ssts[:0], n)
 	add := func(s *SST) {
 		if s.OverlapsRange(lo, hi) {
-			it.ssts = append(it.ssts, sstSource{})
+			it.ssts = append(it.ssts, SSTIter{})
 			src := &it.ssts[len(it.ssts)-1]
-			src.it.init(s, lo, ac)
+			src.init(s, lo, ac)
 			it.srcs = append(it.srcs, src)
 		}
 	}
@@ -491,30 +378,27 @@ func (it *TreeIter) addSSTs(lo, hi []byte, ac Access, l1 []*SST, levels [][]*SST
 			add(s)
 		}
 	}
+	it.inner.init(it.srcs, ac, false)
 }
 
-// Clear drops every reference the iterator holds — SSTs, memtables, a view's
-// C0, decoded blocks, the access's timeline and cache — and keeps its
-// storage. A cleared iterator is invalid until the next ScanInto.
+// Clear drops every reference the iterator holds — SSTs, decoded blocks, the
+// access's timeline and cache — and keeps its storage. A cleared iterator is
+// invalid until the next ScanInto.
 func (it *TreeIter) Clear() {
 	clear(it.inner.srcs[:cap(it.inner.srcs)])
 	clear(it.srcs[:cap(it.srcs)])
 	clear(it.ssts[:cap(it.ssts)])
-	clear(it.mems[:cap(it.mems)])
-	clear(it.c0buf[:cap(it.c0buf)])
 	*it = TreeIter{
 		inner: mergeIter{srcs: it.inner.srcs[:0], ages: it.inner.ages[:0]},
-		srcs:  it.srcs[:0], ssts: it.ssts[:0], mems: it.mems[:0], c0buf: it.c0buf[:0],
+		srcs:  it.srcs[:0], ssts: it.ssts[:0],
 	}
 }
 
 // Retained reports the bytes of storage the iterator keeps for its next scan.
 func (it *TreeIter) Retained() int64 {
-	const ptr, iface = int64(unsafe.Sizeof(uintptr(0))), int64(unsafe.Sizeof(mergeSource(nil)))
-	return int64(cap(it.inner.srcs)+cap(it.srcs))*iface + int64(cap(it.inner.ages))*ptr +
-		int64(cap(it.ssts))*int64(unsafe.Sizeof(sstSource{})) +
-		int64(cap(it.mems))*int64(unsafe.Sizeof(memSource{})) +
-		int64(cap(it.c0buf))*int64(unsafe.Sizeof(Entry{}))
+	const ptr = int64(unsafe.Sizeof(uintptr(0)))
+	return int64(cap(it.inner.srcs)+cap(it.srcs)+cap(it.inner.ages))*ptr +
+		int64(cap(it.ssts))*int64(unsafe.Sizeof(SSTIter{}))
 }
 
 // Valid reports whether the iterator is positioned on a live entry.
@@ -550,7 +434,7 @@ func (it *TreeIter) Err() error { return it.inner.Err() }
 // decision: the rest of the current data block of the only source still
 // feeding the merge, cut at the upper bound and at the first tombstone. It is
 // empty whenever two or more sources are live (they merge entry by entry, each
-// heap comparison charged) or the survivor is a memtable. The slice aliases
+// heap comparison charged). The slice aliases
 // the SST's immutable decoded block and stays readable as long as the values
 // Entry hands out do; taking it charges nothing.
 //
@@ -580,59 +464,10 @@ func (it *TreeIter) Run() []Entry {
 // n calls of Next.
 func (it *TreeIter) Consume(n int) { it.inner.consume(n) }
 
-// MemContents returns the current C0 contents (mutable and immutable
-// memtables, newest version per key, tombstones included). This is the
-// shared-state payload nKV ships alongside NDP invocations so the device
-// sees a transactionally consistent snapshot.
-func (t *Tree) MemContents() []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.memContentsLocked()
-}
-
-// memContentsLocked copies out the C0 contents; empty memtables add no merge
-// source, and with none left there is nothing to merge.
-func (t *Tree) memContentsLocked() []Entry {
-	var srcs []mergeSource
-	if t.mem.Len() > 0 {
-		srcs = append(srcs, &memSource{it: t.mem.iter(nil)})
-	}
-	for _, m := range t.imm {
-		if m.Len() > 0 {
-			srcs = append(srcs, &memSource{it: m.iter(nil)})
-		}
-	}
-	if len(srcs) == 0 {
-		return nil
-	}
-	var out []Entry
-	var it mergeIter
-	for it.init(srcs, Access{}, true); it.Valid(); it.Next() {
-		e := it.Entry()
-		out = append(out, Entry{
-			Key:       append([]byte(nil), e.Key...),
-			Value:     append([]byte(nil), e.Value...),
-			Tombstone: e.Tombstone,
-		})
-	}
-	return out
-}
-
-// memLenLocked counts the entries of every memtable, mutable and immutable.
-func (t *Tree) memLenLocked() int {
-	n := t.mem.Len()
-	for _, m := range t.imm {
-		n += m.Len()
-	}
-	return n
-}
-
 // LevelInfo describes one level for statistics and NDP placement maps.
 type LevelInfo struct {
-	Level int // 0 = C0 (memtables), 1 = C1, ...
+	Level int // 0 = C0 (always empty: data enters through BulkLoad), 1 = C1, ...
 	SSTs  []SSTInfo
-	// MemEntries counts in-memory entries (level 0 only).
-	MemEntries int
 }
 
 // SSTInfo is the physical placement record of one SST: what the host sends
@@ -650,7 +485,7 @@ type SSTInfo struct {
 func (t *Tree) Placement() []LevelInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := []LevelInfo{{Level: 0, MemEntries: t.memLenLocked()}}
+	out := []LevelInfo{{Level: 0}}
 	appendLevel := func(level int, ssts []*SST) {
 		li := LevelInfo{Level: level}
 		for _, s := range ssts {
@@ -676,13 +511,13 @@ type Stats struct {
 	SSTs      int
 }
 
-// Stats reports aggregate tree statistics. Entries counts SST entries plus
-// memtable entries and over-counts keys duplicated across levels, matching
-// the imprecision of real system statistics.
+// Stats reports aggregate tree statistics. Entries counts SST entries and
+// over-counts keys duplicated across levels, matching the imprecision of real
+// system statistics. Levels counts the empty C0.
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	st := Stats{Entries: t.memLenLocked()}
+	var st Stats
 	count := func(ssts []*SST) {
 		for _, s := range ssts {
 			st.Entries += s.Count()

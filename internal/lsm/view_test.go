@@ -8,16 +8,13 @@ import (
 func TestViewIsolatedFromLaterWrites(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	for i := 0; i < 500; i++ {
-		tr.Put(key(i), val(i))
-	}
+	load(t, tr, entriesOf(span(0, 500, 1), nil))
 	v := tr.View()
 
 	// Concurrent modifications after the snapshot (update-aware NDP: the
-	// device must not see them).
-	tr.Put(key(100), []byte("mutated"))
-	tr.Put(key(9999), []byte("new"))
-	tr.Delete(key(200))
+	// device must not see them), one load: C1 stays below MaxL1Files, so no
+	// compaction retires an SST the view holds.
+	load(t, tr, []Entry{{Key: key(100), Value: []byte("mutated")}, {Key: key(200), Tombstone: true}, {Key: key(9999), Value: []byte("new")}})
 
 	got, ok, err := v.Get(key(100), Access{})
 	if err != nil || !ok || !bytes.Equal(got, val(100)) {
@@ -51,39 +48,10 @@ func TestViewIsolatedFromLaterWrites(t *testing.T) {
 	}
 }
 
-func TestViewSeesUnflushedState(t *testing.T) {
-	fl := testFlash()
-	tr := smallTree(fl)
-	for i := 0; i < 100; i++ {
-		tr.Put(key(i), val(i))
-	}
-	tr.Flush()
-	// Hot, un-flushed modifications: the shared-state part of the snapshot.
-	tr.Put(key(50), []byte("hot"))
-	tr.Delete(key(60))
-	v := tr.View()
-
-	if got, ok, _ := v.Get(key(50), Access{}); !ok || !bytes.Equal(got, []byte("hot")) {
-		t.Fatalf("view missed the un-flushed update: %q %v", got, ok)
-	}
-	if _, ok, _ := v.Get(key(60), Access{}); ok {
-		t.Fatal("view missed the un-flushed tombstone")
-	}
-	n := 0
-	for it := v.Scan(key(40), key(70), Access{}); it.Valid(); it.Next() {
-		n++
-	}
-	if n != 29 { // 40..69 inclusive range start, minus deleted 60
-		t.Fatalf("ranged view scan found %d keys, want 29", n)
-	}
-}
-
 func TestViewScanBoundsAndOrder(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
-	for i := 0; i < 1000; i++ {
-		tr.Put(key(i), val(i))
-	}
+	load(t, tr, entriesOf(span(0, 1000, 1), nil))
 	v := tr.View()
 	var prev []byte
 	n := 0

@@ -23,7 +23,7 @@ type memoEntry struct {
 }
 
 // current reports whether every table still has the statistics the entry was
-// planned under. Table.Insert drops a table's statistics and the next
+// planned under. Table.BulkLoad drops a table's statistics and the next
 // CollectStats builds a new object, so identity is validity.
 func (e *memoEntry) current() bool {
 	for i, t := range e.tabs {

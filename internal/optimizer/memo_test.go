@@ -109,11 +109,11 @@ func TestMemoKeepsNamesApart(t *testing.T) {
 	}
 }
 
-// TestMemoFollowsStatistics: an Insert drops the table's statistics; plans
+// TestMemoFollowsStatistics: a load drops the table's statistics; plans
 // over that table are rebuilt against the new ones (and equal a fresh
 // optimizer's), plans over untouched tables stay hits.
 func TestMemoFollowsStatistics(t *testing.T) {
-	// A dataset of its own: the insert must not reach the other tests.
+	// A dataset of its own: the load must not reach the other tests.
 	ds, err := job.Load(0.004, hw.Cosmos())
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +156,15 @@ func TestMemoFollowsStatistics(t *testing.T) {
 			row[i] = table.StrVal("x")
 		}
 	}
-	if err := mi.Insert(row); err != nil {
+	slab, err := mi.Schema.AppendRow(nil, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mi.BulkLoad(slab); err != nil {
 		t.Fatal(err)
 	}
 	if mi.CollectStats() == before {
-		t.Fatal("Insert did not renew the table's statistics")
+		t.Fatal("a load did not renew the table's statistics")
 	}
 
 	pt2, err := opt.Decide(job.QueryByName("3a"))
@@ -174,7 +178,7 @@ func TestMemoFollowsStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDecision(t, "3a after insert", pt2, want)
+	sameDecision(t, "3a after the load", pt2, want)
 	if again, _ := opt.BuildPlan(job.QueryByName("3a")); again != pt2.Plan {
 		t.Fatal("the rebuilt plan was not memoized")
 	}

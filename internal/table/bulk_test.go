@@ -2,7 +2,10 @@ package table
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -44,58 +47,67 @@ func bulkRows(n int) [][]Value {
 	return rows
 }
 
-// smallTreeCatalog is a catalog whose column families rotate a 4 KiB
-// memtable and compact, so a few hundred rows make several SSTs per family.
+// smallTreeCatalog is a catalog whose column families cut 4 KiB segments and
+// compact, so a few hundred rows make several SSTs per family.
 func smallTreeCatalog(t *testing.T) (*Catalog, *flash.Flash) {
 	t.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
-	return NewCatalog(kv.Open(fl, hw.Cosmos(), lsm.Config{MemTableBytes: 4 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 16 << 10})), fl
+	return NewCatalog(kv.Open(fl, hw.Cosmos(), lsm.Config{SegmentBytes: 4 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 16 << 10})), fl
 }
 
-// storedSSTs reads every column family's SST bytes in Placement order.
-func storedSSTs(t *testing.T, cat *Catalog, fl *flash.Flash) map[string][][]byte {
+// storedFamily is one column family's SST count and the SHA-256 of its SSTs'
+// bytes in Placement order.
+type storedFamily struct {
+	ssts   int
+	digest string
+}
+
+// storedFamilies digests every column family's SSTs.
+func storedFamilies(t *testing.T, cat *Catalog, fl *flash.Flash) map[string]storedFamily {
 	t.Helper()
-	out := map[string][][]byte{}
+	out := map[string]storedFamily{}
 	for _, name := range cat.DB().ColumnFamilies() {
 		cf, err := cat.DB().CF(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		h, n := sha256.New(), 0
 		for _, li := range cf.Placement() {
 			for _, s := range li.SSTs {
 				b, err := fl.ReadAt(s.File, 0, fl.Size(s.File), nil, hw.Rates{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				out[name] = append(out[name], b)
+				h.Write(b)
+				n++
 			}
 		}
+		out[name] = storedFamily{n, hex.EncodeToString(h.Sum(nil))}
 	}
 	return out
 }
 
+// insertFamilies and insertWritten, insertUsed are what Insert of each
+// bulkRows(700) row followed by Flush stored in smallTreeCatalog — per family,
+// and the flash bytes written and space used — recorded before that
+// single-row write path was deleted.
+var (
+	insertFamilies = map[string]storedFamily{
+		"idx.bulk.idx_score": {2, "e11df30b8db8d561bebdfcb2ee79bbd252fdb4e75a8ce2cac1c7f700c4376530"},
+		"idx.bulk.idx_tag":   {2, "703412f451ef2de206e986089fbb81230ede75eb231afbd089b8892a0635b8e7"},
+		"tbl.bulk":           {5, "93f25cae50e34f03f3eb77e0633b1801e21432992ba585cab19f608c0e263a33"},
+	}
+	insertWritten, insertUsed int64 = 150863, 147456
+)
+
 // TestBulkLoadMatchesInsert: BulkLoad of encoded rows stores what Insert of
-// each row plus Flush stores — SST bytes of every column family, row count,
-// and what an index seek finds for every value — and the Value-based seek
+// each row plus Flush stored — SST bytes of every column family and the flash
+// counters (insertFamilies) — and counts every row; an index seek finds every
+// row whose stored key carries the seek prefix, and the Value-based seek
 // prefix is a prefix of the row-derived key of every row holding the value.
 func TestBulkLoadMatchesInsert(t *testing.T) {
 	s := bulkSchema()
 	rows := bulkRows(700)
-
-	refCat, refFl := smallTreeCatalog(t)
-	ref, err := refCat.CreateTable(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vals := range rows {
-		if err := ref.Insert(vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	cat, fl := smallTreeCatalog(t)
 	tbl, err := cat.CreateTable(s)
 	if err != nil {
@@ -110,18 +122,14 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	if err := tbl.BulkLoad(slab); err != nil {
 		t.Fatal(err)
 	}
-
-	want, got := storedSSTs(t, refCat, refFl), storedSSTs(t, cat, fl)
-	if len(want["idx.bulk.idx_tag"]) < 2 || len(want["tbl.bulk"]) < 2 {
-		t.Fatalf("reference load made %d tag-index and %d data SSTs; the test wants several", len(want["idx.bulk.idx_tag"]), len(want["tbl.bulk"]))
+	if w, u := fl.Stats().BytesWritten, fl.Used(); w != insertWritten || u != insertUsed {
+		t.Errorf("flash written %d used %d; Insert+Flush wrote %d used %d", w, u, insertWritten, insertUsed)
 	}
-	for name, ssts := range want {
-		if !slices.EqualFunc(ssts, got[name], bytes.Equal) {
-			t.Errorf("%s: BulkLoad stored %d SSTs that differ from Insert+Flush's %d", name, len(got[name]), len(ssts))
-		}
+	if got := storedFamilies(t, cat, fl); !maps.Equal(got, insertFamilies) {
+		t.Errorf("BulkLoad stored %v; Insert+Flush stored %v", got, insertFamilies)
 	}
-	if ref.RowCount() != tbl.RowCount() || tbl.RowCount() != int64(len(rows)) {
-		t.Fatalf("RowCount: Insert %d, BulkLoad %d, rows %d", ref.RowCount(), tbl.RowCount(), len(rows))
+	if tbl.RowCount() != int64(len(rows)) {
+		t.Fatalf("RowCount %d, rows %d", tbl.RowCount(), len(rows))
 	}
 
 	for _, c := range []struct {
@@ -130,29 +138,30 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	}{{"idx_score", "score", bulkScores}, {"idx_tag", "tag", bulkTags}} {
 		ci := s.ColumnIndex(c.col)
 		for _, v := range c.vals {
-			a, err := ref.IndexSeek(c.idx, v, lsm.Access{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := tbl.IndexSeek(c.idx, v, lsm.Access{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(a, b) || len(b) == 0 {
-				t.Errorf("%s = %q: Insert finds %d rows, BulkLoad %d", c.col, v, len(a), len(b))
-			}
 			prefix, err := s.SecondaryPrefix(c.col, v)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var want []int32
 			for i, vals := range rows {
+				key := s.appendIndexKey(nil, ci, slab[i*s.RowBytes():(i+1)*s.RowBytes()])
+				if bytes.HasPrefix(key, prefix) && len(key) == len(prefix)+4 {
+					want = append(want, vals[0].Int)
+				}
 				if vals[ci] != v {
 					continue
 				}
-				key := s.appendIndexKey(nil, ci, slab[i*s.RowBytes():(i+1)*s.RowBytes()])
 				if !bytes.HasPrefix(key, prefix) || len(key) != len(prefix)+4 || PKFromSecondaryKey(key) != vals[0].Int {
 					t.Fatalf("%s = %q, pk %d: the stored key %q is not seek prefix %q + pk", c.col, v, vals[0].Int, key, prefix)
 				}
+			}
+			slices.Sort(want)
+			got, err := tbl.IndexSeek(c.idx, v, lsm.Access{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) || len(got) == 0 {
+				t.Errorf("%s = %q: the seek finds %d rows, %d stored keys carry its prefix", c.col, v, len(got), len(want))
 			}
 		}
 	}
@@ -167,14 +176,7 @@ func TestCollectStatsConcurrentCallersShareOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, vals := range bulkRows(6000) {
-		if err := tbl.Insert(vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	loadRows(t, tbl, bulkRows(6000)...)
 	const callers = 8
 	got := make([]*Stats, callers)
 	start := make(chan struct{})

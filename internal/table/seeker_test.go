@@ -11,8 +11,8 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-// seekTable is personSchema's table over n rows in one flush, so every index
-// is one SST, the shape of a bulk-loaded JOB index.
+// seekTable is personSchema's table over n rows in one load, so every index
+// is one SST, the shape of a JOB index.
 func seekTable(t testing.TB, n int) *Table {
 	t.Helper()
 	cat := testCatalog(t)
@@ -21,15 +21,11 @@ func seekTable(t testing.TB, n int) *Table {
 		t.Fatal(err)
 	}
 	cities := []string{"berlin", "tokyo", "lima"}
+	var rows [][]Value
 	for i := int32(1); i <= int32(n); i++ {
-		err := tbl.Insert([]Value{IntVal(i), StrVal(fmt.Sprintf("p%05d", i)), IntVal(20 + i%50), StrVal(cities[int(i)%3])})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []Value{IntVal(i), StrVal(fmt.Sprintf("p%05d", i)), IntVal(20 + i%50), StrVal(cities[int(i)%3])})
 	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	loadRows(t, tbl, rows...)
 	return tbl
 }
 

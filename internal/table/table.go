@@ -82,36 +82,11 @@ func (c *Catalog) Tables() []string {
 	return names
 }
 
-// Insert encodes and stores one row, maintaining every secondary index. Row
-// and keys are encoded into stack buffers (the memtable copies what it keeps),
-// so a row that fits them allocates nothing here. Insert is the single-row
-// write; BulkLoad stores the same bytes for a batch.
-func (t *Table) Insert(vals []Value) error {
-	var rowBuf, keyBuf [256]byte
-	row, err := t.Schema.AppendRow(rowBuf[:0], vals)
-	if err != nil {
-		return err
-	}
-	if err := t.Data.Put(AppendPK(keyBuf[:0], t.Schema.rowPK(row)), row); err != nil {
-		return err
-	}
-	for _, si := range t.Schema.SecondaryIndexes {
-		key := t.Schema.appendIndexKey(keyBuf[:0], t.Schema.ColumnIndex(si.Column), row)
-		if err := t.Indexes[si.Name].Put(key, nil); err != nil {
-			return err
-		}
-	}
-	t.addRows(1)
-	return nil
-}
-
 // BulkLoad stores rows — fixed-width rows as AppendRow encodes them, back to
 // back — in every column family of the table through kv's bulk path
-// (lsm.Tree.BulkLoad): the stored bytes are those of Insert for each row in
-// order followed by Flush. The primary entries' values alias rows, and every
-// secondary key is built from the row bytes. It inherits the bulk path's
-// refusals: a family whose memtables hold entries, and a key repeated within
-// one memtable's worth of rows.
+// (lsm.Tree.BulkLoad), the only way rows enter a table. The primary entries'
+// values alias rows, and every secondary key is built from the row bytes. It
+// inherits the bulk path's refusal of a key repeated within one segment.
 func (t *Table) BulkLoad(rows []byte) error {
 	s := t.Schema
 	rb := s.RowBytes()
@@ -294,19 +269,6 @@ func appendPrefixEnd(dst, prefix []byte) []byte {
 		if end[i] != 0xff {
 			end[i]++
 			return end[:i+1]
-		}
-	}
-	return nil
-}
-
-// Flush pushes all column families of the table to SSTs.
-func (t *Table) Flush() error {
-	if err := t.Data.Flush(); err != nil {
-		return err
-	}
-	for _, cf := range t.Indexes {
-		if err := cf.Flush(); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -21,6 +21,21 @@ func testCatalog(t testing.TB) *Catalog {
 	return NewCatalog(db)
 }
 
+// loadRows encodes rows with AppendRow and bulk-loads them into tbl.
+func loadRows(t testing.TB, tbl *Table, rows ...[]Value) {
+	t.Helper()
+	var slab []byte
+	for _, vals := range rows {
+		var err error
+		if slab, err = tbl.Schema.AppendRow(slab, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.BulkLoad(slab); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func personSchema() *Schema {
 	return MustSchema("person", []Column{
 		{Name: "id", Type: Int32, Size: 4},
@@ -208,14 +223,11 @@ func TestInsertGetScanIndexSeek(t *testing.T) {
 		t.Fatal(err)
 	}
 	cities := []string{"berlin", "tokyo", "lima"}
+	var rows [][]Value
 	for i := int32(1); i <= 300; i++ {
-		err := tbl.Insert([]Value{
-			IntVal(i), StrVal(fmt.Sprintf("p%03d", i)), IntVal(20 + i%50), StrVal(cities[int(i)%3]),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []Value{IntVal(i), StrVal(fmt.Sprintf("p%03d", i)), IntVal(20 + i%50), StrVal(cities[int(i)%3])})
 	}
+	loadRows(t, tbl, rows...)
 	if tbl.RowCount() != 300 {
 		t.Fatalf("RowCount = %d", tbl.RowCount())
 	}
@@ -297,14 +309,15 @@ func TestStatsFromIndexSamples(t *testing.T) {
 	cat := testCatalog(t)
 	tbl, _ := cat.CreateTable(personSchema())
 	rng := rand.New(rand.NewSource(3))
+	var rows [][]Value
 	for i := int32(1); i <= 5000; i++ {
 		city := "berlin"
 		if rng.Intn(10) == 0 {
 			city = "tokyo" // ~10%
 		}
-		tbl.Insert([]Value{IntVal(i), NullVal(), IntVal(int32(rng.Intn(80))), StrVal(city)})
+		rows = append(rows, []Value{IntVal(i), NullVal(), IntVal(int32(rng.Intn(80))), StrVal(city)})
 	}
-	tbl.Flush()
+	loadRows(t, tbl, rows...)
 	st := tbl.CollectStats()
 	if st.RowCount != 5000 {
 		t.Fatalf("RowCount = %d", st.RowCount)
@@ -335,13 +348,13 @@ func TestStatsFromIndexSamples(t *testing.T) {
 	if s := st.EqSelectivity("city"); s < 0.2 || s > 1 {
 		t.Fatalf("EqSelectivity(city) = %.3f", s)
 	}
-	// Stats are cached until the next insert invalidates them.
+	// Stats are cached until the next load invalidates them.
 	if tbl.CollectStats() != st {
 		t.Fatal("stats not cached")
 	}
-	tbl.Insert([]Value{IntVal(9999), NullVal(), NullVal(), StrVal("x")})
+	loadRows(t, tbl, []Value{IntVal(9999), NullVal(), NullVal(), StrVal("x")})
 	if tbl.CollectStats() == st {
-		t.Fatal("insert must invalidate stats")
+		t.Fatal("a load must invalidate stats")
 	}
 }
 
@@ -369,18 +382,15 @@ func TestIndexSeekBlockBoundaryVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	const perBlock, rest = 342, 500
+	var rows [][]Value
 	for i := int32(1); i <= perBlock+rest; i++ {
 		grp := int32(1)
 		if i > perBlock {
 			grp = 2
 		}
-		if err := tbl.Insert([]Value{IntVal(i), IntVal(grp)}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []Value{IntVal(i), IntVal(grp)})
 	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	loadRows(t, tbl, rows...)
 	for _, c := range []struct {
 		grp        int32
 		pks        int
