@@ -76,11 +76,15 @@ serve-smoke:
 	$(GO) run ./cmd/hybridserve -scale 0.01 -tenants 2 -arrival poisson:100 -slo 10ms -horizon 300ms >/dev/null
 
 # Observability smoke: trace one hybrid JOB query (single buffer slot so the
-# device's back-pressure stall is visible) and validate the Chrome trace.
+# device's back-pressure stall is visible) and a 4-device fleet serving run,
+# and validate both Chrome traces.
 trace-smoke:
 	$(GO) run ./cmd/jobbench -scale 0.05 -slots 1 -trace "8d@H1:trace.json" >/dev/null
 	$(GO) run ./cmd/tracecheck -slots trace.json
 	rm -f trace.json
+	$(GO) run ./cmd/hybridserve -scale 0.01 -devices 4 -fleet range -repeat 1 -trace fleet-trace.json >/dev/null
+	$(GO) run ./cmd/tracecheck fleet-trace.json
+	rm -f fleet-trace.json
 
 # Chaos trace gate: a traced chaos query must show the retry/fallback spans
 # nested under its query root. (That every JOB query survives a 100%-crash

@@ -51,12 +51,7 @@ func main() {
 	fmt.Printf("\ndecision: %s — %s\n\n", d.StrategyLabel(), d.Reason)
 
 	strategies := []coop.Strategy{{Kind: coop.BlockOnly}, {Kind: coop.HostNative}}
-	for k := -1; k <= len(d.Plan.Steps); k++ {
-		if k == 0 {
-			continue
-		}
-		strategies = append(strategies, coop.Strategy{Kind: coop.Hybrid, Split: k})
-	}
+	strategies = append(strategies, coop.Splits(d.Plan)...)
 	strategies = append(strategies, coop.Strategy{Kind: coop.NDPOnly})
 
 	chosen := hybridndp.DecisionStrategy(d)

@@ -165,11 +165,7 @@ func (s *System) Splits(q *query.Query) ([]coop.Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := []coop.Strategy{{Kind: coop.Hybrid, Split: -1}}
-	for k := 1; k <= len(p.Steps); k++ {
-		out = append(out, coop.Strategy{Kind: coop.Hybrid, Split: k})
-	}
-	return out, nil
+	return coop.Splits(p), nil
 }
 
 // Serve starts (or replaces) the system's query scheduler: a bounded

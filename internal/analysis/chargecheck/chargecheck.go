@@ -18,9 +18,9 @@
 //   - methods ReadAt / ReadAtSeq / WriteFile on a type from a
 //     package whose path ends in "flash" (the flash channel),
 //   - dynamic calls of a func(device.Batch) error value (the device → host
-//     batch emission surface: Device.Run / RunShard emit callbacks),
-//   - methods Run / RunShard / ScanLeafPartition on a type
-//     named Device from a package whose path ends in "device".
+//     batch emission surface: Device.Produce's emit callback),
+//   - method Produce on a type named Device from a package whose path ends
+//     in "device".
 //
 // Like lockcheck, the analysis is deliberately approximate: "the enclosing
 // function charges" is a containment check, not a dominator analysis, so a
@@ -68,7 +68,7 @@ var flashIOMethods = map[string]bool{
 
 // deviceIOMethods are the device execution surfaces that stream batches.
 var deviceIOMethods = map[string]bool{
-	"Run": true, "RunShard": true, "ScanLeafPartition": true,
+	"Produce": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -6,7 +6,7 @@
 // in coop, circuit-breaking admission). An error silently dropped with
 //
 //	_ = emit(batch)
-//	dev.Run(q, emit)        // (value used as statement)
+//	dev.Produce(cmd, emit)  // (value used as statement)
 //	go inj.Inject(ev)       // (goroutine result vanishes)
 //
 // doesn't just lose a log line: the virtual-time ledger and the fault

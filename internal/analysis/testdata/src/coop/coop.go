@@ -14,7 +14,7 @@ import (
 // direct-charge form.
 func fetchCharged(tl *vclock.Timeline, dev *device.Device) error {
 	tl.Charge("host.fetch", 1)
-	return dev.Run(4, func(b device.Batch) error { return nil })
+	return dev.Produce(4, func(b device.Batch) error { return nil })
 }
 
 // fetchViaHelper routes the transfer through a fact-carrying helper from
@@ -26,7 +26,7 @@ func fetchViaHelper(f *flash.Flash, p []byte) (int, error) {
 // fetchUncharged streams device batches with no accounting anywhere: the
 // stub device does not charge and neither does this function.
 func fetchUncharged(dev *device.Device) error {
-	return dev.Run(4, func(b device.Batch) error { return nil }) // want `modeled I/O device execution Device\.Run in fetchUncharged, which never charges`
+	return dev.Produce(4, func(b device.Batch) error { return nil }) // want `modeled I/O device execution Device\.Produce in fetchUncharged, which never charges`
 }
 
 // readThrough uses the charging flash surface: flash.ReadAt's fact covers it.

@@ -16,8 +16,6 @@ import (
 	"hybridndp/internal/fault"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/kv"
-	"hybridndp/internal/lsm"
-	"hybridndp/internal/num"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/table"
@@ -88,6 +86,18 @@ func DecisionStrategy(d *optimizer.Decision) Strategy {
 	default:
 		return Strategy{Kind: HostNative}
 	}
+}
+
+// Splits enumerates the hybrid strategies of plan p, H0 (Split -1) through
+// Hn: the one list every layer that sweeps or offers split points walks. A
+// join-free plan has H0 only.
+func Splits(p *exec.Plan) []Strategy {
+	out := make([]Strategy, 0, len(p.Steps)+1)
+	out = append(out, Strategy{Kind: Hybrid, Split: -1})
+	for k := 1; k <= len(p.Steps); k++ {
+		out = append(out, Strategy{Kind: Hybrid, Split: k})
+	}
+	return out
 }
 
 // BatchEvent records one intermediate result set handoff for timeline plots.
@@ -236,20 +246,6 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model) *Executor {
 	return &Executor{Cat: cat, DB: db, Model: m}
 }
 
-// hostEngine builds a host-side engine on tl with a cold block cache (the
-// model's fraction of the stored dataset, kept by the engine's scratch), so
-// strategy comparisons are order-independent, and per-run Bloom-filter stats
-// when a metrics registry is bound.
-func (x *Executor) hostEngine(tl *vclock.Timeline, rates hw.Rates, ls *exec.Lease) *exec.Engine {
-	sc := ls.Scratch()
-	eng := &exec.Engine{Cat: x.Cat, TL: tl, R: rates, Scratch: sc,
-		Cache: sc.BlockCache(x.DB.BlockCacheBytes(x.Model.HostCacheFraction)), BatchSize: x.BatchSize}
-	if x.Metrics != nil {
-		eng.Bloom = &lsm.BloomStats{}
-	}
-	return eng
-}
-
 // Run executes the plan under the given strategy.
 func (x *Executor) Run(p *exec.Plan, s Strategy) (*Report, error) {
 	return x.RunTraced(p, s, nil)
@@ -275,17 +271,18 @@ func (x *Executor) RunDeadline(p *exec.Plan, s Strategy, tr *obs.Trace, deadline
 	// this lease, and they all go back once the report is built.
 	ls := x.scratch.Lease()
 	defer ls.Release()
+	b := device.Bindings{Model: &x.Model, Cat: x.Cat, BatchSize: x.BatchSize, Lease: ls, Trace: tr, Metrics: x.Metrics}
 	var rep *Report
 	var err error
 	switch s.Kind {
 	case BlockOnly:
-		rep, err = x.runHostOnly(p, s, hw.BlockStackRates(x.Model), tr, ls)
+		rep, err = x.runHostOnly(p, s, hw.BlockStackRates(x.Model), &b)
 	case HostNative:
-		rep, err = x.runHostOnly(p, s, hw.HostRates(x.Model), tr, ls)
+		rep, err = x.runHostOnly(p, s, hw.HostRates(x.Model), &b)
 	case NDPOnly:
-		rep, err = x.runNDPOnly(p, s, tr, deadline, ls)
+		rep, err = x.runNDPOnly(p, s, &b, deadline)
 	case Hybrid:
-		rep, err = x.runHybrid(p, s, tr, deadline, ls)
+		rep, err = x.runHybrid(p, s, &b, deadline)
 	default:
 		return nil, fmt.Errorf("coop: unknown strategy %v", s.Kind)
 	}
@@ -347,10 +344,10 @@ func (x *Executor) recordStorage(eng *exec.Engine) {
 
 // runHostOnly executes the whole plan on the host stack. All table data
 // crosses the interconnect as part of the host flash path.
-func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs.Trace, ls *exec.Lease) (*Report, error) {
+func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, b *device.Bindings) (*Report, error) {
 	tl := vclock.NewTimeline("host")
-	eng := x.hostEngine(tl, rates, ls)
-	root := tr.Start(tl, "query:"+p.Query.Name).Attr("strategy", s.String())
+	eng := b.HostEngine(tl, rates)
+	root := b.Trace.Start(tl, "query:"+p.Query.Name).Attr("strategy", s.String())
 	res, err := eng.RunPlan(p)
 	root.End()
 	if err != nil {
@@ -366,26 +363,26 @@ func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, tr *obs
 	}, nil
 }
 
-// withRecovery drives a device strategy to completion on hostTL. attempt runs
-// one full device-side execution and returns the device timeline's position
-// at exit; injected faults (crash, corruption, flash read errors) are retried
-// with capped exponential backoff after the host has waited out the failed
-// attempt, and once maxRetries is exhausted the original plan re-executes
-// host-only on the same timeline. Every failed attempt's virtual time is
-// therefore folded into the final report's Elapsed. Non-injected errors
-// (planning bugs, validation) propagate immediately.
+// withRecovery drives a device run to completion on its host timeline, body
+// running one full device-side execution per attempt. Injected faults (crash,
+// corruption, flash read errors) are retried with capped exponential backoff
+// after the host has waited out the failed attempt, and once maxRetries is
+// exhausted the original plan re-executes host-only on the same timeline.
+// Every failed attempt's virtual time is therefore folded into the final
+// report's Elapsed. Non-injected errors (planning bugs, validation) propagate
+// immediately.
 //
 // Two more guards cut the retry loop short: a per-run deadline (a retry whose
 // backoff alone pushes past the remaining virtual budget is pointless — the
 // host fallback is the only completion left worth buying) and the shared
 // retry budget (a drained bucket means the system is already saturated with
 // recovery work, so this run must not add more device attempts).
-func (x *Executor) withRecovery(orig *exec.Plan, s Strategy, tr *obs.Trace, ls *exec.Lease,
-	hostTL *vclock.Timeline, deadline vclock.Duration, attempt func() (*Report, vclock.Time, error)) (*Report, error) {
+func (x *Executor) withRecovery(orig *exec.Plan, r *deviceRun, deadline vclock.Duration,
+	body func(*deviceRun) (*Report, error)) (*Report, error) {
 
 	retries := 0
 	for {
-		rep, devNow, err := attempt()
+		rep, err := x.attempt(r, body)
 		if err == nil {
 			rep.FaultRetries = retries
 			return rep, nil
@@ -394,27 +391,28 @@ func (x *Executor) withRecovery(orig *exec.Plan, s Strategy, tr *obs.Trace, ls *
 			return nil, err
 		}
 		if retries >= x.maxRetries() {
-			return x.fallbackHost(orig, s, tr, ls, hostTL, devNow, retries, err)
+			return x.fallbackHost(orig, r, retries, err)
 		}
+		devNow := r.dev.TL.Now()
 		if deadline > 0 && vclock.Duration(devNow)+retryBackoff(retries+1) >= deadline {
 			if m := x.Metrics; m != nil {
 				m.Counter("coop.deadline.fallback").Inc()
 			}
-			return x.fallbackHost(orig, s, tr, ls, hostTL, devNow, retries, err)
+			return x.fallbackHost(orig, r, retries, err)
 		}
 		if !x.Budget.Allow() {
 			if m := x.Metrics; m != nil {
 				m.Counter("coop.retry.budget_exhausted").Inc()
 			}
-			return x.fallbackHost(orig, s, tr, ls, hostTL, devNow, retries, err)
+			return x.fallbackHost(orig, r, retries, err)
 		}
 		retries++
 		// The host discovers the failure no earlier than the device reached
 		// it, then backs off before reissuing the command.
-		rsp := tr.Start(hostTL, "coop.retry").AttrInt("attempt", int64(retries)).
+		rsp := r.b.Trace.Start(r.hostTL, "coop.retry").AttrInt("attempt", int64(retries)).
 			Attr("cause", err.Error())
-		hostTL.WaitUntil(devNow, hw.CatFaultWait)
-		hostTL.Charge(hw.CatBackoff, retryBackoff(retries))
+		r.hostTL.WaitUntil(devNow, hw.CatFaultWait)
+		r.hostTL.Charge(hw.CatBackoff, retryBackoff(retries))
 		rsp.End()
 		if m := x.Metrics; m != nil {
 			m.Counter("coop.retry").Inc()
@@ -436,17 +434,16 @@ func retryBackoff(n int) vclock.Duration {
 }
 
 // fallbackHost re-executes the original plan host-only after the device was
-// given up on. It runs on the same host timeline, so the report's Elapsed
+// given up on. It runs on the run's host timeline, so the report's Elapsed
 // includes everything wasted on the failed device attempts.
-func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace, ls *exec.Lease,
-	hostTL *vclock.Timeline, devNow vclock.Time, retries int, cause error) (*Report, error) {
-
+func (x *Executor) fallbackHost(p *exec.Plan, r *deviceRun, retries int, cause error) (*Report, error) {
 	if m := x.Metrics; m != nil {
 		m.Counter("coop.fallback.host").Inc()
 	}
-	fsp := tr.Start(hostTL, "coop.fallback.host").Attr("cause", cause.Error())
-	hostTL.WaitUntil(devNow, hw.CatFaultWait)
-	eng := x.hostEngine(hostTL, hw.HostRates(x.Model), ls)
+	hostTL := r.hostTL
+	fsp := r.b.Trace.Start(hostTL, "coop.fallback.host").Attr("cause", cause.Error())
+	hostTL.WaitUntil(r.dev.TL.Now(), hw.CatFaultWait)
+	eng := r.b.HostEngine(hostTL, hw.HostRates(x.Model))
 	res, err := eng.RunPlan(p)
 	fsp.End()
 	if err != nil {
@@ -455,7 +452,7 @@ func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace, ls *exe
 	x.recordStorage(eng)
 	return &Report{
 		Query:        p.Query.Name,
-		Strategy:     s,
+		Strategy:     r.s,
 		Result:       res,
 		Elapsed:      vclock.Duration(hostTL.Now()),
 		HostAccount:  hostTL.Account(),
@@ -464,87 +461,95 @@ func (x *Executor) fallbackHost(p *exec.Plan, s Strategy, tr *obs.Trace, ls *exe
 	}, nil
 }
 
-// launch starts one device attempt of cmd: a fresh device carrying this run's
-// bindings (so a retried command replays its builds and scans instead of
-// resuming half-poisoned state), its root span on the device track, and the
-// NDP invocation. The caller ends the returned span.
-func (x *Executor) launch(cmd *device.Command, mp device.MemoryPlan, s Strategy, tr *obs.Trace, ls *exec.Lease,
-	inj *fault.Injector, hostTL *vclock.Timeline) (*device.Device, *exec.Engine, *obs.Span, error) {
+// deviceRun is one run of a device strategy: its NDP command and what every
+// attempt at it shares, plus the device, engine and device-track root span of
+// the attempt in flight.
+type deviceRun struct {
+	s      Strategy
+	b      device.Bindings
+	cmd    *device.Command
+	mp     device.MemoryPlan
+	inj    *fault.Injector
+	hostTL *vclock.Timeline
+	dev    *device.Device
+	eng    *exec.Engine // the device engine
+	root   *obs.Span
+}
 
-	dev := device.New(x.Model, x.Cat)
-	dev.BatchSize = x.BatchSize
-	dev.Scratch = ls.Scratch()
-	dev.Trace = tr
-	dev.Metrics = x.Metrics
-	dev.Faults = inj
-	root := tr.Start(dev.TL, "device:"+cmd.Plan.Query.Name).Attr("strategy", s.String())
-	eng, err := dev.Launch(cmd, mp, hostTL)
+// runDevice drives a device strategy to completion on a fresh host timeline:
+// the NDP command offloads p up to split in chunks driving-table chunks, body
+// runs on every launched attempt, and a fallback re-executes orig.
+func (x *Executor) runDevice(orig, p *exec.Plan, split, chunks int, s Strategy, b *device.Bindings,
+	deadline vclock.Duration, body func(*deviceRun) (*Report, error)) (*Report, error) {
+
+	snap, err := device.Snapshot(x.DB, p, split)
 	if err != nil {
-		root.End()
-		return nil, nil, nil, err
+		return nil, err
 	}
-	x.applyCacheFormat(eng)
-	return dev, eng, root, nil
+	r := &deviceRun{s: s, b: *b, cmd: &device.Command{Plan: p, SplitAfter: split, Snapshot: snap, Chunks: chunks},
+		mp: device.PlanMemory(x.Model, p, split), inj: x.injectorFor(p, s), hostTL: vclock.NewTimeline("host")}
+
+	root := b.Trace.Start(r.hostTL, "query:"+p.Query.Name).Attr("strategy", s.String())
+	defer root.End()
+
+	return x.withRecovery(orig, r, deadline, body)
+}
+
+// attempt starts one device attempt of r's command — a fresh device carrying
+// the run's bindings, its root span on the device track, and the NDP
+// invocation — runs body on it, and closes the report's books.
+func (x *Executor) attempt(r *deviceRun, body func(*deviceRun) (*Report, error)) (*Report, error) {
+	r.dev = r.b.Device(r.inj)
+	r.root = r.b.Trace.Start(r.dev.TL, "device:"+r.cmd.Plan.Query.Name).Attr("strategy", r.s.String())
+	// Ending the device root span on every exit keeps the per-timeline span
+	// stack intact for a retry replaying this command on the trace.
+	defer r.root.End()
+	var err error
+	if r.eng, err = r.dev.Launch(r.cmd, r.mp, r.hostTL); err != nil {
+		return nil, err // a rejected command is not retried
+	}
+	x.applyCacheFormat(r.eng)
+	rep, err := body(r)
+	if err != nil {
+		return nil, err
+	}
+	rep.Query = r.cmd.Plan.Query.Name
+	rep.Strategy = r.s
+	rep.Elapsed = vclock.Duration(r.hostTL.Now())
+	rep.DeviceElapsed = vclock.Duration(r.dev.TL.Now())
+	rep.HostAccount = r.hostTL.Account()
+	rep.DeviceAccount = r.dev.TL.Account()
+	rep.DeviceMemory = r.mp
+	return rep, nil
 }
 
 // runNDPOnly offloads the complete plan including grouping/aggregation; the
 // host only issues the command and fetches the final result.
-func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration, ls *exec.Lease) (*Report, error) {
-	snap, err := device.Snapshot(x.DB, p, -1) // full plan: all tables device-read
-	if err != nil {
-		return nil, err
-	}
-	cmd := &device.Command{Plan: p, SplitAfter: len(p.Steps), Snapshot: snap, Chunks: 1}
-	mp := device.PlanMemory(x.Model, p, cmd.SplitAfter)
-	inj := x.injectorFor(p, s)
-	hostTL := vclock.NewTimeline("host")
-
-	root := tr.Start(hostTL, "query:"+p.Query.Name).Attr("strategy", s.String())
-	defer root.End()
-
-	return x.withRecovery(p, s, tr, ls, hostTL, deadline, func() (*Report, vclock.Time, error) {
-		dev, eng, devRoot, err := x.launch(cmd, mp, s, tr, ls, inj, hostTL)
+func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, b *device.Bindings, deadline vclock.Duration) (*Report, error) {
+	// Split after every join: all tables are device-read.
+	return x.runDevice(p, p, len(p.Steps), 1, s, b, deadline, func(r *deviceRun) (*Report, error) {
+		res, err := r.dev.RunPlan(r.eng, p)
 		if err != nil {
-			return nil, 0, err // a rejected command is not retried
-		}
-		res, err := dev.RunPlan(eng, p)
-		devRoot.End()
-		if err != nil {
-			return nil, dev.TL.Now(), err
+			return nil, err
 		}
 		// Host waits for device completion, then transfers the final result.
-		sp := tr.Start(hostTL, "host.wait.device")
-		hostTL.WaitUntil(dev.TL.Now(), hw.CatWaitInitial)
+		sp := r.b.Trace.Start(r.hostTL, "host.wait.device")
+		r.hostTL.WaitUntil(r.dev.TL.Now(), hw.CatWaitInitial)
 		sp.End()
-		sp = tr.Start(hostTL, "transfer.result").AttrInt("bytes", res.Bytes)
-		hw.HostRates(x.Model).Transfer(hostTL, res.Bytes, x.Model.SharedBufferSlot)
+		sp = r.b.Trace.Start(r.hostTL, "transfer.result").AttrInt("bytes", res.Bytes)
+		hw.HostRates(x.Model).Transfer(r.hostTL, res.Bytes, x.Model.SharedBufferSlot)
 		sp.End()
-
-		return &Report{
-			Query:            p.Query.Name,
-			Strategy:         s,
-			Result:           res,
-			Elapsed:          vclock.Duration(hostTL.Now()),
-			DeviceElapsed:    vclock.Duration(dev.TL.Now()),
-			HostAccount:      hostTL.Account(),
-			DeviceAccount:    dev.TL.Account(),
-			TransferredBytes: res.Bytes,
-			DeviceMemory:     mp,
-		}, dev.TL.Now(), nil
+		return &Report{Result: res, TransferredBytes: res.Bytes}, nil
 	})
 }
 
 // runHybrid is the cooperative execution path: the interleaved single-device
 // driver, where the host consumes result sets while the device produces the
 // next ones and shared-slot back-pressure couples the two timelines.
-func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadline vclock.Duration, ls *exec.Lease) (*Report, error) {
-	p := orig
-	split := s.Split
-	if split == 0 {
-		split = -1 // H0
-	}
-	if split > len(p.Steps) {
-		return nil, fmt.Errorf("coop: split H%d exceeds the plan's %d joins", split, len(p.Steps))
+func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, b *device.Bindings, deadline vclock.Duration) (*Report, error) {
+	p, split := orig, s.Split
+	if split != -1 && (split < 1 || split > len(p.Steps)) {
+		return nil, fmt.Errorf("coop: no split point %d in a plan of %d joins (H0 is -1)", split, len(p.Steps))
 	}
 	// Join-free (single-table) plans execute as H0: the device scans and
 	// filters the base table, ships survivor chunks through the shared
@@ -554,204 +559,64 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 	if split < 0 {
 		p = orig.WithBufferedJoins()
 	}
-	snap, err := device.Snapshot(x.DB, p, split)
+	// The fallback re-executes the ORIGINAL plan (with its BNLI index joins
+	// intact): the H0 rewrite only makes sense with device-seeded inners.
+	return x.runDevice(orig, p, split, device.DrivingChunks(x.Model, x.Cat, p), s, b, deadline, x.hybridAttempt)
+}
+
+// hybridAttempt runs one launched cooperative attempt to completion: the host
+// pre-build overlapping the device's initial execution, the interleaved
+// hand-off — the producer emitting straight into the receiver, its
+// back-pressure reading the host's fetch completions — and the host-side
+// finalize.
+func (x *Executor) hybridAttempt(r *deviceRun) (*Report, error) {
+	r.root.AttrInt("chunks", int64(r.cmd.Chunks))
+	rc, err := r.b.Receiver(r.hostTL, r.cmd.Plan)
 	if err != nil {
 		return nil, err
 	}
-	cmd := &device.Command{Plan: p, SplitAfter: split, Snapshot: snap, Chunks: device.DrivingChunks(x.Model, x.Cat, p)}
-	mp := device.PlanMemory(x.Model, p, split)
-	inj := x.injectorFor(p, s)
-	hostTL := vclock.NewTimeline("host")
-
-	root := tr.Start(hostTL, "query:"+p.Query.Name).Attr("strategy", s.String())
-	defer root.End()
-
-	// The fallback re-executes the ORIGINAL plan (with its BNLI index joins
-	// intact): the H0 rewrite only makes sense with device-seeded inners.
-	return x.withRecovery(orig, s, tr, ls, hostTL, deadline, func() (*Report, vclock.Time, error) {
-		dev, devEng, devRoot, err := x.launch(cmd, mp, s, tr, ls, inj, hostTL)
-		if err != nil {
-			return nil, 0, err // a rejected command is not retried
-		}
-		devRoot.AttrInt("chunks", int64(cmd.Chunks))
-		// Ending the device root span on every exit keeps the per-timeline
-		// span stack intact for a retry replaying this command on the trace.
-		defer devRoot.End()
-		rep, err := x.hybridAttempt(dev, devEng, cmd, s, tr, ls, inj, hostTL)
-		if err != nil {
-			return nil, dev.TL.Now(), err
-		}
-		rep.DeviceMemory = mp
-		return rep, dev.TL.Now(), nil
-	})
-}
-
-// hostSide is the host half of one cooperative attempt: the host engine on the
-// pipeline it shares with the device (the device owns the inner state of its
-// join steps, the host owns the rest), and what the hand-off loop accumulates.
-type hostSide struct {
-	x        *Executor
-	tr       *obs.Trace
-	inj      *fault.Injector
-	tl       *vclock.Timeline
-	rates    hw.Rates
-	eng      *exec.Engine
-	pl       *exec.Pipeline
-	hostFrom int // first join step the host executes on driving batches
-	report   *Report
-	tuples   []exec.Tuple // the gather list, in the pipeline's scratch
-	// fetchDone[j] is when the host finished fetching batch j, i.e. when its
-	// shared-buffer slot became free again.
-	fetchDone []vclock.Time
-}
-
-// hybridAttempt runs one launched cooperative attempt to completion: host
-// pre-build overlapping the device's initial execution, the interleaved
-// hand-off loop, and the host-side finalize.
-func (x *Executor) hybridAttempt(dev *device.Device, devEng *exec.Engine, cmd *device.Command,
-	s Strategy, tr *obs.Trace, ls *exec.Lease, inj *fault.Injector, hostTL *vclock.Timeline) (*Report, error) {
-
-	p := cmd.Plan
-	h := &hostSide{x: x, tr: tr, inj: inj, tl: hostTL, rates: hw.HostRates(x.Model),
-		report: &Report{Query: p.Query.Name, Strategy: s}}
-	h.eng = x.hostEngine(hostTL, h.rates, ls)
-	var err error
-	if h.pl, err = h.eng.StartPipeline(p); err != nil {
-		return nil, err
-	}
-	if cmd.SplitAfter > 0 {
+	from := 0 // first join step the host executes on driving batches
+	if r.cmd.SplitAfter > 0 {
 		// Hk: the host joins steps[split:] over host-scanned inners; build
 		// their hash tables now, while the device is busy.
-		h.hostFrom = cmd.SplitAfter
-		if err := h.prebuild(); err != nil {
+		from = r.cmd.SplitAfter
+		if err := rc.Prebuild(from); err != nil {
 			return nil, err
 		}
 	}
-	if err := dev.Run(cmd, h.pl, devEng, h.consume, h.slotFreed); err != nil {
+	rep := &Report{}
+	receive := func(b device.Batch) error {
+		fetched, err := rc.Receive(b, r.inj, from)
+		if err != nil {
+			return err
+		}
+		rows := b.Rows()
+		if m := x.Metrics; m != nil {
+			m.Histogram("coop.batch.rows", obs.DefaultSizeBuckets).Observe(float64(rows))
+			m.Histogram("coop.batch.bytes", obs.DefaultSizeBuckets).Observe(float64(b.Bytes))
+		}
+		rep.Timeline = append(rep.Timeline, BatchEvent{Idx: len(rep.Timeline), Rows: rows, Bytes: b.Bytes,
+			DeviceReady: b.Ready, HostFetched: fetched, HostDone: r.hostTL.Now()})
+		return nil
+	}
+	// Batch j's shared-buffer slot is free again once the host fetched it.
+	slotFreed := func(j int) (vclock.Time, bool) {
+		if j < len(rep.Timeline) {
+			return rep.Timeline[j].HostFetched, true
+		}
+		return 0, false
+	}
+	if err := r.dev.Produce(r.cmd, rc.Pl, r.eng, nil, slotFreed, receive); err != nil {
 		return nil, err
 	}
 
-	fsp := tr.Start(hostTL, "host.finalize").AttrInt("rows", int64(len(h.tuples)))
-	res, err := h.eng.Finalize(h.pl, h.tuples)
-	fsp.End()
+	res, err := rc.Finalize()
 	if err != nil {
 		return nil, err
 	}
-	x.recordStorage(h.eng)
-	rep := h.report
+	x.recordStorage(rc.Eng)
 	rep.Result = res
-	rep.Elapsed = vclock.Duration(hostTL.Now())
-	rep.DeviceElapsed = vclock.Duration(dev.TL.Now())
-	rep.HostAccount = hostTL.Account()
-	rep.DeviceAccount = dev.TL.Account()
+	rep.Batches = rc.Batches
+	rep.TransferredBytes = rc.Bytes
 	return rep, nil
-}
-
-// prebuild builds the hash tables of the host-side buffered joins.
-func (h *hostSide) prebuild() error {
-	steps := h.pl.Plan.Steps
-	for si := h.hostFrom; si < len(steps); si++ {
-		if steps[si].Type == exec.BNLI {
-			continue
-		}
-		bsp := h.tr.Start(h.tl, "host.build.inner").
-			Attr("alias", steps[si].Right.Ref.Alias).AttrInt("step", int64(si))
-		_, err := h.eng.BuildInner(h.pl, si)
-		bsp.End()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// slotFreed reports when the host drained batch j's shared-buffer slot (the
-// device's back-pressure rendezvous).
-func (h *hostSide) slotFreed(j int) (vclock.Time, bool) {
-	if j < len(h.fetchDone) {
-		return h.fetchDone[j], true
-	}
-	return 0, false
-}
-
-// consume is the host side of one hand-off: wait for the slot, fetch it over
-// the interconnect, verify a sealed payload, and push the batch through the
-// host PQEP.
-func (h *hostSide) consume(b device.Batch) error {
-	rep := h.report
-	idx := int64(rep.Batches)
-	cat, spName := hw.CatWaitFetch, "host.wait.fetch"
-	if idx == 0 {
-		cat, spName = hw.CatWaitInitial, "host.wait.initial"
-	}
-	wsp := h.tr.Start(h.tl, spName).AttrInt("batch", idx)
-	stall := h.tl.WaitUntil(b.Ready, cat)
-	wsp.Attr("stall", stall.String()).End()
-	tsp := h.tr.Start(h.tl, "host.fetch").AttrInt("batch", idx).AttrInt("bytes", b.Bytes)
-	h.rates.Transfer(h.tl, num.MaxI64(b.Bytes, 64), h.x.Model.SharedBufferSlot)
-	tsp.End()
-	h.fetchDone = append(h.fetchDone, h.tl.Now())
-	rep.TransferredBytes += b.Bytes
-	rep.Batches++
-	if b.Sum != 0 {
-		// Sealed batch (fault injection active): corrupt in transit per the
-		// plan, then verify the checksum host-side.
-		if h.inj.TransferCorrupt() {
-			b.CorruptInTransfer()
-		}
-		if verr := b.Verify(); verr != nil {
-			return fmt.Errorf("batch %d: %w", idx, verr)
-		}
-	}
-
-	ev := BatchEvent{Idx: int(idx), Bytes: b.Bytes, DeviceReady: b.Ready, HostFetched: h.tl.Now()}
-	psp := h.tr.Start(h.tl, "host.process.batch").AttrInt("batch", idx)
-	var err error
-	if b.LeafAlias != "" {
-		psp.Attr("leaf", b.LeafAlias)
-		ev.Rows = b.Cols.Len()
-		h.seedLeaf(b)
-	} else {
-		ev.Rows = len(b.Tuples)
-		err = h.joinDriving(b.Tuples)
-	}
-	if err != nil {
-		psp.End()
-		return err
-	}
-	psp.AttrInt("rows", int64(ev.Rows)).End()
-	if m := h.x.Metrics; m != nil {
-		m.Histogram("coop.batch.rows", obs.DefaultSizeBuckets).Observe(float64(ev.Rows))
-		m.Histogram("coop.batch.bytes", obs.DefaultSizeBuckets).Observe(float64(b.Bytes))
-	}
-	ev.HostDone = h.tl.Now()
-	rep.Timeline = append(rep.Timeline, ev)
-	return nil
-}
-
-// seedLeaf feeds an H0 leaf batch straight into the inner side of the host
-// join over that table.
-func (h *hostSide) seedLeaf(b device.Batch) {
-	for si, st := range h.pl.Plan.Steps {
-		if st.Right.Ref.Alias == b.LeafAlias {
-			h.eng.SeedInnerCols(h.pl, si, b.Cols)
-			return
-		}
-	}
-}
-
-// joinDriving runs one driving-chunk batch through the host PQEP.
-func (h *hostSide) joinDriving(batch []exec.Tuple) error {
-	for si := h.hostFrom; si < len(h.pl.Plan.Steps); si++ {
-		jsp := h.tr.Start(h.tl, "host.join").AttrInt("step", int64(si)).
-			AttrInt("in.rows", int64(len(batch)))
-		var err error
-		batch, err = h.eng.JoinStep(h.pl, si, batch)
-		jsp.AttrInt("out.rows", int64(len(batch))).End()
-		if err != nil {
-			return err
-		}
-	}
-	h.tuples = h.pl.AppendTuples(h.tuples, batch...)
-	return nil
 }

@@ -72,13 +72,8 @@ func TestEveryStrategySameResultRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strategies := []coop.Strategy{
-			{Kind: coop.BlockOnly}, {Kind: coop.HostNative}, {Kind: coop.NDPOnly},
-			{Kind: coop.Hybrid, Split: -1},
-		}
-		for k := 1; k <= len(p.Steps); k++ {
-			strategies = append(strategies, coop.Strategy{Kind: coop.Hybrid, Split: k})
-		}
+		strategies := append([]coop.Strategy{{Kind: coop.BlockOnly}, {Kind: coop.HostNative}, {Kind: coop.NDPOnly}},
+			coop.Splits(p)...)
 		var ref int64 = -1
 		for _, st := range strategies {
 			rep, err := ex.Run(p, st)
@@ -152,6 +147,10 @@ func TestHybridRejectsBadSplits(t *testing.T) {
 	}
 	if _, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: len(p.Steps) + 5}); err == nil {
 		t.Fatal("oversized split must fail")
+	}
+	// H0 is Split -1; Split 0 names no split point.
+	if _, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: 0}); err == nil {
+		t.Fatal("split 0 must fail")
 	}
 	single, err := opt.BuildPlan(job.Listing2(1000, false))
 	if err != nil {

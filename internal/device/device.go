@@ -78,8 +78,8 @@ type Batch struct {
 	// LeafAlias is set for H0 leaf batches: which table's selection this is.
 	LeafAlias string
 	// Cols carries an H0 leaf selection as a fully-selected column batch —
-	// the cross-interconnect transfer unit the host gather loop feeds straight
-	// into SeedInnerCols/AppendInnerCols.
+	// the cross-interconnect transfer unit the receiver feeds straight into
+	// AppendInnerCols.
 	Cols *exec.ColBatch
 	Last bool
 	// Sum is the payload checksum sealed by the device before the slot is
@@ -87,6 +87,14 @@ type Batch struct {
 	// (fault injection disabled): verification is skipped, so fault-free
 	// runs pay no checksum cost and stay byte-identical.
 	Sum uint64
+}
+
+// Rows counts the batch's payload rows: leaf rows or driving tuples.
+func (b *Batch) Rows() int {
+	if b.Cols != nil {
+		return b.Cols.Len()
+	}
+	return len(b.Tuples)
 }
 
 // corruptMask is the bit pattern injected corruption XORs into a sealed
@@ -208,35 +216,48 @@ func PlanMemory(m hw.Model, p *exec.Plan, splitAfter int) MemoryPlan {
 // without in one NDP call.
 func (mp MemoryPlan) Fits() bool { return mp.TotalBytes <= mp.BudgetBytes }
 
-// Device is the simulated smart-storage board.
+// Bindings are what one run hands every engine and device it builds: the
+// hardware model (read-only) and catalog, the columnar batch row capacity (0 =
+// exec.DefaultBatchSize; charges are byte-identical at every size), the lease
+// whose scratches the engines work in, the trace receiving spans and the
+// registry receiving counters (nil = off). A device is created per run, so
+// the trace needs no further synchronization here.
+type Bindings struct {
+	Model     *hw.Model
+	Cat       *table.Catalog
+	BatchSize int
+	Lease     *exec.Lease
+	Trace     *obs.Trace
+	Metrics   *obs.Registry
+}
+
+// Device is the simulated smart-storage board, carrying its run's bindings:
+// device-side spans (leaf scans, driving chunks, explicit slot-stall spans)
+// go to Trace, device counters (scan volume, batches, slot stalls) to
+// Metrics.
 type Device struct {
-	Model hw.Model
-	Cat   *table.Catalog
+	Bindings
 	// TL is core 1's execution timeline.
 	TL *vclock.Timeline
-	// Trace receives device-side spans (leaf scans, driving chunks, explicit
-	// slot-stall spans). Nil disables tracing. A device is created per run, so
-	// the trace needs no further synchronization here.
-	Trace *obs.Trace
-	// Metrics receives device counters (scan volume, batches, slot stalls).
-	// Nil disables them.
-	Metrics *obs.Registry
 	// Faults, when set, injects crash/stall/corruption faults into this
 	// run's batch-emit path and flash read errors into the device engine.
 	// Per-run state like Trace: the caller attaches one injector per run.
 	Faults *fault.Injector
-	// BatchSize is the columnar batch row capacity of the engines this device
-	// builds (0 = exec.DefaultBatchSize); charges are byte-identical at every
-	// size.
-	BatchSize int
-	// Scratch is the working memory of the engine this device builds, taken
+	// scratch is the working memory of the engine this device builds, taken
 	// from the run's lease (nil = the engine makes its own).
-	Scratch *exec.Scratch
+	scratch *exec.Scratch
 }
 
 // New creates a device bound to the catalog (whose flash it reads directly).
 func New(m hw.Model, cat *table.Catalog) *Device {
-	return &Device{Model: m, Cat: cat, TL: vclock.NewTimeline("device")}
+	return &Device{Bindings: Bindings{Model: &m, Cat: cat}, TL: vclock.NewTimeline("device")}
+}
+
+// Device builds a fresh device for one attempt or shard of the run, injecting
+// inj's faults (nil = none). A retried command gets a new device, so it
+// replays its builds and scans instead of resuming half-poisoned state.
+func (b *Bindings) Device(inj *fault.Injector) *Device {
+	return &Device{Bindings: *b, TL: vclock.NewTimeline("device"), Faults: inj, scratch: b.Lease.Scratch()}
 }
 
 // Engine builds the on-device execution engine for one command: device
@@ -244,14 +265,14 @@ func New(m hw.Model, cat *table.Catalog) *Device {
 // cold data-block buffer cache carved out of the temporary-storage
 // reservation — the one the engine's scratch keeps.
 func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
-	sc := d.Scratch
+	sc := d.scratch
 	if sc == nil {
 		sc = &exec.Scratch{}
 	}
 	eng := &exec.Engine{
 		Cat:          d.Cat,
 		TL:           d.TL,
-		R:            hw.DeviceRates(d.Model),
+		R:            hw.DeviceRates(*d.Model),
 		Cache:        sc.BlockCache(d.Cat.DB().BlockCacheBytes(d.Model.DeviceCacheFraction)),
 		JoinBuf:      d.Model.JoinBufBytes,
 		SelBuf:       d.Model.SelBufBytes,
@@ -317,7 +338,7 @@ func (d *Device) Launch(cmd *Command, mp MemoryPlan, hostTL *vclock.Timeline) (*
 	}
 	bytes := cmd.Bytes()
 	sp := d.Trace.Start(hostTL, "ndp.setup").AttrInt("cmd.bytes", bytes)
-	hostTL.Charge(hw.CatNDPSetup, hw.HostRates(d.Model).Interconnect.Transfer(bytes, bytes))
+	hostTL.Charge(hw.CatNDPSetup, hw.HostRates(*d.Model).Interconnect.Transfer(bytes, bytes))
 	sp.End()
 	sp = d.Trace.Start(d.TL, "device.setup.wait")
 	d.TL.WaitUntil(hostTL.Now(), hw.CatNDPSetup)
@@ -325,12 +346,11 @@ func (d *Device) Launch(cmd *Command, mp MemoryPlan, hostTL *vclock.Timeline) (*
 	return eng, nil
 }
 
-// handOff is the device side of publishing one result set, shared by every
-// producer (cooperative batches, fleet shard batches, leaf partitions, the
-// NDP-only final result): the injector's per-batch draw — a firmware stall
-// charged to the device timeline, a crash that aborts the command, corruption
-// sealed into the checksum — then wait (shared-slot back-pressure; nil where
-// the host merges freely), then the Ready stamp.
+// handOff is the device side of publishing one result set, shared by the
+// producer and the NDP-only final result: the injector's per-batch draw — a
+// firmware stall charged to the device timeline, a crash that aborts the
+// command, corruption sealed into the checksum — then wait (shared-slot
+// back-pressure; nil for the final result), then the Ready stamp.
 func (d *Device) handOff(b *Batch, what string, wait func()) error {
 	if d.Faults != nil {
 		ev := d.Faults.BeforeEmit()
@@ -367,21 +387,39 @@ func (d *Device) RunPlan(eng *exec.Engine, p *exec.Plan) (*exec.Result, error) {
 	return res, nil
 }
 
-// Run executes the command's device part, calling emit for every produced
-// batch. waitSlot is consulted before producing batch j once all shared
-// buffer slots are occupied: it returns the host fetch-completion time of
-// batch j-slots, and the device stalls until then (paper §4.1: "the smart
-// storage stalls and waits for the host-engine"). Both callbacks run
-// synchronously; batches are emitted in production order. A non-nil error
-// from emit aborts the run (the host rejected the batch); with d.Faults set,
-// an injected crash aborts before the batch is emitted.
-func (d *Device) Run(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
-	emit func(Batch) error, waitSlot func(batchIdx int) (vclock.Time, bool)) error {
+// Range is a primary-key partition [Lo, Hi) of one table; a nil bound is
+// open.
+type Range struct{ Lo, Hi *int32 }
 
+// whole is the clip of a command that ships every table unpartitioned.
+var whole = []Range{{}}
+
+// Produce is the device half of the hand-off: it streams the batches of one
+// launched NDP command to emit in production order. Under H0 (SplitAfter < 0)
+// every join step's leaf selection comes first, one batch per range; then the
+// driving table's chunks run through the first SplitAfter join steps, each
+// range's stream closed by a Last batch. clip(pos) lists the ranges of plan
+// position pos (0 = the driving table, si+1 = join step si's inner) this
+// device ships — the returned slice is read before the next call — and a nil
+// clip ships every table whole.
+//
+// One batch counter runs across leaf and driving batches. With waitSlot set,
+// producing batch j once all shared buffer slots are occupied first consults
+// waitSlot(j-slots), the host's fetch completion of the batch in the oldest
+// slot, and the device stalls until then (paper §4.1: "the smart storage
+// stalls and waits for the host-engine"); without it the device never
+// stalls. emit runs synchronously; an error from it (the host rejected the
+// batch) or an injected crash aborts the command.
+func (d *Device) Produce(cmd *Command, pl *exec.Pipeline, eng *exec.Engine, clip func(pos int) []Range,
+	waitSlot func(batch int) (vclock.Time, bool), emit func(Batch) error) error {
+
+	if clip == nil {
+		clip = func(int) []Range { return whole }
+	}
 	slots := d.Model.SharedSlots
 	produced := 0
 	waitForSlot := func() {
-		if produced < slots {
+		if waitSlot == nil || produced < slots {
 			return
 		}
 		if t, ok := waitSlot(produced - slots); ok {
@@ -407,31 +445,35 @@ func (d *Device) Run(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 
 	devSteps := cmd.SplitAfter
 	if devSteps < 0 {
-		// H0: run every leaf selection on device. Inner tables ship as one
-		// batch each; the driving table streams in chunks.
+		// H0: every leaf selection runs on device and ships as one batch per
+		// range; all joins stay on the host.
 		for si := range cmd.Plan.Steps {
-			b, err := d.scanLeaf(pl, si, eng, nil, nil)
-			if err != nil {
-				return err
-			}
-			if err := emitBatch(b); err != nil {
-				return err
+			for _, rg := range clip(si + 1) {
+				b, err := d.scanLeaf(pl, si, eng, rg.Lo, rg.Hi)
+				if err != nil {
+					return err
+				}
+				if err := emitBatch(b); err != nil {
+					return err
+				}
 			}
 		}
 		devSteps = 0
 	}
 	// Hk: the inner sides of the device joins are built once and probed by
 	// every driving chunk streaming through the device join pipeline.
-	if err := d.streamDrivingRange(cmd, pl, eng, devSteps, nil, nil, emitBatch); err != nil {
-		return err
+	for _, rg := range clip(0) {
+		if err := d.streamDrivingRange(cmd, pl, eng, devSteps, rg.Lo, rg.Hi, emitBatch); err != nil {
+			return err
+		}
 	}
-	d.RecordCache(eng)
+	d.recordCache(eng)
 	return nil
 }
 
-// RecordCache publishes the device engine's data-block cache outcome once the
+// recordCache publishes the device engine's data-block cache outcome once the
 // device's share of a run is complete.
-func (d *Device) RecordCache(eng *exec.Engine) {
+func (d *Device) recordCache(eng *exec.Engine) {
 	if d.Metrics == nil || eng.Cache == nil {
 		return
 	}
@@ -450,45 +492,6 @@ func (d *Device) RecordCache(eng *exec.Engine) {
 func (d *Device) recordScan(rows, bytes int64) {
 	d.Metrics.Counter("device.scan.rows").Add(rows)
 	d.Metrics.Counter("device.scan.bytes").Add(bytes)
-}
-
-// RunShard streams the driving-table partition [lo, hi) through the first
-// cmd.SplitAfter join steps (0 or -1 = scan-only: the shard ships filtered
-// driving rows and every join stays on the host). It carries no H0 leaf logic
-// — fleet execution scans each inner table's partitions through
-// ScanLeafPartition on the owning device — and emit may reject a batch with
-// an error. Shared-slot back-pressure is not applied: the host merges batches
-// from the whole fleet in partition order, so the host side is the
-// bottleneck. An injected crash degrades the whole shard at the fleet layer
-// instead of retrying.
-func (d *Device) RunShard(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
-	lo, hi *int32, emit func(Batch) error) error {
-
-	devSteps := cmd.SplitAfter
-	if devSteps < 0 {
-		devSteps = 0
-	}
-	return d.streamDrivingRange(cmd, pl, eng, devSteps, lo, hi, func(b Batch) error {
-		if err := d.handOff(&b, "shard batch", nil); err != nil {
-			return err
-		}
-		return emit(b)
-	})
-}
-
-// ScanLeafPartition scans the partition [lo, hi) of join step si's inner
-// table on this device (fleet H0: every device ships its share of every leaf
-// selection) and returns it as a leaf batch stamped with the device
-// completion time.
-func (d *Device) ScanLeafPartition(pl *exec.Pipeline, si int, eng *exec.Engine, lo, hi *int32) (Batch, error) {
-	b, err := d.scanLeaf(pl, si, eng, lo, hi)
-	if err != nil {
-		return Batch{}, err
-	}
-	if err := d.handOff(&b, "leaf scan", nil); err != nil {
-		return Batch{}, err
-	}
-	return b, nil
 }
 
 // scanLeaf runs join step si's leaf selection over [lo, hi) into a not yet
@@ -513,12 +516,11 @@ func (d *Device) scanLeaf(pl *exec.Pipeline, si int, eng *exec.Engine, lo, hi *i
 func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
 	devSteps int, loPart, hiPart *int32, emitBatch func(Batch) error) error {
 
-	p := cmd.Plan
-	bounds, err := d.chunkBounds(p.Driving.Ref.Table, cmd.Chunks)
+	t, err := d.Cat.Table(cmd.Plan.Driving.Ref.Table)
 	if err != nil {
 		return err
 	}
-	bounds = clipBounds(bounds, loPart, hiPart)
+	bounds := clipBounds(t.CollectStats().PKQuantiles(cmd.Chunks), loPart, hiPart)
 	width := pl.TupleWidth(devSteps + 1)
 	slot := d.Model.SharedBufferSlot
 	// acc is the result set filling the current slot, a list in the run's
@@ -599,38 +601,6 @@ func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.E
 	return flush(true)
 }
 
-// chunkBounds derives n chunk boundaries from the primary-key quantiles of
-// the table's statistics sample. The first and last bounds are open.
-func (d *Device) chunkBounds(tableName string, n int) ([]*int32, error) {
-	if n < 1 {
-		n = 1
-	}
-	t, err := d.Cat.Table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	st := t.CollectStats()
-	bounds := make([]*int32, 0, n+1)
-	bounds = append(bounds, nil)
-	if len(st.Sample) >= 2 && n > 1 {
-		pks := make([]int32, 0, len(st.Sample))
-		for _, r := range st.Sample {
-			pks = append(pks, r.PK())
-		}
-		sortInt32(pks)
-		for i := 1; i < n; i++ {
-			q := pks[i*len(pks)/n]
-			// Boundaries must be strictly increasing.
-			if last := bounds[len(bounds)-1]; last == nil || q > *last {
-				v := q
-				bounds = append(bounds, &v)
-			}
-		}
-	}
-	bounds = append(bounds, nil)
-	return bounds, nil
-}
-
 // clipBounds restricts chunk boundaries to the partition [lo, hi).
 func clipBounds(bounds []*int32, lo, hi *int32) []*int32 {
 	out := []*int32{lo}
@@ -649,17 +619,9 @@ func clipBounds(bounds []*int32, lo, hi *int32) []*int32 {
 	return append(out, hi)
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Validate checks that the command can run on the device at all.
 func (d *Device) Validate(cmd *Command) error {
-	mp := PlanMemory(d.Model, cmd.Plan, cmd.SplitAfter)
+	mp := PlanMemory(*d.Model, cmd.Plan, cmd.SplitAfter)
 	if !mp.Fits() {
 		return fmt.Errorf("%w: NDP memory plan (%d MB for %d selections, %d secondary, %d joins) exceeds budget (%d MB)",
 			ErrMemoryBudget, mp.TotalBytes>>20, mp.Selections, mp.SecondaryIdx, mp.Joins, mp.BudgetBytes>>20)

@@ -1,11 +1,13 @@
 package device_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
+	"hybridndp/internal/fleet"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
@@ -150,7 +152,7 @@ func TestRunH0EmitsLeavesThenDrivingChunks(t *testing.T) {
 		}
 		return nil
 	}
-	if err := d.Run(cmd, pl, eng, emit, func(int) (vclock.Time, bool) { return 0, false }); err != nil {
+	if err := d.Produce(cmd, pl, eng, nil, nil, emit); err != nil {
 		t.Fatal(err)
 	}
 	if leafBatches != len(p.Steps) {
@@ -186,7 +188,7 @@ func TestRunHkProducesJoinedTuples(t *testing.T) {
 		total += len(b.Tuples)
 		return nil
 	}
-	if err := d.Run(cmd, pl, eng, emit, func(int) (vclock.Time, bool) { return 0, false }); err != nil {
+	if err := d.Produce(cmd, pl, eng, nil, nil, emit); err != nil {
 		t.Fatal(err)
 	}
 	if total == 0 {
@@ -229,10 +231,147 @@ func TestWaitSlotBackPressure(t *testing.T) {
 		}
 		return 0, false
 	}
-	if err := d.Run(cmd, pl, eng, emit, waitSlot); err != nil {
+	if err := d.Produce(cmd, pl, eng, nil, waitSlot, emit); err != nil {
 		t.Fatal(err)
 	}
 	if len(ready) > 1 && d.TL.Booked(hw.CatWaitSlots) <= 0 {
 		t.Fatal("device never stalled despite a single occupied slot")
+	}
+}
+
+// stream flattens one producer run into what the host receives: every leaf
+// alias's rows and the driving tuple stream, in arrival order, copied out of
+// the engine's scratch.
+type stream struct {
+	leaves  map[string][]string
+	driving []string
+}
+
+func (st *stream) emit(b device.Batch) error {
+	if b.LeafAlias != "" {
+		for _, i := range b.Cols.Sel {
+			st.leaves[b.LeafAlias] = append(st.leaves[b.LeafAlias], string(b.Cols.Rows[i]))
+		}
+		return nil
+	}
+	for _, tu := range b.Tuples {
+		var flat []byte
+		for _, pos := range tu {
+			flat = append(flat, byte(len(pos)), byte(len(pos)>>8))
+			flat = append(flat, pos...)
+		}
+		st.driving = append(st.driving, string(flat))
+	}
+	return nil
+}
+
+// TestProducePartitionsConcatenateToWholeRun pins the order property fleet
+// byte-identity rests on: the producer run over the range descriptor's
+// partitions one after another ships, concatenated, exactly the leaf rows and
+// the driving tuple stream of one whole-table run.
+func TestProducePartitionsConcatenateToWholeRun(t *testing.T) {
+	ds, opt := env(t)
+	// 17b drives from company_name, whose qualifying rows spread over all
+	// four partitions.
+	p, err := opt.BuildPlan(job.QueryByName("17b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := fleet.Build(ds.Cat, 4, fleet.SchemeRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		plan  *exec.Plan
+		split int
+	}{{"H0", p.WithBufferedJoins(), -1}, {"H2", p, 2}} {
+		run := func(clips []func(int) []device.Range) *stream {
+			d := device.New(ds.Model, ds.Cat)
+			cmd := &device.Command{Plan: c.plan, SplitAfter: c.split, Chunks: 4}
+			eng := d.Engine(device.PlanMemory(ds.Model, c.plan, c.split))
+			pl, err := (&exec.Engine{Cat: ds.Cat}).StartPipeline(c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &stream{leaves: map[string][]string{}}
+			for _, clip := range clips {
+				if err := d.Produce(cmd, pl, eng, clip, nil, st.emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return st
+		}
+		whole := run([]func(int) []device.Range{nil})
+		var parts []func(int) []device.Range
+		for i := 0; i < desc.Devices; i++ {
+			parts = append(parts, func(pos int) []device.Range {
+				name := c.plan.Driving.Ref.Table
+				if pos > 0 {
+					name = c.plan.Steps[pos-1].Right.Ref.Table
+				}
+				part := desc.Parts[name][i]
+				return []device.Range{{Lo: part.Lo, Hi: part.Hi}}
+			})
+		}
+		split := run(parts)
+		if len(whole.driving) == 0 {
+			t.Fatalf("%s: the whole-table run shipped no driving tuples", c.name)
+		}
+		if !reflect.DeepEqual(split.driving, whole.driving) {
+			t.Errorf("%s: partitioned driving stream (%d tuples) differs from the whole run's (%d)",
+				c.name, len(split.driving), len(whole.driving))
+		}
+		if c.split < 0 && len(whole.leaves) != len(p.Steps) {
+			t.Errorf("%s: whole run shipped %d leaf selections, want %d", c.name, len(whole.leaves), len(p.Steps))
+		}
+		if !reflect.DeepEqual(split.leaves, whole.leaves) {
+			t.Errorf("%s: partitioned leaf rows differ from the whole run's", c.name)
+		}
+	}
+}
+
+// TestLeafBatchesFeelBackPressure checks that H0 leaf batches count against
+// the shared buffer slots like driving chunks do: with one slot and a
+// slot-wait that frees it late, the second leaf batch already stalls.
+func TestLeafBatchesFeelBackPressure(t *testing.T) {
+	ds, opt := env(t)
+	p, err := opt.BuildPlan(job.QueryByName("1a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = p.WithBufferedJoins()
+	m := ds.Model
+	m.SharedSlots = 1
+	d := device.New(m, ds.Cat)
+	cmd := &device.Command{Plan: p, SplitAfter: -1, Chunks: 4}
+	eng := d.Engine(device.PlanMemory(m, p, -1))
+	pl, err := (&exec.Engine{Cat: ds.Cat}).StartPipeline(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready []vclock.Time
+	var leafStall vclock.Duration
+	emit := func(b device.Batch) error {
+		if b.LeafAlias != "" && len(ready) == 1 {
+			leafStall = d.TL.Booked(hw.CatWaitSlots)
+		}
+		ready = append(ready, b.Ready)
+		return nil
+	}
+	waitSlot := func(j int) (vclock.Time, bool) {
+		if j < len(ready) {
+			return ready[j].Add(vclock.Second), true // fetched 1 virtual second late
+		}
+		return 0, false
+	}
+	if err := d.Produce(cmd, pl, eng, nil, waitSlot, emit); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Steps) < 2 {
+		t.Fatalf("1a has %d joins; the check needs two leaf batches", len(p.Steps))
+	}
+	if leafStall <= 0 {
+		t.Fatal("the second leaf batch did not stall on the single occupied slot")
 	}
 }

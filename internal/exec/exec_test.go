@@ -472,7 +472,7 @@ func TestSeedInnerUsesShippedRows(t *testing.T) {
 			shipped = append(shipped, r)
 		}
 	}
-	e.SeedInner(pl, 0, shipped)
+	e.AppendInner(pl, 0, shipped)
 	rows, _, err := e.scanAP(p.Driving, nil, nil)
 	if err != nil {
 		t.Fatal(err)

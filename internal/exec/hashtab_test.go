@@ -23,12 +23,11 @@ type keyJoinRun struct {
 	account map[string]vclock.Duration
 }
 
-// runKeyJoin joins outer with inner (delivered as SeedInner plus one
-// AppendInner per further part, the way a fleet gather does) on a fresh
-// pipeline over the engine's scratch. forceBytes takes the step off the integer
-// representation whatever Prepare chose — on a private copy of the prepared
-// state, which the plan's later runs must not see; intMode reports which one
-// ran.
+// runKeyJoin joins outer with inner (delivered as one AppendInner per part,
+// the way a fleet gather does) on a fresh pipeline over the engine's scratch.
+// forceBytes takes the step off the integer representation whatever Prepare
+// chose — on a private copy of the prepared state, which the plan's later runs
+// must not see; intMode reports which one ran.
 func runKeyJoin(t *testing.T, e *Engine, p *Plan, innerParts [][][]byte, outer [][]byte, forceBytes bool) (run keyJoinRun, intMode bool) {
 	t.Helper()
 	e.TL = vclock.NewTimeline("host")
@@ -214,7 +213,7 @@ func TestIntegerJoinAllocatesNothingWarm(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, func() {
 			e.Scratch.Release()
 			pl.inner[0] = innerState{}
-			e.SeedInner(pl, 0, inner)
+			e.AppendInner(pl, 0, inner)
 			out, err := e.JoinStep(pl, 0, pl.MakeTuples(outer))
 			if err != nil {
 				t.Fatal(err)

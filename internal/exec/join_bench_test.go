@@ -23,7 +23,7 @@ var keyCols = []table.Column{
 }
 
 // keyCatalog declares tables l and r over keyCols. They stay empty: the joins
-// under test take their inner rows through SeedInner/AppendInner and their
+// under test take their inner rows through AppendInner and their
 // outer tuples through MakeTuples.
 func keyCatalog(t testing.TB) *table.Catalog {
 	t.Helper()
@@ -96,7 +96,7 @@ func BenchmarkHashInner(b *testing.B) {
 			build := func() {
 				e.Scratch.Release()
 				pl.inner[0] = innerState{}
-				e.SeedInner(pl, 0, inner)
+				e.AppendInner(pl, 0, inner)
 			}
 			build() // grows the scratch
 			b.ReportAllocs()
@@ -126,7 +126,7 @@ func BenchmarkProbe(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e.SeedInner(pl, 0, inner)
+			e.AppendInner(pl, 0, inner)
 			left := pl.MakeTuples(outer)
 			sc := e.Scratch
 			mark, cur, off := len(sc.tuples), sc.arena.cur, sc.arena.off

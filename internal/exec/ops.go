@@ -134,14 +134,8 @@ func (e *Engine) ScanCols(pl *Pipeline, pos int, loPK, hiPK *int32) (*ColBatch, 
 	return &ColBatch{Schema: pl.tabs[pos].Schema, Rows: rows, Sel: sel}, width, nil
 }
 
-// SeedInnerCols seeds a join's inner side from a column batch (the H0 leaf
-// batch a device shipped).
-func (e *Engine) SeedInnerCols(pl *Pipeline, si int, cb *ColBatch) {
-	e.SeedInner(pl, si, cb.View())
-}
-
-// AppendInnerCols appends a column batch to a join's inner side (multi-device
-// and fleet gather loops, one shard partition at a time).
+// AppendInnerCols installs a column batch — an H0 leaf batch a device
+// shipped — into a join's inner side (see AppendInner).
 func (e *Engine) AppendInnerCols(pl *Pipeline, si int, cb *ColBatch) {
 	e.AppendInner(pl, si, cb.View())
 }
@@ -338,23 +332,17 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 	return inner, nil
 }
 
-// SeedInner installs device-shipped, already-filtered rows as the inner side
-// of join step si, so the host joins NDP outputs instead of rescanning the
-// base table (H0 leaf offloading).
-func (e *Engine) SeedInner(pl *Pipeline, si int, rows [][]byte) {
-	inner := &pl.inner[si]
-	e.hashInner(pl, si, inner, rows, pl.widths[si+1])
-	inner.seeded = true
-}
-
-// AppendInner extends a seeded inner side with further device-shipped rows
-// (multi-device execution delivers each inner table's partitions as separate
-// leaf batches). A first call on an unbuilt inner behaves like SeedInner. The
-// grown row list is a region of the pipeline's scratch.
+// AppendInner installs device-shipped, already-filtered rows into the inner
+// side of join step si, so the host joins NDP outputs instead of rescanning
+// the base table (H0 leaf offloading). The first call on an unbuilt inner
+// seeds it; later calls extend it (a fleet delivers each inner table's
+// partitions as separate leaf batches), the grown row list a region of the
+// pipeline's scratch.
 func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) {
 	inner := &pl.inner[si]
 	if !inner.built {
-		e.SeedInner(pl, si, rows)
+		e.hashInner(pl, si, inner, rows, pl.widths[si+1])
+		inner.seeded = true
 		return
 	}
 	base := len(inner.rows)

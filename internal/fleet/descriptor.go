@@ -145,7 +145,7 @@ func Build(cat *table.Catalog, devices int, spec string) (*Descriptor, error) {
 		if err != nil {
 			return nil, err
 		}
-		bounds := quantileBounds(t.CollectStats(), nparts)
+		bounds := t.CollectStats().PKQuantiles(nparts)
 		parts := make([]Partition, 0, len(bounds)-1)
 		for i := 0; i+1 < len(bounds); i++ {
 			dev := i
@@ -160,31 +160,6 @@ func Build(cat *table.Catalog, devices int, spec string) (*Descriptor, error) {
 		d.Parts[name] = parts
 	}
 	return d, nil
-}
-
-// quantileBounds cuts a table's PK space into at most n ranges at sample
-// quantiles (mirrors the device's chunk-bound derivation; duplicate
-// quantiles collapse, so tiny tables may yield fewer ranges than requested).
-// Past len(sample)+1 ranges every sample position is already a cut, so more
-// only collapse: n is clamped there, which bounds the loop and moves no bound.
-func quantileBounds(st *table.Stats, n int) []*int32 {
-	bounds := []*int32{nil}
-	n = min(n, len(st.Sample)+1)
-	if n > 1 && len(st.Sample) >= 2 {
-		pks := make([]int32, 0, len(st.Sample))
-		for _, r := range st.Sample {
-			pks = append(pks, r.PK())
-		}
-		sort.Slice(pks, func(i, j int) bool { return pks[i] < pks[j] })
-		for i := 1; i < n; i++ {
-			q := pks[i*len(pks)/n]
-			if last := bounds[len(bounds)-1]; last == nil || q > *last {
-				v := q
-				bounds = append(bounds, &v)
-			}
-		}
-	}
-	return append(bounds, nil)
 }
 
 // Validate checks the descriptor against the catalog: every descriptor table

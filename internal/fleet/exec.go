@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -11,7 +12,6 @@ import (
 	"hybridndp/internal/fault"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/kv"
-	"hybridndp/internal/num"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/table"
 	"hybridndp/internal/vclock"
@@ -180,11 +180,17 @@ type shard struct {
 	release func(ok bool, busyNs float64)
 	dev     *device.Device // nil unless the shard was launched
 	inj     *fault.Injector
+	// out is the device's output in production order, the gather merging it
+	// from out[next]: both walk the shard's partitions in the same order —
+	// under H0 every leaf partition step by step, then the driving
+	// partitions, each in ascending key order — so a leaf partition is the
+	// next batch and a driving partition the batches up to its Last.
+	out  []device.Batch
+	next int
 	// backupAt is a hedged-out shard's hedge launch instant: its host backup
 	// cannot have started earlier.
 	backupAt vclock.Time
 	rows     int64
-	batches  int
 }
 
 // hostFrom is the first join step the host runs on this shard's driving rows.
@@ -195,28 +201,17 @@ func (sh *shard) hostFrom() int {
 	return 0
 }
 
-// leafKey addresses one inner table's partition scan: step index within the
-// plan plus partition index within the table's descriptor entry.
-type leafKey struct{ step, part int }
-
 // run is the state of one scatter-gather execution.
 type run struct {
 	x      *Executor
 	a      *Assignment
 	p      *exec.Plan // a.Plan; under H0 its buffered-join copy
-	tr     *obs.Trace
+	b      device.Bindings
 	rep    *Report
 	hostTL *vclock.Timeline
-	hostR  hw.Rates
-	host   *exec.Engine
-	pl     *exec.Pipeline
-	lease  *exec.Lease // the scratches of the host engine and every shard device
+	rc     *device.Receiver // the host engine and pipeline the gather feeds
 	shards []shard
-	// Device output by merge position; the gather reads an entry only while
-	// its owner's outcome is ok, so a demoted shard's output needs no cleanup.
-	leaves  map[leafKey]device.Batch
-	driving [][]device.Batch
-	tuples  []exec.Tuple // the gather list, in the host pipeline's scratch
+	ranges []device.Range // a shard's partitions of one table, refilled per clip
 }
 
 // Run executes a planned assignment over the fleet.
@@ -237,15 +232,14 @@ func (x *Executor) Run(a *Assignment) (*Report, error) {
 // (ordered merge, re-executing every non-ok shard's partitions host-side),
 // finalize.
 func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Duration) (rep *Report, err error) {
-	r := &run{x: x, a: a, p: a.Plan, tr: tr, hostTL: vclock.NewTimeline("host"), hostR: hw.HostRates(x.Model),
-		lease: x.scratch.Lease()}
-	// The run's one release point: shard batches and leaf rows stay referenced
-	// by the host's hash tables until the report is built.
-	defer r.lease.Release()
+	// The run's one release point: the scratches of the host engine and every
+	// shard device — shard batches and leaf rows stay referenced by the host's
+	// hash tables until the report is built.
+	ls := x.scratch.Lease()
+	defer ls.Release()
+	r := &run{x: x, a: a, p: a.Plan, hostTL: vclock.NewTimeline("host"),
+		b: device.Bindings{Model: &x.Model, Cat: x.Cat, BatchSize: x.BatchSize, Lease: ls, Trace: tr, Metrics: x.Metrics}}
 	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
-	sc := r.lease.Scratch()
-	r.host = &exec.Engine{Cat: x.Cat, TL: r.hostTL, R: r.hostR, Scratch: sc,
-		Cache: sc.BlockCache(x.DB.BlockCacheBytes(x.Model.HostCacheFraction)), BatchSize: x.BatchSize}
 
 	root := tr.Start(r.hostTL, "query:"+r.p.Query.Name).Attr("strategy", "fleet:"+a.Label())
 	defer root.End()
@@ -253,7 +247,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 	// A host-global decision never scatters: the whole plan runs on the host
 	// exactly like the cooperative baseline.
 	if a.Mode == ModeHost {
-		res, err := r.host.RunPlan(r.p)
+		res, err := r.b.HostEngine(r.hostTL, hw.HostRates(x.Model)).RunPlan(r.p)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +256,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 	if a.Mode == ModeH0 {
 		r.p = r.p.WithBufferedJoins()
 	}
-	if r.pl, err = r.host.StartPipeline(r.p); err != nil {
+	if r.rc, err = r.b.Receiver(r.hostTL, r.p); err != nil {
 		return nil, err
 	}
 
@@ -278,7 +272,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 	if err := r.gather(); err != nil {
 		return nil, err
 	}
-	res, err := r.host.Finalize(r.pl, r.tuples)
+	res, err := r.rc.Finalize()
 	if err != nil {
 		return nil, err
 	}
@@ -367,8 +361,6 @@ func (r *run) scatter() error {
 	// Each shard takes its per-device share of the driving-table chunks (+1 so
 	// none rounds to zero).
 	chunks := device.DrivingChunks(r.x.Model, r.x.Cat, r.p)/len(r.shards) + 1
-	r.leaves = make(map[leafKey]device.Batch)
-	r.driving = make([][]device.Batch, len(r.a.DrivingParts))
 	for i := range r.shards {
 		sh := &r.shards[i]
 		if sh.outcome != ok {
@@ -382,31 +374,27 @@ func (r *run) scatter() error {
 			return err
 		}
 		r.demote(sh, crashed)
-		sh.rows, sh.batches = 0, 0
+		sh.out, sh.rows = nil, 0
 	}
 	return nil
 }
 
-// runShard is one shard's device side: the NDP invocation, then — under H0 —
-// its partitions of every leaf selection, then its driving partitions in
-// ascending key order.
+// runShard is one shard's device side: the NDP invocation, then the producer
+// over the shard's own partitions. No slot-wait is passed: the host merges the
+// whole fleet's batches in partition order only after every shard ran, so the
+// host side is the bottleneck. An injected crash degrades the whole shard at
+// the fleet layer instead of retrying.
 func (r *run) runShard(sh *shard, cmd *device.Command) error {
 	x, id := r.x, sh.plan.Device
-	d := device.New(x.Model, x.Cat)
-	d.BatchSize = x.BatchSize
-	d.Scratch = r.lease.Scratch()
-	d.Trace = r.tr
-	d.Metrics = x.Metrics
 	if fp := x.Faults.ForDevice(id); fp.Enabled() {
 		// Per-device fault stream: the run key folds in the device id so one
 		// sick device's episode never perturbs its siblings'.
 		sh.inj = fp.Injector(r.p.Query.Name + "|" + r.a.Mode + "|dev" + strconv.Itoa(id)).Bind(x.Metrics)
-		d.Faults = sh.inj
 	}
-	sh.dev = d
+	sh.dev = r.b.Device(sh.inj)
 	// The host issues the fleet's commands back to back; each device's
 	// timeline starts when its own command arrived.
-	eng, err := d.Launch(cmd, sh.plan.Mem, r.hostTL)
+	eng, err := sh.dev.Launch(cmd, sh.plan.Mem, r.hostTL)
 	if err != nil {
 		return err
 	}
@@ -414,38 +402,24 @@ func (r *run) runShard(sh *shard, cmd *device.Command) error {
 	if err != nil {
 		return err
 	}
-	if r.a.Mode == ModeH0 {
-		for si, st := range r.p.Steps {
-			for pi, part := range x.Desc.Parts[st.Right.Ref.Table] {
-				if part.Device != id {
-					continue
-				}
-				b, err := d.ScanLeafPartition(dpl, si, eng, part.Lo, part.Hi)
-				if err != nil {
-					return err
-				}
-				r.leaves[leafKey{si, pi}] = b
-				sh.rows += int64(b.Cols.Len())
-				sh.batches++
+	clip := func(pos int) []device.Range {
+		parts := r.a.DrivingParts
+		if pos > 0 {
+			parts = x.Desc.Parts[r.p.Steps[pos-1].Right.Ref.Table]
+		}
+		r.ranges = r.ranges[:0]
+		for _, part := range parts {
+			if part.Device == id {
+				r.ranges = append(r.ranges, device.Range{Lo: part.Lo, Hi: part.Hi})
 			}
 		}
+		return r.ranges
 	}
-	for pi, part := range r.a.DrivingParts {
-		if part.Device != id {
-			continue
-		}
-		err := d.RunShard(cmd, dpl, eng, part.Lo, part.Hi, func(b device.Batch) error {
-			r.driving[pi] = append(r.driving[pi], b)
-			sh.rows += int64(len(b.Tuples))
-			sh.batches++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	d.RecordCache(eng)
-	return nil
+	return sh.dev.Produce(cmd, dpl, eng, clip, nil, func(b device.Batch) error {
+		sh.out = append(sh.out, b)
+		sh.rows += int64(b.Rows())
+		return nil
+	})
 }
 
 // decide applies the deadline and hedge demotions. Every launched shard's
@@ -535,14 +509,7 @@ func (r *run) prebuild() error {
 			from = hf
 		}
 	}
-	for si := from; si < len(r.p.Steps); si++ {
-		if r.p.Steps[si].Type != exec.BNLI {
-			if _, err := r.host.BuildInner(r.pl, si); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return r.rc.Prebuild(from)
 }
 
 // gather merges in plan order — every leaf partition of every step first
@@ -552,8 +519,8 @@ func (r *run) prebuild() error {
 func (r *run) gather() error {
 	if r.a.Mode == ModeH0 {
 		for si, st := range r.p.Steps {
-			for pi, part := range r.x.Desc.Parts[st.Right.Ref.Table] {
-				if err := r.gatherLeaf(si, pi, part); err != nil {
+			for _, part := range r.x.Desc.Parts[st.Right.Ref.Table] {
+				if err := r.gatherLeaf(si, part); err != nil {
 					return err
 				}
 			}
@@ -567,50 +534,24 @@ func (r *run) gather() error {
 	return nil
 }
 
-// fetch moves one device batch to the host — wait for it, cross the
-// interconnect — and verifies a sealed payload (drawing the in-transfer
-// corruption first; unsealed batches of fault-free runs skip everything). A
-// batch that fails its checksum demotes the whole shard, and fetch reports
-// false.
-func (r *run) fetch(sh *shard, b device.Batch) bool {
-	cat := hw.CatWaitFetch
-	if r.rep.Batches == 0 {
-		cat = hw.CatWaitInitial
-	}
-	r.hostTL.WaitUntil(b.Ready, cat)
-	r.hostR.Transfer(r.hostTL, num.MaxI64(b.Bytes, 64), r.x.Model.SharedBufferSlot)
-	r.rep.TransferredBytes += b.Bytes
-	r.rep.Batches++
-	if b.Sum == 0 {
-		return true
-	}
-	if sh.inj.TransferCorrupt() {
-		b.CorruptInTransfer()
-	}
-	if b.Verify() != nil {
+// receive hands the shard's next device batch to the receiver, which joins
+// driving tuples from the shard's own split onward. A batch that fails its
+// checksum demotes the whole shard.
+func (r *run) receive(sh *shard) error {
+	_, err := r.rc.Receive(sh.out[sh.next], sh.inj, sh.hostFrom())
+	sh.next++
+	if errors.Is(err, device.ErrCorruptBatch) {
 		r.demote(sh, corrupt)
-		return false
+		return nil
 	}
-	return true
+	return err
 }
 
-// joinFrom runs driving tuples through the host's join steps [from, n).
-func (r *run) joinFrom(from int, batch []exec.Tuple) ([]exec.Tuple, error) {
-	for si := from; si < len(r.p.Steps); si++ {
-		var err error
-		if batch, err = r.host.JoinStep(r.pl, si, batch); err != nil {
-			return nil, err
-		}
-	}
-	return batch, nil
-}
-
-func (r *run) gatherLeaf(si, pi int, part Partition) error {
+func (r *run) gatherLeaf(si int, part Partition) error {
 	sh := &r.shards[part.Device]
 	if sh.outcome == ok {
-		if b := r.leaves[leafKey{si, pi}]; r.fetch(sh, b) {
-			r.host.AppendInnerCols(r.pl, si, b.Cols)
-			return nil
+		if err := r.receive(sh); err != nil || sh.outcome == ok {
+			return err
 		}
 	}
 	return r.rerunLeaf(sh, si, part)
@@ -619,24 +560,20 @@ func (r *run) gatherLeaf(si, pi int, part Partition) error {
 func (r *run) gatherDriving(pi int, part Partition) error {
 	sh := &r.shards[part.Device]
 	if sh.outcome == ok {
-		// Merge the shard's device batches. A corrupt batch abandons the
-		// partition's merged rows and falls through to the host path, so the
-		// final stream carries each partition exactly once.
-		hostFrom, mark := sh.hostFrom(), len(r.tuples)
-		for _, b := range r.driving[pi] {
-			if !r.fetch(sh, b) {
-				break
-			}
-			out, err := r.joinFrom(hostFrom, b.Tuples)
-			if err != nil {
+		// Merge the partition's device batches, up to its Last. A corrupt
+		// batch abandons the partition's merged rows and falls through to the
+		// host path, so the final stream carries each partition exactly once.
+		mark := len(r.rc.Tuples)
+		for last := false; !last && sh.outcome == ok; {
+			last = sh.out[sh.next].Last
+			if err := r.receive(sh); err != nil {
 				return err
 			}
-			r.tuples = r.pl.AppendTuples(r.tuples, out...)
 		}
 		if sh.outcome == ok {
 			return nil
 		}
-		r.tuples = r.tuples[:mark]
+		r.rc.Tuples = r.rc.Tuples[:mark]
 	}
 	return r.rerunDriving(sh, pi, part)
 }
@@ -645,11 +582,11 @@ func (r *run) gatherDriving(pi int, part Partition) error {
 // every non-ok outcome of the owning shard leads.
 func (r *run) rerunLeaf(sh *shard, si int, part Partition) error {
 	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
-	cb, _, err := r.host.ScanCols(r.pl, si+1, part.Lo, part.Hi)
+	cb, _, err := r.rc.Eng.ScanCols(r.rc.Pl, si+1, part.Lo, part.Hi)
 	if err != nil {
 		return err
 	}
-	r.host.AppendInnerCols(r.pl, si, cb)
+	r.rc.Eng.AppendInnerCols(r.rc.Pl, si, cb)
 	return nil
 }
 
@@ -661,11 +598,11 @@ func (r *run) rerunLeaf(sh *shard, si int, part Partition) error {
 func (r *run) rerunDriving(sh *shard, pi int, part Partition) error {
 	var sp *obs.Span
 	if name := outcomes[sh.outcome].span; name != "" {
-		sp = r.tr.Start(r.hostTL, name).AttrInt("device", int64(part.Device)).AttrInt("partition", int64(pi))
+		sp = r.b.Trace.Start(r.hostTL, name).AttrInt("device", int64(part.Device)).AttrInt("partition", int64(pi))
 	}
 	defer sp.End()
 	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
-	rows, _, err := r.host.ScanAccess(r.pl, 0, part.Lo, part.Hi)
+	rows, _, err := r.rc.Eng.ScanAccess(r.rc.Pl, 0, part.Lo, part.Hi)
 	if err != nil {
 		return err
 	}
@@ -674,12 +611,7 @@ func (r *run) rerunDriving(sh *shard, pi int, part Partition) error {
 		// No device output counted for this shard: its rows are the host's.
 		sh.rows += int64(len(rows))
 	}
-	out, err := r.joinFrom(0, r.pl.MakeTuples(rows))
-	if err != nil {
-		return err
-	}
-	r.tuples = r.pl.AppendTuples(r.tuples, out...)
-	return nil
+	return r.rc.Join(0, r.rc.Pl.MakeTuples(rows))
 }
 
 // report closes the run's books: the host timeline's completion and one
@@ -689,6 +621,9 @@ func (r *run) report(res *exec.Result) *Report {
 	rep.Result = res
 	rep.Elapsed = vclock.Duration(r.hostTL.Now())
 	rep.HostAccount = r.hostTL.Account()
+	if r.rc != nil {
+		rep.Batches, rep.TransferredBytes = r.rc.Batches, r.rc.Bytes
+	}
 	if len(r.shards) == 0 {
 		return rep
 	}
@@ -696,7 +631,7 @@ func (r *run) report(res *exec.Result) *Report {
 	for dev := range r.shards {
 		sh := &r.shards[dev]
 		sr := ShardReport{Device: dev, Split: sh.plan.Split, Frac: sh.plan.Frac, Reason: sh.plan.Reason,
-			Rows: sh.rows, Batches: sh.batches}
+			Rows: sh.rows, Batches: len(sh.out)}
 		switch sh.outcome {
 		case denied:
 			sr.Degraded = true

@@ -101,12 +101,8 @@ func (h *H) Table3(w io.Writer) ([]Table3Row, error) {
 	}
 	header(w, "Table 3 — Q17.b: intermediate results vs execution time")
 	var rows []Table3Row
-	splits := []int{-1}
-	for k := 1; k <= len(p.Steps); k++ {
-		splits = append(splits, k)
-	}
-	for _, k := range splits {
-		rep, err := h.Exec.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: k})
+	for _, s := range coop.Splits(p) {
+		rep, err := h.Exec.Run(p, s)
 		if err != nil {
 			return nil, err
 		}

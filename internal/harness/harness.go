@@ -160,10 +160,7 @@ func (h *H) SweepStrategies(q *query.Query) ([]Measurement, *exec.Plan, error) {
 	}
 	strategies := []coop.Strategy{{Kind: coop.BlockOnly}, {Kind: coop.HostNative}}
 	if len(p.Steps) > 0 {
-		strategies = append(strategies, coop.Strategy{Kind: coop.Hybrid, Split: -1})
-		for k := 1; k <= len(p.Steps); k++ {
-			strategies = append(strategies, coop.Strategy{Kind: coop.Hybrid, Split: k})
-		}
+		strategies = append(strategies, coop.Splits(p)...)
 	}
 	strategies = append(strategies, coop.Strategy{Kind: coop.NDPOnly})
 

@@ -171,9 +171,9 @@ func TestSharedPlansAreNeverWritten(t *testing.T) {
 			if device.PlanMemory(h.DS.Model, p, len(p.Steps)).Fits() {
 				run(q, p, coop.Strategy{Kind: coop.NDPOnly})
 			}
-			for k := -1; k <= len(p.Steps); k++ {
-				if k != 0 && device.PlanMemory(h.DS.Model, p, k).Fits() {
-					run(q, p, coop.Strategy{Kind: coop.Hybrid, Split: k})
+			for _, st := range coop.Splits(p) {
+				if device.PlanMemory(h.DS.Model, p, st.Split).Fits() {
+					run(q, p, st)
 				}
 			}
 		}

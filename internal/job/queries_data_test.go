@@ -91,10 +91,7 @@ func TestExtensionGroupByAcrossStrategies(t *testing.T) {
 			t.Fatalf("%s: only %d groups — degenerate grouping", q.Name, host.Result.RowCount)
 		}
 		hostGroups := groupMap(host)
-		strategies := []coop.Strategy{{Kind: coop.NDPOnly}, {Kind: coop.Hybrid, Split: -1}}
-		for k := 1; k <= len(p.Steps); k++ {
-			strategies = append(strategies, coop.Strategy{Kind: coop.Hybrid, Split: k})
-		}
+		strategies := append([]coop.Strategy{{Kind: coop.NDPOnly}}, coop.Splits(p)...)
 		for _, st := range strategies {
 			rep, err := ex.Run(p, st)
 			if err != nil {

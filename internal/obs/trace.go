@@ -125,8 +125,12 @@ func (s *Span) Attr(key, val string) *Span {
 	return s
 }
 
-// AttrInt is Attr for integer values.
+// AttrInt is Attr for integer values. A nil span formats nothing, so
+// untraced runs pay no conversion.
 func (s *Span) AttrInt(key string, val int64) *Span {
+	if s == nil {
+		return nil
+	}
 	return s.Attr(key, strconv.FormatInt(val, 10))
 }
 

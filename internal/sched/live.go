@@ -77,9 +77,8 @@ func (r *live) Candidates(t *Ticket, _ vclock.Time, buf []Candidate) ([]Candidat
 			})
 		}
 	}
-	offer(coop.Strategy{Kind: coop.Hybrid, Split: -1}, -1)
-	for k := 1; k < len(sc.CNode); k++ {
-		offer(coop.Strategy{Kind: coop.Hybrid, Split: k}, k)
+	for _, s := range coop.Splits(p) {
+		offer(s, s.Split)
 	}
 	offer(coop.Strategy{Kind: coop.NDPOnly}, len(p.Steps))
 	return buf, nil

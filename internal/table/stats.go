@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"sync"
 
 	"hybridndp/internal/lsm"
@@ -34,6 +35,32 @@ func (s *Stats) SampleRows() [][]byte {
 		}
 	})
 	return s.rows
+}
+
+// PKQuantiles cuts the table's primary-key space into at most n ranges at
+// sample quantiles: strictly ascending bounds between an open first and last
+// one. Duplicate quantiles collapse, so tiny tables may yield fewer ranges
+// than requested. Past len(sample)+1 ranges every sample position is already
+// a cut, so more only collapse: n is clamped there, which bounds the loop and
+// moves no bound.
+func (s *Stats) PKQuantiles(n int) []*int32 {
+	n = max(1, min(n, len(s.Sample)+1))
+	bounds := make([]*int32, 1, n+1)
+	if n > 1 && len(s.Sample) >= 2 {
+		pks := make([]int32, 0, len(s.Sample))
+		for _, r := range s.Sample {
+			pks = append(pks, r.PK())
+		}
+		slices.Sort(pks)
+		for i := 1; i < n; i++ {
+			q := pks[i*len(pks)/n]
+			if last := bounds[len(bounds)-1]; last == nil || q > *last {
+				v := q
+				bounds = append(bounds, &v)
+			}
+		}
+	}
+	return append(bounds, nil)
 }
 
 const maxSampleRows = 2048

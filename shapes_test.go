@@ -36,11 +36,8 @@ func TestShapeFig2FullNDPWorstInteriorBest(t *testing.T) {
 		t.Fatalf("Fig 2 shape: full NDP (%v) must be slower than host-only (%v) on Q8.c", ndp, host)
 	}
 	best := ndp
-	for k := -1; k <= len(p.Steps); k++ {
-		if k == 0 {
-			continue
-		}
-		if d := elapsedFor(t, s, p, coop.Strategy{Kind: coop.Hybrid, Split: k}); d < best {
+	for _, st := range coop.Splits(p) {
+		if d := elapsedFor(t, s, p, st); d < best {
 			best = d
 		}
 	}
@@ -63,11 +60,8 @@ func TestShapeFig11HybridBeatsBaselines(t *testing.T) {
 			t.Fatalf("%s: BLK (%v) must be slower than NATIVE (%v)", name, blk, nat)
 		}
 		best := blk
-		for k := -1; k <= len(p.Steps); k++ {
-			if k == 0 {
-				continue
-			}
-			if d := elapsedFor(t, s, p, coop.Strategy{Kind: coop.Hybrid, Split: k}); d < best {
+		for _, st := range coop.Splits(p) {
+			if d := elapsedFor(t, s, p, st); d < best {
 				best = d
 			}
 		}
