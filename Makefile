@@ -37,12 +37,12 @@ bench:
 
 # The package microbenchmarks perf PRs cite (LSM scans, gets, bulk loads and
 # SST builds, the JOB load, exec and expr kernels, timeline charges, the front
-# end: parse, fingerprint, plan, decide, shard planning), one iteration each (a
-# few seconds): a compile-and-run smoke so they cannot rot unseen, not a
-# measurement — no timing gate.
+# end: parse, fingerprint, plan, decide, shard planning, serving start-up's
+# cost measurement), one iteration each (a few seconds): a compile-and-run
+# smoke so they cannot rot unseen, not a measurement — no timing gate.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/lsm ./internal/job ./internal/exec ./internal/expr ./internal/vclock \
-		./internal/sql ./internal/query ./internal/optimizer ./internal/fleet ./internal/table
+		./internal/sql ./internal/query ./internal/optimizer ./internal/fleet ./internal/table ./internal/serve
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # imports hybridndp/internal/...: vet and test it so a refactor that breaks a

@@ -41,8 +41,9 @@ type Receiver struct {
 	Batches int
 	Bytes   int64
 
-	tr   *obs.Trace
-	slot int64
+	tr     *obs.Trace
+	slot   int64
+	gather func([]exec.Tuple) error // appends a piece to Tuples
 }
 
 // Receiver starts the host side of the run's hand-off on tl: a host engine
@@ -53,7 +54,12 @@ func (b *Bindings) Receiver(tl *vclock.Timeline, p *exec.Plan) (*Receiver, error
 	if err != nil {
 		return nil, err
 	}
-	return &Receiver{Eng: eng, Pl: pl, tr: b.Trace, slot: b.Model.SharedBufferSlot}, nil
+	r := &Receiver{Eng: eng, Pl: pl, tr: b.Trace, slot: b.Model.SharedBufferSlot}
+	r.gather = func(tuples []exec.Tuple) error {
+		r.Tuples = pl.AppendTuples(r.Tuples, tuples...)
+		return nil
+	}
+	return r, nil
 }
 
 // Prebuild builds the hash tables of the host-side buffered joins among
@@ -126,21 +132,10 @@ func (r *Receiver) Receive(b Batch, inj *fault.Injector, from int) (vclock.Time,
 	return fetched, nil
 }
 
-// Join runs driving tuples through the host's join steps [from, n) and
+// Join streams driving tuples through the host's join steps [from, n) and
 // appends the survivors to the gather list.
 func (r *Receiver) Join(from int, batch []exec.Tuple) error {
-	for si := from; si < len(r.Pl.Plan.Steps); si++ {
-		jsp := r.tr.Start(r.Eng.TL, "host.join").AttrInt("step", int64(si)).
-			AttrInt("in.rows", int64(len(batch)))
-		var err error
-		batch, err = r.Eng.JoinStep(r.Pl, si, batch)
-		jsp.AttrInt("out.rows", int64(len(batch))).End()
-		if err != nil {
-			return err
-		}
-	}
-	r.Tuples = r.Pl.AppendTuples(r.Tuples, batch...)
-	return nil
+	return r.Eng.Stream(r.Pl, from, batch, r.tr, r.gather)
 }
 
 // Finalize finishes the plan over the gather list (projection, grouping,

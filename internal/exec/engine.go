@@ -89,7 +89,8 @@ type Result struct {
 const RetainRows = 100
 
 // RunPlan executes the whole plan on this engine (host-only / full-NDP
-// execution paths).
+// execution paths): the driving scan streams through the join steps into the
+// plan's finalizer.
 func (e *Engine) RunPlan(p *Plan) (*Result, error) {
 	pl, err := e.StartPipeline(p)
 	if err != nil {
@@ -99,14 +100,14 @@ func (e *Engine) RunPlan(p *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tuples := pl.MakeTuples(rows)
-	for si := range p.Steps {
-		tuples, err = e.JoinStep(pl, si, tuples)
-		if err != nil {
-			return nil, err
-		}
+	f, err := e.finalizer(pl)
+	if err != nil {
+		return nil, err
 	}
-	return e.Finalize(pl, tuples)
+	if err := e.stream(pl, 0, pl.MakeTuples(rows), false, nil, f.sink); err != nil {
+		return nil, err
+	}
+	return f.result(), nil
 }
 
 // Pipeline is one run of a plan on the engine that started it: the plan's
@@ -218,25 +219,25 @@ func (k *intKeys) tupleKey(tu Tuple) (key uint64, ok bool) {
 }
 
 // MakeTuples materializes scan rows as single-position driving tuples, list
-// and tuples both carved from the pipeline's scratch.
+// and tuples both carved from the run's main store.
 func (pl *Pipeline) MakeTuples(rows [][]byte) []Tuple {
-	sc := pl.sc
-	start := len(sc.tuples)
-	sc.tuples = slices.Grow(sc.tuples, len(rows))
+	st := &pl.sc.main
+	start := len(st.list)
+	st.list = slices.Grow(st.list, len(rows))
 	for _, r := range rows {
-		t := sc.arena.alloc(1)
+		t := st.arena.alloc(1)
 		t[0] = r
-		sc.tuples = append(sc.tuples, t)
+		st.list = append(st.list, t)
 	}
-	return sc.tuples[start:len(sc.tuples):len(sc.tuples)]
+	return st.list[start:len(st.list):len(st.list)]
 }
 
 // AppendTuples appends src to dst — a tuple list a run builds up across calls
 // (a device result set, a gather list), nil to start one — and returns the
-// list. Lists are regions of the pipeline's scratch, so they live exactly as
+// list. Lists are regions of the run's main store, so they live exactly as
 // long as the run's lease and a warm scratch grows them without allocating.
 func (pl *Pipeline) AppendTuples(dst []Tuple, src ...Tuple) []Tuple {
-	return appendRegion(&pl.sc.tuples, dst, src)
+	return appendRegion(&pl.sc.main.list, dst, src)
 }
 
 // FinalShape returns the shape after all join steps.
@@ -269,14 +270,4 @@ func projWidth(s *table.Schema, proj []string) int64 {
 		w = 4
 	}
 	return w
-}
-
-// Finalize applies grouping/aggregation or projection to the joined tuples.
-func (e *Engine) Finalize(pl *Pipeline, tuples []Tuple) (*Result, error) {
-	p := pl.Plan
-	sh := pl.FinalShape()
-	if len(p.Aggregates) > 0 || len(p.GroupBy) > 0 {
-		return e.groupAggregate(pl.sc, sh, tuples, p.GroupBy, p.Aggregates)
-	}
-	return e.projectTuples(sh, tuples, p.Output)
 }

@@ -8,6 +8,18 @@ import (
 // ScratchRetainBytes exposes the retention bound to the external tests.
 const ScratchRetainBytes = scratchRetainBytes
 
+// SetPieceBudget sets the output budget of a streamed join chain's pieces
+// until the returned restore runs. Runs must not be in flight while it
+// changes.
+func SetPieceBudget(n int) (restore func()) {
+	old := pieceTuples
+	pieceTuples = n
+	return func() { pieceTuples = old }
+}
+
+// PieceBudget reports the output budget of a streamed join chain's pieces.
+func PieceBudget() int { return pieceTuples }
+
 // scanAP scans one access path on its own: the driving position of a
 // one-table plan over it.
 func (e *Engine) scanAP(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, error) {
@@ -53,12 +65,14 @@ func PoisonScratchOnRelease() (restore func()) {
 	onRelease = func(s *Scratch) {
 		fill(s.batch.Rows[:cap(s.batch.Rows)])
 		fill(s.views[:cap(s.views)])
-		for _, b := range s.arena.blocks {
-			fill(b)
-		}
-		tuples := s.tuples[:cap(s.tuples)]
-		for i := range tuples {
-			tuples[i] = tuple
+		for _, st := range []*tupleStore{&s.main, &s.piece} {
+			for _, b := range st.arena.blocks {
+				fill(b)
+			}
+			tuples := st.list[:cap(st.list)]
+			for i := range tuples {
+				tuples[i] = tuple
+			}
 		}
 		inners := s.inners[:cap(s.inners)]
 		for i := range inners {

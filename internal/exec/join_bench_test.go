@@ -128,11 +128,11 @@ func BenchmarkProbe(b *testing.B) {
 			}
 			e.AppendInner(pl, 0, inner)
 			left := pl.MakeTuples(outer)
-			sc := e.Scratch
-			mark, cur, off := len(sc.tuples), sc.arena.cur, sc.arena.off
+			st := &e.Scratch.main
+			mark := st.mark()
 			probe := func() {
 				// Drop the previous output list and rewind the arena to it.
-				sc.tuples, sc.arena.cur, sc.arena.off = sc.tuples[:mark], cur, off
+				st.rewind(mark)
 				out, err := e.JoinStep(pl, 0, left)
 				if err != nil {
 					b.Fatal(err)

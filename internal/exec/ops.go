@@ -2,11 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hybridndp/internal/hw"
-	"hybridndp/internal/num"
-	"hybridndp/internal/query"
 	"hybridndp/internal/table"
 	"hybridndp/internal/vclock"
 )
@@ -196,43 +195,42 @@ func appendRowKey(buf []byte, rec table.Record, conds []BoundCond) ([]byte, bool
 }
 
 // JoinStep executes join step si of the pipeline over the given left tuples
-// and returns the extended tuples. Inner-side state persists in the pipeline
-// across chunked invocations.
+// and returns the extended tuples, materialized in the run's main store.
+// Inner-side state persists in the pipeline across chunked invocations.
 func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
-	step := pl.Plan.Steps[si]
-	leftShape := pl.ShapeAt(si)
+	out, _, err := e.joinPiece(pl, si, left, &pl.sc.main, math.MaxInt)
+	return out, err
+}
+
+// joinPiece executes join step si over left tuples, appending the extended
+// tuples to dst, until the output holds budget tuples: it stops at the
+// left-tuple boundary where it got there and returns the output and how many
+// left tuples it consumed — all of them when the output stayed below budget
+// until the last, and at least one when there was one. Charges cover the
+// consumed tuples.
+func (e *Engine) joinPiece(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int) ([]Tuple, int, error) {
+	step := &pl.Plan.Steps[si]
 	switch step.Type {
 	case BNL:
-		return e.joinBuffered(pl, si, leftShape, left, step)
+		return e.joinBuffered(pl, si, left, dst, budget)
 	case BNLI:
-		return e.joinIndexed(pl, si, leftShape, left, step)
+		return e.joinIndexed(pl, si, left, dst, budget)
 	default:
-		return nil, fmt.Errorf("exec: unknown join type %v", step.Type)
+		return nil, 0, fmt.Errorf("exec: unknown join type %v", step.Type)
 	}
 }
+
+// probeHit is one probed left tuple's resolved hash-table entry (-1 = NULL
+// key or no match) and the encoded length its comparisons are booked at.
+type probeHit struct{ ent, klen int32 }
 
 // joinBuffered implements BNL: a hash table over the inner side in the join
 // buffer, re-reading the inner table once per outer block that exceeds the
 // buffer.
-func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tuple, step JoinStep) ([]Tuple, error) {
+func (e *Engine) joinBuffered(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int) ([]Tuple, int, error) {
 	inner, err := e.BuildInner(pl, si)
 	if err != nil {
-		return nil, err
-	}
-
-	// BNL rescan accounting: once the cumulative outer volume exceeds the
-	// join buffer, each further buffer-sized outer block re-reads the inner
-	// table (Exp 5: the device BNL bottleneck).
-	if step.Type == BNL && e.JoinBuf > 0 && !inner.seeded {
-		innerBytes := int64(len(inner.rows)) * e.cacheWidth(inner.width)
-		if innerBytes > e.JoinBuf {
-			inner.cumOuterBytes += int64(len(left)) * pl.TupleWidth(si+1)
-			blocks := inner.cumOuterBytes / e.JoinBuf
-			if blocks > inner.chargedBlocks && e.TL != nil {
-				chargeRepeatDelta(e.TL, inner.scanDelta, int(blocks-inner.chargedBlocks))
-				inner.chargedBlocks = blocks
-			}
-		}
+		return nil, 0, err
 	}
 
 	// Batch-at-a-time probing: for each batch of left tuples, phase 1 forms
@@ -240,56 +238,77 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	// again chasing match chains in the same tuple order, so output ordering
 	// and the integer comparison counters — and with them every charge — are
 	// identical to tuple-at-a-time execution. A match is booked at chain length
-	// × encoded key length whichever representation found it.
+	// × encoded key length whichever representation found it. Probing charges
+	// nothing; the counters of the consumed tuples are booked below.
 	sc := pl.sc
-	outStart := len(sc.tuples)
+	outStart := len(dst.list)
 	var cmpBytes int64
 	cmps := 0
+	leftShape := pl.ShapeAt(si)
 	conds, ik, tab := pl.conds[si], &pl.intKeys[si], inner.tab
-	intLen := ik.n * intKeyEncodedLen
+	intLen := int32(ik.n * intKeyEncodedLen)
 	bs := e.batchSize()
 	key := sc.keyBuf[:0]
-	ents := sc.probeEnt[:0]
+	hits := sc.probeHits[:0]
+	used := len(left)
+probe:
 	for base := 0; base < len(left); base += bs {
 		chunk := left[base:min(base+bs, len(left))]
-		ents = ents[:0]
+		hits = hits[:0]
 		for _, tu := range chunk {
-			ei, klen := int32(-1), intLen
+			h := probeHit{ent: -1, klen: intLen}
 			if ik.n > 0 {
 				if k, ok := ik.tupleKey(tu); ok {
-					ei = tab.findInt(k)
+					h.ent = tab.findInt(k)
 				}
 			} else {
 				var ok bool
 				if key, ok = appendTupleKey(key[:0], leftShape, tu, conds); ok {
-					ei, klen = tab.find(fnv1a(key), key), len(key)
+					h.ent, h.klen = tab.find(fnv1a(key), key), int32(len(key))
 				}
 			}
-			if ei >= 0 {
-				n := int(tab.entries[ei].n)
-				cmps += n
-				cmpBytes += int64(klen) * int64(n)
-			}
-			ents = append(ents, ei)
+			hits = append(hits, h)
 		}
 		for j, tu := range chunk {
-			if ei := ents[j]; ei >= 0 {
-				for r := tab.entries[ei].head; r >= 0; r = tab.next[r] {
-					sc.tuples = append(sc.tuples, sc.arena.extend(tu, inner.rows[r]))
+			if h := hits[j]; h.ent >= 0 {
+				n := int(tab.entries[h.ent].n)
+				cmps += n
+				cmpBytes += int64(h.klen) * int64(n)
+				for r := tab.entries[h.ent].head; r >= 0; r = tab.next[r] {
+					dst.extend(tu, inner.rows[r])
 				}
+			}
+			if len(dst.list)-outStart >= budget {
+				used = base + j + 1
+				break probe
 			}
 		}
 	}
-	sc.keyBuf, sc.probeEnt = key[:0], ents[:0]
-	out := sc.tuples[outStart:len(sc.tuples):len(sc.tuples)]
+	sc.keyBuf, sc.probeHits = key[:0], hits[:0]
+	out := dst.list[outStart:len(dst.list):len(dst.list)]
+
+	// BNL rescan accounting: once the cumulative outer volume exceeds the
+	// join buffer, each further buffer-sized outer block re-reads the inner
+	// table (Exp 5: the device BNL bottleneck).
+	if e.JoinBuf > 0 && !inner.seeded {
+		innerBytes := int64(len(inner.rows)) * e.cacheWidth(inner.width)
+		if innerBytes > e.JoinBuf {
+			inner.cumOuterBytes += int64(used) * pl.TupleWidth(si+1)
+			blocks := inner.cumOuterBytes / e.JoinBuf
+			if blocks > inner.chargedBlocks && e.TL != nil {
+				chargeRepeatDelta(e.TL, inner.scanDelta, int(blocks-inner.chargedBlocks))
+				inner.chargedBlocks = blocks
+			}
+		}
+	}
 	if e.TL != nil {
-		e.R.HashProbe(e.TL, len(left))
+		e.R.HashProbe(e.TL, used)
 		e.R.Memcmp(e.TL, cmpBytes, cmps)
 		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.widths[si+1]))
 		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
 		e.chargeDeref(pl, si, len(out))
 	}
-	return out, nil
+	return out, used, nil
 }
 
 // chargeDeref books the pointer-cache dereferencing of the produced tuples
@@ -421,10 +440,12 @@ func chargeRepeatDelta(tl *vclock.Timeline, delta map[string]vclock.Duration, ti
 // through an index — directly through the primary LSM tree when the join
 // column is the PK, or through the secondary index with the two-stage
 // secondary→primary seek of paper Fig. 9.
-func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tuple, step JoinStep) ([]Tuple, error) {
+func (e *Engine) joinIndexed(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int) ([]Tuple, int, error) {
+	step := &pl.Plan.Steps[si]
 	if len(step.Conds) == 0 {
-		return nil, fmt.Errorf("exec: BNLI join without conditions")
+		return nil, 0, fmt.Errorf("exec: BNLI join without conditions")
 	}
+	leftShape := pl.ShapeAt(si)
 	rt := pl.tabs[si+1]
 	ac := e.Access()
 	conds := pl.conds[si]
@@ -434,8 +455,7 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 	// reads the fixed-width layout directly instead of decoding Values per term.
 	terms, rightBP := pl.terms[si+1], pl.preds[si+1]
 
-	sc := pl.sc
-	outStart := len(sc.tuples)
+	outStart := len(dst.list)
 	fetched := 0
 	view := e.viewOf(step.Right.Ref.Table)
 	// Each probe walks one seek's list to its end before the next seek reuses
@@ -462,41 +482,50 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 				return nil
 			}
 		}
-		sc.tuples = append(sc.tuples, sc.arena.extend(tu, rec.Data))
+		dst.extend(tu, rec.Data)
 		return nil
 	}
-	for _, tu := range left {
+	// probeTuple probes the right side for every match of tu's join key.
+	probeTuple := func(tu Tuple) error {
 		v := tu.Record(leftShape, primary.LeftPos).Get(primary.LeftColIdx)
 		if v.Null {
-			continue
+			return nil
 		}
 		if step.RightIndexIsPK {
 			if !v.IsI {
-				continue
+				return nil
 			}
-			if err := probe(tu, v.Int); err != nil {
-				return nil, err
-			}
-			continue
+			return probe(tu, v.Int)
 		}
 		pks, err := seeker.IndexSeek(rt, step.RightIndex, v, ac)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, pk := range pks {
 			if err := probe(tu, pk); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		return nil
 	}
-	out := sc.tuples[outStart:len(sc.tuples):len(sc.tuples)]
+	used := len(left)
+	for i, tu := range left {
+		if err := probeTuple(tu); err != nil {
+			return nil, 0, err
+		}
+		if len(dst.list)-outStart >= budget {
+			used = i + 1
+			break
+		}
+	}
+	out := dst.list[outStart:len(dst.list):len(dst.list)]
 	if e.TL != nil {
 		e.R.Eval(e.TL, fetched, terms+len(residual))
 		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.widths[si+1]))
 		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
 		e.chargeDeref(pl, si, len(out))
 	}
-	return out, nil
+	return out, used, nil
 }
 
 // tupleArenaBlock is the slot count of one arena block. A slot is a 24-byte
@@ -543,272 +572,20 @@ func (a *tupleArena) extend(tu Tuple, right []byte) Tuple {
 	return nt
 }
 
-// reset rewinds the arena, dropping every row view its used part holds: the
-// full blocks[:cur] and blocks[cur][:off] — no more, since every slot past
-// what a run carved is still clear from the reset before it (a block left
-// for the next is cleared whole, tail included).
-func (a *tupleArena) reset() {
-	for i := 0; i < a.cur && i < len(a.blocks); i++ {
-		clear(a.blocks[i])
-	}
-	if a.cur < len(a.blocks) {
-		clear(a.blocks[a.cur][:a.off])
-	}
-	a.cur, a.off = 0, 0
-}
-
-// boundRef is a column reference resolved against a shape: tuple position
-// plus column index, so the per-tuple path never resolves names.
-type boundRef struct{ pos, idx int }
-
-// bindRef resolves an aliased column once. Unknown aliases or columns bind to
-// -1 and read as NULL, matching Tuple.Col.
-func bindRef(sh *Shape, alias, col string) boundRef {
-	p := sh.Pos(alias)
-	if p < 0 {
-		return boundRef{pos: -1, idx: -1}
-	}
-	return boundRef{pos: p, idx: sh.Schemas[p].ColumnIndex(col)}
-}
-
-// colVal reads a bound column from the tuple (NULL for unbound refs and
-// absent positions, as Tuple.Col does).
-func colVal(sh *Shape, tu Tuple, r boundRef) table.Value {
-	if r.pos < 0 || tu[r.pos] == nil {
-		return table.NullVal()
-	}
-	return table.Record{Schema: sh.Schemas[r.pos], Data: tu[r.pos]}.Get(r.idx)
-}
-
-// groupAggregate hash-groups tuples and computes the aggregates. Groups live
-// in the open-addressing key table — the entry ordinal is the group's
-// first-occurrence rank, which is the output order — with flat accumulator
-// arrays indexed by ordinal×len(aggs) instead of a per-group state struct.
-func (e *Engine) groupAggregate(sc *Scratch, sh *Shape, tuples []Tuple, groupBy []query.ColRef, aggs []query.Aggregate) (*Result, error) {
-	gbRefs := make([]boundRef, len(groupBy))
-	for i, g := range groupBy {
-		gbRefs[i] = bindRef(sh, g.Alias, g.Col)
-	}
-	aggRefs := make([]boundRef, len(aggs))
-	for i, a := range aggs {
-		if !a.Star {
-			aggRefs[i] = bindRef(sh, a.Arg.Alias, a.Arg.Col)
+// rewind returns the arena to block cur, offset off, a position it has been
+// at, clearing every row view carved since — so every slot past the arena's
+// position is always clear, and a block left for the next carve holds
+// nothing.
+func (a *tupleArena) rewind(cur, off int) {
+	for i := cur; i <= a.cur && i < len(a.blocks); i++ {
+		lo, hi := 0, tupleArenaBlock
+		if i == cur {
+			lo = off
 		}
-	}
-
-	na := len(aggs)
-	tab := sc.keyTab(0)
-	var (
-		keys   [][]table.Value // decoded key of each group's first tuple
-		minI   []int32         // flat accumulators: [ordinal*na + agg]
-		minS   []string
-		sums   []float64
-		counts []int64
-		seen   []bool
-	)
-	// Tuples accumulate batch-at-a-time: phase 1 encodes one batch of group
-	// keys into a shared arena, phase 2 walks the spans doing the hash-table
-	// upsert and accumulator updates in the same tuple order. put() copies the
-	// key into the table's own arena, so reusing ours across batches is safe,
-	// and ordinal assignment — the output order — matches one-at-a-time.
-	bs := e.batchSize()
-	gkArena, gkEnds := sc.keyBuf[:0], sc.probeEnd[:0]
-	for b := 0; b < len(tuples); b += bs {
-		chunk := tuples[b:min(b+bs, len(tuples))]
-		gkArena = gkArena[:0]
-		gkEnds = gkEnds[:0]
-		for _, tu := range chunk {
-			for gi := range groupBy {
-				r := gbRefs[gi]
-				if r.pos >= 0 && tu[r.pos] != nil {
-					var ok bool
-					gkArena, ok = table.Record{Schema: sh.Schemas[r.pos], Data: tu[r.pos]}.AppendColKey(gkArena, r.idx)
-					if ok {
-						continue
-					}
-				}
-				// NULL group keys encode like the empty string (and collide
-				// with it), as the decoded-value codec always has.
-				gkArena = append(gkArena, 's', 0)
-			}
-			gkEnds = append(gkEnds, int32(len(gkArena)))
+		if i == a.cur {
+			hi = a.off
 		}
-		gkStart := int32(0)
-		for j, tu := range chunk {
-			gk := gkArena[gkStart:gkEnds[j]]
-			gkStart = gkEnds[j]
-			ord, fresh := tab.put(fnv1a(gk), gk)
-			if fresh {
-				kv := make([]table.Value, len(groupBy))
-				for gi := range groupBy {
-					kv[gi] = colVal(sh, tu, gbRefs[gi])
-				}
-				keys = append(keys, kv)
-				for i := 0; i < na; i++ {
-					minI = append(minI, 0)
-					minS = append(minS, "")
-					sums = append(sums, 0)
-					counts = append(counts, 0)
-					seen = append(seen, false)
-				}
-			}
-			base := int(ord) * na
-			for i, a := range aggs {
-				if a.Star {
-					counts[base+i]++
-					continue
-				}
-				v := colVal(sh, tu, aggRefs[i])
-				if v.Null {
-					continue
-				}
-				counts[base+i]++
-				switch a.Func {
-				case query.Min:
-					if v.IsI {
-						if !seen[base+i] || v.Int < minI[base+i] {
-							minI[base+i] = v.Int
-						}
-					} else if !seen[base+i] || v.Str < minS[base+i] {
-						minS[base+i] = v.Str
-					}
-				case query.Max:
-					if v.IsI {
-						if !seen[base+i] || v.Int > minI[base+i] {
-							minI[base+i] = v.Int
-						}
-					} else if !seen[base+i] || v.Str > minS[base+i] {
-						minS[base+i] = v.Str
-					}
-				case query.Sum, query.Avg:
-					if v.IsI {
-						sums[base+i] += float64(v.Int)
-					}
-				case query.Count:
-					// count handled above
-				}
-				seen[base+i] = true
-			}
-		}
+		clear(a.blocks[i][lo:hi])
 	}
-
-	sc.keyBuf, sc.probeEnd = gkArena[:0], gkEnds[:0]
-
-	if e.TL != nil {
-		e.R.Group(e.TL, len(tuples))
-	}
-
-	res := &Result{}
-	for _, g := range groupBy {
-		res.Columns = append(res.Columns, g.String())
-	}
-	for _, a := range aggs {
-		name := a.As
-		if name == "" {
-			name = a.String()
-		}
-		res.Columns = append(res.Columns, name)
-	}
-	rowWidth := int64(len(res.Columns) * 8)
-	for ord := range keys {
-		base := ord * na
-		var row []table.Value
-		row = append(row, keys[ord]...)
-		for i, a := range aggs {
-			switch {
-			case a.Func == query.Count:
-				row = append(row, table.IntVal(int32(counts[base+i])))
-			case !seen[base+i]:
-				row = append(row, table.NullVal())
-			case a.Func == query.Sum:
-				row = append(row, table.IntVal(int32(sums[base+i])))
-			case a.Func == query.Avg:
-				row = append(row, table.IntVal(int32(sums[base+i]/float64(num.MaxI64(counts[base+i], 1)))))
-			case a.Func == query.Min || a.Func == query.Max:
-				if minS[base+i] != "" {
-					row = append(row, table.StrVal(minS[base+i]))
-				} else {
-					row = append(row, table.IntVal(minI[base+i]))
-				}
-			}
-		}
-		if len(res.Rows) < RetainRows {
-			res.Rows = append(res.Rows, row)
-		}
-		res.RowCount++
-		res.Bytes += rowWidth
-	}
-	// An aggregate query over zero tuples still returns one all-NULL row
-	// (no GROUP BY case), as SQL does.
-	if len(groupBy) == 0 && res.RowCount == 0 {
-		var row []table.Value
-		for _, a := range aggs {
-			if a.Func == query.Count {
-				row = append(row, table.IntVal(0))
-			} else {
-				row = append(row, table.NullVal())
-			}
-		}
-		res.Rows = append(res.Rows, row)
-		res.RowCount = 1
-		res.Bytes = rowWidth
-	}
-	return res, nil
-}
-
-// projectTuples renders plain projections.
-func (e *Engine) projectTuples(sh *Shape, tuples []Tuple, out []query.ColRef) (*Result, error) {
-	res := &Result{}
-	if len(out) == 0 {
-		// SELECT *: all columns of all tables.
-		for i, a := range sh.Aliases {
-			for _, c := range sh.Schemas[i].Columns {
-				res.Columns = append(res.Columns, a+"."+c.Name)
-			}
-		}
-	} else {
-		for _, c := range out {
-			res.Columns = append(res.Columns, c.String())
-		}
-	}
-	var rowWidth int64
-	refs := make([]boundRef, len(out))
-	if len(out) == 0 {
-		for _, s := range sh.Schemas {
-			rowWidth += int64(s.RowBytes())
-		}
-	} else {
-		for ci, c := range out {
-			i := sh.Pos(c.Alias)
-			if i < 0 {
-				return nil, fmt.Errorf("exec: projection references alias %q outside the plan", c.Alias)
-			}
-			rowWidth += int64(sh.Schemas[i].ColumnStoredBytes(c.Col))
-			refs[ci] = bindRef(sh, c.Alias, c.Col)
-		}
-	}
-	for _, tu := range tuples {
-		if len(res.Rows) < RetainRows {
-			var row []table.Value
-			if len(out) == 0 {
-				for i := range sh.Aliases {
-					rec := tu.Record(sh, i)
-					for ci := range sh.Schemas[i].Columns {
-						row = append(row, rec.Get(ci))
-					}
-				}
-			} else {
-				for _, r := range refs {
-					row = append(row, colVal(sh, tu, r))
-				}
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		res.RowCount++
-	}
-	res.Bytes = res.RowCount * rowWidth
-	if e.TL != nil {
-		e.R.Memcpy(e.TL, res.Bytes)
-	}
-	return res, nil
+	a.cur, a.off = cur, off
 }

@@ -22,20 +22,23 @@ import (
 type Scratch struct {
 	batch  ColBatch     // the scan batch, Rows/Sel sized for the last BatchSize
 	views  [][]byte     // row-view slab: scan results, grown inner sides
-	tuples []Tuple      // tuple slab: MakeTuples results, join outputs, tuple lists
 	inners []innerState // the inner states of the pipelines started on the scratch
-	arena  tupleArena   // backing arrays of the tuples themselves
 	tabs   []*keyTab    // hash tables; tabs[:ntabs] are handed out this run
 	ntabs  int
 	cache  *lsm.BlockCache // the engine's block cache, handed out cold by BlockCache
+	fin    finalizer       // the top of the plan the run finishes on this scratch
+
+	// main holds the tuples that live for the run: MakeTuples results,
+	// JoinStep outputs, tuple lists (device result sets, gather lists). piece
+	// holds a streamed join chain's pieces, each rewound once consumed.
+	main, piece tupleStore
 
 	// keyBuf is where byte keys are encoded: a join's one at a time, a
 	// grouping's one batch at a time with probeEnd holding each key's end
-	// offset. probeEnt is a probe batch's resolved hash-table entries (-1 =
-	// NULL key or no match).
-	keyBuf   []byte
-	probeEnd []int32
-	probeEnt []int32
+	// offset. probeHits is a probe batch's resolved hash-table entries.
+	keyBuf    []byte
+	probeEnd  []int32
+	probeHits []probeHit
 
 	// The read path: ScanAccess's scan iterator and encoded [lo, hi) bounds,
 	// and the seeker of every index seek the engine runs. No scan or seek
@@ -49,9 +52,12 @@ type Scratch struct {
 }
 
 // scratchRetainBytes bounds what a released scratch keeps, so a run whose
-// working set is far past it (JOB 31c: ~100 MiB at scale 0.01, where the
-// median query needs 0.8 MiB and the 99th percentile 4 MiB) cannot park its
-// high-water mark in a free list for the life of the executor.
+// working set is far past it cannot park its high-water mark in a free list
+// for the life of the executor. Streamed join chains keep every intermediate
+// within a few pieces, but driving and BNL inner scan results are still
+// whole, so a scan of a large table can still carry a working set past it
+// (the median JOB query needs 0.8 MiB at scale 0.01, the 99th percentile 4
+// MiB).
 const scratchRetainBytes = 8 << 20
 
 // scratchPoolMax bounds an executor's free list (a scheduler's worker pool of
@@ -134,24 +140,30 @@ func appendRegion[T any](slab *[]T, dst, src []T) []T {
 	return append(r, src...)
 }
 
-// Release ends the run: every slab is rewound with its capacity kept — or
-// dropped, past the retention bound — the pointer slabs are cleared, the
-// iterator and the seeker let go of the SSTs, views and decoded blocks they
-// read, and the block cache is emptied, so a recycled scratch pins neither
-// storage, block-cache pages nor device batches of the finished query.
+// Release ends the run: every slab is rewound with its capacity kept, the
+// pointer slabs are cleared, the iterator and the seeker let go of the SSTs,
+// views and decoded blocks they read, and the block cache is emptied, so a
+// recycled scratch pins neither storage, block-cache pages nor device batches
+// of the finished query. A scratch past the retention bound sheds tuple arena
+// blocks, the bulk of a heavy join chain's working set, down to the bound,
+// and everything when that is not enough.
 func (s *Scratch) Release() {
 	clear(s.batch.Rows[:cap(s.batch.Rows)])
 	clear(s.views)
-	clear(s.tuples)
 	clear(s.inners)
-	s.views, s.tuples, s.inners, s.sels = s.views[:0], s.tuples[:0], s.inners[:0], s.sels[:0]
+	s.views, s.inners, s.sels = s.views[:0], s.inners[:0], s.sels[:0]
+	s.main.rewind(storeMark{})
+	s.piece.rewind(storeMark{})
+	s.fin.reset()
 	s.iter.Clear()
 	s.seeker.Clear()
-	s.arena.reset()
 	s.ntabs = 0
 	s.cache.Reset(0)
-	if s.Retained() > scratchRetainBytes {
-		*s = Scratch{}
+	if over := s.Retained() - scratchRetainBytes; over > 0 {
+		over -= s.piece.shed(over)
+		if over -= s.main.shed(over); over > 0 {
+			*s = Scratch{}
+		}
 	}
 	if onRelease != nil {
 		onRelease(s)
@@ -162,11 +174,11 @@ func (s *Scratch) Release() {
 // iterator's and seeker's included.
 func (s *Scratch) Retained() int64 {
 	const view, i32 = int64(unsafe.Sizeof([]byte(nil))), 4
-	n := int64(cap(s.batch.Rows)+cap(s.views)+cap(s.tuples)+len(s.arena.blocks)*tupleArenaBlock)*view +
-		int64(cap(s.batch.Sel)+cap(s.probeEnd)+cap(s.probeEnt)+cap(s.sels))*i32 +
+	n := int64(cap(s.batch.Rows)+cap(s.views))*view + s.main.retained() + s.piece.retained() +
+		int64(cap(s.batch.Sel)+cap(s.probeEnd)+2*cap(s.probeHits)+cap(s.sels))*i32 +
 		int64(cap(s.keyBuf)+cap(s.lo)+cap(s.hi)) +
 		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained() +
-		s.iter.Retained() + s.seeker.Retained()
+		s.iter.Retained() + s.seeker.Retained() + s.fin.retained()
 	for _, t := range s.tabs {
 		n += int64(cap(t.buckets)+cap(t.next))*i32 + int64(cap(t.keys)) +
 			int64(cap(t.entries))*int64(unsafe.Sizeof(keyEntry{}))

@@ -5,6 +5,7 @@ import (
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/device"
+	"hybridndp/internal/exec"
 	"hybridndp/internal/fleet"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
@@ -79,13 +80,13 @@ func Measure(ds *job.Dataset, queries []*query.Query, workers int) (*CostTable, 
 // byte-identical at every batch size; the parameter exists so the golden
 // suite can prove it on the serving surface too.
 func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize int) (*CostTable, error) {
-	return measure(ds, queries, workers, batchSize,
-		func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy, _ *coop.Report) (vclock.Duration, error) {
+	return measure(ds, queries, workers, batchSize, false,
+		func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy) (vclock.Duration, *exec.Result, error) {
 			rep, err := ex.Run(d.Plan, s)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
-			return rep.Elapsed, nil
+			return rep.Elapsed, rep.Result, nil
 		})
 }
 
@@ -97,67 +98,125 @@ func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize 
 // baked into the memoized service times. This is how chaos reaches the
 // serving simulation: a per-device stall inflates the measured device paths,
 // and hedging caps that inflation, so the open-loop SLO tables replay the
-// fleet's robustness behavior exactly. Every fleet result is
-// fingerprint-checked against the host-native execution — faults and hedges
-// may degrade latency, never correctness — and a mismatch fails the
-// measurement. The table is byte-identical for any worker count; a shared
-// retry budget on fx would break that (token order follows wall-clock
-// interleaving), so measurement forces workers to 1 when one is set.
+// fleet's robustness behavior exactly. Once every run is done, each fleet
+// result is fingerprint-checked against the query's host-native execution —
+// faults and hedges may degrade latency, never correctness — and a mismatch
+// fails the measurement. The table is byte-identical for any worker count; a
+// shared retry budget on fx would break that (token order follows wall-clock
+// interleaving), so measurement runs one run at a time, in workload order,
+// when one is set.
 func MeasureFleet(ds *job.Dataset, queries []*query.Query, fx *fleet.Executor, workers int) (*CostTable, error) {
 	opt := optimizer.New(ds.Cat, ds.Model)
 	if fx.Budget != nil {
 		workers = 1
 	}
-	return measure(ds, queries, workers, fx.BatchSize,
-		func(_ *coop.Executor, d *optimizer.Decision, s coop.Strategy, host *coop.Report) (vclock.Duration, error) {
+	return measure(ds, queries, workers, fx.BatchSize, true,
+		func(_ *coop.Executor, d *optimizer.Decision, s coop.Strategy) (vclock.Duration, *exec.Result, error) {
 			dec := *d
 			dec.NDP, dec.Hybrid = s.Kind == coop.NDPOnly, s.Kind == coop.Hybrid
 			a, err := fleet.PlanShards(opt, fx.Desc, &dec)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			rep, err := fx.Run(a)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
-			if fp, want := fleet.Fingerprint(rep.Result), fleet.Fingerprint(host.Result); fp != want {
-				return 0, fmt.Errorf("fleet result fingerprint %s != host %s (mode %s)", fp, want, a.Label())
-			}
-			return rep.Elapsed, nil
+			return rep.Elapsed, rep.Result, nil
 		})
 }
 
 // runStrategy executes one decided query under a device-bound strategy and
-// returns its elapsed virtual time; host is the query's host-native run.
-type runStrategy func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy, host *coop.Report) (vclock.Duration, error)
+// returns its elapsed virtual time and its result.
+type runStrategy func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy) (vclock.Duration, *exec.Result, error)
 
-// measure is the one measurement loop: decide, run host-native on a private
-// cooperative executor, then time full NDP (when the plan fits device memory)
-// and a decided hybrid split through run, and assemble the table in workload
-// order.
-func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, run runStrategy) (*CostTable, error) {
+// measureRun is one (query, strategy) execution of a measurement: the slot
+// its elapsed lands in and, when results are checked, its result's
+// fingerprint.
+type measureRun struct {
+	q   int
+	s   coop.Strategy
+	dst *vclock.Duration
+	fp  string
+	err error
+}
+
+// measure is the one measurement loop: decide every query, then run each
+// (query, strategy) pair as a work item of its own — host-native on a private
+// cooperative executor, full NDP (when the plan fits device memory) and a
+// decided hybrid split through run — in workload order, into pre-sized
+// slots, so a heavy query's runs proceed side by side. With check set, every
+// device run's result must fingerprint-match its query's host-native result.
+func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, check bool, run runStrategy) (*CostTable, error) {
 	opt := optimizer.New(ds.Cat, ds.Model)
 	// A private executor: no metrics registry is attached, so parallel
 	// measurement cannot interleave writes into the serving registry.
 	ex := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
 	ex.BatchSize = batchSize
-	costs := make([]*QueryCost, len(queries))
+	costs := make([]QueryCost, len(queries))
 	errs := make([]error, len(queries))
 	par.ForEach(workers, len(queries), func(i int) {
-		costs[i], errs[i] = measureOne(opt, ex, ds, queries[i], run)
+		errs[i] = decide(opt, ds, queries[i], &costs[i])
 	})
-	ct := &CostTable{byName: make(map[string]*QueryCost, len(queries))}
-	var sum vclock.Duration
+	var runs []measureRun
 	for i, q := range queries {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("serve: measure %s: %w", q.Name, errs[i])
 		}
+		qc := &costs[i]
+		runs = append(runs, measureRun{q: i, s: coop.Strategy{Kind: coop.HostNative}, dst: &qc.Host})
+		if qc.NDPFeasible {
+			runs = append(runs, measureRun{q: i, s: coop.Strategy{Kind: coop.NDPOnly}, dst: &qc.NDP})
+		}
+		if k := qc.Decided.Kind; k != coop.HostNative && k != coop.NDPOnly {
+			runs = append(runs, measureRun{q: i, s: qc.Decided, dst: &qc.Dec})
+		}
+	}
+	par.ForEach(workers, len(runs), func(k int) {
+		r := &runs[k]
+		d := costs[r.q].Decision
+		var res *exec.Result
+		if r.s.Kind == coop.HostNative {
+			var rep *coop.Report
+			if rep, r.err = ex.Run(d.Plan, r.s); r.err == nil {
+				*r.dst, res = rep.Elapsed, rep.Result
+			}
+		} else {
+			*r.dst, res, r.err = run(ex, d, r.s)
+		}
+		if check && r.err == nil {
+			r.fp = fleet.Fingerprint(res)
+		}
+	})
+	host := 0 // the index of the current query's host-native run
+	for k := range runs {
+		r := &runs[k]
+		name := queries[r.q].Name
+		if r.err != nil {
+			return nil, fmt.Errorf("serve: measure %s: %w", name, r.err)
+		}
+		if r.s.Kind == coop.HostNative {
+			host = k
+		} else if want := runs[host].fp; r.fp != want {
+			return nil, fmt.Errorf("serve: measure %s: fleet result fingerprint %s != host %s (%s)", name, r.fp, want, r.s)
+		}
+	}
+	ct := &CostTable{byName: make(map[string]*QueryCost, len(queries))}
+	var sum vclock.Duration
+	for i, q := range queries {
+		qc := &costs[i]
+		switch qc.Decided.Kind {
+		case coop.HostNative:
+			qc.Dec = qc.Host
+		case coop.NDPOnly:
+			qc.Dec = qc.NDP
+		}
 		if _, dup := ct.byName[q.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate workload query name %s", q.Name)
 		}
-		ct.byName[q.Name] = costs[i]
+		ct.byName[q.Name] = qc
 		ct.names = append(ct.names, q.Name)
-		sum += costs[i].Host
+		sum += qc.Host
 	}
 	if len(queries) > 0 {
 		ct.meanHost = sum / vclock.Duration(len(queries))
@@ -165,35 +224,17 @@ func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, ru
 	return ct, nil
 }
 
-func measureOne(opt *optimizer.Optimizer, ex *coop.Executor, ds *job.Dataset, q *query.Query, run runStrategy) (*QueryCost, error) {
+// decide fills in a query's decision and whether its whole plan fits device
+// memory.
+func decide(opt *optimizer.Optimizer, ds *job.Dataset, q *query.Query, qc *QueryCost) error {
 	d, err := opt.Decide(q)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	qc := &QueryCost{Decision: d, Decided: coop.DecisionStrategy(d)}
-	hostRep, err := ex.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
-	if err != nil {
-		return nil, err
+	qc.Decision, qc.Decided = d, coop.DecisionStrategy(d)
+	qc.NDPFeasible = device.PlanMemory(ds.Model, d.Plan, len(d.Plan.Steps)).Fits()
+	if qc.Decided.Kind == coop.NDPOnly && !qc.NDPFeasible {
+		return fmt.Errorf("serve: decision picked NDP for %s but the plan does not fit device memory", q.Name)
 	}
-	qc.Host = hostRep.Elapsed
-	if device.PlanMemory(ds.Model, d.Plan, len(d.Plan.Steps)).Fits() {
-		if qc.NDP, err = run(ex, d, coop.Strategy{Kind: coop.NDPOnly}, hostRep); err != nil {
-			return nil, err
-		}
-		qc.NDPFeasible = true
-	}
-	switch qc.Decided.Kind {
-	case coop.HostNative:
-		qc.Dec = qc.Host
-	case coop.NDPOnly:
-		if !qc.NDPFeasible {
-			return nil, fmt.Errorf("serve: decision picked NDP for %s but the plan does not fit device memory", q.Name)
-		}
-		qc.Dec = qc.NDP
-	default: // hybrid
-		if qc.Dec, err = run(ex, d, qc.Decided, hostRep); err != nil {
-			return nil, err
-		}
-	}
-	return qc, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -289,7 +290,9 @@ func TestPlanCacheCorrectness(t *testing.T) {
 
 func TestMeasureWorkerInvariance(t *testing.T) {
 	ds, _ := fixture(t)
-	qs := subset(16)
+	// 31c is the heaviest query: its host-native and full-NDP runs are
+	// separate work items that run side by side.
+	qs := append(subset(16), job.QueryByName("31c"))
 	a, err := Measure(ds, qs, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -309,6 +312,67 @@ func TestMeasureWorkerInvariance(t *testing.T) {
 	}
 	if a.MeanHost() != b.MeanHost() {
 		t.Fatal("mean host cost differs across worker counts")
+	}
+
+	// A shared retry budget makes the fleet's token sequence order-dependent,
+	// so MeasureFleet runs one run at a time in workload order — per query
+	// host-native, full NDP, the decided split — whatever the worker count:
+	// the table is the one measuring one query at a time produced, pinned
+	// here by its digest. Hedges spend all 40 tokens and 28 are denied, so
+	// which runs get one depends on the order: run in parallel, the table
+	// differs from run to run.
+	desc, err := fleet.Build(ds.Cat, 4, "range")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
+	if fx.Faults, err = fault.Parse("dev1:dev.stall=2ms"); err != nil {
+		t.Fatal(err)
+	}
+	fx.Hedge = fleet.HedgeConfig{Enabled: true}
+	fx.Budget = fault.NewRetryBudget(40, 0.1)
+	fqs := subset(16)
+	ct, err := MeasureFleet(ds, fqs, fx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "6f5874da48623da5"
+	if got := costDigest(ct, fqs); got != want {
+		granted, denied := fx.Budget.Stats()
+		t.Fatalf("budgeted fleet table digest %s, want %s (tokens granted %d, denied %d)", got, want, granted, denied)
+	}
+}
+
+// costDigest hashes a cost table's every field but the decision, float
+// costs as their bits, in workload order.
+func costDigest(ct *CostTable, qs []*query.Query) string {
+	h := fnv.New64a()
+	for _, q := range qs {
+		c, _ := ct.Cost(q.Name)
+		fmt.Fprintf(h, "%s %s %x %x %x %t\n", q.Name, c.Decided, math.Float64bits(float64(c.Host)),
+			math.Float64bits(float64(c.Dec)), math.Float64bits(float64(c.NDP)), c.NDPFeasible)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// BenchmarkMeasure is serving start-up's cost measurement over the whole JOB
+// workload at scale 0.01 (every query decided, then every host-native,
+// full-NDP and decided-split run executed once), with one worker and with
+// two.
+func BenchmarkMeasure(b *testing.B) {
+	ds, err := job.Load(0.01, hw.Cosmos())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Measure(ds, job.Queries(), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
