@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	hybridndp "hybridndp"
 	"hybridndp/internal/coop"
@@ -85,15 +83,9 @@ func main() {
 		}
 	}
 
-	switch strings.ToLower(*strategy) {
+	switch *strategy {
 	case "auto":
 		run(hybridndp.DecisionStrategy(d))
-	case "block":
-		run(coop.Strategy{Kind: coop.BlockOnly})
-	case "native":
-		run(coop.Strategy{Kind: coop.HostNative})
-	case "ndp":
-		run(coop.Strategy{Kind: coop.NDPOnly})
 	case "sweep":
 		run(coop.Strategy{Kind: coop.BlockOnly})
 		run(coop.Strategy{Kind: coop.HostNative})
@@ -105,16 +97,12 @@ func main() {
 		}
 		run(coop.Strategy{Kind: coop.NDPOnly})
 	default:
-		s := strings.TrimPrefix(strings.ToUpper(*strategy), "H")
-		k, err := strconv.Atoi(s)
+		st, err := coop.ParseStrategy(*strategy)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad -strategy %q\n", *strategy)
 			os.Exit(2)
 		}
-		if k == 0 {
-			k = -1
-		}
-		run(coop.Strategy{Kind: coop.Hybrid, Split: k})
+		run(st)
 	}
 }
 

@@ -155,7 +155,7 @@ func (s *System) RunAuto(q *query.Query) (*coop.Report, *optimizer.Decision, err
 }
 
 // Splits enumerates every hybrid split strategy for the query's plan:
-// H0 (Split=-1) through H(nJoins). Join-free (single-table) queries have
+// H0 (Split 0) through H(nJoins). Join-free (single-table) queries have
 // exactly one split point — H0, where the device scans and filters the base
 // table and the host finalizes — so they yield the H0-only strategy set
 // rather than an error; the concurrent scheduler classifies every query

@@ -323,7 +323,7 @@ func TestSingleTableSplits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Splits on a join-free query: %v", err)
 	}
-	if len(splits) != 1 || splits[0].Kind != coop.Hybrid || splits[0].Split != -1 {
+	if len(splits) != 1 || splits[0].Kind != coop.Hybrid || splits[0].Split != 0 {
 		t.Fatalf("want the H0-only set, got %v", splits)
 	}
 	ref, err := s.Run(q, coop.Strategy{Kind: coop.HostNative})

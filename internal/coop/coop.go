@@ -10,7 +10,10 @@ package coop
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
+	"hybridndp/internal/cost"
 	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/fault"
@@ -22,65 +25,61 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-// Kind selects the execution strategy.
-type Kind int
+// Kind selects the execution strategy — the cost model's vocabulary, so the
+// strategy an executor runs is the one the optimizer and the scheduler price.
+type Kind = cost.Kind
 
 // Execution strategies. BlockOnly and HostNative run the whole plan on the
 // host over the BLK / native stacks (paper Fig. 10 baselines); NDPOnly
 // offloads the complete plan; Hybrid splits it.
 const (
-	BlockOnly Kind = iota
-	HostNative
-	NDPOnly
-	Hybrid
+	BlockOnly  = cost.BlockOnly
+	HostNative = cost.HostNative
+	NDPOnly    = cost.NDPOnly
+	Hybrid     = cost.Hybrid
 )
-
-func (k Kind) String() string {
-	switch k {
-	case BlockOnly:
-		return "block"
-	case HostNative:
-		return "native"
-	case NDPOnly:
-		return "ndp"
-	case Hybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // Strategy is a fully specified execution choice.
 type Strategy struct {
 	Kind Kind
-	// Split is the number of join steps executed on device for Hybrid:
-	// -1 = H0 (every leaf selection offloaded, all joins on host),
-	// k ≥ 1 = Hk (leaves 0..k and joins 1..k offloaded).
+	// Split is the split point Hk for Hybrid, numbered as everywhere from
+	// the optimizer to the device command: 0 = H0 (every leaf selection
+	// offloaded, all joins on host), k ≥ 1 = Hk (leaves 0..k and joins 1..k
+	// offloaded).
 	Split int
 }
 
-// SplitLabel renders H0..Hn / stack names.
+// String renders H0..Hn / stack names; ParseStrategy reads them back.
 func (s Strategy) String() string {
 	if s.Kind != Hybrid {
 		return s.Kind.String()
 	}
-	if s.Split < 0 {
-		return "H0"
-	}
 	return fmt.Sprintf("H%d", s.Split)
+}
+
+// ParseStrategy parses a strategy label as String prints it: "native",
+// "block", "ndp", or a hybrid split "H0".."Hn".
+func ParseStrategy(label string) (Strategy, error) {
+	for _, k := range []Kind{BlockOnly, HostNative, NDPOnly} {
+		if label == k.String() {
+			return Strategy{Kind: k}, nil
+		}
+	}
+	if digits, ok := strings.CutPrefix(label, "H"); ok {
+		if k, err := strconv.Atoi(digits); err == nil && k >= 0 && digits == strconv.Itoa(k) {
+			return Strategy{Kind: Hybrid, Split: k}, nil
+		}
+	}
+	return Strategy{}, fmt.Errorf("coop: unknown strategy label %q", label)
 }
 
 // DecisionStrategy converts an optimizer decision into the strategy that
 // executes it — the one decision→strategy mapping every layer (controller,
-// scheduler, serve, harness, façade) shares. The optimizer numbers H0 as
-// Split 0; executable strategies encode it as Split -1.
+// scheduler, serve, harness, façade) shares.
 func DecisionStrategy(d *optimizer.Decision) Strategy {
 	switch {
 	case d.Hybrid:
-		split := d.Split
-		if split == 0 {
-			split = -1
-		}
-		return Strategy{Kind: Hybrid, Split: split}
+		return Strategy{Kind: Hybrid, Split: d.Split}
 	case d.NDP:
 		return Strategy{Kind: NDPOnly}
 	default:
@@ -88,13 +87,12 @@ func DecisionStrategy(d *optimizer.Decision) Strategy {
 	}
 }
 
-// Splits enumerates the hybrid strategies of plan p, H0 (Split -1) through
-// Hn: the one list every layer that sweeps or offers split points walks. A
-// join-free plan has H0 only.
+// Splits enumerates the hybrid strategies of plan p, H0 through Hn: the one
+// list every layer that sweeps or offers split points walks. A join-free plan
+// has H0 only.
 func Splits(p *exec.Plan) []Strategy {
 	out := make([]Strategy, 0, len(p.Steps)+1)
-	out = append(out, Strategy{Kind: Hybrid, Split: -1})
-	for k := 1; k <= len(p.Steps); k++ {
+	for k := 0; k <= len(p.Steps); k++ {
 		out = append(out, Strategy{Kind: Hybrid, Split: k})
 	}
 	return out
@@ -187,9 +185,6 @@ type Executor struct {
 	// therefore the fallback path — is never injected: the smart-storage
 	// device is the unreliable component of the model.
 	Faults *fault.Plan
-	// MaxRetries caps device-command retries before host-only fallback
-	// (0 = default of 2, negative = no retries).
-	MaxRetries int
 	// Budget, when set, is the global token-bucket retry budget shared by
 	// every run of this executor (and, in fleet settings, with shard hedges):
 	// each retry spends a token, each successful run refills a fraction, and
@@ -211,16 +206,8 @@ type Executor struct {
 	scratch exec.ScratchPool
 }
 
-// maxRetries resolves the retry cap.
-func (x *Executor) maxRetries() int {
-	if x.MaxRetries < 0 {
-		return 0
-	}
-	if x.MaxRetries == 0 {
-		return 2
-	}
-	return x.MaxRetries
-}
+// maxRetries caps device-command retries before the host-only fallback.
+const maxRetries = 2
 
 // injectorFor derives the per-run fault injector. The stream is keyed by
 // query and strategy, so concurrent scheduling order can never perturb a
@@ -390,7 +377,7 @@ func (x *Executor) withRecovery(orig *exec.Plan, r *deviceRun, deadline vclock.D
 		if !fault.Injected(err) {
 			return nil, err
 		}
-		if retries >= x.maxRetries() {
+		if retries >= maxRetries {
 			return x.fallbackHost(orig, r, retries, err)
 		}
 		devNow := r.dev.TL.Now()
@@ -548,15 +535,15 @@ func (x *Executor) runNDPOnly(p *exec.Plan, s Strategy, b *device.Bindings, dead
 // next ones and shared-slot back-pressure couples the two timelines.
 func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, b *device.Bindings, deadline vclock.Duration) (*Report, error) {
 	p, split := orig, s.Split
-	if split != -1 && (split < 1 || split > len(p.Steps)) {
-		return nil, fmt.Errorf("coop: no split point %d in a plan of %d joins (H0 is -1)", split, len(p.Steps))
+	if split < 0 || split > len(p.Steps) {
+		return nil, fmt.Errorf("coop: no split point H%d in a plan of %d joins", split, len(p.Steps))
 	}
 	// Join-free (single-table) plans execute as H0: the device scans and
 	// filters the base table, ships survivor chunks through the shared
 	// buffer, and the host finalizes (projection / aggregation). Interior
 	// splits are rejected above since len(p.Steps) == 0. A prepared plan
 	// carries its H0 variant, prepared once with it.
-	if split < 0 {
+	if split == 0 {
 		p = orig.WithBufferedJoins()
 	}
 	// The fallback re-executes the ORIGINAL plan (with its BNLI index joins

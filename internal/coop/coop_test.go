@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridndp/internal/coop"
+	"hybridndp/internal/exec"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
@@ -31,7 +32,7 @@ func TestStrategyStrings(t *testing.T) {
 		"block":  {Kind: coop.BlockOnly},
 		"native": {Kind: coop.HostNative},
 		"ndp":    {Kind: coop.NDPOnly},
-		"H0":     {Kind: coop.Hybrid, Split: -1},
+		"H0":     {Kind: coop.Hybrid, Split: 0},
 		"H3":     {Kind: coop.Hybrid, Split: 3},
 	}
 	for want, s := range cases {
@@ -41,8 +42,38 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-// TestDecisionStrategy pins the one decision→strategy mapping: the optimizer
-// numbers H0 as Split 0, executable strategies encode it as Split -1.
+// TestParseStrategyRoundTrip pins the one label parser against String: every
+// strategy of the widest JOB plan — the host stacks, full NDP and each split
+// point H0..Hn — reads back as itself, and labels naming no strategy fail.
+func TestParseStrategyRoundTrip(t *testing.T) {
+	opt, _ := env(t)
+	var widest *exec.Plan
+	for _, q := range job.Queries() {
+		p, err := opt.BuildPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if widest == nil || len(p.Steps) > len(widest.Steps) {
+			widest = p
+		}
+	}
+	all := append([]coop.Strategy{{Kind: coop.BlockOnly}, {Kind: coop.HostNative}, {Kind: coop.NDPOnly}},
+		coop.Splits(widest)...)
+	for _, s := range all {
+		got, err := coop.ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v (split %d), %v; want %v (split %d)", s, got, got.Split, err, s, s.Split)
+		}
+	}
+	for _, bad := range []string{"H-1", "H", "x", "hybrid", "H01", "h2", ""} {
+		if s, err := coop.ParseStrategy(bad); err == nil {
+			t.Errorf("ParseStrategy(%q) = %v, want an error", bad, s)
+		}
+	}
+}
+
+// TestDecisionStrategy pins the one decision→strategy mapping: both number
+// H0 as Split 0.
 func TestDecisionStrategy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -52,7 +83,7 @@ func TestDecisionStrategy(t *testing.T) {
 		{"host", optimizer.Decision{}, coop.Strategy{Kind: coop.HostNative}},
 		{"host ignores split", optimizer.Decision{Split: 3}, coop.Strategy{Kind: coop.HostNative}},
 		{"ndp", optimizer.Decision{NDP: true}, coop.Strategy{Kind: coop.NDPOnly}},
-		{"hybrid H0", optimizer.Decision{Hybrid: true, Split: 0}, coop.Strategy{Kind: coop.Hybrid, Split: -1}},
+		{"hybrid H0", optimizer.Decision{Hybrid: true, Split: 0}, coop.Strategy{Kind: coop.Hybrid, Split: 0}},
 		{"hybrid H1", optimizer.Decision{Hybrid: true, Split: 1}, coop.Strategy{Kind: coop.Hybrid, Split: 1}},
 		{"hybrid H4", optimizer.Decision{Hybrid: true, Split: 4}, coop.Strategy{Kind: coop.Hybrid, Split: 4}},
 		{"hybrid wins over ndp", optimizer.Decision{Hybrid: true, NDP: true, Split: 2}, coop.Strategy{Kind: coop.Hybrid, Split: 2}},
@@ -148,9 +179,9 @@ func TestHybridRejectsBadSplits(t *testing.T) {
 	if _, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: len(p.Steps) + 5}); err == nil {
 		t.Fatal("oversized split must fail")
 	}
-	// H0 is Split -1; Split 0 names no split point.
-	if _, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: 0}); err == nil {
-		t.Fatal("split 0 must fail")
+	// H0 is Split 0; a negative split names no split point.
+	if _, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: -1}); err == nil {
+		t.Fatal("split -1 must fail")
 	}
 	single, err := opt.BuildPlan(job.Listing2(1000, false))
 	if err != nil {
@@ -173,7 +204,7 @@ func TestNDPOnlyTransfersOnlyResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: -1})
+	h0, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +223,7 @@ func TestHybridAccountsCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: -1})
+	rep, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +282,7 @@ func TestHybridH0SeedsEveryInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: -1})
+	rep, err := ex.Run(p, coop.Strategy{Kind: coop.Hybrid, Split: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

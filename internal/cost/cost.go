@@ -17,6 +17,35 @@ import (
 	"hybridndp/internal/table"
 )
 
+// Kind is the shape of an execution strategy: where the plan runs. BlockOnly
+// and HostNative run the whole plan on the host over the BLK / native stacks
+// (paper Fig. 10 baselines); NDPOnly offloads the complete plan; Hybrid splits
+// it at Hk. The cost model prices every kind (Quote), so the executors share
+// its vocabulary.
+type Kind int
+
+// Execution strategy kinds.
+const (
+	BlockOnly Kind = iota
+	HostNative
+	NDPOnly
+	Hybrid
+)
+
+func (k Kind) String() string {
+	switch k {
+	case BlockOnly:
+		return "block"
+	case HostNative:
+		return "native"
+	case NDPOnly:
+		return "ndp"
+	case Hybrid:
+		return "hybrid"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
 // Side selects whose rates price an operation.
 type Side int
 
@@ -270,7 +299,7 @@ func projWidthOf(s *table.Schema, proj []string) int64 {
 
 // SplitCosts is the full cost picture of one plan: host-only and NDP-only
 // totals, the cumulative device cost at every split point H0..Hn, the target
-// cost, and the estimated end-to-end cost of every hybrid alternative.
+// cost, and the device, host and transfer parts of every hybrid alternative.
 type SplitCosts struct {
 	HostTotal float64 // c_total of the host-only QEP (eq. 8)
 	NDPTotal  float64 // c_total of the full-NDP QEP
@@ -281,24 +310,55 @@ type SplitCosts struct {
 	// CNode[k] is the cumulative device-side cost at split point Hk
 	// (Fig. 5's y-axis).
 	CNode []float64
-	// HybridEst[k] estimates the end-to-end runtime of hybrid split Hk,
-	// accounting for overlap: max(device part, host part) + transfer.
-	HybridEst []float64
 	// Rows[k] is the estimated cardinality entering the host at split Hk.
 	Rows []float64
-	// DevPart[k], HostPart[k] and Trans[k] decompose HybridEst[k] =
-	// max(DevPart[k], HostPart[k]) + Trans[k]. The concurrent scheduler uses
-	// them to re-cost splits under load: device backlog inflates DevPart,
-	// host backlog inflates HostPart, and the cheapest loaded alternative
-	// wins (c_target under contention, DESIGN.md "Concurrent serving").
-	// Note DevPart[0] prices the full H0 leaf offload, which is more work
-	// than the cumulative curve point CNode[0].
+	// DevPart[k], HostPart[k] and Trans[k] are hybrid split Hk's device
+	// work, host work and transfer (Quote). Note DevPart[0] prices the full
+	// H0 leaf offload, which is more work than the cumulative curve point
+	// CNode[0].
 	DevPart  []float64
 	HostPart []float64
 	Trans    []float64
 
 	// BestSplit is the Hk whose CNode is closest to CTarget (Fig. 5 step 3).
 	BestSplit int
+}
+
+// Quote prices one execution strategy — kind, split at Hk when kind is
+// Hybrid — as the device's work, the host's work and the transfer the host
+// drives; Overlap turns the three into an end-to-end estimate. Host-only
+// strategies have no device part, full NDP ships its result inside its total.
+// It is the one price every layer compares strategies by.
+func (sc *SplitCosts) Quote(kind Kind, k int) (dev, host, trans float64) {
+	switch kind {
+	case Hybrid:
+		return sc.DevPart[k], sc.HostPart[k], sc.Trans[k]
+	case NDPOnly:
+		return sc.NDPTotal, 0, 0
+	}
+	return 0, sc.HostTotal, 0
+}
+
+// Overlap is the end-to-end estimate of a quote: the device produces while
+// the host consumes, so the slower side sets the pace, and the transfer adds
+// on top (paper §4: max(device part, host part) + transfer).
+func Overlap(dev, host, trans float64) float64 { return max(dev, host) + trans }
+
+// NearestTarget is Fig. 5 step 3: among the split points Hk that fits
+// admits (nil admits all), the one whose cumulative device cost CNode[k] is
+// closest to CTarget, the lowest k on a tie; -1 when fits admits none.
+func (sc *SplitCosts) NearestTarget(fits func(k int) bool) int {
+	best := -1
+	bestDist := math.Inf(1)
+	for k, c := range sc.CNode {
+		if fits != nil && !fits(k) {
+			continue
+		}
+		if d := math.Abs(c - sc.CTarget); d < bestDist {
+			best, bestDist = k, d
+		}
+	}
+	return best
 }
 
 // PlanCosts prices the plan for all execution alternatives.
@@ -410,7 +470,6 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 	// Split points. H0: device runs every leaf selection; host joins.
 	// Hk (k≥1): device runs leaves 0..k and joins 1..k; host reads the rest.
 	sc.CNode = make([]float64, n)
-	sc.HybridEst = make([]float64, n)
 	sc.Rows = make([]float64, n)
 	sc.DevPart = make([]float64, n)
 	sc.HostPart = make([]float64, n)
@@ -439,7 +498,7 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 	}
 	// Fig. 5's cumulative curve: c_node(H0) is the first (cheapest) table's
 	// device cost; each further split point adds the next node. The H0
-	// *execution* offloads every leaf (§3.4), which HybridEst[0] prices via
+	// *execution* offloads every leaf (§3.4), which DevPart[0] prices via
 	// h0dev, but the split-point curve stays cumulative in plan order.
 	sc.CNode[0] = devCh.nodes[0].Total()
 	sc.Rows[0] = devCh.rows[0]
@@ -458,7 +517,6 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 		sc.DevPart[0] = h0dev
 		sc.HostPart[0] = hostJoin
 		sc.Trans[0] = leafTrans
-		sc.HybridEst[0] = math.Max(h0dev, hostJoin) + leafTrans
 	}
 
 	// Hk for k ≥ 1.
@@ -479,7 +537,6 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 		sc.DevPart[k] = devPart
 		sc.HostPart[k] = hostPart
 		sc.Trans[k] = trans
-		sc.HybridEst[k] = math.Max(devPart, hostPart) + trans
 	}
 
 	// Target cost, eq. 9–12.
@@ -494,15 +551,7 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 		sc.CTarget = cTotal * (sc.SplitCPU + sc.SplitMem) / (2 * 100)
 	}
 
-	// Fig. 5 step 3: the split with the smallest |c_node − c_target|.
-	best := 0
-	bestDist := math.Abs(sc.CNode[0] - sc.CTarget)
-	for k := 1; k < n; k++ {
-		if d := math.Abs(sc.CNode[k] - sc.CTarget); d < bestDist {
-			best, bestDist = k, d
-		}
-	}
-	sc.BestSplit = best
+	sc.BestSplit = sc.NearestTarget(nil)
 	return sc, nil
 }
 
@@ -523,7 +572,7 @@ func (sc *SplitCosts) String() string {
 	s := fmt.Sprintf("host=%.0f ndp=%.0f target=%.0f (cpu%%=%.1f mem%%=%.1f) best=H%d\n",
 		sc.HostTotal, sc.NDPTotal, sc.CTarget, sc.SplitCPU, sc.SplitMem, sc.BestSplit)
 	for k := range sc.CNode {
-		s += fmt.Sprintf("  H%d: c_node=%.0f hybrid_est=%.0f rows=%.0f\n", k, sc.CNode[k], sc.HybridEst[k], sc.Rows[k])
+		s += fmt.Sprintf("  H%d: c_node=%.0f hybrid_est=%.0f rows=%.0f\n", k, sc.CNode[k], Overlap(sc.Quote(Hybrid, k)), sc.Rows[k])
 	}
 	return s
 }

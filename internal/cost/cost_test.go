@@ -122,7 +122,7 @@ func TestPlanCostsStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := p.NumTables()
-		if len(sc.CNode) != n || len(sc.HybridEst) != n || len(sc.Rows) != n {
+		if len(sc.CNode) != n || len(sc.DevPart) != n || len(sc.Rows) != n {
 			t.Fatalf("%s: wrong split vector lengths", name)
 		}
 		// Cumulative from H1 upward (H0 is the first node by definition).

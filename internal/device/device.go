@@ -35,7 +35,8 @@ var (
 	// ErrMemoryBudget signals a command whose memory plan exceeds the NDP
 	// DRAM budget.
 	ErrMemoryBudget = errors.New("device: NDP memory plan exceeds budget")
-	// ErrBadSplit signals a split point past the plan's join count.
+	// ErrBadSplit signals a split point outside H0 through the plan's join
+	// count.
 	ErrBadSplit = errors.New("device: split exceeds join steps")
 )
 
@@ -45,9 +46,10 @@ var (
 // transfer buffer configuration.
 type Command struct {
 	Plan *exec.Plan
-	// SplitAfter is the number of join steps executed on device. -1 selects
-	// leaf-only offloading (H0: every base-table selection runs on device,
-	// all joins remain on the host). len(Plan.Steps) offloads every join.
+	// SplitAfter is the split point Hk: k ≥ 1 runs the driving table and the
+	// first k join steps on device, 0 is H0 — leaf-only offloading, every
+	// base-table selection runs on device and all joins remain on the host.
+	// len(Plan.Steps) offloads every join.
 	SplitAfter int
 	// Snapshot is the shared state shipped with the invocation.
 	Snapshot *kv.Snapshot
@@ -186,20 +188,14 @@ type MemoryPlan struct {
 	UsesPointerFmt bool
 }
 
-// PlanMemory computes the ledger for offloading the given prefix.
-func PlanMemory(m hw.Model, p *exec.Plan, splitAfter int) MemoryPlan {
-	mp := MemoryPlan{BudgetBytes: m.DeviceNDPBudget}
-	nTables := 1
-	if splitAfter < 0 {
-		nTables = p.NumTables() // H0: all leaves
-	} else {
-		nTables = 1 + splitAfter
+// PlanMemory computes the ledger for offloading p up to split point Hk
+// (0 = H0: every leaf selection, no join).
+func PlanMemory(m hw.Model, p *exec.Plan, k int) MemoryPlan {
+	mp := MemoryPlan{BudgetBytes: m.DeviceNDPBudget, Selections: 1 + k, Joins: k}
+	if k == 0 {
+		mp.Selections = p.NumTables() // H0: all leaves
 	}
-	mp.Selections = nTables
-	if splitAfter > 0 {
-		mp.Joins = splitAfter
-	}
-	for i := 0; i < splitAfter && i < len(p.Steps); i++ {
+	for i := 0; i < k && i < len(p.Steps); i++ {
 		if p.Steps[i].Type == exec.BNLI && !p.Steps[i].RightIndexIsPK {
 			mp.SecondaryIdx++
 		}
@@ -207,7 +203,7 @@ func PlanMemory(m hw.Model, p *exec.Plan, splitAfter int) MemoryPlan {
 	mp.SelBytes = int64(mp.Selections+mp.SecondaryIdx) * m.SelBufBytes
 	mp.JoinBytes = int64(mp.Joins) * m.JoinBufBytes
 	mp.TotalBytes = mp.SelBytes + mp.JoinBytes
-	mp.UsesPointerFmt = nTables > 2 // paper §4.2: pointer cache above 2 tables
+	mp.UsesPointerFmt = mp.Selections > 2 // paper §4.2: pointer cache above 2 tables
 	return mp
 }
 
@@ -289,12 +285,12 @@ func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
 }
 
 // Snapshot captures the shared state an NDP command ships: the tables a
-// device executing the first split join steps of p reads — the driving table
-// plus those steps' inner tables (split < 0 = every table of the plan).
-func Snapshot(db *kv.DB, p *exec.Plan, split int) (*kv.Snapshot, error) {
+// device executing p up to split point Hk reads — the driving table plus the
+// first k join steps' inner tables (H0 = every table of the plan).
+func Snapshot(db *kv.DB, p *exec.Plan, k int) (*kv.Snapshot, error) {
 	limit := len(p.Steps)
-	if split >= 0 && split < limit {
-		limit = split
+	if k > 0 && k < limit {
+		limit = k
 	}
 	names := []string{"tbl." + p.Driving.Ref.Table}
 	for i := 0; i < limit; i++ {
@@ -395,7 +391,7 @@ type Range struct{ Lo, Hi *int32 }
 var whole = []Range{{}}
 
 // Produce is the device half of the hand-off: it streams the batches of one
-// launched NDP command to emit in production order. Under H0 (SplitAfter < 0)
+// launched NDP command to emit in production order. Under H0 (SplitAfter 0)
 // every join step's leaf selection comes first, one batch per range; then the
 // driving table's chunks run through the first SplitAfter join steps, each
 // range's stream closed by a Last batch. clip(pos) lists the ranges of plan
@@ -443,8 +439,7 @@ func (d *Device) Produce(cmd *Command, pl *exec.Pipeline, eng *exec.Engine, clip
 		return nil
 	}
 
-	devSteps := cmd.SplitAfter
-	if devSteps < 0 {
+	if cmd.SplitAfter == 0 {
 		// H0: every leaf selection runs on device and ships as one batch per
 		// range; all joins stay on the host.
 		for si := range cmd.Plan.Steps {
@@ -458,12 +453,11 @@ func (d *Device) Produce(cmd *Command, pl *exec.Pipeline, eng *exec.Engine, clip
 				}
 			}
 		}
-		devSteps = 0
 	}
 	// Hk: the inner sides of the device joins are built once and probed by
 	// every driving chunk streaming through the device join pipeline.
 	for _, rg := range clip(0) {
-		if err := d.streamDrivingRange(cmd, pl, eng, devSteps, rg.Lo, rg.Hi, emitBatch); err != nil {
+		if err := d.streamDrivingRange(cmd, pl, eng, rg.Lo, rg.Hi, emitBatch); err != nil {
 			return err
 		}
 	}
@@ -512,15 +506,16 @@ func (d *Device) scanLeaf(pl *exec.Pipeline, si int, eng *exec.Engine, lo, hi *i
 
 // streamDrivingRange partitions the driving table into chunks by primary-key
 // ranges, clipped to [loPart, hiPart), and pushes each chunk through the
-// first devSteps join steps.
+// command's device join steps (none under H0).
 func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.Engine,
-	devSteps int, loPart, hiPart *int32, emitBatch func(Batch) error) error {
+	loPart, hiPart *int32, emitBatch func(Batch) error) error {
 
 	t, err := d.Cat.Table(cmd.Plan.Driving.Ref.Table)
 	if err != nil {
 		return err
 	}
 	bounds := clipBounds(t.CollectStats().PKQuantiles(cmd.Chunks), loPart, hiPart)
+	devSteps := cmd.SplitAfter
 	width := pl.TupleWidth(devSteps + 1)
 	slot := d.Model.SharedBufferSlot
 	// acc is the result set filling the current slot, a list in the run's
@@ -626,8 +621,8 @@ func (d *Device) Validate(cmd *Command) error {
 		return fmt.Errorf("%w: NDP memory plan (%d MB for %d selections, %d secondary, %d joins) exceeds budget (%d MB)",
 			ErrMemoryBudget, mp.TotalBytes>>20, mp.Selections, mp.SecondaryIdx, mp.Joins, mp.BudgetBytes>>20)
 	}
-	if cmd.SplitAfter > len(cmd.Plan.Steps) {
-		return fmt.Errorf("%w: split after %d exceeds %d join steps", ErrBadSplit, cmd.SplitAfter, len(cmd.Plan.Steps))
+	if cmd.SplitAfter < 0 || cmd.SplitAfter > len(cmd.Plan.Steps) {
+		return fmt.Errorf("%w: split H%d outside H0..H%d", ErrBadSplit, cmd.SplitAfter, len(cmd.Plan.Steps))
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func TestPlanMemoryPointerFormatSwitch(t *testing.T) {
 	}
 	// H0 over a wide plan counts every leaf.
 	wide := &exec.Plan{Steps: make([]exec.JoinStep, 6)}
-	mp := device.PlanMemory(m, wide, -1)
+	mp := device.PlanMemory(m, wide, 0)
 	if mp.Selections != 7 || mp.Joins != 0 {
 		t.Fatalf("H0 memory plan: %+v", mp)
 	}
@@ -88,6 +88,9 @@ func TestValidateRejectsOversizedCommands(t *testing.T) {
 	d := device.New(ds.Model, ds.Cat)
 	if err := d.Validate(&device.Command{Plan: p, SplitAfter: len(p.Steps) + 3}); err == nil {
 		t.Fatal("split beyond the plan must fail validation")
+	}
+	if err := d.Validate(&device.Command{Plan: p, SplitAfter: -1}); err == nil {
+		t.Fatal("a negative split must fail validation (H0 is split 0)")
 	}
 	// A crushed budget rejects everything beyond tiny offloads.
 	m := ds.Model
@@ -122,8 +125,8 @@ func TestRunH0EmitsLeavesThenDrivingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := device.New(ds.Model, ds.Cat)
-	cmd := &device.Command{Plan: p, SplitAfter: -1, Chunks: 4}
-	mp := device.PlanMemory(ds.Model, p, -1)
+	cmd := &device.Command{Plan: p, SplitAfter: 0, Chunks: 4}
+	mp := device.PlanMemory(ds.Model, p, 0)
 	eng := d.Engine(mp)
 	hostEng := &exec.Engine{Cat: ds.Cat}
 	pl, err := hostEng.StartPipeline(p)
@@ -285,7 +288,7 @@ func TestProducePartitionsConcatenateToWholeRun(t *testing.T) {
 		name  string
 		plan  *exec.Plan
 		split int
-	}{{"H0", p.WithBufferedJoins(), -1}, {"H2", p, 2}} {
+	}{{"H0", p.WithBufferedJoins(), 0}, {"H2", p, 2}} {
 		run := func(clips []func(int) []device.Range) *stream {
 			d := device.New(ds.Model, ds.Cat)
 			cmd := &device.Command{Plan: c.plan, SplitAfter: c.split, Chunks: 4}
@@ -322,7 +325,7 @@ func TestProducePartitionsConcatenateToWholeRun(t *testing.T) {
 			t.Errorf("%s: partitioned driving stream (%d tuples) differs from the whole run's (%d)",
 				c.name, len(split.driving), len(whole.driving))
 		}
-		if c.split < 0 && len(whole.leaves) != len(p.Steps) {
+		if c.split == 0 && len(whole.leaves) != len(p.Steps) {
 			t.Errorf("%s: whole run shipped %d leaf selections, want %d", c.name, len(whole.leaves), len(p.Steps))
 		}
 		if !reflect.DeepEqual(split.leaves, whole.leaves) {
@@ -344,8 +347,8 @@ func TestLeafBatchesFeelBackPressure(t *testing.T) {
 	m := ds.Model
 	m.SharedSlots = 1
 	d := device.New(m, ds.Cat)
-	cmd := &device.Command{Plan: p, SplitAfter: -1, Chunks: 4}
-	eng := d.Engine(device.PlanMemory(m, p, -1))
+	cmd := &device.Command{Plan: p, SplitAfter: 0, Chunks: 4}
+	eng := d.Engine(device.PlanMemory(m, p, 0))
 	pl, err := (&exec.Engine{Cat: ds.Cat}).StartPipeline(p)
 	if err != nil {
 		t.Fatal(err)

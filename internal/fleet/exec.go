@@ -31,6 +31,7 @@ type Gate interface {
 type ShardReport struct {
 	Device     int
 	Split      int
+	Host       bool // the planner kept the shard on the host (Split is then meaningless)
 	Partitions int
 	Frac       float64
 	// Rows counts driving tuples plus leaf rows the shard produced.
@@ -151,7 +152,7 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model, desc *Descriptor) *E
 type outcome int
 
 const (
-	hostPlanned  outcome = iota // the planner kept the partitions on the host (hybrid Split 0)
+	hostPlanned  outcome = iota // the planner kept the partitions on the host (ShardPlan.Host)
 	ok                          // the merge consumes the shard's device batches
 	denied                      // the admission gate refused the shard
 	crashed                     // the device command died on an injected fault
@@ -289,14 +290,14 @@ func (r *run) demote(sh *shard, o outcome) {
 }
 
 // admit gates every device-planned shard. A denied shard degrades to host
-// execution of its partitions; planned host shards (hybrid Split == 0) never
-// claim device resources.
+// execution of its partitions; planned host shards never claim device
+// resources.
 func (r *run) admit() {
 	r.shards = make([]shard, r.x.Desc.Devices)
 	for dev := range r.shards {
 		sh := &r.shards[dev]
 		sh.plan = &r.a.Shards[dev]
-		if r.a.Mode == ModeHybrid && sh.plan.Split == 0 {
+		if sh.plan.Host {
 			continue
 		}
 		sh.outcome = ok
@@ -339,28 +340,27 @@ func (r *run) release(completed bool) {
 // partial device output is never merged, so the merged stream stays
 // byte-identical to the fault-free run.
 func (r *run) scatter() error {
-	maxSplit, any := -1, false
+	// One snapshot serves every shard: the deepest launched split's tables —
+	// under H0 (every shard at split 0) every table of the plan.
+	maxSplit, any := 0, false
 	for i := range r.shards {
 		if sh := &r.shards[i]; sh.outcome == ok {
 			any = true
-			if sh.plan.Split > maxSplit {
-				maxSplit = sh.plan.Split
-			}
+			maxSplit = max(maxSplit, sh.plan.Split)
 		}
 	}
 	if !any {
 		return nil
 	}
-	if r.a.Mode == ModeH0 {
-		maxSplit = -1 // leaf offload reads every inner table on device
-	}
 	snap, err := device.Snapshot(r.x.DB, r.p, maxSplit)
 	if err != nil {
 		return err
 	}
-	// Each shard takes its per-device share of the driving-table chunks (+1 so
-	// none rounds to zero).
-	chunks := device.DrivingChunks(r.x.Model, r.x.Cat, r.p)/len(r.shards) + 1
+	// Each shard takes its per-device share of the driving-table chunks,
+	// rounded up so none gets zero: a fleet of one runs exactly the
+	// cooperative executor's command.
+	n := len(r.shards)
+	chunks := (device.DrivingChunks(r.x.Model, r.x.Cat, r.p) + n - 1) / n
 	for i := range r.shards {
 		sh := &r.shards[i]
 		if sh.outcome != ok {
@@ -630,7 +630,7 @@ func (r *run) report(res *exec.Result) *Report {
 	rep.Shards = make([]ShardReport, len(r.shards))
 	for dev := range r.shards {
 		sh := &r.shards[dev]
-		sr := ShardReport{Device: dev, Split: sh.plan.Split, Frac: sh.plan.Frac, Reason: sh.plan.Reason,
+		sr := ShardReport{Device: dev, Host: sh.plan.Host, Split: sh.plan.Split, Frac: sh.plan.Frac, Reason: sh.plan.Reason,
 			Rows: sh.rows, Batches: len(sh.out)}
 		switch sh.outcome {
 		case denied:

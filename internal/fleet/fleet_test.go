@@ -149,7 +149,7 @@ func TestAllShardsDeniedStillAnswers(t *testing.T) {
 	}
 	devShards := 0
 	for _, sp := range a.Shards {
-		if !(a.Mode == ModeHybrid && sp.Split == 0) {
+		if !sp.Host {
 			devShards++
 		}
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"hybridndp/internal/cost"
 	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/optimizer"
@@ -27,10 +28,13 @@ type ShardPlan struct {
 	// Frac is the device's share of the driving table (from its stats-sample
 	// PK counts over the descriptor's partitions).
 	Frac float64
-	// Split encodes the shard-local PQEP cut: -1 = scan-only offload (H0
-	// leaves / single-table scans ship filtered rows, all joins host-side),
-	// 0 = the shard's partition runs entirely on the host, k ≥ 1 = the first
-	// k join steps run on the device.
+	// Host marks a shard the planner keeps off its device: the shard's
+	// partitions run entirely on the host (Split is then meaningless).
+	Host bool
+	// Split is the shard-local PQEP cut, the split point Hk of the device
+	// command: 0 = H0 (the shard's leaf selections / single-table scan ship
+	// filtered rows, all joins host-side), k ≥ 1 = the first k join steps
+	// run on the device.
 	Split int
 	// Reason explains the shard-local choice.
 	Reason string
@@ -58,32 +62,30 @@ type Assignment struct {
 	Shards []ShardPlan
 }
 
+// label renders the shard's cut for sweep tables.
+func (sp ShardPlan) label() string {
+	if sp.Host {
+		return "host"
+	}
+	return fmt.Sprintf("H%d", sp.Split)
+}
+
 // Label summarizes the assignment for sweep tables: the global mode, plus
 // the per-device splits when they diverge (e.g. "H2" or "H2/H1/host/H2").
 func (a *Assignment) Label() string {
 	if a.Mode != ModeHybrid {
 		return a.Mode
 	}
-	first := a.Shards[0].Split
+	out := a.Shards[0].label()
 	uniform := true
 	for _, sp := range a.Shards[1:] {
-		if sp.Split != first {
-			uniform = false
-			break
-		}
-	}
-	lbl := func(split int) string {
-		if split == 0 {
-			return "host"
-		}
-		return fmt.Sprintf("H%d", split)
+		uniform = uniform && sp.label() == out
 	}
 	if uniform {
-		return lbl(first)
+		return out
 	}
-	out := lbl(a.Shards[0].Split)
 	for _, sp := range a.Shards[1:] {
-		out += "/" + lbl(sp.Split)
+		out += "/" + sp.label()
 	}
 	return out
 }
@@ -95,6 +97,8 @@ func (a *Assignment) Label() string {
 // re-runs the split-point calculation against its shard's local statistics,
 // so a small shard whose fixed inner-scan costs dominate may cut its PQEP at
 // a different Hk — or hand its partition back to the host — than a large one.
+// Every shard is priced through the cost model's quote and reserves the
+// decision's memory plan of its split.
 func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decision) (*Assignment, error) {
 	p := d.Plan
 	a := &Assignment{Plan: p, Mode: ModeHost}
@@ -115,60 +119,43 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 	fracs := desc.drivingFracs(p.Driving.Ref.Table, t.CollectStats())
 	a.Shards = make([]ShardPlan, desc.Devices)
 
+	// The fleet-global strategy every shard shares, unless the hybrid family
+	// lets it choose its own.
+	kind, split, reason := cost.Hybrid, d.Split, "H0 leaf offload"
 	switch {
-	case d.NDP && len(p.Steps) == 0:
-		// Single-table NDP: each shard scans and filters its partition; the
-		// host merges and finalizes (projection/aggregation over the merged
-		// stream keeps fleet results byte-identical to one device).
-		a.Mode = ModeNDP
-		for dev := range a.Shards {
-			a.Shards[dev] = ShardPlan{
-				Device: dev, Frac: fracs[dev], Split: -1,
-				Reason:    "single-table scan offload",
-				EstDevNs:  fracs[dev] * d.Costs.NDPTotal,
-				EstHostNs: fracs[dev] * d.Costs.HostTotal,
-				Mem:       device.PlanMemory(opt.Model, p, -1),
-			}
-		}
 	case d.NDP:
-		a.Mode = ModeNDP
-		for dev := range a.Shards {
-			a.Shards[dev] = ShardPlan{
-				Device: dev, Frac: fracs[dev], Split: len(p.Steps),
-				Reason:    "full NDP offload",
-				EstDevNs:  fracs[dev] * d.Costs.NDPTotal,
-				EstHostNs: fracs[dev] * d.Costs.HostTotal,
-				Mem:       device.PlanMemory(opt.Model, p, len(p.Steps)),
-			}
+		// Every shard runs its partitions through every join step — a
+		// single-table plan's shards scan and filter — and the host merges
+		// and finalizes (projection/aggregation over the merged stream keeps
+		// fleet results byte-identical to one device).
+		a.Mode, kind, split, reason = ModeNDP, cost.NDPOnly, len(p.Steps), "full NDP offload"
+		if split == 0 {
+			reason = "single-table scan offload"
 		}
 	case d.Split == 0:
 		// H0 is fleet-global: every device ships its partitions of every leaf
 		// selection and the host joins the merged inners.
 		a.Mode = ModeH0
-		for dev := range a.Shards {
-			a.Shards[dev] = ShardPlan{
-				Device: dev, Frac: fracs[dev], Split: -1,
-				Reason:    "H0 leaf offload",
-				EstDevNs:  fracs[dev] * d.Costs.DevPart[0],
-				EstHostNs: fracs[dev] * d.Costs.HostTotal,
-				Mem:       device.PlanMemory(opt.Model, p, -1),
-			}
-		}
 	default:
 		a.Mode = ModeHybrid
-		for dev := range a.Shards {
-			sd, err := opt.DecideShard(p, d.Costs, fracs[dev])
-			if err != nil {
-				return nil, err
-			}
-			sp := ShardPlan{Device: dev, Frac: fracs[dev], Reason: sd.Reason,
-				EstHostNs: fracs[dev] * d.Costs.HostTotal}
-			if sd.Hybrid {
-				sp.Split = sd.Split
-				sp.EstDevNs = sd.Costs.DevPart[sd.Split]
-				sp.Mem = device.PlanMemory(opt.Model, p, sd.Split)
-			}
-			a.Shards[dev] = sp
+	}
+	for dev := range a.Shards {
+		sp := &a.Shards[dev]
+		*sp = ShardPlan{Device: dev, Frac: fracs[dev], Split: split, Reason: reason,
+			EstHostNs: fracs[dev] * d.Costs.HostTotal}
+		if a.Mode != ModeHybrid {
+			devNs, _, _ := d.Costs.Quote(kind, split)
+			sp.EstDevNs, sp.Mem = fracs[dev]*devNs, d.Mem[split]
+			continue
+		}
+		sd, err := opt.DecideShard(d, fracs[dev])
+		if err != nil {
+			return nil, err
+		}
+		sp.Reason = sd.Reason
+		if sp.Host = !sd.Hybrid; !sp.Host {
+			sp.Split, sp.Mem = sd.Split, d.Mem[sd.Split]
+			sp.EstDevNs, _, _ = sd.Costs.Quote(cost.Hybrid, sd.Split)
 		}
 	}
 	return a, nil

@@ -59,9 +59,9 @@ func (r *ChaosResult) Clean() bool { return r.Errors == 0 && r.Mismatches == 0 }
 func (h *H) ChaosSweep(w io.Writer, plan *fault.Plan) *ChaosResult {
 	qs := job.Queries()
 	rows := make([]ChaosRow, len(qs))
-	prevFaults, prevRetries := h.Exec.Faults, h.Exec.MaxRetries
+	prevFaults := h.Exec.Faults
 	h.Exec.Faults = plan
-	defer func() { h.Exec.Faults, h.Exec.MaxRetries = prevFaults, prevRetries }()
+	defer func() { h.Exec.Faults = prevFaults }()
 	par.ForEach(h.Workers, len(qs), func(i int) {
 		rows[i] = h.chaosOne(qs[i])
 	})

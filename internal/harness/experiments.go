@@ -30,7 +30,7 @@ func (h *H) Fig2(w io.Writer) ([]Measurement, error) {
 			label = "host-only"
 		case m.Strategy.Kind == coop.NDPOnly:
 			label = "full NDP"
-		case m.Strategy.Kind == coop.Hybrid && m.Strategy.Split == -1:
+		case m.Strategy.Kind == coop.Hybrid && m.Strategy.Split == 0:
 			label = "H0"
 		case m.Strategy == bestHybrid.Strategy:
 			label = m.Strategy.String() + " (best split)"
@@ -173,7 +173,7 @@ func (h *H) Fig12(w io.Writer) ([]Fig12Row, error) {
 		switch {
 		case best.Strategy.Kind == coop.NDPOnly:
 			ndpBest++
-		case best.Strategy.Kind == coop.Hybrid && best.Strategy.Split == -1:
+		case best.Strategy.Kind == coop.Hybrid && best.Strategy.Split == 0:
 			h0Best++
 		}
 		rows = append(rows, Fig12Row{

@@ -29,6 +29,10 @@ type FleetRow struct {
 	BaseRows int64
 	Cells    []FleetCell // indexed like FleetResult.Counts
 	Err      error
+	// BaseElapsed is the baseline's virtual runtime: a fleet of one runs the
+	// same commands, so its host elapsed equals this one for every decision
+	// but NDP (the fleet finalizes NDP on the host).
+	BaseElapsed vclock.Duration
 }
 
 // FleetResult aggregates a fleet scale-out sweep.
@@ -159,6 +163,7 @@ func (h *H) fleetOne(q *query.Query, counts []int, execs []*fleet.Executor) Flee
 	}
 	row.BaseFP = fleet.Fingerprint(base.Result)
 	row.BaseRows = base.Result.RowCount
+	row.BaseElapsed = base.Elapsed
 	row.Cells = make([]FleetCell, len(counts))
 	for i, x := range execs {
 		cell := &row.Cells[i]

@@ -11,7 +11,10 @@ import (
 // TestFleetMatchesSingleDevice is the fleet's end-to-end correctness gate:
 // every JOB query's scatter-gather result at every swept fleet size must be
 // byte-identical (fingerprint) to a single-device cooperative execution of
-// the optimizer-decided strategy.
+// the optimizer-decided strategy. A fleet of one also runs the cooperative
+// executor's commands — the same chunks, the same split — so its elapsed
+// equals the baseline's bit for bit, except under NDP, which the fleet
+// finalizes on the host instead of the device.
 func TestFleetMatchesSingleDevice(t *testing.T) {
 	h := testHarness(t)
 	var buf bytes.Buffer
@@ -25,6 +28,14 @@ func TestFleetMatchesSingleDevice(t *testing.T) {
 	if !res.Clean() {
 		t.Fatalf("fleet sweep not clean (%d errors, %d mismatches):\n%s",
 			res.Errors, res.Mismatches, buf.String())
+	}
+	for _, r := range res.Rows {
+		if r.Strategy == "ndp" {
+			continue
+		}
+		if got := r.Cells[0].Elapsed; got != r.BaseElapsed {
+			t.Errorf("%s (%s): 1-device fleet elapsed %d ns, cooperative %d ns", r.Query, r.Strategy, int64(got), int64(r.BaseElapsed))
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ func (h *H) TraceQuery(name, label string) (*TraceReport, error) {
 		return nil, fmt.Errorf("harness: unknown JOB query %q", name)
 	}
 	if label != "" {
-		s, err := ParseStrategy(label)
+		s, err := coop.ParseStrategy(label)
 		if err != nil {
 			return nil, err
 		}
@@ -60,27 +60,6 @@ func (h *H) TraceQuery(name, label string) (*TraceReport, error) {
 		return nil, err
 	}
 	return h.RunTraced(q, coop.DecisionStrategy(d))
-}
-
-// ParseStrategy parses a strategy label as printed by coop.Strategy.String:
-// "native", "block", "ndp", or a hybrid split "H0".."Hn".
-func ParseStrategy(label string) (coop.Strategy, error) {
-	switch label {
-	case "native":
-		return coop.Strategy{Kind: coop.HostNative}, nil
-	case "block":
-		return coop.Strategy{Kind: coop.BlockOnly}, nil
-	case "ndp":
-		return coop.Strategy{Kind: coop.NDPOnly}, nil
-	}
-	var k int
-	if n, err := fmt.Sscanf(label, "H%d", &k); err == nil && n == 1 && k >= 0 {
-		if k == 0 {
-			k = -1
-		}
-		return coop.Strategy{Kind: coop.Hybrid, Split: k}, nil
-	}
-	return coop.Strategy{}, fmt.Errorf("harness: unknown strategy label %q", label)
 }
 
 // BindMetrics attaches a registry to the harness's executor so every

@@ -263,7 +263,7 @@ func TestPreparedPipelineUnderConcurrency(t *testing.T) {
 			return fmt.Sprintf("host %s %v", fleet.Fingerprint(rep.Result), rep.Elapsed), nil
 		},
 	}
-	for _, split := range []int{1, -1} {
+	for _, split := range []int{1, 0} {
 		s := coop.Strategy{Kind: coop.Hybrid, Split: split}
 		runs = append(runs, func(fresh bool) (string, error) {
 			x := coops

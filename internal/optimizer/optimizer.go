@@ -308,11 +308,18 @@ func (o *Optimizer) chooseJoin(right exec.AccessPath, rt *table.Table, conds []e
 type Decision struct {
 	Plan  *exec.Plan
 	Costs *cost.SplitCosts
-	// Kind and Split encode the chosen strategy (coop.Strategy mirrors
+	// Mem[k] is the device memory plan of split point Hk, H0 through
+	// H(len(Plan.Steps)); the last one, every join on the device, is also
+	// full NDP's. Every consumer of the decision — the choice below, the
+	// fleet's shard planner, the scheduler's live alternatives, serving's
+	// cost table — masks strategies with these plans.
+	Mem []device.MemoryPlan
+	// Hybrid, NDP and Split encode the chosen strategy (coop.Strategy mirrors
 	// this; the optimizer package avoids importing coop).
 	Hybrid bool
 	NDP    bool
-	// Split is the chosen Hk index: 0 = H0 (leaf offloading), k ≥ 1 = Hk.
+	// Split is the chosen split point Hk: 0 = H0 (leaf offloading), k ≥ 1 =
+	// Hk — the numbering of every layer down to the device command.
 	Split int
 	// Reason explains the choice.
 	Reason string
@@ -330,10 +337,14 @@ func (d *Decision) StrategyLabel() string {
 	}
 }
 
+// fits reports whether split point Hk's device memory plan is inside the NDP
+// budget.
+func (d *Decision) fits(k int) bool { return d.Mem[k].Fits() }
+
 // Decide plans the query and picks an execution strategy (paper §3.3): the
-// preconditions gate offloading, the split point Hk is the one whose
-// cumulative device cost is closest to c_target, and the final choice is the
-// cheapest of host-only, NDP-only and hybrid-at-Hk.
+// preconditions gate offloading, the split point Hk is the memory-feasible
+// one whose cumulative device cost is closest to c_target, and the final
+// choice is the cheapest of host-only, NDP-only and hybrid-at-Hk.
 func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 	p, err := o.BuildPlan(q)
 	if err != nil {
@@ -343,7 +354,10 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decision{Plan: p, Costs: sc}
+	d := &Decision{Plan: p, Costs: sc, Mem: make([]device.MemoryPlan, len(p.Steps)+1)}
+	for k := range d.Mem {
+		d.Mem[k] = device.PlanMemory(o.Model, p, k)
+	}
 
 	if !o.NDPMounted {
 		d.Reason = "device not mounted in NDP mode"
@@ -373,38 +387,20 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 	}
 
 	// Device feasibility caps the candidate splits (≤12/17 table limit).
-	feasible := make([]bool, len(sc.CNode))
-	for k := range sc.CNode {
-		sa := k
-		if k == 0 {
-			sa = -1
-		}
-		feasible[k] = device.PlanMemory(o.Model, p, sa).Fits()
-	}
-
-	best := -1
-	bestDist := math.Inf(1)
-	for k := range sc.CNode {
-		if !feasible[k] {
-			continue
-		}
-		if dd := math.Abs(sc.CNode[k] - sc.CTarget); dd < bestDist {
-			best, bestDist = k, dd
-		}
-	}
+	best := sc.NearestTarget(d.fits)
 	if best < 0 {
 		d.Reason = "no feasible device split (memory budget)"
 		return d, nil
 	}
 	d.Split = best
 
-	hybridCost := sc.HybridEst[best]
+	hybridCost := cost.Overlap(sc.Quote(cost.Hybrid, best))
 	switch {
 	case hybridCost <= sc.HostTotal && hybridCost <= sc.NDPTotal:
 		d.Hybrid = true
 		d.Reason = fmt.Sprintf("hybrid H%d closest to c_target and cheapest (%.0f ≤ host %.0f, ndp %.0f)",
 			best, hybridCost, sc.HostTotal, sc.NDPTotal)
-	case sc.NDPTotal < sc.HostTotal && feasible[len(feasible)-1]:
+	case sc.NDPTotal < sc.HostTotal && d.fits(len(p.Steps)):
 		d.NDP = true
 		d.Reason = fmt.Sprintf("full NDP cheapest (%.0f < host %.0f)", sc.NDPTotal, sc.HostTotal)
 	default:
@@ -413,45 +409,39 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 	return d, nil
 }
 
-// DecideShard re-runs the split-point calculation for one driving-table
-// shard holding frac of the driving rows (fleet execution, paper §3 applied
-// per partition): the shard's c_node curve is priced against its local
-// statistics via ShardPlanCosts and the candidate splits are restricted to
-// the interior Hk (k ≥ 1) — H0's leaf broadcast and the host-only baseline
-// are fleet-global choices, so a shard only decides between "device joins up
-// to k" and "run my partition on the host". The returned decision carries
-// Hybrid=true with the chosen Split, or Hybrid=false when the shard-local
-// host cost undercuts every feasible device split. g is the plan's global
-// cost picture (the fleet decision's Costs), which the deepening step prices
-// the shared gather host from.
-func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) (*Decision, error) {
+// DecideShard re-runs the split-point calculation of the global decision g
+// for one driving-table shard holding frac of the driving rows (fleet
+// execution, paper §3 applied per partition): the shard's c_node curve is
+// priced against its local statistics via ShardPlanCosts and the candidate
+// splits are restricted to the interior Hk (k ≥ 1) that g's memory plans
+// admit — H0's leaf broadcast and the host-only baseline are fleet-global
+// choices, so a shard only decides between "device joins up to k" and "run my
+// partition on the host". The returned decision carries Hybrid=true with the
+// chosen Split, or Hybrid=false when the shard-local host cost undercuts every
+// feasible device split. The deepening step prices the shared gather host
+// from g's global cost picture.
+func (o *Optimizer) DecideShard(g *Decision, frac float64) (*Decision, error) {
+	p := g.Plan
 	sc, err := o.Est.ShardPlanCosts(p, frac)
 	if err != nil {
 		return nil, err
 	}
-	d := &Decision{Plan: p, Costs: sc}
-	best := -1
-	bestDist := math.Inf(1)
-	for k := 1; k < len(sc.CNode); k++ {
-		if !device.PlanMemory(o.Model, p, k).Fits() {
-			continue
-		}
-		if dd := math.Abs(sc.CNode[k] - sc.CTarget); dd < bestDist {
-			best, bestDist = k, dd
-		}
-	}
+	d := &Decision{Plan: p, Costs: sc, Mem: g.Mem}
+	interior := func(k int) bool { return k >= 1 && g.fits(k) }
+	best := sc.NearestTarget(interior)
 	if best < 0 {
 		d.Reason = "shard: no feasible device split (memory budget)"
 		return d, nil
 	}
 	d.Split = best
-	if sc.HybridEst[best] <= sc.HostTotal {
+	est := cost.Overlap(sc.Quote(cost.Hybrid, best))
+	if est <= sc.HostTotal {
 		d.Hybrid = true
 		d.Reason = fmt.Sprintf("shard frac %.3f: H%d closest to c_target (%.0f ≤ host %.0f)",
-			frac, best, sc.HybridEst[best], sc.HostTotal)
+			frac, best, est, sc.HostTotal)
 	} else {
 		d.Reason = fmt.Sprintf("shard frac %.3f: host cheaper (%.0f < H%d %.0f)",
-			frac, sc.HostTotal, best, sc.HybridEst[best])
+			frac, sc.HostTotal, best, est)
 	}
 	if d.Hybrid && frac < 1 {
 		// Fleet deepening (N > 1 devices): the gather host is shared by
@@ -463,11 +453,13 @@ func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) 
 		// the estimate improves. At frac = 1 the fleet degenerates to the
 		// single-device split above, keeping the N=1 mirror invariant.
 		fleetEst := func(k int) float64 {
-			return math.Max(sc.DevPart[k], g.HostPart[k]) + g.Trans[k]
+			dev, _, _ := sc.Quote(cost.Hybrid, k)
+			_, host, trans := g.Costs.Quote(cost.Hybrid, k)
+			return cost.Overlap(dev, host, trans)
 		}
 		deep, deepCost := best, fleetEst(best)
 		for k := best + 1; k < len(sc.CNode); k++ {
-			if !device.PlanMemory(o.Model, p, k).Fits() {
+			if !g.fits(k) {
 				continue
 			}
 			if c := fleetEst(k); c < deepCost {
@@ -475,9 +467,10 @@ func (o *Optimizer) DecideShard(p *exec.Plan, g *cost.SplitCosts, frac float64) 
 			}
 		}
 		if deep != best {
+			_, host, _ := g.Costs.Quote(cost.Hybrid, deep)
 			d.Split = deep
 			d.Reason = fmt.Sprintf("shard frac %.3f: deepened H%d→H%d (fleet est %.0f, shared host part %.0f)",
-				frac, best, deep, deepCost, g.HostPart[deep])
+				frac, best, deep, deepCost, host)
 		}
 	}
 	return d, nil

@@ -71,25 +71,12 @@ func (r RunRecord) Ratio() float64 {
 	return float64(r.Measured) / r.Estimated
 }
 
-// parts splits the cost model's estimate for strategy s into the device pool's
-// and the host pool's share (the host's includes the transfer it drives).
-func parts(sc *cost.SplitCosts, s coop.Strategy) (dev, host, trans float64) {
-	switch s.Kind {
-	case coop.Hybrid:
-		k := max(s.Split, 0)
-		return sc.DevPart[k], sc.HostPart[k], sc.Trans[k]
-	case coop.NDPOnly:
-		return sc.NDPTotal, 0, 0
-	}
-	return 0, sc.HostTotal, 0
-}
-
-// price is the end-to-end estimate of s under correction factors: the paper's
-// overlap model max(device part, host part) + transfer, each part scaled by
-// its pool's factor.
+// price is the end-to-end estimate of s under correction factors: the cost
+// model's quote, the device part scaled by the device pool's factor and the
+// host part and the transfer it drives by the host pool's.
 func price(sc *cost.SplitCosts, s coop.Strategy, devF, hostF float64) float64 {
-	dev, host, trans := parts(sc, s)
-	return max(dev*devF, host*hostF) + trans*hostF
+	dev, host, trans := sc.Quote(s.Kind, s.Split)
+	return cost.Overlap(dev*devF, host*hostF, trans*hostF)
 }
 
 // deviceRiskCap bounds the host factor a query may have while its device
@@ -151,7 +138,7 @@ func (f *Feedback) Price(d *optimizer.Decision, s coop.Strategy) float64 {
 // strategy did not exercise teaches nothing) and the fleet-wide device ratio,
 // and the run is logged against est, the price quoted before it ran.
 func (f *Feedback) Observe(d *optimizer.Decision, s coop.Strategy, est float64, rep *coop.Report) {
-	dev, host, trans := parts(d.Costs, s)
+	dev, host, trans := d.Costs.Quote(s.Kind, s.Split)
 	devBusy, hostBusy := float64(deviceBusy(rep)), float64(hostBusy(rep))
 	name := queryKey(d)
 	f.mu.Lock()

@@ -2,9 +2,7 @@ package sched
 
 import (
 	"hybridndp/internal/coop"
-	"hybridndp/internal/device"
 	"hybridndp/internal/fleet"
-	"hybridndp/internal/hw"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/vclock"
@@ -23,7 +21,6 @@ type live struct {
 	policy  Policy
 	opt     *optimizer.Optimizer
 	exec    *coop.Executor
-	model   hw.Model
 	ledger  *Ledger
 	fleet   *fleet.Executor
 	gate    *fleetGate
@@ -32,8 +29,8 @@ type live struct {
 	traces  *obs.TraceSet
 }
 
-func newLive(opt *optimizer.Optimizer, exec *coop.Executor, m hw.Model, l *Ledger, cfg Config) *live {
-	r := &live{policy: cfg.Policy, opt: opt, exec: exec, model: m, ledger: l, fleet: cfg.Fleet,
+func newLive(opt *optimizer.Optimizer, exec *coop.Executor, l *Ledger, cfg Config) *live {
+	r := &live{policy: cfg.Policy, opt: opt, exec: exec, ledger: l, fleet: cfg.Fleet,
 		fb: NewFeedback(), metrics: cfg.Metrics, traces: cfg.Traces}
 	if fx := cfg.Fleet; fx != nil {
 		r.gate = &fleetGate{l: l, m: cfg.Metrics}
@@ -68,8 +65,10 @@ func (r *live) Candidates(t *Ticket, _ vclock.Time, buf []Candidate) ([]Candidat
 	if r.fleet != nil || (r.policy == Adaptive && !trusted) {
 		return buf, nil
 	}
-	offer := func(s coop.Strategy, splitAfter int) {
-		if mp := device.PlanMemory(r.model, p, splitAfter); mp.Fits() {
+	// Every split point Hk, then full NDP, which reserves the memory plan of
+	// every join on the device: the decision's plans mask them all.
+	offer := func(s coop.Strategy, k int) {
+		if mp := d.Mem[k]; mp.Fits() {
 			buf = append(buf, Candidate{
 				Strategy: s,
 				Service:  vclock.Duration(price(sc, s, devF, hostF)),
@@ -120,7 +119,7 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 	}
 	// True the estimates up with the measured busy times, so estimation error
 	// cannot keep overloading a pool.
-	dev, host, trans := parts(d.Costs, ran)
+	dev, host, trans := d.Costs.Quote(ran.Kind, ran.Split)
 	t.hostBusy, t.devBusy = hostBusy(rep), deviceBusy(rep)
 	if dev > 0 {
 		m.Histogram("sched.trueup.device.ratio", obs.DefaultRatioBuckets).Observe(float64(t.devBusy) / dev)

@@ -215,7 +215,7 @@ func New(opt *optimizer.Optimizer, exec *coop.Executor, m hw.Model, cfg Config) 
 			DevLanes:               cfg.Devices * deviceCmdSlots,
 		},
 	}
-	s.loop = NewLoop[*Ticket](ledger, cfg.Policy, newLive(opt, exec, m, ledger, cfg), s)
+	s.loop = NewLoop[*Ticket](ledger, cfg.Policy, newLive(opt, exec, ledger, cfg), s)
 	return s
 }
 

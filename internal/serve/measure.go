@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybridndp/internal/coop"
-	"hybridndp/internal/device"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/fleet"
 	"hybridndp/internal/job"
@@ -156,7 +155,7 @@ func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, ch
 	costs := make([]QueryCost, len(queries))
 	errs := make([]error, len(queries))
 	par.ForEach(workers, len(queries), func(i int) {
-		errs[i] = decide(opt, ds, queries[i], &costs[i])
+		errs[i] = decide(opt, queries[i], &costs[i])
 	})
 	var runs []measureRun
 	for i, q := range queries {
@@ -225,14 +224,14 @@ func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, ch
 }
 
 // decide fills in a query's decision and whether its whole plan fits device
-// memory.
-func decide(opt *optimizer.Optimizer, ds *job.Dataset, q *query.Query, qc *QueryCost) error {
+// memory (the decision's memory plan of every join on the device).
+func decide(opt *optimizer.Optimizer, q *query.Query, qc *QueryCost) error {
 	d, err := opt.Decide(q)
 	if err != nil {
 		return err
 	}
 	qc.Decision, qc.Decided = d, coop.DecisionStrategy(d)
-	qc.NDPFeasible = device.PlanMemory(ds.Model, d.Plan, len(d.Plan.Steps)).Fits()
+	qc.NDPFeasible = d.Mem[len(d.Plan.Steps)].Fits()
 	if qc.Decided.Kind == coop.NDPOnly && !qc.NDPFeasible {
 		return fmt.Errorf("serve: decision picked NDP for %s but the plan does not fit device memory", q.Name)
 	}
