@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-micro bench-check examples serve serve-smoke serve-determinism trace-smoke chaos chaos-slo
+.PHONY: all build vet lint test race bench bench-micro bench-check examples serve serve-smoke serve-determinism trace-smoke chaos chaos-slo cli-smoke
 
 all: build vet lint test
 
@@ -70,10 +70,20 @@ serve-determinism:
 	rm -f serve-sweep-a.txt serve-sweep-b.txt
 
 # Serving front-door gate: the open-loop SLO sweep must run two tenants
-# end-to-end (SQL sessions → plan cache → quotas → WFQ → lanes) with zero
-# errors and a non-empty table; hybridserve exits non-zero otherwise.
+# end-to-end (SQL sessions → plan cache → WFQ → lanes; neither tenant sets a
+# quota) with zero errors and a non-empty table; hybridserve exits non-zero
+# otherwise.
 serve-smoke:
 	$(GO) run ./cmd/hybridserve -scale 0.01 -tenants 2 -arrival poisson:100 -slo 10ms -horizon 300ms >/dev/null
+
+# CLI smoke for the two commands no other gate runs (under 2 s together):
+# hybridndp's strategy sweep and one labelled strategy, a lower-case label it
+# must reject (labels parse strictly), and the Table 2 profile printer.
+cli-smoke:
+	$(GO) run ./cmd/hybridndp -scale 0.01 -query 8c -strategy sweep >/dev/null
+	$(GO) run ./cmd/hybridndp -scale 0.01 -query 8c -strategy H0 >/dev/null
+	! $(GO) run ./cmd/hybridndp -scale 0.01 -query 8c -strategy h3 >/dev/null 2>&1
+	$(GO) run ./cmd/hwprofile >/dev/null
 
 # Observability smoke: trace one hybrid JOB query (single buffer slot so the
 # device's back-pressure stall is visible) and a 4-device fleet serving run,

@@ -254,8 +254,8 @@ func openLoop(h *harness.H, tenantsSpec, arrivalSpec string, slo, horizon time.D
 		return err
 	}
 	if rep.RatePerTenant > 0 {
-		fmt.Printf("calibrated offered load: %.2f q/s per tenant (%.2f×%d over host capacity)\n",
-			rep.RatePerTenant, 1.25, len(rep.Results[0].Tenants))
+		fmt.Printf("calibrated offered load: %.2f q/s per tenant (%.2f× host capacity split across %d tenants)\n",
+			rep.RatePerTenant, harness.SLOOverload, len(rep.Results[0].Tenants))
 	}
 	if metrics {
 		for i, res := range rep.Results {

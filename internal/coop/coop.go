@@ -185,12 +185,6 @@ type Executor struct {
 	// therefore the fallback path — is never injected: the smart-storage
 	// device is the unreliable component of the model.
 	Faults *fault.Plan
-	// Budget, when set, is the global token-bucket retry budget shared by
-	// every run of this executor (and, in fleet settings, with shard hedges):
-	// each retry spends a token, each successful run refills a fraction, and
-	// a drained bucket sends faulted runs straight to the host fallback so a
-	// fault storm cannot amplify into a retry storm. Nil = unlimited.
-	Budget *fault.RetryBudget
 	// Deadline is the default per-run virtual-time budget (0 = none): once a
 	// faulted device attempt can no longer finish inside it, the run stops
 	// retrying and falls back to the host immediately. RunDeadline overrides
@@ -276,9 +270,6 @@ func (x *Executor) RunDeadline(p *exec.Plan, s Strategy, tr *obs.Trace, deadline
 	if err != nil {
 		return nil, err
 	}
-	if rep.FaultRetries == 0 && !rep.FellBack {
-		x.Budget.OnSuccess()
-	}
 	x.recordRun(rep)
 	return rep, nil
 }
@@ -359,11 +350,9 @@ func (x *Executor) runHostOnly(p *exec.Plan, s Strategy, rates hw.Rates, b *devi
 // report's Elapsed. Non-injected errors (planning bugs, validation) propagate
 // immediately.
 //
-// Two more guards cut the retry loop short: a per-run deadline (a retry whose
-// backoff alone pushes past the remaining virtual budget is pointless — the
-// host fallback is the only completion left worth buying) and the shared
-// retry budget (a drained bucket means the system is already saturated with
-// recovery work, so this run must not add more device attempts).
+// A per-run deadline cuts the retry loop short: a retry whose backoff alone
+// pushes past the remaining virtual budget is pointless — the host fallback
+// is the only completion left worth buying.
 func (x *Executor) withRecovery(orig *exec.Plan, r *deviceRun, deadline vclock.Duration,
 	body func(*deviceRun) (*Report, error)) (*Report, error) {
 
@@ -384,12 +373,6 @@ func (x *Executor) withRecovery(orig *exec.Plan, r *deviceRun, deadline vclock.D
 		if deadline > 0 && vclock.Duration(devNow)+retryBackoff(retries+1) >= deadline {
 			if m := x.Metrics; m != nil {
 				m.Counter("coop.deadline.fallback").Inc()
-			}
-			return x.fallbackHost(orig, r, retries, err)
-		}
-		if !x.Budget.Allow() {
-			if m := x.Metrics; m != nil {
-				m.Counter("coop.retry.budget_exhausted").Inc()
 			}
 			return x.fallbackHost(orig, r, retries, err)
 		}

@@ -96,51 +96,6 @@ func TestScopedParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestRetryBudget: tokens are spent by Allow, refilled fractionally by
-// OnSuccess, and a nil budget is unlimited.
-func TestRetryBudget(t *testing.T) {
-	b := NewRetryBudget(2, 0.5)
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("a full bucket must grant its capacity")
-	}
-	if b.Allow() {
-		t.Fatal("an empty bucket must deny")
-	}
-	b.OnSuccess() // 0.5 tokens: still under 1
-	if b.Allow() {
-		t.Fatal("fractional balance below 1 must deny")
-	}
-	b.OnSuccess() // 1.0 tokens
-	if !b.Allow() {
-		t.Fatal("refilled bucket must grant")
-	}
-	granted, denied := b.Stats()
-	if granted != 3 || denied != 2 {
-		t.Fatalf("stats = (%d granted, %d denied), want (3, 2)", granted, denied)
-	}
-	// Refill caps at capacity.
-	for i := 0; i < 100; i++ {
-		b.OnSuccess()
-	}
-	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatalf("capped bucket must hold capacity tokens, failed at %d", i)
-		}
-	}
-	if b.Allow() {
-		t.Fatal("bucket must not exceed capacity")
-	}
-
-	var nb *RetryBudget
-	if !nb.Allow() {
-		t.Fatal("nil budget must be unlimited")
-	}
-	nb.OnSuccess()
-	if g, d := nb.Stats(); g != 0 || d != 0 {
-		t.Fatal("nil budget stats must be zero")
-	}
-}
-
 func TestParseRejectsGarbage(t *testing.T) {
 	for _, spec := range []string{
 		"flash.read.err=2", "dev.crash=-0.1", "dev.crash@batch=-1",

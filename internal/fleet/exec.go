@@ -108,10 +108,6 @@ type Executor struct {
 	// Metrics receives fleet counters (hedges, crashes, degradations); the
 	// registry is race-safe and may be shared. Nil disables recording.
 	Metrics *obs.Registry
-	// Budget, when set, is the shared retry/hedge token budget: launching a
-	// shard hedge spends one token, and a drained bucket suppresses hedging
-	// so fault storms cannot amplify. Nil = unlimited.
-	Budget *fault.RetryBudget
 	// Hedge configures hedged shard execution (disabled by default).
 	Hedge HedgeConfig
 
@@ -119,8 +115,13 @@ type Executor struct {
 	scratch exec.ScratchPool
 }
 
+// hedgeMult scales the median shard estimate into the hedge launch
+// threshold: a shard must look hedgeMult× slower than the typical shard
+// estimate before the backup spends host work.
+const hedgeMult = 3
+
 // HedgeConfig tunes hedged shard execution: once a shard's device elapsed
-// virtual time exceeds Mult × the median of the admitted shards' EstDevNs
+// virtual time exceeds hedgeMult × the median of the admitted shards' EstDevNs
 // (optionally rescaled by the scheduler's EWMA device-calibration factor via
 // Scale), a host-native backup for that shard is launched at the threshold
 // instant, and the merge takes whichever side finishes first on the virtual
@@ -129,10 +130,6 @@ type Executor struct {
 type HedgeConfig struct {
 	// Enabled turns hedging on.
 	Enabled bool
-	// Mult scales the median into the launch threshold (0 = 3): a shard
-	// must look Mult× slower than the typical shard estimate before the
-	// backup spends host work.
-	Mult float64
 	// Scale, when set, rescales the threshold by the scheduler's learned
 	// device calibration factor so hedge launches track real device speed
 	// rather than raw model estimates.
@@ -444,10 +441,6 @@ func (r *run) decide(deadline vclock.Duration) {
 		if thr <= 0 || float64(elapsed) <= thr {
 			continue
 		}
-		if !x.Budget.Allow() {
-			x.Metrics.Counter("fleet.hedge.budget_denied").Inc()
-			continue
-		}
 		r.rep.HedgesFired++
 		x.Metrics.Counter("fleet.hedge.fired").Inc()
 		if thr+sh.plan.EstHostNs < float64(elapsed) {
@@ -461,7 +454,7 @@ func (r *run) decide(deadline vclock.Duration) {
 }
 
 // hedgeThreshold derives the virtual-time hedge launch threshold for this
-// run: Mult × the median of the launched shards' device estimates, rescaled
+// run: hedgeMult × the median of the launched shards' device estimates, rescaled
 // by the scheduler's learned device-calibration factor when wired. Anchoring
 // on the shard population's own estimates (rather than a fixed duration)
 // makes the threshold scale-free: a query whose shards are all expensive
@@ -483,17 +476,13 @@ func (r *run) hedgeThreshold() float64 {
 	}
 	sort.Float64s(ests)
 	median := ests[len(ests)/2] // the upper one of an even count
-	mult := h.Mult
-	if mult <= 0 {
-		mult = 3
-	}
 	scale := 1.0
 	if h.Scale != nil {
 		if s := h.Scale(); s > 0 {
 			scale = s
 		}
 	}
-	return mult * scale * median
+	return hedgeMult * scale * median
 }
 
 // prebuild overlaps host prep with the devices' initial execution: the inner

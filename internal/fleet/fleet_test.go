@@ -200,11 +200,11 @@ func TestSingleDeviceShardPlanMirrorsGlobalDecision(t *testing.T) {
 }
 
 // TestHedgeFingerprintUnchanged is the hedging correctness gate: for every
-// JOB query, a 4-device fleet run with aggressive hedging (threshold far
-// below every shard's elapsed, so backups launch fleet-wide) produces a
-// result fingerprint byte-identical to the unhedged run. Hedge wins consume
-// the host backup's rows, hedge losses the device's — either way the merged
-// stream must be the same stream.
+// JOB query, a 4-device fleet run whose every device stalls 2ms per batch
+// (so hedges fire fleet-wide) produces a result fingerprint byte-identical
+// to the unhedged, fault-free run. Hedge wins consume the host backup's
+// rows, hedge losses the device's — either way the merged stream must be the
+// same stream, and the suite must see plenty of both outcomes.
 func TestHedgeFingerprintUnchanged(t *testing.T) {
 	ds := testDataset(t)
 	opt := optimizer.New(ds.Cat, ds.Model)
@@ -214,7 +214,10 @@ func TestHedgeFingerprintUnchanged(t *testing.T) {
 	}
 	plain := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	hedged := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
-	hedged.Hedge = HedgeConfig{Enabled: true, Mult: 0.001}
+	hedged.Hedge = HedgeConfig{Enabled: true}
+	if hedged.Faults, err = fault.Parse("dev.stall=2ms"); err != nil {
+		t.Fatal(err)
+	}
 
 	fired, won, lost := 0, 0, 0
 	for _, q := range job.Queries() {
@@ -244,11 +247,9 @@ func TestHedgeFingerprintUnchanged(t *testing.T) {
 			t.Fatalf("%s: hedge accounting fired=%d won=%d lost=%d", q.Name, rep.HedgesFired, rep.HedgesWon, rep.HedgesLost)
 		}
 	}
-	if fired == 0 {
-		t.Fatal("aggressive hedge config fired no hedges across the suite")
-	}
-	if won == 0 || lost == 0 {
-		t.Fatalf("hedge suite should exercise both outcomes: won=%d lost=%d (fired=%d)", won, lost, fired)
+	t.Logf("hedges fired %d, won %d, lost %d", fired, won, lost)
+	if won < 154 || lost < 1 {
+		t.Fatalf("hedge suite should exercise both outcomes: won=%d (want ≥ 154) lost=%d (want ≥ 1), fired=%d", won, lost, fired)
 	}
 }
 

@@ -15,6 +15,12 @@ import (
 	"hybridndp/internal/vclock"
 )
 
+// chaosOverload scales the measured host-only capacity into the chaos sweep's
+// calibrated offered load: deep overload, so host-only genuinely saturates and
+// offload capacity decides the tail (the plain sweep's mild SLOOverload
+// leaves the host pool able to absorb the whole stream and every policy ties).
+const chaosOverload = 2.5
+
 // ChaosSLOOptions configures the chaos-driven serving-SLO experiment.
 type ChaosSLOOptions struct {
 	// Faults is the active fault spec (default "dev1:dev.stall=2ms,seed=1" —
@@ -25,13 +31,8 @@ type ChaosSLOOptions struct {
 	// Tenants defaults to two tenants (gold/bronze weights 3/1, 5/20ms SLOs).
 	Tenants []serve.TenantConfig
 	// Arrival defaults to a stationary Poisson process calibrated at
-	// OverloadFactor × measured host-only capacity split across tenants.
+	// chaosOverload × measured host-only capacity split across tenants.
 	Arrival serve.ArrivalSpec
-	// OverloadFactor scales the calibrated rate (default 2.5 — deep overload,
-	// so host-only genuinely saturates and offload capacity decides the tail;
-	// the plain SLO sweep's mild 1.25 leaves the host pool able to absorb the
-	// whole stream and every policy ties).
-	OverloadFactor float64
 	// Horizon is the arrival window (default 1 virtual second).
 	Horizon vclock.Duration
 	// Seed drives arrival generation (default 1).
@@ -186,13 +187,9 @@ func (h *H) ChaosSLOSweep(w io.Writer, opt ChaosSLOOptions) (*ChaosSLOReport, er
 	}
 	report := &ChaosSLOReport{}
 	if arrival.Kind != "trace" && arrival.Rate <= 0 && !anyTenantRate(tenants) {
-		factor := opt.OverloadFactor
-		if factor <= 0 {
-			factor = 2.5
-		}
 		// Both tables share the host column (the fallback lane never runs
 		// through the fleet), so calibration off either is identical.
-		arrival.Rate = factor * ctPlain.HostCapacityQPS(h.DS.Model.HostCores) / float64(len(tenants))
+		arrival.Rate = chaosOverload * ctPlain.HostCapacityQPS(h.DS.Model.HostCores) / float64(len(tenants))
 		report.RatePerTenant = arrival.Rate
 	}
 

@@ -13,6 +13,11 @@ import (
 	"hybridndp/internal/vclock"
 )
 
+// SLOOverload scales the measured host-only capacity into the SLO sweep's
+// calibrated offered load: the rate, split evenly across tenants, is a mild
+// overload of the host pool.
+const SLOOverload = 1.25
+
 // SLOOptions configures the open-loop serving-SLO experiment.
 type SLOOptions struct {
 	// Tenants defaults to three tenants (gold/silver/bronze weights 4/2/1)
@@ -20,11 +25,9 @@ type SLOOptions struct {
 	Tenants []serve.TenantConfig
 	// Arrival defaults to a stationary Poisson process; when neither the spec
 	// nor any tenant carries a rate, the sweep calibrates one at
-	// OverloadFactor × the measured host-only capacity split evenly across
+	// SLOOverload × the measured host-only capacity split evenly across
 	// tenants, so the default scenario is a genuine overload.
 	Arrival serve.ArrivalSpec
-	// OverloadFactor scales the calibrated rate (default 1.25).
-	OverloadFactor float64
 	// Horizon is the arrival window (default 1 virtual second).
 	Horizon vclock.Duration
 	// Seed drives arrival generation (default 1).
@@ -34,9 +37,8 @@ type SLOOptions struct {
 	Workers int
 	// Queries defaults to the full JOB suite.
 	Queries []*query.Query
-	// QueueDepth and Quantum pass through to serve.Config when > 0.
+	// QueueDepth passes through to serve.Config when > 0.
 	QueueDepth int
-	Quantum    vclock.Duration
 	// UseDeadlines turns on deadline shedding (arrival + tenant SLO) in every
 	// serving run.
 	UseDeadlines bool
@@ -95,11 +97,7 @@ func (h *H) SLOSweep(w io.Writer, opt SLOOptions) (*SLOReport, error) {
 	}
 	report := &SLOReport{}
 	if arrival.Kind != "trace" && arrival.Rate <= 0 && !anyTenantRate(tenants) {
-		factor := opt.OverloadFactor
-		if factor <= 0 {
-			factor = 1.25
-		}
-		arrival.Rate = factor * ct.HostCapacityQPS(h.DS.Model.HostCores) / float64(len(tenants))
+		arrival.Rate = SLOOverload * ct.HostCapacityQPS(h.DS.Model.HostCores) / float64(len(tenants))
 		report.RatePerTenant = arrival.Rate
 	}
 
@@ -114,7 +112,6 @@ func (h *H) SLOSweep(w io.Writer, opt SLOOptions) (*SLOReport, error) {
 			Arrival:      arrival,
 			Policy:       pol,
 			QueueDepth:   opt.QueueDepth,
-			Quantum:      opt.Quantum,
 			Horizon:      opt.Horizon,
 			Seed:         opt.Seed,
 			Metrics:      reg,

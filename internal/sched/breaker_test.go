@@ -9,20 +9,18 @@ import (
 )
 
 // TestBreakerTripsRoutesAndRecovers walks the circuit breaker through its
-// full deterministic lifecycle: two consecutive device
-// command failures (a 100%-crash fault plan makes the executor fall back to
-// the host, which the scheduler reports as a failed device command) trip the
-// breaker; the next admission routes around the open device; after the
-// configured number of skipped admissions the breaker goes half-open, and the
-// probe — the device is healed by then — closes it again.
+// full deterministic lifecycle at the production tuning: the third consecutive
+// device command failure (a 100%-crash fault plan makes the executor fall
+// back to the host, which the scheduler reports as a failed device command)
+// trips the breaker; the next seven admissions route around the open device;
+// the eighth makes it half-open and is the probe, which — the device is healed
+// by then — closes it again.
 func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 	opt, exec, m := fixture(t)
 	q := ndpFeasibleQuery(t, opt, m)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.Policy = ForceNDP
-	cfg.BreakerThreshold = 2
-	cfg.BreakerProbeAfter = 2
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	s := New(opt, exec, m, cfg)
@@ -51,29 +49,42 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 		return o
 	}
 
-	// Two failing device commands: each completes (executor host fallback) but
-	// counts as a device failure, so the second trips the breaker.
-	for i := 0; i < 2; i++ {
+	// Three failing device commands: each completes (executor host fallback)
+	// but counts as a device failure, so the third trips the breaker.
+	if breakerThreshold != 3 || breakerProbeAfter != 8 {
+		t.Fatalf("breaker tuning %d/%d, this test walks 3/8", breakerThreshold, breakerProbeAfter)
+	}
+	for i := 1; i <= 3; i++ {
 		if o := run(); o.Device < 0 {
 			t.Fatalf("command %d never reached the device: %+v", i, o)
 		} else if o.Report == nil || !o.Report.FellBack {
 			t.Fatalf("command %d did not fall back under a 100%% crash device", i)
 		}
-	}
-	if n := reg.Counter("sched.breaker.tripped").Value(); n != 1 {
-		t.Fatalf("breaker tripped %d times after two consecutive failures, want 1", n)
-	}
-
-	// Open breaker: forced-NDP admission fails fast and routes host-side.
-	if o := run(); o.Device != -1 {
-		t.Fatalf("open breaker still placed the query on device %d", o.Device)
-	}
-	if n := reg.Counter("sched.breaker.routed.host").Value(); n != 1 {
-		t.Fatalf("host routing counted %d times while open, want 1", n)
+		want := int64(0)
+		if i == 3 {
+			want = 1
+		}
+		if n := reg.Counter("sched.breaker.tripped").Value(); n != want {
+			t.Fatalf("breaker tripped %d times after %d consecutive failures, want %d", n, i, want)
+		}
 	}
 
-	// Device healed: the next admission (the second skip) goes half-open and
-	// admits a probe, whose on-device success closes the breaker.
+	// Open breaker: the next seven forced-NDP admissions fail fast and route
+	// host-side.
+	for i := 1; i <= 7; i++ {
+		if o := run(); o.Device != -1 {
+			t.Fatalf("admission %d: open breaker still placed the query on device %d", i, o.Device)
+		}
+		if n := reg.Counter("sched.breaker.routed.host").Value(); n != int64(i) {
+			t.Fatalf("host routing counted %d times after %d admissions while open", n, i)
+		}
+	}
+	if n := reg.Counter("sched.breaker.probe").Value(); n != 0 {
+		t.Fatalf("probe counted %d times before the eighth admission", n)
+	}
+
+	// Device healed: the eighth admission goes half-open and is the probe,
+	// whose on-device success closes the breaker.
 	exec.Faults = nil
 	if o := run(); o.Device < 0 {
 		t.Fatalf("half-open probe never reached the device: %+v", o)
@@ -105,8 +116,6 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.Policy = ForceNDP
-	cfg.BreakerThreshold = 1
-	cfg.BreakerProbeAfter = 1
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	s := New(opt, exec, m, cfg)
@@ -135,20 +144,28 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		return o
 	}
 
-	run() // trip (threshold 1)
-	// probeAfter=1: every subsequent admission is a half-open probe, and every
+	for i := 0; i < breakerThreshold; i++ {
+		run() // the last one trips
+	}
+	// Every breakerProbeAfter-th admission is a half-open probe, and every
 	// probe fails while the crash plan is active — the breaker re-opens each
-	// time without re-tripping.
-	for i := 0; i < 3; i++ {
+	// time without re-tripping, and the admissions between probes route
+	// host-side.
+	for p := 1; p <= 2; p++ {
+		for i := 1; i < breakerProbeAfter; i++ {
+			if o := run(); o.Device != -1 {
+				t.Fatalf("cycle %d admission %d: re-opened breaker placed the query on device %d", p, i, o.Device)
+			}
+		}
 		if o := run(); o.Device < 0 || o.Report == nil || !o.Report.FellBack {
-			t.Fatalf("probe %d: %+v", i, o)
+			t.Fatalf("probe %d: %+v", p, o)
+		}
+		if n := reg.Counter("sched.breaker.probe").Value(); n != int64(p) {
+			t.Fatalf("probe counter = %d after %d cycles", n, p)
 		}
 	}
 	if n := reg.Counter("sched.breaker.tripped").Value(); n != 1 {
 		t.Fatalf("probe failures re-counted as trips (%d)", n)
-	}
-	if n := reg.Counter("sched.breaker.probe").Value(); n != 3 {
-		t.Fatalf("probe counter = %d, want 3", n)
 	}
 	if n := reg.Counter("sched.breaker.recovered").Value(); n != 0 {
 		t.Fatalf("failed probes recorded a recovery (%d)", n)

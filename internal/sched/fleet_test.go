@@ -95,8 +95,6 @@ func TestFleetSchedulerCompletesAndMatchesHost(t *testing.T) {
 func TestFleetBreakerDegradesShards(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.BreakerThreshold = 2
-	cfg.BreakerProbeAfter = 100 // keep the breaker open for the whole test
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	s, _ := fleetFixture(t, cfg)
@@ -105,9 +103,17 @@ func TestFleetBreakerDegradesShards(t *testing.T) {
 	opt, exec, _ := fixture(t)
 	q := deviceBoundQuery(t, opt)
 	// Trip device 1's breaker directly through the ledger, as consecutive
-	// shard failures would.
-	s.loop.ledger.Report(1, false)
-	s.loop.ledger.Report(1, false)
+	// shard failures would: the third failure trips it. The one run below
+	// passes it fewer than breakerProbeAfter admissions, so it stays open.
+	for i := 1; i <= 3; i++ {
+		if n := reg.Counter("sched.breaker.tripped").Value(); n != 0 {
+			t.Fatalf("breaker tripped after %d failures", i-1)
+		}
+		s.loop.ledger.Report(1, false)
+	}
+	if n := reg.Counter("sched.breaker.tripped").Value(); n != 1 {
+		t.Fatalf("breaker tripped %d times after three failures, want 1", n)
+	}
 
 	tk, err := s.Submit(context.Background(), q, Normal)
 	if err != nil {
@@ -150,13 +156,11 @@ func TestFleetBreakerDegradesShards(t *testing.T) {
 
 // TestFleetCrashedShardsOpenBreaker closes the loop the test above shortcuts:
 // a shard whose device command crashes releases ok=false through the fleet
-// gate, so BreakerThreshold consecutive crashed runs open that device's
+// gate, so breakerThreshold consecutive crashed runs open that device's
 // breaker on their own, and the run after them has its shard denied.
 func TestFleetCrashedShardsOpenBreaker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.BreakerThreshold = 2
-	cfg.BreakerProbeAfter = 100 // keep the breaker open for the whole test
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	s, fx := fleetFixture(t, cfg)
@@ -186,7 +190,7 @@ func TestFleetCrashedShardsOpenBreaker(t *testing.T) {
 			t.Fatalf("chosen %q, want a fleet strategy", o.Chosen)
 		}
 	}
-	for i := 0; i < cfg.BreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		run()
 		if got := reg.Counter("sched.fleet.shard.denied").Value(); got != 0 {
 			t.Fatalf("run %d: shard denied before the breaker threshold was reached", i)
@@ -194,6 +198,6 @@ func TestFleetCrashedShardsOpenBreaker(t *testing.T) {
 	}
 	run()
 	if got := reg.Counter("sched.fleet.shard.denied").Value(); got != 1 {
-		t.Fatalf("after %d crashed runs the next run denied %d shards, want 1 (device 1's)", cfg.BreakerThreshold, got)
+		t.Fatalf("after %d crashed runs the next run denied %d shards, want 1 (device 1's)", breakerThreshold, got)
 	}
 }

@@ -31,10 +31,19 @@ type slot struct {
 // paper's COSMOS+ board dedicates one core to execution.
 const deviceCmdSlots = 1
 
+// Breaker tuning: breakerThreshold consecutive command failures trip a
+// device's breaker open, and breakerProbeAfter admissions routed around it
+// make it half-open.
+const (
+	breakerThreshold  = 3
+	breakerProbeAfter = 8
+)
+
 // devRow is one device's row of the ledger: its command slots and its circuit
-// breaker. The breaker is count-based — consecFails consecutive command
-// failures open it, probeAfter admissions routed around it make it half-open,
-// and the next command is the probe: success closes it, failure re-opens it.
+// breaker. The breaker is count-based — breakerThreshold consecutive command
+// failures open it, breakerProbeAfter admissions routed around it make it
+// half-open, and the next command is the probe: success closes it, failure
+// re-opens it.
 // Outcomes are reported in dispatch order (a run executes at its dispatch),
 // so the breaker never depends on anything but the sequence of dispatches.
 type devRow struct {
@@ -68,10 +77,6 @@ type Ledger struct {
 	memCap int64
 	bufCap int
 
-	// Breaker tuning; threshold 0 disables breaking.
-	brkThreshold  int
-	brkProbeAfter int
-
 	metrics *obs.Registry // nil disables counters and gauges
 }
 
@@ -88,15 +93,6 @@ func NewLedger(m hw.Model, hostLanes, devices int) *Ledger {
 		l.devs[i].slots = make([]slot, deviceCmdSlots)
 	}
 	return l
-}
-
-// ConfigureBreaker arms the per-device circuit breakers: a device trips open
-// after threshold consecutive command failures and admits a half-open probe
-// after probeAfter admissions routed around it. threshold <= 0 disables
-// breaking.
-func (l *Ledger) ConfigureBreaker(threshold, probeAfter int) {
-	l.brkThreshold = max(threshold, 0)
-	l.brkProbeAfter = max(probeAfter, 1)
 }
 
 // bindMetrics attaches a registry: breaker transitions count into it and
@@ -157,7 +153,7 @@ func (l *Ledger) earliestHost() (int, vclock.Time) {
 // half-open (that command is the probe), or open with this admission being
 // the one that makes it half-open.
 func (l *Ledger) passable(d *devRow) bool {
-	return l.brkThreshold <= 0 || d.breaker != breakerOpen || d.skipped+1 >= l.brkProbeAfter
+	return d.breaker != breakerOpen || d.skipped+1 >= breakerProbeAfter
 }
 
 // anyPassable reports whether at least one device's breaker admits a command.
@@ -201,14 +197,14 @@ func (l *Ledger) earliestSlot(floor vclock.Time, c Claim) (dev, take int, start 
 
 // pass runs one admission past device i's breaker and reports whether it gets
 // through. An open breaker counts the admission as routed around it and goes
-// half-open once probeAfter of them accumulated.
+// half-open once breakerProbeAfter of them accumulated.
 func (l *Ledger) pass(i int) bool {
 	d := &l.devs[i]
-	if l.brkThreshold <= 0 || d.breaker != breakerOpen {
+	if d.breaker != breakerOpen {
 		return true
 	}
 	d.skipped++
-	if d.skipped < l.brkProbeAfter {
+	if d.skipped < breakerProbeAfter {
 		return false
 	}
 	d.breaker = breakerHalfOpen
@@ -222,7 +218,7 @@ func (l *Ledger) pass(i int) bool {
 // one admission routed around it, and a command landing on a half-open device
 // is that device's probe.
 func (l *Ledger) Admit(ch Choice) {
-	if !ch.DeviceAsked || l.brkThreshold <= 0 {
+	if !ch.DeviceAsked {
 		return
 	}
 	for i := range l.devs {
@@ -289,7 +285,7 @@ func (l *Ledger) ReleaseDevice(dev, j int, done vclock.Time, ok bool) {
 // a failure). Success resets the failure streak and closes a half-open
 // breaker; failure extends the streak and trips (or re-opens) it.
 func (l *Ledger) Report(dev int, ok bool) {
-	if l.brkThreshold <= 0 || dev < 0 || dev >= len(l.devs) {
+	if dev < 0 || dev >= len(l.devs) {
 		return
 	}
 	d := &l.devs[dev]
@@ -301,7 +297,7 @@ func (l *Ledger) Report(dev int, ok bool) {
 		}
 	} else {
 		d.consecFails++
-		tripped := d.breaker == breakerClosed && d.consecFails >= l.brkThreshold
+		tripped := d.breaker == breakerClosed && d.consecFails >= breakerThreshold
 		if tripped {
 			l.metrics.Counter("sched.breaker.tripped").Inc()
 		}

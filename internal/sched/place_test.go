@@ -20,7 +20,6 @@ func TestPlace(t *testing.T) {
 		return &Ledger{host: hostFree, devs: []devRow{{slots: slots}}, memCap: 100, bufCap: 4}
 	}
 	open := func(l *Ledger) *Ledger {
-		l.brkThreshold, l.brkProbeAfter = 1, 8
 		for i := range l.devs {
 			l.devs[i].breaker = breakerOpen
 		}

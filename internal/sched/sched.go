@@ -48,14 +48,6 @@ type Config struct {
 	// QueryTimeout bounds the virtual time a ticket may spend in the
 	// admission queue before it is rejected (0 = unbounded).
 	QueryTimeout vclock.Duration
-	// BreakerThreshold is the consecutive device-command failure count that
-	// trips a device's circuit breaker open (admission then routes around the
-	// device). 0 selects the default of 3; negative disables breaking.
-	BreakerThreshold int
-	// BreakerProbeAfter is the number of skipped admissions after which an
-	// open breaker goes half-open and admits a single probe command.
-	// 0 selects the default of 8.
-	BreakerProbeAfter int
 	// Policy selects adaptive serving or one of the forced baselines.
 	Policy Policy
 	// Fleet, when set, routes every decided query through sharded
@@ -86,12 +78,6 @@ func (c Config) withDefaults() Config {
 	c.Workers = max(c.Workers, 1)
 	c.QueueDepth = max(c.QueueDepth, 1)
 	c.Devices = max(c.Devices, 1)
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerProbeAfter < 1 {
-		c.BreakerProbeAfter = 8
-	}
 	return c
 }
 
@@ -203,7 +189,6 @@ func New(opt *optimizer.Optimizer, exec *coop.Executor, m hw.Model, cfg Config) 
 		hostLanes = min(hostLanes, m.HostCores)
 	}
 	ledger := NewLedger(m, hostLanes, cfg.Devices)
-	ledger.ConfigureBreaker(cfg.BreakerThreshold, cfg.BreakerProbeAfter)
 	ledger.bindMetrics(cfg.Metrics)
 	s := &Scheduler{
 		cfg:   cfg,

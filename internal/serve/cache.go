@@ -8,19 +8,8 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-// CacheKey identifies one cached plan. Normalized SQL (sql.Normalize's
-// canonical rendering) makes formatting-equivalent statements share an entry;
-// the stats epoch invalidates every plan when table statistics move; the
-// fleet spec keys plans to the device topology they were optimized for, so a
-// resharded fleet never serves stale splits.
-type CacheKey struct {
-	SQL        string
-	StatsEpoch int64
-	FleetSpec  string
-}
-
 type cacheEntry struct {
-	key CacheKey
+	key string
 	dec *optimizer.Decision
 	// lastUsed is the virtual instant of the most recent hit; the LRU list
 	// order is exactly descending lastUsed, making eviction a pure function
@@ -28,13 +17,17 @@ type cacheEntry struct {
 	lastUsed vclock.Time
 }
 
-// PlanCache is the shared, bounded plan cache behind every session.
+// PlanCache is the shared, bounded plan cache behind every session, keyed by
+// normalized SQL (sql.Normalize's canonical rendering), so formatting-
+// equivalent statements share an entry. The dataset is read-only and a
+// decision does not depend on the fleet topology, so nothing else can make a
+// cached plan stale.
 // Eviction is strict LRU on virtual time. It is not internally synchronized:
 // all access happens on the server's single-threaded event loop, which is
 // also what keeps its obs counters byte-deterministic.
 type PlanCache struct {
 	capacity int
-	entries  map[CacheKey]*list.Element
+	entries  map[string]*list.Element
 	lru      *list.List // front = most recently used
 
 	hits, misses, evictions *obs.Counter
@@ -50,7 +43,7 @@ func NewPlanCache(capacity int, m *obs.Registry) *PlanCache {
 	}
 	return &PlanCache{
 		capacity:  capacity,
-		entries:   map[CacheKey]*list.Element{},
+		entries:   map[string]*list.Element{},
 		lru:       list.New(),
 		hits:      m.Counter("serve.cache.hit"),
 		misses:    m.Counter("serve.cache.miss"),
@@ -60,7 +53,7 @@ func NewPlanCache(capacity int, m *obs.Registry) *PlanCache {
 }
 
 // Get returns the cached decision for k, refreshing its LRU stamp to now.
-func (c *PlanCache) Get(k CacheKey, now vclock.Time) (*optimizer.Decision, bool) {
+func (c *PlanCache) Get(k string, now vclock.Time) (*optimizer.Decision, bool) {
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses.Inc()
@@ -75,7 +68,7 @@ func (c *PlanCache) Get(k CacheKey, now vclock.Time) (*optimizer.Decision, bool)
 
 // Put inserts d under k (stamped now), evicting the least-recently-used
 // entry when the cache is full. Re-putting an existing key refreshes it.
-func (c *PlanCache) Put(k CacheKey, d *optimizer.Decision, now vclock.Time) {
+func (c *PlanCache) Put(k string, d *optimizer.Decision, now vclock.Time) {
 	if el, ok := c.entries[k]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.dec = d
@@ -101,10 +94,10 @@ func (c *PlanCache) Len() int { return c.lru.Len() }
 
 // Oldest reports the least-recently-used entry's key and virtual-time stamp
 // (zero values when empty) — the next eviction victim.
-func (c *PlanCache) Oldest() (CacheKey, vclock.Time, bool) {
+func (c *PlanCache) Oldest() (string, vclock.Time, bool) {
 	back := c.lru.Back()
 	if back == nil {
-		return CacheKey{}, 0, false
+		return "", 0, false
 	}
 	ent := back.Value.(*cacheEntry)
 	return ent.key, ent.lastUsed, true

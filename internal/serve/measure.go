@@ -100,15 +100,9 @@ func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize 
 // fleet's robustness behavior exactly. Once every run is done, each fleet
 // result is fingerprint-checked against the query's host-native execution —
 // faults and hedges may degrade latency, never correctness — and a mismatch
-// fails the measurement. The table is byte-identical for any worker count; a
-// shared retry budget on fx would break that (token order follows wall-clock
-// interleaving), so measurement runs one run at a time, in workload order,
-// when one is set.
+// fails the measurement. The table is byte-identical for any worker count.
 func MeasureFleet(ds *job.Dataset, queries []*query.Query, fx *fleet.Executor, workers int) (*CostTable, error) {
 	opt := optimizer.New(ds.Cat, ds.Model)
-	if fx.Budget != nil {
-		workers = 1
-	}
 	return measure(ds, queries, workers, fx.BatchSize, true,
 		func(_ *coop.Executor, d *optimizer.Decision, s coop.Strategy) (vclock.Duration, *exec.Result, error) {
 			dec := *d

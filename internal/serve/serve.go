@@ -91,9 +91,6 @@ type Config struct {
 	QueueDepth int
 	// PlanCacheCap bounds the shared plan cache (default 256 entries).
 	PlanCacheCap int
-	// Quantum is the DRR base quantum in virtual time; a tenant earns
-	// Quantum×Weight of service credit per scheduler round (default 1ms).
-	Quantum vclock.Duration
 	// Horizon is the arrival-generation window; queued work drains past it
 	// (default 1 virtual second).
 	Horizon vclock.Duration
@@ -104,9 +101,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Queries is the workload (default: the full 113-query JOB set).
 	Queries []*query.Query
-	// FleetSpec tags plan-cache keys with the device topology (default
-	// "single").
-	FleetSpec string
 	// UseDeadlines turns tenant SLOs into hard per-request deadlines
 	// (deadline = arrival + SLO): a picked request whose earliest feasible
 	// completion already blows its deadline is shed (ErrDeadlineExceeded,
@@ -139,17 +133,11 @@ func (c Config) withDefaults() Config {
 	if c.PlanCacheCap < 1 {
 		c.PlanCacheCap = 256
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = vclock.Millisecond
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = vclock.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.FleetSpec == "" {
-		c.FleetSpec = "single"
 	}
 	return c
 }
@@ -166,7 +154,6 @@ type Server struct {
 	cache   *PlanCache
 	session []*Session
 	queries []*query.Query
-	epoch   int64
 }
 
 // New assembles a server over a loaded dataset and a measured cost table
@@ -236,13 +223,6 @@ func (s *Server) Registry() *obs.Registry { return s.m }
 // Config returns the effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// BumpStatsEpoch advances the statistics epoch, invalidating every cached
-// plan on next lookup (new keys miss; old entries age out via LRU).
-func (s *Server) BumpStatsEpoch() { s.epoch++ }
-
-// StatsEpoch reports the current statistics epoch.
-func (s *Server) StatsEpoch() int64 { return s.epoch }
-
 // PlanFor resolves tenant's prepared statement through the shared plan
 // cache at virtual instant now, compiling on miss.
 func (s *Server) PlanFor(tenant int, stmt string, now vclock.Time) (*optimizer.Decision, error) {
@@ -254,15 +234,14 @@ func (s *Server) PlanFor(tenant int, stmt string, now vclock.Time) (*optimizer.D
 }
 
 func (s *Server) planFor(p *Prepared, now vclock.Time) (*optimizer.Decision, error) {
-	key := CacheKey{SQL: p.Norm, StatsEpoch: s.epoch, FleetSpec: s.cfg.FleetSpec}
-	if d, ok := s.cache.Get(key, now); ok {
+	if d, ok := s.cache.Get(p.Norm, now); ok {
 		return d, nil
 	}
 	d, err := s.opt.Decide(p.Query)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compile %s: %w", p.Name, err)
 	}
-	s.cache.Put(key, d, now)
+	s.cache.Put(p.Norm, d, now)
 	return d, nil
 }
 
@@ -491,7 +470,7 @@ func (s *Server) Run() (*Result, error) {
 	arr := s.genArrivals()
 	f := &front{
 		s:       s,
-		w:       newWFQ(s.cfg.Tenants, s.cfg.Quantum, s.cfg.QueueDepth),
+		w:       newWFQ(s.cfg.Tenants, s.cfg.QueueDepth),
 		buckets: make([]tokenBucket, len(s.cfg.Tenants)),
 		acc:     make([]tenantAcc, len(s.cfg.Tenants)),
 	}

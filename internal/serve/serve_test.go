@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -159,11 +158,10 @@ func TestTenantQueueAging(t *testing.T) {
 
 func TestWFQProportionalShare(t *testing.T) {
 	tenants := []TenantConfig{{Name: "a", Weight: 1}, {Name: "b", Weight: 2}}
-	q := vclock.Millisecond
-	w := newWFQ(tenants, q, 64)
+	w := newWFQ(tenants, 64)
 	for i := 0; i < 30; i++ {
-		w.push(&request{tenant: 0, seq: i, cost: q})
-		w.push(&request{tenant: 1, seq: i, cost: q})
+		w.push(&request{tenant: 0, seq: i, cost: quantum})
+		w.push(&request{tenant: 1, seq: i, cost: quantum})
 	}
 	counts := [2]int{}
 	for i := 0; i < 30; i++ {
@@ -179,21 +177,20 @@ func TestPlanCacheLRU(t *testing.T) {
 	m := obs.NewRegistry()
 	c := NewPlanCache(2, m)
 	d := &optimizer.Decision{}
-	key := func(s string) CacheKey { return CacheKey{SQL: s, FleetSpec: "single"} }
-	c.Put(key("a"), d, 1)
-	c.Put(key("b"), d, 2)
-	if _, ok := c.Get(key("a"), 3); !ok {
+	c.Put("a", d, 1)
+	c.Put("b", d, 2)
+	if _, ok := c.Get("a", 3); !ok {
 		t.Fatal("a should be cached")
 	}
 	// b is now LRU; inserting c must evict b, not a.
-	c.Put(key("c"), d, 4)
-	if _, ok := c.Get(key("b"), 5); ok {
+	c.Put("c", d, 4)
+	if _, ok := c.Get("b", 5); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get(key("a"), 6); !ok {
+	if _, ok := c.Get("a", 6); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if k, at, ok := c.Oldest(); !ok || k != key("c") || at != 4 {
+	if k, at, ok := c.Oldest(); !ok || k != "c" || at != 4 {
 		t.Fatalf("oldest = %v@%v, want c@4", k, at)
 	}
 	if c.Len() != 2 {
@@ -201,13 +198,6 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	if h, ms, ev := m.Counter("serve.cache.hit").Value(), m.Counter("serve.cache.miss").Value(), m.Counter("serve.cache.evict").Value(); h != 2 || ms != 1 || ev != 1 {
 		t.Fatalf("counters hit=%d miss=%d evict=%d, want 2/1/1", h, ms, ev)
-	}
-	// Epoch and fleet-spec changes key distinct entries.
-	if _, ok := c.Get(CacheKey{SQL: "a", StatsEpoch: 1, FleetSpec: "single"}, 7); ok {
-		t.Fatal("stats-epoch bump must miss")
-	}
-	if _, ok := c.Get(CacheKey{SQL: "a", FleetSpec: "shard:2"}, 8); ok {
-		t.Fatal("fleet-spec change must miss")
 	}
 }
 
@@ -222,8 +212,7 @@ func newServer(t *testing.T, cfg Config) *Server {
 }
 
 // TestPlanCacheCorrectness is the cache acceptance test: a hit returns a plan
-// byte-identical to a cold compile and executes identically; a stats-epoch
-// bump invalidates.
+// byte-identical to a cold compile and executes identically.
 func TestPlanCacheCorrectness(t *testing.T) {
 	ds, _ := fixture(t)
 	s := newServer(t, Config{Queries: subset(6), Tenants: DefaultTenants(2, 0)})
@@ -273,19 +262,6 @@ func TestPlanCacheCorrectness(t *testing.T) {
 	if repCached.Elapsed != repFresh.Elapsed {
 		t.Fatalf("cached plan executed in %v, cold compile in %v", repCached.Elapsed, repFresh.Elapsed)
 	}
-
-	misses := s.Cache().misses.Value()
-	s.BumpStatsEpoch()
-	bumped, err := s.PlanFor(0, name, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Cache().misses.Value(); got != misses+1 {
-		t.Fatal("stats-epoch bump must invalidate the cached plan")
-	}
-	if bumped.Plan.String() != cold.Plan.String() {
-		t.Fatal("recompile after epoch bump should produce the same plan (stats unchanged)")
-	}
 }
 
 func TestMeasureWorkerInvariance(t *testing.T) {
@@ -314,45 +290,6 @@ func TestMeasureWorkerInvariance(t *testing.T) {
 		t.Fatal("mean host cost differs across worker counts")
 	}
 
-	// A shared retry budget makes the fleet's token sequence order-dependent,
-	// so MeasureFleet runs one run at a time in workload order — per query
-	// host-native, full NDP, the decided split — whatever the worker count:
-	// the table is the one measuring one query at a time produced, pinned
-	// here by its digest. Hedges spend all 40 tokens and 28 are denied, so
-	// which runs get one depends on the order: run in parallel, the table
-	// differs from run to run.
-	desc, err := fleet.Build(ds.Cat, 4, "range")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx := fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
-	if fx.Faults, err = fault.Parse("dev1:dev.stall=2ms"); err != nil {
-		t.Fatal(err)
-	}
-	fx.Hedge = fleet.HedgeConfig{Enabled: true}
-	fx.Budget = fault.NewRetryBudget(40, 0.1)
-	fqs := subset(16)
-	ct, err := MeasureFleet(ds, fqs, fx, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "6f5874da48623da5"
-	if got := costDigest(ct, fqs); got != want {
-		granted, denied := fx.Budget.Stats()
-		t.Fatalf("budgeted fleet table digest %s, want %s (tokens granted %d, denied %d)", got, want, granted, denied)
-	}
-}
-
-// costDigest hashes a cost table's every field but the decision, float
-// costs as their bits, in workload order.
-func costDigest(ct *CostTable, qs []*query.Query) string {
-	h := fnv.New64a()
-	for _, q := range qs {
-		c, _ := ct.Cost(q.Name)
-		fmt.Fprintf(h, "%s %s %x %x %x %t\n", q.Name, c.Decided, math.Float64bits(float64(c.Host)),
-			math.Float64bits(float64(c.Dec)), math.Float64bits(float64(c.NDP)), c.NDPFeasible)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // BenchmarkMeasure is serving start-up's cost measurement over the whole JOB
@@ -382,7 +319,7 @@ func TestAdmitTypedErrors(t *testing.T) {
 		Tenants:    []TenantConfig{{Name: "t0", QuotaQPS: 0.001, Burst: 1}},
 		QueueDepth: 1,
 	})
-	w := newWFQ(s.cfg.Tenants, s.cfg.Quantum, s.cfg.QueueDepth)
+	w := newWFQ(s.cfg.Tenants, s.cfg.QueueDepth)
 	bucket := newTokenBucket(s.cfg.Tenants[0].QuotaQPS, s.cfg.Tenants[0].Burst)
 	var acc tenantAcc
 	r := &request{tenant: 0, name: subset(4)[0].Name, cost: vclock.Millisecond}

@@ -66,16 +66,19 @@ func (b *tokenBucket) allow(now vclock.Time) bool {
 type wfq struct {
 	qs      []*sched.Queue[*request]
 	deficit []float64
-	quantum []float64
+	credit  []float64 // quantum × the tenant's weight
 	rr      int
 	total   int
 }
 
-func newWFQ(tenants []TenantConfig, quantum vclock.Duration, depth int) *wfq {
+// quantum is the DRR base quantum in virtual time.
+const quantum = vclock.Millisecond
+
+func newWFQ(tenants []TenantConfig, depth int) *wfq {
 	w := &wfq{
 		qs:      make([]*sched.Queue[*request], len(tenants)),
 		deficit: make([]float64, len(tenants)),
-		quantum: make([]float64, len(tenants)),
+		credit:  make([]float64, len(tenants)),
 	}
 	for i, tc := range tenants {
 		w.qs[i] = sched.NewQueue[*request](depth)
@@ -83,7 +86,7 @@ func newWFQ(tenants []TenantConfig, quantum vclock.Duration, depth int) *wfq {
 		if weight < 1 {
 			weight = 1
 		}
-		w.quantum[i] = float64(quantum) * float64(weight)
+		w.credit[i] = float64(quantum) * float64(weight)
 	}
 	return w
 }
@@ -117,7 +120,7 @@ func (w *wfq) pick() *request {
 			continue
 		}
 		if w.deficit[ti] < float64(head.cost) {
-			w.deficit[ti] += w.quantum[ti]
+			w.deficit[ti] += w.credit[ti]
 			w.rr++
 			continue
 		}
