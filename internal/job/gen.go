@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"strconv"
 
 	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
@@ -75,7 +75,7 @@ func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 		}
 	}
 	ds := &Dataset{DB: db, Cat: cat, Model: m, Flash: fl, Scale: scale, Counts: map[string]int{}}
-	g := &gen{ds: ds, rng: rand.New(rand.NewSource(seed)), bufIdx: map[string]*tableBuf{}}
+	g := &gen{ds: ds, rng: rand.New(rand.NewSource(seed))}
 	if err := g.run(); err != nil {
 		return nil, err
 	}
@@ -104,27 +104,35 @@ func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 	return ds, nil
 }
 
+// gen generates the dataset and loads it in one pass. The generator draws
+// every random value from the single rng stream in a fixed step order, one
+// step per table, and encodes the step's rows into that table's slab. When a
+// step returns, its slab is complete and goes to a loader, which bulk-loads
+// it, drops it and collects the table's statistics while the generator fills
+// the next slabs. Tables are independent — each owns its LSM
+// trees — so the loaded contents are bit-for-bit identical to a sequential
+// load regardless of worker interleaving; only wall-clock time changes.
 type gen struct {
 	ds  *Dataset
 	rng *rand.Rand
-
-	// Generation is two-phase: phase 1 draws every random value from the
-	// single rng stream in the exact order the sequential loader used and
-	// encodes the rows into one slab per table; phase 2 bulk-loads the slabs
-	// across worker goroutines and collects each table's statistics. Tables
-	// are independent — each owns its LSM trees — so the loaded contents are
-	// bit-for-bit identical to a sequential load regardless of worker
-	// interleaving; only wall-clock time changes.
-	buf    []*tableBuf
-	bufIdx map[string]*tableBuf // table name → its slab
+	cur *tableBuf // the slab the running step fills
+	tmp []byte    // padded's scratch
 }
 
-// tableBuf holds one table's generated rows, encoded back to back, awaiting
-// the bulk load.
+// tableBuf holds one table's generated rows, encoded back to back, until they
+// are bulk-loaded.
 type tableBuf struct {
-	t    *table.Table
-	rows []byte
-	n    int // rows in the slab
+	t     *table.Table
+	rows  []byte
+	n     int           // rows in the slab
+	ok    bool          // the step filled the slab; set before ready closes
+	ready chan struct{} // closed when the step has returned
+}
+
+// step generates one table's rows into g.cur.
+type step struct {
+	table string
+	fill  func() error
 }
 
 func (g *gen) n(tbl string) int {
@@ -145,41 +153,46 @@ func (g *gen) zipfID(n int) int32 {
 
 func (g *gen) uniformID(n int) int32 { return 1 + int32(g.rng.Intn(n)) }
 
-// insert encodes one generated row into its table's slab; the LSM writes
-// happen in loadTables, in parallel across tables.
-func (g *gen) insert(tbl string, vals ...table.Value) error {
-	b, ok := g.bufIdx[tbl]
-	if !ok {
-		t, err := g.ds.Cat.Table(tbl)
-		if err != nil {
-			return err
-		}
-		// Sized up front: a slab grown by doubling allocates twice its size.
-		b = &tableBuf{t: t, rows: make([]byte, 0, g.n(tbl)*t.Schema.RowBytes())}
-		g.bufIdx[tbl] = b
-		g.buf = append(g.buf, b)
-	}
+// insert encodes one generated row into the running step's slab.
+func (g *gen) insert(vals ...table.Value) error {
+	b := g.cur
 	rows, err := b.t.Schema.AppendRow(b.rows, vals)
 	if err != nil {
-		return fmt.Errorf("job: row %d of %s: %v", b.n+1, tbl, err)
+		return fmt.Errorf("job: row %d of %s: %v", b.n+1, b.t.Schema.Name, err)
 	}
 	b.rows = rows
 	b.n++
 	return nil
 }
 
-// loadTables bulk-loads the slabs across min(GOMAXPROCS, tables) worker
-// goroutines, largest table first so the long poles start early, and collects
-// each table's statistics on the worker that loaded it, so planning pays no
-// first-use penalty. Interleaving across tables only reorders the shared flash
-// FileID sequence, which nothing virtual-time visible observes.
-func (g *gen) loadTables() error {
-	order := make([]*tableBuf, len(g.buf))
-	copy(order, g.buf)
-	sort.SliceStable(order, func(a, b int) bool { return order[a].n > order[b].n })
-	errs := make([]error, len(order))
-	par.ForEach(runtime.GOMAXPROCS(0), len(order), func(i int) {
-		b := order[i]
+// run generates and loads every table in one pass over min(GOMAXPROCS, 1+
+// tables) workers: item 0 is the generator, item i the load of step i-1's
+// table, which waits for that step to return. Loads are claimed in generation
+// order, so each starts as soon as its slab is complete and a worker is free;
+// with one worker the generator runs to the end and the loads follow. Which
+// tables load at the same time only reorders the shared flash FileID
+// sequence, which nothing virtual-time visible observes.
+func (g *gen) run() error {
+	steps := g.steps()
+	bufs := make([]*tableBuf, len(steps))
+	for i, s := range steps {
+		t, err := g.ds.Cat.Table(s.table)
+		if err != nil {
+			return err
+		}
+		bufs[i] = &tableBuf{t: t, ready: make(chan struct{})}
+	}
+	errs := make([]error, 1+len(steps))
+	par.ForEach(runtime.GOMAXPROCS(0), len(errs), func(i int) {
+		if i == 0 {
+			errs[0] = g.generate(steps, bufs)
+			return
+		}
+		b := bufs[i-1]
+		<-b.ready
+		if !b.ok {
+			return
+		}
 		if err := b.t.BulkLoad(b.rows); err != nil {
 			errs[i] = fmt.Errorf("job: loading %s: %v", b.t.Schema.Name, err)
 			return
@@ -192,31 +205,6 @@ func (g *gen) loadTables() error {
 			return err
 		}
 	}
-	return nil
-}
-
-func iv(v int32) table.Value  { return table.IntVal(v) }
-func sv(s string) table.Value { return table.StrVal(s) }
-func nv() table.Value         { return table.NullVal() }
-
-func (g *gen) run() error {
-	if err := g.dims(); err != nil {
-		return err
-	}
-	steps := []func() error{
-		g.titles, g.names, g.charNames, g.companyNames, g.keywords,
-		g.movieCompanies, g.movieInfo, g.movieInfoIdx, g.movieKeyword,
-		g.castInfo, g.personInfo, g.akaNames, g.akaTitles,
-		g.completeCast, g.movieLinks,
-	}
-	for _, s := range steps {
-		if err := s(); err != nil {
-			return err
-		}
-	}
-	if err := g.loadTables(); err != nil {
-		return err
-	}
 	for tbl := range baseCounts {
 		t, err := g.ds.Cat.Table(tbl)
 		if err != nil {
@@ -227,38 +215,81 @@ func (g *gen) run() error {
 	return nil
 }
 
-func (g *gen) dims() error {
-	for i, k := range CompanyTypes {
-		if err := g.insert("company_type", iv(int32(i+1)), sv(k)); err != nil {
+// generate runs the steps in order, releasing each slab to its loader as the
+// step returns. A failed step releases it and every later one unfilled.
+func (g *gen) generate(steps []step, bufs []*tableBuf) error {
+	for i, s := range steps {
+		b := bufs[i]
+		// Sized up front: a slab grown by doubling allocates twice its size.
+		b.rows = make([]byte, 0, g.n(s.table)*b.t.Schema.RowBytes())
+		g.cur = b
+		if err := s.fill(); err != nil {
+			for _, b := range bufs[i:] {
+				b.rows = nil
+				close(b.ready)
+			}
 			return err
 		}
+		b.ok = true
+		close(b.ready)
 	}
-	for i, k := range KindTypes {
-		if err := g.insert("kind_type", iv(int32(i+1)), sv(k)); err != nil {
-			return err
+	return nil
+}
+
+// padded is a+b+v in decimal, zero-padded to width digits — what
+// fmt.Sprintf("%s%s%0*d", a, b, width, v) gives for v ≥ 0, at a fraction of
+// its cost on the generator's path: the string is the only allocation.
+func (g *gen) padded(a, b string, v, width int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	buf := append(append(g.tmp[:0], a...), b...)
+	for n := len(d); n < width; n++ {
+		buf = append(buf, '0')
+	}
+	g.tmp = append(buf, d...)
+	return string(g.tmp)
+}
+
+func iv(v int32) table.Value  { return table.IntVal(v) }
+func sv(s string) table.Value { return table.StrVal(s) }
+func nv() table.Value         { return table.NullVal() }
+
+// steps lists the generator's steps in draw order: the dimension tables
+// (which draw nothing), then the entity and relationship tables.
+func (g *gen) steps() []step {
+	return []step{
+		{"company_type", g.dim(CompanyTypes)}, {"kind_type", g.dim(KindTypes)},
+		{"link_type", g.dim(LinkTypes)}, {"role_type", g.dim(RoleTypes)},
+		{"comp_cast_type", g.dim(CompCastTypes)}, {"info_type", g.infoTypes},
+		{"title", g.titles}, {"name", g.names}, {"char_name", g.charNames},
+		{"company_name", g.companyNames}, {"keyword", g.keywords},
+		{"movie_companies", g.movieCompanies}, {"movie_info", g.movieInfo},
+		{"movie_info_idx", g.movieInfoIdx}, {"movie_keyword", g.movieKeyword},
+		{"cast_info", g.castInfo}, {"person_info", g.personInfo},
+		{"aka_name", g.akaNames}, {"aka_title", g.akaTitles},
+		{"complete_cast", g.completeCast}, {"movie_link", g.movieLinks},
+	}
+}
+
+// dim fills a dimension table: id i+1 names kinds[i].
+func (g *gen) dim(kinds []string) func() error {
+	return func() error {
+		for i, k := range kinds {
+			if err := g.insert(iv(int32(i+1)), sv(k)); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	for i, k := range LinkTypes {
-		if err := g.insert("link_type", iv(int32(i+1)), sv(k)); err != nil {
-			return err
-		}
-	}
-	for i, k := range RoleTypes {
-		if err := g.insert("role_type", iv(int32(i+1)), sv(k)); err != nil {
-			return err
-		}
-	}
-	for i, k := range CompCastTypes {
-		if err := g.insert("comp_cast_type", iv(int32(i+1)), sv(k)); err != nil {
-			return err
-		}
-	}
+}
+
+func (g *gen) infoTypes() error {
 	for i := 1; i <= NumInfoTypes; i++ {
 		name := fmt.Sprintf("info_%03d", i)
 		if i <= len(InfoTypes) {
 			name = InfoTypes[i-1]
 		}
-		if err := g.insert("info_type", iv(int32(i)), sv(name)); err != nil {
+		if err := g.insert(iv(int32(i)), sv(name)); err != nil {
 			return err
 		}
 	}
@@ -273,9 +304,9 @@ var titleWords = []string{
 func (g *gen) titles() error {
 	n := g.n("title")
 	for i := 1; i <= n; i++ {
-		title := fmt.Sprintf("movie %07d", i)
+		title := g.padded("movie ", "", i, 7)
 		if g.rng.Intn(10) == 0 {
-			title = fmt.Sprintf("%s %07d", titleWords[g.rng.Intn(len(titleWords))], i)
+			title = g.padded(titleWords[g.rng.Intn(len(titleWords))], " ", i, 7)
 		}
 		// kind skew: most titles are movies or episodes.
 		kind := int32(1)
@@ -299,7 +330,7 @@ func (g *gen) titles() error {
 		if kind == 6 {
 			episode = iv(int32(g.rng.Intn(500)))
 		}
-		if err := g.insert("title", iv(int32(i)), sv(title), iv(kind), year, episode); err != nil {
+		if err := g.insert(iv(int32(i)), sv(title), iv(kind), year, episode); err != nil {
 			return err
 		}
 	}
@@ -312,9 +343,9 @@ func (g *gen) names() error {
 	n := g.n("name")
 	for i := 1; i <= n; i++ {
 		letter := string(rune('A' + g.rng.Intn(26)))
-		nm := fmt.Sprintf("%s name %06d", letter, i)
+		nm := g.padded(letter, " name ", i, 6)
 		if g.rng.Intn(20) == 0 {
-			nm = fmt.Sprintf("%s %s %06d", letter, nameWords[g.rng.Intn(len(nameWords))], i)
+			nm = g.padded(letter+" "+nameWords[g.rng.Intn(len(nameWords))], " ", i, 6)
 		}
 		var gender table.Value
 		switch r := g.rng.Intn(100); {
@@ -327,9 +358,9 @@ func (g *gen) names() error {
 		}
 		pcode := table.Value(nv())
 		if g.rng.Intn(3) != 0 {
-			pcode = sv(fmt.Sprintf("%c%d", letter[0], g.rng.Intn(1000)))
+			pcode = sv(g.padded(letter, "", g.rng.Intn(1000), 0))
 		}
-		if err := g.insert("name", iv(int32(i)), sv(nm), gender, pcode); err != nil {
+		if err := g.insert(iv(int32(i)), sv(nm), gender, pcode); err != nil {
 			return err
 		}
 	}
@@ -339,7 +370,7 @@ func (g *gen) names() error {
 func (g *gen) charNames() error {
 	n := g.n("char_name")
 	for i := 1; i <= n; i++ {
-		if err := g.insert("char_name", iv(int32(i)), sv(fmt.Sprintf("character %06d", i))); err != nil {
+		if err := g.insert(iv(int32(i)), sv(g.padded("character ", "", i, 6))); err != nil {
 			return err
 		}
 	}
@@ -368,7 +399,7 @@ func (g *gen) companyNames() error {
 		default:
 			cc = nv()
 		}
-		if err := g.insert("company_name", iv(int32(i)), sv(nm), cc); err != nil {
+		if err := g.insert(iv(int32(i)), sv(nm), cc); err != nil {
 			return err
 		}
 	}
@@ -382,7 +413,7 @@ func (g *gen) keywords() error {
 		if i <= len(NamedKeywords) {
 			kw = NamedKeywords[i-1]
 		}
-		if err := g.insert("keyword", iv(int32(i)), sv(kw)); err != nil {
+		if err := g.insert(iv(int32(i)), sv(kw)); err != nil {
 			return err
 		}
 	}
@@ -409,7 +440,7 @@ func (g *gen) movieCompanies() error {
 		} else if g.rng.Intn(10) == 0 {
 			ctype = g.uniformID(len(CompanyTypes))
 		}
-		if err := g.insert("movie_companies", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nTitle)), iv(g.zipfID(nComp)), iv(ctype), note); err != nil {
 			return err
 		}
@@ -432,22 +463,22 @@ func (g *gen) movieInfo() error {
 			info = Languages[g.rng.Intn(len(Languages))]
 		case r < 65:
 			itID = InfoTypeID("release dates")
-			info = fmt.Sprintf("%s:%d", Countries[g.rng.Intn(len(Countries))], 1950+g.rng.Intn(70))
+			info = g.padded(Countries[g.rng.Intn(len(Countries))], ":", 1950+g.rng.Intn(70), 0)
 		case r < 75:
 			itID = InfoTypeID("budget")
-			info = fmt.Sprintf("$%d", 1000*(1+g.rng.Intn(200000)))
+			info = g.padded("$", "", 1000*(1+g.rng.Intn(200000)), 0)
 		case r < 85:
 			itID = InfoTypeID("countries")
 			info = Countries[g.rng.Intn(len(Countries))]
 		default:
 			itID = int32(13 + g.rng.Intn(NumInfoTypes-13))
-			info = fmt.Sprintf("val %05d", g.rng.Intn(10000))
+			info = g.padded("val ", "", g.rng.Intn(10000), 5)
 		}
 		var note table.Value = nv()
 		if g.rng.Intn(4) == 0 {
-			note = sv(fmt.Sprintf("note %04d", g.rng.Intn(1000)))
+			note = sv(g.padded("note ", "", g.rng.Intn(1000), 4))
 		}
-		if err := g.insert("movie_info", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nTitle)), iv(itID), sv(info), note); err != nil {
 			return err
 		}
@@ -465,14 +496,14 @@ func (g *gen) movieInfoIdx() error {
 		top = nTitle
 	}
 	for r := 1; r <= top && i <= n; r++ {
-		if err := g.insert("movie_info_idx", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(int32(r)), iv(InfoTypeID("top_250_rank")), sv(fmt.Sprintf("%d", r))); err != nil {
 			return err
 		}
 		i++
 	}
 	for r := 1; r <= 10 && i <= n; r++ {
-		if err := g.insert("movie_info_idx", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.uniformID(nTitle)), iv(InfoTypeID("bottom_10_rank")), sv(fmt.Sprintf("%d", r))); err != nil {
 			return err
 		}
@@ -488,7 +519,7 @@ func (g *gen) movieInfoIdx() error {
 			itID = InfoTypeID("votes")
 			info = fmt.Sprintf("%d", 5+g.rng.Intn(500000))
 		}
-		if err := g.insert("movie_info_idx", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nTitle)), iv(itID), sv(info)); err != nil {
 			return err
 		}
@@ -501,7 +532,7 @@ func (g *gen) movieKeyword() error {
 	nTitle := g.n("title")
 	nKw := g.n("keyword")
 	for i := 1; i <= n; i++ {
-		if err := g.insert("movie_keyword", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nTitle)), iv(g.zipfID(nKw))); err != nil {
 			return err
 		}
@@ -536,7 +567,7 @@ func (g *gen) castInfo() error {
 		if g.rng.Intn(100) < 55 { // actors/actresses dominate
 			role = int32(1 + g.rng.Intn(2))
 		}
-		if err := g.insert("cast_info", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nName)), iv(g.zipfID(nTitle)), prole, note, order, iv(role)); err != nil {
 			return err
 		}
@@ -556,8 +587,8 @@ func (g *gen) personInfo() error {
 		if g.rng.Intn(5) == 0 {
 			note = sv("Volker Boehm")
 		}
-		if err := g.insert("person_info", iv(int32(i)),
-			iv(g.zipfID(nName)), iv(itID), sv(fmt.Sprintf("pi %05d", g.rng.Intn(100000))), note); err != nil {
+		if err := g.insert(iv(int32(i)),
+			iv(g.zipfID(nName)), iv(itID), sv(g.padded("pi ", "", g.rng.Intn(100000), 5)), note); err != nil {
 			return err
 		}
 	}
@@ -568,8 +599,8 @@ func (g *gen) akaNames() error {
 	n := g.n("aka_name")
 	nName := g.n("name")
 	for i := 1; i <= n; i++ {
-		if err := g.insert("aka_name", iv(int32(i)),
-			iv(g.zipfID(nName)), sv(fmt.Sprintf("aka %06d", i))); err != nil {
+		if err := g.insert(iv(int32(i)),
+			iv(g.zipfID(nName)), sv(g.padded("aka ", "", i, 6))); err != nil {
 			return err
 		}
 	}
@@ -580,7 +611,7 @@ func (g *gen) akaTitles() error {
 	n := g.n("aka_title")
 	nTitle := g.n("title")
 	for i := 1; i <= n; i++ {
-		if err := g.insert("aka_title", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nTitle)), sv(fmt.Sprintf("aka title %06d", i)), iv(g.uniformID(len(KindTypes)))); err != nil {
 			return err
 		}
@@ -592,7 +623,7 @@ func (g *gen) completeCast() error {
 	n := g.n("complete_cast")
 	nTitle := g.n("title")
 	for i := 1; i <= n; i++ {
-		if err := g.insert("complete_cast", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(nTitle)), iv(int32(1+g.rng.Intn(2))), iv(int32(3+g.rng.Intn(2)))); err != nil {
 			return err
 		}
@@ -612,7 +643,7 @@ func (g *gen) movieLinks() error {
 		hot = 8
 	}
 	for i := 1; i <= n; i++ {
-		if err := g.insert("movie_link", iv(int32(i)),
+		if err := g.insert(iv(int32(i)),
 			iv(g.zipfID(hot)), iv(g.zipfID(hot)), iv(g.uniformID(len(LinkTypes)))); err != nil {
 			return err
 		}

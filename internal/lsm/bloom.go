@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"sync/atomic"
 )
 
@@ -61,10 +60,16 @@ func NewBloom(n int) *Bloom {
 	return &Bloom{bits: make([]byte, (nbits+7)/8), k: 7}
 }
 
+// bloomHash is the 64-bit FNV-1a hash of key, computed inline (the bits
+// hash/fnv's New64a sums, without a hash.Hash64 per key), and that hash
+// rotated by 31 bits.
 func bloomHash(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write(key)
-	h1 := h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h1 := uint64(offset64)
+	for _, c := range key {
+		h1 ^= uint64(c)
+		h1 *= prime64
+	}
 	h2 := h1>>33 | h1<<31
 	return h1, h2
 }

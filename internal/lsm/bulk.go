@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -79,7 +78,7 @@ type bulkKey struct {
 // naming the key.
 func cutSegments(entries []Entry, segBytes int64) ([]bulkSegment, []bulkKey, error) {
 	var segs []bulkSegment
-	var order []bulkKey
+	var order, tmp []bulkKey
 	for lo := 0; lo < len(entries); {
 		s := bulkSegment{lo: lo, hi: lo, sorted: true}
 		var size int64
@@ -111,22 +110,98 @@ func cutSegments(entries []Entry, segBytes int64) ([]bulkSegment, []bulkKey, err
 			for j := range keys {
 				keys[j] = bulkKey{keyPrefix(entries[lo+j].Key), int32(lo + j)}
 			}
-			slices.SortFunc(keys, func(a, b bulkKey) int {
-				if a.prefix != b.prefix {
-					return cmp.Compare(a.prefix, b.prefix)
-				}
-				return bytes.Compare(entries[a.i].Key, entries[b.i].Key)
-			})
-			for j := 1; j < len(keys); j++ {
-				if k := keys[j]; k.prefix == keys[j-1].prefix && bytes.Equal(entries[k.i].Key, entries[keys[j-1].i].Key) {
-					return nil, nil, duplicateKey(entries[k.i].Key)
-				}
+			if len(tmp) < len(keys) {
+				tmp = make([]bulkKey, len(keys))
+			}
+			if err := sortSegment(entries, keys, tmp); err != nil {
+				return nil, nil, err
 			}
 		}
 		segs = append(segs, s)
 		lo = s.hi
 	}
 	return segs, order, nil
+}
+
+// sortSegment orders one segment's handles, which arrive in entry order, by
+// key, using tmp (at least as long) as scratch. A stable LSD radix sort on the
+// prefix word orders the handles by prefix, one pass per byte of the word that
+// is not the same in every handle (JOB index keys hold the flag byte, the high
+// value bytes and the PK's sign byte constant); handles with equal prefixes
+// stay in entry order, and only those runs are then compared in full — a run
+// that already ascends, as an index's keys for one value do in PK order, is
+// left as it is. A key repeated within the segment is an error naming the
+// first such key in key order.
+func sortSegment(entries []Entry, keys, tmp []bulkKey) error {
+	if len(keys) < 2 {
+		return nil
+	}
+	var diff uint64
+	for _, k := range keys {
+		diff |= k.prefix ^ keys[0].prefix
+	}
+	var shifts [8]uint // the varying bytes, least significant first
+	digits := 0
+	for sh := uint(0); sh < 64; sh += 8 {
+		if byte(diff>>sh) != 0 {
+			shifts[digits] = sh
+			digits++
+		}
+	}
+	var counts [8][256]int32
+	for _, k := range keys {
+		for d, sh := range shifts[:digits] {
+			counts[d][byte(k.prefix>>sh)]++
+		}
+	}
+	src, dst := keys, tmp[:len(keys)]
+	for d, sh := range shifts[:digits] {
+		c := &counts[d]
+		var at int32
+		for b, n := range c {
+			c[b] = at
+			at += n
+		}
+		for _, k := range src {
+			b := byte(k.prefix >> sh)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if digits%2 != 0 {
+		copy(keys, src)
+	}
+
+	byKey := func(a, b bulkKey) int { return bytes.Compare(entries[a.i].Key, entries[b.i].Key) }
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].prefix == keys[lo].prefix {
+			hi++
+		}
+		run := keys[lo:hi]
+		lo = hi
+		if ascending(entries, run) {
+			continue
+		}
+		slices.SortFunc(run, byKey)
+		for j := 1; j < len(run); j++ {
+			if k := entries[run[j].i].Key; bytes.Equal(k, entries[run[j-1].i].Key) {
+				return duplicateKey(k)
+			}
+		}
+	}
+	return nil
+}
+
+// ascending reports whether run's keys strictly ascend.
+func ascending(entries []Entry, run []bulkKey) bool {
+	for j := 1; j < len(run); j++ {
+		if bytes.Compare(entries[run[j-1].i].Key, entries[run[j].i].Key) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // keyPrefix is the big-endian word of the key's first 8 bytes, zero-padded.

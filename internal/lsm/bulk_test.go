@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -77,7 +78,11 @@ func bulkLoads(ops []byte) [][]Entry {
 // with MaxL1Files 2 and an 8 KiB C2 the seeds cut several segments, compact C1
 // and push C2 down. The seeds under testdata/fuzz/FuzzBulkLoadMatchesModel are
 // named after what each exercises; all but later-loads-shadow-and-delete are
-// one load each, and TestBulkLoadMatchesPuts pins what those store.
+// one load each, and TestBulkLoadMatchesPuts pins what those store, except for
+// radix-several-digits: one 450-key segment in random order whose prefix words
+// differ in all eight bytes (the radix sort makes every pass), with keys that
+// tie on the whole word and keys shorter than it, added after the Put path
+// that recorded the others was gone.
 func FuzzBulkLoadMatchesModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, mem uint8) {
 		if len(ops) > 8192 {
@@ -276,4 +281,175 @@ func TestBulkLoadSegmentsAtByteSize(t *testing.T) {
 	if !slices.Equal(counts, []int{8, 16, 16}) {
 		t.Fatalf("C1 SST sizes %v, want [8 16 16]", counts)
 	}
+}
+
+// comparisonCut is the reference for cutSegments: the same ByteSize cuts, each
+// segment's entry indices in key order by slices.SortFunc over bytes.Compare,
+// and the same refusal — the first repeat met while a segment still arrives in
+// order, else the first repeat of the segment in key order.
+func comparisonCut(entries []Entry, segBytes int64) (segs [][2]int, order [][]int, err error) {
+	for lo := 0; lo < len(entries); {
+		hi, size, sorted := lo, int64(0), true
+		for hi < len(entries) && size < segBytes {
+			e := entries[hi]
+			if sorted && hi > lo {
+				switch c := bytes.Compare(entries[hi-1].Key, e.Key); {
+				case c == 0:
+					return nil, nil, duplicateKey(e.Key)
+				case c > 0:
+					sorted = false
+				}
+			}
+			vlen := len(e.Value)
+			if e.Tombstone {
+				vlen = 0
+			}
+			size += int64(len(e.Key)+vlen) + 48
+			hi++
+		}
+		idx := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		slices.SortFunc(idx, func(a, b int) int { return bytes.Compare(entries[a].Key, entries[b].Key) })
+		for j := 1; j < len(idx); j++ {
+			if k := entries[idx[j]].Key; bytes.Equal(k, entries[idx[j-1]].Key) {
+				return nil, nil, duplicateKey(k)
+			}
+		}
+		segs, order = append(segs, [2]int{lo, hi}), append(order, idx)
+		lo = hi
+	}
+	return segs, order, nil
+}
+
+// TestCutSegmentsMatchesComparisonSort runs the radix path against
+// comparisonCut: the same cuts, every segment in the same key order, and the
+// same error for a repeated key. The inputs are the shapes the radix sort
+// treats differently — random keys (every prefix byte varies), JOB index keys
+// [1][value][pk] in PK order and reversed (constant flag, high value and PK
+// sign bytes are skipped; runs of equal prefixes already ascend, or descend),
+// keys whose whole prefix word is one constant (no pass at all, one run),
+// keys shorter than 8 bytes ("a" ties "a\x00" on the zero-padded word) and
+// key%08d keys, which tie on their prefix word in runs of a thousand — each
+// whole, cut into several segments, and with a key repeated.
+func TestCutSegmentsMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	indexKey := func(v, pk int) []byte {
+		k := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(k[1:], uint32(v)^0x80000000)
+		binary.BigEndian.PutUint32(k[5:], uint32(pk)^0x80000000)
+		return k
+	}
+	shapes := []struct {
+		name string
+		keys func(n int) [][]byte
+	}{
+		{"random", func(n int) [][]byte {
+			out := make([][]byte, n)
+			for i := range out {
+				out[i] = make([]byte, 1+rng.Intn(16))
+				rng.Read(out[i])
+			}
+			return out
+		}},
+		{"index-pk-order", func(n int) [][]byte {
+			out := make([][]byte, n)
+			for pk := range out {
+				out[pk] = indexKey(rng.Intn(40)-20, pk+1)
+			}
+			return out
+		}},
+		{"index-reversed", func(n int) [][]byte {
+			out := make([][]byte, n)
+			for pk := range out {
+				out[n-1-pk] = indexKey(rng.Intn(300), pk+1)
+			}
+			return out
+		}},
+		{"constant-prefix", func(n int) [][]byte {
+			out := make([][]byte, n)
+			for i, j := range rng.Perm(n) {
+				out[i] = fmt.Appendf([]byte("prefix8!"), "%d", j)
+			}
+			return out
+		}},
+		{"short-keys", func(n int) [][]byte {
+			out := make([][]byte, n)
+			for i := range out {
+				out[i] = bytes.Repeat([]byte{"a\x00b"[rng.Intn(3)]}, rng.Intn(9))
+				out[i] = append(out[i], byte(i), byte(i>>8))
+			}
+			for i := range out { // "a" against "a\x00" and friends
+				if rng.Intn(4) == 0 {
+					out[i] = out[i][:rng.Intn(len(out[i])+1)]
+				}
+			}
+			return out
+		}},
+		{"key%08d", func(n int) [][]byte {
+			out := make([][]byte, n)
+			for i, j := range rng.Perm(n) {
+				out[i] = key(j)
+			}
+			return out
+		}},
+	}
+	refused := 0
+	for _, shape := range shapes {
+		for _, n := range []int{2, 3000} {
+			keys := shape.keys(n)
+			for _, segBytes := range []int64{1 << 30, 16 << 10} {
+				for _, repeat := range []bool{false, true} {
+					entries := make([]Entry, len(keys))
+					for i, k := range keys {
+						entries[i] = Entry{Key: k}
+					}
+					if repeat {
+						entries[rng.Intn(n)].Key = keys[rng.Intn(n)]
+					}
+					what := fmt.Sprintf("%s, %d keys, %d-byte segments, repeat %v", shape.name, n, segBytes, repeat)
+					if checkCut(t, what, entries, segBytes) {
+						refused++
+					}
+				}
+			}
+		}
+	}
+	if refused < len(shapes) {
+		t.Fatalf("only %d inputs were refused: the repeated-key cases went untested", refused)
+	}
+}
+
+// checkCut compares cutSegments on entries with comparisonCut and reports
+// whether both refused the input.
+func checkCut(t *testing.T, what string, entries []Entry, segBytes int64) bool {
+	t.Helper()
+	wantSegs, wantOrder, wantErr := comparisonCut(entries, segBytes)
+	segs, order, err := cutSegments(entries, segBytes)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, want %v", what, err, wantErr)
+	}
+	if err != nil {
+		return true
+	}
+	if len(segs) != len(wantSegs) {
+		t.Fatalf("%s: %d segments, want %d", what, len(segs), len(wantSegs))
+	}
+	for si, s := range segs {
+		if [2]int{s.lo, s.hi} != wantSegs[si] {
+			t.Fatalf("%s: segment %d is [%d, %d), want %v", what, si, s.lo, s.hi, wantSegs[si])
+		}
+		for j, want := range wantOrder[si] {
+			got := s.lo + j
+			if !s.sorted {
+				got = int(order[s.lo+j].i)
+			}
+			if got != want {
+				t.Fatalf("%s: segment %d position %d holds entry %d (%q), want %d (%q)",
+					what, si, j, got, entries[got].Key, want, entries[want].Key)
+			}
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 
@@ -87,9 +88,18 @@ func (t *Table) CollectStats() *Stats {
 		NDV:       make(map[string]int64),
 		IntMinMax: make(map[string][2]int32),
 	}
-	distinct := make(map[string]map[Value]struct{})
-	for _, c := range t.Schema.Columns {
-		distinct[c.Name] = make(map[Value]struct{})
+	// Distinct sample values per column in a set of the column's type: the
+	// INT32 value, or the CHAR payload without its NUL padding (what Get
+	// returns). A CHAR value is copied into its set only the first time.
+	cols := t.Schema.Columns
+	ints := make([]map[int32]struct{}, len(cols))
+	strs := make([]map[string]struct{}, len(cols))
+	for ci, c := range cols {
+		if c.Type == Int32 {
+			ints[ci] = make(map[int32]struct{})
+		} else {
+			strs[ci] = make(map[string]struct{})
+		}
 	}
 	var i int64
 	for it := t.ScanAll(lsm.Access{}); it.Valid(); it.Next() {
@@ -97,25 +107,31 @@ func (t *Table) CollectStats() *Stats {
 			data := append([]byte(nil), it.Entry().Value...)
 			rec := Record{Schema: t.Schema, Data: data}
 			st.Sample = append(st.Sample, rec)
-			for ci, c := range t.Schema.Columns {
-				v := rec.Get(ci)
-				if v.Null {
+			for ci, c := range cols {
+				if rec.IsNull(ci) {
 					continue
 				}
-				distinct[c.Name][v] = struct{}{}
-				if c.Type == Int32 {
-					mm, ok := st.IntMinMax[c.Name]
-					if !ok {
-						st.IntMinMax[c.Name] = [2]int32{v.Int, v.Int}
-					} else {
-						if v.Int < mm[0] {
-							mm[0] = v.Int
-						}
-						if v.Int > mm[1] {
-							mm[1] = v.Int
-						}
-						st.IntMinMax[c.Name] = mm
+				off := t.Schema.offsets[ci]
+				if c.Type != Int32 {
+					v := TrimNul(data[off : off+c.Size])
+					if _, ok := strs[ci][string(v)]; !ok {
+						strs[ci][string(v)] = struct{}{}
 					}
+					continue
+				}
+				v := int32(binary.LittleEndian.Uint32(data[off:]))
+				ints[ci][v] = struct{}{}
+				mm, ok := st.IntMinMax[c.Name]
+				if !ok {
+					st.IntMinMax[c.Name] = [2]int32{v, v}
+				} else {
+					if v < mm[0] {
+						mm[0] = v
+					}
+					if v > mm[1] {
+						mm[1] = v
+					}
+					st.IntMinMax[c.Name] = mm
 				}
 			}
 		}
@@ -124,15 +140,15 @@ func (t *Table) CollectStats() *Stats {
 	// Scale distinct counts from the sample to the table: if nearly every
 	// sampled value is distinct, assume the column is key-like.
 	n := int64(len(st.Sample))
-	for col, set := range distinct {
-		d := int64(len(set))
+	for ci, c := range cols {
+		d := int64(len(ints[ci]) + len(strs[ci]))
 		if n > 0 && d*10 >= n*9 { // ≥90% distinct in sample → scale up
 			d = d * rows / num.MaxI64(n, 1)
 		}
 		if d < 1 {
 			d = 1
 		}
-		st.NDV[col] = d
+		st.NDV[c.Name] = d
 	}
 
 	// Concurrent callers may each have collected; the first to store wins and
