@@ -78,11 +78,13 @@ serve-smoke:
 
 # CLI smoke for the two commands no other gate runs (under 2 s together):
 # hybridndp's strategy sweep and one labelled strategy, a lower-case label it
-# must reject (labels parse strictly), and the Table 2 profile printer.
+# must reject (labels parse strictly), a parsed SQL join it prints back
+# through sql.Render, and the Table 2 profile printer.
 cli-smoke:
 	$(GO) run ./cmd/hybridndp -scale 0.01 -query 8c -strategy sweep >/dev/null
 	$(GO) run ./cmd/hybridndp -scale 0.01 -query 8c -strategy H0 >/dev/null
 	! $(GO) run ./cmd/hybridndp -scale 0.01 -query 8c -strategy h3 >/dev/null 2>&1
+	$(GO) run ./cmd/hybridndp -scale 0.01 -sql 'SELECT MIN(t.title) FROM title AS t, movie_keyword AS mk WHERE t.id = mk.movie_id AND t.production_year > 2005' -strategy native >/dev/null
 	$(GO) run ./cmd/hwprofile >/dev/null
 
 # Observability smoke: trace one hybrid JOB query (single buffer slot so the

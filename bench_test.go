@@ -377,7 +377,7 @@ func BenchmarkAblationSplitTarget(b *testing.B) {
 					if !ok {
 						continue
 					}
-					if d.StrategyLabel() == opt.Strategy.String() {
+					if coop.DecisionStrategy(d) == opt.Strategy {
 						good++
 					}
 				}

@@ -20,6 +20,7 @@ import (
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	queryPkg "hybridndp/internal/query"
+	"hybridndp/internal/sql"
 )
 
 func main() {
@@ -52,7 +53,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	fmt.Println(q.SQL())
+	text, err := sql.Render(q)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(text)
 
 	d, err := sys.Decide(q)
 	if err != nil {

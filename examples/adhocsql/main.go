@@ -12,6 +12,7 @@ import (
 	hybridndp "hybridndp"
 	"hybridndp/internal/coop"
 	"hybridndp/internal/hw"
+	"hybridndp/internal/sql"
 )
 
 const defaultQuery = `
@@ -45,7 +46,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(q.SQL())
+	text, err := sql.Render(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(text)
 	fmt.Println()
 	fmt.Println(d.Plan)
 	fmt.Printf("\ndecision: %s — %s\n\n", d.StrategyLabel(), d.Reason)

@@ -11,6 +11,7 @@ import (
 	"hybridndp/internal/coop"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
+	"hybridndp/internal/sql"
 )
 
 func main() {
@@ -22,7 +23,11 @@ func main() {
 	}
 
 	q := job.QueryByName("1a")
-	fmt.Println(q.SQL())
+	text, err := sql.Render(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(text)
 	fmt.Println()
 
 	// hybridNDP mode: the cost model computes the split points, the target

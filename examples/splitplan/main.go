@@ -13,6 +13,7 @@ import (
 	hybridndp "hybridndp"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
+	"hybridndp/internal/sql"
 )
 
 func main() {
@@ -26,7 +27,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println(q.SQL())
+	text, err := sql.Render(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(text)
 	fmt.Println()
 	fmt.Println("physical plan (join order chosen by the optimizer):")
 	fmt.Println(d.Plan)

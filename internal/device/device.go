@@ -79,10 +79,9 @@ type Batch struct {
 	Ready  vclock.Time
 	// LeafAlias is set for H0 leaf batches: which table's selection this is.
 	LeafAlias string
-	// Cols carries an H0 leaf selection as a fully-selected column batch —
-	// the cross-interconnect transfer unit the receiver feeds straight into
-	// AppendInnerCols.
-	Cols *exec.ColBatch
+	// Leaf carries an H0 leaf selection: the scan's surviving row views, which
+	// the receiver installs as the join's inner side (exec.AppendInner).
+	Leaf [][]byte
 	Last bool
 	// Sum is the payload checksum sealed by the device before the slot is
 	// published and verified by the host after the fetch. 0 = unsealed
@@ -93,8 +92,8 @@ type Batch struct {
 
 // Rows counts the batch's payload rows: leaf rows or driving tuples.
 func (b *Batch) Rows() int {
-	if b.Cols != nil {
-		return b.Cols.Len()
+	if b.LeafAlias != "" {
+		return len(b.Leaf)
 	}
 	return len(b.Tuples)
 }
@@ -124,18 +123,10 @@ func (b *Batch) Checksum() uint64 {
 			h.Write(pos)
 		}
 	}
-	// Leaf payload: the column batch's selected rows in selection order —
-	// the same bytes, in the same framing, as the row-slice payload this
-	// checksum originally covered, so sealed sums are unchanged.
-	if b.Cols != nil {
-		writeLen(b.Cols.Len())
-		for _, i := range b.Cols.Sel {
-			r := b.Cols.Rows[i]
-			writeLen(len(r))
-			h.Write(r)
-		}
-	} else {
-		writeLen(0)
+	writeLen(len(b.Leaf))
+	for _, r := range b.Leaf {
+		writeLen(len(r))
+		h.Write(r)
 	}
 	h.Write([]byte(b.LeafAlias))
 	sum := h.Sum64()
@@ -493,15 +484,15 @@ func (d *Device) recordScan(rows, bytes int64) {
 func (d *Device) scanLeaf(pl *exec.Pipeline, si int, eng *exec.Engine, lo, hi *int32) (Batch, error) {
 	ap := &pl.Plan.Steps[si].Right
 	lsp := d.Trace.Start(d.TL, "device.leaf.scan").Attr("alias", ap.Ref.Alias)
-	cb, width, err := eng.ScanCols(pl, si+1, lo, hi)
+	rows, width, err := eng.ScanAccess(pl, si+1, lo, hi)
 	if err != nil {
 		lsp.End()
 		return Batch{}, err
 	}
-	lsp.AttrInt("rows", int64(cb.Len())).End()
-	bytes := int64(cb.Len()) * width
-	d.recordScan(int64(cb.Len()), bytes)
-	return Batch{LeafAlias: ap.Ref.Alias, Cols: cb, Bytes: bytes}, nil
+	lsp.AttrInt("rows", int64(len(rows))).End()
+	bytes := int64(len(rows)) * width
+	d.recordScan(int64(len(rows)), bytes)
+	return Batch{LeafAlias: ap.Ref.Alias, Leaf: rows, Bytes: bytes}, nil
 }
 
 // streamDrivingRange partitions the driving table into chunks by primary-key

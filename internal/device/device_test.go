@@ -146,8 +146,8 @@ func TestRunH0EmitsLeavesThenDrivingChunks(t *testing.T) {
 				t.Fatal("leaf batches must precede driving chunks")
 			}
 			leafBatches++
-			if b.Cols == nil && b.Bytes > 0 {
-				t.Fatal("leaf batch without a column batch")
+			if b.Leaf == nil && b.Bytes > 0 {
+				t.Fatal("leaf batch without rows")
 			}
 		} else {
 			sawChunk = true
@@ -252,8 +252,8 @@ type stream struct {
 
 func (st *stream) emit(b device.Batch) error {
 	if b.LeafAlias != "" {
-		for _, i := range b.Cols.Sel {
-			st.leaves[b.LeafAlias] = append(st.leaves[b.LeafAlias], string(b.Cols.Rows[i]))
+		for _, r := range b.Leaf {
+			st.leaves[b.LeafAlias] = append(st.leaves[b.LeafAlias], string(r))
 		}
 		return nil
 	}

@@ -7,7 +7,6 @@ import (
 	"hybridndp/internal/fault"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/lsm"
-	"hybridndp/internal/num"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/vclock"
 )
@@ -99,7 +98,7 @@ func (r *Receiver) Receive(b Batch, inj *fault.Injector, from int) (vclock.Time,
 	stall := tl.WaitUntil(b.Ready, cat)
 	wsp.Attr("stall", stall.String()).End()
 	tsp := r.tr.Start(tl, "host.fetch").AttrInt("batch", idx).AttrInt("bytes", b.Bytes)
-	r.Eng.R.Transfer(tl, num.MaxI64(b.Bytes, 64), r.slot)
+	r.Eng.R.Transfer(tl, max(b.Bytes, 64), r.slot)
 	tsp.End()
 	fetched := tl.Now()
 	r.Bytes += b.Bytes
@@ -120,7 +119,7 @@ func (r *Receiver) Receive(b Batch, inj *fault.Injector, from int) (vclock.Time,
 		psp.Attr("leaf", b.LeafAlias)
 		for si, st := range r.Pl.Plan.Steps {
 			if st.Right.Ref.Alias == b.LeafAlias {
-				r.Eng.AppendInnerCols(r.Pl, si, b.Cols)
+				r.Eng.AppendInner(r.Pl, si, b.Leaf)
 				break
 			}
 		}

@@ -1,9 +1,5 @@
 package exec
 
-import (
-	"hybridndp/internal/table"
-)
-
 // DefaultBatchSize is the row capacity of one columnar batch. 1024 fixed-width
 // row views keep the batch's slice headers and selection vector inside the L2
 // cache while amortizing per-batch bookkeeping; the EXPERIMENTS.md batch-size
@@ -19,17 +15,12 @@ const DefaultBatchSize = 1024
 // row r lives at Rows[r][schema.ColumnOffset(i)], so a per-column kernel
 // walks one fixed offset across the batch.
 type ColBatch struct {
-	Schema *table.Schema
-	Rows   [][]byte // row views (shared storage, never mutated)
-	Sel    []int32  // indices into Rows that passed selection, ascending
+	Rows [][]byte // row views (shared storage, never mutated)
+	Sel  []int32  // indices into Rows that passed selection, ascending
 }
 
-// Len reports the number of selected rows.
-func (b *ColBatch) Len() int { return len(b.Sel) }
-
-// Reset re-arms the batch for reuse with a new schema, keeping capacity.
-func (b *ColBatch) Reset(s *table.Schema) {
-	b.Schema = s
+// Reset empties the batch for reuse, keeping capacity.
+func (b *ColBatch) Reset() {
 	b.Rows = b.Rows[:0]
 	b.Sel = b.Sel[:0]
 }
@@ -48,16 +39,6 @@ func (b *ColBatch) Selected(dst [][]byte) [][]byte {
 		dst = append(dst, b.Rows[i])
 	}
 	return dst
-}
-
-// View returns the selected row views in selection order. Fully-selected
-// batches (the transfer-unit case: every surviving row was already filtered
-// at the producer) return the backing slice without copying.
-func (b *ColBatch) View() [][]byte {
-	if len(b.Sel) == len(b.Rows) {
-		return b.Rows
-	}
-	return b.Selected(nil)
 }
 
 // batchSize resolves the engine's configured batch row capacity.

@@ -784,13 +784,6 @@ func TestScanSurfacesFlashReadFault(t *testing.T) {
 			rows, _, err := e.scanAP(orders, &lo, &hi)
 			return len(rows), err
 		}},
-		{"ScanCols", func(e *Engine) (int, error) {
-			cb, _, err := e.scanColsAP(orders, nil, nil)
-			if err != nil {
-				return 0, err
-			}
-			return len(cb.View()), nil
-		}},
 		{"IndexSeek", func(e *Engine) (int, error) {
 			pks, err := ordersT.IndexSeek("idx_customer", table.IntVal(7), e.Access())
 			return len(pks), err

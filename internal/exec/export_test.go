@@ -30,15 +30,6 @@ func (e *Engine) scanAP(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, erro
 	return e.ScanAccess(pl, 0, loPK, hiPK)
 }
 
-// scanColsAP is scanAP in the columnar transfer format.
-func (e *Engine) scanColsAP(ap AccessPath, loPK, hiPK *int32) (*ColBatch, int64, error) {
-	pl, err := e.StartPipeline(&Plan{Driving: ap})
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.ScanCols(pl, 0, loPK, hiPK)
-}
-
 // PoisonScratchOnRelease makes every Scratch release, until the returned
 // restore runs, overwrite what the run left behind once it is rewound: every
 // row-view slot (scan batch, view slab, arena blocks — used or not)

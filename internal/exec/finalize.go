@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"unsafe"
 
-	"hybridndp/internal/num"
 	"hybridndp/internal/query"
 	"hybridndp/internal/table"
 )
@@ -331,7 +330,7 @@ func (f *finalizer) result() *Result {
 			case a.Func == query.Sum:
 				row = append(row, table.IntVal(int32(f.sums[k])))
 			case a.Func == query.Avg:
-				row = append(row, table.IntVal(int32(f.sums[k]/float64(num.MaxI64(f.counts[k], 1)))))
+				row = append(row, table.IntVal(int32(f.sums[k]/float64(max(f.counts[k], 1)))))
 			case a.Func == query.Min || a.Func == query.Max:
 				// An empty winner reads as the integer accumulator, as the
 				// decoded-string accumulator it replaced always did.

@@ -31,7 +31,7 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 	terms, width, bp := pl.terms[pos], pl.widths[pos], pl.preds[pos]
 	bs := e.batchSize()
 	sc := e.scratch()
-	batch := sc.scanBatch(t.Schema, bs)
+	batch := sc.scanBatch(bs)
 	start := len(sc.views)
 	scanned := 0
 	flush := func() {
@@ -118,25 +118,6 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 		e.R.RowOverhead(e.TL, len(rows), hw.CatSelection)
 	}
 	return rows, width, nil
-}
-
-// ScanCols is ScanAccess in the engine's columnar transfer format: the
-// surviving rows arrive as one fully-selected ColBatch, the unit device leaf
-// scans emit and the host gather loop consumes. Charges are ScanAccess's. The
-// rows and the selection vector are regions of this engine's scratch.
-func (e *Engine) ScanCols(pl *Pipeline, pos int, loPK, hiPK *int32) (*ColBatch, int64, error) {
-	rows, width, err := e.ScanAccess(pl, pos, loPK, hiPK)
-	if err != nil {
-		return nil, 0, err
-	}
-	sel := e.scratch().identitySel(len(rows))
-	return &ColBatch{Schema: pl.tabs[pos].Schema, Rows: rows, Sel: sel}, width, nil
-}
-
-// AppendInnerCols installs a column batch — an H0 leaf batch a device
-// shipped — into a join's inner side (see AppendInner).
-func (e *Engine) AppendInnerCols(pl *Pipeline, si int, cb *ColBatch) {
-	e.AppendInner(pl, si, cb.View())
 }
 
 // cacheWidth is the per-record footprint in an intermediate cache: the

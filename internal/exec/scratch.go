@@ -46,9 +46,6 @@ type Scratch struct {
 	iter   lsm.TreeIter
 	lo, hi []byte
 	seeker table.Seeker
-	// sels is the slab the identity selection vectors of ScanCols' leaf
-	// batches are carved from.
-	sels []int32
 }
 
 // scratchRetainBytes bounds what a released scratch keeps, so a run whose
@@ -79,13 +76,13 @@ func (s *Scratch) keyTab(n int) *keyTab {
 	return t
 }
 
-// scanBatch returns the scan batch, empty, with room for bs rows of schema.
-func (s *Scratch) scanBatch(schema *table.Schema, bs int) *ColBatch {
+// scanBatch returns the scan batch, empty, with room for bs rows.
+func (s *Scratch) scanBatch(bs int) *ColBatch {
 	b := &s.batch
 	if cap(b.Rows) < bs {
 		b.Rows, b.Sel = make([][]byte, 0, bs), make([]int32, 0, bs)
 	}
-	b.Reset(schema)
+	b.Reset()
 	return b
 }
 
@@ -109,17 +106,6 @@ func (s *Scratch) BlockCache(capacity int64) *lsm.BlockCache {
 		s.cache.Reset(capacity)
 	}
 	return s.cache
-}
-
-// identitySel carves a selection vector selecting rows 0..n-1 from the sels
-// slab, its capacity clipped to n.
-func (s *Scratch) identitySel(n int) []int32 {
-	start := len(s.sels)
-	s.sels = slices.Grow(s.sels, n)
-	for i := range n {
-		s.sels = append(s.sels, int32(i))
-	}
-	return s.sels[start : start+n : start+n]
 }
 
 // appendRegion appends src to dst, a region of *slab (nil starts one), and
@@ -151,7 +137,7 @@ func (s *Scratch) Release() {
 	clear(s.batch.Rows[:cap(s.batch.Rows)])
 	clear(s.views)
 	clear(s.inners)
-	s.views, s.inners, s.sels = s.views[:0], s.inners[:0], s.sels[:0]
+	s.views, s.inners = s.views[:0], s.inners[:0]
 	s.main.rewind(storeMark{})
 	s.piece.rewind(storeMark{})
 	s.fin.reset()
@@ -175,7 +161,7 @@ func (s *Scratch) Release() {
 func (s *Scratch) Retained() int64 {
 	const view, i32 = int64(unsafe.Sizeof([]byte(nil))), 4
 	n := int64(cap(s.batch.Rows)+cap(s.views))*view + s.main.retained() + s.piece.retained() +
-		int64(cap(s.batch.Sel)+cap(s.probeEnd)+2*cap(s.probeHits)+cap(s.sels))*i32 +
+		int64(cap(s.batch.Sel)+cap(s.probeEnd)+2*cap(s.probeHits))*i32 +
 		int64(cap(s.keyBuf)+cap(s.lo)+cap(s.hi)) +
 		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained() +
 		s.iter.Retained() + s.seeker.Retained() + s.fin.retained()

@@ -571,11 +571,11 @@ func (r *run) gatherDriving(pi int, part Partition) error {
 // every non-ok outcome of the owning shard leads.
 func (r *run) rerunLeaf(sh *shard, si int, part Partition) error {
 	r.hostTL.WaitUntil(sh.backupAt, hw.CatHedgeWait)
-	cb, _, err := r.rc.Eng.ScanCols(r.rc.Pl, si+1, part.Lo, part.Hi)
+	rows, _, err := r.rc.Eng.ScanAccess(r.rc.Pl, si+1, part.Lo, part.Hi)
 	if err != nil {
 		return err
 	}
-	r.rc.Eng.AppendInnerCols(r.rc.Pl, si, cb)
+	r.rc.Eng.AppendInner(r.rc.Pl, si, rows)
 	return nil
 }
 

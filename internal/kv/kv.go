@@ -23,12 +23,12 @@ type DB struct {
 	fl    *flash.Flash
 	model hw.Model
 	cfg   lsm.Config
-	cfs   map[string]*ColumnFamily // guarded by mu
+	cfs   map[string]*lsm.Tree // guarded by mu
 }
 
 // Open creates a database over the given flash module.
 func Open(fl *flash.Flash, model hw.Model, cfg lsm.Config) *DB {
-	return &DB{fl: fl, model: model, cfg: cfg, cfs: make(map[string]*ColumnFamily)}
+	return &DB{fl: fl, model: model, cfg: cfg, cfs: make(map[string]*lsm.Tree)}
 }
 
 // Flash exposes the underlying flash module (the device simulator reads SSTs
@@ -46,20 +46,20 @@ func (db *DB) BlockCacheBytes(fraction float64) int64 {
 // Model reports the hardware model the database was opened with.
 func (db *DB) Model() hw.Model { return db.model }
 
-// CreateColumnFamily registers a new column family with its own LSM tree.
-func (db *DB) CreateColumnFamily(name string) (*ColumnFamily, error) {
+// CreateColumnFamily registers a new column family and returns its LSM tree.
+func (db *DB) CreateColumnFamily(name string) (*lsm.Tree, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.cfs[name]; ok {
 		return nil, fmt.Errorf("kv: column family %q already exists", name)
 	}
-	cf := &ColumnFamily{name: name, tree: lsm.NewTree(db.fl, db.cfg)}
-	db.cfs[name] = cf
-	return cf, nil
+	tree := lsm.NewTree(db.fl, db.cfg)
+	db.cfs[name] = tree
+	return tree, nil
 }
 
-// CF returns a column family by name.
-func (db *DB) CF(name string) (*ColumnFamily, error) {
+// CF returns a column family's LSM tree by name.
+func (db *DB) CF(name string) (*lsm.Tree, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	cf, ok := db.cfs[name]
@@ -80,45 +80,6 @@ func (db *DB) ColumnFamilies() []string {
 	sort.Strings(names)
 	return names
 }
-
-// ColumnFamily is one logically partitioned key space with its own LSM tree.
-type ColumnFamily struct {
-	name string
-	tree *lsm.Tree
-}
-
-// Name reports the family's name.
-func (cf *ColumnFamily) Name() string { return cf.name }
-
-// BulkLoad writes entries straight to SSTs (see lsm.Tree.BulkLoad).
-func (cf *ColumnFamily) BulkLoad(entries []lsm.Entry) error { return cf.tree.BulkLoad(entries) }
-
-// Get retrieves the value for key, charging the access.
-func (cf *ColumnFamily) Get(key []byte, ac lsm.Access) ([]byte, bool, error) {
-	return cf.tree.Get(key, ac)
-}
-
-// Scan iterates [lo, hi) in key order, charging the access.
-func (cf *ColumnFamily) Scan(lo, hi []byte, ac lsm.Access) *lsm.TreeIter {
-	return cf.tree.Scan(lo, hi, ac)
-}
-
-// ScanInto restarts it over [lo, hi) in key order, charging the access (see
-// lsm.Tree.ScanInto).
-func (cf *ColumnFamily) ScanInto(it *lsm.TreeIter, lo, hi []byte, ac lsm.Access) {
-	cf.tree.ScanInto(it, lo, hi, ac)
-}
-
-// Stats reports LSM statistics for the optimizer.
-func (cf *ColumnFamily) Stats() lsm.Stats { return cf.tree.Stats() }
-
-// Placement reports the physical organization (the address-mapping table
-// content sent with NDP invocations).
-func (cf *ColumnFamily) Placement() []lsm.LevelInfo { return cf.tree.Placement() }
-
-// View returns a frozen, transactionally consistent read view of the family
-// (update-aware NDP: what the device reads after an invocation).
-func (cf *ColumnFamily) View() *lsm.View { return cf.tree.View() }
 
 // CFSnapshot is the per-object part of the shared state: the physical
 // placement of all SSTs of the object, and the frozen view the device-side

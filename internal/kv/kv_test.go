@@ -25,14 +25,11 @@ func TestColumnFamilyLifecycle(t *testing.T) {
 	if _, err := db.CreateColumnFamily("data"); err == nil {
 		t.Fatal("duplicate CF must fail")
 	}
-	if _, err := db.CF("data"); err != nil {
-		t.Fatal(err)
+	if got, err := db.CF("data"); err != nil || got != cf {
+		t.Fatalf("CF(data) = %p, %v; want the tree CreateColumnFamily returned, %p", got, err, cf)
 	}
 	if _, err := db.CF("ghost"); err == nil {
 		t.Fatal("missing CF must fail")
-	}
-	if cf.Name() != "data" {
-		t.Fatal("CF name")
 	}
 	db.CreateColumnFamily("idx.a")
 	names := db.ColumnFamilies()
@@ -42,7 +39,7 @@ func TestColumnFamilyLifecycle(t *testing.T) {
 }
 
 // load bulk-loads key/value pairs, a nil value standing for a tombstone.
-func load(t *testing.T, cf *ColumnFamily, kvs ...string) {
+func load(t *testing.T, cf *lsm.Tree, kvs ...string) {
 	t.Helper()
 	var entries []lsm.Entry
 	for i := 0; i < len(kvs); i += 2 {

@@ -77,8 +77,11 @@ func bulkLoads(ops []byte) [][]Entry {
 // have touched the caller's slice. mem picks SegmentBytes from 2 to 64 KiB;
 // with MaxL1Files 2 and an 8 KiB C2 the seeds cut several segments, compact C1
 // and push C2 down. The seeds under testdata/fuzz/FuzzBulkLoadMatchesModel are
-// named after what each exercises; all but later-loads-shadow-and-delete are
-// one load each, and TestBulkLoadMatchesPuts pins what those store, except for
+// named after what each exercises. Two are several loads:
+// later-loads-shadow-and-delete, and empty-key-shadowed-in-c2, where the
+// newest C1 file starts at the empty key when C1 compacts into a C2 that
+// already holds it. The others are one load each, and
+// TestBulkLoadMatchesPuts pins what those store, except for
 // radix-several-digits: one 450-key segment in random order whose prefix words
 // differ in all eight bytes (the radix sort makes every pass), with keys that
 // tie on the whole word and keys shorter than it, added after the Put path

@@ -86,12 +86,14 @@ func (t *Tree) compactL1Locked() error {
 	if len(t.l1) == 0 {
 		return nil
 	}
-	var lo, hi []byte
-	for _, s := range t.l1 {
-		if lo == nil || bytes.Compare(s.MinKey(), lo) < 0 {
+	// C1's key range, started from its first file: an SST stores an empty
+	// key as nil, so nil cannot stand for "not set yet".
+	lo, hi := t.l1[0].MinKey(), t.l1[0].MaxKey()
+	for _, s := range t.l1[1:] {
+		if bytes.Compare(s.MinKey(), lo) < 0 {
 			lo = s.MinKey()
 		}
-		if hi == nil || bytes.Compare(s.MaxKey(), hi) > 0 {
+		if bytes.Compare(s.MaxKey(), hi) > 0 {
 			hi = s.MaxKey()
 		}
 	}

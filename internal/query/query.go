@@ -6,7 +6,6 @@ package query
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"hybridndp/internal/expr"
 	"hybridndp/internal/table"
@@ -233,54 +232,6 @@ func (q *Query) ProjectedColumns() [][]string {
 		slices.Sort(cols)
 	}
 	return out
-}
-
-// SQL renders an approximate SQL text of the query for display.
-func (q *Query) SQL() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	var sel []string
-	for _, a := range q.Aggregates {
-		sel = append(sel, a.String())
-	}
-	for _, c := range q.Output {
-		sel = append(sel, c.String())
-	}
-	if len(sel) == 0 {
-		sel = []string{"*"}
-	}
-	b.WriteString(strings.Join(sel, ", "))
-	b.WriteString("\nFROM ")
-	var tabs []string
-	for _, t := range q.Tables {
-		tabs = append(tabs, t.String())
-	}
-	b.WriteString(strings.Join(tabs, ", "))
-	var conds []string
-	for _, t := range q.Tables {
-		if p, ok := q.Filters[t.Alias]; ok {
-			// Filter predicates render bare column names; mark the owning
-			// alias so the display stays unambiguous across tables.
-			conds = append(conds, fmt.Sprintf("/* %s */ %s", t.Alias, p.String()))
-		}
-	}
-	for _, j := range q.Joins {
-		conds = append(conds, j.String())
-	}
-	if len(conds) > 0 {
-		b.WriteString("\nWHERE ")
-		b.WriteString(strings.Join(conds, "\n  AND "))
-	}
-	if len(q.GroupBy) > 0 {
-		var g []string
-		for _, c := range q.GroupBy {
-			g = append(g, c.String())
-		}
-		b.WriteString("\nGROUP BY ")
-		b.WriteString(strings.Join(g, ", "))
-	}
-	b.WriteString(";")
-	return b.String()
 }
 
 // Fingerprint is the query's 64-bit structural hash: name, tables in FROM

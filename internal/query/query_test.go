@@ -119,21 +119,6 @@ func TestJoinCondHelpers(t *testing.T) {
 	}
 }
 
-func TestSQLRendering(t *testing.T) {
-	q := validQuery()
-	sql := q.SQL()
-	for _, frag := range []string{"SELECT MIN(a.x)", "FROM ta AS a, tb AS b", "note IS NULL", "a.id = b.a_id", ";"} {
-		if !strings.Contains(sql, frag) {
-			t.Errorf("SQL %q missing %q", sql, frag)
-		}
-	}
-	// Aggregate-free, output-free query renders SELECT *.
-	q2 := &Query{Name: "s", Tables: []TableRef{{Alias: "a", Table: "ta"}}, Filters: map[string]expr.Pred{}}
-	if !strings.Contains(q2.SQL(), "SELECT *") {
-		t.Fatal("SELECT * missing")
-	}
-}
-
 func TestAggregateRendering(t *testing.T) {
 	if (Aggregate{Func: Count, Star: true}).String() != "COUNT(*)" {
 		t.Fatal("COUNT(*) rendering")

@@ -15,10 +15,11 @@ import (
 // identical query.Query (same predicate nesting, same join and projection
 // order). This is the inverse the serving layer relies on: sessions ship SQL
 // over the wire, and the plan cache keys on the canonical text, so the
-// rendered form must preserve every bit of structure the optimizer sees.
-// Unlike query.SQL (display-only), Render fails loudly on anything that
-// cannot round-trip: NULL comparison literals, expr.Not, aggregates without
-// an explicit alias, or identifiers that collide with keywords.
+// rendered form must preserve every bit of structure the optimizer sees. It
+// is also the one display form: the commands and examples print queries
+// through it. Render fails loudly on anything that cannot round-trip: NULL
+// comparison literals, expr.Not, aggregates without an explicit alias, or
+// identifiers that collide with keywords.
 //
 // Shape contract with the parser:
 //   - every column is alias-qualified, since predicates store bare columns;

@@ -10,8 +10,10 @@ import (
 )
 
 // TestRenderRoundTripJOB proves the serving layer's SQL-in contract: every
-// JOB query rendered to SQL and parsed back is structurally identical to the
-// hand-built definition, and compiles to a byte-identical physical plan.
+// JOB query and every extension query rendered to SQL and parsed back is
+// structurally identical to the hand-built definition, and compiles to a
+// byte-identical physical plan. The commands and examples print queries
+// through Render, so every workload query they can name must render.
 func TestRenderRoundTripJOB(t *testing.T) {
 	dsOnce.Do(func() { ds, dsErr = job.Load(0.004, hw.Cosmos()) })
 	if dsErr != nil {
@@ -22,6 +24,7 @@ func TestRenderRoundTripJOB(t *testing.T) {
 	if len(queries) != 113 {
 		t.Fatalf("JOB query count = %d, want 113", len(queries))
 	}
+	queries = append(queries, job.ExtensionQueries()...)
 	for _, orig := range queries {
 		text, err := Render(orig)
 		if err != nil {

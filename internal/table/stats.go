@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"hybridndp/internal/lsm"
-	"hybridndp/internal/num"
 )
 
 // Stats holds the optimizer statistics of one table, collected out of index
@@ -143,7 +142,7 @@ func (t *Table) CollectStats() *Stats {
 	for ci, c := range cols {
 		d := int64(len(ints[ci]) + len(strs[ci]))
 		if n > 0 && d*10 >= n*9 { // ≥90% distinct in sample → scale up
-			d = d * rows / num.MaxI64(n, 1)
+			d = d * rows / max(n, 1)
 		}
 		if d < 1 {
 			d = 1

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hybridndp/internal/lsm"
-	"hybridndp/internal/num"
 )
 
 // valueSetStats derives NDV and IntMinMax from a sample the way CollectStats
@@ -31,7 +30,7 @@ func valueSetStats(s *Schema, sample []Record, rows int64) (map[string]int64, ma
 		}
 		d, n := int64(len(set)), int64(len(sample))
 		if n > 0 && d*10 >= n*9 {
-			d = d * rows / num.MaxI64(n, 1)
+			d = d * rows / max(n, 1)
 		}
 		ndv[c.Name] = max(d, 1)
 	}

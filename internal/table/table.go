@@ -13,8 +13,8 @@ import (
 // (key = encoded PK, value = fixed-width row) and one per secondary index.
 type Table struct {
 	Schema  *Schema
-	Data    *kv.ColumnFamily
-	Indexes map[string]*kv.ColumnFamily // index name → CF
+	Data    *lsm.Tree
+	Indexes map[string]*lsm.Tree // index name → its family's tree
 
 	mu       sync.RWMutex
 	rowCount int64  // guarded by mu
@@ -47,7 +47,7 @@ func (c *Catalog) CreateTable(s *Schema) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Schema: s, Data: data, Indexes: make(map[string]*kv.ColumnFamily)}
+	t := &Table{Schema: s, Data: data, Indexes: make(map[string]*lsm.Tree)}
 	for _, si := range s.SecondaryIndexes {
 		cf, err := c.db.CreateColumnFamily("idx." + s.Name + "." + si.Name)
 		if err != nil {
