@@ -2,11 +2,12 @@
 # race detector, which the executors' shared scratch pools, the metrics
 # registry and the parallel sweep runners are tested under. Each gate has one
 # copy: a sweep `go test` already runs (the fleet-vs-single-device sweep, the
-# untraced full-crash chaos sweep) has no make target of its own.
+# untraced full-crash chaos sweep, the chaos-SLO sweep and its separation
+# gate) has no make target of its own.
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-micro bench-check examples serve serve-smoke serve-determinism trace-smoke chaos chaos-slo cli-smoke
+.PHONY: all build vet lint test race bench bench-micro bench-check examples serve serve-smoke serve-determinism trace-smoke chaos cli-smoke
 
 all: build vet lint test
 
@@ -105,12 +106,3 @@ chaos:
 	$(GO) run ./cmd/jobbench -scale 0.01 -faults "dev.crash=1" -trace "8d@H1:chaos-trace.json" >/dev/null
 	$(GO) run ./cmd/tracecheck -chaos chaos-trace.json
 	rm -f chaos-trace.json
-
-# Chaos-SLO gate: cost tables measured through a 4-device fleet with one
-# stalled member (unhedged and hedged), then the identical open-loop arrival
-# stream through five policy×hedge combos. hybridserve exits non-zero unless
-# adaptive placement + hedged shard execution strictly beats both force-host
-# and unhedged adaptive on worst-tenant p99 and SLO-miss rate (or if any
-# fleet result mismatches the host-native fingerprint).
-chaos-slo:
-	$(GO) run ./cmd/hybridserve -scale 0.01 -faults "dev1:dev.stall=2ms,seed=1" -arrival poisson >/dev/null

@@ -53,8 +53,6 @@ func main() {
 			"comma list of fleet sizes (e.g. 1,2,4,8): run the fleet scale-out sweep — every JOB query scatter-gathered over each fleet size, fingerprint-verified against a single-device baseline — then exit (non-zero on any mismatch)")
 		fleetSpec = flag.String("fleet", "range",
 			"fleet partitioning spec for -devices: range | stripe | stripe:<n>")
-		batchN = flag.Int("batch", 0,
-			"columnar batch row capacity for every engine (0 = default 1024); virtual-time results are byte-identical at any value — the knob only trades wall-clock locality against scratch memory")
 		cpuprofile = flag.String("cpuprofile", "",
 			"write a wall-clock CPU profile of the run to this file (written on clean exit)")
 		memprofile = flag.String("memprofile", "",
@@ -145,7 +143,6 @@ func main() {
 		if *metrics {
 			h.BindMetrics(obs.NewRegistry())
 		}
-		h.SetBatchSize(*batchN)
 		h.Exec.Faults = faultPlan
 		h.Exec.Deadline = vclock.FromStd(*deadline)
 		tr, err := h.TraceQuery(name, strat)
@@ -183,7 +180,6 @@ func main() {
 			os.Exit(1)
 		}
 		h.Workers = *workers
-		h.SetBatchSize(*batchN)
 		h.Exec.Deadline = vclock.FromStd(*deadline)
 		var reg *obs.Registry
 		if *metrics {
@@ -219,7 +215,6 @@ func main() {
 			os.Exit(1)
 		}
 		h.Workers = *workers
-		h.SetBatchSize(*batchN)
 		res, err := h.FleetSweep(os.Stdout, counts, *fleetSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jobbench:", err)
@@ -239,7 +234,6 @@ func main() {
 			os.Exit(1)
 		}
 		h.Workers = *workers
-		h.SetBatchSize(*batchN)
 		if err := h.Plans(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "jobbench:", err)
 			os.Exit(1)
@@ -254,7 +248,6 @@ func main() {
 	}
 	fmt.Printf("loaded in %v (%d tables)\n", time.Since(start).Round(time.Millisecond), len(h.DS.Cat.Tables()))
 	h.Workers = *workers
-	h.SetBatchSize(*batchN)
 	if *metrics {
 		h.BindMetrics(obs.NewRegistry())
 	}

@@ -59,7 +59,7 @@ func New(m hw.Model) (*System, error) {
 		return nil, err
 	}
 	fl := flash.New(m, 0)
-	db := kv.Open(fl, m, lsm.DefaultConfig())
+	db := kv.Open(fl, lsm.DefaultConfig())
 	cat := table.NewCatalog(db)
 	return &System{
 		Model:     m,

@@ -190,11 +190,6 @@ type Executor struct {
 	// retrying and falls back to the host immediately. RunDeadline overrides
 	// it per run.
 	Deadline vclock.Duration
-	// BatchSize sets the row capacity of the columnar batches the engines
-	// this executor builds process at a time (0 = exec.DefaultBatchSize).
-	// Virtual-time charges are byte-identical for every value; the knob only
-	// trades wall-clock locality against scratch memory.
-	BatchSize int
 
 	// scratch recycles the engines' working memory across this executor's runs.
 	scratch exec.ScratchPool
@@ -252,7 +247,7 @@ func (x *Executor) RunDeadline(p *exec.Plan, s Strategy, tr *obs.Trace, deadline
 	// this lease, and they all go back once the report is built.
 	ls := x.scratch.Lease()
 	defer ls.Release()
-	b := device.Bindings{Model: &x.Model, Cat: x.Cat, BatchSize: x.BatchSize, Lease: ls, Trace: tr, Metrics: x.Metrics}
+	b := device.Bindings{Model: &x.Model, Cat: x.Cat, Lease: ls, Trace: tr, Metrics: x.Metrics}
 	var rep *Report
 	var err error
 	switch s.Kind {

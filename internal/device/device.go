@@ -204,18 +204,16 @@ func PlanMemory(m hw.Model, p *exec.Plan, k int) MemoryPlan {
 func (mp MemoryPlan) Fits() bool { return mp.TotalBytes <= mp.BudgetBytes }
 
 // Bindings are what one run hands every engine and device it builds: the
-// hardware model (read-only) and catalog, the columnar batch row capacity (0 =
-// exec.DefaultBatchSize; charges are byte-identical at every size), the lease
-// whose scratches the engines work in, the trace receiving spans and the
-// registry receiving counters (nil = off). A device is created per run, so
-// the trace needs no further synchronization here.
+// hardware model (read-only) and catalog, the lease whose scratches the
+// engines work in, the trace receiving spans and the registry receiving
+// counters (nil = off). A device is created per run, so the trace needs no
+// further synchronization here.
 type Bindings struct {
-	Model     *hw.Model
-	Cat       *table.Catalog
-	BatchSize int
-	Lease     *exec.Lease
-	Trace     *obs.Trace
-	Metrics   *obs.Registry
+	Model   *hw.Model
+	Cat     *table.Catalog
+	Lease   *exec.Lease
+	Trace   *obs.Trace
+	Metrics *obs.Registry
 }
 
 // Device is the simulated smart-storage board, carrying its run's bindings:
@@ -264,7 +262,6 @@ func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
 		JoinBuf:      d.Model.JoinBufBytes,
 		SelBuf:       d.Model.SelBufBytes,
 		PointerCache: mp.UsesPointerFmt,
-		BatchSize:    d.BatchSize,
 		Scratch:      sc,
 	}
 	if d.Faults != nil {

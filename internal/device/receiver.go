@@ -18,7 +18,7 @@ import (
 func (b *Bindings) HostEngine(tl *vclock.Timeline, rates hw.Rates) *exec.Engine {
 	sc := b.Lease.Scratch()
 	eng := &exec.Engine{Cat: b.Cat, TL: tl, R: rates, Scratch: sc,
-		Cache: sc.BlockCache(b.Cat.DB().BlockCacheBytes(b.Model.HostCacheFraction)), BatchSize: b.BatchSize}
+		Cache: sc.BlockCache(b.Cat.DB().BlockCacheBytes(b.Model.HostCacheFraction))}
 	if b.Metrics != nil {
 		eng.Bloom = &lsm.BloomStats{}
 	}

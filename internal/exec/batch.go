@@ -6,6 +6,12 @@ package exec
 // sweep picked it from measured wall-clock data.
 const DefaultBatchSize = 1024
 
+// batchRows is the row capacity every engine's batches run at. Charges derive
+// from accumulated batch counts with the same integer math at every size, so
+// virtual time is byte-identical for any value (TestPieceBudgetLaw); only tests
+// change it, through SetBatchSize.
+var batchRows = DefaultBatchSize
+
 // ColBatch is one fixed-size batch of rows in the engine's columnar
 // processing format: row views over the fixed-width record layout plus a
 // selection vector naming the rows that survived predicate evaluation, in
@@ -39,12 +45,4 @@ func (b *ColBatch) Selected(dst [][]byte) [][]byte {
 		dst = append(dst, b.Rows[i])
 	}
 	return dst
-}
-
-// batchSize resolves the engine's configured batch row capacity.
-func (e *Engine) batchSize() int {
-	if e.BatchSize > 0 {
-		return e.BatchSize
-	}
-	return DefaultBatchSize
 }

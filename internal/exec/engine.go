@@ -39,12 +39,6 @@ type Engine struct {
 	// PointerCache stores intermediate results as pointers instead of
 	// copied rows (paper §4.2 cache structure optimization).
 	PointerCache bool
-	// BatchSize is the row capacity of the columnar batches the engine's
-	// operators process at a time (0 = DefaultBatchSize). Charges derive from
-	// accumulated batch counts with the same integer math at every size, so
-	// virtual time is byte-identical for any value; the knob only trades
-	// wall-clock locality against scratch memory.
-	BatchSize int
 	// Faults, when set, injects flash read failures into this engine's
 	// storage accesses (chaos runs; see internal/fault).
 	Faults flash.Faults

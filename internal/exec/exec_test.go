@@ -20,7 +20,7 @@ import (
 func fixture(t testing.TB, nCustomers, nOrders int) *table.Catalog {
 	t.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
-	db := kv.Open(fl, hw.Cosmos(), lsm.DefaultConfig())
+	db := kv.Open(fl, lsm.DefaultConfig())
 	cat := table.NewCatalog(db)
 
 	customers := table.MustSchema("customers", []table.Column{
@@ -732,10 +732,9 @@ func BenchmarkBatchSize(b *testing.B) {
 	for _, bs := range []int{1, 7, 64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("bs=%d", bs), func(b *testing.B) {
 			b.ReportAllocs()
+			defer SetBatchSize(bs)()
 			for i := 0; i < b.N; i++ {
-				e := hostEngine(cat)
-				e.BatchSize = bs
-				if _, err := e.RunPlan(p); err != nil {
+				if _, err := hostEngine(cat).RunPlan(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,6 +20,14 @@ func SetPieceBudget(n int) (restore func()) {
 // PieceBudget reports the output budget of a streamed join chain's pieces.
 func PieceBudget() int { return pieceTuples }
 
+// SetBatchSize sets the row capacity of every engine's columnar batches until
+// the returned restore runs. Runs must not be in flight while it changes.
+func SetBatchSize(n int) (restore func()) {
+	old := batchRows
+	batchRows = n
+	return func() { batchRows = old }
+}
+
 // scanAP scans one access path on its own: the driving position of a
 // one-table plan over it.
 func (e *Engine) scanAP(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, error) {

@@ -209,7 +209,7 @@ func (f *finalizer) add(tuples []Tuple) {
 // one-at-a-time.
 func (f *finalizer) groupAdd(tuples []Tuple) {
 	sh, sc, na := f.sh, f.sc, len(f.aggs)
-	bs := f.e.batchSize()
+	bs := batchRows
 	gkArena, gkEnds := sc.keyBuf[:0], sc.probeEnd[:0]
 	for b := 0; b < len(tuples); b += bs {
 		chunk := tuples[b:min(b+bs, len(tuples))]

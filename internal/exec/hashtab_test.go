@@ -122,7 +122,7 @@ func TestKeyRepresentationsAgree(t *testing.T) {
 	}
 	for round := 0; round < 150; round++ {
 		p := plans[round%len(plans)]
-		e.BatchSize = []int{0, 1, 7}[rng.Intn(3)]
+		restore := SetBatchSize([]int{DefaultBatchSize, 1, 7}[rng.Intn(3)])
 		inner := keyRows(t, rng, rng.Intn(60))
 		outer := keyRows(t, rng, rng.Intn(60))
 		var parts [][][]byte
@@ -135,6 +135,7 @@ func TestKeyRepresentationsAgree(t *testing.T) {
 		}
 		asInt, wasInt := runKeyJoin(t, e, p, parts, outer, false)
 		asBytes, stillInt := runKeyJoin(t, e, p, parts, outer, true)
+		restore()
 		if !wasInt || stillInt {
 			t.Fatalf("round %d: integer representation %v, forced off %v", round, wasInt, stillInt)
 		}

@@ -27,7 +27,7 @@ var keyCols = []table.Column{
 // outer tuples through MakeTuples.
 func keyCatalog(t testing.TB) *table.Catalog {
 	t.Helper()
-	cat := table.NewCatalog(kv.Open(flash.New(hw.Cosmos(), 0), hw.Cosmos(), lsm.DefaultConfig()))
+	cat := table.NewCatalog(kv.Open(flash.New(hw.Cosmos(), 0), lsm.DefaultConfig()))
 	for _, name := range []string{"l", "r"} {
 		if _, err := cat.CreateTable(table.MustSchema(name, keyCols, "id")); err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 	ap, t := pl.Plan.access(pos), pl.tabs[pos]
 	ac := e.Access()
 	terms, width, bp := pl.terms[pos], pl.widths[pos], pl.preds[pos]
-	bs := e.batchSize()
+	bs := batchRows
 	sc := e.scratch()
 	batch := sc.scanBatch(bs)
 	start := len(sc.views)
@@ -228,7 +228,7 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, left []Tuple, dst *tupleStor
 	leftShape := pl.ShapeAt(si)
 	conds, ik, tab := pl.conds[si], &pl.intKeys[si], inner.tab
 	intLen := int32(ik.n * intKeyEncodedLen)
-	bs := e.batchSize()
+	bs := batchRows
 	key := sc.keyBuf[:0]
 	hits := sc.probeHits[:0]
 	used := len(left)

@@ -1,13 +1,17 @@
 package exec_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/exec"
 	"hybridndp/internal/fleet"
+	"hybridndp/internal/harness"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
@@ -15,12 +19,61 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-// pieceRun is one execution of the piece-budget law: a JOB query under one
-// strategy, its result's fingerprint and its elapsed virtual time.
-type pieceRun struct {
+// lawRun is one execution of the chunking laws: a JOB query under one
+// strategy, its result's fingerprint, its elapsed virtual time and every
+// charge the run reports, durations as raw float64 bits.
+type lawRun struct {
 	query, strategy string
 	fp              string
 	elapsed         vclock.Duration
+	charges         string
+}
+
+// bits renders a duration as its raw float64 bits: the laws ask for byte
+// identity, not approximate equality.
+func bits(d vclock.Duration) string { return fmt.Sprintf("%016x", math.Float64bits(float64(d))) }
+
+// writeAccount appends one account's categories in sorted order.
+func writeAccount(b *strings.Builder, side string, acct map[string]vclock.Duration) {
+	keys := make([]string, 0, len(acct))
+	for k := range acct {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(b, " %s.%s=%s", side, k, bits(acct[k]))
+	}
+}
+
+func coopRun(rep *coop.Report) lawRun {
+	var b strings.Builder
+	fmt.Fprintf(&b, "elapsed=%s device=%s batches=%d bytes=%d",
+		bits(rep.Elapsed), bits(rep.DeviceElapsed), rep.Batches, rep.TransferredBytes)
+	writeAccount(&b, "host", rep.HostAccount)
+	writeAccount(&b, "device", rep.DeviceAccount)
+	return lawRun{rep.Query, rep.Strategy.String(), fleet.Fingerprint(rep.Result), rep.Elapsed, b.String()}
+}
+
+func fleetRun(rep *fleet.Report) lawRun {
+	var b strings.Builder
+	fmt.Fprintf(&b, "elapsed=%s batches=%d bytes=%d", bits(rep.Elapsed), rep.Batches, rep.TransferredBytes)
+	writeAccount(&b, "host", rep.HostAccount)
+	for i, sh := range rep.Shards {
+		fmt.Fprintf(&b, " shard%d.elapsed=%s", i, bits(sh.Elapsed))
+		writeAccount(&b, fmt.Sprintf("shard%d", i), sh.Account)
+	}
+	return lawRun{rep.Query, fmt.Sprintf("fleet%d", rep.Devices), fleet.Fingerprint(rep.Result), rep.Elapsed, b.String()}
+}
+
+// firstField names the first charge two renderings disagree on.
+func firstField(want, got string) string {
+	w, g := strings.Fields(want), strings.Fields(got)
+	for i := range min(len(w), len(g)) {
+		if w[i] != g[i] {
+			return fmt.Sprintf("%s, want %s", g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d charges, want %d", len(g), len(w))
 }
 
 // maxIntermediate reports the largest intermediate of p's join chain, run
@@ -46,23 +99,28 @@ func maxIntermediate(t *testing.T, ds *job.Dataset, p *exec.Plan) int {
 	return most
 }
 
-// pieceRuns runs every JOB query host-native, full NDP, at every hybrid split
-// and on a 4-device fleet at the current piece budget.
-func pieceRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimizer.Decision) [][]pieceRun {
+// lawRuns runs every JOB query block, host-native, full NDP and at every
+// hybrid split on the cooperative executor, and under its decided strategy on
+// a 1-device and a 4-device range fleet, at the current piece budget and
+// batch size.
+func lawRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimizer.Decision) [][]lawRun {
 	opt := optimizer.New(ds.Cat, ds.Model)
 	x := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
-	desc, err := fleet.Build(ds.Cat, 4, fleet.SchemeRange)
-	if err != nil {
-		t.Fatal(err)
+	var fleets []*fleet.Executor
+	for _, n := range []int{1, 4} {
+		desc, err := fleet.Build(ds.Cat, n, fleet.SchemeRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleets = append(fleets, fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc))
 	}
-	fx := fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
-	out := make([][]pieceRun, len(plans))
+	out := make([][]lawRun, len(plans))
 	errs := make([]error, len(plans))
 	par.ForEach(2, len(plans), func(i int) {
 		p := plans[i]
-		strategies := append([]coop.Strategy{{Kind: coop.HostNative}, {Kind: coop.NDPOnly}}, coop.Splits(p)...)
-		if len(p.Steps) == 0 {
-			strategies = strategies[:2]
+		strategies := []coop.Strategy{{Kind: coop.BlockOnly}, {Kind: coop.HostNative}, {Kind: coop.NDPOnly}}
+		if len(p.Steps) > 0 {
+			strategies = append(strategies, coop.Splits(p)...)
 		}
 		for _, s := range strategies {
 			rep, err := x.Run(p, s)
@@ -70,16 +128,21 @@ func pieceRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimi
 				errs[i] = fmt.Errorf("%s %s: %w", p.Query.Name, s, err)
 				return
 			}
-			out[i] = append(out[i], pieceRun{p.Query.Name, s.String(), fleet.Fingerprint(rep.Result), rep.Elapsed})
+			out[i] = append(out[i], coopRun(rep))
 		}
-		a, err := fleet.PlanShards(opt, desc, decs[i])
-		if err == nil {
-			var rep *fleet.Report
-			if rep, err = fx.Run(a); err == nil {
-				out[i] = append(out[i], pieceRun{p.Query.Name, "fleet4", fleet.Fingerprint(rep.Result), rep.Elapsed})
+		for _, fx := range fleets {
+			a, err := fleet.PlanShards(opt, fx.Desc, decs[i])
+			if err != nil {
+				errs[i] = err
+				return
 			}
+			rep, err := fx.Run(a)
+			if err != nil {
+				errs[i] = fmt.Errorf("%s fleet%d: %w", p.Query.Name, fx.Desc.Devices, err)
+				return
+			}
+			out[i] = append(out[i], fleetRun(rep))
 		}
-		errs[i] = err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -89,19 +152,41 @@ func pieceRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimi
 	return out
 }
 
-// TestPieceBudgetLaw is the streamed chain's law on the whole workload: at
-// piece budgets of 1 and 7 tuples and at the default, every JOB query under
-// every strategy (host-native, full NDP, each hybrid split, a 4-device fleet)
-// returns the result of a chain that materializes every intermediate (an
-// unbounded budget), and at the default budget the virtual time of every
-// query whose intermediates all fit one piece is bit-identical to it. Under
-// the race detector only the budget of 7 runs.
+// tracedRun renders the traced 8d@H1 run: its Chrome JSON, flame and phase
+// profile, as the golden trace surface does.
+func tracedRun(t *testing.T, ds *job.Dataset) string {
+	tr, err := harness.FromDataset(ds).TraceQuery("8d", "H1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestPieceBudgetLaw holds both chunking constants' laws on the whole
+// workload, every JOB query under every strategy (block, host-native, full
+// NDP, each hybrid split, a 1- and a 4-device fleet):
+//   - piece budget: at budgets of 1 and 7 tuples and at the default, every
+//     run returns the result of a chain that materializes every intermediate
+//     (an unbounded budget), and at the default budget the virtual time of
+//     every query whose intermediates all fit one piece is bit-identical to it;
+//   - batch size: at batch sizes of 1 and 7 rows every run returns the
+//     default size's result with bit-identical charges — elapsed, device
+//     elapsed, every account category, batches, transferred bytes and each
+//     fleet shard's elapsed and account — and the traced 8d@H1 run renders
+//     byte-identical Chrome JSON, flame and profile.
+//
+// Under the race detector only the budget and the batch size of 7 run.
 func TestPieceBudgetLaw(t *testing.T) {
 	ds := jobDataset(t)
 	opt := optimizer.New(ds.Cat, ds.Model)
 	var plans []*exec.Plan
 	var decs []*optimizer.Decision
 	fits := map[string]bool{}
+	defBudget := exec.PieceBudget()
 	for _, q := range job.Queries() {
 		p, err := opt.BuildPlan(q)
 		if err != nil {
@@ -112,34 +197,60 @@ func TestPieceBudgetLaw(t *testing.T) {
 			t.Fatal(err)
 		}
 		plans, decs = append(plans, p), append(decs, d)
-		fits[q.Name] = maxIntermediate(t, ds, p) < exec.PieceBudget()
+		fits[q.Name] = maxIntermediate(t, ds, p) < defBudget
 	}
 	if fits["31c"] {
 		t.Fatal("31c's intermediates fit one piece: the law exercises no multi-piece chain")
 	}
 	restore := exec.SetPieceBudget(math.MaxInt)
-	want := pieceRuns(t, ds, plans, decs)
+	materialized := lawRuns(t, ds, plans, decs)
 	restore()
+	def, defTrace := lawRuns(t, ds, plans, decs), tracedRun(t, ds)
 
-	budgets := []int{1, 7, exec.PieceBudget()}
+	sizes := []int{1, 7}
 	if raceEnabled() {
-		budgets = []int{7}
+		sizes = []int{7}
 	}
-	for _, budget := range budgets {
-		restore := exec.SetPieceBudget(budget)
-		got := pieceRuns(t, ds, plans, decs)
-		restore()
-		for i := range want {
-			for j, w := range want[i] {
+	checkBudget := func(t *testing.T, budget int, got [][]lawRun) {
+		for i := range materialized {
+			for j, w := range materialized[i] {
 				g := got[i][j]
 				if g.fp != w.fp {
 					t.Errorf("budget %d: %s %s result %s, materialized %s", budget, w.query, w.strategy, g.fp, w.fp)
 				}
-				if budget == exec.PieceBudget() && fits[w.query] &&
+				if budget == defBudget && fits[w.query] &&
 					math.Float64bits(float64(g.elapsed)) != math.Float64bits(float64(w.elapsed)) {
 					t.Errorf("budget %d: %s %s elapsed %v, materialized %v", budget, w.query, w.strategy, g.elapsed, w.elapsed)
 				}
 			}
 		}
+	}
+	checkBudget(t, defBudget, def)
+	for _, budget := range sizes {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			defer exec.SetPieceBudget(budget)()
+			checkBudget(t, budget, lawRuns(t, ds, plans, decs))
+		})
+	}
+	for _, bs := range sizes {
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
+			defer exec.SetBatchSize(bs)()
+			got := lawRuns(t, ds, plans, decs)
+			for i := range def {
+				for j, w := range def[i] {
+					g := got[i][j]
+					if g.fp != w.fp {
+						t.Errorf("batch %d: %s %s result %s, default size %s", bs, w.query, w.strategy, g.fp, w.fp)
+					}
+					if g.charges != w.charges {
+						t.Errorf("batch %d: %s %s charges differ from the default size: %s",
+							bs, w.query, w.strategy, firstField(w.charges, g.charges))
+					}
+				}
+			}
+			if got := tracedRun(t, ds); got != defTrace {
+				t.Errorf("batch %d: traced 8d H1 run differs from the default size", bs)
+			}
+		})
 	}
 }

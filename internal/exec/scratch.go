@@ -20,7 +20,7 @@ import (
 // report may alias it (Result.Rows holds decoded Values, never row views). A
 // scratch serves one goroutine at a time: the run that holds it.
 type Scratch struct {
-	batch  ColBatch     // the scan batch, Rows/Sel sized for the last BatchSize
+	batch  ColBatch     // the scan batch, Rows/Sel sized for the last batch size
 	views  [][]byte     // row-view slab: scan results, grown inner sides
 	inners []innerState // the inner states of the pipelines started on the scratch
 	tabs   []*keyTab    // hash tables; tabs[:ntabs] are handed out this run

@@ -158,7 +158,7 @@ func TestEmptyIntermediateBuildsLaterInners(t *testing.T) {
 // has), NUL padding, full-width values, embedded NULs and ties.
 func TestCharMinMaxComparesStoredBytes(t *testing.T) {
 	fl := flash.New(hw.Cosmos(), 0)
-	cat := table.NewCatalog(kv.Open(fl, hw.Cosmos(), lsm.DefaultConfig()))
+	cat := table.NewCatalog(kv.Open(fl, lsm.DefaultConfig()))
 	items := table.MustSchema("items", []table.Column{
 		{Name: "id", Type: table.Int32, Size: 4},
 		{Name: "grp", Type: table.Int32, Size: 4},
@@ -231,9 +231,9 @@ func TestCharMinMaxComparesStoredBytes(t *testing.T) {
 		return str(cur)
 	}
 	for _, bs := range []int{1, 7, DefaultBatchSize} {
-		e := hostEngine(cat)
-		e.BatchSize = bs
-		res, err := e.RunPlan(p)
+		restore := SetBatchSize(bs)
+		res, err := hostEngine(cat).RunPlan(p)
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}

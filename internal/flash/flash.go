@@ -68,9 +68,6 @@ func New(m hw.Model, capacity int64) *Flash {
 	}
 }
 
-// PageBytes reports the flash page size.
-func (f *Flash) PageBytes() int64 { return f.pageBytes }
-
 // Used reports the page-aligned bytes currently occupied.
 func (f *Flash) Used() int64 {
 	f.mu.RLock()

@@ -245,7 +245,7 @@ func canonicalSpec(scheme string, stripes int) string {
 // its statistics sample is the whole table.
 func smallCatalog(t *testing.T, rows int) *table.Catalog {
 	t.Helper()
-	cat := table.NewCatalog(kv.Open(flash.New(hw.Cosmos(), 0), hw.Cosmos(), lsm.DefaultConfig()))
+	cat := table.NewCatalog(kv.Open(flash.New(hw.Cosmos(), 0), lsm.DefaultConfig()))
 	tbl, err := cat.CreateTable(table.MustSchema("t", []table.Column{{Name: "id", Type: table.Int32, Size: 4}}, "id"))
 	if err != nil {
 		t.Fatal(err)

@@ -96,10 +96,6 @@ type Executor struct {
 	Desc  *Descriptor
 	// Gate is the per-shard admission hook; nil admits every shard.
 	Gate Gate
-	// BatchSize sets the columnar batch row capacity of every engine this
-	// executor builds (0 = exec.DefaultBatchSize); charges are byte-identical
-	// at every size.
-	BatchSize int
 	// Faults, when set to an enabled plan, injects per-device faults into the
 	// scatter path (device-scoped entries like "dev1:dev.stall=2ms" hit only
 	// that fleet member). A crashed shard degrades to host-side execution at
@@ -236,7 +232,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 	ls := x.scratch.Lease()
 	defer ls.Release()
 	r := &run{x: x, a: a, p: a.Plan, hostTL: vclock.NewTimeline("host"),
-		b: device.Bindings{Model: &x.Model, Cat: x.Cat, BatchSize: x.BatchSize, Lease: ls, Trace: tr, Metrics: x.Metrics}}
+		b: device.Bindings{Model: &x.Model, Cat: x.Cat, Lease: ls, Trace: tr, Metrics: x.Metrics}}
 	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
 
 	root := tr.Start(r.hostTL, "query:"+r.p.Query.Name).Attr("strategy", "fleet:"+a.Label())

@@ -163,8 +163,8 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 
 // drivingFracs returns each device's share of the named table under the
 // statistics st. The shares depend on the two alone, so they are counted once
-// per statistics object (an Insert makes the table's next CollectStats a new
-// one) and the returned slice is shared: read-only.
+// per statistics object (a BulkLoad makes the table's next CollectStats a
+// new one) and the returned slice is shared: read-only.
 func (d *Descriptor) drivingFracs(name string, st *table.Stats) []float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

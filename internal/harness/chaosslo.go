@@ -158,7 +158,6 @@ func (h *H) ChaosSLOSweep(w io.Writer, opt ChaosSLOOptions) (*ChaosSLOReport, er
 	}
 	newFX := func(hedged bool) *fleet.Executor {
 		fx := fleet.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model, desc)
-		fx.BatchSize = h.BatchSize
 		fx.Faults = pl
 		if hedged {
 			fx.Hedge = fleet.HedgeConfig{Enabled: true}

@@ -393,12 +393,11 @@ func (h *H) Fig16(w io.Writer) ([]Measurement, error) {
 
 // Fig17Result captures the co-processing timeline of Q8.d (Exp 6).
 type Fig17Result struct {
-	Split          coop.Strategy
-	Report         *coop.Report
-	HostBreakdown  []phase
-	DevBreakdown   []phase
-	HostWaitPct    float64
-	DeviceTotalPct float64
+	Split         coop.Strategy
+	Report        *coop.Report
+	HostBreakdown []phase
+	DevBreakdown  []phase
+	HostWaitPct   float64
 }
 
 type phase struct {

@@ -74,7 +74,6 @@ func (h *H) FleetSweep(w io.Writer, counts []int, spec string) (*FleetResult, er
 			return nil, fmt.Errorf("fleet descriptor (devices=%d): %w", n, err)
 		}
 		execs[i] = fleet.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model, desc)
-		execs[i].BatchSize = h.BatchSize
 	}
 
 	qs := job.Queries()

@@ -7,30 +7,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"strings"
 	"testing"
 
+	"hybridndp/internal/exec"
 	"hybridndp/internal/job"
 	"hybridndp/internal/vclock"
 )
-
-// raceEnabled reports whether this test binary was built with the race
-// detector, read from the binary's build settings (the build-tag const idiom
-// would leave two same-named declarations that the in-tree analysis loader,
-// which ignores build constraints, refuses to load).
-var raceEnabled = func() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}()
 
 // update regenerates the golden files under testdata/ from the current engine:
 //
@@ -38,14 +21,8 @@ var raceEnabled = func() bool {
 //
 // The committed goldens were captured from the volcano (pre-batching) engine,
 // so they pin the exact virtual-time bytes the vectorized engine must
-// reproduce at every batch size.
+// reproduce.
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from the current engine")
-
-// goldenBatchSizes are the columnar batch row capacities the golden suite
-// replays: 1 is the tuple-at-a-time degenerate case, 7 is odd and never
-// divides a scan or join input evenly (exercising ragged final batches), 1024
-// is the default.
-var goldenBatchSizes = []int{1, 7, 1024}
 
 // goldenSurfaces are the determinism surfaces the suite pins: the optimizer
 // plan dump, the full 113-query strategy sweep (elapsed virtual times as exact
@@ -146,77 +123,54 @@ func captureGoldenSLO(h *H) (string, error) {
 	return buf.String(), nil
 }
 
-// goldenHarness builds a fresh harness over the shared test dataset so batch
-// size and worker knobs never leak into the other tests' shared instance.
-func goldenHarness(t *testing.T, batchSize int) *H {
+// goldenHarness builds a fresh harness over the shared test dataset so the
+// worker knob never leaks into the other tests' shared instance.
+func goldenHarness(t *testing.T) *H {
 	t.Helper()
 	h := FromDataset(testHarness(t).DS)
 	h.Workers = 4
-	h.SetBatchSize(batchSize)
 	return h
 }
 
 // TestBatchedMatchesGoldens is the byte-identity gate of the vectorized
-// engine: every determinism surface must reproduce the committed pre-change
-// goldens exactly, at batch size 1 (which must degenerate to tuple-at-a-time
-// behavior), at a ragged odd size, and at the default. Under -race only the
-// ragged size runs (the full matrix is wall-clock heavy and adds no extra
-// synchronization coverage).
+// engine: every determinism surface, rendered once at the default batch
+// size, must reproduce the committed pre-change goldens exactly. That the
+// batch size and the piece budget move no virtual-time charge is exec's
+// TestPieceBudgetLaw, run per query.
 func TestBatchedMatchesGoldens(t *testing.T) {
-	if *update {
-		h := goldenHarness(t, 0)
+	h := goldenHarness(t)
+	t.Run(fmt.Sprintf("batch=%d", exec.DefaultBatchSize), func(t *testing.T) {
 		for _, sf := range goldenSurfaces {
 			got, err := sf.run(h)
 			if err != nil {
-				t.Fatalf("update %s: %v", sf.name, err)
+				t.Fatalf("%s: %v", sf.name, err)
 			}
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
+			path := filepath.Join("testdata", sf.name)
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
 			}
-			if err := os.WriteFile(filepath.Join("testdata", sf.name), []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%s: %v (run with -update to generate)", sf.name, err)
+			}
+			if got != string(want) {
+				t.Errorf("%s: output differs from golden:\n%s", sf.name, firstDiff(string(want), got))
 			}
 		}
-		return
-	}
-	sizes := goldenBatchSizes
-	if raceEnabled {
-		sizes = []int{7}
-	}
-	// One harness for every size: its executor's recycled scratches are grown
-	// at one batch size and reused at the next.
-	h := goldenHarness(t, 0)
-	for _, bs := range sizes {
-		bs := bs
-		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
-			h.SetBatchSize(bs)
-			for _, sf := range goldenSurfaces {
-				got, err := sf.run(h)
-				if err != nil {
-					t.Fatalf("%s: %v", sf.name, err)
-				}
-				want, err := os.ReadFile(filepath.Join("testdata", sf.name))
-				if err != nil {
-					t.Fatalf("%s: %v (run with -update to generate)", sf.name, err)
-				}
-				if got != string(want) {
-					t.Errorf("%s: output differs from golden at batch size %d:\n%s",
-						sf.name, bs, firstDiff(string(want), got))
-				}
-			}
-		})
-	}
+	})
 }
 
 // TestBatchedSweepWorkerInvariance re-checks the parallel sweep's
-// byte-identity under a non-default batch size: a ragged batch must not
-// introduce any worker-count or interleaving dependence. Kept small enough to
-// run under -race (see ci.yml's dedicated race step).
+// byte-identity on fresh harnesses: the worker count must not introduce any
+// interleaving dependence. Kept small enough to run under -race.
 func TestBatchedSweepWorkerInvariance(t *testing.T) {
 	qs := job.Queries()[:10]
 	var base []SweepResult
 	for _, workers := range []int{1, 4} {
-		h := goldenHarness(t, 7)
+		h := goldenHarness(t)
 		h.Workers = workers
 		res := h.SweepParallel(qs)
 		if base == nil {

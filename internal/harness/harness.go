@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"hybridndp/internal/coop"
@@ -32,20 +31,6 @@ type H struct {
 	// to sequential ones: every query executes on fresh per-run engines,
 	// caches and vclock timelines, and results merge in query order.
 	Workers int
-
-	// BatchSize sets the columnar batch row capacity of every executor the
-	// harness builds (0 = exec.DefaultBatchSize). Virtual-time results are
-	// byte-identical at every size (TestBatchedMatchesGoldens); the knob only
-	// changes wall-clock speed. Set it through SetBatchSize so the already-
-	// constructed cooperative executor picks it up too.
-	BatchSize int
-}
-
-// SetBatchSize applies a columnar batch row capacity to this harness and its
-// executors (0 = exec.DefaultBatchSize).
-func (h *H) SetBatchSize(n int) {
-	h.BatchSize = n
-	h.Exec.BatchSize = n
 }
 
 // New loads the JOB dataset at the given scale and assembles the harness.
@@ -76,23 +61,12 @@ func FromDataset(ds *job.Dataset) *H {
 // executing under a modified hardware model — the ablation hook (compute
 // ratio, PCIe generation, slot count sweeps).
 func (h *H) WithModel(m hw.Model) *H {
-	h2 := &H{
+	return &H{
 		DS:      h.DS,
 		Opt:     optimizer.New(h.DS.Cat, m),
 		Exec:    coop.NewExecutor(h.DS.Cat, h.DS.DB, m),
 		Workers: h.Workers,
 	}
-	h2.SetBatchSize(h.BatchSize)
-	return h2
-}
-
-// Run plans a query and executes it under the strategy.
-func (h *H) Run(q *query.Query, s coop.Strategy) (*coop.Report, error) {
-	p, err := h.Opt.BuildPlan(q)
-	if err != nil {
-		return nil, err
-	}
-	return h.Exec.Run(p, s)
 }
 
 // Measurement is one (strategy, time) sample.
@@ -272,14 +246,4 @@ func forceIndexed(st *exec.JoinStep) bool {
 // header prints a section banner.
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("-", len(title)))
-}
-
-// sortedKeys returns map keys in sorted order.
-func sortedKeys[T any](m map[string]T) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -34,15 +34,9 @@ func (h *H) RunTraced(q *query.Query, s coop.Strategy) (*TraceReport, error) {
 	return &TraceReport{Report: rep, Trace: tr, Profile: rep.Profile()}, nil
 }
 
-// TraceDecided runs the named JOB query under the optimizer's decided
-// strategy with tracing. It is the backing of `jobbench -trace`.
-func (h *H) TraceDecided(name string) (*TraceReport, error) {
-	return h.TraceQuery(name, "")
-}
-
 // TraceQuery runs the named JOB query under the given strategy label
 // (native, block, ndp, H0, H1, ...) with tracing; an empty label uses the
-// optimizer's decided strategy.
+// optimizer's decided strategy. It is the backing of `jobbench -trace`.
 func (h *H) TraceQuery(name, label string) (*TraceReport, error) {
 	q := job.QueryByName(name)
 	if q == nil {
@@ -84,25 +78,6 @@ func (h *H) PublishStorage(reg *obs.Registry) {
 	reg.Gauge("flash.page_reads").SetInt(st.PageReads)
 	reg.Gauge("flash.random_reads").SetInt(st.RandomReads)
 	reg.Gauge("flash.files_live").SetInt(int64(st.FilesLive))
-}
-
-// ProfileWorkload runs every given query under its decided strategy with
-// tracing and returns the per-query profiles plus the workload-level merge
-// (where the mix's virtual time goes, in the paper's phase structure). A nil
-// query list means all JOB queries.
-func (h *H) ProfileWorkload(qs []*query.Query) ([]*obs.QueryProfile, *obs.QueryProfile, error) {
-	if qs == nil {
-		qs = job.Queries()
-	}
-	profiles := make([]*obs.QueryProfile, 0, len(qs))
-	for _, q := range qs {
-		tr, err := h.TraceDecided(q.Name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", q.Name, err)
-		}
-		profiles = append(profiles, tr.Profile)
-	}
-	return profiles, obs.MergeProfiles(profiles), nil
 }
 
 // WriteTrace writes the trace report as Chrome trace_event JSON followed by

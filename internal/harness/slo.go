@@ -79,7 +79,7 @@ func (h *H) SLOSweep(w io.Writer, opt SLOOptions) (*SLOReport, error) {
 	if workers <= 0 {
 		workers = 8
 	}
-	ct, err := serve.MeasureBatched(h.DS, queries, workers, h.BatchSize)
+	ct, err := serve.Measure(h.DS, queries, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func LoadSeeded(scale float64, m hw.Model, seed int64) (*Dataset, error) {
 		seed = DefaultSeed
 	}
 	fl := flash.New(m, 0)
-	db := kv.Open(fl, m, lsm.DefaultConfig())
+	db := kv.Open(fl, lsm.DefaultConfig())
 	cat := table.NewCatalog(db)
 	for _, s := range Schemas() {
 		if _, err := cat.CreateTable(s); err != nil {

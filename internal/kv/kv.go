@@ -13,22 +13,20 @@ import (
 	"sync"
 
 	"hybridndp/internal/flash"
-	"hybridndp/internal/hw"
 	"hybridndp/internal/lsm"
 )
 
 // DB is an nKV database instance.
 type DB struct {
-	mu    sync.RWMutex
-	fl    *flash.Flash
-	model hw.Model
-	cfg   lsm.Config
-	cfs   map[string]*lsm.Tree // guarded by mu
+	mu  sync.RWMutex
+	fl  *flash.Flash
+	cfg lsm.Config
+	cfs map[string]*lsm.Tree // guarded by mu
 }
 
 // Open creates a database over the given flash module.
-func Open(fl *flash.Flash, model hw.Model, cfg lsm.Config) *DB {
-	return &DB{fl: fl, model: model, cfg: cfg, cfs: make(map[string]*lsm.Tree)}
+func Open(fl *flash.Flash, cfg lsm.Config) *DB {
+	return &DB{fl: fl, cfg: cfg, cfs: make(map[string]*lsm.Tree)}
 }
 
 // Flash exposes the underlying flash module (the device simulator reads SSTs
@@ -42,9 +40,6 @@ func (db *DB) Flash() *flash.Flash { return db.fl }
 func (db *DB) BlockCacheBytes(fraction float64) int64 {
 	return int64(float64(db.fl.Used()) * fraction)
 }
-
-// Model reports the hardware model the database was opened with.
-func (db *DB) Model() hw.Model { return db.model }
 
 // CreateColumnFamily registers a new column family and returns its LSM tree.
 func (db *DB) CreateColumnFamily(name string) (*lsm.Tree, error) {

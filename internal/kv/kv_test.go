@@ -13,7 +13,7 @@ import (
 
 func testDB() *DB {
 	m := hw.Cosmos()
-	return Open(flash.New(m, 0), m, lsm.DefaultConfig())
+	return Open(flash.New(m, 0), lsm.DefaultConfig())
 }
 
 func TestColumnFamilyLifecycle(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 func testCatalog(t *testing.T) *table.Catalog {
 	t.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
-	db := kv.Open(fl, hw.Cosmos(), lsm.DefaultConfig())
+	db := kv.Open(fl, lsm.DefaultConfig())
 	cat := table.NewCatalog(db)
 	a := table.MustSchema("ta", []table.Column{
 		{Name: "id", Type: table.Int32, Size: 4},

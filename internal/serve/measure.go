@@ -48,7 +48,7 @@ func (ct *CostTable) Cost(name string) (*QueryCost, bool) {
 	return qc, ok
 }
 
-// MeanHostNs reports the unweighted mean host-native service time.
+// MeanHost reports the unweighted mean host-native service time.
 func (ct *CostTable) MeanHost() vclock.Duration { return ct.meanHost }
 
 // HostCapacityQPS estimates the host-only saturation throughput for `lanes`
@@ -71,15 +71,7 @@ func (ct *CostTable) HostCapacityQPS(lanes int) float64 {
 // deterministic, and results land in pre-sized per-index slots, so the table
 // is byte-identical for any worker count.
 func Measure(ds *job.Dataset, queries []*query.Query, workers int) (*CostTable, error) {
-	return MeasureBatched(ds, queries, workers, 0)
-}
-
-// MeasureBatched is Measure with an explicit columnar batch row capacity for
-// the measuring executor (0 = exec.DefaultBatchSize). Virtual costs are
-// byte-identical at every batch size; the parameter exists so the golden
-// suite can prove it on the serving surface too.
-func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize int) (*CostTable, error) {
-	return measure(ds, queries, workers, batchSize, false,
+	return measure(ds, queries, workers, false,
 		func(ex *coop.Executor, d *optimizer.Decision, s coop.Strategy) (vclock.Duration, *exec.Result, error) {
 			rep, err := ex.Run(d.Plan, s)
 			if err != nil {
@@ -103,7 +95,7 @@ func MeasureBatched(ds *job.Dataset, queries []*query.Query, workers, batchSize 
 // fails the measurement. The table is byte-identical for any worker count.
 func MeasureFleet(ds *job.Dataset, queries []*query.Query, fx *fleet.Executor, workers int) (*CostTable, error) {
 	opt := optimizer.New(ds.Cat, ds.Model)
-	return measure(ds, queries, workers, fx.BatchSize, true,
+	return measure(ds, queries, workers, true,
 		func(_ *coop.Executor, d *optimizer.Decision, s coop.Strategy) (vclock.Duration, *exec.Result, error) {
 			dec := *d
 			dec.NDP, dec.Hybrid = s.Kind == coop.NDPOnly, s.Kind == coop.Hybrid
@@ -140,12 +132,11 @@ type measureRun struct {
 // decided hybrid split through run — in workload order, into pre-sized
 // slots, so a heavy query's runs proceed side by side. With check set, every
 // device run's result must fingerprint-match its query's host-native result.
-func measure(ds *job.Dataset, queries []*query.Query, workers, batchSize int, check bool, run runStrategy) (*CostTable, error) {
+func measure(ds *job.Dataset, queries []*query.Query, workers int, check bool, run runStrategy) (*CostTable, error) {
 	opt := optimizer.New(ds.Cat, ds.Model)
 	// A private executor: no metrics registry is attached, so parallel
 	// measurement cannot interleave writes into the serving registry.
 	ex := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
-	ex.BatchSize = batchSize
 	costs := make([]QueryCost, len(queries))
 	errs := make([]error, len(queries))
 	par.ForEach(workers, len(queries), func(i int) {

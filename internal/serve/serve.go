@@ -220,9 +220,6 @@ func (s *Server) Cache() *PlanCache { return s.cache }
 // Registry returns the metrics registry serving records into.
 func (s *Server) Registry() *obs.Registry { return s.m }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // PlanFor resolves tenant's prepared statement through the shared plan
 // cache at virtual instant now, compiling on miss.
 func (s *Server) PlanFor(tenant int, stmt string, now vclock.Time) (*optimizer.Decision, error) {

@@ -43,7 +43,6 @@ type Session struct {
 
 	cat   *table.Catalog
 	stmts map[string]*Prepared
-	names []string // preparation order, for deterministic iteration
 }
 
 // NewSession opens a session for tenant over the catalog.
@@ -60,9 +59,6 @@ func (s *Session) Prepare(name, text string) (*Prepared, error) {
 	}
 	p.Name = name
 	p.Query.Name = name
-	if _, exists := s.stmts[name]; !exists {
-		s.names = append(s.names, name)
-	}
 	s.stmts[name] = p
 	return p, nil
 }
@@ -71,22 +67,6 @@ func (s *Session) Prepare(name, text string) (*Prepared, error) {
 func (s *Session) Stmt(name string) (*Prepared, bool) {
 	p, ok := s.stmts[name]
 	return p, ok
-}
-
-// Statements lists prepared-statement names in preparation order.
-func (s *Session) Statements() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// Query compiles one ad-hoc statement without storing it.
-func (s *Session) Query(text string) (*Prepared, error) {
-	p, err := s.compile(text)
-	if err != nil {
-		return nil, fmt.Errorf("serve: query for %s: %w", s.Tenant, err)
-	}
-	return p, nil
 }
 
 func (s *Session) compile(text string) (*Prepared, error) {

@@ -52,7 +52,7 @@ func bulkRows(n int) [][]Value {
 func smallTreeCatalog(t *testing.T) (*Catalog, *flash.Flash) {
 	t.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
-	return NewCatalog(kv.Open(fl, hw.Cosmos(), lsm.Config{SegmentBytes: 4 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 16 << 10})), fl
+	return NewCatalog(kv.Open(fl, lsm.Config{SegmentBytes: 4 << 10, MaxL1Files: 2, LevelRatio: 3, BaseLevelBytes: 16 << 10})), fl
 }
 
 // storedFamily is one column family's SST count and the SHA-256 of its SSTs'

@@ -139,9 +139,6 @@ func MustSchema(name string, cols []Column, pk string, secondary ...SecondaryInd
 // RowBytes reports the fixed record size.
 func (s *Schema) RowBytes() int { return s.rowBytes }
 
-// NumColumns reports the column count.
-func (s *Schema) NumColumns() int { return len(s.Columns) }
-
 // ColumnIndex resolves a column name, or -1.
 func (s *Schema) ColumnIndex(name string) int {
 	if i, ok := s.colIdx[name]; ok {

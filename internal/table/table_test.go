@@ -17,7 +17,7 @@ import (
 func testCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	fl := flash.New(hw.Cosmos(), 0)
-	db := kv.Open(fl, hw.Cosmos(), lsm.DefaultConfig())
+	db := kv.Open(fl, lsm.DefaultConfig())
 	return NewCatalog(db)
 }
 
