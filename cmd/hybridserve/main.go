@@ -56,7 +56,7 @@ func main() {
 	var (
 		scale   = flag.Float64("scale", 0.01, "JOB dataset scale (1.0 ≈ 3.9M rows)")
 		policy  = flag.String("policy", "adaptive", "adaptive | host | ndp")
-		workers = flag.Int("workers", 16, "host-lane pool size (capped at the model's host cores)")
+		workers = flag.Int("workers", 16, "host-lane pool size (capped at the model's host cores); in the open-loop modes, how many cost measurements run at once")
 		queue   = flag.Int("queue", 0, "admission queue depth (0 = sized to the mix)")
 		devices = flag.Int("devices", 1, "smart-storage fleet size")
 		repeat  = flag.Int("repeat", 3, "times the JOB suite is replayed")
@@ -112,12 +112,15 @@ func main() {
 	fmt.Fprintf(os.Stderr, "loaded in %v\n", time.Since(start).Round(time.Millisecond))
 
 	if *tenantsF != "" || *arrivalF != "" || *sloF != 0 {
+		// The open-loop modes replay measured costs: -workers is the
+		// measurement's wall-clock parallelism there, not a lane count.
+		h.Workers = *workers
 		if *faults != "" {
 			if err := chaosOpenLoop(h, *faults, *tenantsF, *arrivalF, *sloF, *horizonF,
-				*seedF, *workers, *devices, *metrics, *deadlinesB); err != nil {
+				*seedF, *devices, *metrics, *deadlinesB); err != nil {
 				fatal(err)
 			}
-		} else if err := openLoop(h, *tenantsF, *arrivalF, *sloF, *horizonF, *seedF, *workers, *queue, *metrics, *deadlinesB); err != nil {
+		} else if err := openLoop(h, *tenantsF, *arrivalF, *sloF, *horizonF, *seedF, *queue, *metrics, *deadlinesB); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wall time %v\n", time.Since(start).Round(time.Millisecond))
@@ -225,7 +228,7 @@ func main() {
 // openLoop runs the serving-front-door experiment: the SLO sweep over the
 // three policies with the identical arrival stream, printing the per-tenant
 // tail-latency table (and, with -metrics, each policy's registry dump).
-func openLoop(h *harness.H, tenantsSpec, arrivalSpec string, slo, horizon time.Duration, seed int64, workers, queue int, metrics, deadlines bool) error {
+func openLoop(h *harness.H, tenantsSpec, arrivalSpec string, slo, horizon time.Duration, seed int64, queue int, metrics, deadlines bool) error {
 	defSLO := vclock.FromStd(slo)
 	if defSLO <= 0 {
 		defSLO = 10 * vclock.Millisecond
@@ -238,7 +241,6 @@ func openLoop(h *harness.H, tenantsSpec, arrivalSpec string, slo, horizon time.D
 		Tenants:      tenants,
 		Horizon:      vclock.FromStd(horizon),
 		Seed:         seed,
-		Workers:      workers,
 		QueueDepth:   queue,
 		UseDeadlines: deadlines,
 	}
@@ -279,12 +281,11 @@ func openLoop(h *harness.H, tenantsSpec, arrivalSpec string, slo, horizon time.D
 // hold: adaptive+hedge must strictly beat both force-host and unhedged
 // adaptive on worst-tenant p99 and SLO-miss rate.
 func chaosOpenLoop(h *harness.H, faults, tenantsSpec, arrivalSpec string, slo, horizon time.Duration,
-	seed int64, workers, devices int, metrics, deadlines bool) error {
+	seed int64, devices int, metrics, deadlines bool) error {
 	opt := harness.ChaosSLOOptions{
 		Faults:       faults,
 		Horizon:      vclock.FromStd(horizon),
 		Seed:         seed,
-		Workers:      workers,
 		UseDeadlines: deadlines,
 	}
 	if devices > 1 {

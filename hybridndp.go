@@ -13,13 +13,12 @@
 //
 // Forced strategies (host-only over the BLK or native stack, full NDP, or
 // any hybrid split Hk) run through System.Run, which is how the benchmark
-// harness regenerates every table and figure of the paper.
+// harness regenerates every table and figure of the paper. Concurrent
+// serving is internal/sched over the system's parts:
+// sched.New(sys.Optimizer, sys.Executor, sys.Model, cfg).
 package hybridndp
 
 import (
-	"context"
-	"sync"
-
 	"hybridndp/internal/coop"
 	"hybridndp/internal/flash"
 	"hybridndp/internal/hw"
@@ -28,7 +27,6 @@ import (
 	"hybridndp/internal/lsm"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/query"
-	"hybridndp/internal/sched"
 	"hybridndp/internal/sql"
 	"hybridndp/internal/table"
 )
@@ -41,16 +39,9 @@ type System struct {
 	Catalog   *table.Catalog
 	Optimizer *optimizer.Optimizer
 	Executor  *coop.Executor
-	// Feedback is the estimate-feedback store RunAuto reads and writes: per
-	// query and per pool the measured/estimated ratios it has learned, and the
-	// log of automated runs behind them (Feedback.Runs, Feedback.Quality).
-	Feedback *sched.Feedback
 
 	// JOB is set when the system was opened with OpenJOB.
 	JOB *job.Dataset
-
-	servingMu sync.Mutex
-	serving   *sched.Scheduler // guarded by servingMu
 }
 
 // New creates an empty system (no tables) over fresh simulated flash.
@@ -68,7 +59,6 @@ func New(m hw.Model) (*System, error) {
 		Catalog:   cat,
 		Optimizer: optimizer.New(cat, m),
 		Executor:  coop.NewExecutor(cat, db, m),
-		Feedback:  sched.NewFeedback(),
 	}, nil
 }
 
@@ -90,7 +80,6 @@ func OpenJOB(scale float64, m hw.Model) (*System, error) {
 		Catalog:   ds.Cat,
 		Optimizer: optimizer.New(ds.Cat, ds.Model),
 		Executor:  coop.NewExecutor(ds.Cat, ds.DB, ds.Model),
-		Feedback:  sched.NewFeedback(),
 		JOB:       ds,
 	}, nil
 }
@@ -130,12 +119,9 @@ func (s *System) Run(q *query.Query, strat coop.Strategy) (*coop.Report, error) 
 }
 
 // RunAuto lets the optimizer decide (the hybridNDP mode of the paper) and
-// executes that choice. The run is quoted first — the cost model's estimate
-// corrected by what System.Feedback has learned about the query — and folded
-// into the store afterwards, so Feedback.Quality tracks how far the quotes
-// are off. A device-side failure (e.g. a memory plan rejected at execution
-// time) falls back to the traditional host-only strategy, as the paper's
-// preconditions mandate.
+// executes that choice. A device-side failure (e.g. a memory plan rejected at
+// execution time) falls back to the traditional host-only strategy, as the
+// paper's preconditions mandate.
 func (s *System) RunAuto(q *query.Query) (*coop.Report, *optimizer.Decision, error) {
 	d, err := s.Optimizer.Decide(q)
 	if err != nil {
@@ -144,13 +130,11 @@ func (s *System) RunAuto(q *query.Query) (*coop.Report, *optimizer.Decision, err
 	st := coop.DecisionStrategy(d)
 	rep, err := s.Executor.Run(d.Plan, st)
 	if err != nil && st.Kind != coop.HostNative {
-		st = coop.Strategy{Kind: coop.HostNative}
-		rep, err = s.Executor.Run(d.Plan, st)
+		rep, err = s.Executor.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	s.Feedback.Observe(d, st, s.Feedback.Price(d, st), rep)
 	return rep, d, nil
 }
 
@@ -166,53 +150,4 @@ func (s *System) Splits(q *query.Query) ([]coop.Strategy, error) {
 		return nil, err
 	}
 	return coop.Splits(p), nil
-}
-
-// Serve starts (or replaces) the system's query scheduler: a bounded
-// admission queue in front of the virtual-time placement loop, which re-checks
-// every decision against the load on the host lanes and the device fleet and
-// degrades saturated queries toward the host (see internal/sched). The
-// scheduler runs on its callers' goroutines: Submit enqueues, and Ticket.Wait,
-// Scheduler.Drain and StopServing dispatch. An existing scheduler is drained
-// first. The zero Config serves with sched.DefaultConfig.
-func (s *System) Serve(cfg sched.Config) *sched.Scheduler {
-	if cfg == (sched.Config{}) {
-		cfg = sched.DefaultConfig()
-	}
-	sc := sched.New(s.Optimizer, s.Executor, s.Model, cfg)
-	s.servingMu.Lock()
-	old := s.serving
-	s.serving = sc
-	s.servingMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return sc
-}
-
-// Submit enqueues a query on the serving scheduler (starting one with the
-// default configuration if Serve was never called); under backpressure — the
-// admission queue is full — it dispatches queued queries until a slot frees.
-func (s *System) Submit(ctx context.Context, q *query.Query, prio sched.Priority) (*sched.Ticket, error) {
-	s.servingMu.Lock()
-	if s.serving == nil {
-		s.serving = sched.New(s.Optimizer, s.Executor, s.Model, sched.DefaultConfig())
-	}
-	sc := s.serving
-	s.servingMu.Unlock()
-	return sc.Submit(ctx, q, prio)
-}
-
-// StopServing drains the serving scheduler (all queued queries still run) and
-// returns its final stats. A system that never served returns zero stats.
-func (s *System) StopServing() sched.Stats {
-	s.servingMu.Lock()
-	sc := s.serving
-	s.serving = nil
-	s.servingMu.Unlock()
-	if sc == nil {
-		return sched.Stats{}
-	}
-	sc.Close()
-	return sc.Stats()
 }

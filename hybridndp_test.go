@@ -1,15 +1,12 @@
 package hybridndp
 
 import (
-	"context"
-	"math"
 	"sync"
 	"testing"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
-	"hybridndp/internal/sched"
 	"hybridndp/internal/table"
 )
 
@@ -161,128 +158,6 @@ func TestRunAutoExecutesDecision(t *testing.T) {
 	want := DecisionStrategy(d)
 	if rep.Strategy.Kind != want.Kind {
 		t.Fatalf("executed %v, decision said %v", rep.Strategy, want)
-	}
-}
-
-// freshFeedback is the shared test system with an empty feedback store.
-func freshFeedback(t *testing.T) *System {
-	s := testSystem(t)
-	return &System{Model: s.Model, Flash: s.Flash, DB: s.DB, Catalog: s.Catalog,
-		Optimizer: s.Optimizer, Executor: s.Executor, Feedback: sched.NewFeedback(), JOB: s.JOB}
-}
-
-func TestRunAutoRecordsOutcome(t *testing.T) {
-	s := freshFeedback(t)
-	if qr := s.Feedback.Quality(); qr.Runs != 0 || qr.MedianRatio != 0 {
-		t.Fatalf("fresh store reports %+v", qr)
-	}
-	rep, d, err := s.RunAuto(job.QueryByName("1a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Result.RowCount != 1 || d.Reason == "" {
-		t.Fatal("run incomplete")
-	}
-	runs := s.Feedback.Runs()
-	if len(runs) != 1 {
-		t.Fatalf("recorded %d runs", len(runs))
-	}
-	r := runs[0]
-	if r.Query != "1a" || r.Estimated <= 0 || r.Measured != rep.Elapsed || r.Reason != d.Reason {
-		t.Fatalf("record incomplete: %+v", r)
-	}
-	if r.Strategy != rep.Strategy || r.Ratio() <= 0 {
-		t.Fatalf("record %+v for a run under %v", r, rep.Strategy)
-	}
-}
-
-func TestFeedbackQualityReport(t *testing.T) {
-	s := freshFeedback(t)
-	for _, name := range []string{"1a", "2b", "4b", "32b", "17b"} {
-		if _, _, err := s.RunAuto(job.QueryByName(name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	qr := s.Feedback.Quality()
-	if qr.Runs != 5 {
-		t.Fatalf("Runs = %d", qr.Runs)
-	}
-	if qr.MedianRatio <= 0 || qr.P90Ratio < qr.MedianRatio {
-		t.Fatalf("degenerate ratios: %+v", qr)
-	}
-	total := 0
-	for _, n := range qr.ByStrategy {
-		total += n
-	}
-	if total != 5 {
-		t.Fatalf("strategy histogram covers %d runs", total)
-	}
-	if qr.String() == "" {
-		t.Fatal("empty rendering")
-	}
-}
-
-// TestFeedbackImprovesEstimateRatio: RunAuto quotes each run from what the
-// store learned before it, so repeating a query moves measured/quoted toward
-// 1 — and only that query's quotes move.
-func TestFeedbackImprovesEstimateRatio(t *testing.T) {
-	s := freshFeedback(t)
-	other, err := s.Decide(job.QueryByName("6f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Feedback.Price(other, DecisionStrategy(other))
-	for i := 0; i < 8; i++ {
-		if _, _, err := s.RunAuto(job.QueryByName("17b")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runs := s.Feedback.Runs()
-	first, last := runs[0].Ratio(), runs[len(runs)-1].Ratio()
-	if first == 1 {
-		t.Skip("the cost model prices 17b exactly; nothing to learn")
-	}
-	if math.Abs(last-1) >= math.Abs(first-1) {
-		t.Fatalf("feedback did not improve the quotes: first ratio %.3f, last %.3f", first, last)
-	}
-	if math.Abs(last-1) > 0.05 {
-		t.Fatalf("after 8 identical runs the quote is still off by %.1f%%", 100*math.Abs(last-1))
-	}
-	if DecisionStrategy(other).Kind == coop.HostNative {
-		if after := s.Feedback.Price(other, DecisionStrategy(other)); after != before {
-			t.Fatalf("runs of 17b moved 6f's host quote: %.0f → %.0f", before, after)
-		}
-	}
-}
-
-// TestServeThroughFacade: Serve / Submit / StopServing drive the scheduler on
-// the caller's goroutine — nothing runs until someone waits or drains.
-func TestServeThroughFacade(t *testing.T) {
-	s := freshFeedback(t)
-	s.Serve(sched.Config{})
-	var tickets []*sched.Ticket
-	for _, name := range []string{"1a", "8c", "17b"} {
-		tk, err := s.Submit(context.Background(), job.QueryByName(name), sched.Normal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	if tickets[0].Outcome() != nil {
-		t.Fatal("a ticket resolved before anyone progressed the scheduler")
-	}
-	if o, err := tickets[1].Wait(context.Background()); err != nil || o.Err != nil {
-		t.Fatalf("wait: %v / %+v", err, o)
-	}
-	if tickets[0].Outcome() == nil || tickets[2].Outcome() != nil {
-		t.Fatal("Wait must dispatch up to its own ticket and no further")
-	}
-	st := s.StopServing()
-	if st.Submitted != 3 || st.Completed != 3 || st.Makespan <= 0 {
-		t.Fatalf("drained stats: %+v", st)
-	}
-	if again := s.StopServing(); again.Submitted != 0 {
-		t.Fatalf("a stopped system still reports %+v", again)
 	}
 }
 

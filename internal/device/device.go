@@ -29,9 +29,6 @@ var (
 	ErrDeviceCrash = fault.ErrDeviceCrash
 	// ErrCorruptBatch is a result batch whose checksum failed verification.
 	ErrCorruptBatch = fault.ErrCorruptBatch
-	// ErrDeviceBusy signals that no device can admit the command right now
-	// (all NDP command slots taken or every breaker open).
-	ErrDeviceBusy = errors.New("device: no NDP command slot available")
 	// ErrMemoryBudget signals a command whose memory plan exceeds the NDP
 	// DRAM budget.
 	ErrMemoryBudget = errors.New("device: NDP memory plan exceeds budget")

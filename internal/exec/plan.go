@@ -92,6 +92,34 @@ type JoinStep struct {
 	EstRows float64 // estimated rows after this join
 }
 
+// Indexed returns the step as an index join (BNLI) into rt, its right table:
+// the first condition on rt's primary key — else the last one on a secondary
+// index — moves to the front and the step probes through that key. ok is
+// false, and the step comes back unchanged, when no condition is indexed.
+func (s JoinStep) Indexed(rt *table.Table) (JoinStep, bool) {
+	at, pk, name := -1, false, ""
+	for i, c := range s.Conds {
+		if c.RightCol == rt.Schema.PrimaryKey {
+			at, pk, name = i, true, ""
+			break
+		}
+		if si, ok := rt.SecondaryIndexFor(c.RightCol); ok {
+			at, name = i, si.Name
+		}
+	}
+	if at < 0 {
+		return s, false
+	}
+	s.Type, s.RightIndexIsPK, s.RightIndex = BNLI, pk, name
+	if at > 0 {
+		conds := make([]BoundCond, 0, len(s.Conds))
+		conds = append(conds, s.Conds[at])
+		conds = append(conds, s.Conds[:at]...)
+		s.Conds = append(conds, s.Conds[at+1:]...)
+	}
+	return s, true
+}
+
 func (s JoinStep) String() string {
 	conds := make([]string, len(s.Conds))
 	for i, c := range s.Conds {
@@ -135,8 +163,8 @@ func (p *Plan) access(i int) *AccessPath {
 // own steps, each with its own conditions. Plans handed out by the optimizer
 // are shared between every caller that asks for the same query (the plan
 // memo), so they are read-only; whoever wants a variant edits a clone. A
-// clone carries no prepared state: an edit (forceJoinTypes reorders a step's
-// conditions) would leave it stale.
+// clone carries no prepared state: an edit (JoinStep.Indexed reorders a
+// step's conditions) would leave it stale.
 func (p *Plan) Clone() *Plan {
 	p2 := *p
 	p2.prepared = nil

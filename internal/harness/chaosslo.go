@@ -37,9 +37,6 @@ type ChaosSLOOptions struct {
 	Horizon vclock.Duration
 	// Seed drives arrival generation (default 1).
 	Seed int64
-	// Workers bounds wall-clock parallelism of the cost measurements only
-	// (default 8); tables are byte-identical for any value.
-	Workers int
 	// Queries defaults to the full JOB suite.
 	Queries []*query.Query
 	// UseDeadlines turns on deadline shedding (arrival + tenant SLO) in every
@@ -129,8 +126,8 @@ func (r *ChaosSLOReport) Gate() error {
 // MeasureFleet, so the table doubles as a correctness gate under faults.
 //
 // Everything after the measurements is a single-threaded virtual-time
-// simulation; the rendered table and per-run dumps are byte-identical for
-// any worker count.
+// simulation, and the measurements run h.Workers in parallel; the rendered
+// table and per-run dumps are byte-identical for any h.Workers.
 func (h *H) ChaosSLOSweep(w io.Writer, opt ChaosSLOOptions) (*ChaosSLOReport, error) {
 	spec := opt.Faults
 	if spec == "" {
@@ -148,10 +145,6 @@ func (h *H) ChaosSLOSweep(w io.Writer, opt ChaosSLOOptions) (*ChaosSLOReport, er
 	if len(queries) == 0 {
 		queries = job.Queries()
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = 8
-	}
 	desc, err := fleet.Build(h.DS.Cat, devices, fleet.SchemeRange)
 	if err != nil {
 		return nil, err
@@ -164,11 +157,11 @@ func (h *H) ChaosSLOSweep(w io.Writer, opt ChaosSLOOptions) (*ChaosSLOReport, er
 		}
 		return fx
 	}
-	ctPlain, err := serve.MeasureFleet(h.DS, queries, newFX(false), workers)
+	ctPlain, err := serve.MeasureFleet(h.DS, queries, newFX(false), h.Workers)
 	if err != nil {
 		return nil, err
 	}
-	ctHedge, err := serve.MeasureFleet(h.DS, queries, newFX(true), workers)
+	ctHedge, err := serve.MeasureFleet(h.DS, queries, newFX(true), h.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -12,12 +12,14 @@ import (
 // interleaving. The same runs must show the separation the sweep exists to
 // prove (Gate passes), with hedges actually firing during measurement.
 func TestChaosSLODeterministic(t *testing.T) {
-	h := testHarness(t)
-	a, err := h.ChaosSLOSweep(nil, ChaosSLOOptions{Workers: 1})
+	h := *testHarness(t)
+	h.Workers = 1
+	a, err := h.ChaosSLOSweep(nil, ChaosSLOOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.ChaosSLOSweep(nil, ChaosSLOOptions{Workers: 8})
+	h.Workers = 8
+	b, err := h.ChaosSLOSweep(nil, ChaosSLOOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

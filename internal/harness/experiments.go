@@ -47,10 +47,9 @@ func (h *H) Fig2(w io.Writer) ([]Measurement, error) {
 
 // Fig11Row is one stack bar of Exp 1.
 type Fig11Row struct {
-	Query  string
-	Stack  string
-	Time   vclock.Duration
-	Hybrid coop.Strategy
+	Query string
+	Stack string
+	Time  vclock.Duration
 }
 
 // Fig11 reproduces Exp 1: Q8.c, Q17.b, Q32.b on BLK, NATIVE, NDP and
@@ -72,10 +71,10 @@ func (h *H) Fig11(w io.Writer) ([]Fig11Row, error) {
 			return nil, fmt.Errorf("no hybrid measurement for %s", name)
 		}
 		rows = append(rows,
-			Fig11Row{name, "BLK", blk.Elapsed, coop.Strategy{}},
-			Fig11Row{name, "NATIVE", nat.Elapsed, coop.Strategy{}},
-			Fig11Row{name, "NDP", ndp.Elapsed, coop.Strategy{}},
-			Fig11Row{name, "hybridNDP", hyb.Elapsed, hyb.Strategy},
+			Fig11Row{name, "BLK", blk.Elapsed},
+			Fig11Row{name, "NATIVE", nat.Elapsed},
+			Fig11Row{name, "NDP", ndp.Elapsed},
+			Fig11Row{name, "hybridNDP", hyb.Elapsed},
 		)
 		fmt.Fprintf(w, "  Q%-4s BLK %s  NATIVE %s  NDP %s  hybridNDP %s (%s)\n",
 			name, ms(blk.Elapsed), ms(nat.Elapsed), ms(ndp.Elapsed), ms(hyb.Elapsed), hyb.Strategy)
@@ -299,7 +298,7 @@ func (h *H) Fig14(w io.Writer) ([]Fig14Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		p = forceJoinTypes(p, 0 /* BNL */)
+		p = p.WithBufferedJoins()
 		for _, st := range []coop.Strategy{
 			{Kind: coop.BlockOnly}, {Kind: coop.HostNative}, {Kind: coop.NDPOnly},
 		} {
@@ -340,15 +339,18 @@ func (h *H) Fig15(w io.Writer) ([]Fig15Row, error) {
 		// Exp 5 grants secondary indices to everyone: the host bar runs its
 		// natural (indexed) plan, while the device compares scan-based BNL
 		// against in-situ BNLI.
-		host, err := h.Exec.Run(forceJoinTypes(p, 1), coop.Strategy{Kind: coop.HostNative})
+		bnliPlan, err := forceIndexJoins(h.DS.Cat, p)
 		if err != nil {
 			return nil, err
 		}
-		bnl, err := h.Exec.Run(forceJoinTypes(p, 0), coop.Strategy{Kind: coop.NDPOnly})
+		host, err := h.Exec.Run(bnliPlan, coop.Strategy{Kind: coop.HostNative})
 		if err != nil {
 			return nil, err
 		}
-		bnliPlan := forceJoinTypes(p, 1 /* BNLI */)
+		bnl, err := h.Exec.Run(p.WithBufferedJoins(), coop.Strategy{Kind: coop.NDPOnly})
+		if err != nil {
+			return nil, err
+		}
 		bnli, err := h.Exec.Run(bnliPlan, coop.Strategy{Kind: coop.NDPOnly})
 		if err != nil {
 			return nil, err
@@ -393,17 +395,13 @@ func (h *H) Fig16(w io.Writer) ([]Measurement, error) {
 
 // Fig17Result captures the co-processing timeline of Q8.d (Exp 6).
 type Fig17Result struct {
-	Split         coop.Strategy
-	Report        *coop.Report
-	HostBreakdown []phase
-	DevBreakdown  []phase
+	Split  coop.Strategy
+	Report *coop.Report
+	// HostBreakdown and DevBreakdown are the percentages of Table 4's host
+	// stages and device operations, in the order they print.
+	HostBreakdown []float64
+	DevBreakdown  []float64
 	HostWaitPct   float64
-}
-
-type phase struct {
-	Name    string
-	Dur     vclock.Duration
-	Percent float64
 }
 
 // Fig17Table4 reproduces the detailed Q8.d co-processing analysis: the
@@ -450,11 +448,11 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 		d := rep.HostAccount[st.cat]
 		processing -= d
 		pctv := 100 * float64(d) / math.Max(float64(hostTotal), 1)
-		res.HostBreakdown = append(res.HostBreakdown, phase{st.label, d, pctv})
+		res.HostBreakdown = append(res.HostBreakdown, pctv)
 		fmt.Fprintf(w, "    %-30s %s  %5.2f%%\n", st.label, ms(d), pctv)
 	}
 	pctv := 100 * float64(processing) / math.Max(float64(hostTotal), 1)
-	res.HostBreakdown = append(res.HostBreakdown, phase{"Processing", processing, pctv})
+	res.HostBreakdown = append(res.HostBreakdown, pctv)
 	fmt.Fprintf(w, "    %-30s %s  %5.2f%%\n", "Processing", ms(processing), pctv)
 	res.HostWaitPct = 100 * float64(rep.HostAccount[hw.CatWaitInitial]+rep.HostAccount[hw.CatWaitFetch]) /
 		math.Max(float64(hostTotal), 1)
@@ -475,7 +473,7 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 	sort.Slice(devs, func(i, j int) bool { return devs[i].v > devs[j].v })
 	for _, e := range devs {
 		pctv := 100 * float64(e.v) / math.Max(float64(devTotal), 1)
-		res.DevBreakdown = append(res.DevBreakdown, phase{e.k, e.v, pctv})
+		res.DevBreakdown = append(res.DevBreakdown, pctv)
 		fmt.Fprintf(w, "    %-30s %s  %5.2f%%\n", e.k, ms(e.v), pctv)
 	}
 	return res, nil

@@ -110,7 +110,6 @@ func captureGoldenSLO(h *H) (string, error) {
 	rep, err := h.SLOSweep(&buf, SLOOptions{
 		Horizon: 300 * vclock.Millisecond,
 		Seed:    3,
-		Workers: 4,
 	})
 	if err != nil {
 		return "", err

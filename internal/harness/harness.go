@@ -17,6 +17,7 @@ import (
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/par"
 	"hybridndp/internal/query"
+	"hybridndp/internal/table"
 	"hybridndp/internal/vclock"
 )
 
@@ -194,53 +195,24 @@ func Best(ms []Measurement) (Measurement, bool) {
 
 func ms(d vclock.Duration) string { return fmt.Sprintf("%9.2fms", d.Milliseconds()) }
 
-// forceJoinTypes returns a copy of the plan with every join step's algorithm
-// overridden (Exp 4/5 force BNL vs BNLI).
-func forceJoinTypes(p *exec.Plan, jt exec.JoinType) *exec.Plan {
-	p2 := p.Clone() // forceIndexed reorders a step's conditions
+// forceIndexJoins returns a copy of the plan in which every join step with an
+// indexed condition — found as the optimizer finds it, JoinStep.Indexed — is
+// an index join (BNLI), whether or not the optimizer chose one (Exp 5). Exp
+// 4's all-BNL forcing is Plan.WithBufferedJoins.
+func forceIndexJoins(cat *table.Catalog, p *exec.Plan) (*exec.Plan, error) {
+	p2 := p.Clone()
 	for i := range p2.Steps {
 		st := &p2.Steps[i]
-		if jt == exec.BNLI {
-			if ok := forceIndexed(st); !ok {
-				st.Type = exec.BNL
-			}
-		} else {
-			st.Type = jt
+		if st.Type == exec.BNLI {
+			continue
 		}
-	}
-	return p2
-}
-
-// forceIndexed rewires a step to BNLI if any join condition has an index.
-func forceIndexed(st *exec.JoinStep) bool {
-	if st.Type == exec.BNLI {
-		return true
-	}
-	// The optimizer stores the right access path; conds carry the columns.
-	// The executor resolves PK joins directly; secondary joins need the
-	// index name, which follows the idx_<col> convention of the JOB schema.
-	for i, c := range st.Conds {
-		if c.RightCol == "id" { // JOB primary keys are all "id"
-			st.Type = exec.BNLI
-			st.RightIndexIsPK = true
-			st.Conds[0], st.Conds[i] = st.Conds[i], st.Conds[0]
-			return true
+		rt, err := cat.Table(st.Right.Ref.Table)
+		if err != nil {
+			return nil, err
 		}
+		*st, _ = st.Indexed(rt)
 	}
-	for i, c := range st.Conds {
-		switch c.RightCol {
-		case "movie_id", "person_id", "keyword_id", "company_id", "role_id",
-			"kind_id", "info_type_id", "company_type_id", "link_type_id",
-			"linked_movie_id", "person_role_id", "subject_id", "status_id",
-			"production_year", "country_code", "gender", "keyword":
-			st.Type = exec.BNLI
-			st.RightIndexIsPK = false
-			st.RightIndex = "idx_" + c.RightCol
-			st.Conds[0], st.Conds[i] = st.Conds[i], st.Conds[0]
-			return true
-		}
-	}
-	return false
+	return p2, nil
 }
 
 // header prints a section banner.

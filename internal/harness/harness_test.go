@@ -147,7 +147,7 @@ func TestFig16AndFig17(t *testing.T) {
 	}
 	total := 0.0
 	for _, p := range res.HostBreakdown {
-		total += p.Percent
+		total += p
 	}
 	if total < 99 || total > 101 {
 		t.Fatalf("host breakdown sums to %.1f%%", total)

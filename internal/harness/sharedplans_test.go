@@ -19,8 +19,8 @@ import (
 
 // TestForceJoinTypesLeavesTheSourcePlanAlone: forcing BNLI moves the indexable
 // condition to the front of its step — in the forced copy, not in the plan it
-// was copied from, which Fig. 15 forces again (to BNL) and which the
-// optimizer's memo shares with every other caller.
+// was copied from, which Fig. 15 forces again (to BNL, WithBufferedJoins) and
+// which the optimizer's memo shares with every other caller.
 func TestForceJoinTypesLeavesTheSourcePlanAlone(t *testing.T) {
 	p := &exec.Plan{
 		Query:   &query.Query{Name: "two-conds"},
@@ -34,14 +34,17 @@ func TestForceJoinTypesLeavesTheSourcePlanAlone(t *testing.T) {
 		}},
 	}
 	before := p.String()
-	bnli := forceJoinTypes(p, exec.BNLI)
+	bnli, err := forceIndexJoins(testHarness(t).DS.Cat, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st := bnli.Steps[0]; st.Type != exec.BNLI || !st.RightIndexIsPK || st.Conds[0].RightCol != "id" {
 		t.Fatalf("forced plan does not lead with the indexed condition: %s", bnli)
 	}
 	if got := p.String(); got != before {
 		t.Fatalf("forcing BNLI rewrote the source plan:\n got: %s\nwant: %s", got, before)
 	}
-	if bnl := forceJoinTypes(p, exec.BNL); bnl.Steps[0].Conds[0].RightCol != "title" {
+	if bnl := p.WithBufferedJoins(); bnl.Steps[0].Conds[0].RightCol != "title" {
 		t.Fatalf("the BNL forcing inherited the BNLI forcing's condition order: %s", bnl)
 	}
 }
@@ -178,9 +181,13 @@ func TestSharedPlansAreNeverWritten(t *testing.T) {
 			}
 		}
 		if listing2 { // the Exp 4/5 forcings
-			run(q, forceJoinTypes(p, exec.BNL), coop.Strategy{Kind: coop.NDPOnly})
-			run(q, forceJoinTypes(p, exec.BNLI), coop.Strategy{Kind: coop.HostNative})
-			run(q, forceJoinTypes(p, exec.BNLI), coop.Strategy{Kind: coop.NDPOnly})
+			bnli, err := forceIndexJoins(h.DS.Cat, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(q, p.WithBufferedJoins(), coop.Strategy{Kind: coop.NDPOnly})
+			run(q, bnli, coop.Strategy{Kind: coop.HostNative})
+			run(q, bnli, coop.Strategy{Kind: coop.NDPOnly})
 		}
 		if !reflect.DeepEqual(p, snapshot) {
 			t.Fatalf("%s: an execution wrote to the shared plan\n now: %s\nwas: %s", q.Name, p, snapshot)

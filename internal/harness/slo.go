@@ -32,9 +32,6 @@ type SLOOptions struct {
 	Horizon vclock.Duration
 	// Seed drives arrival generation (default 1).
 	Seed int64
-	// Workers bounds the wall-clock parallelism of the cost measurement only
-	// (default 8); results are byte-identical for any value.
-	Workers int
 	// Queries defaults to the full JOB suite.
 	Queries []*query.Query
 	// QueueDepth passes through to serve.Config when > 0.
@@ -61,7 +58,7 @@ type SLOReport struct {
 var sloPolicies = []sched.Policy{sched.ForceHost, sched.ForceNDP, sched.Adaptive}
 
 // SLOSweep is the serving-front-door experiment: measure the workload's cost
-// table once (parallel, memoized), then play the identical open-loop
+// table once (h.Workers in parallel), then play the identical open-loop
 // multi-tenant arrival stream through the serve layer under force-host,
 // force-ndp and adaptive placement, and account per-tenant tail latency
 // against the SLOs. Under the default calibrated overload the forced
@@ -69,17 +66,13 @@ var sloPolicies = []sched.Policy{sched.ForceHost, sched.ForceNDP, sched.Adaptive
 // and holds the tails down — the separation the table makes visible.
 //
 // Everything after Measure is a single-threaded virtual-time simulation, so
-// the table and the per-policy dumps are byte-identical for any worker count.
+// the table and the per-policy dumps are byte-identical for any h.Workers.
 func (h *H) SLOSweep(w io.Writer, opt SLOOptions) (*SLOReport, error) {
 	queries := opt.Queries
 	if len(queries) == 0 {
 		queries = job.Queries()
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	ct, err := serve.Measure(h.DS, queries, workers)
+	ct, err := serve.Measure(h.DS, queries, h.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // no matter how many wall-clock workers measure the cost table. This test
 // also runs under -race in CI.
 func TestServeDeterministic(t *testing.T) {
-	h := testHarness(t)
+	h := *testHarness(t)
 	qs := job.Queries()[:24]
 	for _, seed := range []int64{3, 9} {
 		type snap struct {
@@ -24,12 +24,12 @@ func TestServeDeterministic(t *testing.T) {
 		}
 		var base *snap
 		for _, workers := range []int{1, 4} {
+			h.Workers = workers
 			var buf bytes.Buffer
 			rep, err := h.SLOSweep(&buf, SLOOptions{
 				Queries: qs,
 				Horizon: 300 * vclock.Millisecond,
 				Seed:    seed,
-				Workers: workers,
 			})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -66,7 +66,8 @@ func TestServeDeterministic(t *testing.T) {
 // on aggregate SLO miss rate — force-host leaves the device idle, force-ndp
 // serializes on the device command slot, adaptive spreads across both pools.
 func TestSLOSweepOverloadSeparation(t *testing.T) {
-	h := testHarness(t)
+	h := *testHarness(t)
+	h.Workers = 8
 	rep, err := h.SLOSweep(nil, SLOOptions{Seed: 5, Horizon: 500 * vclock.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ const (
 	CatWaitInitial  = "wait (initial device exec.)"
 	CatWaitFetch    = "wait (further device exec.)"
 	CatWaitSlots    = "wait (host fetch / free slot)"
-	CatHostProcess  = "processing"
 	CatBufferManage = "buffer management"
 
 	// Fault-injection categories (chaos runs only; see internal/fault). All

@@ -267,33 +267,10 @@ func (o *Optimizer) chooseJoin(right exec.AccessPath, rt *table.Table, conds []e
 		return exec.JoinStep{}, cost.NodeCost{}, 0, err
 	}
 
-	// Find an indexable condition and move it to the front.
-	idxCand := -1
-	isPK := false
-	idxName := ""
-	for i, c := range conds {
-		if c.RightCol == rt.Schema.PrimaryKey {
-			idxCand, isPK = i, true
-			break
-		}
-		if si, ok := rt.SecondaryIndexFor(c.RightCol); ok {
-			idxCand, idxName = i, si.Name
-		}
-	}
-	if idxCand < 0 {
+	indexed, ok := step.Indexed(rt)
+	if !ok {
 		return step, bnlCost, bnlOut, nil
 	}
-	indexed := step
-	indexed.Type = exec.BNLI
-	indexed.RightIndexIsPK = isPK
-	indexed.RightIndex = idxName
-	if idxCand > 0 {
-		indexed.Conds = make([]exec.BoundCond, 0, len(conds))
-		indexed.Conds = append(indexed.Conds, conds[idxCand])
-		indexed.Conds = append(indexed.Conds, conds[:idxCand]...)
-		indexed.Conds = append(indexed.Conds, conds[idxCand+1:]...)
-	}
-
 	bnliCost, bnliOut, err := o.Est.StepCost(indexed, leftRows, cost.Host)
 	if err != nil {
 		return exec.JoinStep{}, cost.NodeCost{}, 0, err

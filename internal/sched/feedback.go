@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -12,28 +11,27 @@ import (
 	"hybridndp/internal/vclock"
 )
 
-// Feedback is the one estimate-feedback store: per query and per pool (device,
-// host) the observed ratio of measured busy time to the cost model's estimate,
-// with a fleet-wide device ratio as the fallback for queries never seen on a
-// device, plus the log of the runs it learned from. Cardinality misestimates —
-// the dominant error — are per query, can be orders of magnitude (a join
-// explosion the optimizer did not predict) and can hit the two pools
-// differently, so one shared factor would preserve the model's wrong
-// device-vs-host ratio. A host run teaches the host factor, a device run the
-// device factor; pricing uses whatever has been learned and the model for the
-// rest. Safe for concurrent use.
-type Feedback struct {
+// feedback is the estimate-feedback store, one per scheduler: per query and
+// per pool (device, host) the observed ratio of measured busy time to the
+// cost model's estimate, with a fleet-wide device ratio as the fallback for
+// queries never seen on a device. Cardinality misestimates — the dominant
+// error — are per query, can be orders of magnitude (a join explosion the
+// optimizer did not predict) and can hit the two pools differently, so one
+// shared factor would preserve the model's wrong device-vs-host ratio. A host
+// run teaches the host factor, a device run the device factor; pricing uses
+// whatever has been learned and the model for the rest. Safe for concurrent
+// use.
+type feedback struct {
 	mu      sync.Mutex
 	device  float64             // fleet-wide EWMA of device actual/estimate; guarded by mu
 	byQuery map[string]*factors // guarded by mu
-	runs    []RunRecord         // guarded by mu
 }
 
 // factors is one query's learned actual/estimate ratios (0 = not yet seen).
 type factors struct{ dev, host float64 }
 
-// NewFeedback returns an empty store.
-func NewFeedback() *Feedback { return &Feedback{byQuery: map[string]*factors{}} }
+// newFeedback returns an empty store.
+func newFeedback() *feedback { return &feedback{byQuery: map[string]*factors{}} }
 
 // Smoothing and clamps of the two EWMAs.
 const (
@@ -50,25 +48,6 @@ func fold(prev, actual, est, alpha, lo, hi float64) float64 {
 		return r
 	}
 	return (1-alpha)*prev + alpha*r
-}
-
-// RunRecord is one executed strategy with its estimate-vs-measured outcome.
-type RunRecord struct {
-	Query    string
-	Strategy coop.Strategy
-	// Estimated is the priced estimate for the strategy that ran — the cost
-	// model's figure times the factors learned before the run — in virtual ns.
-	Estimated float64
-	Measured  vclock.Duration
-	Reason    string
-}
-
-// Ratio is measured/estimated (1 = perfect).
-func (r RunRecord) Ratio() float64 {
-	if r.Estimated <= 0 {
-		return 1
-	}
-	return float64(r.Measured) / r.Estimated
 }
 
 // price is the end-to-end estimate of s under correction factors: the cost
@@ -94,7 +73,7 @@ const deviceRiskCap = 10
 // busies the device for seconds would dominate the makespan — the host lane
 // it would have occupied is 1/HostCores of the host pool, but the device pool
 // may be a single execution core.
-func (f *Feedback) factorsFor(name string) (devF, hostF float64, trusted bool) {
+func (f *feedback) factorsFor(name string) (devF, hostF float64, trusted bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	devF, hostF = 1, 1
@@ -115,9 +94,9 @@ func (f *Feedback) factorsFor(name string) (devF, hostF float64, trusted bool) {
 	return devF, hostF, trusted
 }
 
-// DeviceFactor reports the fleet-wide device actual/estimate ratio (1 before
+// deviceFactor reports the fleet-wide device actual/estimate ratio (1 before
 // any device run was observed).
-func (f *Feedback) DeviceFactor() float64 {
+func (f *feedback) deviceFactor() float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.device == 0 {
@@ -126,18 +105,10 @@ func (f *Feedback) DeviceFactor() float64 {
 	return f.device
 }
 
-// Price estimates the decided query's runtime under strategy s: the cost
-// model's figure corrected by what the store has learned.
-func (f *Feedback) Price(d *optimizer.Decision, s coop.Strategy) float64 {
-	devF, hostF, _ := f.factorsFor(queryKey(d))
-	return price(d.Costs, s, devF, hostF)
-}
-
-// Observe folds one finished run into the store: the measured per-pool busy
+// observe folds one finished run into the store: the measured per-pool busy
 // times against the model's raw parts teach the query's factors (a pool the
-// strategy did not exercise teaches nothing) and the fleet-wide device ratio,
-// and the run is logged against est, the price quoted before it ran.
-func (f *Feedback) Observe(d *optimizer.Decision, s coop.Strategy, est float64, rep *coop.Report) {
+// strategy did not exercise teaches nothing) and the fleet-wide device ratio.
+func (f *feedback) observe(d *optimizer.Decision, s coop.Strategy, rep *coop.Report) {
 	dev, host, trans := d.Costs.Quote(s.Kind, s.Split)
 	devBusy, hostBusy := float64(deviceBusy(rep)), float64(hostBusy(rep))
 	name := queryKey(d)
@@ -153,7 +124,6 @@ func (f *Feedback) Observe(d *optimizer.Decision, s coop.Strategy, est float64, 
 		q.dev = fold(q.dev, devBusy, dev, queryAlpha, queryMin, queryMax)
 		q.host = fold(q.host, hostBusy, host+trans, queryAlpha, queryMin, queryMax)
 	}
-	f.runs = append(f.runs, RunRecord{Query: name, Strategy: s, Estimated: est, Measured: rep.Elapsed, Reason: d.Reason})
 }
 
 // queryKey identifies a query across submissions.
@@ -192,43 +162,4 @@ func accountBusy(account map[string]vclock.Duration) vclock.Duration {
 		busy += account[cat]
 	}
 	return busy
-}
-
-// Runs returns a copy of the run log.
-func (f *Feedback) Runs() []RunRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]RunRecord(nil), f.runs...)
-}
-
-// QualityReport summarizes estimate accuracy over the logged runs (the
-// session-level analogue of paper Exp 3).
-type QualityReport struct {
-	Runs        int
-	MedianRatio float64 // measured/estimated, 1 = perfect
-	P90Ratio    float64
-	ByStrategy  map[string]int
-}
-
-// Quality computes the report.
-func (f *Feedback) Quality() QualityReport {
-	runs := f.Runs()
-	qr := QualityReport{Runs: len(runs), ByStrategy: map[string]int{}}
-	if len(runs) == 0 {
-		return qr
-	}
-	ratios := make([]float64, 0, len(runs))
-	for _, r := range runs {
-		ratios = append(ratios, r.Ratio())
-		qr.ByStrategy[r.Strategy.String()]++
-	}
-	sort.Float64s(ratios)
-	qr.MedianRatio = ratios[len(ratios)/2]
-	qr.P90Ratio = ratios[len(ratios)*9/10]
-	return qr
-}
-
-func (qr QualityReport) String() string {
-	return fmt.Sprintf("runs=%d median(measured/est)=%.2f p90=%.2f strategies=%v",
-		qr.Runs, qr.MedianRatio, qr.P90Ratio, qr.ByStrategy)
 }

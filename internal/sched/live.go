@@ -24,14 +24,14 @@ type live struct {
 	ledger  *Ledger
 	fleet   *fleet.Executor
 	gate    *fleetGate
-	fb      *Feedback
+	fb      *feedback
 	metrics *obs.Registry
 	traces  *obs.TraceSet
 }
 
 func newLive(opt *optimizer.Optimizer, exec *coop.Executor, l *Ledger, cfg Config) *live {
 	r := &live{policy: cfg.Policy, opt: opt, exec: exec, ledger: l, fleet: cfg.Fleet,
-		fb: NewFeedback(), metrics: cfg.Metrics, traces: cfg.Traces}
+		fb: newFeedback(), metrics: cfg.Metrics, traces: cfg.Traces}
 	if fx := cfg.Fleet; fx != nil {
 		r.gate = &fleetGate{l: l, m: cfg.Metrics}
 		fx.Gate = r.gate
@@ -42,7 +42,7 @@ func newLive(opt *optimizer.Optimizer, exec *coop.Executor, l *Ledger, cfg Confi
 			// Hedge thresholds scale with the learned fleet-wide device
 			// actual/estimate ratio, so a fleet whose devices run slower than
 			// the model predicts does not hedge every shard.
-			fx.Hedge.Scale = r.fb.DeviceFactor
+			fx.Hedge.Scale = r.fb.deviceFactor
 		}
 	}
 	return r
@@ -127,8 +127,8 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 	if host+trans > 0 {
 		m.Histogram("sched.trueup.host.ratio", obs.DefaultRatioBuckets).Observe(float64(t.hostBusy) / (host + trans))
 	}
-	r.fb.Observe(d, ran, float64(c.Service), rep)
-	m.Gauge("sched.calib.device.factor").Set(r.fb.DeviceFactor())
+	r.fb.observe(d, ran, rep)
+	m.Gauge("sched.calib.device.factor").Set(r.fb.deviceFactor())
 	o.Report = rep
 	return rep.Elapsed, nil
 }

@@ -13,7 +13,7 @@
 // The loop has two fronts and two runners. internal/serve feeds it open-loop
 // multi-tenant traffic and replays measured service times; Scheduler, below,
 // is the same loop behind one admission queue with the live runner, which
-// prices every feasible strategy with the cost model and the Feedback store
+// prices every feasible strategy with the cost model and its feedback store
 // and executes the chosen one for real at dispatch. Nothing here reads a wall
 // clock or starts a goroutine: the caller progresses the loop, so every
 // output is a function of the submission sequence alone.
@@ -166,8 +166,8 @@ func (t *Ticket) Outcome() *Outcome {
 // Scheduler is a serving instance over one system: the loop behind a single
 // bounded admission queue, executing through the live runner. It runs on the
 // goroutine of whoever calls it — Submit enqueues at the current virtual
-// instant; Drain, Close and Ticket.Wait dispatch queued tickets and advance
-// the clock. mu serializes those entry points, so they are safe to call from
+// instant; Close and Ticket.Wait dispatch queued tickets and advance the
+// clock. mu serializes those entry points, so they are safe to call from
 // several goroutines; everything else, the Front methods included, runs under
 // the entry point's lock.
 type Scheduler struct {
@@ -265,13 +265,6 @@ func (s *Scheduler) publishQueue(p Priority) {
 		m.Gauge("sched.queue.depth." + p.String()).SetInt(int64(s.queue.ClassLen(p)))
 		m.Gauge("sched.queue.depth").SetInt(int64(s.queue.Len()))
 	}
-}
-
-// Drain dispatches every queued ticket; intake stays open.
-func (s *Scheduler) Drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loop.Drain()
 }
 
 // Close stops intake and drains: queued tickets still execute.

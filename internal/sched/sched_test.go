@@ -107,6 +107,35 @@ func TestSchedulerDrainCompletesAll(t *testing.T) {
 	}
 }
 
+// TestWaitDispatchesUpToItsTicket: the scheduler runs on its callers'
+// goroutines — nothing resolves until someone waits or closes, and a Wait
+// dispatches up to its own ticket and no further.
+func TestWaitDispatchesUpToItsTicket(t *testing.T) {
+	opt, exec, m := fixture(t)
+	s := New(opt, exec, m, DefaultConfig())
+	var tickets []*Ticket
+	for _, name := range []string{"1a", "8c", "17b"} {
+		tk, err := s.Submit(context.Background(), job.QueryByName(name), Normal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	if tickets[0].Outcome() != nil {
+		t.Fatal("a ticket resolved before anyone progressed the scheduler")
+	}
+	if o, err := tickets[1].Wait(context.Background()); err != nil || o.Err != nil {
+		t.Fatalf("wait: %v / %+v", err, o)
+	}
+	if tickets[0].Outcome() == nil || tickets[2].Outcome() != nil {
+		t.Fatal("Wait must dispatch up to its own ticket and no further")
+	}
+	s.Close()
+	if st := s.Stats(); st.Submitted != 3 || st.Completed != 3 || st.Makespan <= 0 {
+		t.Fatalf("drained stats: %+v", st)
+	}
+}
+
 // busyAt totals what the ledger still holds at instant t: host lanes, command
 // slots, and the device claims behind those slots.
 func busyAt(l *Ledger, t vclock.Time) (hostLanes, cmdSlots int, held Claim) {

@@ -100,9 +100,6 @@ func (w *wfq) push(r *request) bool {
 	return true
 }
 
-// Len reports the queued request count across tenants.
-func (w *wfq) Len() int { return w.total }
-
 // pick dispatches the next request under deficit round robin, or nil when
 // every queue is empty. An empty tenant forfeits its deficit (standard DRR:
 // idle tenants must not bank credit).
