@@ -30,7 +30,10 @@
 // on worst-tenant p99 and SLO-miss rate:
 //
 //	hybridserve -faults "dev1:dev.stall=2ms,seed=1" -arrival poisson
-//	hybridserve -faults "dev1:dev.stall=2ms,seed=1" -arrival poisson -deadlines
+//
+// -deadlines is rejected in chaos-SLO mode: shedding drops every request that
+// would miss its SLO, so every row's miss rate is 0 and the gate's strict
+// miss-rate separation cannot hold.
 package main
 
 import (
@@ -82,7 +85,7 @@ func main() {
 		deadlineF = flag.Duration("deadline", 0,
 			"per-request deadline for batch serving mode, on the virtual clock: bounds both the queue wait and the execution budget; expired requests reject with sched.ErrExpired, deadline-pressed fleet shards degrade to host")
 		deadlinesB = flag.Bool("deadlines", false,
-			"open-loop SLO/chaos mode: shed requests whose earliest feasible completion would already blow arrival + tenant SLO (serve.ErrDeadlineExceeded)")
+			"open-loop SLO mode: shed requests whose earliest feasible completion would already blow arrival + tenant SLO (serve.ErrDeadlineExceeded); not with -faults")
 		hedgeB = flag.Bool("hedge", false,
 			"enable hedged shard execution in batch fleet mode: slow shards get a host-native backup and the earlier virtual finisher wins")
 	)
@@ -98,6 +101,11 @@ func main() {
 		pol = sched.ForceNDP
 	default:
 		fmt.Fprintf(os.Stderr, "unknown policy %q (adaptive | host | ndp)\n", *policy)
+		os.Exit(2)
+	}
+	if *deadlinesB && *faults != "" {
+		fmt.Fprintln(os.Stderr, "-deadlines cannot be combined with -faults: shedding drops every request that would miss its SLO, "+
+			"so every policy's miss rate is 0 and the chaos gate's strict miss-rate separation can never hold")
 		os.Exit(2)
 	}
 
@@ -117,7 +125,7 @@ func main() {
 		h.Workers = *workers
 		if *faults != "" {
 			if err := chaosOpenLoop(h, *faults, *tenantsF, *arrivalF, *sloF, *horizonF,
-				*seedF, *devices, *metrics, *deadlinesB); err != nil {
+				*seedF, *devices, *metrics); err != nil {
 				fatal(err)
 			}
 		} else if err := openLoop(h, *tenantsF, *arrivalF, *sloF, *horizonF, *seedF, *queue, *metrics, *deadlinesB); err != nil {
@@ -281,12 +289,11 @@ func openLoop(h *harness.H, tenantsSpec, arrivalSpec string, slo, horizon time.D
 // hold: adaptive+hedge must strictly beat both force-host and unhedged
 // adaptive on worst-tenant p99 and SLO-miss rate.
 func chaosOpenLoop(h *harness.H, faults, tenantsSpec, arrivalSpec string, slo, horizon time.Duration,
-	seed int64, devices int, metrics, deadlines bool) error {
+	seed int64, devices int, metrics bool) error {
 	opt := harness.ChaosSLOOptions{
-		Faults:       faults,
-		Horizon:      vclock.FromStd(horizon),
-		Seed:         seed,
-		UseDeadlines: deadlines,
+		Faults:  faults,
+		Horizon: vclock.FromStd(horizon),
+		Seed:    seed,
 	}
 	if devices > 1 {
 		opt.Devices = devices

@@ -119,19 +119,15 @@ func (s *System) Run(q *query.Query, strat coop.Strategy) (*coop.Report, error) 
 }
 
 // RunAuto lets the optimizer decide (the hybridNDP mode of the paper) and
-// executes that choice. A device-side failure (e.g. a memory plan rejected at
-// execution time) falls back to the traditional host-only strategy, as the
-// paper's preconditions mandate.
+// executes that choice. The executor recovers injected device faults itself
+// (retry, then the host-only plan); any other error, such as a memory plan
+// the device rejects, is returned.
 func (s *System) RunAuto(q *query.Query) (*coop.Report, *optimizer.Decision, error) {
 	d, err := s.Optimizer.Decide(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := coop.DecisionStrategy(d)
-	rep, err := s.Executor.Run(d.Plan, st)
-	if err != nil && st.Kind != coop.HostNative {
-		rep, err = s.Executor.Run(d.Plan, coop.Strategy{Kind: coop.HostNative})
-	}
+	rep, err := s.Executor.Run(d.Plan, coop.DecisionStrategy(d))
 	if err != nil {
 		return nil, nil, err
 	}

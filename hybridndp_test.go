@@ -1,10 +1,12 @@
 package hybridndp
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"hybridndp/internal/coop"
+	"hybridndp/internal/device"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/table"
@@ -159,6 +161,33 @@ func TestRunAutoExecutesDecision(t *testing.T) {
 	if rep.Strategy.Kind != want.Kind {
 		t.Fatalf("executed %v, decision said %v", rep.Strategy, want)
 	}
+}
+
+// TestRunAutoSurfacesExecutorError gives the system an executor whose NDP
+// budget is below every device memory plan the optimizer (which prices with
+// the full budget) decides on: the device rejects the command, and RunAuto
+// returns that error rather than hiding it behind a host-native re-run.
+func TestRunAutoSurfacesExecutorError(t *testing.T) {
+	s := testSystem(t)
+	small := s.Model
+	small.DeviceNDPBudget = 1
+	sys := *s
+	sys.Executor = coop.NewExecutor(s.Catalog, s.DB, small)
+	for _, q := range job.Queries() {
+		d, err := s.Optimizer.Decide(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if DecisionStrategy(d).Kind == coop.HostNative {
+			continue
+		}
+		_, _, err = sys.RunAuto(q)
+		if !errors.Is(err, device.ErrMemoryBudget) {
+			t.Fatalf("%s (%s): RunAuto error %v, want device.ErrMemoryBudget", q.Name, d.StrategyLabel(), err)
+		}
+		return
+	}
+	t.Skip("no device-mode decision at this scale")
 }
 
 func TestSQLThroughFacade(t *testing.T) {

@@ -78,7 +78,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Path     string // package import path
-	Pkg      *types.Package
 	Info     *types.Info
 
 	facts map[types.Object]Fact // shared across the analyzer's units, in load order
@@ -183,7 +182,6 @@ type Unit struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Pkg   *types.Package
 	Info  *types.Info
 }
 
@@ -259,7 +257,7 @@ func runOne(units []*Unit, dirs [][]directive, a *Analyzer) ([]Diagnostic, error
 				}
 			}
 		}
-		pass := &Pass{Analyzer: a, Fset: u.Fset, Files: files, Path: u.Path, Pkg: u.Pkg, Info: u.Info, facts: facts}
+		pass := &Pass{Analyzer: a, Fset: u.Fset, Files: files, Path: u.Path, Info: u.Info, facts: facts}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, u.Path, err)
 		}

@@ -24,13 +24,11 @@
 //
 // Like lockcheck, the analysis is deliberately approximate: "the enclosing
 // function charges" is a containment check, not a dominator analysis, so a
-// charge on one branch excuses an emission on another. The fact computation
-// additionally records whether a function charges on *every* control-flow
-// path (see pathcharge.go); the strong form is exported for downstream
-// tooling but the site rule accepts the weak form, trading path precision
-// for a near-zero false-positive rate on the buffering/merge patterns the
-// executors legitimately use. What it reliably catches is the regression
-// that motivates it: a new I/O surface wired up with no accounting at all.
+// charge on one branch excuses an emission on another, trading path
+// precision for a near-zero false-positive rate on the buffering/merge
+// patterns the executors legitimately use. What it reliably catches is the
+// regression that motivates it: a new I/O surface wired up with no accounting
+// at all.
 package chargecheck
 
 import (
@@ -42,11 +40,9 @@ import (
 	"hybridndp/internal/analysis"
 )
 
-// ChargesFact marks a function that charges a vclock.Timeline: on at least
-// one path (weak form), or on every terminating path (Always).
-type ChargesFact struct {
-	Always bool
-}
+// ChargesFact marks a function that charges a vclock.Timeline on at least
+// one path.
+type ChargesFact struct{}
 
 // AFact marks ChargesFact as an analysis fact.
 func (*ChargesFact) AFact() {}
@@ -99,11 +95,9 @@ func run(pass *analysis.Pass) error {
 // closure counts for the whole function, and an I/O site inside a closure is
 // attributed to it.
 type funcInfo struct {
-	decl    *ast.FuncDecl
 	obj     *types.Func
 	name    string
-	charges bool // charges a timeline somewhere (weak form)
-	always  bool // charges on every terminating path (strong form)
+	charges bool // charges a timeline somewhere
 	callees []*types.Func
 	ioSites []ioSite
 }
@@ -121,7 +115,7 @@ func collectFuncs(pass *analysis.Pass) []*funcInfo {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn := &funcInfo{decl: fd, name: funcLabel(fd)}
+			fn := &funcInfo{name: funcLabel(fd)}
 			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
 				fn.obj = obj
 			}
@@ -172,7 +166,6 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, fn *funcInfo) {
 		}
 		return true
 	})
-	fn.always = chargesOnAllPaths(pass, body, nil)
 }
 
 // computeCharges runs the intra-package fixpoint over the callee graph and
@@ -212,20 +205,7 @@ func computeCharges(pass *analysis.Pass, funcs []*funcInfo) {
 	}
 	for _, fn := range funcs {
 		if fn.charges && fn.obj != nil {
-			// The strong form also needs every callee-based path to charge;
-			// keep it honest by requiring the syntactic all-paths result to
-			// have seen either a direct charge or a charging callee on every
-			// path (chargesOnAllPaths already consults the same fact store).
-			pass.ExportObjectFact(fn.obj, &ChargesFact{Always: fn.always})
-		}
-	}
-	// Second pass over all-paths now that local facts exist: a function whose
-	// every path calls a just-discovered charging sibling upgrades to Always.
-	for _, fn := range funcs {
-		if fn.charges && fn.obj != nil && !fn.always {
-			if chargesOnAllPaths(pass, fn.decl.Body, local) {
-				pass.ExportObjectFact(fn.obj, &ChargesFact{Always: true})
-			}
+			pass.ExportObjectFact(fn.obj, &ChargesFact{})
 		}
 	}
 }

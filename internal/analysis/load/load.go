@@ -28,12 +28,9 @@ import (
 
 // rawPkg is one directory's worth of parsed files, pre type-check.
 type rawPkg struct {
-	importPath string
-	dir        string
-	files      []*ast.File // package files + in-package _test.go files
-	xtestFiles []*ast.File // package foo_test files
-	imports    map[string]bool
-	xtestImps  map[string]bool
+	files      []*ast.File     // package files + in-package _test.go files
+	xtestFiles []*ast.File     // package foo_test files
+	imports    map[string]bool // the package files' imports (external tests are checked last)
 }
 
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
@@ -83,7 +80,7 @@ func Module(root string) ([]*analysis.Unit, error) {
 		if rel != "." {
 			ip = modPath + "/" + filepath.ToSlash(rel)
 		}
-		rp, err := parseDir(fset, path, ip)
+		rp, err := parseDir(fset, path)
 		if err != nil {
 			return err
 		}
@@ -95,7 +92,7 @@ func Module(root string) ([]*analysis.Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return check(fset, modPath, raw)
+	return check(fset, raw)
 }
 
 // Tree is like Module but for a bare directory tree of packages whose import
@@ -119,7 +116,7 @@ func Tree(root string) ([]*analysis.Unit, error) {
 		if rel == "." {
 			return nil
 		}
-		rp, err := parseDir(fset, path, filepath.ToSlash(rel))
+		rp, err := parseDir(fset, path)
 		if err != nil {
 			return err
 		}
@@ -131,16 +128,16 @@ func Tree(root string) ([]*analysis.Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return check(fset, "", raw)
+	return check(fset, raw)
 }
 
 // parseDir parses one directory's Go files into a rawPkg (nil if no Go files).
-func parseDir(fset *token.FileSet, dir, importPath string) (*rawPkg, error) {
+func parseDir(fset *token.FileSet, dir string) (*rawPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	rp := &rawPkg{importPath: importPath, dir: dir, imports: map[string]bool{}, xtestImps: map[string]bool{}}
+	rp := &rawPkg{imports: map[string]bool{}}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -149,20 +146,14 @@ func parseDir(fset *token.FileSet, dir, importPath string) (*rawPkg, error) {
 		if err != nil {
 			return nil, err
 		}
-		xtest := strings.HasSuffix(f.Name.Name, "_test")
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if xtest {
-				rp.xtestImps[p] = true
-			} else {
-				rp.imports[p] = true
-			}
-		}
-		if xtest {
+		if strings.HasSuffix(f.Name.Name, "_test") {
 			rp.xtestFiles = append(rp.xtestFiles, f)
-		} else {
-			rp.files = append(rp.files, f)
+			continue
 		}
+		for _, imp := range f.Imports {
+			rp.imports[strings.Trim(imp.Path.Value, `"`)] = true
+		}
+		rp.files = append(rp.files, f)
 	}
 	if len(rp.files) == 0 && len(rp.xtestFiles) == 0 {
 		return nil, nil
@@ -189,7 +180,7 @@ func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 }
 
 // check type-checks the raw packages in dependency order.
-func check(fset *token.FileSet, modPath string, raw map[string]*rawPkg) ([]*analysis.Unit, error) {
+func check(fset *token.FileSet, raw map[string]*rawPkg) ([]*analysis.Unit, error) {
 	internal := func(p string) bool {
 		_, ok := raw[p]
 		return ok
@@ -262,7 +253,7 @@ func check(fset *token.FileSet, modPath string, raw map[string]*rawPkg) ([]*anal
 			}
 			return nil, fmt.Errorf("load: type errors in %s (%d):\n  %s", path, n, strings.Join(errs, "\n  "))
 		}
-		units = append(units, &analysis.Unit{Path: path, Fset: fset, Files: files, Pkg: pkg, Info: info})
+		units = append(units, &analysis.Unit{Path: path, Fset: fset, Files: files, Info: info})
 		return pkg, nil
 	}
 	for _, p := range order {

@@ -116,11 +116,10 @@ func (e env) merge(o env) {
 // inside one is an escape.
 type checker struct {
 	pass *analysis.Pass
-	body *ast.BlockStmt
 }
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	c := &checker{pass: pass, body: body}
+	c := &checker{pass: pass}
 	e := env{}
 	terminated := c.stmts(body.List, e)
 	if !terminated {

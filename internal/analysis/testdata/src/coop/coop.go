@@ -57,3 +57,26 @@ func drainCharged(tl *vclock.Timeline, emit func(device.Batch) error) error {
 	tl.Charge("host.transfer", 1)
 	return emit(device.Batch{})
 }
+
+// drainOnOneBranch charges on one branch and emits on the other. The rule
+// is a containment check, not a path analysis: the charge anywhere in the
+// function excuses the emission, so nothing is reported.
+func drainOnOneBranch(tl *vclock.Timeline, emit func(device.Batch) error, charge bool) error {
+	if charge {
+		tl.Charge("host.transfer", 1)
+		return nil
+	}
+	return emit(device.Batch{})
+}
+
+// chargeTransfer is a same-package charging helper.
+func chargeTransfer(tl *vclock.Timeline) {
+	tl.Charge("host.transfer", 1)
+}
+
+// drainViaLocalHelper charges only through chargeTransfer: the
+// intra-package fixpoint carries the helper's charge to its caller.
+func drainViaLocalHelper(tl *vclock.Timeline, emit func(device.Batch) error) error {
+	chargeTransfer(tl)
+	return emit(device.Batch{})
+}

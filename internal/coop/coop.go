@@ -102,7 +102,6 @@ func Splits(p *exec.Plan) []Strategy {
 type BatchEvent struct {
 	Idx         int
 	Rows        int
-	Bytes       int64
 	DeviceReady vclock.Time // device finished producing the slot
 	HostFetched vclock.Time // host completed the transfer
 	HostDone    vclock.Time // host finished processing the batch
@@ -560,7 +559,7 @@ func (x *Executor) hybridAttempt(r *deviceRun) (*Report, error) {
 			m.Histogram("coop.batch.rows", obs.DefaultSizeBuckets).Observe(float64(rows))
 			m.Histogram("coop.batch.bytes", obs.DefaultSizeBuckets).Observe(float64(b.Bytes))
 		}
-		rep.Timeline = append(rep.Timeline, BatchEvent{Idx: len(rep.Timeline), Rows: rows, Bytes: b.Bytes,
+		rep.Timeline = append(rep.Timeline, BatchEvent{Idx: len(rep.Timeline), Rows: rows,
 			DeviceReady: b.Ready, HostFetched: fetched, HostDone: r.hostTL.Now()})
 		return nil
 	}

@@ -114,7 +114,6 @@ func (e *Estimator) cpuFactor(s Side) float64 {
 // NodeCost decomposes the estimated cost of one plan node (eq. 1):
 // c_total = c_scan + c_cpu + c_trans.
 type NodeCost struct {
-	Alias string
 	Scan  float64 // c_scan = tbl_sea + calc_frt (eq. 2)
 	CPU   float64 // c_cpu (eq. 3) plus join work when the node is a join step
 	Trans float64 // c_trans (eq. 4/7)
@@ -140,7 +139,7 @@ func (e *Estimator) AccessCost(ap exec.AccessPath, s Side) (NodeCost, error) {
 		matched = rows * math.Max(ap.EstSel, 1e-6)
 	}
 	pb := float64(projWidthOf(t.Schema, ap.Proj))
-	nc := NodeCost{Alias: ap.Ref.Alias}
+	var nc NodeCost
 
 	if ap.UseFilterIndex {
 		// Index equality access: one secondary range seek plus one primary
@@ -217,7 +216,6 @@ func (e *Estimator) StepCost(step exec.JoinStep, leftRows float64, s Side) (Node
 			seeks = 2 // secondary→primary two-stage seek (Fig. 9)
 		}
 		flashLookups := math.Min(leftRows*seeks+outRows, pages*(1+seeks))
-		nc.Alias = step.Right.Ref.Alias
 		nc.Scan = flashLookups * pageCost * r.StackOverhead
 		nc.CPU = leftRows*(float64(r.HashProbeNsRec)+float64(r.SeekNsPerLevel)*12*seeks) +
 			outRows*(e.params.UsrRec*e.cpuFactor(s)+float64(r.SeekNsPerLevel)*12)

@@ -257,7 +257,6 @@ func (d *Device) Engine(mp MemoryPlan) *exec.Engine {
 		R:            hw.DeviceRates(*d.Model),
 		Cache:        sc.BlockCache(d.Cat.DB().BlockCacheBytes(d.Model.DeviceCacheFraction)),
 		JoinBuf:      d.Model.JoinBufBytes,
-		SelBuf:       d.Model.SelBufBytes,
 		PointerCache: mp.UsesPointerFmt,
 		Scratch:      sc,
 	}

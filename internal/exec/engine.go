@@ -34,8 +34,6 @@ type Engine struct {
 	// JoinBuf bounds the join buffer (hw_MSJ on device); 0 = unbounded.
 	// A bounded buffer forces extra BNL passes over the inner table.
 	JoinBuf int64
-	// SelBuf bounds the selection result cache (hw_MSS on device).
-	SelBuf int64
 	// PointerCache stores intermediate results as pointers instead of
 	// copied rows (paper §4.2 cache structure optimization).
 	PointerCache bool

@@ -54,7 +54,7 @@ func coopRun(rep *coop.Report) lawRun {
 	return lawRun{rep.Query, rep.Strategy.String(), fleet.Fingerprint(rep.Result), rep.Elapsed, b.String()}
 }
 
-func fleetRun(rep *fleet.Report) lawRun {
+func fleetRun(rep *fleet.Report, devices int) lawRun {
 	var b strings.Builder
 	fmt.Fprintf(&b, "elapsed=%s batches=%d bytes=%d", bits(rep.Elapsed), rep.Batches, rep.TransferredBytes)
 	writeAccount(&b, "host", rep.HostAccount)
@@ -62,7 +62,7 @@ func fleetRun(rep *fleet.Report) lawRun {
 		fmt.Fprintf(&b, " shard%d.elapsed=%s", i, bits(sh.Elapsed))
 		writeAccount(&b, fmt.Sprintf("shard%d", i), sh.Account)
 	}
-	return lawRun{rep.Query, fmt.Sprintf("fleet%d", rep.Devices), fleet.Fingerprint(rep.Result), rep.Elapsed, b.String()}
+	return lawRun{rep.Query, fmt.Sprintf("fleet%d", devices), fleet.Fingerprint(rep.Result), rep.Elapsed, b.String()}
 }
 
 // firstField names the first charge two renderings disagree on.
@@ -141,7 +141,7 @@ func lawRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimize
 				errs[i] = fmt.Errorf("%s fleet%d: %w", p.Query.Name, fx.Desc.Devices, err)
 				return
 			}
-			out[i] = append(out[i], fleetRun(rep))
+			out[i] = append(out[i], fleetRun(rep, fx.Desc.Devices))
 		}
 	})
 	for _, err := range errs {

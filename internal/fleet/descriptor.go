@@ -41,7 +41,6 @@ var (
 // Partition is one contiguous primary-key range [Lo, Hi) of a table assigned
 // to a device. Nil bounds are open (-inf / +inf).
 type Partition struct {
-	Table  string
 	Lo, Hi *int32
 	Device int
 }
@@ -155,7 +154,7 @@ func Build(cat *table.Catalog, devices int, spec string) (*Descriptor, error) {
 			if dev >= devices { // fewer cut points than devices: clamp
 				dev = devices - 1
 			}
-			parts = append(parts, Partition{Table: name, Lo: bounds[i], Hi: bounds[i+1], Device: dev})
+			parts = append(parts, Partition{Lo: bounds[i], Hi: bounds[i+1], Device: dev})
 		}
 		d.Parts[name] = parts
 	}

@@ -115,7 +115,7 @@ func TestValidateTypedErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.Parts["aaa_not_a_table"] = []Partition{{Table: "aaa_not_a_table", Device: 0}}
+			d.Parts["aaa_not_a_table"] = []Partition{{Device: 0}}
 			return d
 		}},
 		{"missing-table", ErrPartitionGap, func(t *testing.T) *Descriptor {

@@ -24,32 +24,19 @@ import (
 // the shard's outcome and its device-busy virtual time. A nil Gate admits
 // everything.
 type Gate interface {
-	AdmitShard(dev int, memBytes int64, estNs float64) (release func(ok bool, busyNs float64), admitted bool)
+	AdmitShard(dev int, memBytes int64) (release func(ok bool, busyNs float64), admitted bool)
 }
 
-// ShardReport is one device's contribution to a fleet run.
+// ShardReport is one device's contribution to a fleet run, indexed by device
+// id in Report.Shards.
 type ShardReport struct {
-	Device     int
-	Split      int
-	Host       bool // the planner kept the shard on the host (Split is then meaningless)
-	Partitions int
-	Frac       float64
-	// Rows counts driving tuples plus leaf rows the shard produced.
-	Rows    int64
-	Batches int
+	// Outcome names what became of the shard: "host-planned", "ok",
+	// "denied", "crashed", "corrupt", "past-deadline" or "hedged-out".
+	Outcome string
+	// Elapsed and Account are the device timeline's completion instant and
+	// charges; zero and nil for a shard that never reached its device.
 	Elapsed vclock.Duration
 	Account map[string]vclock.Duration
-	// Degraded marks a device-planned shard the admission gate refused; its
-	// partitions executed host-side instead.
-	Degraded bool
-	// Crashed marks a shard whose device command died on an injected fault;
-	// its partitions executed host-side instead.
-	Crashed bool
-	// Hedged marks a shard whose host-native backup beat the device on the
-	// virtual timeline (or whose device result would have blown the request
-	// deadline); the merge consumed the host backup's rows.
-	Hedged bool
-	Reason string
 }
 
 // Report is the outcome of one scatter-gather fleet execution.
@@ -63,22 +50,11 @@ type Report struct {
 
 	Batches          int
 	TransferredBytes int64
-	Devices          int
-	DegradedShards   int
-	// CrashedShards counts shards abandoned to the host after an injected
-	// device crash; CorruptBatches counts batches that failed host-side
-	// checksum verification (their partitions re-ran host-side).
-	CrashedShards  int
-	CorruptBatches int
-	// HedgesFired / HedgesWon / HedgesLost account hedged shard execution:
-	// fired = a host backup was launched for a slow shard, won = the backup's
-	// estimated finish beat the device and the merge used the host rows,
-	// lost = the device still finished first and the backup was cancelled.
-	HedgesFired int
-	HedgesWon   int
-	HedgesLost  int
+	// DegradedShards counts shards the admission gate denied;
 	// DeadlineDegraded counts shards routed to host-side execution because
-	// their device completion would have blown the request deadline.
+	// their device completion would have blown the request deadline. Every
+	// other outcome is counted in the metrics registry and named per shard.
+	DegradedShards   int
 	DeadlineDegraded int
 	Shards           []ShardReport
 }
@@ -154,15 +130,18 @@ const (
 	hedgedOut                   // the host-native backup out-ran the device
 )
 
-// outcomes names what the system's own output says about each outcome: the
-// counter bumped when a shard takes it, and the span wrapping every driving
-// partition re-executed because of it. (A denial is counted by the gate that
-// issued it.)
-var outcomes = [...]struct{ counter, span string }{
-	crashed:      {counter: "fleet.shard.crashed"},
-	corrupt:      {counter: "fleet.batch.corrupt"},
-	pastDeadline: {counter: "fleet.deadline.degraded", span: "fleet.deadline.degrade"},
-	hedgedOut:    {counter: "fleet.hedge.won", span: "fleet.hedge"},
+// outcomes names what the system's own output says about each outcome: its
+// ShardReport name, the counter bumped when a shard takes it, and the span
+// wrapping every driving partition re-executed because of it. (A denial is
+// counted by the gate that issued it.)
+var outcomes = [...]struct{ name, counter, span string }{
+	hostPlanned:  {name: "host-planned"},
+	ok:           {name: "ok"},
+	denied:       {name: "denied"},
+	crashed:      {name: "crashed", counter: "fleet.shard.crashed"},
+	corrupt:      {name: "corrupt", counter: "fleet.batch.corrupt"},
+	pastDeadline: {name: "past-deadline", counter: "fleet.deadline.degraded", span: "fleet.deadline.degrade"},
+	hedgedOut:    {name: "hedged-out", counter: "fleet.hedge.won", span: "fleet.hedge"},
 }
 
 // shard is one device's state within a run.
@@ -184,7 +163,6 @@ type shard struct {
 	// backupAt is a hedged-out shard's hedge launch instant: its host backup
 	// cannot have started earlier.
 	backupAt vclock.Time
-	rows     int64
 }
 
 // hostFrom is the first join step the host runs on this shard's driving rows.
@@ -233,7 +211,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 	defer ls.Release()
 	r := &run{x: x, a: a, p: a.Plan, hostTL: vclock.NewTimeline("host"),
 		b: device.Bindings{Model: &x.Model, Cat: x.Cat, Lease: ls, Trace: tr, Metrics: x.Metrics}}
-	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode, Devices: x.Desc.Devices}
+	r.rep = &Report{Query: r.p.Query.Name, Mode: a.Mode}
 
 	root := tr.Start(r.hostTL, "query:"+r.p.Query.Name).Attr("strategy", "fleet:"+a.Label())
 	defer root.End()
@@ -297,7 +275,7 @@ func (r *run) admit() {
 		if r.x.Gate == nil {
 			continue
 		}
-		rel, admitted := r.x.Gate.AdmitShard(dev, sh.plan.Mem.TotalBytes, sh.plan.EstDevNs)
+		rel, admitted := r.x.Gate.AdmitShard(dev, sh.plan.Mem.TotalBytes)
 		if !admitted {
 			r.demote(sh, denied)
 			continue
@@ -367,7 +345,7 @@ func (r *run) scatter() error {
 			return err
 		}
 		r.demote(sh, crashed)
-		sh.out, sh.rows = nil, 0
+		sh.out = nil
 	}
 	return nil
 }
@@ -410,7 +388,6 @@ func (r *run) runShard(sh *shard, cmd *device.Command) error {
 	}
 	return sh.dev.Produce(cmd, dpl, eng, clip, nil, func(b device.Batch) error {
 		sh.out = append(sh.out, b)
-		sh.rows += int64(b.Rows())
 		return nil
 	})
 }
@@ -437,13 +414,11 @@ func (r *run) decide(deadline vclock.Duration) {
 		if thr <= 0 || float64(elapsed) <= thr {
 			continue
 		}
-		r.rep.HedgesFired++
 		x.Metrics.Counter("fleet.hedge.fired").Inc()
 		if thr+sh.plan.EstHostNs < float64(elapsed) {
 			sh.backupAt = vclock.Time(thr)
 			r.demote(sh, hedgedOut)
 		} else {
-			r.rep.HedgesLost++
 			x.Metrics.Counter("fleet.hedge.lost").Inc()
 		}
 	}
@@ -591,16 +566,12 @@ func (r *run) rerunDriving(sh *shard, pi int, part Partition) error {
 	if err != nil {
 		return err
 	}
-	switch sh.outcome {
-	case hostPlanned, denied, crashed:
-		// No device output counted for this shard: its rows are the host's.
-		sh.rows += int64(len(rows))
-	}
 	return r.rc.Join(0, r.rc.Pl.MakeTuples(rows))
 }
 
 // report closes the run's books: the host timeline's completion and one
-// ShardReport per device, with the report counts read off the outcomes.
+// ShardReport per device, with the report's two tallies read off the
+// outcomes.
 func (r *run) report(res *exec.Result) *Report {
 	rep := r.rep
 	rep.Result = res
@@ -615,28 +586,12 @@ func (r *run) report(res *exec.Result) *Report {
 	rep.Shards = make([]ShardReport, len(r.shards))
 	for dev := range r.shards {
 		sh := &r.shards[dev]
-		sr := ShardReport{Device: dev, Host: sh.plan.Host, Split: sh.plan.Split, Frac: sh.plan.Frac, Reason: sh.plan.Reason,
-			Rows: sh.rows, Batches: len(sh.out)}
+		sr := ShardReport{Outcome: outcomes[sh.outcome].name}
 		switch sh.outcome {
 		case denied:
-			sr.Degraded = true
 			rep.DegradedShards++
-		case crashed:
-			sr.Crashed = true
-			rep.CrashedShards++
-		case corrupt:
-			rep.CorruptBatches++
 		case pastDeadline:
-			sr.Hedged = true
 			rep.DeadlineDegraded++
-		case hedgedOut:
-			sr.Hedged = true
-			rep.HedgesWon++
-		}
-		for _, part := range r.a.DrivingParts {
-			if part.Device == dev {
-				sr.Partitions++
-			}
 		}
 		if sh.dev != nil {
 			sr.Elapsed = vclock.Duration(sh.dev.TL.Now())

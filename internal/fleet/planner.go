@@ -36,10 +36,8 @@ type ShardPlan struct {
 	// filtered rows, all joins host-side), k ≥ 1 = the first k join steps
 	// run on the device.
 	Split int
-	// Reason explains the shard-local choice.
-	Reason string
 	// EstDevNs is the cost model's estimate of the shard's device-side work,
-	// fed to per-shard admission.
+	// from which the hedge threshold is derived.
 	EstDevNs float64
 	// EstHostNs estimates what this shard's partitions would cost executed
 	// host-native (the shard's share of the plan's host-only total), fed to
@@ -121,17 +119,14 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 
 	// The fleet-global strategy every shard shares, unless the hybrid family
 	// lets it choose its own.
-	kind, split, reason := cost.Hybrid, d.Split, "H0 leaf offload"
+	kind, split := cost.Hybrid, d.Split
 	switch {
 	case d.NDP:
 		// Every shard runs its partitions through every join step — a
 		// single-table plan's shards scan and filter — and the host merges
 		// and finalizes (projection/aggregation over the merged stream keeps
 		// fleet results byte-identical to one device).
-		a.Mode, kind, split, reason = ModeNDP, cost.NDPOnly, len(p.Steps), "full NDP offload"
-		if split == 0 {
-			reason = "single-table scan offload"
-		}
+		a.Mode, kind, split = ModeNDP, cost.NDPOnly, len(p.Steps)
 	case d.Split == 0:
 		// H0 is fleet-global: every device ships its partitions of every leaf
 		// selection and the host joins the merged inners.
@@ -141,7 +136,7 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 	}
 	for dev := range a.Shards {
 		sp := &a.Shards[dev]
-		*sp = ShardPlan{Device: dev, Frac: fracs[dev], Split: split, Reason: reason,
+		*sp = ShardPlan{Device: dev, Frac: fracs[dev], Split: split,
 			EstHostNs: fracs[dev] * d.Costs.HostTotal}
 		if a.Mode != ModeHybrid {
 			devNs, _, _ := d.Costs.Quote(kind, split)
@@ -152,7 +147,6 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 		if err != nil {
 			return nil, err
 		}
-		sp.Reason = sd.Reason
 		if sp.Host = !sd.Hybrid; !sp.Host {
 			sp.Split, sp.Mem = sd.Split, d.Mem[sd.Split]
 			sp.EstDevNs, _, _ = sd.Costs.Quote(cost.Hybrid, sd.Split)

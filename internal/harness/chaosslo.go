@@ -39,9 +39,6 @@ type ChaosSLOOptions struct {
 	Seed int64
 	// Queries defaults to the full JOB suite.
 	Queries []*query.Query
-	// UseDeadlines turns on deadline shedding (arrival + tenant SLO) in every
-	// serving run.
-	UseDeadlines bool
 }
 
 // chaosCombos is the fixed run order: three no-hedge rows off the plain
@@ -196,14 +193,13 @@ func (h *H) ChaosSLOSweep(w io.Writer, opt ChaosSLOOptions) (*ChaosSLOReport, er
 		}
 		reg := obs.NewRegistry()
 		srv, err := serve.New(h.DS, ct, serve.Config{
-			Tenants:      tenants,
-			Arrival:      arrival,
-			Policy:       combo.Policy,
-			Horizon:      opt.Horizon,
-			Seed:         opt.Seed,
-			Metrics:      reg,
-			Queries:      queries,
-			UseDeadlines: opt.UseDeadlines,
+			Tenants: tenants,
+			Arrival: arrival,
+			Policy:  combo.Policy,
+			Horizon: opt.Horizon,
+			Seed:    opt.Seed,
+			Metrics: reg,
+			Queries: queries,
 		})
 		if err != nil {
 			return nil, err

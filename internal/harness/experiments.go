@@ -131,7 +131,6 @@ type Fig12Row struct {
 	NDP         vclock.Duration
 	Improvement float64 // percent vs block; positive = hybrid faster
 	Class       string  // "win", "par", "loss"
-	BestOverall string  // strategy label of the fastest execution
 }
 
 // onParTolerance classifies |improvement| below this percentage as "on par".
@@ -178,7 +177,7 @@ func (h *H) Fig12(w io.Writer) ([]Fig12Row, error) {
 		rows = append(rows, Fig12Row{
 			Query: q.Name, Block: blk.Elapsed, BestHybrid: hyb.Elapsed,
 			BestSplit: hyb.Strategy.String(), NDP: ndp.Elapsed,
-			Improvement: impr, Class: class, BestOverall: best.Strategy.String(),
+			Improvement: impr, Class: class,
 		})
 	}
 	for _, r := range rows {
@@ -395,7 +394,6 @@ func (h *H) Fig16(w io.Writer) ([]Measurement, error) {
 
 // Fig17Result captures the co-processing timeline of Q8.d (Exp 6).
 type Fig17Result struct {
-	Split  coop.Strategy
 	Report *coop.Report
 	// HostBreakdown and DevBreakdown are the percentages of Table 4's host
 	// stages and device operations, in the order they print.
@@ -423,7 +421,7 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig17Result{Split: strat, Report: rep}
+	res := &Fig17Result{Report: rep}
 
 	header(w, fmt.Sprintf("Fig 17 / Table 4 — Exp 6: Q8.d co-processing at %s", strat))
 	fmt.Fprintf(w, "  batch timeline (device ready → host fetched → host done):\n")

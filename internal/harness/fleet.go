@@ -15,7 +15,6 @@ import (
 
 // FleetCell is one query's execution at one fleet size.
 type FleetCell struct {
-	Mode    string // assignment label ("host", "H0", "H2", "ndp", ...)
 	Elapsed vclock.Duration
 	Match   bool // result fingerprint equals the single-device baseline
 	Err     error
@@ -24,10 +23,9 @@ type FleetCell struct {
 // FleetRow is one query across the swept fleet sizes.
 type FleetRow struct {
 	Query    string
-	Strategy string // single-device optimizer decision
-	BaseFP   string // baseline result fingerprint
-	BaseRows int64
-	Cells    []FleetCell // indexed like FleetResult.Counts
+	Strategy string      // single-device optimizer decision
+	BaseFP   string      // baseline result fingerprint
+	Cells    []FleetCell // indexed like the swept fleet sizes
 	Err      error
 	// BaseElapsed is the baseline's virtual runtime: a fleet of one runs the
 	// same commands, so its host elapsed equals this one for every decision
@@ -37,8 +35,6 @@ type FleetRow struct {
 
 // FleetResult aggregates a fleet scale-out sweep.
 type FleetResult struct {
-	Counts     []int
-	Spec       string
 	Rows       []FleetRow
 	Errors     int
 	Mismatches int
@@ -82,7 +78,7 @@ func (h *H) FleetSweep(w io.Writer, counts []int, spec string) (*FleetResult, er
 		rows[i] = h.fleetOne(qs[i], counts, execs)
 	})
 
-	res := &FleetResult{Counts: counts, Spec: spec, Rows: rows}
+	res := &FleetResult{Rows: rows}
 	header(w, fmt.Sprintf("Fleet scale-out sweep (spec=%s, devices %v)", spec, counts))
 	fmt.Fprintf(w, "%-5s %-7s", "query", "strat")
 	for _, n := range counts {
@@ -161,7 +157,6 @@ func (h *H) fleetOne(q *query.Query, counts []int, execs []*fleet.Executor) Flee
 		return row
 	}
 	row.BaseFP = fleet.Fingerprint(base.Result)
-	row.BaseRows = base.Result.RowCount
 	row.BaseElapsed = base.Elapsed
 	row.Cells = make([]FleetCell, len(counts))
 	for i, x := range execs {
@@ -171,7 +166,6 @@ func (h *H) fleetOne(q *query.Query, counts []int, execs []*fleet.Executor) Flee
 			cell.Err = err
 			continue
 		}
-		cell.Mode = a.Label()
 		rep, err := x.Run(a)
 		if err != nil {
 			cell.Err = err

@@ -107,9 +107,8 @@ func (h *H) Plans(w io.Writer) error {
 
 // SweepResult is one query's full strategy sweep.
 type SweepResult struct {
-	Msr  []Measurement
-	Plan *exec.Plan
-	Err  error
+	Msr []Measurement
+	Err error
 }
 
 // SweepParallel runs SweepStrategies for every query across h.Workers
@@ -121,7 +120,7 @@ type SweepResult struct {
 func (h *H) SweepParallel(qs []*query.Query) []SweepResult {
 	out := make([]SweepResult, len(qs))
 	par.ForEach(h.Workers, len(qs), func(i int) {
-		out[i].Msr, out[i].Plan, out[i].Err = h.SweepStrategies(qs[i])
+		out[i].Msr, _, out[i].Err = h.SweepStrategies(qs[i])
 	})
 	return out
 }

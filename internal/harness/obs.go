@@ -10,10 +10,9 @@ import (
 	"hybridndp/internal/query"
 )
 
-// TraceReport bundles one traced execution: the run report, its span trace and
-// the paper-phase profile derived from the timeline accounts.
+// TraceReport bundles one traced execution: its span trace and the
+// paper-phase profile derived from the timeline accounts.
 type TraceReport struct {
-	Report  *coop.Report
 	Trace   *obs.Trace
 	Profile *obs.QueryProfile
 }
@@ -31,7 +30,7 @@ func (h *H) RunTraced(q *query.Query, s coop.Strategy) (*TraceReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TraceReport{Report: rep, Trace: tr, Profile: rep.Profile()}, nil
+	return &TraceReport{Trace: tr, Profile: rep.Profile()}, nil
 }
 
 // TraceQuery runs the named JOB query under the given strategy label

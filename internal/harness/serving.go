@@ -13,11 +13,10 @@ import (
 
 // ServingRow is one (policy, concurrency) cell of the serving experiment.
 type ServingRow struct {
-	Policy      sched.Policy
-	Concurrency int
-	Completed   int64
-	Degraded    int64
-	Errors      int64
+	Policy    sched.Policy
+	Completed int64
+	Degraded  int64
+	Errors    int64
 	// Makespan and Throughput are virtual-time figures (see sched.Stats):
 	// the makespan is the instant the last query completed, so the numbers
 	// are deterministic and independent of the machine running the simulation.
@@ -70,7 +69,6 @@ func (h *H) ServingSweep(w io.Writer, levels []int) ([]ServingRow, error) {
 			}
 			row := ServingRow{
 				Policy:       pol,
-				Concurrency:  c,
 				Completed:    st.Completed,
 				Degraded:     st.Degraded,
 				Errors:       st.Errors,

@@ -32,8 +32,8 @@ type Model struct {
 	// MEMORY
 	HostMemBytes     int64   // hw_MSH: host memory size
 	DeviceMemBytes   int64   // total device DRAM (paper: 1 GB)
-	SelBufBytes      int64   // hw_MSS: on-device buffer per selection (paper: 17 MB)
-	JoinBufBytes     int64   // hw_MSJ: on-device buffer per join (paper: 7 MB)
+	SelBufBytes      int64   // hw_MSS: reservation per selection (paper: 17 MB); sizes memory plans only
+	JoinBufBytes     int64   // hw_MSJ: on-device buffer per join (paper: 7 MB); also bounds BNL passes
 	DeviceMemWeight  float64 // ndp_hw_MSW: memory weighting for hybrid-index calculation
 	DeviceNDPBudget  int64   // usable NDP buffer memory after reservations (paper: ~400 MB)
 	SharedBufferSlot int64   // size of one shared result-buffer slot

@@ -62,14 +62,12 @@ type Rates struct {
 	CompareNsPerKey float64
 	RowOverheadNs   float64
 
-	FlashNsPerByte  float64 // sequential flash streaming
-	FlashPageLatNs  float64 // fixed per-page latency
-	FlashPageBytes  int64
-	StackOverhead   float64 // multiplier ≥ 1 on the flash path (BLK stack abstraction tax)
-	Interconnect    PCIeCost
-	OnDevice        bool // true for the device-side table
-	ParallelFactor  float64
-	ComputeRatioVal float64
+	FlashNsPerByte float64 // sequential flash streaming
+	FlashPageLatNs float64 // fixed per-page latency
+	FlashPageBytes int64
+	StackOverhead  float64 // multiplier ≥ 1 on the flash path (BLK stack abstraction tax)
+	Interconnect   PCIeCost
+	OnDevice       bool // true for the device-side table
 }
 
 // HostRates derives the host engine's cost table from the hardware model.
@@ -92,9 +90,6 @@ func HostRates(m Model) Rates {
 		StackOverhead:  1.0,
 		Interconnect:   CFPCIe(m.PCIeVersion, m.PCIeLanes),
 		OnDevice:       false,
-		ParallelFactor: 1.0,
-
-		ComputeRatioVal: 1.0,
 	}
 }
 
@@ -131,9 +126,6 @@ func DeviceRates(m Model) Rates {
 		StackOverhead:  1.0,
 		Interconnect:   CFPCIe(m.PCIeVersion, m.PCIeLanes),
 		OnDevice:       true,
-		ParallelFactor: 1.0,
-
-		ComputeRatioVal: dcr,
 	}
 }
 

@@ -396,7 +396,7 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 // partition on the host". The returned decision carries Hybrid=true with the
 // chosen Split, or Hybrid=false when the shard-local host cost undercuts every
 // feasible device split. The deepening step prices the shared gather host
-// from g's global cost picture.
+// from g's global cost picture. A shard decision carries no Reason.
 func (o *Optimizer) DecideShard(g *Decision, frac float64) (*Decision, error) {
 	p := g.Plan
 	sc, err := o.Est.ShardPlanCosts(p, frac)
@@ -407,19 +407,10 @@ func (o *Optimizer) DecideShard(g *Decision, frac float64) (*Decision, error) {
 	interior := func(k int) bool { return k >= 1 && g.fits(k) }
 	best := sc.NearestTarget(interior)
 	if best < 0 {
-		d.Reason = "shard: no feasible device split (memory budget)"
-		return d, nil
+		return d, nil // no feasible device split (memory budget)
 	}
 	d.Split = best
-	est := cost.Overlap(sc.Quote(cost.Hybrid, best))
-	if est <= sc.HostTotal {
-		d.Hybrid = true
-		d.Reason = fmt.Sprintf("shard frac %.3f: H%d closest to c_target (%.0f ≤ host %.0f)",
-			frac, best, est, sc.HostTotal)
-	} else {
-		d.Reason = fmt.Sprintf("shard frac %.3f: host cheaper (%.0f < H%d %.0f)",
-			frac, sc.HostTotal, best, est)
-	}
+	d.Hybrid = cost.Overlap(sc.Quote(cost.Hybrid, best)) <= sc.HostTotal
 	if d.Hybrid && frac < 1 {
 		// Fleet deepening (N > 1 devices): the gather host is shared by
 		// every shard while shard device chains run in parallel, so a shard
@@ -434,20 +425,14 @@ func (o *Optimizer) DecideShard(g *Decision, frac float64) (*Decision, error) {
 			_, host, trans := g.Costs.Quote(cost.Hybrid, k)
 			return cost.Overlap(dev, host, trans)
 		}
-		deep, deepCost := best, fleetEst(best)
+		deepCost := fleetEst(best)
 		for k := best + 1; k < len(sc.CNode); k++ {
 			if !g.fits(k) {
 				continue
 			}
 			if c := fleetEst(k); c < deepCost {
-				deep, deepCost = k, c
+				d.Split, deepCost = k, c
 			}
-		}
-		if deep != best {
-			_, host, _ := g.Costs.Quote(cost.Hybrid, deep)
-			d.Split = deep
-			d.Reason = fmt.Sprintf("shard frac %.3f: deepened H%d→H%d (fleet est %.0f, shared host part %.0f)",
-				frac, best, deep, deepCost, host)
 		}
 	}
 	return d, nil

@@ -13,7 +13,9 @@ import (
 // model times what the feedback store has learned about the query, runs the
 // chosen strategy through the cooperative executor (or the whole decision
 // through the fleet executor) at dispatch, and hands back the measured
-// elapsed time for the loop to book. Under the adaptive policy offloading is
+// elapsed time for the loop to book. Both executors recover injected device
+// faults themselves; an error either returns surfaces on the ticket and is
+// not re-run. Under the adaptive policy offloading is
 // evidence-gated: a query's first execution stays on the host, where a
 // misestimate costs one lane, and device alternatives are offered once its
 // measured factors bound the downside.
@@ -106,15 +108,10 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 		// means the device failed every retry.
 		r.ledger.Report(ch.Dev, err == nil && !rep.FellBack)
 	}
-	if err != nil && ran != hostNative {
-		// Device-side execution failure: the paper's preconditions mandate
-		// falling back to the traditional host-only path.
-		ran = hostNative
-		o.Chosen, o.Degraded = ran.String(), true
-		m.Counter("sched.fallback.host").Inc()
-		rep, err = r.exec.RunTraced(d.Plan, ran, tr)
-	}
 	if err != nil {
+		// The executor recovers every injected device fault itself; what
+		// reaches here (a rejected memory plan, a bad split) is a bug to
+		// surface on the ticket, not a device failure to hide.
 		return 0, err
 	}
 	// True the estimates up with the measured busy times, so estimation error
@@ -134,29 +131,20 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 }
 
 // runFleet executes one decided query over the sharded fleet: plan the
-// per-shard split points, scatter-gather through the fleet executor (shard
-// admission runs against the ledger via the gate, as of the run's start
-// instant), and fall back to plain host-native execution if the fleet run
-// fails outright.
+// per-shard split points and scatter-gather through the fleet executor
+// (shard admission runs against the ledger via the gate, as of the run's
+// start instant). The fleet executor re-runs every failed shard's partitions
+// host-side itself; an error it returns surfaces on the ticket.
 func (r *live) runFleet(t *Ticket, ch Choice, tr *obs.Trace) (vclock.Duration, error) {
 	m, d, o := r.metrics, t.decision, &t.outcome
 	r.gate.at = ch.Start
 	a, err := fleet.PlanShards(r.opt, r.fleet.Desc, d)
-	var frep *fleet.Report
-	if err == nil {
-		frep, err = r.fleet.RunTraced(a, tr, t.deadline.Exec)
-	}
 	if err != nil {
-		// The cooperative single-device path falls back to the host on device
-		// failure; the fleet path keeps the same precondition.
-		o.Chosen, o.Degraded = hostNative.String(), true
-		m.Counter("sched.fallback.host").Inc()
-		rep, err := r.exec.RunTraced(d.Plan, hostNative, tr)
-		if err != nil {
-			return 0, err
-		}
-		o.Report, t.hostBusy = rep, hostBusy(rep)
-		return rep.Elapsed, nil
+		return 0, err
+	}
+	frep, err := r.fleet.RunTraced(a, tr, t.deadline.Exec)
+	if err != nil {
+		return 0, err
 	}
 	o.Chosen = "fleet:" + a.Label()
 	o.Degraded = frep.DegradedShards > 0 || frep.DeadlineDegraded > 0
@@ -195,7 +183,7 @@ type fleetGate struct {
 	at vclock.Time // start instant of the run being admitted
 }
 
-func (g *fleetGate) AdmitShard(dev int, memBytes int64, _ float64) (func(ok bool, busyNs float64), bool) {
+func (g *fleetGate) AdmitShard(dev int, memBytes int64) (func(ok bool, busyNs float64), bool) {
 	at := g.at
 	slot, ok := g.l.AdmitDevice(dev, at, Claim{MemBytes: memBytes, BufSlots: 1})
 	if !ok {

@@ -9,8 +9,10 @@ import (
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/device"
+	"hybridndp/internal/fleet"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
+	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/query"
 	"hybridndp/internal/vclock"
@@ -415,4 +417,63 @@ func (stubRunner) Run(j *stubJob, c Candidate, _ Choice) (vclock.Duration, error
 		return 0, errors.New("stub: run failed")
 	}
 	return c.Service, nil
+}
+
+// TestExecutorErrorSurfaces runs forced-NDP tickets on an executor whose NDP
+// budget is below every memory plan the optimizer (priced with the full
+// budget) offers: the device rejects the command, and the error surfaces on
+// the ticket and in sched.errors instead of being hidden behind a host-native
+// re-run. The coop path and the fleet path are each checked.
+func TestExecutorErrorSurfaces(t *testing.T) {
+	opt, _, m := fixture(t)
+	q := deviceBoundQuery(t, opt)
+	small := m
+	small.DeviceNDPBudget = 1
+
+	t.Run("coop", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Policy = ForceNDP
+		cfg.Metrics = obs.NewRegistry()
+		s := New(opt, coop.NewExecutor(dsInst.Cat, dsInst.DB, small), m, cfg)
+		defer s.Close()
+		o := submitOutcome(t, s, q)
+		if !errors.Is(o.Err, device.ErrMemoryBudget) {
+			t.Fatalf("%s ran %s: outcome error %v, want device.ErrMemoryBudget", q.Name, o.Chosen, o.Err)
+		}
+		if n := cfg.Metrics.Counter("sched.errors").Value(); n != 1 {
+			t.Fatalf("sched.errors = %v, want 1", n)
+		}
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		desc, err := fleet.Build(dsInst.Cat, 4, fleet.SchemeRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Policy = ForceNDP
+		cfg.Devices = 4
+		cfg.Fleet = fleet.NewExecutor(dsInst.Cat, dsInst.DB, small, desc)
+		s := New(opt, coop.NewExecutor(dsInst.Cat, dsInst.DB, m), m, cfg)
+		defer s.Close()
+		o := submitOutcome(t, s, q)
+		if !errors.Is(o.Err, device.ErrMemoryBudget) {
+			t.Fatalf("%s: fleet outcome error %v, want device.ErrMemoryBudget", q.Name, o.Err)
+		}
+	})
+}
+
+// submitOutcome submits one query and progresses the scheduler until it
+// resolved, whatever the outcome.
+func submitOutcome(t *testing.T, s *Scheduler, q *query.Query) *Outcome {
+	t.Helper()
+	tk, err := s.Submit(context.Background(), q, Normal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := tk.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }

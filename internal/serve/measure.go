@@ -38,7 +38,6 @@ type QueryCost struct {
 // servers (the SLO sweep measures once and serves three policies from it).
 type CostTable struct {
 	byName   map[string]*QueryCost
-	names    []string
 	meanHost vclock.Duration
 }
 
@@ -199,7 +198,6 @@ func measure(ds *job.Dataset, queries []*query.Query, workers int, check bool, r
 			return nil, fmt.Errorf("serve: duplicate workload query name %s", q.Name)
 		}
 		ct.byName[q.Name] = qc
-		ct.names = append(ct.names, q.Name)
 		sum += qc.Host
 	}
 	if len(queries) > 0 {
