@@ -39,10 +39,58 @@ type Queued interface{ QueuedAt() vclock.Time }
 // Queue is the bounded three-class admission queue, the only one in the
 // repository: the scheduler holds one, the serving front door one per tenant.
 type Queue[T Queued] struct {
-	classes [numPriorities][]T
+	classes [numPriorities]fifo[T]
 	size    int
 	depth   int
 	pops    uint64
+}
+
+// fifo is one priority class: the live items are items[head:]. Pop zeroes
+// the slot it vacates, so the queue keeps nothing it dispatched reachable, and
+// a push that finds the array full slides the live items to its front when at
+// least half of it is vacated, so a class that keeps draining reuses one
+// array instead of growing a new one (each slide moves at most as many items
+// as were popped since the last, so a push costs O(1) amortized).
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+func (f *fifo[T]) front() T { return f.items[f.head] }
+
+func (f *fifo[T]) push(item T) {
+	if len(f.items) == cap(f.items) && f.head > 0 && 2*f.head >= len(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	f.items = append(f.items, item)
+}
+
+func (f *fifo[T]) pop() T {
+	item := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	if f.head++; f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	}
+	return item
+}
+
+// sweep removes every item dead reports true for, keeping the rest in order.
+func (f *fifo[T]) sweep(dead func(T) bool) (removed int) {
+	kept := f.items[:0]
+	for _, item := range f.items[f.head:] {
+		if !dead(item) {
+			kept = append(kept, item)
+		}
+	}
+	removed = f.len() - len(kept)
+	clear(f.items[len(kept):])
+	f.items, f.head = kept, 0
+	return removed
 }
 
 // NewQueue returns an empty queue holding at most depth items.
@@ -53,7 +101,7 @@ func (q *Queue[T]) Push(p Priority, item T) bool {
 	if q.size >= q.depth {
 		return false
 	}
-	q.classes[p] = append(q.classes[p], item)
+	q.classes[p].push(item)
 	q.size++
 	return true
 }
@@ -62,7 +110,7 @@ func (q *Queue[T]) Push(p Priority, item T) bool {
 func (q *Queue[T]) Len() int { return q.size }
 
 // ClassLen reports one class's depth.
-func (q *Queue[T]) ClassLen(p Priority) int { return len(q.classes[p]) }
+func (q *Queue[T]) ClassLen(p Priority) int { return q.classes[p].len() }
 
 // Aging reports whether the next Pop is the aging dispatch: the oldest head
 // across all classes instead of the highest non-empty class.
@@ -75,17 +123,17 @@ func (q *Queue[T]) next() int {
 	if q.Aging() {
 		var oldest vclock.Time
 		for c := range q.classes {
-			if len(q.classes[c]) == 0 {
+			if q.classes[c].len() == 0 {
 				continue
 			}
-			if at := q.classes[c][0].QueuedAt(); pick < 0 || at < oldest {
+			if at := q.classes[c].front().QueuedAt(); pick < 0 || at < oldest {
 				pick, oldest = c, at
 			}
 		}
 		return pick
 	}
 	for c := range q.classes {
-		if len(q.classes[c]) > 0 {
+		if q.classes[c].len() > 0 {
 			return c
 		}
 	}
@@ -99,7 +147,7 @@ func (q *Queue[T]) Peek() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return q.classes[c][0], true
+	return q.classes[c].front(), true
 }
 
 // Pop removes the next item. An empty queue does not consume a dispatch
@@ -111,28 +159,14 @@ func (q *Queue[T]) Pop() (T, bool) {
 		return zero, false
 	}
 	q.pops++
-	item := q.classes[c][0]
-	q.classes[c] = q.classes[c][1:]
 	q.size--
-	return item, true
+	return q.classes[c].pop(), true
 }
 
 // Sweep removes every item dead reports true for, in class then queue order,
 // freeing their slots of the bounded queue.
 func (q *Queue[T]) Sweep(dead func(T) bool) {
-	var zero T
 	for c := range q.classes {
-		kept := q.classes[c][:0]
-		for _, item := range q.classes[c] {
-			if dead(item) {
-				q.size--
-				continue
-			}
-			kept = append(kept, item)
-		}
-		for i := len(kept); i < len(q.classes[c]); i++ {
-			q.classes[c][i] = zero
-		}
-		q.classes[c] = kept
+		q.size -= q.classes[c].sweep(dead)
 	}
 }

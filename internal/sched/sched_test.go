@@ -302,6 +302,46 @@ func TestPopAgingPreventsStarvation(t *testing.T) {
 	}
 }
 
+// TestQueueReusesItsArrays pins that a warm queue allocates nothing: push/pop
+// cycles at every fill level up to depth, the aging dispatch among them, and
+// Sweep reuse the classes' arrays, and a dispatched item is no longer
+// referenced by the queue.
+func TestQueueReusesItsArrays(t *testing.T) {
+	q := NewQueue[*queued](8)
+	items := make([]*queued, 8)
+	for i := range items {
+		items[i] = &queued{at: vclock.Time(i)}
+	}
+	cycle := func() {
+		for fill := 1; fill <= len(items); fill++ {
+			for i := 0; i < 3*fill; i++ {
+				q.Push(Priority(i%numPriorities), items[i%fill])
+				if q.Len() == fill {
+					q.Pop()
+				}
+			}
+			for q.Len() > 0 {
+				q.Pop()
+			}
+		}
+		q.Push(Batch, items[0])
+		q.Push(High, items[1])
+		q.Sweep(func(it *queued) bool { return it == items[0] })
+		q.Pop()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("a warm queue allocated %v times per cycle, want 0", n)
+	}
+	for c := range q.classes {
+		for _, it := range q.classes[c].items[:cap(q.classes[c].items)] {
+			if it != nil {
+				t.Fatalf("class %d still references a dispatched item %+v", c, it)
+			}
+		}
+	}
+}
+
 // TestLedgerAccounting covers the ledger without a dataset — lanes fall free
 // at the instants booked, claims count only while their command runs, an
 // oversized claim never fits — and with one: after a drain that included

@@ -28,10 +28,11 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hybridndp/internal/coop"
 	"hybridndp/internal/hw"
@@ -151,9 +152,11 @@ type Server struct {
 	ct      *CostTable
 	runner  sched.Runner[*request] // replay; the seam test swaps in one that executes
 	m       *obs.Registry
+	met     metrics
 	cache   *PlanCache
 	session []*Session
 	queries []*query.Query
+	costs   []*QueryCost // per workload query, in queries order
 }
 
 // New assembles a server over a loaded dataset and a measured cost table
@@ -182,6 +185,7 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 		s.m = obs.NewRegistry()
 	}
 	s.runner = replay{s}
+	s.met = newMetrics(s.m, cfg.Tenants)
 	s.cache = NewPlanCache(cfg.PlanCacheCap, s.m)
 	seen := map[string]bool{}
 	for _, tc := range cfg.Tenants {
@@ -191,9 +195,11 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 		seen[tc.Name] = true
 	}
 	for _, q := range queries {
-		if _, ok := ct.Cost(q.Name); !ok {
+		qc, ok := ct.Cost(q.Name)
+		if !ok {
 			return nil, fmt.Errorf("serve: cost table is missing workload query %s", q.Name)
 		}
+		s.costs = append(s.costs, qc)
 	}
 	for _, tc := range cfg.Tenants {
 		sess := NewSession(tc.Name, ds.Cat)
@@ -253,7 +259,6 @@ type TenantResult struct {
 	SLOMissed        int
 	P50, P95, P99    vclock.Duration
 	MeanLatency      vclock.Duration
-	SLO              vclock.Duration
 	MissRate         float64
 }
 
@@ -279,18 +284,11 @@ type replay struct{ s *Server }
 // the one device path the policy considers.
 func (rp replay) Candidates(r *request, now vclock.Time, buf []sched.Candidate) ([]sched.Candidate, error) {
 	s := rp.s
-	prep, ok := s.session[r.tenant].Stmt(r.name)
-	if !ok {
-		return nil, fmt.Errorf("serve: no prepared statement %q", r.name)
-	}
-	dec, err := s.planFor(prep, now)
+	dec, err := s.planFor(r.prep, now)
 	if err != nil {
 		return nil, err
 	}
-	qc, ok := s.ct.Cost(r.name)
-	if !ok {
-		return nil, fmt.Errorf("serve: no measured cost for %q", r.name)
-	}
+	qc := r.qc
 	buf = append(buf, sched.Candidate{Strategy: coop.Strategy{Kind: coop.HostNative}, Service: qc.Host})
 	switch s.cfg.Policy {
 	case sched.ForceHost:
@@ -330,48 +328,74 @@ func (qc *QueryCost) devicePathFor(decided coop.Strategy) (coop.Strategy, vclock
 // genArrivals builds the merged, time-ordered open-loop arrival stream:
 // per-tenant seeded processes, Zipf (or uniform) query selection with
 // per-tenant rotation, priorities cycling high→normal→batch per tenant
-// sequence number. Ordering ties break by (tenant, seq) — fully
-// deterministic for a given (seed, spec, tenant set).
+// sequence number. The order is (arrival, tenant, seq) — fully deterministic
+// for a given (seed, spec, tenant set). Every request lives in one slab, with
+// its prepared statement and measured cost resolved, and a k-way merge of the
+// tenants' runs orders them.
 func (s *Server) genArrivals() []*request {
-	var all []*request
-	for ti := range s.cfg.Tenants {
-		tc := s.cfg.Tenants[ti]
-		rng := rand.New(rand.NewSource(tenantSeed(s.cfg.Seed, ti)))
+	tenants := s.cfg.Tenants
+	times := make([][]vclock.Time, len(tenants))
+	rngs := make([]*rand.Rand, len(tenants))
+	n := 0
+	for ti, tc := range tenants {
+		rngs[ti] = rand.New(rand.NewSource(tenantSeed(s.cfg.Seed, ti)))
 		rate := tc.RateQPS
 		if rate <= 0 {
 			rate = s.cfg.Arrival.Rate
 		}
-		times := s.cfg.Arrival.times(rng, rate, s.cfg.Horizon)
+		times[ti] = s.cfg.Arrival.times(rngs[ti], rate, s.cfg.Horizon)
+		n += len(times[ti])
+	}
+	slab := make([]request, 0, n)
+	runs := make([][]request, len(tenants))
+	preps := make([]*Prepared, len(s.queries))
+	for ti, tc := range tenants {
+		rng := rngs[ti]
 		var zipf *rand.Zipf
 		if tc.Skew > 1 && len(s.queries) > 1 {
 			zipf = rand.NewZipf(rng, tc.Skew, 1, uint64(len(s.queries)-1))
 		}
-		for seq, at := range times {
+		for qi, q := range s.queries {
+			preps[qi], _ = s.session[ti].Stmt(q.Name) // New prepared every query for every tenant
+		}
+		start := len(slab)
+		for seq, at := range times[ti] {
 			var qi int
 			if zipf != nil {
 				qi = int((zipf.Uint64() + uint64(ti)*37) % uint64(len(s.queries)))
 			} else {
 				qi = rng.Intn(len(s.queries))
 			}
-			q := s.queries[qi]
-			qc, _ := s.ct.Cost(q.Name)
-			all = append(all, &request{
-				tenant: ti, seq: seq, name: q.Name,
+			qc := s.costs[qi]
+			slab = append(slab, request{
+				tenant: ti, seq: seq, name: s.queries[qi].Name,
 				prio: sched.Priority(seq % 3), arrival: at, cost: qc.Host,
+				prep: preps[qi], qc: qc,
 			})
 		}
+		// Generated streams are in time order already; a trace's offsets
+		// are in the order given, and a stable sort keeps seq order on ties.
+		run := slab[start:]
+		if !slices.IsSortedFunc(run, byArrival) {
+			slices.SortStableFunc(run, byArrival)
+		}
+		runs[ti] = run
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].arrival != all[j].arrival {
-			return all[i].arrival < all[j].arrival
+	out := make([]*request, 0, n)
+	for len(out) < n {
+		next := -1
+		for ti, run := range runs {
+			if len(run) > 0 && (next < 0 || run[0].arrival < runs[next][0].arrival) {
+				next = ti
+			}
 		}
-		if all[i].tenant != all[j].tenant {
-			return all[i].tenant < all[j].tenant
-		}
-		return all[i].seq < all[j].seq
-	})
-	return all
+		out = append(out, &runs[next][0])
+		runs[next] = runs[next][1:]
+	}
+	return out
 }
+
+func byArrival(a, b request) int { return cmp.Compare(a.arrival, b.arrival) }
 
 // tenantAcc accumulates one tenant's per-run counts.
 type tenantAcc struct {
@@ -383,23 +407,23 @@ type tenantAcc struct {
 // dry) or sched.ErrQueueFull (tenant queue at depth). Counting happens here
 // so the registry sees admission in arrival order.
 func (s *Server) admit(r *request, now vclock.Time, w *wfq, b *tokenBucket, acc *tenantAcc) error {
-	name := s.cfg.Tenants[r.tenant].Name
-	s.m.Counter("serve.requests").Inc()
-	s.m.Counter("serve.requests." + name).Inc()
+	m, tm := &s.met, &s.met.tenants[r.tenant]
+	m.requests.inc()
+	tm.requests.inc()
 	acc.requests++
 	if !b.allow(now) {
 		acc.quotaRej++
-		s.m.Counter("serve.rejected.quota").Inc()
-		s.m.Counter("serve.rejected.quota." + name).Inc()
-		return fmt.Errorf("%w: tenant %s at %v", ErrQuotaExceeded, name, now)
+		m.quotaRej.inc()
+		tm.quotaRej.inc()
+		return ErrQuotaExceeded
 	}
 	if !w.push(r) {
 		acc.queueRej++
-		s.m.Counter("serve.rejected.queue_full").Inc()
-		s.m.Counter("serve.rejected.queue_full." + name).Inc()
-		return fmt.Errorf("%w: tenant %s queue at depth %d", sched.ErrQueueFull, name, s.cfg.QueueDepth)
+		m.queueRej.inc()
+		tm.queueRej.inc()
+		return sched.ErrQueueFull
 	}
-	s.m.Counter("serve.admitted").Inc()
+	m.admitted.inc()
 	return nil
 }
 
@@ -414,15 +438,13 @@ func (s *Server) shed(r *request, completion vclock.Time, acc *tenantAcc) error 
 	if !s.cfg.UseDeadlines || tc.SLO <= 0 {
 		return nil
 	}
-	deadline := r.arrival.Add(tc.SLO)
-	if completion <= deadline {
+	if completion <= r.arrival.Add(tc.SLO) {
 		return nil
 	}
 	acc.deadlineRej++
-	s.m.Counter("serve.rejected.deadline").Inc()
-	s.m.Counter("serve.rejected.deadline." + tc.Name).Inc()
-	return fmt.Errorf("%w: tenant %s completion %v past deadline %v",
-		ErrDeadlineExceeded, tc.Name, completion, deadline)
+	s.met.deadlineRej.inc()
+	s.met.tenants[r.tenant].deadlineRej.inc()
+	return ErrDeadlineExceeded
 }
 
 // front is one Run's admission state — the fair queue, the quotas and the
@@ -498,20 +520,20 @@ func (s *Server) Run() (*Result, error) {
 // end-to-end latency, SLO miss, strategy counters. All single-threaded, so
 // histogram sums accumulate in a deterministic order.
 func (s *Server) recordDispatch(r *request, strat coop.Strategy, start, completion vclock.Time, acc *tenantAcc) {
-	tc := s.cfg.Tenants[r.tenant]
+	m, tm := &s.met, &s.met.tenants[r.tenant]
 	wait := start.Sub(r.arrival)
 	lat := completion.Sub(r.arrival)
 	acc.completed++
 	acc.latSum += lat
-	s.m.Counter("serve.completed").Inc()
-	s.m.Counter("serve.completed." + tc.Name).Inc()
-	s.m.Counter("serve.strategy." + strat.String()).Inc()
-	s.m.Histogram("serve.queue.wait.ns", LatencyBuckets).Observe(float64(wait))
-	s.m.Histogram("serve.latency.ns", LatencyBuckets).Observe(float64(lat))
-	s.m.Histogram("serve.latency.ns."+tc.Name, LatencyBuckets).Observe(float64(lat))
-	if tc.SLO > 0 && lat > tc.SLO {
+	m.completed.inc()
+	tm.completed.inc()
+	m.strategy(strat).Inc()
+	m.wait.observe(float64(wait))
+	m.latency.observe(float64(lat))
+	tm.latency.observe(float64(lat))
+	if slo := s.cfg.Tenants[r.tenant].SLO; slo > 0 && lat > slo {
 		acc.missed++
-		s.m.Counter("serve.slo.miss." + tc.Name).Inc()
+		tm.sloMiss.inc()
 	}
 }
 
@@ -527,13 +549,13 @@ func (s *Server) result(acc []tenantAcc, makespan vclock.Duration, h0, m0, e0 in
 		tc := s.cfg.Tenants[i]
 		a := acc[i]
 		tr := TenantResult{
-			Name: tc.Name, Weight: tc.Weight, SLO: tc.SLO,
+			Name: tc.Name, Weight: tc.Weight,
 			Requests: a.requests, Completed: a.completed,
 			QuotaRejected: a.quotaRej, QueueRejected: a.queueRej,
 			DeadlineRejected: a.deadlineRej,
 			SLOMissed:        a.missed,
 		}
-		hist := s.m.Histogram("serve.latency.ns."+tc.Name, LatencyBuckets)
+		hist := s.met.tenants[i].latency.get()
 		tr.P50 = Quantile(hist, 0.50)
 		tr.P95 = Quantile(hist, 0.95)
 		tr.P99 = Quantile(hist, 0.99)

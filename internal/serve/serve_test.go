@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ var (
 
 // fixture loads the JOB dataset once and measures the full workload's cost
 // table (shared by every test; Measure itself is deterministic).
-func fixture(t *testing.T) (*job.Dataset, *CostTable) {
+func fixture(t testing.TB) (*job.Dataset, *CostTable) {
 	t.Helper()
 	dsOnce.Do(func() {
 		dsInst, dsErr = job.Load(0.004, hw.Cosmos())
@@ -132,6 +133,69 @@ func TestArrivalTimesDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenArrivalsOrder is the arrival stream's ordering law: genArrivals
+// returns every tenant's generated arrivals exactly once, each at the instant
+// its tenant stream gave its sequence number and with its statement and cost
+// resolved, in strictly increasing (arrival, tenant, seq) order. A trace whose
+// offsets are unsorted, repeat within a tenant and tie across all three
+// tenants exercises every part of the key (one offset lies past the horizon).
+func TestGenArrivalsOrder(t *testing.T) {
+	burst, err := ParseArrival("burst:200:20:0.25:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := ArrivalSpec{Kind: "trace", Offsets: []vclock.Duration{900 * vclock.Millisecond}}
+	for i := range 48 {
+		trace.Offsets = append(trace.Offsets, vclock.Duration(i*7%5)*vclock.Millisecond)
+	}
+	for _, spec := range []ArrivalSpec{{Kind: "poisson", Rate: 300}, burst, trace} {
+		t.Run(spec.Kind, func(t *testing.T) {
+			cfg := serveCfg(subset(16), sched.Adaptive, 9)
+			cfg.Arrival = spec
+			s := newServer(t, cfg)
+			arr := s.genArrivals()
+			var want int
+			for ti, tc := range s.cfg.Tenants {
+				rate := tc.RateQPS
+				if rate <= 0 {
+					rate = spec.Rate
+				}
+				times := spec.times(rand.New(rand.NewSource(tenantSeed(s.cfg.Seed, ti))), rate, s.cfg.Horizon)
+				want += len(times)
+				seen := make([]bool, len(times))
+				for _, r := range arr {
+					if r.tenant != ti {
+						continue
+					}
+					if seen[r.seq] {
+						t.Fatalf("tenant %d seq %d generated twice", ti, r.seq)
+					}
+					seen[r.seq] = true
+					if r.arrival != times[r.seq] {
+						t.Fatalf("tenant %d seq %d arrives at %v, its stream says %v", ti, r.seq, r.arrival, times[r.seq])
+					}
+					prep, _ := s.Session(ti).Stmt(r.name)
+					qc, _ := s.ct.Cost(r.name)
+					if r.prep != prep || r.qc != qc || r.cost != qc.Host || r.prio != sched.Priority(r.seq%3) {
+						t.Fatalf("tenant %d seq %d (%s) is not resolved to its statement and cost", ti, r.seq, r.name)
+					}
+				}
+			}
+			if len(arr) != want || want == 0 {
+				t.Fatalf("%d arrivals, the tenant streams hold %d", len(arr), want)
+			}
+			for i := 1; i < len(arr); i++ {
+				a, b := arr[i-1], arr[i]
+				if a.arrival > b.arrival || a.arrival == b.arrival &&
+					(a.tenant > b.tenant || a.tenant == b.tenant && a.seq >= b.seq) {
+					t.Fatalf("arrival %d (%v, t%d, #%d) is not after (%v, t%d, #%d)",
+						i, b.arrival, b.tenant, b.seq, a.arrival, a.tenant, a.seq)
+				}
+			}
+		})
+	}
+}
+
 func TestTenantQueueAging(t *testing.T) {
 	tq := sched.NewQueue[*request](16)
 	push := func(prio sched.Priority, at vclock.Time) *request {
@@ -201,7 +265,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
-func newServer(t *testing.T, cfg Config) *Server {
+func newServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	ds, ct := fixture(t)
 	s, err := New(ds, ct, cfg)
@@ -311,6 +375,62 @@ func BenchmarkMeasure(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestRunAllocsPerRequest pins the serving loop's allocation budget: once the
+// plan cache is warm, a Run — quota and deadline rejections included —
+// allocates less than one object per offered request (per-run setup only).
+func TestRunAllocsPerRequest(t *testing.T) {
+	cfg := serveCfg(subset(16), sched.Adaptive, 7)
+	cfg.UseDeadlines = true
+	cfg.Arrival.Rate = 2000 // past capacity: requests queue, overflow and blow deadlines
+	cfg.QueueDepth = 8
+	s := newServer(t, cfg)
+	var res *Result
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if res, err = s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.QuotaRejected == 0 || res.QueueRejected == 0 || res.DeadlineRejected == 0 {
+		t.Fatalf("the run rejects nothing, so its rejection paths go unmeasured: %+v", res)
+	}
+	per := allocs / float64(res.Requests)
+	t.Logf("%.0f allocations for %d requests (%d quota, %d queue-full, %d deadline rejections): %.3f per request",
+		allocs, res.Requests, res.QuotaRejected, res.QueueRejected, res.DeadlineRejected, per)
+	if per >= 1 {
+		t.Fatalf("a warm Run allocated %.0f objects for %d requests (%.2f per request), want < 1",
+			allocs, res.Requests, per)
+	}
+}
+
+// BenchmarkServeRun times a warm open-loop Run over the full workload: three
+// default tenants at 150 qps each for 20 virtual seconds, plan cache warm.
+func BenchmarkServeRun(b *testing.B) {
+	s := newServer(b, Config{
+		Tenants: DefaultTenants(3, 50*vclock.Millisecond),
+		Arrival: ArrivalSpec{Kind: "poisson", Rate: 150},
+		Horizon: 20 * vclock.Second,
+	})
+	if _, err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	requests := 0
+	for i := 0; i < b.N; i++ {
+		res, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		requests += res.Requests
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(requests), "ns/request")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(requests), "allocs/request")
 }
 
 func TestAdmitTypedErrors(t *testing.T) {
@@ -543,8 +663,8 @@ func TestDeadlineShedding(t *testing.T) {
 	if res.Completed+res.QuotaRejected+res.QueueRejected+res.DeadlineRejected != res.Requests {
 		t.Fatalf("request conservation with deadline shedding: %+v", res)
 	}
-	for _, tr := range res.Tenants {
-		if tr.SLO > 0 && tr.DeadlineRejected > 0 && tr.SLOMissed > 0 {
+	for i, tr := range res.Tenants {
+		if cfg.Tenants[i].SLO > 0 && tr.DeadlineRejected > 0 && tr.SLOMissed > 0 {
 			t.Fatalf("%s: hard deadlines on, yet a dispatched request missed its SLO: %+v", tr.Name, tr)
 		}
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 
+	"hybridndp/internal/coop"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/vclock"
 )
@@ -58,3 +59,89 @@ func Quantile(h *obs.Histogram, q float64) vclock.Duration {
 	}
 	return vclock.Duration(math.Inf(1))
 }
+
+// metrics are the registry handles the serving loop records into. Each is
+// resolved on first use and kept, so recording a request builds no metric
+// name and takes no registry lock, and the registry — and its dump — still
+// holds exactly the metrics a run touched.
+type metrics struct {
+	requests, admitted, quotaRej, queueRej, deadlineRej, completed counter
+	wait, latency                                                  histogram
+	tenants                                                        []tenantMetrics
+	strategies                                                     map[coop.Strategy]*obs.Counter
+	reg                                                            *obs.Registry
+}
+
+// tenantMetrics are one tenant's handles: its name suffixes each metric.
+type tenantMetrics struct {
+	requests, quotaRej, queueRej, deadlineRej, completed, sloMiss counter
+	latency                                                       histogram
+}
+
+func newMetrics(reg *obs.Registry, tenants []TenantConfig) metrics {
+	m := metrics{
+		requests:    counter{reg: reg, name: "serve.requests"},
+		admitted:    counter{reg: reg, name: "serve.admitted"},
+		quotaRej:    counter{reg: reg, name: "serve.rejected.quota"},
+		queueRej:    counter{reg: reg, name: "serve.rejected.queue_full"},
+		deadlineRej: counter{reg: reg, name: "serve.rejected.deadline"},
+		completed:   counter{reg: reg, name: "serve.completed"},
+		wait:        histogram{reg: reg, name: "serve.queue.wait.ns"},
+		latency:     histogram{reg: reg, name: "serve.latency.ns"},
+		tenants:     make([]tenantMetrics, len(tenants)),
+		strategies:  map[coop.Strategy]*obs.Counter{},
+		reg:         reg,
+	}
+	for i, tc := range tenants {
+		m.tenants[i] = tenantMetrics{
+			requests:    counter{reg: reg, name: "serve.requests." + tc.Name},
+			quotaRej:    counter{reg: reg, name: "serve.rejected.quota." + tc.Name},
+			queueRej:    counter{reg: reg, name: "serve.rejected.queue_full." + tc.Name},
+			deadlineRej: counter{reg: reg, name: "serve.rejected.deadline." + tc.Name},
+			completed:   counter{reg: reg, name: "serve.completed." + tc.Name},
+			sloMiss:     counter{reg: reg, name: "serve.slo.miss." + tc.Name},
+			latency:     histogram{reg: reg, name: "serve.latency.ns." + tc.Name},
+		}
+	}
+	return m
+}
+
+// strategy returns the counter of requests placed on strategy s.
+func (m *metrics) strategy(s coop.Strategy) *obs.Counter {
+	c, ok := m.strategies[s]
+	if !ok {
+		c = m.reg.Counter("serve.strategy." + s.String())
+		m.strategies[s] = c
+	}
+	return c
+}
+
+// counter is a registry counter resolved on first use.
+type counter struct {
+	reg  *obs.Registry
+	name string
+	c    *obs.Counter
+}
+
+func (c *counter) inc() {
+	if c.c == nil {
+		c.c = c.reg.Counter(c.name)
+	}
+	c.c.Inc()
+}
+
+// histogram is a LatencyBuckets histogram resolved on first use.
+type histogram struct {
+	reg  *obs.Registry
+	name string
+	h    *obs.Histogram
+}
+
+func (h *histogram) get() *obs.Histogram {
+	if h.h == nil {
+		h.h = h.reg.Histogram(h.name, LatencyBuckets)
+	}
+	return h.h
+}
+
+func (h *histogram) observe(v float64) { h.get().Observe(v) }

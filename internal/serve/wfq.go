@@ -17,6 +17,8 @@ type request struct {
 	// the same canonical cost for every placement keeps the fair-share
 	// arithmetic independent of the policy under test.
 	cost vclock.Duration
+	prep *Prepared  // the tenant's prepared statement for name
+	qc   *QueryCost // name's measured service times
 }
 
 // QueuedAt is the arrival instant the tenant queue ages requests by.
