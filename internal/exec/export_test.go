@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -19,6 +20,23 @@ func SetPieceBudget(n int) (restore func()) {
 
 // PieceBudget reports the output budget of a streamed join chain's pieces.
 func PieceBudget() int { return pieceTuples }
+
+// SetProbeKeyed forces the probe-keyed path (Pipeline.innerTab) on for every
+// whole first probe, or off for all, until the returned restore runs. Runs
+// must not be in flight while it changes.
+func SetProbeKeyed(on bool) (restore func()) {
+	old := probeKeyedShare
+	probeKeyedShare = math.MaxInt32 // no probe of a realistic inner side qualifies
+	if on {
+		probeKeyedShare = 0 // every probe qualifies
+	}
+	return func() { probeKeyedShare = old }
+}
+
+// hashedInner returns the hash table of join step si's built inner side as a
+// probe that is not a step's whole input finds it: every row hashed, in row
+// order.
+func (pl *Pipeline) hashedInner(si int) *keyTab { return pl.innerTab(si, nil, false) }
 
 // SetBatchSize sets the row capacity of every engine's columnar batches until
 // the returned restore runs. Runs must not be in flight while it changes.
@@ -43,8 +61,11 @@ func (e *Engine) scanAP(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, erro
 // row-view slot (scan batch, view slab, arena blocks — used or not)
 // points at one sentinel row of 0xA5 bytes, every tuple slot at a sentinel
 // tuple of such rows, every inner-state slot claims a built inner side of
-// such a row, and every hash-table key — arena byte or entry word,
-// whichever representation the table last held — is flipped. A result or
+// such a row and a key column of one flipped key, every key column slot
+// claims a small non-NULL key, its index — an id, as the join keys of the
+// JOB tables are, so a slot a run trusts without writing it joins rows a
+// never-written one does not — and every hash-table key — arena byte or
+// entry word, whichever representation the table last held — is flipped. A result or
 // report that still aliases scratch memory then reads garbage, and the next
 // run on the scratch finds garbage wherever it wrongly trusts a cleared slot.
 func PoisonScratchOnRelease() (restore func()) {
@@ -73,9 +94,15 @@ func PoisonScratchOnRelease() (restore func()) {
 				tuples[i] = tuple
 			}
 		}
+		keys, nulls := s.keys[:cap(s.keys)], s.keyNulls[:cap(s.keyNulls)]
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		clear(nulls)
 		inners := s.inners[:cap(s.inners)]
 		for i := range inners {
-			inners[i] = innerState{rows: [][]byte{row}, built: true, seeded: true}
+			inners[i] = innerState{rows: [][]byte{row}, keys: []uint64{^uint64(0)}, nulls: []bool{false},
+				built: true, seeded: true}
 		}
 		for _, t := range s.tabs {
 			keys := t.keys[:cap(t.keys)]

@@ -145,7 +145,8 @@ func (e *Engine) finalizer(pl *Pipeline) (*finalizer, error) {
 			f.res.Columns = append(f.res.Columns, name)
 		}
 		f.rowWidth = int64(len(f.res.Columns) * 8)
-		f.tab = f.sc.keyTab(0)
+		f.tab = f.sc.keyTab()
+		f.tab.reset(0)
 		return f, nil
 	}
 	for _, c := range p.Output {

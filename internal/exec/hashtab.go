@@ -63,6 +63,13 @@ func fnv1a(b []byte) uint64 {
 // reset empties the table and sizes it for n rows — about n distinct keys,
 // and n chain slots — reusing whatever capacity an earlier use left.
 func (t *keyTab) reset(n int) {
+	t.resetKeys(n)
+	t.addRows(n)
+}
+
+// resetKeys empties the table, sized for about n distinct keys and no chain
+// slots.
+func (t *keyTab) resetKeys(n int) {
 	sz := 8
 	for sz < n*2 {
 		sz <<= 1
@@ -74,7 +81,6 @@ func (t *keyTab) reset(n int) {
 		clear(t.buckets)
 	}
 	t.entries, t.keys, t.next = t.entries[:0], t.keys[:0], t.next[:0]
-	t.addRows(n)
 }
 
 // addRows extends the chain array by n unlinked rows.
@@ -136,9 +142,12 @@ func (t *keyTab) keyEquals(e *keyEntry, key []byte) bool {
 
 // findInt is find in the integer representation (an empty bucket, 0, comes
 // out as -1).
-func (t *keyTab) findInt(key uint64) int32 {
+func (t *keyTab) findInt(key uint64) int32 { return t.findIntH(hashInt(key), key) }
+
+// findIntH is findInt of a key pre-hashed as h (hashInt).
+func (t *keyTab) findIntH(h, key uint64) int32 {
 	mask := uint64(len(t.buckets) - 1)
-	for i := hashInt(key) & mask; ; i = (i + 1) & mask {
+	for i := h & mask; ; i = (i + 1) & mask {
 		b := t.buckets[i]
 		if b == 0 || t.entries[b-1].key == key {
 			return b - 1
@@ -197,6 +206,8 @@ func (t *keyTab) addRowInt(key uint64, row int) {
 	t.link(idx, row)
 }
 
+// link appends row to entry idx's chain and terminates the chain there, so a
+// row's chain slot is only ever read once the row is linked.
 func (t *keyTab) link(idx int32, row int) {
 	e := &t.entries[idx]
 	if e.head < 0 {
@@ -205,5 +216,42 @@ func (t *keyTab) link(idx int32, row int) {
 		t.next[e.tail] = int32(row)
 	}
 	e.tail = int32(row)
+	t.next[row] = -1
 	e.n++
+}
+
+// linkProbed makes the table, whose entries are a probe's integer keys with
+// empty chains, chain every row of the inner key column (keys, NULL flags
+// alongside) that matches one of them, in row order: the chain a full build
+// would give that key. Every key must have passed f. The table needs a chain
+// slot per row; slots of unmatched rows are never written.
+func (t *keyTab) linkProbed(f *keyFilter, keys []uint64, nulls []bool) {
+	t.next = slices.Grow(t.next[:0], len(keys))[:len(keys)]
+	for r, k := range keys {
+		if nulls[r] {
+			continue
+		}
+		if h := hashInt(k); f.has(h) {
+			if idx := t.findIntH(h, k); idx >= 0 {
+				t.link(idx, r)
+			}
+		}
+	}
+}
+
+// keyFilter is a 4096-bit membership filter over integer keys: the top 12
+// bits of a key's hash (hashInt) pick its bit. A probe-keyed table
+// (linkProbed) tests every inner key against it before it looks the key up,
+// so a small probe's table skips most of a large inner side at one load and
+// one bit test a row.
+type keyFilter [64]uint64
+
+func (f *keyFilter) add(h uint64) {
+	b := h >> 52
+	f[b>>6] |= 1 << (b & 63)
+}
+
+func (f *keyFilter) has(h uint64) bool {
+	b := h >> 52
+	return f[b>>6]&(1<<(b&63)) != 0
 }

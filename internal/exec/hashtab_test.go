@@ -56,7 +56,12 @@ func runKeyJoin(t *testing.T, e *Engine, p *Plan, innerParts [][][]byte, outer [
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := pl.inner[0].tab
+	// The first non-empty probe hashes the inner side; an empty one leaves it
+	// unhashed, and the table is inspected as the next probe would find it.
+	if hashed := pl.inner[0].tab != nil; hashed != (len(outer) > 0) {
+		t.Fatalf("%d outer tuples probed, inner side hashed: %v", len(outer), hashed)
+	}
+	tab := pl.hashedInner(0)
 	intMode = pl.intKeys[0].n > 0
 	run = keyJoinRun{next: append([]int32(nil), tab.next...), now: e.TL.Now(), account: e.TL.Account()}
 	if intMode != (len(tab.keys) == 0) && len(tab.entries) > 0 {
@@ -223,6 +228,106 @@ func TestIntegerJoinAllocatesNothingWarm(t *testing.T) {
 		})
 		if allocs != 0 || matched == 0 {
 			t.Errorf("%s: %v allocations per warm build+probe (%d tuples matched), want 0", p.Steps[0], allocs, matched)
+		}
+	}
+}
+
+// TestProbeKeyedTableMatchesFull: a step's whole input of at most
+// 1/probeKeyedShare of the inner side's rows fills a probe-keyed table, in
+// which every key the input holds resolves to the chain a full table gives
+// it — head, order, length — and the join, run piece by piece as a streamed
+// chain runs it, returns the same tuples in the same order with a
+// bit-identical timeline. So does a full table hashed from the scan's key
+// column, against one hashed from the rows. Random keys with NULLs, one and
+// two conditions, piece budgets 1, 7 and unbounded.
+func TestProbeKeyedTableMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	plans := []*Plan{keyPlan([2]string{"a", "a"}), keyPlan([2]string{"a", "b"}, [2]string{"b", "a"})}
+	id := func(row []byte) int32 { return table.Record{Schema: keySchema, Data: row}.Get(0).Int }
+	share := probeKeyedShare
+	for round := 0; round < 40; round++ {
+		cat := keyCatalog(t)
+		inner := keyRows(t, rng, 80+rng.Intn(400))
+		outer := keyRows(t, rng, 1+rng.Intn(len(inner)/share))
+		loadKeyTable(t, cat, "r", inner)
+		loadKeyTable(t, cat, "l", outer)
+		p := plans[round%len(plans)]
+		budget := []int{1, 7, math.MaxInt}[rng.Intn(3)]
+		type joined struct {
+			out    [][2]int32
+			chains map[uint64][]int32
+			tl     *vclock.Timeline
+		}
+		run := func(whole bool) joined {
+			e := hostEngine(cat)
+			e.Scratch = &Scratch{}
+			pl, err := e.StartPipeline(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, _, err := e.ScanAccess(pl, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			left := pl.MakeTuples(rows)
+			j := joined{tl: e.TL}
+			for off := 0; off < len(left); {
+				out, used, err := e.joinPiece(pl, 0, left[off:], &pl.sc.piece, budget, whole)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tu := range out {
+					j.out = append(j.out, [2]int32{id(tu[0]), id(tu[1])})
+				}
+				off += used
+			}
+			keyed := whole && probeKeyedShare == share
+			if pl.inner[0].probeKeyed != keyed || (len(pl.inner[0].keys) > 0) != whole {
+				t.Fatalf("round %d: whole input %v of %d tuples over %d inner rows: probe-keyed %v, %d keys extracted",
+					round, whole, len(left), len(inner), pl.inner[0].probeKeyed, len(pl.inner[0].keys))
+			}
+			chains := func(tab *keyTab) map[uint64][]int32 {
+				m := map[uint64][]int32{}
+				for _, tu := range left {
+					k, ok := pl.intKeys[0].tupleKey(tu)
+					if !ok {
+						continue
+					}
+					var chain []int32
+					if ent := tab.findInt(k); ent >= 0 {
+						for r := tab.entries[ent].head; r >= 0; r = tab.next[r] {
+							chain = append(chain, r)
+						}
+						if len(chain) != int(tab.entries[ent].n) {
+							t.Fatalf("round %d: key %x chains %d rows, counts %d", round, k, len(chain), tab.entries[ent].n)
+						}
+					}
+					m[k] = chain
+				}
+				return m
+			}
+			j.chains = chains(pl.inner[0].tab)
+			return j
+		}
+		// The full table once from the scan's key column (a whole input with
+		// the path off) and once from the rows (an input that is not whole).
+		keyed := run(true)
+		restore := SetProbeKeyed(false)
+		column := run(true)
+		restore()
+		full := run(false)
+		for _, c := range []struct {
+			name string
+			j    joined
+		}{{"probe-keyed", keyed}, {"key column", column}} {
+			if !reflect.DeepEqual(c.j.out, full.out) || !reflect.DeepEqual(c.j.chains, full.chains) {
+				t.Fatalf("round %d (%s, budget %d): %s join %v chains %v, rows %v chains %v",
+					round, p.Steps[0], budget, c.name, c.j.out, c.j.chains, full.out, full.chains)
+			}
+			if !sameTimeline(c.j.tl, full.tl) {
+				t.Fatalf("round %d: %s timeline %v %v, rows %v %v", round, c.name,
+					c.j.tl.Now(), c.j.tl.Account(), full.tl.Now(), full.tl.Account())
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridndp/internal/flash"
@@ -44,6 +45,19 @@ func keyPlan(pairs ...[2]string) *Plan {
 		step.Conds = append(step.Conds, BoundCond{LeftPos: 0, LeftCol: p[0], RightCol: p[1]})
 	}
 	return &Plan{Query: q, Driving: AccessPath{Ref: q.Tables[0]}, Steps: []JoinStep{step}}
+}
+
+// loadKeyTable bulk-loads rows, keyRow encodings in ascending id order, into
+// the catalog's table name.
+func loadKeyTable(t testing.TB, cat *table.Catalog, name string, rows [][]byte) {
+	t.Helper()
+	tab, err := cat.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.BulkLoad(slices.Concat(rows...)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // keySchema lays rows of keyCols out (l's and r's schemas are copies of it).
@@ -146,6 +160,41 @@ func BenchmarkProbe(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				probe()
+			}
+		})
+	}
+}
+
+// BenchmarkBNL times a buffered join as a host-native run executes one
+// (RunPlan): scan l, scan r's 20,000 inner rows over 5,000 distinct keys,
+// hash what the probe needs, probe, count. 16 probing tuples, at most 1/8 of
+// the inner side, fill a probe-keyed table; 16,384 hash the whole inner side.
+func BenchmarkBNL(b *testing.B) {
+	inner := benchKeyRows(b, 20000, 5000, 1)
+	for _, probes := range []int{16, 16384} {
+		b.Run(fmt.Sprintf("probes=%d", probes), func(b *testing.B) {
+			cat := keyCatalog(b)
+			loadKeyTable(b, cat, "r", inner)
+			loadKeyTable(b, cat, "l", benchKeyRows(b, probes, 5000, 2))
+			p := keyPlan([2]string{"a", "a"})
+			p.Aggregates = []query.Aggregate{{Func: query.Count, Star: true, As: "n"}}
+			e := hostEngine(cat)
+			e.Scratch = &Scratch{}
+			run := func() {
+				e.Scratch.Release()
+				res, err := e.RunPlan(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Rows[0][0].Int == 0 {
+					b.Fatal("the join matched nothing")
+				}
+			}
+			run() // grows the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 		})
 	}

@@ -26,6 +26,15 @@ import (
 // counts, so virtual time is byte-identical at every batch size (size 1
 // degenerates to the tuple-at-a-time order of operations).
 func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte, int64, error) {
+	return e.scan(pl, pos, loPK, hiPK, nil)
+}
+
+// scan is ScanAccess that, given a join step's integer key binding ik, also
+// extracts every selected row's key on the right side while the batch has the
+// row hot: one key and one NULL flag per result row, appended to this
+// engine's key column slab (Scratch.keys, Scratch.keyNulls) in result order.
+// Extraction charges nothing.
+func (e *Engine) scan(pl *Pipeline, pos int, loPK, hiPK *int32, ik *intKeys) ([][]byte, int64, error) {
 	ap, t := pl.Plan.access(pos), pl.tabs[pos]
 	ac := e.Access()
 	terms, width, bp := pl.terms[pos], pl.widths[pos], pl.preds[pos]
@@ -43,6 +52,9 @@ func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte,
 			batch.Sel = bp.Filter(batch.Rows, batch.Sel)
 		}
 		sc.views = batch.Selected(sc.views)
+		if ik != nil {
+			sc.keys, sc.keyNulls = ik.appendRowKeys(sc.keys, sc.keyNulls, batch.Rows, batch.Sel)
+		}
 		batch.Rows = batch.Rows[:0]
 	}
 
@@ -130,23 +142,45 @@ func (e *Engine) cacheWidth(rowWidth int64) int64 {
 	return rowWidth
 }
 
-// innerState caches the materialized inner side of a BNL join so
-// chunked executions build it only once (the device builds its hash tables
-// once and streams probes through them). For BNL with a bounded join buffer
-// it also tracks how much outer data has streamed past, charging one extra
-// inner pass every time the cumulative outer volume crosses a buffer-sized
-// block boundary — the block-nested-loop rescan behaviour.
+// innerState is the inner side of a BNL join, kept so chunked executions
+// scan it only once (the device builds its hash tables once and streams
+// probes through them). Its charges and its hash work are apart: the scan
+// (BuildInner) or the device's shipment (AppendInner) books the build, and
+// the hash table is filled at the first non-empty probe (Pipeline.innerTab),
+// which books nothing — an inner side nobody probes is never hashed. For BNL
+// with a bounded join buffer it also tracks how much outer data has streamed
+// past, charging one extra inner pass every time the cumulative outer volume
+// crosses a buffer-sized block boundary — the block-nested-loop rescan
+// behaviour.
 type innerState struct {
-	rows   [][]byte
-	tab    *keyTab
-	built  bool
-	seeded bool
-	width  int64
+	rows [][]byte
+	// keys and nulls are the integer join key of rows[:len(keys)] and its
+	// NULL flag, extracted by the scan that built the side for a whole probe:
+	// a region of the scanning engine's key column slab. Other scans,
+	// byte-key steps and rows AppendInner installed have none; their keys are
+	// decoded from the rows.
+	keys  []uint64
+	nulls []bool
+	// tab is nil until the first non-empty probe; rows[:linked] are in it.
+	// A probe-keyed tab holds the keys of the step's whole input instead
+	// (Pipeline.innerTab) and chains only the rows that match them.
+	tab        *keyTab
+	linked     int
+	probeKeyed bool
+	built      bool
+	seeded     bool
+	width      int64
 
 	scanDelta     map[string]vclock.Duration // cost of one inner scan pass
 	cumOuterBytes int64
 	chargedBlocks int64
 }
+
+// probeKeyedShare bounds the probe-keyed path: a step's whole input fills a
+// probe-keyed table when it holds at most 1/probeKeyedShare of the inner
+// side's rows. It is a constant of the engine, not a knob — results and
+// charges are the same either way (DESIGN.md §14) — and only the tests set it.
+var probeKeyedShare = 8
 
 // appendTupleKey appends the composite join key of the left tuple to buf
 // using plan-time-bound column indices; ok is false when any component is
@@ -179,7 +213,7 @@ func appendRowKey(buf []byte, rec table.Record, conds []BoundCond) ([]byte, bool
 // and returns the extended tuples, materialized in the run's main store.
 // Inner-side state persists in the pipeline across chunked invocations.
 func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
-	out, _, err := e.joinPiece(pl, si, left, &pl.sc.main, math.MaxInt)
+	out, _, err := e.joinPiece(pl, si, left, &pl.sc.main, math.MaxInt, false)
 	return out, err
 }
 
@@ -188,12 +222,13 @@ func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
 // left-tuple boundary where it got there and returns the output and how many
 // left tuples it consumed — all of them when the output stayed below budget
 // until the last, and at least one when there was one. Charges cover the
-// consumed tuples.
-func (e *Engine) joinPiece(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int) ([]Tuple, int, error) {
+// consumed tuples. whole reports that left is what remains of the step's
+// entire input for the run: no other tuple will ever probe the step.
+func (e *Engine) joinPiece(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int, whole bool) ([]Tuple, int, error) {
 	step := &pl.Plan.Steps[si]
 	switch step.Type {
 	case BNL:
-		return e.joinBuffered(pl, si, left, dst, budget)
+		return e.joinBuffered(pl, si, left, dst, budget, whole)
 	case BNLI:
 		return e.joinIndexed(pl, si, left, dst, budget)
 	default:
@@ -208,10 +243,14 @@ type probeHit struct{ ent, klen int32 }
 // joinBuffered implements BNL: a hash table over the inner side in the join
 // buffer, re-reading the inner table once per outer block that exceeds the
 // buffer.
-func (e *Engine) joinBuffered(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int) ([]Tuple, int, error) {
-	inner, err := e.BuildInner(pl, si)
+func (e *Engine) joinBuffered(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int, whole bool) ([]Tuple, int, error) {
+	inner, err := e.buildInner(pl, si, whole)
 	if err != nil {
 		return nil, 0, err
+	}
+	var tab *keyTab
+	if len(left) > 0 {
+		tab = pl.innerTab(si, left, whole)
 	}
 
 	// Batch-at-a-time probing: for each batch of left tuples, phase 1 forms
@@ -226,7 +265,7 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, left []Tuple, dst *tupleStor
 	var cmpBytes int64
 	cmps := 0
 	leftShape := pl.ShapeAt(si)
-	conds, ik, tab := pl.conds[si], &pl.intKeys[si], inner.tab
+	conds, ik := pl.conds[si], &pl.intKeys[si]
 	intLen := int32(ik.n * intKeyEncodedLen)
 	bs := batchRows
 	key := sc.keyBuf[:0]
@@ -302,11 +341,22 @@ func (e *Engine) chargeDeref(pl *Pipeline, si, out int) {
 	e.R.Deref(e.TL, out, positions, int64(out)*pl.TupleWidth(positions))
 }
 
-// BuildInner materializes and hashes the inner side of join step si if not
-// yet built. The cooperative executor calls this to pre-build the host-side
-// hash tables while the device runs its initial execution, overlapping the
-// two engines (paper §4.1).
+// BuildInner scans the inner side of join step si if not yet built and books
+// its hash build; the table itself is filled when the step is first probed.
+// The cooperative executor calls this to pre-build the host-side inner sides
+// while the device runs its initial execution, overlapping the two engines
+// (paper §4.1).
 func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
+	return e.buildInner(pl, si, false)
+}
+
+// buildInner is BuildInner for a probe of the step; whole is the probe's (see
+// joinPiece). A scan for a whole probe of an integer-key step also extracts
+// the key column: only such a probe may fill a probe-keyed table, and
+// elsewhere — cooperative and device joins, which never probe whole — the
+// column costs more than decoding the keys from the rows at the first probe
+// saves.
+func (e *Engine) buildInner(pl *Pipeline, si int, whole bool) (*innerState, error) {
 	inner := &pl.inner[si]
 	if inner.built {
 		return inner, nil
@@ -321,14 +371,29 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 	if rescans {
 		before = e.TL.Account()
 	}
-	rows, width, err := e.ScanAccess(pl, si+1, nil, nil)
+	// The key column lives in the scanning engine's scratch: the pipeline's
+	// may be another engine's.
+	sc := e.scratch()
+	var ik *intKeys
+	if k := &pl.intKeys[si]; k.n > 0 && whole {
+		ik = k
+	}
+	k0 := len(sc.keys)
+	rows, width, err := e.scan(pl, si+1, nil, nil, ik)
 	if err != nil {
 		return nil, err
 	}
 	if rescans {
 		inner.scanDelta = accountDelta(before, e.TL.Account())
 	}
-	e.hashInner(pl, si, inner, rows, width)
+	if ik != nil {
+		inner.keys = sc.keys[k0:len(sc.keys):len(sc.keys)]
+		inner.nulls = sc.keyNulls[k0:len(sc.keyNulls):len(sc.keyNulls)]
+	}
+	// The rows are kept with their capacity clipped, so a later AppendInner
+	// moves them into the scratch instead of writing past their end.
+	inner.rows, inner.width, inner.built = rows[:len(rows):len(rows)], width, true
+	e.chargeBuild(len(rows), width)
 	return inner, nil
 }
 
@@ -337,56 +402,95 @@ func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
 // the base table (H0 leaf offloading). The first call on an unbuilt inner
 // seeds it; later calls extend it (a fleet delivers each inner table's
 // partitions as separate leaf batches), the grown row list a region of the
-// pipeline's scratch.
+// pipeline's scratch. Either way the next probe hashes the new rows, decoding
+// their keys.
 func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) {
 	inner := &pl.inner[si]
 	if !inner.built {
-		e.hashInner(pl, si, inner, rows, pl.widths[si+1])
-		inner.seeded = true
-		return
+		inner.rows, inner.width = rows[:len(rows):len(rows)], pl.widths[si+1]
+		inner.built, inner.seeded = true, true
+	} else {
+		inner.rows = appendRegion(&pl.sc.views, inner.rows, rows)
 	}
-	base := len(inner.rows)
-	inner.rows = appendRegion(&pl.sc.views, inner.rows, rows)
-	inner.tab.addRows(len(rows))
-	e.linkRows(pl, si, inner, rows, base)
+	e.chargeBuild(len(rows), inner.width)
 }
 
-// hashInner builds the in-buffer hash table over the inner rows. The rows are
-// kept with their capacity clipped, so a later AppendInner moves them into the
-// scratch instead of writing past the end of the caller's slice.
-func (e *Engine) hashInner(pl *Pipeline, si int, inner *innerState, rows [][]byte, width int64) {
-	inner.rows = rows[:len(rows):len(rows)]
-	inner.width = width
-	inner.tab = pl.sc.keyTab(len(rows))
-	e.linkRows(pl, si, inner, rows, 0)
-	inner.built = true
+// chargeBuild books the hash build of n inner rows of the given width.
+func (e *Engine) chargeBuild(n int, width int64) {
+	if e.TL != nil {
+		e.R.HashBuild(e.TL, n)
+		e.R.Memcpy(e.TL, int64(n)*e.cacheWidth(width))
+	}
 }
 
-// linkRows enters rows, numbered from base, into the inner side's hash table
-// in the step's key representation — the one the probe reads — and books the
-// build. Rows with a NULL key component are skipped but charged like the rest.
-func (e *Engine) linkRows(pl *Pipeline, si int, inner *innerState, rows [][]byte, base int) {
-	if ik := &pl.intKeys[si]; ik.n > 0 {
-		for i, r := range rows {
-			if k, ok := ik.rowKey(r); ok {
-				inner.tab.addRowInt(k, base+i)
+// innerTab returns the hash table a probe of left reads from join step si's
+// built inner side, filling it first as far as this probe needs. Charges are
+// the build's, booked already; this books nothing.
+//
+// When left is the step's whole input for the run (a RunPlan pass: whole), it
+// is integer-keyed, the inner side has its key column and left holds at most
+// 1/probeKeyedShare of the inner's rows, the table is keyed by left's keys
+// instead: only the inner rows matching one of them are chained, in row
+// order, behind a keyFilter. A key that left probes resolves to the chain —
+// head, order and length — a full table gives it, and a key left does not
+// hold is never probed, so output order and Memcmp counts are the same. The
+// table serves the rest of that input, piece after piece, and no other probe
+// comes: a whole input is the step's only one. Any other probe finds the
+// inner's every row hashed, in row order, with the keys the scan extracted or,
+// for rows without, decoded from the row.
+func (pl *Pipeline) innerTab(si int, left []Tuple, whole bool) *keyTab {
+	inner := &pl.inner[si]
+	ik := &pl.intKeys[si]
+	if inner.probeKeyed {
+		return inner.tab
+	}
+	if inner.tab == nil {
+		inner.tab = pl.sc.keyTab()
+		if whole && ik.n > 0 && len(inner.keys) == len(inner.rows) &&
+			len(left)*probeKeyedShare <= len(inner.rows) {
+			var f keyFilter
+			inner.tab.resetKeys(len(left))
+			for _, tu := range left {
+				if k, ok := ik.tupleKey(tu); ok {
+					inner.tab.putInt(k)
+					f.add(hashInt(k))
+				}
+			}
+			inner.tab.linkProbed(&f, inner.keys, inner.nulls)
+			inner.probeKeyed = true
+			return inner.tab
+		}
+		inner.tab.reset(len(inner.rows))
+	}
+	t, r := inner.tab, inner.linked
+	if r == len(inner.rows) {
+		return t
+	}
+	t.addRows(len(inner.rows) - len(t.next))
+	if ik.n > 0 {
+		for ; r < len(inner.keys); r++ {
+			if !inner.nulls[r] {
+				t.addRowInt(inner.keys[r], r)
+			}
+		}
+		for ; r < len(inner.rows); r++ {
+			if k, ok := ik.rowKey(inner.rows[r]); ok {
+				t.addRowInt(k, r)
 			}
 		}
 	} else {
 		rs := pl.tabs[si+1].Schema
 		key := pl.sc.keyBuf[:0]
-		for i, r := range rows {
+		for ; r < len(inner.rows); r++ {
 			var ok bool
-			if key, ok = appendRowKey(key[:0], table.Record{Schema: rs, Data: r}, pl.conds[si]); ok {
-				inner.tab.addRow(fnv1a(key), key, base+i)
+			if key, ok = appendRowKey(key[:0], table.Record{Schema: rs, Data: inner.rows[r]}, pl.conds[si]); ok {
+				t.addRow(fnv1a(key), key, r)
 			}
 		}
 		pl.sc.keyBuf = key[:0]
 	}
-	if e.TL != nil {
-		e.R.HashBuild(e.TL, len(rows))
-		e.R.Memcpy(e.TL, int64(len(rows))*e.cacheWidth(inner.width))
-	}
+	inner.linked = r
+	return t
 }
 
 // accountDelta computes per-category cost differences between snapshots.

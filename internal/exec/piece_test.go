@@ -254,3 +254,67 @@ func TestPieceBudgetLaw(t *testing.T) {
 		})
 	}
 }
+
+// TestProbeKeyedLaw: the probe-keyed path (a whole small first probe fills a
+// table keyed by its own keys) changes which rows a buffered join hashes,
+// nothing a run reports. Every JOB query host-native and full NDP — the two
+// RunPlan passes, on the host and on the device engine — with the path forced
+// off and forced on for every whole first probe must return the same
+// fingerprint, bit-identical elapsed time and every account category bit for
+// bit; and so must the default, which takes it for probes of at most 1/8 of
+// the inner side.
+func TestProbeKeyedLaw(t *testing.T) {
+	ds := jobDataset(t)
+	opt := optimizer.New(ds.Cat, ds.Model)
+	var plans []*exec.Plan
+	for _, q := range job.Queries() {
+		p, err := opt.BuildPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	runs := func() [][]lawRun {
+		x := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
+		out := make([][]lawRun, len(plans))
+		errs := make([]error, len(plans))
+		par.ForEach(2, len(plans), func(i int) {
+			for _, s := range []coop.Strategy{{Kind: coop.HostNative}, {Kind: coop.NDPOnly}} {
+				rep, err := x.Run(plans[i], s)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s %s: %w", plans[i].Query.Name, s, err)
+					return
+				}
+				out[i] = append(out[i], coopRun(rep))
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	restore := exec.SetProbeKeyed(false)
+	off := runs()
+	restore()
+	def := runs()
+	restore = exec.SetProbeKeyed(true)
+	on := runs()
+	restore()
+	for i := range off {
+		for j, w := range off[i] {
+			for _, c := range []struct {
+				name string
+				got  lawRun
+			}{{"forced on", on[i][j]}, {"default", def[i][j]}} {
+				if c.got.fp != w.fp {
+					t.Errorf("%s %s %s: result %s, path off %s", c.name, w.query, w.strategy, c.got.fp, w.fp)
+				}
+				if c.got.charges != w.charges {
+					t.Errorf("%s %s %s: charges differ from the path off: %s", c.name, w.query, w.strategy, firstField(w.charges, c.got.charges))
+				}
+			}
+		}
+	}
+}

@@ -28,6 +28,12 @@ type Scratch struct {
 	cache  *lsm.BlockCache // the engine's block cache, handed out cold by BlockCache
 	fin    finalizer       // the top of the plan the run finishes on this scratch
 
+	// The key column slab: the integer join keys of the BNL inner sides this
+	// engine scanned for a whole probe and their NULL flags, one per row of
+	// each such scan's result.
+	keys     []uint64
+	keyNulls []bool
+
 	// main holds the tuples that live for the run: MakeTuples results,
 	// JoinStep outputs, tuple lists (device result sets, gather lists). piece
 	// holds a streamed join chain's pieces, each rewound once consumed.
@@ -65,14 +71,13 @@ const scratchPoolMax = 16
 // aliasing tests set it, to poison what a run left behind.
 var onRelease func(*Scratch)
 
-// keyTab hands out the run's next hash table, empty and sized for n rows.
-func (s *Scratch) keyTab(n int) *keyTab {
+// keyTab hands out the run's next hash table, for the caller to reset.
+func (s *Scratch) keyTab() *keyTab {
 	if s.ntabs == len(s.tabs) {
 		s.tabs = append(s.tabs, &keyTab{})
 	}
 	t := s.tabs[s.ntabs]
 	s.ntabs++
-	t.reset(n)
 	return t
 }
 
@@ -138,6 +143,7 @@ func (s *Scratch) Release() {
 	clear(s.views)
 	clear(s.inners)
 	s.views, s.inners = s.views[:0], s.inners[:0]
+	s.keys, s.keyNulls = s.keys[:0], s.keyNulls[:0]
 	s.main.rewind(storeMark{})
 	s.piece.rewind(storeMark{})
 	s.fin.reset()
@@ -159,9 +165,10 @@ func (s *Scratch) Release() {
 // Retained reports the bytes of capacity the scratch holds, its block cache's,
 // iterator's and seeker's included.
 func (s *Scratch) Retained() int64 {
-	const view, i32 = int64(unsafe.Sizeof([]byte(nil))), 4
+	const view, i32, i64 = int64(unsafe.Sizeof([]byte(nil))), 4, 8
 	n := int64(cap(s.batch.Rows)+cap(s.views))*view + s.main.retained() + s.piece.retained() +
 		int64(cap(s.batch.Sel)+cap(s.probeEnd)+2*cap(s.probeHits))*i32 +
+		int64(cap(s.keys))*i64 + int64(cap(s.keyNulls)) +
 		int64(cap(s.keyBuf)+cap(s.lo)+cap(s.hi)) +
 		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained() +
 		s.iter.Retained() + s.seeker.Retained() + s.fin.retained()

@@ -81,7 +81,7 @@ type chain struct {
 // piece a step runs is a host.join span.
 func (e *Engine) stream(pl *Pipeline, from int, in []Tuple, keep bool, tr *obs.Trace, sink func([]Tuple) error) error {
 	c := chain{e: e, pl: pl, keep: keep, tr: tr, sink: sink}
-	return c.push(from, in)
+	return c.push(from, in, false)
 }
 
 // Stream runs tuples through join steps [from, n) as stream does and hands
@@ -91,8 +91,11 @@ func (e *Engine) Stream(pl *Pipeline, from int, in []Tuple, tr *obs.Trace, sink 
 	return e.stream(pl, from, in, true, tr, sink)
 }
 
-// push runs in through join step si and everything after it.
-func (c *chain) push(si int, in []Tuple) error {
+// push runs in through join step si and everything after it. whole reports
+// that in is step si's entire input for the run — the chain's input is the
+// pass's, and every step before si consumed its whole input in one call — so
+// no other tuple will ever probe the step.
+func (c *chain) push(si int, in []Tuple, whole bool) error {
 	n := len(c.pl.Plan.Steps)
 	if si == n {
 		return c.sink(in)
@@ -106,15 +109,16 @@ func (c *chain) push(si int, in []Tuple) error {
 	for off := 0; ; {
 		m := dst.mark()
 		sp := c.tr.Start(c.e.TL, "host.join").AttrInt("step", int64(si))
-		out, used, err := c.e.joinPiece(c.pl, si, in[off:], dst, pieceTuples)
+		out, used, err := c.e.joinPiece(c.pl, si, in[off:], dst, pieceTuples, whole)
 		sp.AttrInt("in.rows", int64(used)).AttrInt("out.rows", int64(len(out))).End()
 		if err != nil {
 			return err
 		}
+		first := off == 0
 		off += used
 		last := off == len(in)
 		if len(out) > 0 || last && !handed {
-			if err := c.push(si+1, out); err != nil {
+			if err := c.push(si+1, out, whole && first && last); err != nil {
 				return err
 			}
 			handed = true

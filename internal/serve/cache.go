@@ -9,7 +9,7 @@ import (
 )
 
 type cacheEntry struct {
-	key string
+	key StmtID
 	dec *optimizer.Decision
 	// lastUsed is the virtual instant of the most recent hit; the LRU list
 	// order is exactly descending lastUsed, making eviction a pure function
@@ -17,18 +17,24 @@ type cacheEntry struct {
 	lastUsed vclock.Time
 }
 
+// StmtID is a prepared statement's plan-cache key: the id its normalized SQL
+// (sql.Render's canonical rendering) was interned under, so formatting-
+// equivalent statements of any session share an entry and a lookup never
+// hashes the text.
+type StmtID int32
+
 // PlanCache is the shared, bounded plan cache behind every session, keyed by
-// normalized SQL (sql.Normalize's canonical rendering), so formatting-
-// equivalent statements share an entry. The dataset is read-only and a
-// decision does not depend on the fleet topology, so nothing else can make a
-// cached plan stale.
+// interned statement ids (Intern). The dataset is read-only and a decision
+// does not depend on the fleet topology, so nothing else can make a cached
+// plan stale.
 // Eviction is strict LRU on virtual time. It is not internally synchronized:
 // all access happens on the server's single-threaded event loop, which is
 // also what keeps its obs counters byte-deterministic.
 type PlanCache struct {
 	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
+	ids      map[string]StmtID // normalized SQL → its id, the next id being len(ids)
+	entries  []*list.Element   // by id; nil = not cached
+	lru      *list.List        // front = most recently used
 
 	hits, misses, evictions *obs.Counter
 	size                    *obs.Gauge
@@ -43,7 +49,7 @@ func NewPlanCache(capacity int, m *obs.Registry) *PlanCache {
 	}
 	return &PlanCache{
 		capacity:  capacity,
-		entries:   map[string]*list.Element{},
+		ids:       map[string]StmtID{},
 		lru:       list.New(),
 		hits:      m.Counter("serve.cache.hit"),
 		misses:    m.Counter("serve.cache.miss"),
@@ -52,10 +58,24 @@ func NewPlanCache(capacity int, m *obs.Registry) *PlanCache {
 	}
 }
 
+// Intern returns the id of normalized SQL text norm, the next unused one the
+// first time the cache sees the text. Statements are prepared once and served
+// many times, so the table of texts is never pruned: eviction drops a plan,
+// not its statement's id.
+func (c *PlanCache) Intern(norm string) StmtID {
+	if id, ok := c.ids[norm]; ok {
+		return id
+	}
+	id := StmtID(len(c.ids))
+	c.ids[norm] = id
+	c.entries = append(c.entries, nil)
+	return id
+}
+
 // Get returns the cached decision for k, refreshing its LRU stamp to now.
-func (c *PlanCache) Get(k string, now vclock.Time) (*optimizer.Decision, bool) {
-	el, ok := c.entries[k]
-	if !ok {
+func (c *PlanCache) Get(k StmtID, now vclock.Time) (*optimizer.Decision, bool) {
+	el := c.entries[k]
+	if el == nil {
 		c.misses.Inc()
 		return nil, false
 	}
@@ -68,8 +88,8 @@ func (c *PlanCache) Get(k string, now vclock.Time) (*optimizer.Decision, bool) {
 
 // Put inserts d under k (stamped now), evicting the least-recently-used
 // entry when the cache is full. Re-putting an existing key refreshes it.
-func (c *PlanCache) Put(k string, d *optimizer.Decision, now vclock.Time) {
-	if el, ok := c.entries[k]; ok {
+func (c *PlanCache) Put(k StmtID, d *optimizer.Decision, now vclock.Time) {
+	if el := c.entries[k]; el != nil {
 		ent := el.Value.(*cacheEntry)
 		ent.dec = d
 		ent.lastUsed = now
@@ -80,7 +100,7 @@ func (c *PlanCache) Put(k string, d *optimizer.Decision, now vclock.Time) {
 		back := c.lru.Back()
 		if back != nil {
 			victim := back.Value.(*cacheEntry)
-			delete(c.entries, victim.key)
+			c.entries[victim.key] = nil
 			c.lru.Remove(back)
 			c.evictions.Inc()
 		}
@@ -94,10 +114,10 @@ func (c *PlanCache) Len() int { return c.lru.Len() }
 
 // Oldest reports the least-recently-used entry's key and virtual-time stamp
 // (zero values when empty) — the next eviction victim.
-func (c *PlanCache) Oldest() (string, vclock.Time, bool) {
+func (c *PlanCache) Oldest() (StmtID, vclock.Time, bool) {
 	back := c.lru.Back()
 	if back == nil {
-		return "", 0, false
+		return 0, 0, false
 	}
 	ent := back.Value.(*cacheEntry)
 	return ent.key, ent.lastUsed, true

@@ -202,7 +202,7 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 		s.costs = append(s.costs, qc)
 	}
 	for _, tc := range cfg.Tenants {
-		sess := NewSession(tc.Name, ds.Cat)
+		sess := NewSession(tc.Name, ds.Cat, s.cache)
 		for _, q := range queries {
 			text, err := sql.Render(q)
 			if err != nil {
@@ -237,14 +237,14 @@ func (s *Server) PlanFor(tenant int, stmt string, now vclock.Time) (*optimizer.D
 }
 
 func (s *Server) planFor(p *Prepared, now vclock.Time) (*optimizer.Decision, error) {
-	if d, ok := s.cache.Get(p.Norm, now); ok {
+	if d, ok := s.cache.Get(p.Key, now); ok {
 		return d, nil
 	}
 	d, err := s.opt.Decide(p.Query)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compile %s: %w", p.Name, err)
 	}
-	s.cache.Put(p.Norm, d, now)
+	s.cache.Put(p.Key, d, now)
 	return d, nil
 }
 

@@ -241,21 +241,25 @@ func TestPlanCacheLRU(t *testing.T) {
 	m := obs.NewRegistry()
 	c := NewPlanCache(2, m)
 	d := &optimizer.Decision{}
-	c.Put("a", d, 1)
-	c.Put("b", d, 2)
-	if _, ok := c.Get("a", 3); !ok {
+	a, b, cc := c.Intern("a"), c.Intern("b"), c.Intern("c")
+	if again := c.Intern("b"); again != b || a == b || b == cc || a == cc {
+		t.Fatalf("interned ids a=%d b=%d (again %d) c=%d, want distinct texts distinct and b stable", a, b, again, cc)
+	}
+	c.Put(a, d, 1)
+	c.Put(b, d, 2)
+	if _, ok := c.Get(a, 3); !ok {
 		t.Fatal("a should be cached")
 	}
 	// b is now LRU; inserting c must evict b, not a.
-	c.Put("c", d, 4)
-	if _, ok := c.Get("b", 5); ok {
+	c.Put(cc, d, 4)
+	if _, ok := c.Get(b, 5); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get("a", 6); !ok {
+	if _, ok := c.Get(a, 6); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if k, at, ok := c.Oldest(); !ok || k != "c" || at != 4 {
-		t.Fatalf("oldest = %v@%v, want c@4", k, at)
+	if k, at, ok := c.Oldest(); !ok || k != cc || at != 4 {
+		t.Fatalf("oldest = %v@%v, want c (%d)@4", k, at, cc)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())

@@ -27,27 +27,30 @@ var ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
 
 // Prepared is one prepared statement: SQL text compiled to the logical query
-// model and re-rendered to its canonical form, which is the plan-cache key
-// text shared by every session preparing an equivalent statement.
+// model and re-rendered to its canonical form, whose interned id is the
+// plan-cache key shared by every session preparing an equivalent statement.
 type Prepared struct {
 	Name  string
 	Query *query.Query
-	Norm  string // canonical SQL (sql.Render of the parsed query)
+	Key   StmtID // PlanCache.Intern of the canonical SQL (sql.Render of the parsed query)
 }
 
 // Session is one tenant connection: SQL text in, prepared statements held by
-// name, resolved against the loaded catalog. Sessions own no execution
-// resources — they feed the server's shared plan cache and admission layers.
+// name, resolved against the loaded catalog and keyed in the shared plan
+// cache. Sessions own no execution resources — they feed the server's shared
+// plan cache and admission layers.
 type Session struct {
 	Tenant string
 
 	cat   *table.Catalog
+	cache *PlanCache
 	stmts map[string]*Prepared
 }
 
-// NewSession opens a session for tenant over the catalog.
-func NewSession(tenant string, cat *table.Catalog) *Session {
-	return &Session{Tenant: tenant, cat: cat, stmts: map[string]*Prepared{}}
+// NewSession opens a session for tenant over the catalog, preparing
+// statements under cache's ids.
+func NewSession(tenant string, cat *table.Catalog, cache *PlanCache) *Session {
+	return &Session{Tenant: tenant, cat: cat, cache: cache, stmts: map[string]*Prepared{}}
 }
 
 // Prepare parses and validates text and stores it under name, replacing any
@@ -84,5 +87,5 @@ func (s *Session) compile(text string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Name: q.Name, Query: q, Norm: norm}, nil
+	return &Prepared{Name: q.Name, Query: q, Key: s.cache.Intern(norm)}, nil
 }
