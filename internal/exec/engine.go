@@ -96,8 +96,7 @@ func (e *Engine) RunPlan(p *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := chain{e: e, pl: pl, sink: f.sink}
-	if err := c.push(0, pl.MakeTuples(rows), true); err != nil {
+	if err := e.stream(pl, 0, pl.MakeTuples(rows), false, nil, f.sink, true); err != nil {
 		return nil, err
 	}
 	return f.result(), nil
@@ -198,29 +197,6 @@ func (k *intKeys) rowKey(row []byte) (key uint64, ok bool) {
 		key |= hi << 32
 	}
 	return key, ok
-}
-
-// appendRowKeys appends the key of every selected right-side row (rows[i],
-// i in sel) to keys and whether it is NULL to nulls.
-func (k *intKeys) appendRowKeys(keys []uint64, nulls []bool, rows [][]byte, sel []int32) ([]uint64, []bool) {
-	n := len(keys)
-	keys, nulls = slices.Grow(keys, len(sel))[:n+len(sel)], slices.Grow(nulls, len(sel))[:n+len(sel)]
-	ks, ns := keys[n:], nulls[n:]
-	// The columns are copied out so the loop keeps them in registers.
-	c0, c1 := k.right[0], k.right[1]
-	if k.n == 1 {
-		for j, i := range sel {
-			key, ok := c0.read(rows[i])
-			ks[j], ns[j] = key, !ok
-		}
-		return keys, nulls
-	}
-	for j, i := range sel {
-		lo, ok0 := c0.read(rows[i])
-		hi, ok1 := c1.read(rows[i])
-		ks[j], ns[j] = lo|hi<<32, !(ok0 && ok1)
-	}
-	return keys, nulls
 }
 
 // tupleKey packs the key of a left tuple.

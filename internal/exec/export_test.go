@@ -61,11 +61,8 @@ func (e *Engine) scanAP(ap AccessPath, loPK, hiPK *int32) ([][]byte, int64, erro
 // row-view slot (scan batch, view slab, arena blocks — used or not)
 // points at one sentinel row of 0xA5 bytes, every tuple slot at a sentinel
 // tuple of such rows, every inner-state slot claims a built inner side of
-// such a row and a key column of one flipped key, every key column slot
-// claims a small non-NULL key, its index — an id, as the join keys of the
-// JOB tables are, so a slot a run trusts without writing it joins rows a
-// never-written one does not — and every hash-table key — arena byte or
-// entry word, whichever representation the table last held — is flipped. A result or
+// such a row, and every hash-table key — arena byte or entry word,
+// whichever representation the table last held — is flipped. A result or
 // report that still aliases scratch memory then reads garbage, and the next
 // run on the scratch finds garbage wherever it wrongly trusts a cleared slot.
 func PoisonScratchOnRelease() (restore func()) {
@@ -94,15 +91,9 @@ func PoisonScratchOnRelease() (restore func()) {
 				tuples[i] = tuple
 			}
 		}
-		keys, nulls := s.keys[:cap(s.keys)], s.keyNulls[:cap(s.keyNulls)]
-		for i := range keys {
-			keys[i] = uint64(i)
-		}
-		clear(nulls)
 		inners := s.inners[:cap(s.inners)]
 		for i := range inners {
-			inners[i] = innerState{rows: [][]byte{row}, keys: []uint64{^uint64(0)}, nulls: []bool{false},
-				built: true, seeded: true}
+			inners[i] = innerState{rows: [][]byte{row}, built: true, seeded: true}
 		}
 		for _, t := range s.tabs {
 			keys := t.keys[:cap(t.keys)]

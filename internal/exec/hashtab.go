@@ -221,14 +221,15 @@ func (t *keyTab) link(idx int32, row int) {
 }
 
 // linkProbed makes the table, whose entries are a probe's integer keys with
-// empty chains, chain every row of the inner key column (keys, NULL flags
-// alongside) that matches one of them, in row order: the chain a full build
-// would give that key. Every key must have passed f. The table needs a chain
-// slot per row; slots of unmatched rows are never written.
-func (t *keyTab) linkProbed(f *keyFilter, keys []uint64, nulls []bool) {
-	t.next = slices.Grow(t.next[:0], len(keys))[:len(keys)]
-	for r, k := range keys {
-		if nulls[r] {
+// empty chains, chain every inner row (keys decoded by ik) that matches one
+// of them, in row order: the chain a full build would give that key. Every
+// key in the table must have been added to f. The table needs a chain slot
+// per row; slots of unmatched rows are never written.
+func (t *keyTab) linkProbed(f *keyFilter, ik *intKeys, rows [][]byte) {
+	t.next = slices.Grow(t.next[:0], len(rows))[:len(rows)]
+	for r, row := range rows {
+		k, ok := ik.rowKey(row)
+		if !ok {
 			continue
 		}
 		if h := hashInt(k); f.has(h) {
@@ -243,7 +244,8 @@ func (t *keyTab) linkProbed(f *keyFilter, keys []uint64, nulls []bool) {
 // bits of a key's hash (hashInt) pick its bit. A probe-keyed table
 // (linkProbed) tests every inner key against it before it looks the key up,
 // so a small probe's table skips most of a large inner side at one load and
-// one bit test a row.
+// one bit test a row. Without it, BenchmarkBNL/probes=16 takes 1.7 times as
+// long (EXPERIMENTS.md "Deferred inner builds").
 type keyFilter [64]uint64
 
 func (f *keyFilter) add(h uint64) {

@@ -237,9 +237,8 @@ func TestIntegerJoinAllocatesNothingWarm(t *testing.T) {
 // which every key the input holds resolves to the chain a full table gives
 // it — head, order, length — and the join, run piece by piece as a streamed
 // chain runs it, returns the same tuples in the same order with a
-// bit-identical timeline. So does a full table hashed from the scan's key
-// column, against one hashed from the rows. Random keys with NULLs, one and
-// two conditions, piece budgets 1, 7 and unbounded.
+// bit-identical timeline. Random keys with NULLs, one and two conditions,
+// piece budgets 1, 7 and unbounded.
 func TestProbeKeyedTableMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	plans := []*Plan{keyPlan([2]string{"a", "a"}), keyPlan([2]string{"a", "b"}, [2]string{"b", "a"})}
@@ -282,9 +281,9 @@ func TestProbeKeyedTableMatchesFull(t *testing.T) {
 				off += used
 			}
 			keyed := whole && probeKeyedShare == share
-			if pl.inner[0].probeKeyed != keyed || (len(pl.inner[0].keys) > 0) != whole {
-				t.Fatalf("round %d: whole input %v of %d tuples over %d inner rows: probe-keyed %v, %d keys extracted",
-					round, whole, len(left), len(inner), pl.inner[0].probeKeyed, len(pl.inner[0].keys))
+			if pl.inner[0].probeKeyed != keyed {
+				t.Fatalf("round %d: whole input %v of %d tuples over %d inner rows: probe-keyed %v",
+					round, whole, len(left), len(inner), pl.inner[0].probeKeyed)
 			}
 			chains := func(tab *keyTab) map[uint64][]int32 {
 				m := map[uint64][]int32{}
@@ -309,25 +308,14 @@ func TestProbeKeyedTableMatchesFull(t *testing.T) {
 			j.chains = chains(pl.inner[0].tab)
 			return j
 		}
-		// The full table once from the scan's key column (a whole input with
-		// the path off) and once from the rows (an input that is not whole).
-		keyed := run(true)
-		restore := SetProbeKeyed(false)
-		column := run(true)
-		restore()
-		full := run(false)
-		for _, c := range []struct {
-			name string
-			j    joined
-		}{{"probe-keyed", keyed}, {"key column", column}} {
-			if !reflect.DeepEqual(c.j.out, full.out) || !reflect.DeepEqual(c.j.chains, full.chains) {
-				t.Fatalf("round %d (%s, budget %d): %s join %v chains %v, rows %v chains %v",
-					round, p.Steps[0], budget, c.name, c.j.out, c.j.chains, full.out, full.chains)
-			}
-			if !sameTimeline(c.j.tl, full.tl) {
-				t.Fatalf("round %d: %s timeline %v %v, rows %v %v", round, c.name,
-					c.j.tl.Now(), c.j.tl.Account(), full.tl.Now(), full.tl.Account())
-			}
+		keyed, full := run(true), run(false)
+		if !reflect.DeepEqual(keyed.out, full.out) || !reflect.DeepEqual(keyed.chains, full.chains) {
+			t.Fatalf("round %d (%s, budget %d): probe-keyed join %v chains %v, full %v chains %v",
+				round, p.Steps[0], budget, keyed.out, keyed.chains, full.out, full.chains)
+		}
+		if !sameTimeline(keyed.tl, full.tl) {
+			t.Fatalf("round %d: probe-keyed timeline %v %v, full %v %v", round,
+				keyed.tl.Now(), keyed.tl.Account(), full.tl.Now(), full.tl.Account())
 		}
 	}
 }

@@ -26,15 +26,6 @@ import (
 // counts, so virtual time is byte-identical at every batch size (size 1
 // degenerates to the tuple-at-a-time order of operations).
 func (e *Engine) ScanAccess(pl *Pipeline, pos int, loPK, hiPK *int32) ([][]byte, int64, error) {
-	return e.scan(pl, pos, loPK, hiPK, nil)
-}
-
-// scan is ScanAccess that, given a join step's integer key binding ik, also
-// extracts every selected row's key on the right side while the batch has the
-// row hot: one key and one NULL flag per result row, appended to this
-// engine's key column slab (Scratch.keys, Scratch.keyNulls) in result order.
-// Extraction charges nothing.
-func (e *Engine) scan(pl *Pipeline, pos int, loPK, hiPK *int32, ik *intKeys) ([][]byte, int64, error) {
 	ap, t := pl.Plan.access(pos), pl.tabs[pos]
 	ac := e.Access()
 	terms, width, bp := pl.terms[pos], pl.widths[pos], pl.preds[pos]
@@ -52,9 +43,6 @@ func (e *Engine) scan(pl *Pipeline, pos int, loPK, hiPK *int32, ik *intKeys) ([]
 			batch.Sel = bp.Filter(batch.Rows, batch.Sel)
 		}
 		sc.views = batch.Selected(sc.views)
-		if ik != nil {
-			sc.keys, sc.keyNulls = ik.appendRowKeys(sc.keys, sc.keyNulls, batch.Rows, batch.Sel)
-		}
 		batch.Rows = batch.Rows[:0]
 	}
 
@@ -154,13 +142,6 @@ func (e *Engine) cacheWidth(rowWidth int64) int64 {
 // behaviour.
 type innerState struct {
 	rows [][]byte
-	// keys and nulls are the integer join key of rows[:len(keys)] and its
-	// NULL flag, extracted by the scan that built the side for a whole probe:
-	// a region of the scanning engine's key column slab. Other scans,
-	// byte-key steps and rows AppendInner installed have none; their keys are
-	// decoded from the rows.
-	keys  []uint64
-	nulls []bool
 	// tab is nil until the first non-empty probe; rows[:linked] are in it.
 	// A probe-keyed tab holds the keys of the step's whole input instead
 	// (Pipeline.innerTab) and chains only the rows that match them.
@@ -244,7 +225,7 @@ type probeHit struct{ ent, klen int32 }
 // buffer, re-reading the inner table once per outer block that exceeds the
 // buffer.
 func (e *Engine) joinBuffered(pl *Pipeline, si int, left []Tuple, dst *tupleStore, budget int, whole bool) ([]Tuple, int, error) {
-	inner, err := e.buildInner(pl, si, whole)
+	inner, err := e.BuildInner(pl, si)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -347,16 +328,6 @@ func (e *Engine) chargeDeref(pl *Pipeline, si, out int) {
 // while the device runs its initial execution, overlapping the two engines
 // (paper §4.1).
 func (e *Engine) BuildInner(pl *Pipeline, si int) (*innerState, error) {
-	return e.buildInner(pl, si, false)
-}
-
-// buildInner is BuildInner for a probe of the step; whole is the probe's (see
-// joinPiece). A scan for a whole probe of an integer-key step also extracts
-// the key column: only such a probe may fill a probe-keyed table, and
-// elsewhere — cooperative and device joins, which never probe whole — the
-// column costs more than decoding the keys from the rows at the first probe
-// saves.
-func (e *Engine) buildInner(pl *Pipeline, si int, whole bool) (*innerState, error) {
 	inner := &pl.inner[si]
 	if inner.built {
 		return inner, nil
@@ -371,24 +342,12 @@ func (e *Engine) buildInner(pl *Pipeline, si int, whole bool) (*innerState, erro
 	if rescans {
 		before = e.TL.Account()
 	}
-	// The key column lives in the scanning engine's scratch: the pipeline's
-	// may be another engine's.
-	sc := e.scratch()
-	var ik *intKeys
-	if k := &pl.intKeys[si]; k.n > 0 && whole {
-		ik = k
-	}
-	k0 := len(sc.keys)
-	rows, width, err := e.scan(pl, si+1, nil, nil, ik)
+	rows, width, err := e.ScanAccess(pl, si+1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	if rescans {
 		inner.scanDelta = accountDelta(before, e.TL.Account())
-	}
-	if ik != nil {
-		inner.keys = sc.keys[k0:len(sc.keys):len(sc.keys)]
-		inner.nulls = sc.keyNulls[k0:len(sc.keyNulls):len(sc.keyNulls)]
 	}
 	// The rows are kept with their capacity clipped, so a later AppendInner
 	// moves them into the scratch instead of writing past their end.
@@ -428,16 +387,15 @@ func (e *Engine) chargeBuild(n int, width int64) {
 // the build's, booked already; this books nothing.
 //
 // When left is the step's whole input for the run (a RunPlan pass: whole), it
-// is integer-keyed, the inner side has its key column and left holds at most
-// 1/probeKeyedShare of the inner's rows, the table is keyed by left's keys
-// instead: only the inner rows matching one of them are chained, in row
-// order, behind a keyFilter. A key that left probes resolves to the chain —
-// head, order and length — a full table gives it, and a key left does not
-// hold is never probed, so output order and Memcmp counts are the same. The
-// table serves the rest of that input, piece after piece, and no other probe
-// comes: a whole input is the step's only one. Any other probe finds the
-// inner's every row hashed, in row order, with the keys the scan extracted or,
-// for rows without, decoded from the row.
+// is integer-keyed and left holds at most 1/probeKeyedShare of the inner's
+// rows, the table is keyed by left's keys instead: only the inner rows
+// matching one of them are chained, in row order, behind a keyFilter. A key
+// that left probes resolves to the chain — head, order and length — a full
+// table gives it, and a key left does not hold is never probed, so output
+// order and Memcmp counts are the same. The table serves the rest of that
+// input, piece after piece, and no other probe comes: a whole input is the
+// step's only one. Any other probe finds the inner's every row hashed, in row
+// order.
 func (pl *Pipeline) innerTab(si int, left []Tuple, whole bool) *keyTab {
 	inner := &pl.inner[si]
 	ik := &pl.intKeys[si]
@@ -446,8 +404,7 @@ func (pl *Pipeline) innerTab(si int, left []Tuple, whole bool) *keyTab {
 	}
 	if inner.tab == nil {
 		inner.tab = pl.sc.keyTab()
-		if whole && ik.n > 0 && len(inner.keys) == len(inner.rows) &&
-			len(left)*probeKeyedShare <= len(inner.rows) {
+		if whole && ik.n > 0 && len(left)*probeKeyedShare <= len(inner.rows) {
 			var f keyFilter
 			inner.tab.resetKeys(len(left))
 			for _, tu := range left {
@@ -456,7 +413,7 @@ func (pl *Pipeline) innerTab(si int, left []Tuple, whole bool) *keyTab {
 					f.add(hashInt(k))
 				}
 			}
-			inner.tab.linkProbed(&f, inner.keys, inner.nulls)
+			inner.tab.linkProbed(&f, ik, inner.rows)
 			inner.probeKeyed = true
 			return inner.tab
 		}
@@ -468,11 +425,6 @@ func (pl *Pipeline) innerTab(si int, left []Tuple, whole bool) *keyTab {
 	}
 	t.addRows(len(inner.rows) - len(t.next))
 	if ik.n > 0 {
-		for ; r < len(inner.keys); r++ {
-			if !inner.nulls[r] {
-				t.addRowInt(inner.keys[r], r)
-			}
-		}
 		for ; r < len(inner.rows); r++ {
 			if k, ok := ik.rowKey(inner.rows[r]); ok {
 				t.addRowInt(k, r)

@@ -28,12 +28,6 @@ type Scratch struct {
 	cache  *lsm.BlockCache // the engine's block cache, handed out cold by BlockCache
 	fin    finalizer       // the top of the plan the run finishes on this scratch
 
-	// The key column slab: the integer join keys of the BNL inner sides this
-	// engine scanned for a whole probe and their NULL flags, one per row of
-	// each such scan's result.
-	keys     []uint64
-	keyNulls []bool
-
 	// main holds the tuples that live for the run: MakeTuples results,
 	// JoinStep outputs, tuple lists (device result sets, gather lists). piece
 	// holds a streamed join chain's pieces, each rewound once consumed.
@@ -143,7 +137,6 @@ func (s *Scratch) Release() {
 	clear(s.views)
 	clear(s.inners)
 	s.views, s.inners = s.views[:0], s.inners[:0]
-	s.keys, s.keyNulls = s.keys[:0], s.keyNulls[:0]
 	s.main.rewind(storeMark{})
 	s.piece.rewind(storeMark{})
 	s.fin.reset()
@@ -165,10 +158,9 @@ func (s *Scratch) Release() {
 // Retained reports the bytes of capacity the scratch holds, its block cache's,
 // iterator's and seeker's included.
 func (s *Scratch) Retained() int64 {
-	const view, i32, i64 = int64(unsafe.Sizeof([]byte(nil))), 4, 8
+	const view, i32 = int64(unsafe.Sizeof([]byte(nil))), 4
 	n := int64(cap(s.batch.Rows)+cap(s.views))*view + s.main.retained() + s.piece.retained() +
 		int64(cap(s.batch.Sel)+cap(s.probeEnd)+2*cap(s.probeHits))*i32 +
-		int64(cap(s.keys))*i64 + int64(cap(s.keyNulls)) +
 		int64(cap(s.keyBuf)+cap(s.lo)+cap(s.hi)) +
 		int64(cap(s.inners))*int64(unsafe.Sizeof(innerState{})) + s.cache.Retained() +
 		s.iter.Retained() + s.seeker.Retained() + s.fin.retained()

@@ -78,17 +78,18 @@ type chain struct {
 // that produced none, so every step runs at least once on every input that
 // reaches the step before it, as in a materializing chain, and an empty
 // intermediate still books every later BNL inner build. With tr set, every
-// piece a step runs is a host.join span.
-func (e *Engine) stream(pl *Pipeline, from int, in []Tuple, keep bool, tr *obs.Trace, sink func([]Tuple) error) error {
+// piece a step runs is a host.join span. whole reports that in is step from's
+// entire input for the run (push).
+func (e *Engine) stream(pl *Pipeline, from int, in []Tuple, keep bool, tr *obs.Trace, sink func([]Tuple) error, whole bool) error {
 	c := chain{e: e, pl: pl, keep: keep, tr: tr, sink: sink}
-	return c.push(from, in, false)
+	return c.push(from, in, whole)
 }
 
 // Stream runs tuples through join steps [from, n) as stream does and hands
 // the survivors to sink, piece by piece; they live in the run's main store,
 // as long as the run's lease.
 func (e *Engine) Stream(pl *Pipeline, from int, in []Tuple, tr *obs.Trace, sink func([]Tuple) error) error {
-	return e.stream(pl, from, in, true, tr, sink)
+	return e.stream(pl, from, in, true, tr, sink, false)
 }
 
 // push runs in through join step si and everything after it. whole reports

@@ -132,7 +132,7 @@ func TestEmptyIntermediateBuildsLaterInners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = e.stream(pl, 0, pl.MakeTuples(rows), false, nil, f.sink)
+		err = e.stream(pl, 0, pl.MakeTuples(rows), false, nil, f.sink, true)
 		restore()
 		if err != nil {
 			t.Fatal(err)

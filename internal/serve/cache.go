@@ -20,11 +20,13 @@ type cacheEntry struct {
 // StmtID is a prepared statement's plan-cache key: the id its normalized SQL
 // (sql.Render's canonical rendering) was interned under, so formatting-
 // equivalent statements of any session share an entry and a lookup never
-// hashes the text.
+// hashes the text. Interned ids start at 1: the zero StmtID, a statement no
+// cache prepared, always misses.
 type StmtID int32
 
-// PlanCache is the shared, bounded plan cache behind every session, keyed by
-// interned statement ids (Intern). The dataset is read-only and a decision
+// PlanCache is the shared plan cache behind every session, keyed by interned
+// statement ids (Intern). Its capacity bounds the plans it holds, not the
+// interned texts: those grow with the distinct statements prepared. The dataset is read-only and a decision
 // does not depend on the fleet topology, so nothing else can make a cached
 // plan stale.
 // Eviction is strict LRU on virtual time. It is not internally synchronized:
@@ -32,8 +34,8 @@ type StmtID int32
 // also what keeps its obs counters byte-deterministic.
 type PlanCache struct {
 	capacity int
-	ids      map[string]StmtID // normalized SQL → its id, the next id being len(ids)
-	entries  []*list.Element   // by id; nil = not cached
+	ids      map[string]StmtID // normalized SQL → its id, the next id being len(entries)
+	entries  []*list.Element   // by id; nil = not cached; entries[0] stays nil
 	lru      *list.List        // front = most recently used
 
 	hits, misses, evictions *obs.Counter
@@ -50,6 +52,7 @@ func NewPlanCache(capacity int, m *obs.Registry) *PlanCache {
 	return &PlanCache{
 		capacity:  capacity,
 		ids:       map[string]StmtID{},
+		entries:   make([]*list.Element, 1),
 		lru:       list.New(),
 		hits:      m.Counter("serve.cache.hit"),
 		misses:    m.Counter("serve.cache.miss"),
@@ -66,15 +69,19 @@ func (c *PlanCache) Intern(norm string) StmtID {
 	if id, ok := c.ids[norm]; ok {
 		return id
 	}
-	id := StmtID(len(c.ids))
+	id := StmtID(len(c.entries))
 	c.ids[norm] = id
 	c.entries = append(c.entries, nil)
 	return id
 }
 
-// Get returns the cached decision for k, refreshing its LRU stamp to now.
+// Get returns the cached decision for k, refreshing its LRU stamp to now. An
+// id this cache did not intern misses.
 func (c *PlanCache) Get(k StmtID, now vclock.Time) (*optimizer.Decision, bool) {
-	el := c.entries[k]
+	var el *list.Element
+	if c.interned(k) {
+		el = c.entries[k]
+	}
 	if el == nil {
 		c.misses.Inc()
 		return nil, false
@@ -87,8 +94,12 @@ func (c *PlanCache) Get(k StmtID, now vclock.Time) (*optimizer.Decision, bool) {
 }
 
 // Put inserts d under k (stamped now), evicting the least-recently-used
-// entry when the cache is full. Re-putting an existing key refreshes it.
+// entry when the cache is full. Re-putting an existing key refreshes it; an
+// id this cache did not intern has no slot, and d is not cached.
 func (c *PlanCache) Put(k StmtID, d *optimizer.Decision, now vclock.Time) {
+	if !c.interned(k) {
+		return
+	}
 	if el := c.entries[k]; el != nil {
 		ent := el.Value.(*cacheEntry)
 		ent.dec = d
@@ -108,6 +119,9 @@ func (c *PlanCache) Put(k StmtID, d *optimizer.Decision, now vclock.Time) {
 	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, dec: d, lastUsed: now})
 	c.size.SetInt(int64(c.lru.Len()))
 }
+
+// interned reports whether k is an id Intern handed out.
+func (c *PlanCache) interned(k StmtID) bool { return k > 0 && int(k) < len(c.entries) }
 
 // Len reports the live entry count.
 func (c *PlanCache) Len() int { return c.lru.Len() }

@@ -269,6 +269,31 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
+// TestPlanCacheForeignIDMisses: an id the cache did not intern — the zero
+// StmtID of an unprepared statement, or another cache's id — misses and is
+// never cached, even when it equals an id the cache holds a plan under.
+func TestPlanCacheForeignIDMisses(t *testing.T) {
+	m := obs.NewRegistry()
+	c := NewPlanCache(2, m)
+	a := c.Intern("a")
+	if a == 0 {
+		t.Fatal("Intern handed out the zero id")
+	}
+	c.Put(a, &optimizer.Decision{}, 1)
+	for _, k := range []StmtID{0, -1, a + 1, 1 << 30} {
+		c.Put(k, &optimizer.Decision{}, 2)
+		if _, ok := c.Get(k, 3); ok {
+			t.Fatalf("id %d, never interned, hit", k)
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("len = %d, want 1: foreign ids were cached", c.Len())
+	}
+	if h, ms := m.Counter("serve.cache.hit").Value(), m.Counter("serve.cache.miss").Value(); h != 0 || ms != 4 {
+		t.Fatalf("counters hit=%d miss=%d, want 0/4", h, ms)
+	}
+}
+
 func newServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	ds, ct := fixture(t)
