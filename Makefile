@@ -3,7 +3,8 @@
 # registry and the parallel sweep runners are tested under. Each gate has one
 # copy: a sweep `go test` already runs (the fleet-vs-single-device sweep, the
 # untraced full-crash chaos sweep, the chaos-SLO sweep and its separation
-# gate) has no make target of its own.
+# gate) has no make target of its own, and neither has the test-only-surface
+# scan (`TestNoTestOnlySurface` in internal/analysis, skipped under -race).
 
 GO ?= go
 

@@ -198,14 +198,15 @@ func BenchmarkFig17Table4Timeline(b *testing.B) {
 	h := benchHarness(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := h.Fig17Table4(io.Discard)
+		var out strings.Builder
+		res, err := h.Fig17Table4(&out)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			report(b, "elapsed", res.Report.Elapsed.Milliseconds())
-			report(b, "host-wait-pct", res.HostWaitPct)
-			report(b, "batches", float64(res.Report.Batches))
+			// Host stages print initial wait, then later waits, second and third.
+			report(b, "host-wait-pct", res.HostBreakdown[1]+res.HostBreakdown[2])
+			report(b, "batches", float64(strings.Count(out.String(), "    batch ")))
 		}
 	}
 }
@@ -236,7 +237,7 @@ func BenchmarkAblationComputeRatio(b *testing.B) {
 			b.ReportAllocs()
 			m := h.DS.Model
 			m.DeviceCoreMark = coreMark
-			hv := h.WithModel(m)
+			hv := withModel(h, m)
 			for i := 0; i < b.N; i++ {
 				msr, _, err := hv.SweepStrategies(q)
 				if err != nil {
@@ -265,7 +266,7 @@ func BenchmarkAblationPCIe(b *testing.B) {
 			b.ReportAllocs()
 			m := h.DS.Model
 			m.PCIeVersion = gen
-			hv := h.WithModel(m)
+			hv := withModel(h, m)
 			for i := 0; i < b.N; i++ {
 				msr, _, err := hv.SweepStrategies(q)
 				if err != nil {
@@ -294,7 +295,7 @@ func BenchmarkAblationCacheFormat(b *testing.B) {
 	for _, cf := range []struct {
 		name string
 		fmt  coop.CacheFormat
-	}{{"auto", coop.CacheAuto}, {"row", coop.CacheRow}, {"pointer", coop.CachePointer}} {
+	}{{"auto", 0}, {"row", coop.CacheRow}, {"pointer", coop.CachePointer}} {
 		b.Run(cf.name, func(b *testing.B) {
 			b.ReportAllocs()
 			old := h.Exec.CacheFormat
@@ -326,7 +327,7 @@ func BenchmarkAblationSlots(b *testing.B) {
 			b.ReportAllocs()
 			m := h.DS.Model
 			m.SharedSlots = slots
-			hv := h.WithModel(m)
+			hv := withModel(h, m)
 			p, err := hv.Opt.BuildPlan(q)
 			if err != nil {
 				b.Fatal(err)
@@ -446,7 +447,7 @@ func BenchmarkAblationLeanFactor(b *testing.B) {
 			want := target * hw.NDPLeanFactor // desired sqrt(cr×mr)
 			cr := want * want / m.MemRatio()
 			m.DeviceCoreMark = m.HostCoreMark / cr
-			hv := h.WithModel(m)
+			hv := withModel(h, m)
 			q := job.Listing2(int32(h.DS.Counts["movie_link"]/3), true)
 			p, err := hv.Opt.BuildPlan(q)
 			if err != nil {
@@ -468,4 +469,14 @@ func BenchmarkAblationLeanFactor(b *testing.B) {
 			}
 		})
 	}
+}
+
+// withModel returns a harness over h's dataset that plans and executes under
+// model m: the ablation sweeps' variant.
+func withModel(h *harness.H, m hw.Model) *harness.H {
+	ds := *h.DS
+	ds.Model = m
+	hv := harness.FromDataset(&ds)
+	hv.Workers = h.Workers
+	return hv
 }

@@ -11,7 +11,7 @@
 //     vclock.Timelines (e.g. host.Now() - dev.Now()): the host and device
 //     clocks advance independently, so the difference is meaningless outside
 //     a rendezvous. Cross-timeline synchronization goes through
-//     Timeline.WaitUntil / vclock.MaxTime, which model the stall explicitly.
+//     Timeline.WaitUntil, which models the stall explicitly.
 //
 // The vclock package itself is exempt: it is where the blessed conversions
 // are defined.
@@ -160,7 +160,7 @@ func checkBinary(pass *analysis.Pass, e *ast.BinaryExpr) {
 	}
 	roots := union(timelineRoots(pass, e.X), timelineRoots(pass, e.Y))
 	if len(roots) > 1 {
-		pass.Reportf(e.Pos(), "expression combines instants from different timelines (%s): rendezvous via Timeline.WaitUntil or vclock.MaxTime instead",
+		pass.Reportf(e.Pos(), "expression combines instants from different timelines (%s): rendezvous via Timeline.WaitUntil instead",
 			joinKeys(roots))
 	}
 }
@@ -178,7 +178,7 @@ func checkSubAdd(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	roots := union(timelineRoots(pass, sel.X), timelineRoots(pass, call.Args[0]))
 	if len(roots) > 1 {
-		pass.Reportf(call.Pos(), "%s.%s combines instants from different timelines (%s): rendezvous via Timeline.WaitUntil or vclock.MaxTime instead",
+		pass.Reportf(call.Pos(), "%s.%s combines instants from different timelines (%s): rendezvous via Timeline.WaitUntil instead",
 			render(sel.X), sel.Sel.Name, joinKeys(roots))
 	}
 }

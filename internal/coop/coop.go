@@ -124,7 +124,6 @@ type Report struct {
 	Batches          int
 	TransferredBytes int64
 	Timeline         []BatchEvent
-	DeviceMemory     device.MemoryPlan
 
 	// FaultRetries counts device-command retries forced by injected faults;
 	// the wasted virtual time of every failed attempt is folded into Elapsed.
@@ -156,14 +155,15 @@ func (r *Report) WaitFetch() vclock.Duration { return r.HostAccount[hw.CatWaitFe
 // DeviceWaitSlots reports device stalls on exhausted buffer slots.
 func (r *Report) DeviceWaitSlots() vclock.Duration { return r.DeviceAccount[hw.CatWaitSlots] }
 
-// CacheFormat overrides the device's intermediate-result cache format.
+// CacheFormat overrides the device's intermediate-result cache format. The
+// zero value keeps the engine's own choice, which switches to pointer format
+// above two tables (paper §4.2).
 type CacheFormat int
 
-// Cache format overrides (paper §4.2): Auto switches to pointer format above
-// two tables; the forced settings exist for the ablation benchmarks.
+// Cache format overrides; the forced settings exist for the ablation
+// benchmarks.
 const (
-	CacheAuto CacheFormat = iota
-	CacheRow
+	CacheRow CacheFormat = iota + 1
 	CachePointer
 )
 
@@ -483,7 +483,6 @@ func (x *Executor) attempt(r *deviceRun, body func(*deviceRun) (*Report, error))
 	rep.DeviceElapsed = vclock.Duration(r.dev.TL.Now())
 	rep.HostAccount = r.hostTL.Account()
 	rep.DeviceAccount = r.dev.TL.Account()
-	rep.DeviceMemory = r.mp
 	return rep, nil
 }
 

@@ -238,8 +238,8 @@ func TestHybridAccountsCoherent(t *testing.T) {
 	if rep.WaitInitial() < 0 || rep.WaitFetch() < 0 || rep.DeviceWaitSlots() < 0 {
 		t.Fatal("negative waits")
 	}
-	if rep.DeviceMemory.Selections == 0 {
-		t.Fatal("memory plan missing")
+	if rep.DeviceElapsed <= 0 || rep.Batches == 0 {
+		t.Fatalf("device side missing: device elapsed %v, %d batches", rep.DeviceElapsed, rep.Batches)
 	}
 }
 
@@ -305,7 +305,7 @@ func TestCacheFormatOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { ex.CacheFormat = coop.CacheAuto }()
+	defer func() { ex.CacheFormat = 0 }()
 	ex.CacheFormat = coop.CacheRow
 	row, err := ex.Run(p, coop.Strategy{Kind: coop.NDPOnly})
 	if err != nil {

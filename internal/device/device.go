@@ -230,11 +230,6 @@ type Device struct {
 	scratch *exec.Scratch
 }
 
-// New creates a device bound to the catalog (whose flash it reads directly).
-func New(m hw.Model, cat *table.Catalog) *Device {
-	return &Device{Bindings: Bindings{Model: &m, Cat: cat}, TL: vclock.NewTimeline("device")}
-}
-
 // Device builds a fresh device for one attempt or shard of the run, injecting
 // inj's faults (nil = none). A retried command gets a new device, so it
 // replays its builds and scans instead of resuming half-poisoned state.
@@ -313,8 +308,8 @@ func (d *Device) Launch(cmd *Command, mp MemoryPlan, hostTL *vclock.Timeline) (*
 	}
 	eng := d.Engine(mp)
 	eng.Views = make(map[string]*lsm.View, len(cmd.Snapshot.CFs))
-	for name, cf := range cmd.Snapshot.CFs {
-		eng.Views[strings.TrimPrefix(name, "tbl.")] = cf.View
+	for name, v := range cmd.Snapshot.CFs {
+		eng.Views[strings.TrimPrefix(name, "tbl.")] = v
 	}
 	bytes := cmd.Bytes()
 	sp := d.Trace.Start(hostTL, "ndp.setup").AttrInt("cmd.bytes", bytes)

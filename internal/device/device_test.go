@@ -11,6 +11,7 @@ import (
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/optimizer"
+	"hybridndp/internal/table"
 	"hybridndp/internal/vclock"
 )
 
@@ -85,7 +86,7 @@ func TestValidateRejectsOversizedCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := device.New(ds.Model, ds.Cat)
+	d := newDevice(ds.Model, ds.Cat)
 	if err := d.Validate(&device.Command{Plan: p, SplitAfter: len(p.Steps) + 3}); err == nil {
 		t.Fatal("split beyond the plan must fail validation")
 	}
@@ -95,7 +96,7 @@ func TestValidateRejectsOversizedCommands(t *testing.T) {
 	// A crushed budget rejects everything beyond tiny offloads.
 	m := ds.Model
 	m.DeviceNDPBudget = 1
-	tiny := device.New(m, ds.Cat)
+	tiny := newDevice(m, ds.Cat)
 	if err := tiny.Validate(&device.Command{Plan: p, SplitAfter: 2}); err == nil {
 		t.Fatal("over-budget command must fail validation")
 	}
@@ -124,7 +125,7 @@ func TestRunH0EmitsLeavesThenDrivingChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := device.New(ds.Model, ds.Cat)
+	d := newDevice(ds.Model, ds.Cat)
 	cmd := &device.Command{Plan: p, SplitAfter: 0, Chunks: 4}
 	mp := device.PlanMemory(ds.Model, p, 0)
 	eng := d.Engine(mp)
@@ -172,7 +173,7 @@ func TestRunHkProducesJoinedTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := device.New(ds.Model, ds.Cat)
+	d := newDevice(ds.Model, ds.Cat)
 	split := 2
 	cmd := &device.Command{Plan: p, SplitAfter: split, Chunks: 4}
 	mp := device.PlanMemory(ds.Model, p, split)
@@ -210,7 +211,7 @@ func TestWaitSlotBackPressure(t *testing.T) {
 	}
 	m := ds.Model
 	m.SharedSlots = 1
-	d := device.New(m, ds.Cat)
+	d := newDevice(m, ds.Cat)
 	split := 1
 	cmd := &device.Command{Plan: p, SplitAfter: split, Chunks: 8}
 	mp := device.PlanMemory(m, p, split)
@@ -237,7 +238,7 @@ func TestWaitSlotBackPressure(t *testing.T) {
 	if err := d.Produce(cmd, pl, eng, nil, waitSlot, emit); err != nil {
 		t.Fatal(err)
 	}
-	if len(ready) > 1 && d.TL.Booked(hw.CatWaitSlots) <= 0 {
+	if len(ready) > 1 && d.TL.Account()[hw.CatWaitSlots] <= 0 {
 		t.Fatal("device never stalled despite a single occupied slot")
 	}
 }
@@ -290,7 +291,7 @@ func TestProducePartitionsConcatenateToWholeRun(t *testing.T) {
 		split int
 	}{{"H0", p.WithBufferedJoins(), 0}, {"H2", p, 2}} {
 		run := func(clips []func(int) []device.Range) *stream {
-			d := device.New(ds.Model, ds.Cat)
+			d := newDevice(ds.Model, ds.Cat)
 			cmd := &device.Command{Plan: c.plan, SplitAfter: c.split, Chunks: 4}
 			eng := d.Engine(device.PlanMemory(ds.Model, c.plan, c.split))
 			pl, err := (&exec.Engine{Cat: ds.Cat}).StartPipeline(c.plan)
@@ -346,7 +347,7 @@ func TestLeafBatchesFeelBackPressure(t *testing.T) {
 	p = p.WithBufferedJoins()
 	m := ds.Model
 	m.SharedSlots = 1
-	d := device.New(m, ds.Cat)
+	d := newDevice(m, ds.Cat)
 	cmd := &device.Command{Plan: p, SplitAfter: 0, Chunks: 4}
 	eng := d.Engine(device.PlanMemory(m, p, 0))
 	pl, err := (&exec.Engine{Cat: ds.Cat}).StartPipeline(p)
@@ -357,7 +358,7 @@ func TestLeafBatchesFeelBackPressure(t *testing.T) {
 	var leafStall vclock.Duration
 	emit := func(b device.Batch) error {
 		if b.LeafAlias != "" && len(ready) == 1 {
-			leafStall = d.TL.Booked(hw.CatWaitSlots)
+			leafStall = d.TL.Account()[hw.CatWaitSlots]
 		}
 		ready = append(ready, b.Ready)
 		return nil
@@ -377,4 +378,11 @@ func TestLeafBatchesFeelBackPressure(t *testing.T) {
 	if leafStall <= 0 {
 		t.Fatal("the second leaf batch did not stall on the single occupied slot")
 	}
+}
+
+// newDevice builds a fault-free device over cat for model m, as a run's
+// bindings do, with a lease of its own.
+func newDevice(m hw.Model, cat *table.Catalog) *device.Device {
+	b := device.Bindings{Model: &m, Cat: cat, Lease: new(exec.ScratchPool).Lease()}
+	return b.Device(nil)
 }

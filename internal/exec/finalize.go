@@ -14,7 +14,7 @@ import (
 type boundRef struct{ pos, idx int }
 
 // bindRef resolves an aliased column once. Unknown aliases or columns bind to
-// -1 and read as NULL, matching Tuple.Col.
+// -1 and read as NULL.
 func bindRef(sh *Shape, alias, col string) boundRef {
 	p := sh.Pos(alias)
 	if p < 0 {
@@ -24,7 +24,7 @@ func bindRef(sh *Shape, alias, col string) boundRef {
 }
 
 // colVal reads a bound column from the tuple (NULL for unbound refs and
-// absent positions, as Tuple.Col does).
+// absent positions).
 func colVal(sh *Shape, tu Tuple, r boundRef) table.Value {
 	if r.pos < 0 || tu[r.pos] == nil {
 		return table.NullVal()

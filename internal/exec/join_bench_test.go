@@ -66,7 +66,7 @@ var keySchema = table.MustSchema("k", keyCols, "id")
 // keyRow encodes one row of keyCols.
 func keyRow(t testing.TB, id int32, a, b, s table.Value) []byte {
 	t.Helper()
-	row, err := keySchema.EncodeRow([]table.Value{table.IntVal(id), a, b, s})
+	row, err := keySchema.AppendRow(nil, []table.Value{table.IntVal(id), a, b, s})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hybridndp/internal/coop"
@@ -14,6 +15,7 @@ import (
 	"hybridndp/internal/harness"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
+	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/par"
 	"hybridndp/internal/vclock"
@@ -54,9 +56,11 @@ func coopRun(rep *coop.Report) lawRun {
 	return lawRun{rep.Query, rep.Strategy.String(), fleet.Fingerprint(rep.Result), rep.Elapsed, b.String()}
 }
 
-func fleetRun(rep *fleet.Report, devices int) lawRun {
+// fleetRun renders a fleet run; batches is the device batches its
+// executor's registry counted.
+func fleetRun(rep *fleet.Report, devices int, batches int64) lawRun {
 	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed=%s batches=%d bytes=%d", bits(rep.Elapsed), rep.Batches, rep.TransferredBytes)
+	fmt.Fprintf(&b, "elapsed=%s batches=%d", bits(rep.Elapsed), batches)
 	writeAccount(&b, "host", rep.HostAccount)
 	for i, sh := range rep.Shards {
 		fmt.Fprintf(&b, " shard%d.elapsed=%s", i, bits(sh.Elapsed))
@@ -100,23 +104,32 @@ func maxIntermediate(t *testing.T, ds *job.Dataset, p *exec.Plan) int {
 }
 
 // lawRuns runs every JOB query block, host-native, full NDP and at every
-// hybrid split on the cooperative executor, and under its decided strategy on
-// a 1-device and a 4-device range fleet, at the current piece budget and
-// batch size.
+// hybrid split on the cooperative executor (in that order), and under its
+// decided strategy on a 1-device and a 4-device range fleet, at the current
+// piece budget and batch size.
 func lawRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimizer.Decision) [][]lawRun {
 	opt := optimizer.New(ds.Cat, ds.Model)
 	x := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
-	var fleets []*fleet.Executor
-	for _, n := range []int{1, 4} {
-		desc, err := fleet.Build(ds.Cat, n, fleet.SchemeRange)
-		if err != nil {
-			t.Fatal(err)
+	// Each worker takes a 1- and a 4-device fleet executor of its own, so the
+	// change in its registry's batch counter is one run's batches.
+	const workers = 2
+	fleets := make(chan []*fleet.Executor, workers)
+	for range workers {
+		var xs []*fleet.Executor
+		for _, n := range []int{1, 4} {
+			desc, err := fleet.Build(ds.Cat, n, fleet.SchemeRange)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fx := fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
+			fx.Metrics = obs.NewRegistry()
+			xs = append(xs, fx)
 		}
-		fleets = append(fleets, fleet.NewExecutor(ds.Cat, ds.DB, ds.Model, desc))
+		fleets <- xs
 	}
 	out := make([][]lawRun, len(plans))
 	errs := make([]error, len(plans))
-	par.ForEach(2, len(plans), func(i int) {
+	par.ForEach(workers, len(plans), func(i int) {
 		p := plans[i]
 		strategies := []coop.Strategy{{Kind: coop.BlockOnly}, {Kind: coop.HostNative}, {Kind: coop.NDPOnly}}
 		if len(p.Steps) > 0 {
@@ -130,18 +143,22 @@ func lawRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimize
 			}
 			out[i] = append(out[i], coopRun(rep))
 		}
-		for _, fx := range fleets {
+		xs := <-fleets
+		defer func() { fleets <- xs }()
+		for _, fx := range xs {
 			a, err := fleet.PlanShards(opt, fx.Desc, decs[i])
 			if err != nil {
 				errs[i] = err
 				return
 			}
+			batches := fx.Metrics.Counter("device.batches")
+			before := batches.Value()
 			rep, err := fx.Run(a)
 			if err != nil {
 				errs[i] = fmt.Errorf("%s fleet%d: %w", p.Query.Name, fx.Desc.Devices, err)
 				return
 			}
-			out[i] = append(out[i], fleetRun(rep, fx.Desc.Devices))
+			out[i] = append(out[i], fleetRun(rep, fx.Desc.Devices, batches.Value()-before))
 		}
 	})
 	for _, err := range errs {
@@ -150,6 +167,47 @@ func lawRuns(t *testing.T, ds *job.Dataset, plans []*exec.Plan, decs []*optimize
 		}
 	}
 	return out
+}
+
+// lawSet is the chunking laws' shared workload: every JOB query's plan
+// (Optimizer.BuildPlan) and decision, and lawRuns' pass over them at default
+// settings, which both laws compare against.
+type lawSet struct {
+	plans []*exec.Plan
+	decs  []*optimizer.Decision
+	def   [][]lawRun
+}
+
+var (
+	lawOnce sync.Once
+	laws    lawSet
+)
+
+// defaultLaws builds the shared workload and its default pass once per test
+// binary; the caller must run at default settings.
+func defaultLaws(t *testing.T) *lawSet {
+	lawOnce.Do(func() {
+		ds := jobDataset(t)
+		opt := optimizer.New(ds.Cat, ds.Model)
+		var ls lawSet
+		for _, q := range job.Queries() {
+			p, err := opt.BuildPlan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := opt.Decide(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls.plans, ls.decs = append(ls.plans, p), append(ls.decs, d)
+		}
+		ls.def = lawRuns(t, ds, ls.plans, ls.decs)
+		laws = ls
+	})
+	if laws.def == nil {
+		t.Fatal("the default law pass failed in an earlier test")
+	}
+	return &laws
 }
 
 // tracedRun renders the traced 8d@H1 run: its Chrome JSON, flame and phase
@@ -175,29 +233,20 @@ func tracedRun(t *testing.T, ds *job.Dataset) string {
 //     every query whose intermediates all fit one piece is bit-identical to it;
 //   - batch size: at batch sizes of 1 and 7 rows every run returns the
 //     default size's result with bit-identical charges — elapsed, device
-//     elapsed, every account category, batches, transferred bytes and each
-//     fleet shard's elapsed and account — and the traced 8d@H1 run renders
-//     byte-identical Chrome JSON, flame and profile.
+//     elapsed, every account category, batches, transferred bytes (a fleet
+//     run: its device batches) and each fleet shard's elapsed and account —
+//     and the traced 8d@H1 run renders byte-identical Chrome JSON, flame and
+//     profile.
 //
 // Under the race detector only the budget and the batch size of 7 run.
 func TestPieceBudgetLaw(t *testing.T) {
 	ds := jobDataset(t)
-	opt := optimizer.New(ds.Cat, ds.Model)
-	var plans []*exec.Plan
-	var decs []*optimizer.Decision
+	ls := defaultLaws(t)
+	plans, decs, def, defTrace := ls.plans, ls.decs, ls.def, tracedRun(t, ds)
 	fits := map[string]bool{}
 	defBudget := exec.PieceBudget()
-	for _, q := range job.Queries() {
-		p, err := opt.BuildPlan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := opt.Decide(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans, decs = append(plans, p), append(decs, d)
-		fits[q.Name] = maxIntermediate(t, ds, p) < defBudget
+	for _, p := range plans {
+		fits[p.Query.Name] = maxIntermediate(t, ds, p) < defBudget
 	}
 	if fits["31c"] {
 		t.Fatal("31c's intermediates fit one piece: the law exercises no multi-piece chain")
@@ -205,7 +254,6 @@ func TestPieceBudgetLaw(t *testing.T) {
 	restore := exec.SetPieceBudget(math.MaxInt)
 	materialized := lawRuns(t, ds, plans, decs)
 	restore()
-	def, defTrace := lawRuns(t, ds, plans, decs), tracedRun(t, ds)
 
 	sizes := []int{1, 7}
 	if raceEnabled() {
@@ -262,18 +310,12 @@ func TestPieceBudgetLaw(t *testing.T) {
 // off and forced on for every whole first probe must return the same
 // fingerprint, bit-identical elapsed time and every account category bit for
 // bit; and so must the default, which takes it for probes of at most 1/8 of
-// the inner side.
+// the inner side (the default pass is TestPieceBudgetLaw's, whose second and
+// third runs of each query are these two).
 func TestProbeKeyedLaw(t *testing.T) {
 	ds := jobDataset(t)
-	opt := optimizer.New(ds.Cat, ds.Model)
-	var plans []*exec.Plan
-	for _, q := range job.Queries() {
-		p, err := opt.BuildPlan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, p)
-	}
+	ls := defaultLaws(t)
+	plans := ls.plans
 	runs := func() [][]lawRun {
 		x := coop.NewExecutor(ds.Cat, ds.DB, ds.Model)
 		out := make([][]lawRun, len(plans))
@@ -298,12 +340,18 @@ func TestProbeKeyedLaw(t *testing.T) {
 	restore := exec.SetProbeKeyed(false)
 	off := runs()
 	restore()
-	def := runs()
 	restore = exec.SetProbeKeyed(true)
 	on := runs()
 	restore()
+	def := make([][]lawRun, len(ls.def))
+	for i, r := range ls.def {
+		def[i] = r[1:3] // host-native, full NDP
+	}
 	for i := range off {
 		for j, w := range off[i] {
+			if d := def[i][j]; d.query != w.query || d.strategy != w.strategy {
+				t.Fatalf("default pass run %s %s, want %s %s", d.query, d.strategy, w.query, w.strategy)
+			}
 			for _, c := range []struct {
 				name string
 				got  lawRun

@@ -140,9 +140,6 @@ type Plan struct {
 	Output     []query.ColRef
 	GroupBy    []query.ColRef
 
-	// EstTotalRows is the optimizer's final cardinality estimate.
-	EstTotalRows float64
-
 	// prepared is the plan's execution state, attached by Prepare.
 	prepared *Prepared
 }
@@ -228,15 +225,6 @@ func (p *Plan) Prepare(cat *table.Catalog) error {
 	return nil
 }
 
-// Aliases lists the table aliases in join order (the tuple shape).
-func (p *Plan) Aliases() []string {
-	out := []string{p.Driving.Ref.Alias}
-	for _, s := range p.Steps {
-		out = append(out, s.Right.Ref.Alias)
-	}
-	return out
-}
-
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan(%s): %s", p.Query.Name, p.Driving)
@@ -295,13 +283,4 @@ type Tuple [][]byte
 // Record returns the decoded view of position i under shape sh.
 func (t Tuple) Record(sh *Shape, i int) table.Record {
 	return table.Record{Schema: sh.Schemas[i], Data: t[i]}
-}
-
-// Col resolves an aliased column against the tuple.
-func (t Tuple) Col(sh *Shape, alias, col string) table.Value {
-	i := sh.Pos(alias)
-	if i < 0 || t[i] == nil {
-		return table.NullVal()
-	}
-	return table.Record{Schema: sh.Schemas[i], Data: t[i]}.GetByName(col)
 }

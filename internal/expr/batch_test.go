@@ -45,7 +45,7 @@ func batchTestRows(t *testing.T, s *table.Schema) [][]byte {
 		if rng.Intn(5) == 0 {
 			vals[3] = table.NullVal()
 		}
-		row, err := s.EncodeRow(vals)
+		row, err := s.AppendRow(nil, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestLikeEveryPath(t *testing.T) {
 		{"a_b", "a_b", true},
 	}
 	for _, c := range cases {
-		row, err := s.EncodeRow([]table.Value{table.IntVal(1), table.NullVal(), table.StrVal(c.value), table.NullVal()})
+		row, err := s.AppendRow(nil, []table.Value{table.IntVal(1), table.NullVal(), table.StrVal(c.value), table.NullVal()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func BenchmarkFilter(b *testing.B) {
 			if rng.Intn(20) == 0 {
 				note = table.NullVal()
 			}
-			row, err := s.EncodeRow([]table.Value{table.IntVal(int32(i)), table.IntVal(int32(rng.Intn(10))), note})
+			row, err := s.AppendRow(nil, []table.Value{table.IntVal(int32(i)), table.IntVal(int32(rng.Intn(10))), note})
 			if err != nil {
 				b.Fatal(err)
 			}

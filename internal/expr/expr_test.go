@@ -17,7 +17,7 @@ var testSchema = table.MustSchema("t", []table.Column{
 
 func rec(t *testing.T, id int32, note table.Value, year table.Value, kind string) table.Record {
 	t.Helper()
-	row, err := testSchema.EncodeRow([]table.Value{table.IntVal(id), note, year, table.StrVal(kind)})
+	row, err := testSchema.AppendRow(nil, []table.Value{table.IntVal(id), note, year, table.StrVal(kind)})
 	if err != nil {
 		t.Fatal(err)
 	}

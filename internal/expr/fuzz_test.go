@@ -81,7 +81,7 @@ func fuzzCase(t *testing.T, data []byte) (*table.Schema, [][]byte, Pred) {
 				vals = append(vals, table.StrVal(s.str(min(c.Size, 6))))
 			}
 		}
-		row, err := schema.EncodeRow(vals)
+		row, err := schema.AppendRow(nil, vals)
 		if err != nil {
 			t.Fatal(err)
 		}

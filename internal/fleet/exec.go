@@ -30,9 +30,6 @@ type Gate interface {
 // ShardReport is one device's contribution to a fleet run, indexed by device
 // id in Report.Shards.
 type ShardReport struct {
-	// Outcome names what became of the shard: "host-planned", "ok",
-	// "denied", "crashed", "corrupt", "past-deadline" or "hedged-out".
-	Outcome string
 	// Elapsed and Account are the device timeline's completion instant and
 	// charges; zero and nil for a shard that never reached its device.
 	Elapsed vclock.Duration
@@ -48,12 +45,10 @@ type Report struct {
 	Elapsed     vclock.Duration
 	HostAccount map[string]vclock.Duration
 
-	Batches          int
-	TransferredBytes int64
 	// DegradedShards counts shards the admission gate denied;
 	// DeadlineDegraded counts shards routed to host-side execution because
 	// their device completion would have blown the request deadline. Every
-	// other outcome is counted in the metrics registry and named per shard.
+	// other outcome is counted in the metrics registry.
 	DegradedShards   int
 	DeadlineDegraded int
 	Shards           []ShardReport
@@ -130,18 +125,15 @@ const (
 	hedgedOut                   // the host-native backup out-ran the device
 )
 
-// outcomes names what the system's own output says about each outcome: its
-// ShardReport name, the counter bumped when a shard takes it, and the span
-// wrapping every driving partition re-executed because of it. (A denial is
-// counted by the gate that issued it.)
-var outcomes = [...]struct{ name, counter, span string }{
-	hostPlanned:  {name: "host-planned"},
-	ok:           {name: "ok"},
-	denied:       {name: "denied"},
-	crashed:      {name: "crashed", counter: "fleet.shard.crashed"},
-	corrupt:      {name: "corrupt", counter: "fleet.batch.corrupt"},
-	pastDeadline: {name: "past-deadline", counter: "fleet.deadline.degraded", span: "fleet.deadline.degrade"},
-	hedgedOut:    {name: "hedged-out", counter: "fleet.hedge.won", span: "fleet.hedge"},
+// outcomes names what the system's own output says about each outcome: the
+// counter bumped when a shard takes it, and the span wrapping every driving
+// partition re-executed because of it. (A denial is counted by the gate that
+// issued it and tallied in Report.DegradedShards.)
+var outcomes = [...]struct{ counter, span string }{
+	crashed:      {counter: "fleet.shard.crashed"},
+	corrupt:      {counter: "fleet.batch.corrupt"},
+	pastDeadline: {counter: "fleet.deadline.degraded", span: "fleet.deadline.degrade"},
+	hedgedOut:    {counter: "fleet.hedge.won", span: "fleet.hedge"},
 }
 
 // shard is one device's state within a run.
@@ -577,16 +569,13 @@ func (r *run) report(res *exec.Result) *Report {
 	rep.Result = res
 	rep.Elapsed = vclock.Duration(r.hostTL.Now())
 	rep.HostAccount = r.hostTL.Account()
-	if r.rc != nil {
-		rep.Batches, rep.TransferredBytes = r.rc.Batches, r.rc.Bytes
-	}
 	if len(r.shards) == 0 {
 		return rep
 	}
 	rep.Shards = make([]ShardReport, len(r.shards))
 	for dev := range r.shards {
 		sh := &r.shards[dev]
-		sr := ShardReport{Outcome: outcomes[sh.outcome].name}
+		var sr ShardReport
 		switch sh.outcome {
 		case denied:
 			rep.DegradedShards++

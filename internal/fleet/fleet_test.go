@@ -35,16 +35,8 @@ func (g *denyGate) AdmitShard(dev int, memBytes int64) (func(ok bool, busyNs flo
 	}, true
 }
 
-// outcomeCount counts the report's shards with the named outcome.
-func outcomeCount(r *Report, name string) int {
-	n := 0
-	for _, sr := range r.Shards {
-		if sr.Outcome == name {
-			n++
-		}
-	}
-	return n
-}
+// counted reads a counter of x's registry.
+func counted(x *Executor, name string) int { return int(x.Metrics.Counter(name).Value()) }
 
 // deviceQuery returns the first JOB query the optimizer decides to run with
 // device participation (hybrid or NDP), plus its decision.
@@ -118,8 +110,9 @@ func TestDegradedShardMatchesFullFleet(t *testing.T) {
 	if degRep.DegradedShards < 1 {
 		t.Fatal("denied shard not reported as degraded")
 	}
-	if degRep.Shards[1].Outcome != "denied" {
-		t.Fatalf("shard 1 outcome %q, want denied", degRep.Shards[1].Outcome)
+	if degRep.DegradedShards != 1 || degRep.Shards[1].Account != nil {
+		t.Fatalf("%d shards degraded, shard 1's device account %v; want shard 1 alone kept off its device",
+			degRep.DegradedShards, degRep.Shards[1].Account)
 	}
 	if got, want := Fingerprint(degRep.Result), Fingerprint(fullRep.Result); got != want {
 		t.Fatalf("degraded fleet changed the result: %s != %s", got, want)
@@ -154,6 +147,7 @@ func TestAllShardsDeniedStillAnswers(t *testing.T) {
 
 	x := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	x.Gate = &denyGate{deny: map[int]bool{0: true, 1: true}}
+	x.Metrics = obs.NewRegistry()
 	rep, err := x.Run(a)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +164,8 @@ func TestAllShardsDeniedStillAnswers(t *testing.T) {
 	if got := Fingerprint(rep.Result); got != Fingerprint(want.Result) {
 		t.Fatal("fully degraded fleet changed the result")
 	}
-	if rep.Batches != 0 {
-		t.Fatalf("fully degraded run still transferred %d batches", rep.Batches)
+	if n := counted(x, "device.batches"); n != 0 {
+		t.Fatalf("fully degraded run still shipped %d device batches", n)
 	}
 }
 
@@ -201,8 +195,10 @@ func TestSingleDeviceShardPlanMirrorsGlobalDecision(t *testing.T) {
 		if a.Mode != ModeHybrid {
 			t.Fatalf("%s: mode %s, want hybrid", q.Name, a.Mode)
 		}
-		if a.Shards[0].Frac != 1 {
-			t.Fatalf("%s: single-device frac %v, want 1", q.Name, a.Shards[0].Frac)
+		// One device holds the whole driving table: its share of the
+		// host-native estimate is all of it.
+		if a.Shards[0].EstHostNs != d.Costs.HostTotal {
+			t.Fatalf("%s: single-device host estimate %v, want the plan's %v", q.Name, a.Shards[0].EstHostNs, d.Costs.HostTotal)
 		}
 		if a.Shards[0].Split != d.Split {
 			t.Fatalf("%s: shard split H%d, global decision H%d", q.Name, a.Shards[0].Split, d.Split)
@@ -232,7 +228,6 @@ func TestHedgeFingerprintUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hedgedOut := 0
 	for _, q := range job.Queries() {
 		d, err := opt.Decide(q)
 		if err != nil {
@@ -253,12 +248,11 @@ func TestHedgeFingerprintUnchanged(t *testing.T) {
 		if got, want := Fingerprint(rep.Result), Fingerprint(base.Result); got != want {
 			t.Fatalf("%s: hedged fingerprint %s != unhedged %s", q.Name, got, want)
 		}
-		hedgedOut += outcomeCount(rep, "hedged-out")
 	}
 	fired, won, lost := count("fleet.hedge.fired"), count("fleet.hedge.won"), count("fleet.hedge.lost")
 	t.Logf("hedges fired %d, won %d, lost %d", fired, won, lost)
-	if fired != won+lost || won != hedgedOut {
-		t.Fatalf("hedge accounting fired=%d won=%d lost=%d, %d shards hedged-out", fired, won, lost, hedgedOut)
+	if fired != won+lost {
+		t.Fatalf("hedge accounting fired=%d won=%d lost=%d", fired, won, lost)
 	}
 	if won < 154 || lost < 1 {
 		t.Fatalf("hedge suite should exercise both outcomes: won=%d (want ≥ 154) lost=%d (want ≥ 1), fired=%d", won, lost, fired)
@@ -337,12 +331,13 @@ func TestFleetChaosFingerprintUnchanged(t *testing.T) {
 	}
 	x := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	x.Faults = pl
+	x.Metrics = obs.NewRegistry()
 	rep, err := x.Run(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcomeCount(rep, "crashed") != 1 || rep.Shards[1].Outcome != "crashed" {
-		t.Fatalf("scoped crash accounting: %+v", rep.Shards)
+	if n := counted(x, "fleet.shard.crashed"); n != 1 {
+		t.Fatalf("dev1-scoped crash crashed %d shards, want 1", n)
 	}
 	if got := Fingerprint(rep.Result); got != Fingerprint(base.Result) {
 		t.Fatal("crashed fleet changed the result")
@@ -354,12 +349,13 @@ func TestFleetChaosFingerprintUnchanged(t *testing.T) {
 	}
 	x2 := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	x2.Faults = pl2
+	x2.Metrics = obs.NewRegistry()
 	rep2, err := x2.Run(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Batches > 0 && outcomeCount(rep2, "corrupt") == 0 {
-		t.Fatalf("xfer.corrupt=1 corrupted nothing across %d batches", rep2.Batches)
+	if n := counted(x2, "device.batches"); n > 0 && counted(x2, "fleet.batch.corrupt") == 0 {
+		t.Fatalf("xfer.corrupt=1 corrupted nothing across %d batches", n)
 	}
 	if got := Fingerprint(rep2.Result); got != Fingerprint(base.Result) {
 		t.Fatal("corrupt transfers changed the result")
@@ -389,7 +385,7 @@ func TestFleetRollbackFingerprintUnchanged(t *testing.T) {
 	clean := NewExecutor(ds.Cat, ds.DB, small, desc)
 	x := NewExecutor(ds.Cat, ds.DB, small, desc)
 	x.Faults = pl
-	corrupt := 0
+	x.Metrics = obs.NewRegistry()
 	for _, q := range job.Queries() {
 		d, err := opt.Decide(q)
 		if err != nil {
@@ -410,12 +406,11 @@ func TestFleetRollbackFingerprintUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: corrupt: %v", q.Name, err)
 		}
-		corrupt += outcomeCount(rep, "corrupt")
 		if got, want := Fingerprint(rep.Result), Fingerprint(base.Result); got != want {
 			t.Fatalf("%s: corrupt-slot fingerprint %s != fault-free %s", q.Name, got, want)
 		}
 	}
-	if corrupt == 0 {
+	if counted(x, "fleet.batch.corrupt") == 0 {
 		t.Fatal("slot.corrupt=0.05 corrupted no shard across the device-mode queries")
 	}
 }
@@ -443,12 +438,12 @@ func TestCrashedShardReleasesFailure(t *testing.T) {
 	x := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	x.Faults = pl
 	x.Gate = gate
-	rep, err := x.Run(a)
-	if err != nil {
+	x.Metrics = obs.NewRegistry()
+	if _, err := x.Run(a); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Shards[1].Outcome != "crashed" {
-		t.Fatalf("dev1:dev.crash=1 did not crash shard 1: outcome %q", rep.Shards[1].Outcome)
+	if n := counted(x, "fleet.shard.crashed"); n != 1 {
+		t.Fatalf("dev1:dev.crash=1 crashed %d shards, want 1", n)
 	}
 	if gate.released != len(gate.admitted) {
 		t.Fatalf("released %d of %d admitted shards", gate.released, len(gate.admitted))
@@ -512,7 +507,7 @@ func TestFleetShrinksPerDeviceWork(t *testing.T) {
 
 // TestReportAggregationInvariants pins how a fleet report adds up on an
 // ungated, fault-free run at every fleet size: one ShardReport per device,
-// each either ok or host-planned, and no demotion tallied. (That the shards'
+// and no demotion tallied or counted. (That the shards'
 // partitions tile the driving table is TestBuildCoversEveryTableExactlyOnce.)
 func TestReportAggregationInvariants(t *testing.T) {
 	ds := testDataset(t)
@@ -527,15 +522,19 @@ func TestReportAggregationInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := NewExecutor(ds.Cat, ds.DB, ds.Model, desc).Run(a)
+		x := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
+		x.Metrics = obs.NewRegistry()
+		rep, err := x.Run(a)
 		if err != nil {
 			t.Fatalf("x%d: %v", devices, err)
 		}
 		if len(rep.Shards) != devices {
 			t.Fatalf("x%d: %d shard reports", devices, len(rep.Shards))
 		}
-		if n := outcomeCount(rep, "ok") + outcomeCount(rep, "host-planned"); n != devices {
-			t.Fatalf("x%d: clean run demoted %d shards: %+v", devices, devices-n, rep.Shards)
+		for _, c := range []string{"fleet.shard.crashed", "fleet.batch.corrupt", "fleet.deadline.degraded", "fleet.hedge.won"} {
+			if n := counted(x, c); n != 0 {
+				t.Fatalf("x%d: clean run counted %s %d times", devices, c, n)
+			}
 		}
 		if rep.DegradedShards+rep.DeadlineDegraded != 0 {
 			t.Fatalf("x%d: clean run tallies demotions: %+v", devices, rep)

@@ -21,13 +21,11 @@ const (
 	ModeNDP    = "ndp"
 )
 
-// ShardPlan is one device's per-partition NDP-PQEP: how much of the driving
-// table the device holds, and where its plan is split.
+// ShardPlan is one device's per-partition NDP-PQEP: where its plan is split,
+// and what its share of the driving table (from its stats-sample PK counts
+// over the descriptor's partitions) is estimated to cost.
 type ShardPlan struct {
 	Device int
-	// Frac is the device's share of the driving table (from its stats-sample
-	// PK counts over the descriptor's partitions).
-	Frac float64
 	// Host marks a shard the planner keeps off its device: the shard's
 	// partitions run entirely on the host (Split is then meaningless).
 	Host bool
@@ -136,7 +134,7 @@ func PlanShards(opt *optimizer.Optimizer, desc *Descriptor, d *optimizer.Decisio
 	}
 	for dev := range a.Shards {
 		sp := &a.Shards[dev]
-		*sp = ShardPlan{Device: dev, Frac: fracs[dev], Split: split,
+		*sp = ShardPlan{Device: dev, Split: split,
 			EstHostNs: fracs[dev] * d.Costs.HostTotal}
 		if a.Mode != ModeHybrid {
 			devNs, _, _ := d.Costs.Quote(kind, split)

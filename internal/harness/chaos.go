@@ -38,7 +38,6 @@ func (r ChaosRow) Match() bool { return r.Err == nil && r.Fingerprint == r.BaseF
 
 // ChaosResult aggregates a chaos sweep.
 type ChaosResult struct {
-	Rows       []ChaosRow
 	Errors     int
 	Mismatches int
 	Retries    int
@@ -66,7 +65,7 @@ func (h *H) ChaosSweep(w io.Writer, plan *fault.Plan) *ChaosResult {
 		rows[i] = h.chaosOne(qs[i])
 	})
 
-	res := &ChaosResult{Rows: rows}
+	res := &ChaosResult{}
 	header(w, fmt.Sprintf("Chaos sweep (faults: %s)", plan.String()))
 	for _, r := range rows {
 		if r.Err != nil {

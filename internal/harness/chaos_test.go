@@ -30,17 +30,25 @@ func TestChaosSweepFullCrashMatchesHost(t *testing.T) {
 	if res.Fallbacks == 0 {
 		t.Fatal("100% crash plan produced no host fallbacks")
 	}
-	for _, r := range res.Rows {
-		deviceBound := r.Strategy != "native"
-		if deviceBound && !r.FellBack {
-			t.Fatalf("%s (%s): device-bound query survived a 100%% crash device without falling back", r.Query, r.Strategy)
+	// One table line per query: "<query> <strategy> <elapsed> rows=<n>
+	// retries=<n>[ fallback=host]".
+	lines := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 5 || !strings.HasPrefix(f[3], "rows=") {
+			continue
 		}
-		if !deviceBound && (r.FellBack || r.Retries != 0) {
-			t.Fatalf("%s: host-native query saw fault recovery (retries=%d fellback=%v)", r.Query, r.Retries, r.FellBack)
+		lines++
+		deviceBound, fellBack := f[1] != "native", strings.HasSuffix(line, " fallback=host")
+		if deviceBound && !fellBack {
+			t.Fatalf("device-bound query survived a 100%% crash device without falling back: %s", line)
 		}
-		if r.Rows != r.BaseRows {
-			t.Fatalf("%s: recovered rows %d != host-native %d", r.Query, r.Rows, r.BaseRows)
+		if !deviceBound && (fellBack || f[4] != "retries=0") {
+			t.Fatalf("host-native query saw fault recovery: %s", line)
 		}
+	}
+	if lines != len(job.Queries()) {
+		t.Fatalf("sweep table has %d query lines, want %d:\n%s", lines, len(job.Queries()), buf.String())
 	}
 	// The sweep must leave the executor fault-free for later tests.
 	if h.Exec.Faults != nil {

@@ -394,12 +394,10 @@ func (h *H) Fig16(w io.Writer) ([]Measurement, error) {
 
 // Fig17Result captures the co-processing timeline of Q8.d (Exp 6).
 type Fig17Result struct {
-	Report *coop.Report
 	// HostBreakdown and DevBreakdown are the percentages of Table 4's host
 	// stages and device operations, in the order they print.
 	HostBreakdown []float64
 	DevBreakdown  []float64
-	HostWaitPct   float64
 }
 
 // Fig17Table4 reproduces the detailed Q8.d co-processing analysis: the
@@ -421,7 +419,7 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig17Result{Report: rep}
+	res := &Fig17Result{}
 
 	header(w, fmt.Sprintf("Fig 17 / Table 4 — Exp 6: Q8.d co-processing at %s", strat))
 	fmt.Fprintf(w, "  batch timeline (device ready → host fetched → host done):\n")
@@ -452,8 +450,6 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 	pctv := 100 * float64(processing) / math.Max(float64(hostTotal), 1)
 	res.HostBreakdown = append(res.HostBreakdown, pctv)
 	fmt.Fprintf(w, "    %-30s %s  %5.2f%%\n", "Processing", ms(processing), pctv)
-	res.HostWaitPct = 100 * float64(rep.HostAccount[hw.CatWaitInitial]+rep.HostAccount[hw.CatWaitFetch]) /
-		math.Max(float64(hostTotal), 1)
 
 	fmt.Fprintf(w, "  device operations:\n")
 	var devTotal vclock.Duration

@@ -27,15 +27,10 @@ type FleetRow struct {
 	BaseFP   string      // baseline result fingerprint
 	Cells    []FleetCell // indexed like the swept fleet sizes
 	Err      error
-	// BaseElapsed is the baseline's virtual runtime: a fleet of one runs the
-	// same commands, so its host elapsed equals this one for every decision
-	// but NDP (the fleet finalizes NDP on the host).
-	BaseElapsed vclock.Duration
 }
 
 // FleetResult aggregates a fleet scale-out sweep.
 type FleetResult struct {
-	Rows       []FleetRow
 	Errors     int
 	Mismatches int
 	// Speedup holds the geometric-mean elapsed speedup of each fleet size
@@ -78,7 +73,7 @@ func (h *H) FleetSweep(w io.Writer, counts []int, spec string) (*FleetResult, er
 		rows[i] = h.fleetOne(qs[i], counts, execs)
 	})
 
-	res := &FleetResult{Rows: rows}
+	res := &FleetResult{}
 	header(w, fmt.Sprintf("Fleet scale-out sweep (spec=%s, devices %v)", spec, counts))
 	fmt.Fprintf(w, "%-5s %-7s", "query", "strat")
 	for _, n := range counts {
@@ -157,7 +152,6 @@ func (h *H) fleetOne(q *query.Query, counts []int, execs []*fleet.Executor) Flee
 		return row
 	}
 	row.BaseFP = fleet.Fingerprint(base.Result)
-	row.BaseElapsed = base.Elapsed
 	row.Cells = make([]FleetCell, len(counts))
 	for i, x := range execs {
 		cell := &row.Cells[i]

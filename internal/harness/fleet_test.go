@@ -2,8 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"hybridndp/internal/coop"
+	"hybridndp/internal/fleet"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 )
@@ -22,19 +26,40 @@ func TestFleetMatchesSingleDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(job.Queries()) {
-		t.Fatalf("sweep covered %d queries, want %d", len(res.Rows), len(job.Queries()))
+	if !strings.Contains(buf.String(), fmt.Sprintf("\n%d queries: ", len(job.Queries()))) {
+		t.Fatalf("sweep did not cover the %d queries:\n%s", len(job.Queries()), buf.String())
 	}
 	if !res.Clean() {
 		t.Fatalf("fleet sweep not clean (%d errors, %d mismatches):\n%s",
 			res.Errors, res.Mismatches, buf.String())
 	}
-	for _, r := range res.Rows {
-		if r.Strategy == "ndp" {
+	desc, err := fleet.Build(h.DS.Cat, 1, "range")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := fleet.NewExecutor(h.DS.Cat, h.DS.DB, h.DS.Model, desc)
+	for _, q := range job.Queries() {
+		d, err := h.Opt.Decide(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.StrategyLabel() == "ndp" { // the fleet finalizes NDP on the host
 			continue
 		}
-		if got := r.Cells[0].Elapsed; got != r.BaseElapsed {
-			t.Errorf("%s (%s): 1-device fleet elapsed %d ns, cooperative %d ns", r.Query, r.Strategy, int64(got), int64(r.BaseElapsed))
+		base, err := h.Exec.Run(d.Plan, coop.DecisionStrategy(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := fleet.PlanShards(h.Opt, desc, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := one.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Elapsed != base.Elapsed {
+			t.Errorf("%s (%s): 1-device fleet elapsed %d ns, cooperative %d ns", q.Name, d.StrategyLabel(), int64(rep.Elapsed), int64(base.Elapsed))
 		}
 	}
 }

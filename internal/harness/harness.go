@@ -58,24 +58,10 @@ func FromDataset(ds *job.Dataset) *H {
 	}
 }
 
-// WithModel returns a harness sharing this one's dataset but planning and
-// executing under a modified hardware model — the ablation hook (compute
-// ratio, PCIe generation, slot count sweeps).
-func (h *H) WithModel(m hw.Model) *H {
-	return &H{
-		DS:      h.DS,
-		Opt:     optimizer.New(h.DS.Cat, m),
-		Exec:    coop.NewExecutor(h.DS.Cat, h.DS.DB, m),
-		Workers: h.Workers,
-	}
-}
-
 // Measurement is one (strategy, time) sample.
 type Measurement struct {
 	Strategy coop.Strategy
 	Elapsed  vclock.Duration
-	Rows     int64
-	Batches  int
 	Err      error
 }
 
@@ -144,8 +130,6 @@ func (h *H) SweepStrategies(q *query.Query) ([]Measurement, *exec.Plan, error) {
 		m := Measurement{Strategy: st, Err: err}
 		if err == nil {
 			m.Elapsed = rep.Elapsed
-			m.Rows = rep.Result.RowCount
-			m.Batches = rep.Batches
 		}
 		out = append(out, m)
 	}

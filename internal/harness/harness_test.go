@@ -142,7 +142,7 @@ func TestFig16AndFig17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Batches == 0 || len(res.DevBreakdown) == 0 || len(res.HostBreakdown) == 0 {
+	if !strings.Contains(buf.String(), "    batch  0: ready=") || len(res.DevBreakdown) == 0 || len(res.HostBreakdown) == 0 {
 		t.Fatal("Fig17 result incomplete")
 	}
 	total := 0.0
@@ -163,22 +163,5 @@ func TestCalibrationReportsRatio(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "compute ratio") {
 		t.Fatal("calibration output missing the ratio line")
-	}
-}
-
-func TestWithModelIsolatesChanges(t *testing.T) {
-	h := testHarness(t)
-	m := h.DS.Model
-	m.PCIeVersion = 4
-	hv := h.WithModel(m)
-	if hv.Exec.Model.PCIeVersion != 4 {
-		t.Fatal("WithModel did not apply")
-	}
-	if h.Exec.Model.PCIeVersion == 4 {
-		t.Fatal("WithModel mutated the original harness")
-	}
-	// The variant still executes.
-	if _, _, err := hv.SweepStrategies(job.QueryByName("32b")); err != nil {
-		t.Fatal(err)
 	}
 }

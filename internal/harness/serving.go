@@ -13,10 +13,8 @@ import (
 
 // ServingRow is one (policy, concurrency) cell of the serving experiment.
 type ServingRow struct {
-	Policy    sched.Policy
 	Completed int64
 	Degraded  int64
-	Errors    int64
 	// Makespan and Throughput are virtual-time figures (see sched.Stats):
 	// the makespan is the instant the last query completed, so the numbers
 	// are deterministic and independent of the machine running the simulation.
@@ -24,9 +22,6 @@ type ServingRow struct {
 	Throughput float64
 	HostBusy   vclock.Duration
 	DeviceBusy vclock.Duration
-	// QueueWaitMax is the longest virtual admission wait of any completed
-	// query — the starvation bound (aging keeps it finite for every class).
-	QueueWaitMax vclock.Duration
 }
 
 // ServingMix is the default workload of the serving experiment: every JOB
@@ -51,7 +46,8 @@ func ServingMix(repeat int) []*query.Query {
 // the earliest completion under load and degrades saturated queries toward
 // the host, keeping both pools busy — at high concurrency it beats both. The
 // whole sweep runs on virtual time, so its text is byte-identical from run to
-// run.
+// run. The rows follow the levels and, within each level, the policies in
+// that order: always-host, always-NDP, adaptive.
 func (h *H) ServingSweep(w io.Writer, levels []int) ([]ServingRow, error) {
 	if len(levels) == 0 {
 		levels = []int{1, 4, 16, 64}
@@ -68,15 +64,12 @@ func (h *H) ServingSweep(w io.Writer, levels []int) ([]ServingRow, error) {
 				return nil, err
 			}
 			row := ServingRow{
-				Policy:       pol,
-				Completed:    st.Completed,
-				Degraded:     st.Degraded,
-				Errors:       st.Errors,
-				Makespan:     st.Makespan,
-				Throughput:   st.Throughput(),
-				HostBusy:     st.HostBusy,
-				DeviceBusy:   st.DeviceBusy,
-				QueueWaitMax: st.QueueWaitMax,
+				Completed:  st.Completed,
+				Degraded:   st.Degraded,
+				Makespan:   st.Makespan,
+				Throughput: st.Throughput(),
+				HostBusy:   st.HostBusy,
+				DeviceBusy: st.DeviceBusy,
 			}
 			rows = append(rows, row)
 			fmt.Fprintf(w, "  %-9s %-6d %10d %9d %s %9.2f q/s %s /%s\n",

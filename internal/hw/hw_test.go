@@ -79,24 +79,26 @@ func TestBlockStackTax(t *testing.T) {
 }
 
 func TestCFPCIeGenerationsMonotone(t *testing.T) {
+	// bandwidth is the link's usable bytes per nanosecond (GB/s).
+	bandwidth := func(c PCIeCost) float64 { return 1 / float64(c.PerByte) }
 	prev := 0.0
 	for gen := 1; gen <= 6; gen++ {
 		c := CFPCIe(gen, 8)
-		bw := c.BandwidthGBps()
+		bw := bandwidth(c)
 		if bw <= prev {
 			t.Fatalf("gen %d bandwidth %.2f not above gen %d's %.2f", gen, bw, gen-1, prev)
 		}
 		prev = bw
 	}
 	// Lanes scale bandwidth.
-	if CFPCIe(2, 16).BandwidthGBps() <= CFPCIe(2, 8).BandwidthGBps() {
+	if bandwidth(CFPCIe(2, 16)) <= bandwidth(CFPCIe(2, 8)) {
 		t.Fatal("doubling lanes must increase bandwidth")
 	}
 	// Unknown generation falls back rather than exploding.
-	if CFPCIe(99, 8).BandwidthGBps() != CFPCIe(2, 8).BandwidthGBps() {
+	if bandwidth(CFPCIe(99, 8)) != bandwidth(CFPCIe(2, 8)) {
 		t.Fatal("unknown generation should fall back to gen 2")
 	}
-	if CFPCIe(2, 0).BandwidthGBps() <= 0 {
+	if bandwidth(CFPCIe(2, 0)) <= 0 {
 		t.Fatal("zero lanes should clamp to one")
 	}
 }
@@ -134,7 +136,7 @@ func TestRatesChargeCategories(t *testing.T) {
 	r.Deref(tl, 10, 3, 100)
 	for _, cat := range []string{CatEval, CatMemcmp, CatCompareKeys, CatMemcpy,
 		CatHashBuild, CatHashProbe, CatSeekIndex, CatSeekData, CatGroup, CatSelection, CatTransfer, CatBufferManage} {
-		if tl.Booked(cat) <= 0 {
+		if tl.Account()[cat] <= 0 {
 			t.Errorf("category %q not charged", cat)
 		}
 	}

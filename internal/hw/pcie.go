@@ -65,6 +65,3 @@ func (c PCIeCost) Transfer(n, blockBytes int64) vclock.Duration {
 	blocks := (n + blockBytes - 1) / blockBytes
 	return vclock.Duration(float64(n))*c.PerByte + vclock.Duration(blocks)*c.PerCommand
 }
-
-// BandwidthGBps reports the effective usable bandwidth of the link.
-func (c PCIeCost) BandwidthGBps() float64 { return 1.0 / float64(c.PerByte) }

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"fmt"
 	"testing"
 
 	"hybridndp/internal/hw"
@@ -18,16 +19,16 @@ func TestQueryCountIs113(t *testing.T) {
 		}
 		seen[q.Name] = true
 	}
-	order, byGroup := Groups()
-	if len(order) != 33 {
-		t.Fatalf("JOB has 33 groups, got %d", len(order))
+	groups := map[int]bool{}
+	for _, q := range qs {
+		var g int
+		if _, err := fmt.Sscanf(q.Name, "%d", &g); err != nil {
+			t.Fatalf("query name %q has no group number", q.Name)
+		}
+		groups[g] = true
 	}
-	total := 0
-	for _, g := range order {
-		total += len(byGroup[g])
-	}
-	if total != 113 {
-		t.Fatalf("groups cover %d queries", total)
+	if len(groups) != 33 {
+		t.Fatalf("JOB has 33 groups, got %d", len(groups))
 	}
 }
 

@@ -1,9 +1,6 @@
 package job
 
 import (
-	"fmt"
-	"sort"
-
 	"hybridndp/internal/expr"
 	"hybridndp/internal/query"
 	"hybridndp/internal/table"
@@ -61,23 +58,6 @@ func QueryByName(name string) *query.Query {
 		}
 	}
 	return nil
-}
-
-// Groups returns the group number → variant letters map, in group order.
-func Groups() ([]int, map[int][]string) {
-	byGroup := map[int][]string{}
-	for _, q := range Queries() {
-		var g int
-		var v string
-		fmt.Sscanf(q.Name, "%d%s", &g, &v)
-		byGroup[g] = append(byGroup[g], v)
-	}
-	var order []int
-	for g := range byGroup {
-		order = append(order, g)
-	}
-	sort.Ints(order)
-	return order, byGroup
 }
 
 func group1() []*query.Query {

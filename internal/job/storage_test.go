@@ -11,7 +11,7 @@ import (
 )
 
 // storageDigest hashes every column family's SST bytes — family by name, each
-// family's files in Placement order (level by level, C1 newest first) — and
+// family's files level by level (C0 always empty, C1 newest first) — and
 // reports the flash counters of the load alongside. The counters are read
 // before hashing, whose reads would move BytesRead.
 func storageDigest(t testing.TB, ds *Dataset) (digest string, written, read, used int64) {
@@ -25,10 +25,11 @@ func storageDigest(t testing.TB, ds *Dataset) (digest string, written, read, use
 			t.Fatal(err)
 		}
 		fmt.Fprintf(h, "%s\x00", name)
-		for _, li := range cf.Placement() {
-			fmt.Fprintf(h, "L%d\x00", li.Level)
-			for _, sst := range li.SSTs {
-				blob, err := ds.Flash.ReadAt(sst.File, 0, ds.Flash.Size(sst.File), nil, hw.Rates{}, nil)
+		fmt.Fprint(h, "L0\x00")
+		for i, lvl := range cf.View().Levels() {
+			fmt.Fprintf(h, "L%d\x00", i+1)
+			for _, sst := range lvl {
+				blob, err := ds.Flash.ReadAt(sst.File(), 0, ds.Flash.Size(sst.File()), nil, hw.Rates{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

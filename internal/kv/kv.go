@@ -76,56 +76,41 @@ func (db *DB) ColumnFamilies() []string {
 	return names
 }
 
-// CFSnapshot is the per-object part of the shared state: the physical
-// placement of all SSTs of the object, and the frozen view the device-side
-// engine reads through.
-type CFSnapshot struct {
-	Name      string
-	Placement []lsm.LevelInfo
-	View      *lsm.View
-}
-
-// Bytes estimates the serialized size of the snapshot part, which is charged
-// as NDP command payload when the invocation crosses the interconnect.
-func (s CFSnapshot) Bytes() int64 {
-	var n int64 = 64
-	for _, li := range s.Placement {
-		n += 8
-		for _, sst := range li.SSTs {
-			n += int64(len(sst.MinKey)+len(sst.MaxKey)) + 24
-		}
-	}
-	return n
-}
-
 // Snapshot is the shared state of one NDP invocation: a transactionally
-// consistent view of every involved DB object.
+// consistent view of every involved DB object, keyed by family name.
 type Snapshot struct {
-	CFs map[string]CFSnapshot
+	CFs map[string]*lsm.View
 }
 
 // TakeSnapshot captures the shared state for the named column families.
 func (db *DB) TakeSnapshot(names []string) (*Snapshot, error) {
-	snap := &Snapshot{CFs: make(map[string]CFSnapshot, len(names))}
+	snap := &Snapshot{CFs: make(map[string]*lsm.View, len(names))}
 	for _, n := range names {
 		cf, err := db.CF(n)
 		if err != nil {
 			return nil, err
 		}
-		snap.CFs[n] = CFSnapshot{
-			Name:      n,
-			Placement: cf.Placement(),
-			View:      cf.View(),
-		}
+		snap.CFs[n] = cf.View()
 	}
 	return snap, nil
 }
 
-// Bytes estimates the serialized snapshot size.
+// Bytes estimates the serialized snapshot size, which is charged as NDP
+// command payload when the invocation crosses the interconnect. Per family it
+// ships the physical placement of its SSTs (the address-mapping information
+// that lets the device read the files directly): 64 bytes, 8 per level (C0,
+// always empty, C1 and each lower level), and per SST its key range plus 24
+// bytes of file, entry count and size.
 func (s *Snapshot) Bytes() int64 {
 	var n int64
-	for _, cf := range s.CFs {
-		n += cf.Bytes()
+	for _, v := range s.CFs {
+		n += 64 + 8
+		for _, lvl := range v.Levels() {
+			n += 8
+			for _, sst := range lvl {
+				n += int64(len(sst.MinKey())+len(sst.MaxKey())) + 24
+			}
+		}
 	}
 	return n
 }

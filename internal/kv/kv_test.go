@@ -87,12 +87,8 @@ func TestBulkLoadAndStats(t *testing.T) {
 	cf, _ := db.CreateColumnFamily("x")
 	load(t, cf, numbered("k%06d", 1000, "v")...)
 	st := cf.Stats()
-	if st.Entries < 1000 || st.SSTs == 0 {
+	if st.SSTs == 0 || st.Levels < 2 {
 		t.Fatalf("stats after load: %+v", st)
-	}
-	pl := cf.Placement()
-	if len(pl) < 2 || pl[0].Level != 0 || len(pl[0].SSTs) != 0 {
-		t.Fatalf("placement: %+v", pl)
 	}
 	n := 0
 	for it := cf.Scan(nil, nil, lsm.Access{}); it.Valid(); it.Next() {
@@ -103,8 +99,8 @@ func TestBulkLoadAndStats(t *testing.T) {
 	}
 }
 
-// TestSnapshotCapturesSharedState: a snapshot carries the placement map and a
-// view that later loads do not reach (update-aware NDP). The later load stays
+// TestSnapshotCapturesSharedState: a snapshot carries a view that later loads
+// do not reach (update-aware NDP). The later load stays
 // below MaxL1Files, so no compaction retires an SST the view holds.
 func TestSnapshotCapturesSharedState(t *testing.T) {
 	db := testDB()
@@ -117,20 +113,14 @@ func TestSnapshotCapturesSharedState(t *testing.T) {
 	}
 	load(t, cf, "hot1", "v1", "k005", "")
 	s := snap.CFs["obj"]
-	if s.Name != "obj" {
-		t.Fatal("snapshot name")
-	}
-	if _, ok, _ := s.View.Get([]byte("hot1"), lsm.Access{}); ok {
+	if _, ok, _ := s.Get([]byte("hot1"), lsm.Access{}); ok {
 		t.Fatal("snapshot view saw a later load")
 	}
-	if v, ok, _ := s.View.Get([]byte("k005"), lsm.Access{}); !ok || string(v) != "loaded" {
+	if v, ok, _ := s.Get([]byte("k005"), lsm.Access{}); !ok || string(v) != "loaded" {
 		t.Fatalf("snapshot view saw a later tombstone: %q %v", v, ok)
 	}
 	if _, ok, _ := cf.Get([]byte("k005"), lsm.Access{}); ok {
 		t.Fatal("live family missed the later tombstone")
-	}
-	if len(s.Placement) < 2 {
-		t.Fatal("snapshot missing placement map")
 	}
 	if snap.Bytes() <= 0 {
 		t.Fatal("snapshot size estimate")
@@ -149,5 +139,33 @@ func TestSnapshotBytesGrowWithState(t *testing.T) {
 	big, _ := db.TakeSnapshot([]string{"obj"})
 	if big.Bytes() <= small.Bytes() {
 		t.Fatal("snapshot size must grow with the placement map")
+	}
+}
+
+// TestSnapshotBytesPinned pins the NDP command payload of a two-family
+// snapshot, one family with C1 and three lower levels (1, 1, 3 and 6 SSTs),
+// to the value the per-level placement records gave: every ndp.setup charge
+// is priced from it.
+func TestSnapshotBytesPinned(t *testing.T) {
+	db := Open(flash.New(hw.Cosmos(), 0), lsm.Config{SegmentBytes: 1 << 10, MaxL1Files: 2, LevelRatio: 2, BaseLevelBytes: 4 << 10})
+	deep, _ := db.CreateColumnFamily("tbl.deep")
+	for b := 0; b < 14; b++ {
+		load(t, deep, numbered(fmt.Sprintf("k%%04d-%d", b), 60+b*7, "value")...)
+	}
+	flat, _ := db.CreateColumnFamily("idx.flat")
+	load(t, flat, numbered("i%03d", 20, "v")...)
+	snap, err := db.TakeSnapshot([]string{"tbl.deep", "idx.flat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ssts []int
+	for _, lvl := range snap.CFs["tbl.deep"].Levels() {
+		ssts = append(ssts, len(lvl))
+	}
+	if fmt.Sprint(ssts) != "[1 1 3 6]" {
+		t.Fatalf("SSTs per level from C1 = %v, want [1 1 3 6]", ssts)
+	}
+	if got := snap.Bytes(); got != 640 {
+		t.Fatalf("snapshot bytes = %d, want 640", got)
 	}
 }

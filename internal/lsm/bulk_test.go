@@ -73,8 +73,8 @@ func bulkLoads(ops []byte) [][]Entry {
 // FuzzBulkLoadMatchesModel checks BulkLoad against a sorted-map model across
 // several loads into one tree: the later load wins per key, and a tombstone
 // hides its key. After every load, Get of every key any load named, a full
-// Scan and a full View.Scan must agree with the model, and the load must not
-// have touched the caller's slice. mem picks SegmentBytes from 2 to 64 KiB;
+// Scan and a full View.ScanInto must agree with the model, and the load must
+// not have touched the caller's slice. mem picks SegmentBytes from 2 to 64 KiB;
 // with MaxL1Files 2 and an 8 KiB C2 the seeds cut several segments, compact C1
 // and push C2 down. The seeds under testdata/fuzz/FuzzBulkLoadMatchesModel are
 // named after what each exercises. Two are several loads:
@@ -110,7 +110,7 @@ func FuzzBulkLoadMatchesModel(f *testing.F) {
 			}
 			want := modelRange(model, nil, nil)
 			checkEntries(t, fmt.Sprintf("load %d: Scan", n), drain(tr.Scan(nil, nil, Access{}), -1, false), want)
-			checkEntries(t, fmt.Sprintf("load %d: View.Scan", n), drain(tr.View().Scan(nil, nil, Access{}), -1, false), want)
+			checkEntries(t, fmt.Sprintf("load %d: View.ScanInto", n), drain(viewScan(tr.View(), nil, nil, Access{}), -1, false), want)
 			for _, k := range named {
 				v, ok, err := tr.Get(k, Access{})
 				mv, mok := model[string(k)]
@@ -139,26 +139,27 @@ type putDigest struct {
 // FuzzBulkLoadMatchesModel (decoded by bulkEntries) and for the successful
 // loads of TestBulkLoadRefuses.
 var putDigests = map[string]putDigest{
-	"large-values-64k":               {"a332d045e75f989bd0c56b5b11d2c7d67cf54efdf05aab63257117933971db4f", Stats{Entries: 400, DataBytes: 156400, Levels: 3, SSTs: 2}, flash.Stats{BytesRead: 1272450, BytesWritten: 718403, PageReads: 211, RandomReads: 14, FilesLive: 2}, 180224},
-	"prefix-ties-short-keys":         {"ed6a80ca67d596ee1e71fb7f796c6df9bdf2294fe5637101421ac147fe6e4e39", Stats{Entries: 53, DataBytes: 6394, Levels: 3, SSTs: 4}, flash.Stats{BytesRead: 16461, BytesWritten: 11919, PageReads: 10, RandomReads: 10, FilesLive: 4}, 65536},
-	"segment-ends-on-last-entry":     {"671fbac31c453442e9f31879fb0067ba2a981af460e2cd829055381108804f5c", Stats{Entries: 273, DataBytes: 53425, Levels: 3, SSTs: 4}, flash.Stats{BytesRead: 466997, BytesWritten: 263280, PageReads: 87, RandomReads: 48, FilesLive: 4}, 65536},
-	"shuffled-rotations-compactions": {"b5cce8413d51189122338ff995fbe94f462d9052a65e73383d50b0621d6ff5cf", Stats{Entries: 150, DataBytes: 14496, Levels: 4, SSTs: 6}, flash.Stats{BytesRead: 87376, BytesWritten: 52600, PageReads: 39, RandomReads: 34, FilesLive: 6}, 98304},
-	"sorted-single-sst":              {"a951d7b53576756cbdca04a8b8e9b37de56a2365b19d45799fb5e899df0eba22", Stats{Entries: 60, DataBytes: 4140, Levels: 2, SSTs: 1}, flash.Stats{BytesRead: 4329, BytesWritten: 4329, PageReads: 1, RandomReads: 1, FilesLive: 1}, 16384},
-	"tombstones-shuffled":            {"edfd1cdf6f8c30aa3eb1c13eaed84ff62787c74ae3fa145d151f6c90fe60fa24", Stats{Entries: 80, DataBytes: 5600, Levels: 2, SSTs: 1}, flash.Stats{BytesRead: 18350, BytesWritten: 12350, PageReads: 7, RandomReads: 7, FilesLive: 1}, 16384},
+	"large-values-64k":               {"a332d045e75f989bd0c56b5b11d2c7d67cf54efdf05aab63257117933971db4f", Stats{DataBytes: 156400, Levels: 3, SSTs: 2}, flash.Stats{BytesRead: 1272450, BytesWritten: 718403, PageReads: 211, RandomReads: 14, FilesLive: 2}, 180224},
+	"prefix-ties-short-keys":         {"ed6a80ca67d596ee1e71fb7f796c6df9bdf2294fe5637101421ac147fe6e4e39", Stats{DataBytes: 6394, Levels: 3, SSTs: 4}, flash.Stats{BytesRead: 16461, BytesWritten: 11919, PageReads: 10, RandomReads: 10, FilesLive: 4}, 65536},
+	"segment-ends-on-last-entry":     {"671fbac31c453442e9f31879fb0067ba2a981af460e2cd829055381108804f5c", Stats{DataBytes: 53425, Levels: 3, SSTs: 4}, flash.Stats{BytesRead: 466997, BytesWritten: 263280, PageReads: 87, RandomReads: 48, FilesLive: 4}, 65536},
+	"shuffled-rotations-compactions": {"b5cce8413d51189122338ff995fbe94f462d9052a65e73383d50b0621d6ff5cf", Stats{DataBytes: 14496, Levels: 4, SSTs: 6}, flash.Stats{BytesRead: 87376, BytesWritten: 52600, PageReads: 39, RandomReads: 34, FilesLive: 6}, 98304},
+	"sorted-single-sst":              {"a951d7b53576756cbdca04a8b8e9b37de56a2365b19d45799fb5e899df0eba22", Stats{DataBytes: 4140, Levels: 2, SSTs: 1}, flash.Stats{BytesRead: 4329, BytesWritten: 4329, PageReads: 1, RandomReads: 1, FilesLive: 1}, 16384},
+	"tombstones-shuffled":            {"edfd1cdf6f8c30aa3eb1c13eaed84ff62787c74ae3fa145d151f6c90fe60fa24", Stats{DataBytes: 5600, Levels: 2, SSTs: 1}, flash.Stats{BytesRead: 18350, BytesWritten: 12350, PageReads: 7, RandomReads: 7, FilesLive: 1}, 16384},
 
 	"empty":                  {"2aa35a355da0a226631f97a91b0c93bc9785ee3e2cc8ffc9a4383736c21fa72c", Stats{Levels: 1}, flash.Stats{}, 0},
-	"repeat-across-segments": {"20497cd1edf20ff3620ec9faa511d3aac9a9ffe127f4fd0f020b4cc7204d600b", Stats{Entries: 20, DataBytes: 1660, Levels: 2, SSTs: 2}, flash.Stats{BytesRead: 1946, BytesWritten: 1946, PageReads: 2, RandomReads: 2, FilesLive: 2}, 32768},
+	"repeat-across-segments": {"20497cd1edf20ff3620ec9faa511d3aac9a9ffe127f4fd0f020b4cc7204d600b", Stats{DataBytes: 1660, Levels: 2, SSTs: 2}, flash.Stats{BytesRead: 1946, BytesWritten: 1946, PageReads: 2, RandomReads: 2, FilesLive: 2}, 32768},
 }
 
-// treeDigest hashes the tree's SSTs in Placement order, each level's number
-// ahead of its files.
+// treeDigest hashes the tree's SSTs level by level, each level's number ahead
+// of its files (C0, always empty, first).
 func treeDigest(t *testing.T, tr *Tree) string {
 	t.Helper()
 	h := sha256.New()
-	for _, li := range tr.Placement() {
-		fmt.Fprintf(h, "L%d\x00", li.Level)
-		for _, s := range li.SSTs {
-			b, err := tr.fl.ReadAt(s.File, 0, tr.fl.Size(s.File), nil, hw.Rates{}, nil)
+	fmt.Fprint(h, "L0\x00")
+	for i, lvl := range tr.View().Levels() {
+		fmt.Fprintf(h, "L%d\x00", i+1)
+		for _, s := range lvl {
+			b, err := tr.fl.ReadAt(s.file, 0, tr.fl.Size(s.file), nil, hw.Rates{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,8 +279,8 @@ func TestBulkLoadSegmentsAtByteSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	var counts []int
-	for _, s := range tr.Placement()[1].SSTs {
-		counts = append(counts, s.Count)
+	for _, s := range tr.l1 {
+		counts = append(counts, entryCount(t, s))
 	}
 	if !slices.Equal(counts, []int{8, 16, 16}) {
 		t.Fatalf("C1 SST sizes %v, want [8 16 16]", counts)

@@ -77,8 +77,8 @@ func TestSSTRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count() != 5000 {
-		t.Fatalf("Count = %d", s.Count())
+	if n := entryCount(t, s); n != 5000 {
+		t.Fatalf("count = %d", n)
 	}
 	if !bytes.Equal(s.MinKey(), key(0)) || !bytes.Equal(s.MaxKey(), key(4999)) {
 		t.Fatalf("fence pointers wrong: %q..%q", s.MinKey(), s.MaxKey())
@@ -125,10 +125,10 @@ func TestSSTChargesFlashReads(t *testing.T) {
 	if _, ok, _ := s.Get(key(1000), ac); !ok {
 		t.Fatal("lookup missed")
 	}
-	if tl.Booked(hw.CatFlashLoad) <= 0 {
+	if tl.Account()[hw.CatFlashLoad] <= 0 {
 		t.Fatal("charged lookup booked no flash time")
 	}
-	if tl.Booked(hw.CatSeekIndex) <= 0 {
+	if tl.Account()[hw.CatSeekIndex] <= 0 {
 		t.Fatal("charged lookup booked no index seek time")
 	}
 }
@@ -150,9 +150,9 @@ func TestSSTDeviceCheaperFlashThanHost(t *testing.T) {
 	}
 	for it := s.Iter(nil, Access{TL: dev, R: hw.DeviceRates(m)}); it.Valid(); it.Next() {
 	}
-	if dev.Booked(hw.CatFlashLoad) >= host.Booked(hw.CatFlashLoad) {
+	if dev.Account()[hw.CatFlashLoad] >= host.Account()[hw.CatFlashLoad] {
 		t.Fatalf("device flash streaming (%v) should be cheaper than host (%v)",
-			dev.Booked(hw.CatFlashLoad), host.Booked(hw.CatFlashLoad))
+			dev.Account()[hw.CatFlashLoad], host.Account()[hw.CatFlashLoad])
 	}
 }
 
@@ -329,24 +329,22 @@ func TestTreePlacement(t *testing.T) {
 	fl := testFlash()
 	tr := smallTree(fl)
 	load(t, tr, entriesOf(span(0, 4000, 1), nil))
-	pl := tr.Placement()
-	if len(pl) < 2 {
-		t.Fatalf("placement has %d levels", len(pl))
-	}
-	if pl[0].Level != 0 || len(pl[0].SSTs) != 0 {
-		t.Fatal("placement must start at an empty C0")
+	levels := tr.View().Levels()
+	if len(levels) < 2 {
+		t.Fatalf("view has %d levels below C0", len(levels))
 	}
 	total := 0
-	for _, li := range pl[1:] {
-		for _, s := range li.SSTs {
-			if s.Count <= 0 || s.DataBytes <= 0 {
-				t.Fatalf("placement SST with empty stats: %+v", s)
+	for _, lvl := range levels {
+		for _, s := range lvl {
+			n := entryCount(t, s)
+			if n <= 0 || s.DataBytes() <= 0 || fl.Size(s.File()) <= 0 {
+				t.Fatalf("SST %d with empty stats: %d entries, %d bytes", s.File(), n, s.DataBytes())
 			}
-			total += s.Count
+			total += n
 		}
 	}
 	if total < 4000 { // duplicates across levels may exceed, never undershoot
-		t.Fatalf("placement accounts for %d entries, want ≥ 4000", total)
+		t.Fatalf("levels account for %d entries, want ≥ 4000", total)
 	}
 }
 
@@ -443,7 +441,21 @@ func TestMergeIterChargesComparisons(t *testing.T) {
 	ac := Access{TL: tl, R: hw.HostRates(hw.Cosmos())}
 	for it := tr.Scan(nil, nil, ac); it.Valid(); it.Next() {
 	}
-	if tl.Booked(hw.CatCompareKeys) <= 0 {
+	if tl.Account()[hw.CatCompareKeys] <= 0 {
 		t.Fatal("merged scan booked no internal-key comparison time")
 	}
+}
+
+// entryCount counts s's entries by iterating it.
+func entryCount(t testing.TB, s *SST) int {
+	t.Helper()
+	n := 0
+	it := s.Iter(nil, Access{})
+	for ; it.Valid(); it.Next() {
+		n++
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	return n
 }

@@ -199,7 +199,7 @@ func FuzzTreeIterRuns(f *testing.F) {
 
 		checkRunsMatchEntries(t, "tree", func(ac Access) *TreeIter { return tr.Scan(loKey, hiKey, ac) }, cached, want)
 		v := tr.View()
-		checkRunsMatchEntries(t, "view", func(ac Access) *TreeIter { return v.Scan(loKey, hiKey, ac) }, cached, want)
+		checkRunsMatchEntries(t, "view", func(ac Access) *TreeIter { return viewScan(v, loKey, hiKey, ac) }, cached, want)
 
 		it := &TreeIter{}
 		oneLo, oneHi := key(int(lo)), key(int(lo)+1)

@@ -78,7 +78,6 @@ type SST struct {
 	bloom   *Bloom
 	minKey  []byte
 	maxKey  []byte
-	count   int
 	dataLen int64
 
 	// mu guards parsed. parsed memoizes decoded data blocks by block index —
@@ -287,8 +286,7 @@ func OpenSST(fl *flash.Flash, id flash.FileID) (*SST, error) {
 	if len(mb) < 12 {
 		return nil, fmt.Errorf("lsm: SST file %d has corrupt meta block", id)
 	}
-	t.count = int(binary.LittleEndian.Uint64(mb))
-	mb = mb[8:]
+	mb = mb[8:] // the entry count
 	mklen := int(binary.LittleEndian.Uint32(mb))
 	mb = mb[4:]
 	t.minKey = append([]byte(nil), mb[:mklen]...)
@@ -298,9 +296,6 @@ func OpenSST(fl *flash.Flash, id flash.FileID) (*SST, error) {
 	t.maxKey = append([]byte(nil), mb[:xklen]...)
 	return t, nil
 }
-
-// Count reports the number of entries in the table.
-func (t *SST) Count() int { return t.count }
 
 // DataBytes reports the size of the data-block section.
 func (t *SST) DataBytes() int64 { return t.dataLen }

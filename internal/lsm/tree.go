@@ -465,63 +465,22 @@ func (it *TreeIter) Run() []Entry {
 // n calls of Next.
 func (it *TreeIter) Consume(n int) { it.inner.consume(n) }
 
-// LevelInfo describes one level for statistics and NDP placement maps.
-type LevelInfo struct {
-	Level int // 0 = C0 (always empty: data enters through BulkLoad), 1 = C1, ...
-	SSTs  []SSTInfo
-}
-
-// SSTInfo is the physical placement record of one SST: what the host sends
-// along with an NDP invocation so the device can read the file directly.
-type SSTInfo struct {
-	File      flash.FileID
-	MinKey    []byte
-	MaxKey    []byte
-	Count     int
-	DataBytes int64
-}
-
-// Placement reports the physical organization of the tree (the
-// address-mapping information that accompanies NDP invocations).
-func (t *Tree) Placement() []LevelInfo {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := []LevelInfo{{Level: 0}}
-	appendLevel := func(level int, ssts []*SST) {
-		li := LevelInfo{Level: level}
-		for _, s := range ssts {
-			li.SSTs = append(li.SSTs, SSTInfo{
-				File: s.File(), MinKey: s.MinKey(), MaxKey: s.MaxKey(),
-				Count: s.Count(), DataBytes: s.DataBytes(),
-			})
-		}
-		out = append(out, li)
-	}
-	appendLevel(1, t.l1)
-	for i, lvl := range t.levels {
-		appendLevel(i+2, lvl)
-	}
-	return out
-}
-
 // Stats summarizes the tree for the optimizer's statistics collection.
 type Stats struct {
-	Entries   int
 	DataBytes int64
 	Levels    int
 	SSTs      int
 }
 
-// Stats reports aggregate tree statistics. Entries counts SST entries and
-// over-counts keys duplicated across levels, matching the imprecision of real
-// system statistics. Levels counts the empty C0.
+// Stats reports aggregate tree statistics. DataBytes over-counts keys
+// duplicated across levels, matching the imprecision of real system
+// statistics. Levels counts the empty C0.
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var st Stats
 	count := func(ssts []*SST) {
 		for _, s := range ssts {
-			st.Entries += s.Count()
 			st.DataBytes += s.DataBytes()
 			st.SSTs++
 		}

@@ -33,7 +33,7 @@ func TestViewIsolatedFromLaterWrites(t *testing.T) {
 
 	// View scans match the snapshot state.
 	n := 0
-	for it := v.Scan(nil, nil, Access{}); it.Valid(); it.Next() {
+	for it := viewScan(v, nil, nil, Access{}); it.Valid(); it.Next() {
 		e := it.Entry()
 		if bytes.Equal(e.Key, key(9999)) {
 			t.Fatal("view scan surfaced a post-snapshot key")
@@ -55,7 +55,7 @@ func TestViewScanBoundsAndOrder(t *testing.T) {
 	v := tr.View()
 	var prev []byte
 	n := 0
-	for it := v.Scan(key(123), key(456), Access{}); it.Valid(); it.Next() {
+	for it := viewScan(v, key(123), key(456), Access{}); it.Valid(); it.Next() {
 		k := it.Entry().Key
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatal("view scan out of order")
@@ -66,4 +66,11 @@ func TestViewScanBoundsAndOrder(t *testing.T) {
 	if n != 456-123 {
 		t.Fatalf("view scan found %d keys", n)
 	}
+}
+
+// viewScan iterates [lo, hi) of v on a new TreeIter.
+func viewScan(v *View, lo, hi []byte, ac Access) *TreeIter {
+	it := &TreeIter{}
+	v.ScanInto(it, lo, hi, ac)
+	return it
 }

@@ -52,20 +52,6 @@ func (g *Gauge) Set(v float64) {
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
 
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + d
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value reports the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

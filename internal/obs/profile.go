@@ -162,13 +162,6 @@ func phaseTotal(ts []PhaseTotal, ph Phase) vclock.Duration {
 	return 0
 }
 
-// Stalls reports the profile's stall accounting (paper Table 4): the host's
-// initial and follow-up waits for the device and the device's waits for a
-// free shared-buffer slot.
-func (p *QueryProfile) Stalls() (hostInitial, hostFetch, deviceSlots vclock.Duration) {
-	return p.HostPhase(PhaseStallInitial), p.HostPhase(PhaseStallFetch), p.DevicePhase(PhaseSlotWait)
-}
-
 // reconcileTolerance bounds the relative error accepted by Reconciles: phase
 // sums re-add the same float64 charges in a different order than the clock
 // advanced, so equality holds only up to accumulation rounding.
@@ -214,47 +207,4 @@ func writePhases(b *strings.Builder, tl string, ts []PhaseTotal) {
 	for _, t := range ts {
 		fmt.Fprintf(b, "    %-14s %12s %6.2f%%\n", t.Phase, t.Total.String(), t.Percent)
 	}
-}
-
-// MergeProfiles aggregates many per-query profiles into one workload-level
-// phase breakdown per timeline — the harness-level aggregation view (where
-// does the mix's virtual time go). Phases keep their fixed order; percentages
-// are recomputed against the merged totals.
-func MergeProfiles(ps []*QueryProfile) *QueryProfile {
-	merged := &QueryProfile{Query: fmt.Sprintf("aggregate(%d)", len(ps)), Strategy: "mixed"}
-	hostSums := map[Phase]vclock.Duration{}
-	devSums := map[Phase]vclock.Duration{}
-	anyDev := false
-	for _, p := range ps {
-		if p == nil {
-			continue
-		}
-		merged.Elapsed += p.Elapsed
-		merged.DeviceElapsed += p.DeviceElapsed
-		for _, t := range p.Host {
-			hostSums[t.Phase] += t.Total
-		}
-		if p.Device != nil {
-			anyDev = true
-			for _, t := range p.Device {
-				devSums[t.Phase] += t.Total
-			}
-		}
-	}
-	toTotals := func(sums map[Phase]vclock.Duration, order []Phase, total vclock.Duration) []PhaseTotal {
-		out := make([]PhaseTotal, 0, len(order))
-		for _, ph := range order {
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(sums[ph]) / float64(total)
-			}
-			out = append(out, PhaseTotal{Phase: ph, Total: sums[ph], Percent: pct})
-		}
-		return out
-	}
-	merged.Host = toTotals(hostSums, hostPhases, merged.Elapsed)
-	if anyDev {
-		merged.Device = toTotals(devSums, devicePhases, merged.DeviceElapsed)
-	}
-	return merged
 }

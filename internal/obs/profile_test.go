@@ -58,10 +58,6 @@ func TestProfilePhasesAndReconciliation(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
-	hi, hf, ds := p.Stalls()
-	if hi != 300 || hf != 40 || ds != 80 {
-		t.Fatalf("stalls (%v,%v,%v)", hi, hf, ds)
-	}
 }
 
 func TestProfileReconcilesRejectsMissingTime(t *testing.T) {
@@ -117,24 +113,5 @@ func TestWriteTextRendersBothTables(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("WriteText missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestMergeProfilesAggregates(t *testing.T) {
-	host, dev, elapsed, devElapsed := buildAccounts()
-	p1 := Profile("a", "H2", host, dev, elapsed, devElapsed)
-	p2 := Profile("b", "native", host, nil, elapsed, 0)
-	m := MergeProfiles([]*QueryProfile{p1, nil, p2})
-	if m.Elapsed != 2*elapsed {
-		t.Fatalf("merged elapsed %v, want %v", m.Elapsed, 2*elapsed)
-	}
-	if m.HostPhase(PhaseStallInitial) != 600 {
-		t.Fatalf("merged stall-initial %v, want 600", m.HostPhase(PhaseStallInitial))
-	}
-	if m.DevicePhase(PhaseSlotWait) != 80 {
-		t.Fatalf("merged slot-wait %v, want 80", m.DevicePhase(PhaseSlotWait))
-	}
-	if !m.Reconciles() {
-		t.Fatal("merged profile must reconcile")
 	}
 }

@@ -79,14 +79,6 @@ func NewTrace(name string) *Trace {
 	return &Trace{name: name, open: make(map[string]int)}
 }
 
-// Name reports the trace's label.
-func (t *Trace) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Start opens a span named name on tl's timeline, starting at the timeline's
 // current virtual instant. The span nests under the innermost span still open
 // on the same timeline. Nil-safe: a nil trace returns a nil span and records
@@ -157,27 +149,6 @@ func (s *Span) End() {
 			delete(s.tr.open, s.timeline)
 		}
 	}
-}
-
-// Duration reports the span's virtual length (zero while still open).
-func (s *Span) Duration() vclock.Duration {
-	if s == nil || !s.ended {
-		return 0
-	}
-	return s.end.Sub(s.start)
-}
-
-// Spans returns the recorded spans in creation order. Open spans are included
-// with a zero end; callers that need closed intervals should End them first.
-func (t *Trace) Spans() []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Span, len(t.spans))
-	copy(out, t.spans)
-	return out
 }
 
 // Len reports the number of recorded spans.

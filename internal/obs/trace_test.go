@@ -26,7 +26,7 @@ func TestSpanNestingAndDurations(t *testing.T) {
 	sib.End()
 	root.End()
 
-	spans := tr.Spans()
+	spans := tr.spans
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 4", len(spans))
 	}
@@ -36,10 +36,10 @@ func TestSpanNestingAndDurations(t *testing.T) {
 	if got := spans[3].parent; got != spans[0].id {
 		t.Fatalf("sibling parent %d, want root %d", got, spans[0].id)
 	}
-	if d := root.Duration(); d != 185 {
+	if d := root.end.Sub(root.start); d != 185 {
 		t.Fatalf("root duration %v, want 185", d)
 	}
-	if d := grand.Duration(); d != 25 {
+	if d := grand.end.Sub(grand.start); d != 25 {
 		t.Fatalf("grand duration %v, want 25", d)
 	}
 }
@@ -50,7 +50,7 @@ func TestSpansSeparateTimelinesDoNotNest(t *testing.T) {
 	dev := vclock.NewTimeline("device")
 	h := tr.Start(host, "host-root")
 	d := tr.Start(dev, "device-root")
-	if got := tr.Spans()[1].parent; got != -1 {
+	if got := tr.spans[1].parent; got != -1 {
 		t.Fatalf("device root nested under host span (parent %d)", got)
 	}
 	d.End()
@@ -62,7 +62,7 @@ func TestNilTraceIsNoop(t *testing.T) {
 	tl := vclock.NewTimeline("host")
 	sp := tr.Start(tl, "x").Attr("k", "v").AttrInt("n", 1)
 	sp.End()
-	if sp != nil || tr.Len() != 0 || tr.Spans() != nil || tr.Name() != "" {
+	if sp != nil || tr.Len() != 0 {
 		t.Fatal("nil trace must be inert")
 	}
 	var b strings.Builder
@@ -227,7 +227,7 @@ func TestOutOfOrderEndDoesNotCorruptStack(t *testing.T) {
 	// b's pop restored a as innermost; a had already ended but that only
 	// affects nesting, never panics. c must be at top level or under a — not
 	// under b.
-	if got := tr.Spans()[2].parent; got == b.id {
+	if got := tr.spans[2].parent; got == b.id {
 		t.Fatal("stack corrupted: c nested under ended span b")
 	}
 	c.End()

@@ -156,7 +156,6 @@ func (o *Optimizer) plan(q *query.Query, tabs []*table.Table, stats []*table.Sta
 
 	if len(q.Tables) == 1 {
 		plan.Driving = paths[0]
-		plan.EstTotalRows = plan.Driving.EstRows
 		return plan, nil
 	}
 
@@ -223,7 +222,6 @@ func (o *Optimizer) plan(q *query.Query, tabs []*table.Table, stats []*table.Sta
 		tuplePos[bestIdx] = len(plan.Steps)
 		rows = bestOut
 	}
-	plan.EstTotalRows = rows
 	return plan, nil
 }
 

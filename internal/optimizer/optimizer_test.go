@@ -42,12 +42,12 @@ func TestBuildPlanCoversAllTablesOnce(t *testing.T) {
 		if p.NumTables() != len(q.Tables) {
 			t.Fatalf("%s: plan has %d tables, query %d", name, p.NumTables(), len(q.Tables))
 		}
-		seen := map[string]bool{}
-		for _, a := range p.Aliases() {
-			if seen[a] {
+		seen := map[string]bool{p.Driving.Ref.Alias: true}
+		for _, st := range p.Steps {
+			if a := st.Right.Ref.Alias; seen[a] {
 				t.Fatalf("%s: alias %s appears twice", name, a)
 			}
-			seen[a] = true
+			seen[st.Right.Ref.Alias] = true
 		}
 		// Every join step must have at least one bound condition (connected
 		// left-deep order).
@@ -72,7 +72,11 @@ func TestPlansForAll113Queries(t *testing.T) {
 			t.Errorf("%s: %v", q.Name, err)
 			continue
 		}
-		if p.EstTotalRows < 0 {
+		est := p.Driving.EstRows
+		if n := len(p.Steps); n > 0 {
+			est = p.Steps[n-1].EstRows
+		}
+		if est < 0 {
 			t.Errorf("%s: negative cardinality estimate", q.Name)
 		}
 	}

@@ -29,22 +29,6 @@ func (c JoinCond) String() string {
 	return fmt.Sprintf("%s.%s = %s.%s", c.LeftAlias, c.LeftCol, c.RightAlias, c.RightCol)
 }
 
-// Touches reports whether the condition references alias.
-func (c JoinCond) Touches(alias string) bool {
-	return c.LeftAlias == alias || c.RightAlias == alias
-}
-
-// Other returns the alias on the opposite side, or "".
-func (c JoinCond) Other(alias string) string {
-	switch alias {
-	case c.LeftAlias:
-		return c.RightAlias
-	case c.RightAlias:
-		return c.LeftAlias
-	}
-	return ""
-}
-
 // AggFunc is an aggregate function.
 type AggFunc int
 

@@ -23,6 +23,7 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 	cfg.Policy = ForceNDP
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
+	exec.Metrics = reg // the executor counts its host fallbacks here
 	s := New(opt, exec, m, cfg)
 	defer s.Close()
 
@@ -33,8 +34,10 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 	exec.Faults = crash
 	defer func() { exec.Faults = nil }()
 
-	run := func() *Outcome {
+	// run reports the outcome and whether the executor fell back to the host.
+	run := func() (*Outcome, bool) {
 		t.Helper()
+		before := reg.Counter("coop.fallback.host").Value()
 		tk, err := s.Submit(context.Background(), q, Normal)
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +49,7 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 		if o.Err != nil {
 			t.Fatalf("query failed under chaos (recovery must absorb faults): %v", o.Err)
 		}
-		return o
+		return o, reg.Counter("coop.fallback.host").Value() > before
 	}
 
 	// Three failing device commands: each completes (executor host fallback)
@@ -55,9 +58,9 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 		t.Fatalf("breaker tuning %d/%d, this test walks 3/8", breakerThreshold, breakerProbeAfter)
 	}
 	for i := 1; i <= 3; i++ {
-		if o := run(); o.Device < 0 {
+		if o, fellBack := run(); !onDevice(o) {
 			t.Fatalf("command %d never reached the device: %+v", i, o)
-		} else if o.Report == nil || !o.Report.FellBack {
+		} else if !fellBack {
 			t.Fatalf("command %d did not fall back under a 100%% crash device", i)
 		}
 		want := int64(0)
@@ -72,8 +75,8 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 	// Open breaker: the next seven forced-NDP admissions fail fast and route
 	// host-side.
 	for i := 1; i <= 7; i++ {
-		if o := run(); o.Device != -1 {
-			t.Fatalf("admission %d: open breaker still placed the query on device %d", i, o.Device)
+		if o, _ := run(); onDevice(o) {
+			t.Fatalf("admission %d: open breaker still placed the query on a device (%s)", i, o.Chosen)
 		}
 		if n := reg.Counter("sched.breaker.routed.host").Value(); n != int64(i) {
 			t.Fatalf("host routing counted %d times after %d admissions while open", n, i)
@@ -86,9 +89,9 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 	// Device healed: the eighth admission goes half-open and is the probe,
 	// whose on-device success closes the breaker.
 	exec.Faults = nil
-	if o := run(); o.Device < 0 {
+	if o, fellBack := run(); !onDevice(o) {
 		t.Fatalf("half-open probe never reached the device: %+v", o)
-	} else if o.Report == nil || o.Report.FellBack {
+	} else if fellBack {
 		t.Fatal("healed probe still fell back to the host")
 	}
 	if n := reg.Counter("sched.breaker.probe").Value(); n != 1 {
@@ -99,7 +102,7 @@ func TestBreakerTripsRoutesAndRecovers(t *testing.T) {
 	}
 
 	// Closed again: the follow-up lands on the device without another probe.
-	if o := run(); o.Device < 0 {
+	if o, _ := run(); !onDevice(o) {
 		t.Fatal("recovered device refused the follow-up command")
 	}
 	if n := reg.Counter("sched.breaker.probe").Value(); n != 1 {
@@ -118,6 +121,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	cfg.Policy = ForceNDP
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
+	exec.Metrics = reg // the executor counts its host fallbacks here
 	s := New(opt, exec, m, cfg)
 	defer s.Close()
 
@@ -128,8 +132,10 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	exec.Faults = crash
 	defer func() { exec.Faults = nil }()
 
-	run := func() *Outcome {
+	// run reports the outcome and whether the executor fell back to the host.
+	run := func() (*Outcome, bool) {
 		t.Helper()
+		before := reg.Counter("coop.fallback.host").Value()
 		tk, err := s.Submit(context.Background(), q, Normal)
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +147,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
-		return o
+		return o, reg.Counter("coop.fallback.host").Value() > before
 	}
 
 	for i := 0; i < breakerThreshold; i++ {
@@ -153,12 +159,12 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	// host-side.
 	for p := 1; p <= 2; p++ {
 		for i := 1; i < breakerProbeAfter; i++ {
-			if o := run(); o.Device != -1 {
-				t.Fatalf("cycle %d admission %d: re-opened breaker placed the query on device %d", p, i, o.Device)
+			if o, _ := run(); onDevice(o) {
+				t.Fatalf("cycle %d admission %d: re-opened breaker placed the query on a device (%s)", p, i, o.Chosen)
 			}
 		}
-		if o := run(); o.Device < 0 || o.Report == nil || !o.Report.FellBack {
-			t.Fatalf("probe %d: %+v", p, o)
+		if o, fellBack := run(); !onDevice(o) || !fellBack {
+			t.Fatalf("probe %d: %+v, fell back %v", p, o, fellBack)
 		}
 		if n := reg.Counter("sched.breaker.probe").Value(); n != int64(p) {
 			t.Fatalf("probe counter = %d after %d cycles", n, p)

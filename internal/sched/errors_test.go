@@ -31,27 +31,16 @@ func expiredOf(t *testing.T, s *Scheduler, tickets []*Ticket) int {
 }
 
 // TestAdmissionErrorContract pins the typed admission errors callers key on:
-// TrySubmit distinguishes queue-full from closed, and an in-queue expiry
-// surfaces as ErrExpired on the outcome (errors.Is through wrapping).
+// Submit after Close fails with ErrClosed, and an in-queue expiry surfaces as
+// ErrExpired on the outcome (errors.Is through wrapping).
 func TestAdmissionErrorContract(t *testing.T) {
 	opt, exec, m := fixture(t)
 	q := job.Queries()[0]
 
-	// Queue-full: depth 1, and TrySubmit never dispatches.
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.QueueDepth = 1
 	s := New(opt, exec, m, cfg)
-	if _, err := s.TrySubmit(q, Normal); err != nil {
-		t.Fatalf("TrySubmit into an empty queue: %v", err)
-	}
-	if _, err := s.TrySubmit(q, Normal); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmit error = %v, want ErrQueueFull", err)
-	}
 	s.Close()
-	if _, err := s.TrySubmit(q, Normal); !errors.Is(err, ErrClosed) {
-		t.Fatalf("TrySubmit after Close = %v, want ErrClosed", err)
-	}
 	if _, err := s.Submit(context.Background(), q, Normal); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}

@@ -110,7 +110,7 @@ func (f *feedback) deviceFactor() float64 {
 // strategy did not exercise teaches nothing) and the fleet-wide device ratio.
 func (f *feedback) observe(d *optimizer.Decision, s coop.Strategy, rep *coop.Report) {
 	dev, host, trans := d.Costs.Quote(s.Kind, s.Split)
-	devBusy, hostBusy := float64(deviceBusy(rep)), float64(hostBusy(rep))
+	devBusy, hostBusy := float64(accountBusy(rep.DeviceAccount)), float64(hostBusy(rep.Elapsed, rep.HostAccount))
 	name := queryKey(d)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -134,17 +134,12 @@ func queryKey(d *optimizer.Decision) string {
 	return ""
 }
 
-// hostBusy extracts the host's busy (non-stall) virtual time from a report.
-// Fault-recovery waits (host waiting out a crashed device attempt, retry
-// backoff) are stalls, not load.
-func hostBusy(r *coop.Report) vclock.Duration {
-	return max(0, r.Elapsed-r.HostAccount[hw.CatWaitInitial]-r.HostAccount[hw.CatWaitFetch]-
-		r.HostAccount[hw.CatFaultWait]-r.HostAccount[hw.CatBackoff])
+// hostBusy extracts the host's busy (non-stall) virtual time from a run's
+// elapsed time and host account. Fault-recovery waits (host waiting out a
+// crashed device attempt, retry backoff) are stalls, not load.
+func hostBusy(elapsed vclock.Duration, acc map[string]vclock.Duration) vclock.Duration {
+	return max(0, elapsed-acc[hw.CatWaitInitial]-acc[hw.CatWaitFetch]-acc[hw.CatFaultWait]-acc[hw.CatBackoff])
 }
-
-// deviceBusy sums a device account's busy virtual time (setup rendezvous and
-// slot stalls excluded).
-func deviceBusy(r *coop.Report) vclock.Duration { return accountBusy(r.DeviceAccount) }
 
 // accountBusy adds in category order: float addition does not associate, and
 // map order would let the last bit of the sum — and with it a learned factor

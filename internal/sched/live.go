@@ -117,7 +117,7 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 	// True the estimates up with the measured busy times, so estimation error
 	// cannot keep overloading a pool.
 	dev, host, trans := d.Costs.Quote(ran.Kind, ran.Split)
-	t.hostBusy, t.devBusy = hostBusy(rep), deviceBusy(rep)
+	t.hostBusy, t.devBusy = hostBusy(rep.Elapsed, rep.HostAccount), accountBusy(rep.DeviceAccount)
 	if dev > 0 {
 		m.Histogram("sched.trueup.device.ratio", obs.DefaultRatioBuckets).Observe(float64(t.devBusy) / dev)
 	}
@@ -126,7 +126,6 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 	}
 	r.fb.observe(d, ran, rep)
 	m.Gauge("sched.calib.device.factor").Set(r.fb.deviceFactor())
-	o.Report = rep
 	return rep.Elapsed, nil
 }
 
@@ -152,22 +151,10 @@ func (r *live) runFleet(t *Ticket, ch Choice, tr *obs.Trace) (vclock.Duration, e
 		m.Counter("sched.fleet.degraded_runs").Inc()
 	}
 	m.Counter("sched.fleet.runs").Inc()
-
-	// The cooperative report shape the outcome carries.
-	rep := &coop.Report{
-		Query:            frep.Query,
-		Strategy:         coop.DecisionStrategy(d),
-		Result:           frep.Result,
-		Elapsed:          frep.Elapsed,
-		HostAccount:      frep.HostAccount,
-		Batches:          frep.Batches,
-		TransferredBytes: frep.TransferredBytes,
-	}
 	for _, sr := range frep.Shards {
-		rep.DeviceElapsed = max(rep.DeviceElapsed, sr.Elapsed)
 		t.devBusy += accountBusy(sr.Account)
 	}
-	o.Report, t.hostBusy = rep, hostBusy(rep)
+	t.hostBusy = hostBusy(frep.Elapsed, frep.HostAccount)
 	return frep.Elapsed, nil
 }
 

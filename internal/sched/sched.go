@@ -85,14 +85,14 @@ func (c Config) withDefaults() Config {
 // its own sentinel so callers can tell backpressure from shutdown from
 // expiry (errors.Is works through any wrapping):
 //
-//   - ErrClosed: the scheduler stopped intake (returned by Submit/TrySubmit).
-//   - ErrQueueFull: the bounded admission queue is at QueueDepth (returned by
-//     TrySubmit only; Submit progresses the loop instead — that is the
-//     backpressure path).
+//   - ErrClosed: the scheduler stopped intake (returned by Submit).
+//   - ErrQueueFull: a bounded admission queue is at its depth. Submit never
+//     returns it — it progresses the loop instead, which is the scheduler's
+//     backpressure path; the serving layer returns it for a tenant queue.
 //   - ErrExpired: the ticket was admitted but its virtual queue wait passed
 //     its limit, or its context was cancelled, before it could be
 //     dispatched; it surfaces on the ticket's Outcome.Err, never from
-//     Submit/TrySubmit themselves.
+//     Submit itself.
 //
 // Per-tenant quota rejections are deliberately NOT a scheduler concern: the
 // serving layer (internal/serve) enforces token-bucket quotas before work
@@ -231,22 +231,6 @@ func (s *Scheduler) SubmitDeadline(ctx context.Context, q *query.Query, prio Pri
 	return s.enqueue(ctx, q, prio, dl), nil
 }
 
-// TrySubmit enqueues without progressing the loop; ErrQueueFull signals
-// backpressure.
-func (s *Scheduler) TrySubmit(q *query.Query, prio Priority) (*Ticket, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.queue.Len() >= s.cfg.QueueDepth {
-		s.stats.Rejected++
-		s.cfg.Metrics.Counter("sched.rejected.full").Inc()
-		return nil, ErrQueueFull
-	}
-	return s.enqueue(context.Background(), q, prio, Deadline{}), nil
-}
-
 func (s *Scheduler) enqueue(ctx context.Context, q *query.Query, prio Priority, dl Deadline) *Ticket {
 	if prio < High || prio > Batch {
 		prio = Normal
@@ -322,7 +306,7 @@ func (s *Scheduler) expire(t *Ticket, wait vclock.Duration, swept bool) {
 		}
 		err = fmt.Errorf("%w: queue wait %v exceeded limit %v", ErrExpired, wait, limit)
 	}
-	t.outcome = Outcome{Query: t.query.Name, Priority: t.priority, QueueWait: wait, Device: -1, Err: err}
+	t.outcome = Outcome{Priority: t.priority, QueueWait: wait, Err: err}
 	t.resolved = true
 }
 
@@ -354,7 +338,7 @@ func (s *Scheduler) Pick(now vclock.Time) (*Ticket, bool) {
 	if aged {
 		s.cfg.Metrics.Counter("sched.queue.aged_dispatch").Inc()
 	}
-	t.outcome = Outcome{Query: t.query.Name, Priority: t.priority, QueueWait: now.Sub(t.submitted), Device: -1}
+	t.outcome = Outcome{Priority: t.priority, QueueWait: now.Sub(t.submitted)}
 	return t, true
 }
 
@@ -369,8 +353,8 @@ func (s *Scheduler) Admit(t *Ticket, c Candidate, ch Choice) bool {
 	}
 	unloaded := coop.DecisionStrategy(t.decision)
 	o := &t.outcome
-	o.QueueWait, o.Device = wait, ch.Dev
-	o.Unloaded, o.Chosen, o.Degraded = unloaded.String(), c.Strategy.String(), c.Strategy != unloaded
+	o.QueueWait = wait
+	o.Chosen, o.Degraded = c.Strategy.String(), c.Strategy != unloaded
 	return true
 }
 

@@ -6,26 +6,21 @@ import (
 	"sort"
 	"strings"
 
-	"hybridndp/internal/coop"
 	"hybridndp/internal/vclock"
 )
 
 // Outcome records how the scheduler handled one query.
 type Outcome struct {
-	Query    string
 	Priority Priority
-	// Unloaded is the strategy the optimizer would pick on an idle system;
-	// Chosen is what actually ran. They differ when the query was degraded.
-	Unloaded string
+	// Chosen is the strategy that ran; Degraded marks it as other than the
+	// one the optimizer would pick on an idle system.
 	Chosen   string
 	Degraded bool
-	Device   int // device index the query ran on, -1 for host-native
 	// QueueWait is the virtual time from submission to dispatch.
 	QueueWait vclock.Duration
 	// Elapsed is the query's virtual end-to-end runtime.
 	Elapsed vclock.Duration
 	Err     error
-	Report  *coop.Report
 }
 
 // Stats is a snapshot of the scheduler's counters, suitable for printing
@@ -34,7 +29,7 @@ type Stats struct {
 	Submitted int64
 	Completed int64
 	Degraded  int64 // completed with a strategy other than the unloaded choice
-	Rejected  int64 // expired in queue (ctx / timeout) or refused at submit
+	Rejected  int64 // expired in queue (ctx / timeout)
 	Errors    int64
 
 	// ByStrategy counts completions per executed strategy. Per-priority

@@ -5,16 +5,11 @@ import (
 
 	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
-	"hybridndp/internal/vclock"
 )
 
 type cacheEntry struct {
 	key StmtID
 	dec *optimizer.Decision
-	// lastUsed is the virtual instant of the most recent hit; the LRU list
-	// order is exactly descending lastUsed, making eviction a pure function
-	// of the virtual clock rather than of wall-clock insertion races.
-	lastUsed vclock.Time
 }
 
 // StmtID is a prepared statement's plan-cache key: the id its normalized SQL
@@ -29,9 +24,10 @@ type StmtID int32
 // interned texts: those grow with the distinct statements prepared. The dataset is read-only and a decision
 // does not depend on the fleet topology, so nothing else can make a cached
 // plan stale.
-// Eviction is strict LRU on virtual time. It is not internally synchronized:
-// all access happens on the server's single-threaded event loop, which is
-// also what keeps its obs counters byte-deterministic.
+// Eviction is strict LRU in the order of Get and Put calls. It is not
+// internally synchronized: all access happens on the server's
+// single-threaded event loop, which orders those calls on virtual time and
+// also keeps its obs counters byte-deterministic.
 type PlanCache struct {
 	capacity int
 	ids      map[string]StmtID // normalized SQL → its id, the next id being len(entries)
@@ -75,9 +71,9 @@ func (c *PlanCache) Intern(norm string) StmtID {
 	return id
 }
 
-// Get returns the cached decision for k, refreshing its LRU stamp to now. An
+// Get returns the cached decision for k, making it the most recently used. An
 // id this cache did not intern misses.
-func (c *PlanCache) Get(k StmtID, now vclock.Time) (*optimizer.Decision, bool) {
+func (c *PlanCache) Get(k StmtID) (*optimizer.Decision, bool) {
 	var el *list.Element
 	if c.interned(k) {
 		el = c.entries[k]
@@ -87,23 +83,20 @@ func (c *PlanCache) Get(k StmtID, now vclock.Time) (*optimizer.Decision, bool) {
 		return nil, false
 	}
 	c.hits.Inc()
-	ent := el.Value.(*cacheEntry)
-	ent.lastUsed = now
 	c.lru.MoveToFront(el)
-	return ent.dec, true
+	return el.Value.(*cacheEntry).dec, true
 }
 
-// Put inserts d under k (stamped now), evicting the least-recently-used
-// entry when the cache is full. Re-putting an existing key refreshes it; an
-// id this cache did not intern has no slot, and d is not cached.
-func (c *PlanCache) Put(k StmtID, d *optimizer.Decision, now vclock.Time) {
+// Put inserts d under k as the most recently used, evicting the
+// least-recently-used entry when the cache is full. Re-putting an existing key
+// refreshes it; an id this cache did not intern has no slot, and d is not
+// cached.
+func (c *PlanCache) Put(k StmtID, d *optimizer.Decision) {
 	if !c.interned(k) {
 		return
 	}
 	if el := c.entries[k]; el != nil {
-		ent := el.Value.(*cacheEntry)
-		ent.dec = d
-		ent.lastUsed = now
+		el.Value.(*cacheEntry).dec = d
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -116,23 +109,9 @@ func (c *PlanCache) Put(k StmtID, d *optimizer.Decision, now vclock.Time) {
 			c.evictions.Inc()
 		}
 	}
-	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, dec: d, lastUsed: now})
+	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, dec: d})
 	c.size.SetInt(int64(c.lru.Len()))
 }
 
 // interned reports whether k is an id Intern handed out.
 func (c *PlanCache) interned(k StmtID) bool { return k > 0 && int(k) < len(c.entries) }
-
-// Len reports the live entry count.
-func (c *PlanCache) Len() int { return c.lru.Len() }
-
-// Oldest reports the least-recently-used entry's key and virtual-time stamp
-// (zero values when empty) — the next eviction victim.
-func (c *PlanCache) Oldest() (StmtID, vclock.Time, bool) {
-	back := c.lru.Back()
-	if back == nil {
-		return 0, 0, false
-	}
-	ent := back.Value.(*cacheEntry)
-	return ent.key, ent.lastUsed, true
-}

@@ -47,9 +47,6 @@ func (ct *CostTable) Cost(name string) (*QueryCost, bool) {
 	return qc, ok
 }
 
-// MeanHost reports the unweighted mean host-native service time.
-func (ct *CostTable) MeanHost() vclock.Duration { return ct.meanHost }
-
 // HostCapacityQPS estimates the host-only saturation throughput for `lanes`
 // host lanes under a uniform query mix — the calibration anchor for overload
 // scenarios (offered load above this rate must queue under force-host).

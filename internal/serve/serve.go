@@ -149,7 +149,6 @@ type Server struct {
 	cfg     Config
 	model   hw.Model
 	opt     *optimizer.Optimizer
-	ct      *CostTable
 	runner  sched.Runner[*request] // replay; the seam test swaps in one that executes
 	m       *obs.Registry
 	met     metrics
@@ -177,7 +176,6 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		model:   ds.Model,
 		opt:     optimizer.New(ds.Cat, ds.Model),
-		ct:      ct,
 		m:       cfg.Metrics,
 		queries: queries,
 	}
@@ -217,34 +215,20 @@ func New(ds *job.Dataset, ct *CostTable, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Session returns tenant i's session.
-func (s *Server) Session(i int) *Session { return s.session[i] }
-
-// Cache returns the shared plan cache.
-func (s *Server) Cache() *PlanCache { return s.cache }
-
 // Registry returns the metrics registry serving records into.
 func (s *Server) Registry() *obs.Registry { return s.m }
 
-// PlanFor resolves tenant's prepared statement through the shared plan
-// cache at virtual instant now, compiling on miss.
-func (s *Server) PlanFor(tenant int, stmt string, now vclock.Time) (*optimizer.Decision, error) {
-	prep, ok := s.session[tenant].Stmt(stmt)
-	if !ok {
-		return nil, fmt.Errorf("serve: tenant %s has no prepared statement %q", s.cfg.Tenants[tenant].Name, stmt)
-	}
-	return s.planFor(prep, now)
-}
-
-func (s *Server) planFor(p *Prepared, now vclock.Time) (*optimizer.Decision, error) {
-	if d, ok := s.cache.Get(p.Key, now); ok {
+// planFor resolves a prepared statement through the shared plan cache,
+// compiling it on a miss.
+func (s *Server) planFor(p *Prepared) (*optimizer.Decision, error) {
+	if d, ok := s.cache.Get(p.Key); ok {
 		return d, nil
 	}
 	d, err := s.opt.Decide(p.Query)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compile %s: %w", p.Name, err)
 	}
-	s.cache.Put(p.Key, d, now)
+	s.cache.Put(p.Key, d)
 	return d, nil
 }
 
@@ -279,12 +263,12 @@ type Result struct {
 // execution would have taken.
 type replay struct{ s *Server }
 
-// Candidates resolves the request's statement through the plan cache at
-// instant now and offers the host path plus, unless the policy pins the host,
+// Candidates resolves the request's statement through the plan cache and
+// offers the host path plus, unless the policy pins the host,
 // the one device path the policy considers.
 func (rp replay) Candidates(r *request, now vclock.Time, buf []sched.Candidate) ([]sched.Candidate, error) {
 	s := rp.s
-	dec, err := s.planFor(r.prep, now)
+	dec, err := s.planFor(r.prep)
 	if err != nil {
 		return nil, err
 	}
@@ -368,8 +352,7 @@ func (s *Server) genArrivals() []*request {
 			}
 			qc := s.costs[qi]
 			slab = append(slab, request{
-				tenant: ti, seq: seq, name: s.queries[qi].Name,
-				prio: sched.Priority(seq % 3), arrival: at, cost: qc.Host,
+				tenant: ti, prio: sched.Priority(seq % 3), arrival: at, cost: qc.Host,
 				prep: preps[qi], qc: qc,
 			})
 		}

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -135,10 +137,11 @@ func TestArrivalTimesDeterministic(t *testing.T) {
 
 // TestGenArrivalsOrder is the arrival stream's ordering law: genArrivals
 // returns every tenant's generated arrivals exactly once, each at the instant
-// its tenant stream gave its sequence number and with its statement and cost
-// resolved, in strictly increasing (arrival, tenant, seq) order. A trace whose
-// offsets are unsorted, repeat within a tenant and tie across all three
-// tenants exercises every part of the key (one offset lies past the horizon).
+// its tenant stream gave its sequence number, with that number's priority and
+// with its statement and cost resolved, in (arrival, tenant) order and, within
+// a tenant, in its stream stably sorted by instant. A trace whose offsets are
+// unsorted, repeat within a tenant and tie across all three tenants exercises
+// every part of the key (one offset lies past the horizon).
 func TestGenArrivalsOrder(t *testing.T) {
 	burst, err := ParseArrival("burst:200:20:0.25:4")
 	if err != nil {
@@ -153,6 +156,7 @@ func TestGenArrivalsOrder(t *testing.T) {
 			cfg := serveCfg(subset(16), sched.Adaptive, 9)
 			cfg.Arrival = spec
 			s := newServer(t, cfg)
+			_, ct := fixture(t)
 			arr := s.genArrivals()
 			var want int
 			for ti, tc := range s.cfg.Tenants {
@@ -162,23 +166,35 @@ func TestGenArrivalsOrder(t *testing.T) {
 				}
 				times := spec.times(rand.New(rand.NewSource(tenantSeed(s.cfg.Seed, ti))), rate, s.cfg.Horizon)
 				want += len(times)
-				seen := make([]bool, len(times))
+				// The tenant's sequence numbers in the order its arrivals must
+				// come out: by instant, ties in stream order.
+				seqs := make([]int, len(times))
+				for k := range seqs {
+					seqs[k] = k
+				}
+				slices.SortStableFunc(seqs, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+				j := 0
 				for _, r := range arr {
 					if r.tenant != ti {
 						continue
 					}
-					if seen[r.seq] {
-						t.Fatalf("tenant %d seq %d generated twice", ti, r.seq)
+					if j == len(seqs) {
+						t.Fatalf("tenant %d has more arrivals than its stream's %d", ti, len(seqs))
 					}
-					seen[r.seq] = true
-					if r.arrival != times[r.seq] {
-						t.Fatalf("tenant %d seq %d arrives at %v, its stream says %v", ti, r.seq, r.arrival, times[r.seq])
+					k := seqs[j]
+					if r.arrival != times[k] || r.prio != sched.Priority(k%3) {
+						t.Fatalf("tenant %d arrival %d is (%v, %v), its stream's #%d is (%v, %v)",
+							ti, j, r.arrival, r.prio, k, times[k], sched.Priority(k%3))
 					}
-					prep, _ := s.Session(ti).Stmt(r.name)
-					qc, _ := s.ct.Cost(r.name)
-					if r.prep != prep || r.qc != qc || r.cost != qc.Host || r.prio != sched.Priority(r.seq%3) {
-						t.Fatalf("tenant %d seq %d (%s) is not resolved to its statement and cost", ti, r.seq, r.name)
+					prep, _ := s.session[ti].Stmt(r.prep.Name)
+					qc, _ := ct.Cost(r.prep.Name)
+					if r.prep != prep || r.qc != qc || r.cost != qc.Host {
+						t.Fatalf("tenant %d seq %d (%s) is not resolved to its statement and cost", ti, k, r.prep.Name)
 					}
+					j++
+				}
+				if j != len(seqs) {
+					t.Fatalf("tenant %d has %d arrivals, its stream %d", ti, j, len(seqs))
 				}
 			}
 			if len(arr) != want || want == 0 {
@@ -186,10 +202,8 @@ func TestGenArrivalsOrder(t *testing.T) {
 			}
 			for i := 1; i < len(arr); i++ {
 				a, b := arr[i-1], arr[i]
-				if a.arrival > b.arrival || a.arrival == b.arrival &&
-					(a.tenant > b.tenant || a.tenant == b.tenant && a.seq >= b.seq) {
-					t.Fatalf("arrival %d (%v, t%d, #%d) is not after (%v, t%d, #%d)",
-						i, b.arrival, b.tenant, b.seq, a.arrival, a.tenant, a.seq)
+				if a.arrival > b.arrival || a.arrival == b.arrival && a.tenant > b.tenant {
+					t.Fatalf("arrival %d (%v, t%d) is not after (%v, t%d)", i, b.arrival, b.tenant, a.arrival, a.tenant)
 				}
 			}
 		})
@@ -224,8 +238,8 @@ func TestWFQProportionalShare(t *testing.T) {
 	tenants := []TenantConfig{{Name: "a", Weight: 1}, {Name: "b", Weight: 2}}
 	w := newWFQ(tenants, 64)
 	for i := 0; i < 30; i++ {
-		w.push(&request{tenant: 0, seq: i, cost: quantum})
-		w.push(&request{tenant: 1, seq: i, cost: quantum})
+		w.push(&request{tenant: 0, cost: quantum})
+		w.push(&request{tenant: 1, cost: quantum})
 	}
 	counts := [2]int{}
 	for i := 0; i < 30; i++ {
@@ -245,24 +259,24 @@ func TestPlanCacheLRU(t *testing.T) {
 	if again := c.Intern("b"); again != b || a == b || b == cc || a == cc {
 		t.Fatalf("interned ids a=%d b=%d (again %d) c=%d, want distinct texts distinct and b stable", a, b, again, cc)
 	}
-	c.Put(a, d, 1)
-	c.Put(b, d, 2)
-	if _, ok := c.Get(a, 3); !ok {
+	c.Put(a, d)
+	c.Put(b, d)
+	if _, ok := c.Get(a); !ok {
 		t.Fatal("a should be cached")
 	}
 	// b is now LRU; inserting c must evict b, not a.
-	c.Put(cc, d, 4)
-	if _, ok := c.Get(b, 5); ok {
+	c.Put(cc, d)
+	if _, ok := c.Get(b); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get(a, 6); !ok {
+	if _, ok := c.Get(a); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if k, at, ok := c.Oldest(); !ok || k != cc || at != 4 {
-		t.Fatalf("oldest = %v@%v, want c (%d)@4", k, at, cc)
+	if old := c.lru.Back().Value.(*cacheEntry); old.key != cc {
+		t.Fatalf("least recently used = %v, want c (%d)", old.key, cc)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if c.lru.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.lru.Len())
 	}
 	if h, ms, ev := m.Counter("serve.cache.hit").Value(), m.Counter("serve.cache.miss").Value(), m.Counter("serve.cache.evict").Value(); h != 2 || ms != 1 || ev != 1 {
 		t.Fatalf("counters hit=%d miss=%d evict=%d, want 2/1/1", h, ms, ev)
@@ -279,15 +293,15 @@ func TestPlanCacheForeignIDMisses(t *testing.T) {
 	if a == 0 {
 		t.Fatal("Intern handed out the zero id")
 	}
-	c.Put(a, &optimizer.Decision{}, 1)
+	c.Put(a, &optimizer.Decision{})
 	for _, k := range []StmtID{0, -1, a + 1, 1 << 30} {
-		c.Put(k, &optimizer.Decision{}, 2)
-		if _, ok := c.Get(k, 3); ok {
+		c.Put(k, &optimizer.Decision{})
+		if _, ok := c.Get(k); ok {
 			t.Fatalf("id %d, never interned, hit", k)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1: foreign ids were cached", c.Len())
+	if c.lru.Len() != 1 {
+		t.Fatalf("len = %d, want 1: foreign ids were cached", c.lru.Len())
 	}
 	if h, ms := m.Counter("serve.cache.hit").Value(), m.Counter("serve.cache.miss").Value(); h != 0 || ms != 4 {
 		t.Fatalf("counters hit=%d miss=%d, want 0/4", h, ms)
@@ -310,12 +324,14 @@ func TestPlanCacheCorrectness(t *testing.T) {
 	ds, _ := fixture(t)
 	s := newServer(t, Config{Queries: subset(6), Tenants: DefaultTenants(2, 0)})
 	name := subset(6)[0].Name
+	prep, _ := s.session[0].Stmt(name)
+	prep1, _ := s.session[1].Stmt(name)
 
-	cold, err := s.PlanFor(0, name, 1)
+	cold, err := s.planFor(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := s.PlanFor(0, name, 2)
+	hit, err := s.planFor(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,19 +339,18 @@ func TestPlanCacheCorrectness(t *testing.T) {
 		t.Fatal("second lookup must be served from the cache (same decision)")
 	}
 	// Tenant 1 prepared the same statement: normalized SQL shares the entry.
-	other, err := s.PlanFor(1, name, 3)
+	other, err := s.planFor(prep1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if other != cold {
 		t.Fatal("equivalent statements from different sessions must share the cache entry")
 	}
-	if h := s.Cache().hits.Value(); h != 2 {
+	if h := s.cache.hits.Value(); h != 2 {
 		t.Fatalf("cache hits = %d, want 2", h)
 	}
 
 	// Byte-identical to an independent cold compile, and executes identically.
-	prep, _ := s.Session(0).Stmt(name)
 	fresh, err := optimizer.New(ds.Cat, ds.Model).Decide(prep.Query)
 	if err != nil {
 		t.Fatal(err)
@@ -379,10 +394,9 @@ func TestMeasureWorkerInvariance(t *testing.T) {
 			t.Fatalf("%s: cost table differs across worker counts:\n%+v\n%+v", q.Name, ca, cb)
 		}
 	}
-	if a.MeanHost() != b.MeanHost() {
+	if a.HostCapacityQPS(1) != b.HostCapacityQPS(1) {
 		t.Fatal("mean host cost differs across worker counts")
 	}
-
 }
 
 // BenchmarkMeasure is serving start-up's cost measurement over the whole JOB
@@ -471,7 +485,7 @@ func TestAdmitTypedErrors(t *testing.T) {
 	w := newWFQ(s.cfg.Tenants, s.cfg.QueueDepth)
 	bucket := newTokenBucket(s.cfg.Tenants[0].QuotaQPS, s.cfg.Tenants[0].Burst)
 	var acc tenantAcc
-	r := &request{tenant: 0, name: subset(4)[0].Name, cost: vclock.Millisecond}
+	r := &request{tenant: 0, cost: vclock.Millisecond}
 	if err := s.admit(r, 0, w, &bucket, &acc); err != nil {
 		t.Fatalf("first request should pass the burst token: %v", err)
 	}
@@ -636,7 +650,7 @@ func TestDeadlineErrorDistinct(t *testing.T) {
 		UseDeadlines: true,
 	})
 	var acc tenantAcc
-	r := &request{tenant: 0, name: subset(4)[0].Name, arrival: 0}
+	r := &request{tenant: 0, arrival: 0}
 	late := vclock.Time(vclock.Millisecond)
 	err := s.shed(r, late, &acc)
 	if !errors.Is(err, ErrDeadlineExceeded) {
@@ -802,7 +816,8 @@ func TestMeasureFleet(t *testing.T) {
 
 // dispatch is one request's placement as a runner saw it.
 type dispatch struct {
-	tenant, seq       int
+	tenant            int
+	name              string
 	strat             coop.Strategy
 	start, completion vclock.Time
 }
@@ -819,7 +834,7 @@ func (rc *recording) Candidates(r *request, now vclock.Time, buf []sched.Candida
 
 func (rc *recording) Run(r *request, c sched.Candidate, ch sched.Choice) (vclock.Duration, error) {
 	elapsed, err := rc.inner.Run(r, c, ch)
-	rc.log = append(rc.log, dispatch{r.tenant, r.seq, c.Strategy, ch.Start, ch.Start.Add(elapsed)})
+	rc.log = append(rc.log, dispatch{r.tenant, r.prep.Name, c.Strategy, ch.Start, ch.Start.Add(elapsed)})
 	return elapsed, err
 }
 
@@ -832,8 +847,7 @@ type executing struct {
 }
 
 func (e executing) Run(r *request, c sched.Candidate, _ sched.Choice) (vclock.Duration, error) {
-	qc, _ := e.s.ct.Cost(r.name)
-	rep, err := e.ex.Run(qc.Decision.Plan, c.Strategy)
+	rep, err := e.ex.Run(r.qc.Decision.Plan, c.Strategy)
 	if err != nil {
 		return 0, err
 	}

@@ -8,8 +8,6 @@ import (
 // request is one open-loop arrival flowing through admission → WFQ → lanes.
 type request struct {
 	tenant  int
-	seq     int
-	name    string // workload query name (prepared-statement key)
 	prio    sched.Priority
 	arrival vclock.Time
 	// cost is the request's host-path service estimate, the work unit the
@@ -17,8 +15,8 @@ type request struct {
 	// the same canonical cost for every placement keeps the fair-share
 	// arithmetic independent of the policy under test.
 	cost vclock.Duration
-	prep *Prepared  // the tenant's prepared statement for name
-	qc   *QueryCost // name's measured service times
+	prep *Prepared  // the tenant's prepared statement for the workload query
+	qc   *QueryCost // the query's measured service times
 }
 
 // QueuedAt is the arrival instant the tenant queue ages requests by.

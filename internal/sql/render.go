@@ -115,18 +115,6 @@ func Render(q *query.Query) (string, error) {
 	return b.String(), nil
 }
 
-// Normalize parses input and re-renders it in canonical form: one line,
-// canonical keyword case and spacing, explicit AS everywhere. Two statements
-// that compile to the same query normalize to the same bytes, which is what
-// the serving plan cache keys on.
-func Normalize(input string) (string, error) {
-	q, err := Parse(input)
-	if err != nil {
-		return "", err
-	}
-	return Render(q)
-}
-
 func renderAgg(a query.Aggregate) (string, error) {
 	if a.As == "" {
 		return "", fmt.Errorf("sql: aggregate %s needs an explicit alias to round-trip", a)

@@ -59,29 +59,32 @@ func TestRenderRoundTripJOB(t *testing.T) {
 	}
 }
 
-// TestNormalizeCanonical proves Normalize is idempotent and collapses
-// formatting differences — the property the plan-cache key relies on.
+// TestNormalizeCanonical proves that parsing and re-rendering is idempotent
+// and collapses formatting differences: one line, canonical keyword case and
+// spacing, explicit AS everywhere — the canonical text a session interns as
+// its statement's plan-cache key.
 func TestNormalizeCanonical(t *testing.T) {
+	normalize := func(text string) string {
+		t.Helper()
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Render(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	a := `select   min(t.title)  from title as t
 	       where t.production_year > 1990;`
 	b := `SELECT MIN(t.title) FROM title AS t WHERE t.production_year > 1990`
-	na, err := Normalize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := Normalize(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	na, nb := normalize(a), normalize(b)
 	if na != nb {
 		t.Fatalf("normal forms differ:\n%s\n%s", na, nb)
 	}
-	again, err := Normalize(na)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != na {
-		t.Fatalf("Normalize not idempotent:\n%s\n%s", na, again)
+	if again := normalize(na); again != na {
+		t.Fatalf("normal form not idempotent:\n%s\n%s", na, again)
 	}
 }
 

@@ -56,7 +56,7 @@ func smallTreeCatalog(t *testing.T) (*Catalog, *flash.Flash) {
 }
 
 // storedFamily is one column family's SST count and the SHA-256 of its SSTs'
-// bytes in Placement order.
+// bytes level by level, C1 newest first.
 type storedFamily struct {
 	ssts   int
 	digest string
@@ -72,9 +72,9 @@ func storedFamilies(t *testing.T, cat *Catalog, fl *flash.Flash) map[string]stor
 			t.Fatal(err)
 		}
 		h, n := sha256.New(), 0
-		for _, li := range cf.Placement() {
-			for _, s := range li.SSTs {
-				b, err := fl.ReadAt(s.File, 0, fl.Size(s.File), nil, hw.Rates{}, nil)
+		for _, lvl := range cf.View().Levels() {
+			for _, s := range lvl {
+				b, err := fl.ReadAt(s.File(), 0, fl.Size(s.File()), nil, hw.Rates{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	}{{"idx_score", "score", bulkScores}, {"idx_tag", "tag", bulkTags}} {
 		ci := s.ColumnIndex(c.col)
 		for _, v := range c.vals {
-			prefix, err := s.SecondaryPrefix(c.col, v)
+			prefix, err := s.AppendSecondaryPrefix(nil, c.col, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 				}
 			}
 			slices.Sort(want)
-			got, err := tbl.IndexSeek(c.idx, v, lsm.Access{})
+			got, err := new(Seeker).IndexSeek(tbl, c.idx, v, lsm.Access{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -278,16 +278,13 @@ func (r Record) AppendColKey(dst []byte, i int) ([]byte, bool) {
 // PK returns the record's primary key.
 func (r Record) PK() int32 { return r.Schema.rowPK(r.Data) }
 
-// EncodeRow builds a row from values in column order. Strings longer than
-// the column size are trimmed; shorter ones padded (paper §5 workload notes).
-func (s *Schema) EncodeRow(vals []Value) ([]byte, error) { return s.AppendRow(nil, vals) }
-
-// AppendRow appends the row EncodeRow builds to dst and returns the extended
-// slice; on error dst comes back unchanged. With a large enough dst it
-// allocates nothing.
+// AppendRow appends the row built from values in column order to dst and
+// returns the extended slice; on error dst comes back unchanged. Strings
+// longer than the column size are trimmed; shorter ones padded (paper §5
+// workload notes). With a large enough dst it allocates nothing.
 func (s *Schema) AppendRow(dst []byte, vals []Value) ([]byte, error) {
 	if len(vals) != len(s.Columns) {
-		return dst, fmt.Errorf("table %s: EncodeRow got %d values for %d columns", s.Name, len(vals), len(s.Columns))
+		return dst, fmt.Errorf("table %s: AppendRow got %d values for %d columns", s.Name, len(vals), len(s.Columns))
 	}
 	in := dst
 	dst = append(dst, make([]byte, s.rowBytes)...)
@@ -347,8 +344,8 @@ func (s *Schema) rowPK(row []byte) int32 {
 // index"). The value is 0 for NULL (NULLs sort first), else 1 and either the
 // big-endian sign-flipped integer or the column's stored Size bytes, which
 // AppendRow has already trimmed and NUL-padded. This is the one encoder of
-// stored index keys; SecondaryPrefix encodes the same value prefix from a
-// Value for seeks.
+// stored index keys; AppendSecondaryPrefix encodes the same value prefix from
+// a Value for seeks.
 func (s *Schema) appendIndexKey(dst []byte, ci int, row []byte) []byte {
 	c, off := s.Columns[ci], s.offsets[ci]
 	switch {
@@ -362,14 +359,9 @@ func (s *Schema) appendIndexKey(dst []byte, ci int, row []byte) []byte {
 	return AppendPK(dst, s.rowPK(row))
 }
 
-// SecondaryPrefix builds the key prefix matching all entries with secondary
-// value v (for equality seeks over the index): the value part of the key
-// appendIndexKey stores for a row holding v.
-func (s *Schema) SecondaryPrefix(col string, v Value) ([]byte, error) {
-	return s.AppendSecondaryPrefix(nil, col, v)
-}
-
-// AppendSecondaryPrefix appends SecondaryPrefix(col, v) to dst.
+// AppendSecondaryPrefix appends the key prefix matching all entries with
+// secondary value v (for equality seeks over the index) to dst: the value part
+// of the key appendIndexKey stores for a row holding v.
 func (s *Schema) AppendSecondaryPrefix(dst []byte, col string, v Value) ([]byte, error) {
 	c, ok := s.ColumnByName(col)
 	if !ok {

@@ -44,7 +44,7 @@ func TestSeekerMatchesIndexSeek(t *testing.T) {
 		{"idx_city", StrVal("oslo")}, {"idx_age", IntVal(20)}, {"idx_age", NullVal()}, {"idx_city", StrVal("berlin")},
 	} {
 		tlNew, tlReused := vclock.NewTimeline("host"), vclock.NewTimeline("host")
-		want, err := tbl.IndexSeek(c.idx, c.v, lsm.Access{TL: tlNew, R: r})
+		want, err := new(Seeker).IndexSeek(tbl, c.idx, c.v, lsm.Access{TL: tlNew, R: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +83,9 @@ func TestWarmSeekerAllocatesNothing(t *testing.T) {
 }
 
 // TestAppendKeyFormsMatch pins the append forms to the key bytes they replace:
-// AppendSecondaryPrefix appends SecondaryPrefix, and appendPrefixEnd appends
-// the successor of the prefix or returns nil, unbounded, for an all-0xff one.
+// AppendSecondaryPrefix appends to a head what it builds alone, and
+// appendPrefixEnd appends the successor of the prefix or returns nil,
+// unbounded, for an all-0xff one.
 func TestAppendKeyFormsMatch(t *testing.T) {
 	s := personSchema()
 	head := []byte("head")
@@ -95,7 +96,7 @@ func TestAppendKeyFormsMatch(t *testing.T) {
 		{"city", StrVal("lima")}, {"city", StrVal("a-city-name-longer-than-ten")}, {"city", NullVal()},
 		{"age", IntVal(-5)}, {"age", IntVal(1 << 30)}, {"age", NullVal()},
 	} {
-		want, err := s.SecondaryPrefix(c.col, c.v)
+		want, err := s.AppendSecondaryPrefix(nil, c.col, c.v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestAppendKeyFormsMatch(t *testing.T) {
 }
 
 // BenchmarkIndexSeek seeks one city's 1,000 primary keys out of a 3,000-row
-// single-SST index with a new seeker per seek (Table.IndexSeek) and with one
+// single-SST index with a new seeker per seek and with one
 // reused seeker (what an engine's scratch holds).
 func BenchmarkIndexSeek(b *testing.B) {
 	tbl := seekTable(b, 3000)
@@ -139,7 +140,7 @@ func BenchmarkIndexSeek(b *testing.B) {
 				var pks []int32
 				var err error
 				if mode == "new" {
-					pks, err = tbl.IndexSeek("idx_city", StrVal("tokyo"), ac)
+					pks, err = new(Seeker).IndexSeek(tbl, "idx_city", StrVal("tokyo"), ac)
 				} else {
 					pks, err = s.IndexSeek(tbl, "idx_city", StrVal("tokyo"), ac)
 				}

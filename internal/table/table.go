@@ -191,13 +191,6 @@ func (t *Table) SecondaryIndexFor(col string) (SecondaryIndex, bool) {
 	return SecondaryIndex{}, false
 }
 
-// IndexSeek returns the primary keys of all rows whose indexed column equals
-// v, via a prefix scan over the secondary LSM tree: the Seeker path on a new
-// seeker, so the list is the caller's.
-func (t *Table) IndexSeek(idxName string, v Value, ac lsm.Access) ([]int32, error) {
-	return new(Seeker).IndexSeek(t, idxName, v, ac)
-}
-
 // Seeker runs secondary-index seeks in storage it keeps across them: the
 // prefix scan's iterator, the prefix and end-key buffers and the primary-key
 // list. A warm seeker seeks without allocating. It serves one goroutine at a

@@ -103,7 +103,7 @@ func TestRowLayoutAlignment(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := personSchema()
-	row, err := s.EncodeRow([]Value{IntVal(7), StrVal("alice"), IntVal(33), StrVal("berlin")})
+	row, err := s.AppendRow(nil, []Value{IntVal(7), StrVal("alice"), IntVal(33), StrVal("berlin")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeNullsAndErrors(t *testing.T) {
 	s := personSchema()
-	row, err := s.EncodeRow([]Value{IntVal(1), NullVal(), NullVal(), StrVal("x")})
+	row, err := s.AppendRow(nil, []Value{IntVal(1), NullVal(), NullVal(), StrVal("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +136,18 @@ func TestEncodeNullsAndErrors(t *testing.T) {
 		t.Fatal("non-null column reported null")
 	}
 	// NULL into non-nullable.
-	if _, err := s.EncodeRow([]Value{IntVal(1), NullVal(), NullVal(), NullVal()}); err == nil {
+	if _, err := s.AppendRow(nil, []Value{IntVal(1), NullVal(), NullVal(), NullVal()}); err == nil {
 		t.Fatal("NULL in non-nullable column must fail")
 	}
 	// Type mismatches.
-	if _, err := s.EncodeRow([]Value{StrVal("x"), NullVal(), NullVal(), StrVal("c")}); err == nil {
+	if _, err := s.AppendRow(nil, []Value{StrVal("x"), NullVal(), NullVal(), StrVal("c")}); err == nil {
 		t.Fatal("string into int column must fail")
 	}
-	if _, err := s.EncodeRow([]Value{IntVal(1), IntVal(2), NullVal(), StrVal("c")}); err == nil {
+	if _, err := s.AppendRow(nil, []Value{IntVal(1), IntVal(2), NullVal(), StrVal("c")}); err == nil {
 		t.Fatal("int into char column must fail")
 	}
 	// Arity.
-	if _, err := s.EncodeRow([]Value{IntVal(1)}); err == nil {
+	if _, err := s.AppendRow(nil, []Value{IntVal(1)}); err == nil {
 		t.Fatal("wrong arity must fail")
 	}
 }
@@ -155,7 +155,7 @@ func TestEncodeNullsAndErrors(t *testing.T) {
 func TestStringTrimming(t *testing.T) {
 	s := personSchema()
 	long := "a-very-long-name-beyond-twelve"
-	row, err := s.EncodeRow([]Value{IntVal(1), StrVal(long), NullVal(), StrVal("c")})
+	row, err := s.AppendRow(nil, []Value{IntVal(1), StrVal(long), NullVal(), StrVal("c")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPKEncodingOrderProperty(t *testing.T) {
 // stores for it.
 func indexKey(t *testing.T, s *Schema, col string, pk int32, age, city Value) []byte {
 	t.Helper()
-	row, err := s.EncodeRow([]Value{IntVal(pk), NullVal(), age, city})
+	row, err := s.AppendRow(nil, []Value{IntVal(pk), NullVal(), age, city})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestSecondaryKeyOrdering(t *testing.T) {
 		t.Fatal("PK tail lost")
 	}
 	// Same value, different PKs: prefix matches both.
-	p, _ := s.SecondaryPrefix("city", StrVal("x"))
+	p, _ := s.AppendSecondaryPrefix(nil, "city", StrVal("x"))
 	if !bytes.HasPrefix(k4, p) {
 		t.Fatal("prefix must cover the entry")
 	}
-	if _, err := s.SecondaryPrefix("nope", IntVal(1)); err == nil {
+	if _, err := s.AppendSecondaryPrefix(nil, "nope", IntVal(1)); err == nil {
 		t.Fatal("unknown column must fail")
 	}
 }
@@ -256,7 +256,7 @@ func TestInsertGetScanIndexSeek(t *testing.T) {
 		t.Fatalf("scan found %d rows", n)
 	}
 	// Index seek returns exactly the matching PKs.
-	pks, err := tbl.IndexSeek("idx_city", StrVal("tokyo"), lsm.Access{})
+	pks, err := new(Seeker).IndexSeek(tbl, "idx_city", StrVal("tokyo"), lsm.Access{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestInsertGetScanIndexSeek(t *testing.T) {
 	if len(pks) != want {
 		t.Fatalf("idx_city(tokyo) returned %d pks, want %d", len(pks), want)
 	}
-	if _, err := tbl.IndexSeek("nope", StrVal("x"), lsm.Access{}); err == nil {
+	if _, err := new(Seeker).IndexSeek(tbl, "nope", StrVal("x"), lsm.Access{}); err == nil {
 		t.Fatal("unknown index must fail")
 	}
 	if _, ok := tbl.SecondaryIndexFor("city"); !ok {
@@ -400,13 +400,13 @@ func TestIndexSeekBlockBoundaryVirtualTime(t *testing.T) {
 		{grp: 2, pks: rest, now: 109546.66666666667, flash: 109306.66666666667},     // blocks 0, 1, 2
 	} {
 		tl := vclock.NewTimeline("host")
-		pks, err := tbl.IndexSeek("idx_grp", IntVal(c.grp), lsm.Access{TL: tl, R: hw.HostRates(hw.Cosmos())})
+		pks, err := new(Seeker).IndexSeek(tbl, "idx_grp", IntVal(c.grp), lsm.Access{TL: tl, R: hw.HostRates(hw.Cosmos())})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pks) != c.pks || float64(tl.Now()) != c.now || float64(tl.Booked(hw.CatFlashLoad)) != c.flash {
+		if len(pks) != c.pks || float64(tl.Now()) != c.now || float64(tl.Account()[hw.CatFlashLoad]) != c.flash {
 			t.Errorf("grp %d: %d pks at %v ns (flash load %v), want %d at %v (%v); account %v",
-				c.grp, len(pks), float64(tl.Now()), float64(tl.Booked(hw.CatFlashLoad)), c.pks, c.now, c.flash, tl.Account())
+				c.grp, len(pks), float64(tl.Now()), float64(tl.Account()[hw.CatFlashLoad]), c.pks, c.now, c.flash, tl.Account())
 		}
 	}
 }

@@ -54,14 +54,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// MaxTime returns the later of two instants.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Timeline is one engine's private virtual clock plus a per-category cost
 // account used for execution breakdowns (paper Table 4).
 type Timeline struct {
@@ -129,20 +121,4 @@ func (tl *Timeline) Account() map[string]Duration {
 		out[b.category] = b.total
 	}
 	return out
-}
-
-// Booked reports the total booked under category.
-func (tl *Timeline) Booked(category string) Duration {
-	for _, b := range tl.account {
-		if b.category == category {
-			return b.total
-		}
-	}
-	return 0
-}
-
-// Reset rewinds the timeline to zero and clears the account.
-func (tl *Timeline) Reset() {
-	tl.now = 0
-	tl.account = tl.account[:0]
 }
