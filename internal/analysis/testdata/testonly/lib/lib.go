@@ -8,15 +8,20 @@ func OnlyTested() int { return 1 }
 func Reference() int { return 2 }
 
 // Report has a field only a test reads, a knob only a test writes (and
-// reads), and a field another package reads.
+// reads), a field another package reads, and one only its own update reads.
 type Report struct {
 	Written int // written here, read by a test alone: a finding
 	Knob    int // written by a test alone: out of scope
 	Read    int // read by package app
+	Peak    int // written here, read by its own update alone: a finding
 }
 
 // Run fills a report.
-func Run() Report { return Report{Written: 1, Read: 2} }
+func Run() Report {
+	r := Report{Written: 1, Read: 2}
+	r.Peak = max(r.Peak, r.Read)
+	return r
+}
 
 // Shape is a plain interface.
 type Shape interface{ Area() int }
@@ -63,5 +68,5 @@ func Default() Config { return Config{Name: "x"} }
 func All() int {
 	d := NewDerived()
 	_ = Default()
-	return Run().Read + Drain(&Queue{}) + len(d.tag)
+	return Run().Read + Drain(&Queue{}) + len(d.tag) + d.id
 }

@@ -20,23 +20,25 @@ import (
 // the reason it stays. An entry that matches nothing is itself a finding, so
 // the table cannot outlive what it excuses.
 var testOnlyAllow = map[string]string{
-	"table.Stats.SelectivityOf": "reference implementation: the optimizer's compiled selectivity is checked against it",
-	"job.ExtensionQueries":      "a workload the tests run (GROUP BY, COUNT/SUM/AVG) that no CLI serves yet; ROADMAP item 5a's oracle needs it too",
-	"sched.Ticket.Wait":         "per-request result API of the scheduler, a public entry point",
-	"sched.Ticket.Outcome":      "per-request result API of the scheduler, a public entry point",
-	"hybridndp.System.Model":    "public field of the façade's assembled system",
-	"hybridndp.System.DB":       "public field of the façade's assembled system",
-	"hybridndp.System.JOB":      "public field of the façade's assembled system",
+	"table.Stats.SelectivityOf":         "reference implementation: the optimizer's compiled selectivity is checked against it",
+	"job.ExtensionQueries":              "a workload the tests run (GROUP BY, COUNT/SUM/AVG) that no CLI serves yet; ROADMAP item 5a's oracle needs it too",
+	"sched.Ticket.Wait":                 "per-request result API of the scheduler, a public entry point",
+	"sched.Ticket.Outcome":              "per-request result API of the scheduler, a public entry point",
+	"hybridndp.System.Model":            "public field of the façade's assembled system",
+	"hybridndp.System.DB":               "public field of the façade's assembled system",
+	"hybridndp.System.JOB":              "public field of the façade's assembled system",
+	"hybridndp.System.Flash":            "public field of the façade's assembled system",
+	"harness.Fig17Result.HostBreakdown": "BenchmarkFig17Table4Timeline reports its host-wait-pct metric from it",
 }
 
 // TestNoTestOnlySurface fails for every declaration outside test files whose
 // only users are _test.go files, and for every struct field that non-test
-// code writes but only tests read, unless testOnlyAllow names it. The
-// benchmark module's declarations are its own, but its uses count, as do
-// cmd's and examples'. Uses flow back from importers and from _test units,
-// which the loader checks after the package they use, while the analysis
-// driver's facts flow forward only: so this is a test over the loader, not a
-// hybridlint analyzer.
+// code writes but only tests read or nothing reads, unless testOnlyAllow
+// names it. The benchmark module's declarations are its own, but its uses
+// count, as do cmd's and examples'. Uses flow back from importers and from
+// _test units, which the loader checks after the package they use, while the
+// analysis driver's facts flow forward only: so this is a test over the
+// loader, not a hybridlint analyzer.
 func TestNoTestOnlySurface(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("a static scan: nothing for the race detector to see")
@@ -60,10 +62,11 @@ func TestNoTestOnlySurface(t *testing.T) {
 }
 
 // TestTestOnlyRules runs the scan over a fixture tree with one case per
-// rule: a func and a field only tests use are found; a knob only tests
-// write, interface methods (plain and generic), an embedded field, a tagged
-// field and a test-support package are not; an allow entry hides its finding
-// and a stale one is reported.
+// rule: a func and a field only tests use and a field nothing reads (beyond
+// its own update) are found; a knob only tests write, interface methods
+// (plain and generic), an embedded field, a tagged field and a test-support
+// package are not; an allow entry hides its finding and a stale one is
+// reported.
 func TestTestOnlyRules(t *testing.T) {
 	root := filepath.Join("testdata", "testonly")
 	units, err := load.Tree(root)
@@ -74,6 +77,7 @@ func TestTestOnlyRules(t *testing.T) {
 	got := testOnly(units, func(string) bool { return true }, allow, root)
 	want := []string{
 		"lib/lib.go:13: field lib.Report.Written",
+		"lib/lib.go:16: unread field lib.Report.Peak",
 		"lib/lib.go:5: func lib.OnlyTested",
 		"stale allow entry: lib.Gone",
 	}
@@ -88,8 +92,9 @@ func TestTestOnlyRules(t *testing.T) {
 // root.
 //
 // A declaration is a finding when tests use it and nothing else does; a
-// field, when non-test code writes it, tests read it and nothing else does.
-// A composite-literal key or an assignment target is a write, any other use a
+// field, when non-test code writes it and nothing but tests reads it. A
+// composite-literal key or an assignment target is a write, and so is a read
+// of the target inside its own update (x.f = max(x.f, v)); any other use is a
 // read. Exempt: methods that satisfy an interface, embedded fields, fields of
 // structs with tags (read by reflection), and the declarations of
 // test-support packages (a name ending in "test").
@@ -110,9 +115,12 @@ func testOnly(units []*analysis.Unit, declares func(path string) bool, allow map
 						writes[id] = true
 					}
 				case *ast.AssignStmt:
-					for _, l := range n.Lhs {
+					for i, l := range n.Lhs {
 						if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
 							writes[sel.Sel] = true
+							if len(n.Rhs) == len(n.Lhs) {
+								selfReads(sel, n.Rhs[i], writes)
+							}
 						}
 					}
 				case *ast.IncDecStmt:
@@ -159,7 +167,8 @@ func testOnly(units []*analysis.Unit, declares func(path string) bool, allow map
 				continue
 			}
 			c := counts[obj]
-			if c == nil || c.test == 0 || c.read > 0 {
+			field, _ := obj.(*types.Var)
+			if c == nil || c.read > 0 || c.test == 0 && (field == nil || !field.IsField()) {
 				continue
 			}
 			var kind, name string
@@ -174,6 +183,9 @@ func testOnly(units []*analysis.Unit, declares func(path string) bool, allow map
 					continue
 				}
 				kind, name = "field", o.name+"."
+				if c.test == 0 {
+					kind = "unread field"
+				}
 			case *types.Func:
 				if implements(obj, ifaces) {
 					continue
@@ -212,6 +224,18 @@ func testOnly(units []*analysis.Unit, declares func(path string) bool, allow map
 	}
 	sort.Strings(out)
 	return out
+}
+
+// selfReads marks every occurrence of target in rhs, the value assigned to
+// it, as part of the write to target.
+func selfReads(target *ast.SelectorExpr, rhs ast.Expr, writes map[*ast.Ident]bool) {
+	want := types.ExprString(target)
+	ast.Inspect(rhs, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && types.ExprString(sel) == want {
+			writes[sel.Sel] = true
+		}
+		return true
+	})
 }
 
 // origin maps a use of an instantiated generic method or field to the

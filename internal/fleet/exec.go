@@ -24,7 +24,7 @@ import (
 // the shard's outcome and its device-busy virtual time. A nil Gate admits
 // everything.
 type Gate interface {
-	AdmitShard(dev int, memBytes int64) (release func(ok bool, busyNs float64), admitted bool)
+	AdmitShard(dev int) (release func(ok bool, busyNs float64), admitted bool)
 }
 
 // ShardReport is one device's contribution to a fleet run, indexed by device
@@ -253,8 +253,7 @@ func (r *run) demote(sh *shard, o outcome) {
 }
 
 // admit gates every device-planned shard. A denied shard degrades to host
-// execution of its partitions; planned host shards never claim device
-// resources.
+// execution of its partitions; planned host shards never ask for a device.
 func (r *run) admit() {
 	r.shards = make([]shard, r.x.Desc.Devices)
 	for dev := range r.shards {
@@ -267,7 +266,7 @@ func (r *run) admit() {
 		if r.x.Gate == nil {
 			continue
 		}
-		rel, admitted := r.x.Gate.AdmitShard(dev, sh.plan.Mem.TotalBytes)
+		rel, admitted := r.x.Gate.AdmitShard(dev)
 		if !admitted {
 			r.demote(sh, denied)
 			continue

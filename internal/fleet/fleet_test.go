@@ -20,7 +20,7 @@ type denyGate struct {
 	okBy     map[int]bool // release outcome per admitted device
 }
 
-func (g *denyGate) AdmitShard(dev int, memBytes int64) (func(ok bool, busyNs float64), bool) {
+func (g *denyGate) AdmitShard(dev int) (func(ok bool, busyNs float64), bool) {
 	if g.deny[dev] {
 		return nil, false
 	}

@@ -22,11 +22,9 @@ type ChaosRow struct {
 	// Retries / FellBack mirror the report's recovery outcome.
 	Retries  int
 	FellBack bool
-	Rows     int64 // row count under faults
-	BaseRows int64 // fault-free host-native row count
 	// Fingerprint / BaseFingerprint are fleet.Fingerprint of the two results.
-	// Every JOB query returns one aggregate row, so the row counts agree even
-	// when a scan lost rows; the fingerprints cover the values.
+	// Every JOB query returns one aggregate row, so only the values can tell
+	// a lost row.
 	Fingerprint     string
 	BaseFingerprint string
 	Elapsed         vclock.Duration
@@ -81,10 +79,10 @@ func (h *H) ChaosSweep(w io.Writer, plan *fault.Plan) *ChaosResult {
 		}
 		if !r.Match() {
 			res.Mismatches++
-			mark += fmt.Sprintf(" MISMATCH base=%d fp=%s base-fp=%s", r.BaseRows, r.Fingerprint, r.BaseFingerprint)
+			mark += fmt.Sprintf(" MISMATCH fp=%s base-fp=%s", r.Fingerprint, r.BaseFingerprint)
 		}
-		fmt.Fprintf(w, "%-5s %-7s %s rows=%-8d retries=%d%s\n",
-			r.Query, r.Strategy, ms(r.Elapsed), r.Rows, r.Retries, mark)
+		fmt.Fprintf(w, "%-5s %-7s %s retries=%d%s\n",
+			r.Query, r.Strategy, ms(r.Elapsed), r.Retries, mark)
 	}
 	fmt.Fprintf(w, "\n%d queries: %d errors, %d mismatches, %d retries, %d host fallbacks\n",
 		len(rows), res.Errors, res.Mismatches, res.Retries, res.Fallbacks)
@@ -108,13 +106,13 @@ func (h *H) chaosOne(q *query.Query) ChaosRow {
 		row.Err = fmt.Errorf("baseline: %w", err)
 		return row
 	}
-	row.BaseRows, row.BaseFingerprint = base.Result.RowCount, fleet.Fingerprint(base.Result)
+	row.BaseFingerprint = fleet.Fingerprint(base.Result)
 	rep, err := h.Exec.Run(d.Plan, s)
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	row.Rows, row.Fingerprint = rep.Result.RowCount, fleet.Fingerprint(rep.Result)
+	row.Fingerprint = fleet.Fingerprint(rep.Result)
 	row.Retries = rep.FaultRetries
 	row.FellBack = rep.FellBack
 	row.Elapsed = rep.Elapsed

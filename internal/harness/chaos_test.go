@@ -30,12 +30,12 @@ func TestChaosSweepFullCrashMatchesHost(t *testing.T) {
 	if res.Fallbacks == 0 {
 		t.Fatal("100% crash plan produced no host fallbacks")
 	}
-	// One table line per query: "<query> <strategy> <elapsed> rows=<n>
+	// One table line per query: "<query> <strategy> <elapsed>
 	// retries=<n>[ fallback=host]".
 	lines := 0
 	for _, line := range strings.Split(buf.String(), "\n") {
 		f := strings.Fields(line)
-		if len(f) < 5 || !strings.HasPrefix(f[3], "rows=") {
+		if len(f) < 4 || !strings.HasPrefix(f[3], "retries=") {
 			continue
 		}
 		lines++
@@ -43,7 +43,7 @@ func TestChaosSweepFullCrashMatchesHost(t *testing.T) {
 		if deviceBound && !fellBack {
 			t.Fatalf("device-bound query survived a 100%% crash device without falling back: %s", line)
 		}
-		if !deviceBound && (fellBack || f[4] != "retries=0") {
+		if !deviceBound && (fellBack || f[3] != "retries=0") {
 			t.Fatalf("host-native query saw fault recovery: %s", line)
 		}
 	}

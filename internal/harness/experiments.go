@@ -394,10 +394,9 @@ func (h *H) Fig16(w io.Writer) ([]Measurement, error) {
 
 // Fig17Result captures the co-processing timeline of Q8.d (Exp 6).
 type Fig17Result struct {
-	// HostBreakdown and DevBreakdown are the percentages of Table 4's host
-	// stages and device operations, in the order they print.
+	// HostBreakdown is the percentages of Table 4's host stages, in the order
+	// they print.
 	HostBreakdown []float64
-	DevBreakdown  []float64
 }
 
 // Fig17Table4 reproduces the detailed Q8.d co-processing analysis: the
@@ -467,7 +466,6 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 	sort.Slice(devs, func(i, j int) bool { return devs[i].v > devs[j].v })
 	for _, e := range devs {
 		pctv := 100 * float64(e.v) / math.Max(float64(devTotal), 1)
-		res.DevBreakdown = append(res.DevBreakdown, pctv)
 		fmt.Fprintf(w, "    %-30s %s  %5.2f%%\n", e.k, ms(e.v), pctv)
 	}
 	return res, nil

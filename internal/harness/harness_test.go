@@ -142,7 +142,7 @@ func TestFig16AndFig17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "    batch  0: ready=") || len(res.DevBreakdown) == 0 || len(res.HostBreakdown) == 0 {
+	if out := buf.String(); !strings.Contains(out, "    batch  0: ready=") || !strings.Contains(out, "  device operations:\n    ") || len(res.HostBreakdown) == 0 {
 		t.Fatal("Fig17 result incomplete")
 	}
 	total := 0.0

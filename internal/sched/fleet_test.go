@@ -24,7 +24,6 @@ func fleetFixture(t *testing.T, cfg Config) (*Scheduler, *fleet.Executor) {
 		t.Fatal(err)
 	}
 	fx := fleet.NewExecutor(dsInst.Cat, dsInst.DB, m, desc)
-	cfg.Devices = 4
 	cfg.Fleet = fx
 	s := New(opt, exec, m, cfg)
 	return s, fx
@@ -71,6 +70,35 @@ func TestFleetSchedulerCompletesAndMatchesHost(t *testing.T) {
 	}
 	if reg.Counter("sched.fleet.runs").Value() == 0 {
 		t.Fatal("fleet run counter never incremented")
+	}
+}
+
+// TestFleetSizesLedger pins that a fleet, not Config.Devices, sizes the
+// ledger: a 4-device fleet under DefaultConfig (Devices 1) admits and denies
+// exactly the shards it does with Devices 4, and reports four device lanes.
+func TestFleetSizesLedger(t *testing.T) {
+	type tally struct{ admitted, denied int64 }
+	run := func(devices int) (tally, Stats) {
+		cfg := DefaultConfig()
+		cfg.Devices = devices
+		reg := obs.NewRegistry()
+		cfg.Metrics = reg
+		s, _ := fleetFixture(t, cfg)
+		for _, q := range job.Queries()[:40] {
+			if o := submitOutcome(t, s, q); o.Err != nil {
+				t.Fatalf("%s: %v", q.Name, o.Err)
+			}
+		}
+		s.Close()
+		return tally{reg.Counter("sched.fleet.shard.admitted").Value(), reg.Counter("sched.fleet.shard.denied").Value()}, s.Stats()
+	}
+	got, st := run(DefaultConfig().Devices)
+	want, _ := run(4)
+	if got != want || got.admitted == 0 {
+		t.Fatalf("DefaultConfig with a 4-device fleet: %+v shards admitted/denied, with Devices 4: %+v", got, want)
+	}
+	if st.DevLanes != 4 {
+		t.Fatalf("DevLanes %d, want the fleet's 4", st.DevLanes)
 	}
 }
 

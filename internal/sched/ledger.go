@@ -4,32 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"hybridndp/internal/hw"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/vclock"
 )
-
-// Claim is the device-resource footprint of one NDP command: what it holds on
-// its device from dispatch until it completes.
-type Claim struct {
-	// MemBytes is the device DRAM reservation of the offloaded partial plan
-	// (device.PlanMemory: selection/join buffers within the NDP budget).
-	MemBytes int64
-	// BufSlots is the number of shared result-buffer slots held while the
-	// command is in flight.
-	BufSlots int
-}
-
-// slot is one NDP command slot of a device: the instant its occupant
-// completes and the claim that occupant holds until then.
-type slot struct {
-	until vclock.Time
-	claim Claim
-}
-
-// deviceCmdSlots is the number of concurrent NDP commands per device: the
-// paper's COSMOS+ board dedicates one core to execution.
-const deviceCmdSlots = 1
 
 // Breaker tuning: breakerThreshold consecutive command failures trip a
 // device's breaker open, and breakerProbeAfter admissions routed around it
@@ -39,15 +16,16 @@ const (
 	breakerProbeAfter = 8
 )
 
-// devRow is one device's row of the ledger: its command slots and its circuit
-// breaker. The breaker is count-based — breakerThreshold consecutive command
-// failures open it, breakerProbeAfter admissions routed around it make it
-// half-open, and the next command is the probe: success closes it, failure
-// re-opens it.
+// devRow is one device's row of the ledger: the instant its one command slot
+// falls free (the paper's COSMOS+ board dedicates one core to execution) and
+// its circuit breaker. The breaker is count-based — breakerThreshold
+// consecutive command failures open it, breakerProbeAfter admissions routed
+// around it make it half-open, and the next command is the probe: success
+// closes it, failure re-opens it.
 // Outcomes are reported in dispatch order (a run executes at its dispatch),
 // so the breaker never depends on anything but the sequence of dispatches.
 type devRow struct {
-	slots       []slot
+	until       vclock.Time
 	breaker     breakerState
 	consecFails int
 	skipped     int // admissions routed around the device while open
@@ -64,35 +42,25 @@ const (
 )
 
 // Ledger is the load picture Place decides against: per host lane and per
-// device command slot the virtual instant it falls free, plus per device the
-// DRAM / buffer-slot claims of the commands still running and the circuit
+// device the virtual instant it falls free, plus per device the circuit
 // breaker. A lane is busy until its instant and free from then on, so nothing
-// is ever "released": booking a run is writing its completion instant.
+// is ever "released": booking a run is writing its completion instant. Device
+// memory is not tracked here: every candidate is already masked by its
+// decision's memory plans, and the device checks each command at launch.
 type Ledger struct {
 	host []vclock.Time
 	devs []devRow
 
-	// Per-device capacities: the NDP DRAM budget (hw_MSS/hw_MSJ reservations
-	// within ~400 MB) and the shared result-buffer slots.
-	memCap int64
-	bufCap int
-
 	metrics *obs.Registry // nil disables counters and gauges
 }
 
-// NewLedger sizes the ledger from the hardware model: hostLanes host CPU
-// lanes and devices smart-storage devices with one command slot each.
-func NewLedger(m hw.Model, hostLanes, devices int) *Ledger {
-	l := &Ledger{
-		host:   make([]vclock.Time, max(hostLanes, 1)),
-		devs:   make([]devRow, max(devices, 1)),
-		memCap: m.DeviceNDPBudget,
-		bufCap: m.SharedSlots,
+// NewLedger sizes the ledger: hostLanes host CPU lanes and devices
+// smart-storage devices.
+func NewLedger(hostLanes, devices int) *Ledger {
+	return &Ledger{
+		host: make([]vclock.Time, max(hostLanes, 1)),
+		devs: make([]devRow, max(devices, 1)),
 	}
-	for i := range l.devs {
-		l.devs[i].slots = make([]slot, deviceCmdSlots)
-	}
-	return l
 }
 
 // bindMetrics attaches a registry: breaker transitions count into it and
@@ -109,16 +77,16 @@ func (l *Ledger) bindMetrics(m *obs.Registry) {
 	}
 }
 
-// publishDev mirrors device i's occupancy at instant at into gauges.
+// publishDev mirrors whether device i is busy at instant at into a gauge.
 func (l *Ledger) publishDev(i int, at vclock.Time) {
 	if l.metrics == nil {
 		return
 	}
-	cmds, held := l.busyAt(i, at)
-	p := fmt.Sprintf("sched.ledger.device.%d.", i)
-	l.metrics.Gauge(p + "cmd_used").SetInt(int64(cmds))
-	l.metrics.Gauge(p + "mem_used_bytes").SetInt(held.MemBytes)
-	l.metrics.Gauge(p + "slots_used").SetInt(int64(held.BufSlots))
+	used := int64(0)
+	if l.devs[i].until > at {
+		used = 1
+	}
+	l.metrics.Gauge(fmt.Sprintf("sched.ledger.device.%d.cmd_used", i)).SetInt(used)
 }
 
 // publishBreaker mirrors device i's breaker position, and the count of
@@ -156,43 +124,20 @@ func (l *Ledger) passable(d *devRow) bool {
 	return d.breaker != breakerOpen || d.skipped+1 >= breakerProbeAfter
 }
 
-// anyPassable reports whether at least one device's breaker admits a command.
-func (l *Ledger) anyPassable() bool {
-	for i := range l.devs {
-		if l.passable(&l.devs[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// fits reports whether claim c fits on device i beside the commands still
-// running there at instant at. (The slot the claim is about to take is free at
-// that instant by construction, so it never counts against itself.)
-func (l *Ledger) fits(i int, at vclock.Time, c Claim) bool {
-	_, held := l.busyAt(i, at)
-	return held.MemBytes+c.MemBytes <= l.memCap && held.BufSlots+c.BufSlots <= l.bufCap
-}
-
-// earliestSlot finds the command slot a device-bound run would take: over
-// every breaker-passable device, the slot with the earliest start instant
-// max(floor, slot free) at which claim c fits beside the device's other
-// occupants (lowest device, then slot, on ties).
-func (l *Ledger) earliestSlot(floor vclock.Time, c Claim) (dev, take int, start vclock.Time, ok bool) {
+// earliestDevice finds the device a device-bound run would take: over every
+// breaker-passable device, the earliest start instant max(floor, until)
+// (lowest device on ties); false when every breaker refuses.
+func (l *Ledger) earliestDevice(floor vclock.Time) (dev int, start vclock.Time, ok bool) {
 	for i := range l.devs {
 		d := &l.devs[i]
 		if !l.passable(d) {
 			continue
 		}
-		for j, s := range d.slots {
-			at := max(floor, s.until)
-			if (ok && at >= start) || !l.fits(i, at, c) {
-				continue
-			}
-			dev, take, start, ok = i, j, at, true
+		if at := max(floor, d.until); !ok || at < start {
+			dev, start, ok = i, at, true
 		}
 	}
-	return dev, take, start, ok
+	return dev, start, ok
 }
 
 // pass runs one admission past device i's breaker and reports whether it gets
@@ -239,44 +184,41 @@ func (l *Ledger) probe(dev int) {
 	}
 }
 
-// Book commits a finished dispatch: the chosen host lane and command slot are
-// busy until done, the slot holding claim c.
-func (l *Ledger) Book(ch Choice, c Claim, done vclock.Time) {
+// Book commits a finished dispatch: the chosen host lane and device are busy
+// until done.
+func (l *Ledger) Book(ch Choice, done vclock.Time) {
 	if ch.Host >= 0 {
 		l.host[ch.Host] = done
 	}
 	if ch.Dev >= 0 {
-		l.devs[ch.Dev].slots[ch.Slot] = slot{until: done, claim: c}
+		l.devs[ch.Dev].until = done
 		l.publishDev(ch.Dev, ch.Start)
 	}
 }
 
-// AdmitDevice reserves a command slot on one specific device at instant at —
-// fleet shard admission, where the descriptor pins partitions to devices. The
-// slot must be free at that instant, the claim must fit beside the device's
-// other occupants, and the breaker must let the command through; the slot is
+// AdmitDevice reserves one specific device at instant at — fleet shard
+// admission, where the descriptor pins partitions to devices. The device must
+// be free at that instant and its breaker must let the command through; it is
 // then held until ReleaseDevice books its completion. A denial is the fleet
 // executor's signal to degrade that shard to host execution.
-func (l *Ledger) AdmitDevice(dev int, at vclock.Time, c Claim) (int, bool) {
+func (l *Ledger) AdmitDevice(dev int, at vclock.Time) bool {
 	if dev < 0 || dev >= len(l.devs) || !l.pass(dev) {
-		return -1, false
+		return false
 	}
 	d := &l.devs[dev]
-	for j, s := range d.slots {
-		if s.until <= at && l.fits(dev, at, c) {
-			l.probe(dev)
-			d.slots[j] = slot{until: vclock.Time(math.Inf(1)), claim: c}
-			l.publishDev(dev, at)
-			return j, true
-		}
+	if d.until > at {
+		return false
 	}
-	return -1, false
+	l.probe(dev)
+	d.until = vclock.Time(math.Inf(1))
+	l.publishDev(dev, at)
+	return true
 }
 
-// ReleaseDevice ends a command admitted through AdmitDevice: its slot falls
-// free at done and its outcome feeds the breaker.
-func (l *Ledger) ReleaseDevice(dev, j int, done vclock.Time, ok bool) {
-	l.devs[dev].slots[j].until = done
+// ReleaseDevice ends a command admitted through AdmitDevice: the device falls
+// free at done and the outcome feeds the breaker.
+func (l *Ledger) ReleaseDevice(dev int, done vclock.Time, ok bool) {
+	l.devs[dev].until = done
 	l.Report(dev, ok)
 }
 
@@ -307,17 +249,4 @@ func (l *Ledger) Report(dev int, ok bool) {
 		}
 	}
 	l.publishBreaker(dev)
-}
-
-// busyAt reports what is still occupied on device i at instant t: command
-// slots, and the claims their commands hold.
-func (l *Ledger) busyAt(i int, t vclock.Time) (cmds int, held Claim) {
-	for _, s := range l.devs[i].slots {
-		if s.until > t {
-			cmds++
-			held.MemBytes += s.claim.MemBytes
-			held.BufSlots += s.claim.BufSlots
-		}
-	}
-	return cmds, held
 }

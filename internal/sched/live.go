@@ -54,7 +54,7 @@ var hostNative = coop.Strategy{Kind: coop.HostNative}
 
 // Candidates plans the ticket's query and prices its alternatives. A fleet
 // run is one alternative on a host lane — the gather chain — whose shards
-// claim their pinned devices through the gate when it starts.
+// take their pinned devices through the gate when it starts.
 func (r *live) Candidates(t *Ticket, _ vclock.Time, buf []Candidate) ([]Candidate, error) {
 	d, err := r.opt.Decide(t.query)
 	if err != nil {
@@ -70,11 +70,10 @@ func (r *live) Candidates(t *Ticket, _ vclock.Time, buf []Candidate) ([]Candidat
 	// Every split point Hk, then full NDP, which reserves the memory plan of
 	// every join on the device: the decision's plans mask them all.
 	offer := func(s coop.Strategy, k int) {
-		if mp := d.Mem[k]; mp.Fits() {
+		if d.Mem[k].Fits() {
 			buf = append(buf, Candidate{
 				Strategy: s,
 				Service:  vclock.Duration(price(sc, s, devF, hostF)),
-				Claim:    Claim{MemBytes: mp.TotalBytes, BufSlots: 1},
 			})
 		}
 	}
@@ -159,26 +158,25 @@ func (r *live) runFleet(t *Ticket, ch Choice, tr *obs.Trace) (vclock.Duration, e
 }
 
 // fleetGate adapts the ledger to per-shard fleet admission: every device-side
-// shard of a scatter-gather run claims a command slot, its DRAM reservation
-// and a buffer slot on its pinned device as of the run's start instant, holds
-// them until that instant plus its device-busy time, and reports its outcome
-// into that device's breaker. A denied shard degrades to host execution inside
-// the fleet run instead of queueing — the partial-fleet degradation path.
+// shard of a scatter-gather run takes its pinned device as of the run's start
+// instant, holds it until that instant plus its device-busy time, and reports
+// its outcome into that device's breaker. A denied shard degrades to host
+// execution inside the fleet run instead of queueing — the partial-fleet
+// degradation path.
 type fleetGate struct {
 	l  *Ledger
 	m  *obs.Registry
 	at vclock.Time // start instant of the run being admitted
 }
 
-func (g *fleetGate) AdmitShard(dev int, memBytes int64) (func(ok bool, busyNs float64), bool) {
+func (g *fleetGate) AdmitShard(dev int) (func(ok bool, busyNs float64), bool) {
 	at := g.at
-	slot, ok := g.l.AdmitDevice(dev, at, Claim{MemBytes: memBytes, BufSlots: 1})
-	if !ok {
+	if !g.l.AdmitDevice(dev, at) {
 		g.m.Counter("sched.fleet.shard.denied").Inc()
 		return nil, false
 	}
 	g.m.Counter("sched.fleet.shard.admitted").Inc()
 	return func(ok bool, busyNs float64) {
-		g.l.ReleaseDevice(dev, slot, at.Add(vclock.Duration(busyNs)), ok)
+		g.l.ReleaseDevice(dev, at.Add(vclock.Duration(busyNs)), ok)
 	}, true
 }

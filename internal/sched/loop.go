@@ -77,7 +77,7 @@ func (l *Loop[J]) hold() bool {
 		}
 		cands, err := l.runner.Candidates(j, l.now, l.buf[:0])
 		if err != nil {
-			l.front.Done(j, Candidate{}, Choice{Index: -1, Host: -1, Dev: -1, Slot: -1}, 0, err)
+			l.front.Done(j, Candidate{}, Choice{Index: -1, Host: -1, Dev: -1}, 0, err)
 			continue
 		}
 		l.buf = cands
@@ -99,7 +99,7 @@ func (l *Loop[J]) dispatch() {
 	l.ledger.Admit(*ch)
 	elapsed, err := l.runner.Run(j, *c, *ch)
 	done := ch.Start.Add(elapsed)
-	l.ledger.Book(*ch, c.Claim, done)
+	l.ledger.Book(*ch, done)
 	l.last = max(l.last, done)
 	l.front.Done(j, *c, *ch, elapsed, err)
 }

@@ -40,8 +40,6 @@ type Candidate struct {
 	// Service is how long the run occupies its lanes: the replayed measured
 	// time, or the live runner's priced estimate.
 	Service vclock.Duration
-	// Claim is what the run reserves on its device (zero for host-native).
-	Claim Claim
 }
 
 // onDevice reports whether the alternative needs an NDP command slot.
@@ -58,9 +56,9 @@ func (c *Candidate) onHost() bool { return c.Strategy.Kind != coop.NDPOnly }
 type Choice struct {
 	// Index is the chosen candidate (-1 when none was offered).
 	Index int
-	// Host is the host lane and Dev/Slot the device command slot the run
-	// occupies; -1 marks a side the strategy does not use.
-	Host, Dev, Slot int
+	// Host is the host lane and Dev the device the run occupies; -1 marks a
+	// side the strategy does not use.
+	Host, Dev int
 	// Start is the earliest instant every lane the run needs is free; Done is
 	// Start plus the candidate's service time.
 	Start, Done vclock.Time
@@ -71,19 +69,18 @@ type Choice struct {
 
 // Place is the one placement rule. Each candidate starts at the earliest
 // instant all the lanes it needs are free — the host lane that frees up
-// first, and for a device-bound run the command slot with the earliest start
-// at which its claim fits beside the device's other occupants, on a device
-// whose breaker lets it through — and the candidate that completes earliest
-// wins, ties going to the host. The forced policies narrow the field first:
-// ForceHost to the host-only candidates, ForceNDP to full NDP whenever it is
-// on offer and placeable. Place reads the ledger and changes nothing.
+// first, and for a device-bound run the device that falls free first among
+// those whose breaker lets it through — and the candidate that completes
+// earliest wins, ties going to the host. The forced policies narrow the field
+// first: ForceHost to the host-only candidates, ForceNDP to full NDP whenever
+// it is on offer and placeable. Place reads the ledger and changes nothing.
 func Place(l *Ledger, now vclock.Time, cands []Candidate, pol Policy) Choice {
-	best := Choice{Index: -1, Host: -1, Dev: -1, Slot: -1}
+	best := Choice{Index: -1, Host: -1, Dev: -1}
 	hostLane, hostFree := l.earliestHost()
-	asked := false
+	asked, denied := false, false
 	for i := range cands {
 		c := &cands[i]
-		ch := Choice{Index: i, Host: -1, Dev: -1, Slot: -1, Start: now}
+		ch := Choice{Index: i, Host: -1, Dev: -1, Start: now}
 		if c.onHost() {
 			ch.Host, ch.Start = hostLane, max(now, hostFree)
 		}
@@ -92,11 +89,12 @@ func Place(l *Ledger, now vclock.Time, cands []Candidate, pol Policy) Choice {
 				continue
 			}
 			asked = true
-			dev, slot, start, ok := l.earliestSlot(ch.Start, c.Claim)
+			dev, start, ok := l.earliestDevice(ch.Start)
 			if !ok {
+				denied = true // every breaker refuses: no device-bound candidate places
 				continue
 			}
-			ch.Dev, ch.Slot, ch.Start = dev, slot, start
+			ch.Dev, ch.Start = dev, start
 		}
 		ch.Done = ch.Start.Add(c.Service)
 		if pol == ForceNDP && ch.Dev >= 0 {
@@ -107,7 +105,6 @@ func Place(l *Ledger, now vclock.Time, cands []Candidate, pol Policy) Choice {
 			best = ch
 		}
 	}
-	best.DeviceAsked = asked
-	best.Denied = asked && best.Dev < 0 && !l.anyPassable()
+	best.DeviceAsked, best.Denied = asked, denied
 	return best
 }

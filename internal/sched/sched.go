@@ -3,10 +3,9 @@
 // queued work over a (simulated) smart-storage fleet. Per query the
 // optimizer's dynamic-offloading decision (paper §3) is the starting point,
 // but placement re-checks it against the current load: one ledger holds the
-// instant every host lane and every device command slot falls free (with the
-// device DRAM / buffer claims and circuit breakers on the device rows), and
-// one rule, Place, takes the alternative that completes earliest and breaks
-// ties toward the host. This extends the paper's "which split Hk" decision to
+// instant every host lane and every device's command slot falls free (with a
+// circuit breaker on each device row), and one rule, Place, takes the
+// alternative that completes earliest and breaks ties toward the host. This extends the paper's "which split Hk" decision to
 // "which split Hk given current device load" — the arbitration problem
 // production NDP deployments face (cf. Taurus, PAPERS.md).
 //
@@ -42,8 +41,9 @@ type Config struct {
 	// QueueDepth bounds the admission queue across all priority classes; a
 	// Submit on a full queue progresses the loop until a slot frees up.
 	QueueDepth int
-	// Devices is the smart-storage fleet size; each device contributes one
-	// command slot, its NDP memory budget and its shared buffer slots.
+	// Devices is the smart-storage fleet size without a fleet (with one, the
+	// fleet descriptor's device count applies); each device contributes one
+	// command slot.
 	Devices int
 	// QueryTimeout bounds the virtual time a ticket may spend in the
 	// admission queue before it is rejected (0 = unbounded).
@@ -52,16 +52,16 @@ type Config struct {
 	Policy Policy
 	// Fleet, when set, routes every decided query through sharded
 	// scatter-gather execution over the fleet executor instead of the
-	// single-device cooperative path. New wires the executor's admission
-	// gate to this scheduler's ledger, so shard admission shares the same
-	// command slots, memory budgets and circuit breakers; a shard whose
-	// device is busy at the run's start instant (or behind an open breaker)
-	// degrades to host execution inside the run. Policy is ignored while
-	// Fleet is set.
+	// single-device cooperative path. New sizes the ledger from the fleet's
+	// descriptor and wires the executor's admission gate to it, so shard
+	// admission shares the same command slots and circuit breakers; a shard
+	// whose device is busy at the run's start instant (or behind an open
+	// breaker) degrades to host execution inside the run. Policy is ignored
+	// while Fleet is set.
 	Fleet *fleet.Executor
 	// Metrics receives the scheduler's counters, the ledger gauges
-	// (per-device slot/memory occupancy, queue depths) and the estimate
-	// true-up histograms. Nil disables metric recording.
+	// (per-device command occupancy and breakers, queue depths) and the
+	// estimate true-up histograms. Nil disables metric recording.
 	Metrics *obs.Registry
 	// Traces, when set, records one obs.Trace per processed query (named
 	// after the query), fed through the executor's traced run path.
@@ -78,6 +78,9 @@ func (c Config) withDefaults() Config {
 	c.Workers = max(c.Workers, 1)
 	c.QueueDepth = max(c.QueueDepth, 1)
 	c.Devices = max(c.Devices, 1)
+	if c.Fleet != nil {
+		c.Devices = c.Fleet.Desc.Devices
+	}
 	return c
 }
 
@@ -188,7 +191,7 @@ func New(opt *optimizer.Optimizer, exec *coop.Executor, m hw.Model, cfg Config) 
 	if m.HostCores > 0 {
 		hostLanes = min(hostLanes, m.HostCores)
 	}
-	ledger := NewLedger(m, hostLanes, cfg.Devices)
+	ledger := NewLedger(hostLanes, cfg.Devices)
 	ledger.bindMetrics(cfg.Metrics)
 	s := &Scheduler{
 		cfg:   cfg,
@@ -197,7 +200,7 @@ func New(opt *optimizer.Optimizer, exec *coop.Executor, m hw.Model, cfg Config) 
 			ByStrategy:             map[string]int64{},
 			QueueWaitMaxByPriority: map[string]vclock.Duration{},
 			HostLanes:              hostLanes,
-			DevLanes:               cfg.Devices * deviceCmdSlots,
+			DevLanes:               cfg.Devices,
 		},
 	}
 	s.loop = NewLoop[*Ticket](ledger, cfg.Policy, newLive(opt, exec, ledger, cfg), s)
@@ -363,7 +366,7 @@ func (s *Scheduler) Admit(t *Ticket, c Candidate, ch Choice) bool {
 // (completion/error counters per strategy and priority) and resolves it.
 func (s *Scheduler) Done(t *Ticket, _ Candidate, _ Choice, elapsed vclock.Duration, err error) {
 	o := &t.outcome
-	o.Elapsed, o.Err = elapsed, err
+	o.Err = err
 	s.stats.record(o, t.hostBusy, t.devBusy)
 	t.resolved = true
 	m := s.cfg.Metrics

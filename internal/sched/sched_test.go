@@ -142,26 +142,24 @@ func TestWaitDispatchesUpToItsTicket(t *testing.T) {
 	}
 }
 
-// busyAt totals what the ledger still holds at instant t: host lanes, command
-// slots, and the device claims behind those slots.
-func busyAt(l *Ledger, t vclock.Time) (hostLanes, cmdSlots int, held Claim) {
+// busyAt counts the host lanes and devices the ledger still holds at instant t.
+func busyAt(l *Ledger, t vclock.Time) (hostLanes, devices int) {
 	for _, free := range l.host {
 		if free > t {
 			hostLanes++
 		}
 	}
-	for i := range l.devs {
-		cmds, c := l.busyAt(i, t)
-		cmdSlots += cmds
-		held.MemBytes += c.MemBytes
-		held.BufSlots += c.BufSlots
+	for _, d := range l.devs {
+		if d.until > t {
+			devices++
+		}
 	}
-	return hostLanes, cmdSlots, held
+	return hostLanes, devices
 }
 
 // holdDevice makes device 0's command slot busy until the given instant.
 func holdDevice(s *Scheduler, until vclock.Time) {
-	s.loop.ledger.Book(Choice{Host: -1, Dev: 0, Slot: 0}, Claim{}, until)
+	s.loop.ledger.Book(Choice{Host: -1, Dev: 0}, until)
 }
 
 // submitWait submits one query and progresses the scheduler until it resolved.
@@ -340,46 +338,41 @@ func TestQueueReusesItsArrays(t *testing.T) {
 	}
 }
 
-// TestLedgerAccounting covers the ledger without a dataset — lanes fall free
-// at the instants booked, claims count only while their command runs, an
-// oversized claim never fits — and with one: after a drain that included
-// failed runs every lane, command slot and claim is free.
+// TestLedgerAccounting covers the ledger without a dataset — lanes and
+// devices fall free at the instants booked — and with one: after a drain that
+// included failed runs every lane and device is free. The ledger tracks no
+// device memory; TestTightBudgetOneMemoryMask carries that guarantee (every
+// consumer masks its candidates with the decision's memory plans).
 func TestLedgerAccounting(t *testing.T) {
-	m := hw.Cosmos()
-	l := NewLedger(m, 4, 2)
-	half := Claim{MemBytes: m.DeviceNDPBudget / 2, BufSlots: 1}
-	ndp := []Candidate{{Strategy: coop.Strategy{Kind: coop.NDPOnly}, Service: 100, Claim: half}}
+	l := NewLedger(4, 2)
+	ndp := []Candidate{{Strategy: coop.Strategy{Kind: coop.NDPOnly}, Service: 100}}
 	c0 := Place(l, 0, ndp, Adaptive)
-	l.Book(c0, half, c0.Done)
+	l.Book(c0, c0.Done)
 	c1 := Place(l, 0, ndp, Adaptive)
 	if c1.Dev == c0.Dev || c1.Start != 0 {
 		t.Fatalf("second command should start at once on the other device: %+v after %+v", c1, c0)
 	}
-	l.Book(c1, half, c1.Done)
+	l.Book(c1, c1.Done)
 	if c2 := Place(l, 0, ndp, Adaptive); c2.Start != 100 {
 		t.Fatalf("both command slots busy until 100, third command starts at %v", c2.Start)
 	}
-	if host, cmds, held := busyAt(l, 50); host != 0 || cmds != 2 || held.MemBytes != 2*half.MemBytes || held.BufSlots != 2 {
-		t.Fatalf("occupancy at 50: host=%d cmds=%d held=%+v", host, cmds, held)
+	if host, devs := busyAt(l, 50); host != 0 || devs != 2 {
+		t.Fatalf("occupancy at 50: host=%d devices=%d", host, devs)
 	}
-	if host, cmds, held := busyAt(l, 100); host != 0 || cmds != 0 || held != (Claim{}) {
-		t.Fatalf("occupancy at 100: host=%d cmds=%d held=%+v", host, cmds, held)
-	}
-	over := []Candidate{{Strategy: coop.Strategy{Kind: coop.NDPOnly}, Claim: Claim{MemBytes: m.DeviceNDPBudget + 1}}}
-	if ch := Place(l, 0, over, Adaptive); ch.Index >= 0 {
-		t.Fatalf("claim larger than the NDP budget placed: %+v", ch)
+	if host, devs := busyAt(l, 100); host != 0 || devs != 0 {
+		t.Fatalf("occupancy at 100: host=%d devices=%d", host, devs)
 	}
 
 	// A drain that includes failed runs, through the loop itself: every other
 	// job's run errors out. A failed run books nothing — the lanes it was
 	// placed on are free again from its start instant — so afterwards every
-	// lane, command slot and claim is free and the makespan is the healthy
+	// lane and device is free and the makespan is the healthy
 	// runs' alone.
 	f := &stubFront{}
 	for i := 0; i < 8; i++ {
-		f.jobs = append(f.jobs, &stubJob{fail: i%2 == 1, cand: Candidate{Strategy: coop.Strategy{Kind: coop.Hybrid, Split: 1}, Service: 100, Claim: half}})
+		f.jobs = append(f.jobs, &stubJob{fail: i%2 == 1, cand: Candidate{Strategy: coop.Strategy{Kind: coop.Hybrid, Split: 1}, Service: 100}})
 	}
-	l = NewLedger(m, 1, 1)
+	l = NewLedger(1, 1)
 	loop := NewLoop[*stubJob](l, Adaptive, stubRunner{}, f)
 	loop.Drain()
 	if f.failed != 4 || f.done != 8 {
@@ -388,8 +381,8 @@ func TestLedgerAccounting(t *testing.T) {
 	if loop.Makespan() != 400 {
 		t.Fatalf("makespan %v: failed runs occupied their lanes", loop.Makespan())
 	}
-	if host, cmds, held := busyAt(l, vclock.Time(loop.Makespan())); host != 0 || cmds != 0 || held != (Claim{}) {
-		t.Fatalf("after the drain: %d host lanes, %d command slots busy, claims %+v held", host, cmds, held)
+	if host, devs := busyAt(l, vclock.Time(loop.Makespan())); host != 0 || devs != 0 {
+		t.Fatalf("after the drain: %d host lanes, %d devices busy", host, devs)
 	}
 
 	// And through the scheduler: a query that fails in planning resolves
@@ -400,17 +393,20 @@ func TestLedgerAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := submitWait(t, s, job.Queries()[0], Normal)
+	submitWait(t, s, job.Queries()[0], Normal)
 	s.Close()
 	if o := bad.Outcome(); o == nil || o.Err == nil || errors.Is(o.Err, ErrExpired) {
 		t.Fatalf("unplannable query: %+v", o)
 	}
 	st := s.Stats()
-	if st.Completed != 1 || st.Errors != 1 || st.Makespan != ok.QueueWait+ok.Elapsed {
+	alone := New(opt, exec, model, DefaultConfig())
+	submitWait(t, alone, job.Queries()[0], Normal)
+	alone.Close()
+	if st.Completed != 1 || st.Errors != 1 || st.Makespan != alone.Stats().Makespan {
 		t.Fatalf("drain with a planning failure: %+v", st)
 	}
-	if host, cmds, held := busyAt(s.loop.ledger, vclock.Time(st.Makespan)); host != 0 || cmds != 0 || held != (Claim{}) {
-		t.Fatalf("after the drain: %d host lanes, %d command slots busy, claims %+v held", host, cmds, held)
+	if host, devs := busyAt(s.loop.ledger, vclock.Time(st.Makespan)); host != 0 || devs != 0 {
+		t.Fatalf("after the drain: %d host lanes, %d devices busy", host, devs)
 	}
 }
 
@@ -490,7 +486,6 @@ func TestExecutorErrorSurfaces(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Policy = ForceNDP
-		cfg.Devices = 4
 		cfg.Fleet = fleet.NewExecutor(dsInst.Cat, dsInst.DB, small, desc)
 		s := New(opt, coop.NewExecutor(dsInst.Cat, dsInst.DB, m), m, cfg)
 		defer s.Close()

@@ -18,9 +18,7 @@ type Outcome struct {
 	Degraded bool
 	// QueueWait is the virtual time from submission to dispatch.
 	QueueWait vclock.Duration
-	// Elapsed is the query's virtual end-to-end runtime.
-	Elapsed vclock.Duration
-	Err     error
+	Err       error
 }
 
 // Stats is a snapshot of the scheduler's counters, suitable for printing
@@ -48,9 +46,6 @@ type Stats struct {
 	DeviceBusy vclock.Duration
 	HostLanes  int
 	DevLanes   int
-	// MaxElapsed is the longest single-query virtual runtime — the latency
-	// critical path.
-	MaxElapsed vclock.Duration
 	// Makespan is the virtual instant the last dispatched query completed.
 	Makespan vclock.Duration
 
@@ -113,7 +108,6 @@ func (st *Stats) record(o *Outcome, hostBusy, devBusy vclock.Duration) {
 	st.QueueWaitMean = st.queueWaitSum / vclock.Duration(st.Completed)
 	st.HostBusy += hostBusy
 	st.DeviceBusy += devBusy
-	st.MaxElapsed = max(st.MaxElapsed, o.Elapsed)
 }
 
 // snapshot copies the counters out.

@@ -480,7 +480,7 @@ func (s *Server) Run() (*Result, error) {
 		f.buckets[i] = newTokenBucket(tc.QuotaQPS, tc.Burst)
 	}
 	hitsBefore, missesBefore, evictsBefore := s.cacheCounters()
-	loop := sched.NewLoop[*request](sched.NewLedger(s.model, s.model.HostCores, 1), s.cfg.Policy, s.runner, f)
+	loop := sched.NewLoop[*request](sched.NewLedger(s.model.HostCores, 1), s.cfg.Policy, s.runner, f)
 	for _, r := range arr {
 		if loop.AdvanceTo(r.arrival); f.err != nil {
 			return nil, f.err
