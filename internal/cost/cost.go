@@ -138,7 +138,7 @@ func (e *Estimator) AccessCost(ap exec.AccessPath, s Side) (NodeCost, error) {
 	if matched <= 0 {
 		matched = rows * math.Max(ap.EstSel, 1e-6)
 	}
-	pb := float64(projWidthOf(t.Schema, ap.Proj))
+	pb := float64(t.Schema.ProjWidth(ap.Proj))
 	var nc NodeCost
 
 	if ap.UseFilterIndex {
@@ -230,7 +230,7 @@ func (e *Estimator) StepCost(step exec.JoinStep, leftRows float64, s Side) (Node
 		nc.CPU += build + probe
 		// Bounded device join buffer: extra inner passes (hw_MSJ).
 		if s == Device {
-			innerBytes := rightMatched * float64(projWidthOf(rt.Schema, step.Right.Proj))
+			innerBytes := rightMatched * float64(rt.Schema.ProjWidth(step.Right.Proj))
 			leftBytes := leftRows * 64 // pointer-cache resident outer estimate
 			if innerBytes > float64(e.Model.JoinBufBytes) && leftBytes > float64(e.Model.JoinBufBytes) {
 				passes := math.Ceil(leftBytes / float64(e.Model.JoinBufBytes))
@@ -278,21 +278,6 @@ func (e *Estimator) JoinOutRows(step exec.JoinStep, leftRows, rightRows float64)
 		out = 0.1
 	}
 	return out
-}
-
-// projWidthOf mirrors exec's projected-width computation.
-func projWidthOf(s *table.Schema, proj []string) int64 {
-	if len(proj) == 0 {
-		return int64(s.RowBytes())
-	}
-	var w int64
-	for _, c := range proj {
-		w += int64(s.ColumnStoredBytes(c))
-	}
-	if w == 0 {
-		w = 4
-	}
-	return w
 }
 
 // SplitCosts is the full cost picture of one plan: host-only and NDP-only
@@ -361,28 +346,15 @@ func (sc *SplitCosts) NearestTarget(fits func(k int) bool) int {
 
 // PlanCosts prices the plan for all execution alternatives.
 func (e *Estimator) PlanCosts(p *exec.Plan) (*SplitCosts, error) {
-	return e.planCosts(p, 1)
+	return e.ShardPlanCosts(p, 1)
 }
 
 // ShardPlanCosts prices the plan for one driving-table shard holding
 // drivingFrac of the driving table's rows (fleet execution): the driving
 // node's access cost and initial cardinality scale with the fraction, while
-// the inner tables stay full-size — they are broadcast to every shard. The
-// curve is deliberately non-uniform in the fraction: join-side scan costs do
-// not shrink with the shard, so small shards see a flatter c_node curve and
-// may pick a different split than the global plan.
+// the inner tables stay full-size — they are broadcast to every shard, so
+// join-side scan costs do not shrink with the shard.
 func (e *Estimator) ShardPlanCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, error) {
-	if drivingFrac <= 0 {
-		drivingFrac = 1e-6
-	}
-	if drivingFrac > 1 {
-		drivingFrac = 1
-	}
-	return e.planCosts(p, drivingFrac)
-}
-
-// planCosts is PlanCosts with the driving node scaled to drivingFrac.
-func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, error) {
 	n := p.NumTables()
 	sc := &SplitCosts{}
 
@@ -390,10 +362,10 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 	widths := make([]float64, n)
 	{
 		t, _ := e.Cat.Table(p.Driving.Ref.Table)
-		widths[0] = float64(projWidthOf(t.Schema, p.Driving.Proj))
+		widths[0] = float64(t.Schema.ProjWidth(p.Driving.Proj))
 		for i, st := range p.Steps {
 			rt, _ := e.Cat.Table(st.Right.Ref.Table)
-			widths[i+1] = widths[i] + float64(projWidthOf(rt.Schema, st.Right.Proj))
+			widths[i+1] = widths[i] + float64(rt.Schema.ProjWidth(st.Right.Proj))
 		}
 	}
 
@@ -491,7 +463,7 @@ func (e *Estimator) planCosts(p *exec.Plan, drivingFrac float64) (*SplitCosts, e
 			if rm <= 0 {
 				rm = float64(rt.CollectStats().RowCount) * math.Max(st.Right.EstSel, 1e-6)
 			}
-			leafTrans += e.TransferCost(rm, float64(projWidthOf(rt.Schema, st.Right.Proj)))
+			leafTrans += e.TransferCost(rm, float64(rt.Schema.ProjWidth(st.Right.Proj)))
 		}
 	}
 	// Fig. 5's cumulative curve: c_node(H0) is the first (cheapest) table's

@@ -247,19 +247,3 @@ func (pl *Pipeline) TupleWidth(n int) int64 {
 	}
 	return w
 }
-
-// projWidth sums the aligned stored widths of the projected columns (all
-// columns when proj is empty — full projection).
-func projWidth(s *table.Schema, proj []string) int64 {
-	if len(proj) == 0 {
-		return int64(s.RowBytes())
-	}
-	var w int64
-	for _, c := range proj {
-		w += int64(s.ColumnStoredBytes(c))
-	}
-	if w == 0 {
-		w = 4
-	}
-	return w
-}

@@ -52,7 +52,7 @@ func prepare(cat *table.Catalog, p *Plan) (*Prepared, error) {
 			return nil, err
 		}
 		pr.tabs[i], aliases[i], schemas[i] = t, ap.Ref.Alias, t.Schema
-		pr.widths[i] = projWidth(t.Schema, ap.Proj)
+		pr.widths[i] = t.Schema.ProjWidth(ap.Proj)
 		if ap.Filter != nil {
 			pr.preds[i], pr.terms[i] = expr.Compile(t.Schema, ap.Filter), ap.Filter.Terms()
 		}

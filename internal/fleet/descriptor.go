@@ -3,9 +3,10 @@
 // primary-key space across N simulated devices (the platform-configuration
 // idiom of DPU offload services — the descriptor names which device holds
 // which partitions before any query runs), the split-point calculator is
-// re-run per shard against the shard's local statistics, and a scatter-
-// gather executor fans per-partition NDP-PQEPs out to the devices and merges
-// partial results host-side in ascending partition order, so the merged
+// re-run once for a device's 1/N share of the driving table, and a scatter-
+// gather executor fans that one NDP-PQEP out to every device, each over its
+// own partitions, and merges partial results host-side in ascending
+// partition order, so the merged
 // tuple stream — and therefore every query result — is byte-identical to a
 // single-device run regardless of fleet size or worker interleaving (the
 // Taurus-NDP shape from PAPERS.md: push scans to many page stores, combine
@@ -19,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hybridndp/internal/table"
 )
@@ -45,17 +45,6 @@ type Partition struct {
 	Device int
 }
 
-// Contains reports whether pk falls into the partition.
-func (p Partition) Contains(pk int32) bool {
-	if p.Lo != nil && pk < *p.Lo {
-		return false
-	}
-	if p.Hi != nil && pk >= *p.Hi {
-		return false
-	}
-	return true
-}
-
 // rangeLabel renders one bound pair.
 func rangeLabel(lo, hi *int32) string {
 	l, h := "-inf", "+inf"
@@ -70,23 +59,14 @@ func rangeLabel(lo, hi *int32) string {
 
 // Descriptor is the fleet's platform configuration: how many devices exist
 // and which device holds which primary-key partition of which table. The
-// configuration is immutable after Build/Validate and the descriptor is safe
-// to share across concurrent runs.
+// configuration is immutable after Build and the descriptor is safe to share
+// across concurrent runs.
 type Descriptor struct {
 	Devices int
 	Scheme  string // "range" or "stripe"
 	// Parts maps table name → partitions in ascending key order. Every
 	// table's partitions must tile (-inf, +inf) exactly once (Validate).
 	Parts map[string][]Partition
-
-	mu    sync.Mutex
-	fracs map[string]tableFracs // guarded by mu: table name → its devices' shares
-}
-
-// tableFracs is one table's per-device row shares under one statistics object.
-type tableFracs struct {
-	stats *table.Stats
-	fracs []float64
 }
 
 // Spec schemes. Range gives each device one contiguous block of every

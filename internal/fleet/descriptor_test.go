@@ -62,7 +62,7 @@ func TestBuildCoversEveryTableExactlyOnce(t *testing.T) {
 				for _, pk := range probe {
 					owners := 0
 					for _, p := range d.Parts[name] {
-						if p.Contains(pk) {
+						if (p.Lo == nil || pk >= *p.Lo) && (p.Hi == nil || pk < *p.Hi) {
 							owners++
 						}
 					}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 
 	"hybridndp/internal/device"
@@ -82,15 +81,15 @@ type Executor struct {
 	scratch exec.ScratchPool
 }
 
-// hedgeMult scales the median shard estimate into the hedge launch
-// threshold: a shard must look hedgeMult× slower than the typical shard
-// estimate before the backup spends host work.
+// hedgeMult scales the per-device estimate into the hedge launch threshold: a
+// shard must look hedgeMult× slower than its estimate before the backup spends
+// host work.
 const hedgeMult = 3
 
 // HedgeConfig tunes hedged shard execution: once a shard's device elapsed
-// virtual time exceeds hedgeMult × the median of the admitted shards' EstDevNs
-// (optionally rescaled by the scheduler's EWMA device-calibration factor via
-// Scale), a host-native backup for that shard is launched at the threshold
+// virtual time exceeds hedgeMult × the assignment's EstDevNs (optionally
+// rescaled by the scheduler's EWMA device-calibration factor via Scale), a
+// host-native backup for that shard is launched at the threshold
 // instant, and the merge takes whichever side finishes first on the virtual
 // timeline. Both sides produce the identical tuple stream for the shard's
 // partitions, so fingerprints are unchanged whichever wins.
@@ -110,14 +109,13 @@ func NewExecutor(cat *table.Catalog, db *kv.DB, m hw.Model, desc *Descriptor) *E
 
 // outcome is what became of one shard: whether the merge consumes its device
 // batches (ok) or re-executes its partitions host-side, and why. Every
-// trigger — planner, admission gate, injected crash, checksum failure,
-// deadline, hedge — only picks an outcome; the host re-execution path they
-// lead to is one and the same.
+// trigger — admission gate, injected crash, checksum failure, deadline,
+// hedge — only picks an outcome; the host re-execution path they lead to is
+// one and the same.
 type outcome int
 
 const (
-	hostPlanned  outcome = iota // the planner kept the partitions on the host (ShardPlan.Host)
-	ok                          // the merge consumes the shard's device batches
+	ok           outcome = iota // the merge consumes the shard's device batches
 	denied                      // the admission gate refused the shard
 	crashed                     // the device command died on an injected fault
 	corrupt                     // a batch failed host-side checksum verification
@@ -138,7 +136,6 @@ var outcomes = [...]struct{ counter, span string }{
 
 // shard is one device's state within a run.
 type shard struct {
-	plan    *ShardPlan
 	outcome outcome
 	// release reports the admitted shard's outcome back to the gate; nil when
 	// ungated or not admitted.
@@ -157,10 +154,10 @@ type shard struct {
 	backupAt vclock.Time
 }
 
-// hostFrom is the first join step the host runs on this shard's driving rows.
-func (sh *shard) hostFrom() int {
-	if sh.outcome == ok && sh.plan.Split > 0 {
-		return sh.plan.Split
+// hostFrom is the first join step the host runs on sh's driving rows.
+func (r *run) hostFrom(sh *shard) int {
+	if sh.outcome == ok {
+		return r.a.Split
 	}
 	return 0
 }
@@ -252,17 +249,12 @@ func (r *run) demote(sh *shard, o outcome) {
 	}
 }
 
-// admit gates every device-planned shard. A denied shard degrades to host
-// execution of its partitions; planned host shards never ask for a device.
+// admit gates every shard. A denied shard degrades to host execution of its
+// partitions.
 func (r *run) admit() {
 	r.shards = make([]shard, r.x.Desc.Devices)
 	for dev := range r.shards {
 		sh := &r.shards[dev]
-		sh.plan = &r.a.Shards[dev]
-		if sh.plan.Host {
-			continue
-		}
-		sh.outcome = ok
 		if r.x.Gate == nil {
 			continue
 		}
@@ -294,41 +286,35 @@ func (r *run) release(completed bool) {
 	}
 }
 
-// scatter launches every admitted shard: each gets its own command, device,
-// engine and pipeline, so inner builds and scans charge the owning device's
-// timeline. Devices are visited in ascending id — their timelines are
-// independent, so code order only fixes determinism, not virtual
-// concurrency. An injected crash abandons the shard to the host path;
+// scatter launches every admitted shard: each runs the fleet's one command on
+// its own device, engine and pipeline, so inner builds and scans charge the
+// owning device's timeline. Devices are visited in ascending id — their
+// timelines are independent, so code order only fixes determinism, not
+// virtual concurrency. An injected crash abandons the shard to the host path;
 // partial device output is never merged, so the merged stream stays
 // byte-identical to the fault-free run.
 func (r *run) scatter() error {
-	// One snapshot serves every shard: the deepest launched split's tables —
-	// under H0 (every shard at split 0) every table of the plan.
-	maxSplit, any := 0, false
-	for i := range r.shards {
-		if sh := &r.shards[i]; sh.outcome == ok {
-			any = true
-			maxSplit = max(maxSplit, sh.plan.Split)
-		}
-	}
-	if !any {
-		return nil
-	}
-	snap, err := device.Snapshot(r.x.DB, r.p, maxSplit)
-	if err != nil {
-		return err
-	}
-	// Each shard takes its per-device share of the driving-table chunks,
-	// rounded up so none gets zero: a fleet of one runs exactly the
-	// cooperative executor's command.
-	n := len(r.shards)
-	chunks := (device.DrivingChunks(r.x.Model, r.x.Cat, r.p) + n - 1) / n
-	for i := range r.shards {
-		sh := &r.shards[i]
+	var cmd *device.Command
+	for dev := range r.shards {
+		sh := &r.shards[dev]
 		if sh.outcome != ok {
 			continue
 		}
-		err := r.runShard(sh, &device.Command{Plan: r.p, SplitAfter: sh.plan.Split, Snapshot: snap, Chunks: chunks})
+		if cmd == nil {
+			// One snapshot of the split's tables — under H0 every table of
+			// the plan — and one command serve every shard. Each shard takes
+			// its per-device share of the driving-table chunks, rounded up so
+			// none gets zero: a fleet of one runs exactly the cooperative
+			// executor's command.
+			snap, err := device.Snapshot(r.x.DB, r.p, r.a.Split)
+			if err != nil {
+				return err
+			}
+			n := len(r.shards)
+			cmd = &device.Command{Plan: r.p, SplitAfter: r.a.Split, Snapshot: snap,
+				Chunks: (device.DrivingChunks(r.x.Model, r.x.Cat, r.p) + n - 1) / n}
+		}
+		err := r.runShard(dev, cmd)
 		if err == nil {
 			continue
 		}
@@ -341,13 +327,13 @@ func (r *run) scatter() error {
 	return nil
 }
 
-// runShard is one shard's device side: the NDP invocation, then the producer
-// over the shard's own partitions. No slot-wait is passed: the host merges the
+// runShard is device id's side: the NDP invocation, then the producer over
+// the device's own partitions. No slot-wait is passed: the host merges the
 // whole fleet's batches in partition order only after every shard ran, so the
 // host side is the bottleneck. An injected crash degrades the whole shard at
 // the fleet layer instead of retrying.
-func (r *run) runShard(sh *shard, cmd *device.Command) error {
-	x, id := r.x, sh.plan.Device
+func (r *run) runShard(id int, cmd *device.Command) error {
+	x, sh := r.x, &r.shards[id]
 	if fp := x.Faults.ForDevice(id); fp.Enabled() {
 		// Per-device fault stream: the run key folds in the device id so one
 		// sick device's episode never perturbs its siblings'.
@@ -356,7 +342,7 @@ func (r *run) runShard(sh *shard, cmd *device.Command) error {
 	sh.dev = r.b.Device(sh.inj)
 	// The host issues the fleet's commands back to back; each device's
 	// timeline starts when its own command arrived.
-	eng, err := sh.dev.Launch(cmd, sh.plan.Mem, r.hostTL)
+	eng, err := sh.dev.Launch(cmd, r.a.Mem, r.hostTL)
 	if err != nil {
 		return err
 	}
@@ -406,7 +392,7 @@ func (r *run) decide(deadline vclock.Duration) {
 			continue
 		}
 		x.Metrics.Counter("fleet.hedge.fired").Inc()
-		if thr+sh.plan.EstHostNs < float64(elapsed) {
+		if thr+r.a.EstHostNs < float64(elapsed) {
 			sh.backupAt = vclock.Time(thr)
 			r.demote(sh, hedgedOut)
 		} else {
@@ -416,35 +402,23 @@ func (r *run) decide(deadline vclock.Duration) {
 }
 
 // hedgeThreshold derives the virtual-time hedge launch threshold for this
-// run: hedgeMult × the median of the launched shards' device estimates, rescaled
-// by the scheduler's learned device-calibration factor when wired. Anchoring
-// on the shard population's own estimates (rather than a fixed duration)
-// makes the threshold scale-free: a query whose shards are all expensive
-// hedges late, a cheap query's straggler is caught early. Returns 0 (hedging
-// off) when disabled or no shard is on its device.
+// run: hedgeMult × the assignment's per-device estimate, rescaled by the
+// scheduler's learned device-calibration factor when wired. Anchoring on the
+// query's own estimate (rather than a fixed duration) makes the threshold
+// scale-free: an expensive query hedges late, a cheap query's straggler is
+// caught early. Returns 0 (hedging off) when disabled.
 func (r *run) hedgeThreshold() float64 {
 	h := r.x.Hedge
 	if !h.Enabled {
 		return 0
 	}
-	var ests []float64
-	for i := range r.shards {
-		if sh := &r.shards[i]; sh.outcome == ok {
-			ests = append(ests, sh.plan.EstDevNs)
-		}
-	}
-	if len(ests) == 0 {
-		return 0
-	}
-	sort.Float64s(ests)
-	median := ests[len(ests)/2] // the upper one of an even count
 	scale := 1.0
 	if h.Scale != nil {
 		if s := h.Scale(); s > 0 {
 			scale = s
 		}
 	}
-	return hedgeMult * scale * median
+	return hedgeMult * scale * r.a.EstDevNs
 }
 
 // prebuild overlaps host prep with the devices' initial execution: the inner
@@ -456,7 +430,7 @@ func (r *run) prebuild() error {
 	}
 	from := len(r.p.Steps)
 	for _, part := range r.a.DrivingParts {
-		if hf := r.shards[part.Device].hostFrom(); hf < from {
+		if hf := r.hostFrom(&r.shards[part.Device]); hf < from {
 			from = hf
 		}
 	}
@@ -486,10 +460,10 @@ func (r *run) gather() error {
 }
 
 // receive hands the shard's next device batch to the receiver, which joins
-// driving tuples from the shard's own split onward. A batch that fails its
+// driving tuples from the command's split onward. A batch that fails its
 // checksum demotes the whole shard.
 func (r *run) receive(sh *shard) error {
-	_, err := r.rc.Receive(sh.out[sh.next], sh.inj, sh.hostFrom())
+	_, err := r.rc.Receive(sh.out[sh.next], sh.inj, r.hostFrom(sh))
 	sh.next++
 	if errors.Is(err, device.ErrCorruptBatch) {
 		r.demote(sh, corrupt)

@@ -79,9 +79,6 @@ func TestDegradedShardMatchesFullFleet(t *testing.T) {
 	if a.Mode == ModeHost {
 		t.Fatalf("device-mode decision planned as host fleet assignment")
 	}
-	if len(a.Shards) != 4 {
-		t.Fatalf("got %d shards, want 4", len(a.Shards))
-	}
 
 	full := NewExecutor(ds.Cat, ds.DB, ds.Model, desc)
 	full.Metrics = obs.NewRegistry()
@@ -152,14 +149,8 @@ func TestAllShardsDeniedStillAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devShards := 0
-	for _, sp := range a.Shards {
-		if !sp.Host {
-			devShards++
-		}
-	}
-	if rep.DegradedShards != devShards {
-		t.Fatalf("degraded %d shards, want %d", rep.DegradedShards, devShards)
+	if rep.DegradedShards != 2 {
+		t.Fatalf("degraded %d shards, want the fleet's 2", rep.DegradedShards)
 	}
 	if got := Fingerprint(rep.Result); got != Fingerprint(want.Result) {
 		t.Fatal("fully degraded fleet changed the result")
@@ -170,9 +161,9 @@ func TestAllShardsDeniedStillAnswers(t *testing.T) {
 }
 
 // TestSingleDeviceShardPlanMirrorsGlobalDecision pins the N=1 planning
-// invariant: with one device holding the full driving table (frac = 1), the
-// shard-local split re-derivation must reproduce the optimizer's global
-// split exactly.
+// invariant: with one device holding the full driving table (share 1), the
+// fleet's split re-derivation must reproduce the optimizer's global split
+// exactly.
 func TestSingleDeviceShardPlanMirrorsGlobalDecision(t *testing.T) {
 	ds := testDataset(t)
 	opt := optimizer.New(ds.Cat, ds.Model)
@@ -197,11 +188,11 @@ func TestSingleDeviceShardPlanMirrorsGlobalDecision(t *testing.T) {
 		}
 		// One device holds the whole driving table: its share of the
 		// host-native estimate is all of it.
-		if a.Shards[0].EstHostNs != d.Costs.HostTotal {
-			t.Fatalf("%s: single-device host estimate %v, want the plan's %v", q.Name, a.Shards[0].EstHostNs, d.Costs.HostTotal)
+		if a.EstHostNs != d.Costs.HostTotal {
+			t.Fatalf("%s: single-device host estimate %v, want the plan's %v", q.Name, a.EstHostNs, d.Costs.HostTotal)
 		}
-		if a.Shards[0].Split != d.Split {
-			t.Fatalf("%s: shard split H%d, global decision H%d", q.Name, a.Shards[0].Split, d.Split)
+		if a.Split != d.Split {
+			t.Fatalf("%s: fleet split H%d, global decision H%d", q.Name, a.Split, d.Split)
 		}
 	}
 }
@@ -498,7 +489,7 @@ func TestFleetShrinksPerDeviceWork(t *testing.T) {
 	a1, one := run(1)
 	a4, four := run(4)
 	if a1.Label() != a4.Label() {
-		t.Skipf("shard-local planning moved the split (%s → %s); per-device work is not comparable", a1.Label(), a4.Label())
+		t.Skipf("fleet deepening moved the split (%s → %s); per-device work is not comparable", a1.Label(), a4.Label())
 	}
 	if m1, m4 := maxShardElapsed(one), maxShardElapsed(four); m4 >= m1 {
 		t.Fatalf("slowest of 4 shards (%v) should be under the single device (%v)", m4, m1)

@@ -385,19 +385,19 @@ func (o *Optimizer) Decide(q *query.Query) (*Decision, error) {
 }
 
 // DecideShard re-runs the split-point calculation of the global decision g
-// for one driving-table shard holding frac of the driving rows (fleet
-// execution, paper §3 applied per partition): the shard's c_node curve is
-// priced against its local statistics via ShardPlanCosts and the candidate
-// splits are restricted to the interior Hk (k ≥ 1) that g's memory plans
-// admit — H0's leaf broadcast and the host-only baseline are fleet-global
-// choices, so a shard only decides between "device joins up to k" and "run my
-// partition on the host". The returned decision carries Hybrid=true with the
-// chosen Split, or Hybrid=false when the shard-local host cost undercuts every
-// feasible device split. The deepening step prices the shared gather host
-// from g's global cost picture. A shard decision carries no Reason.
-func (o *Optimizer) DecideShard(g *Decision, frac float64) (*Decision, error) {
+// for a fleet of `devices` devices, each holding a 1/devices share of the
+// driving rows (fleet execution, paper §3 applied per partition): the share's
+// c_node curve is priced via ShardPlanCosts and the candidate splits are
+// restricted to the interior Hk (k ≥ 1) that g's memory plans admit — H0's
+// leaf broadcast and the host-only baseline are fleet-global choices, so the
+// fleet only decides between "devices join up to k" and "run the query on the
+// host". The returned decision carries Hybrid=true with the chosen Split, or
+// Hybrid=false when the share's host cost undercuts every feasible device
+// split. The deepening step prices the shared gather host from g's global
+// cost picture. A shard decision carries no Reason.
+func (o *Optimizer) DecideShard(g *Decision, devices int) (*Decision, error) {
 	p := g.Plan
-	sc, err := o.Est.ShardPlanCosts(p, frac)
+	sc, err := o.Est.ShardPlanCosts(p, 1/float64(devices))
 	if err != nil {
 		return nil, err
 	}
@@ -409,14 +409,14 @@ func (o *Optimizer) DecideShard(g *Decision, frac float64) (*Decision, error) {
 	}
 	d.Split = best
 	d.Hybrid = cost.Overlap(sc.Quote(cost.Hybrid, best)) <= sc.HostTotal
-	if d.Hybrid && frac < 1 {
+	if d.Hybrid && devices > 1 {
 		// Fleet deepening (N > 1 devices): the gather host is shared by
 		// every shard while shard device chains run in parallel, so a shard
 		// can afford join steps past the single-device balance point. The
-		// fleet estimate for split k overlaps the shard's frac-scaled device
+		// fleet estimate for split k overlaps the share-scaled device
 		// chain with the *global* host remainder (all shards' tuples pass
 		// through one host) plus the global transfer; deepen past best while
-		// the estimate improves. At frac = 1 the fleet degenerates to the
+		// the estimate improves. With one device the fleet degenerates to the
 		// single-device split above, keeping the N=1 mirror invariant.
 		fleetEst := func(k int) float64 {
 			dev, _, _ := sc.Quote(cost.Hybrid, k)

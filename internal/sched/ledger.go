@@ -63,8 +63,9 @@ func NewLedger(hostLanes, devices int) *Ledger {
 	}
 }
 
-// bindMetrics attaches a registry: breaker transitions count into it and
-// every booking mirrors the touched rows' occupancy into gauges.
+// bindMetrics attaches a registry: breaker transitions count into it, and
+// the host lane count and every device's breaker position are mirrored into
+// gauges.
 func (l *Ledger) bindMetrics(m *obs.Registry) {
 	if m == nil {
 		return
@@ -72,21 +73,8 @@ func (l *Ledger) bindMetrics(m *obs.Registry) {
 	l.metrics = m
 	m.Gauge("sched.ledger.host.lanes").SetInt(int64(len(l.host)))
 	for i := range l.devs {
-		l.publishDev(i, 0)
 		l.publishBreaker(i)
 	}
-}
-
-// publishDev mirrors whether device i is busy at instant at into a gauge.
-func (l *Ledger) publishDev(i int, at vclock.Time) {
-	if l.metrics == nil {
-		return
-	}
-	used := int64(0)
-	if l.devs[i].until > at {
-		used = 1
-	}
-	l.metrics.Gauge(fmt.Sprintf("sched.ledger.device.%d.cmd_used", i)).SetInt(used)
 }
 
 // publishBreaker mirrors device i's breaker position, and the count of
@@ -192,7 +180,6 @@ func (l *Ledger) Book(ch Choice, done vclock.Time) {
 	}
 	if ch.Dev >= 0 {
 		l.devs[ch.Dev].until = done
-		l.publishDev(ch.Dev, ch.Start)
 	}
 }
 
@@ -211,7 +198,6 @@ func (l *Ledger) AdmitDevice(dev int, at vclock.Time) bool {
 	}
 	l.probe(dev)
 	d.until = vclock.Time(math.Inf(1))
-	l.publishDev(dev, at)
 	return true
 }
 

@@ -129,7 +129,7 @@ func (r *live) Run(t *Ticket, c Candidate, ch Choice) (vclock.Duration, error) {
 }
 
 // runFleet executes one decided query over the sharded fleet: plan the
-// per-shard split points and scatter-gather through the fleet executor
+// fleet's one device command and scatter-gather through the fleet executor
 // (shard admission runs against the ledger via the gate, as of the run's
 // start instant). The fleet executor re-runs every failed shard's partitions
 // host-side itself; an error it returns surfaces on the ticket.

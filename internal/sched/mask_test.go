@@ -87,13 +87,8 @@ func TestTightBudgetOneMemoryMask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sp := range a.Shards {
-			if sp.Host {
-				continue
-			}
-			if !sp.Mem.Fits() || sp.Mem != d.Mem[sp.Split] {
-				t.Errorf("%s: fleet shard %d launches split H%d (%s) outside the memory plans", q.Name, sp.Device, sp.Split, a.Mode)
-			}
+		if a.Mode != fleet.ModeHost && (!a.Mem.Fits() || a.Mem != d.Mem[a.Split]) {
+			t.Errorf("%s: the fleet launches split H%d (%s) outside the memory plans", q.Name, a.Split, a.Mode)
 		}
 	}
 	t.Logf("%d plans fit only from H1 on; the live runner offered their H1 %d times", tight, offeredH1)

@@ -168,14 +168,32 @@ func (s *Schema) NullBit(i int) (byteIdx int, mask byte) {
 	return s.nullOff + i/8, 1 << (i % 8)
 }
 
-// ColumnStoredBytes reports the aligned on-record footprint of one column,
-// used by the cost model's projection-byte terms (tbl_pbn).
+// ColumnStoredBytes reports the aligned on-record footprint of one column (0
+// for a column the schema does not have).
 func (s *Schema) ColumnStoredBytes(name string) int {
 	i := s.ColumnIndex(name)
 	if i < 0 {
 		return 0
 	}
 	return s.Columns[i].storedSize()
+}
+
+// ProjWidth is the projected row width of a scan returning the columns proj:
+// the sum of their aligned stored widths (the whole row when proj is empty —
+// full projection; 4 bytes when none of them is stored). Execution sizes
+// tuples and the cost model prices projection bytes (tbl_pbn) with it.
+func (s *Schema) ProjWidth(proj []string) int64 {
+	if len(proj) == 0 {
+		return int64(s.rowBytes)
+	}
+	var w int64
+	for _, c := range proj {
+		w += int64(s.ColumnStoredBytes(c))
+	}
+	if w == 0 {
+		w = 4
+	}
+	return w
 }
 
 // Value is one typed column value.
